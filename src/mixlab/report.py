@@ -2,8 +2,7 @@
 
 Curve reports share one schema: (abscissa, estimate, std_err, theory,
 n_effective).  Numbers are printed with 12 significant digits so a rerun
-with the same spec reproduces the files byte for byte; anything that can
-legitimately vary between reruns (wall time) goes in the JSON sidecar.
+with the same spec reproduces the files byte for byte.
 """
 
 from __future__ import annotations

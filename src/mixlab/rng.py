@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadRange
+
 # Experiments carve the 64-bit stream index into disjoint lanes so that
 # nested loops (replicate r, environment j, ...) can never collide.
 LANE = 1 << 32
@@ -37,4 +39,6 @@ class RngStream:
 
     def lane(self, which: int, k: int = 0) -> "RngStream":
         """Stream ``which * LANE + k``, for collision-free nested loops."""
+        if not 0 <= k < LANE:
+            raise BadRange(f"lane offset {k} outside [0, 2**32)")
         return RngStream(self.root_seed, which * LANE + k)

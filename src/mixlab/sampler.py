@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,12 +22,17 @@ class Digraph:
     ``heads[offsets[x]:offsets[x+1]]`` are the head vertices of x's out-edges,
     with multiplicity, in sampling order.  Self-loops and parallel edges are
     kept; the walk semantics need them.
+
+    ``head_stubs`` is the matching of a DCM sample: edge e (position e in
+    ``heads``) took head stub ``head_stubs[e]``, stubs numbered in order of
+    their head vertex.  It is None for graphs sampled or loaded otherwise.
     """
 
     seq: DegreeSequence
     heads: np.ndarray
     offsets: np.ndarray
     stream: RngStream
+    head_stubs: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -39,13 +45,16 @@ class Digraph:
         return self.heads[self.offsets[x]:self.offsets[x + 1]]
 
 
-def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream) -> Digraph:
+def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
+            head_stubs: Optional[np.ndarray] = None) -> Digraph:
     offsets = np.zeros(seq.n + 1, dtype=np.int64)
     np.cumsum(seq.out_degrees, out=offsets[1:])
-    heads = heads.astype(np.int64)
-    heads.setflags(write=False)
-    offsets.setflags(write=False)
-    return Digraph(seq=seq, heads=heads, offsets=offsets, stream=stream)
+    heads = np.asarray(heads, dtype=np.int64)  # callers pass fresh arrays
+    for arr in (heads, offsets, head_stubs):
+        if arr is not None:
+            arr.setflags(write=False)
+    return Digraph(seq=seq, heads=heads, offsets=offsets, stream=stream,
+                   head_stubs=head_stubs)
 
 
 def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
@@ -54,8 +63,10 @@ def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
         raise BadValue("sample_dcm needs a DCM degree sequence")
     gen = stream.generator()
     head_slots = np.repeat(np.arange(seq.n, dtype=np.int64), seq.in_degrees)
-    heads = gen.permutation(head_slots)
-    return _finish(seq, heads, stream)
+    # Shuffling stub indices draws the same numbers as shuffling the slots,
+    # so every seed realizes the same graph, and the matching is kept.
+    head_stubs = gen.permutation(seq.m)
+    return _finish(seq, head_slots[head_stubs], stream, head_stubs)
 
 
 def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
@@ -153,6 +164,8 @@ def digraph_from_json(text: str) -> Digraph:
         in_degrees = np.bincount(heads, minlength=n)
         seq = validate_degrees(model, out_degrees, in_degrees)
     else:
+        if any(len(set(row)) != len(row) for row in out_edges):
+            raise BadValue("OCM out-edges must have distinct targets")
         seq = validate_degrees(model, out_degrees)
     stream = RngStream(doc["seed"]["root_seed"], doc["seed"]["stream_index"])
     return _finish(seq, heads, stream)

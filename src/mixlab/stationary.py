@@ -84,8 +84,12 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
                                         residual=verified)
         cand_prev = cand
 
-    ncomp, _ = connected_components(kernel.matrix, directed=True,
-                                    connection="strong")
+    # Reversing every edge keeps the strong components, so P^T serves.
+    # scipy's strong-component search never returns on a CSR matrix with
+    # duplicate entries, so parallel edges are merged in a copy first.
+    adj = tmat.copy()
+    adj.sum_duplicates()
+    ncomp, _ = connected_components(adj, directed=True, connection="strong")
     raise NotConverged(
         f"residual {best_res:.3g} > tol {tol:g} after {max_iters} iterations "
         f"({ncomp} strongly connected components)",

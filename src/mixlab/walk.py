@@ -1,9 +1,12 @@
 """Transition kernels and everything that moves mass through them.
 
-A kernel row for vertex x puts weight (multiplicity / out-degree) on each
-distinct head, so parallel edges stay visible to the walk.  Propagation is
-dense-vector times sparse-matrix, with mass drift watched at 1e-9 and every
-renormalization counted rather than hidden.
+Propagation is P^T times a dense vector, with mass drift watched at 1e-9
+and every renormalization counted rather than hidden.  A digraph kernel
+therefore builds P^T first, in O(m) on first use, with one entry of
+weight 1/out-degree per edge: parallel edges stay separate entries and
+self-loops sit on the diagonal.  The row orientation P, which puts weight
+multiplicity/out-degree on each distinct head, is built from the out-lists
+only when a caller reads single entries or rows.
 """
 
 from __future__ import annotations
@@ -66,19 +69,40 @@ class MassMonitor:
 
 
 class TransitionKernel:
-    """Row-stochastic sparse walk matrix over [0, n)."""
+    """Row-stochastic sparse walk matrix over [0, n).
 
-    def __init__(self, matrix: csr_matrix):
-        self.matrix = matrix
-        self.n = matrix.shape[0]
-        self.nnz = matrix.nnz
+    Give either the matrix P or the digraph it comes from.  Both
+    orientations are built lazily and cached: ``transpose`` (P^T, what
+    propagation multiplies by) and ``matrix`` (P, summed and sorted, for
+    entry lookups).  ``nnz`` counts stored entries, so a digraph kernel
+    has nnz == m.
+    """
+
+    def __init__(self, matrix: Optional[csr_matrix] = None,
+                 graph: Optional[Digraph] = None):
+        if (matrix is None) == (graph is None):
+            raise BadValue("give exactly one of matrix and graph")
+        self._matrix = matrix
+        self._graph = graph
         self._transpose = None
+        if graph is not None:
+            self.n, self.nnz = graph.n, graph.seq.m
+        else:
+            self.n, self.nnz = matrix.shape[0], matrix.nnz
+
+    @property
+    def matrix(self) -> csr_matrix:
+        if self._matrix is None:
+            self._matrix = _row_matrix(self._graph)
+        return self._matrix
 
     @property
     def transpose(self) -> csr_matrix:
-        # Cached because propagation multiplies by P^T every step.
         if self._transpose is None:
-            self._transpose = self.matrix.T.tocsr()
+            if self._graph is None:
+                self._transpose = self._matrix.T.tocsr()
+            else:
+                self._transpose = _transpose_matrix(self._graph)
         return self._transpose
 
     def row(self, x: int) -> np.ndarray:
@@ -88,34 +112,76 @@ class TransitionKernel:
 
     def entry(self, x: int, y: int) -> float:
         """P(x, y); zero when the edge is absent."""
-        lo, hi = self.matrix.indptr[x], self.matrix.indptr[x + 1]
-        cols = self.matrix.indices[lo:hi]
-        k = np.searchsorted(cols, y)
-        if k < len(cols) and cols[k] == y:
-            return float(self.matrix.data[lo + k])
-        return 0.0
+        mat = self.matrix
+        return _entry(mat.indptr, mat.indices, mat.data, x, y)
 
     def entry_table(self) -> dict:
         """Dict {(x, y): P(x, y)} for batch lookups."""
         out = {}
-        indptr, indices, data = (self.matrix.indptr, self.matrix.indices,
-                                 self.matrix.data)
+        mat = self.matrix
+        indptr, indices, data = mat.indptr, mat.indices, mat.data
         for x in range(self.n):
             for k in range(indptr[x], indptr[x + 1]):
                 out[(x, int(indices[k]))] = float(data[k])
         return out
 
 
+def _entry(indptr, indices, data, x: int, y: int) -> float:
+    """P(x, y) read from the arrays of a sorted CSR matrix."""
+    lo, hi = indptr[x], indptr[x + 1]
+    k = lo + indices[lo:hi].searchsorted(y)
+    if k < hi and indices[k] == y:
+        return float(data[k])
+    return 0.0
+
+
+def _edge_weights(g: Digraph) -> np.ndarray:
+    return 1.0 / g.seq.out_degrees.astype(np.float64)
+
+
+def _index_dtype(g: Digraph):
+    """The integer type scipy keeps for CSR indices of g's kernel."""
+    return np.int32 if g.seq.m <= np.iinfo(np.int32).max else np.int64
+
+
+def _out_lists(g: Digraph) -> csr_matrix:
+    """P with one entry per edge, in sampling order (writable copies)."""
+    idx = _index_dtype(g)
+    data = np.repeat(_edge_weights(g), g.seq.out_degrees)
+    return csr_matrix((data, g.heads.astype(idx), g.offsets.astype(idx)),
+                      shape=(g.n, g.n))
+
+
+def _row_matrix(g: Digraph) -> csr_matrix:
+    mat = _out_lists(g)
+    mat.sum_duplicates()        # sorts each row, then merges parallel edges
+    return mat
+
+
+def _transpose_matrix(g: Digraph) -> csr_matrix:
+    """P^T with one entry per edge: row y lists the tails of y's in-edges."""
+    if g.head_stubs is None:
+        # scipy's CSR -> CSC conversion is an O(m) counting sort by head
+        return _out_lists(g).tocsc().T
+    # A DCM matching already groups the edges by head: stub j of the
+    # head-ordered stubs sits at row position j of P^T.
+    idx = _index_dtype(g)
+    indptr = np.zeros(g.n + 1, dtype=idx)
+    np.cumsum(g.seq.in_degrees, out=indptr[1:])
+    tails = np.empty(g.seq.m, dtype=idx)
+    tails[g.head_stubs] = np.repeat(np.arange(g.n, dtype=idx),
+                                    g.seq.out_degrees)
+    return csr_matrix((_edge_weights(g)[tails], tails, indptr),
+                      shape=(g.n, g.n))
+
+
 def kernel_from_digraph(g: Digraph) -> TransitionKernel:
-    """Collapse parallel edges into weights multiplicity/out-degree."""
-    n = g.n
-    tails = np.repeat(np.arange(n, dtype=np.int64), g.seq.out_degrees)
-    weights = np.repeat(1.0 / g.seq.out_degrees.astype(np.float64),
-                        g.seq.out_degrees)
-    mat = csr_matrix((weights, (tails, g.heads)), shape=(n, n))
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return TransitionKernel(mat)
+    """Walk kernel of g: each out-edge of x carries 1/out-degree(x).
+
+    Nothing is built here; P^T is built on first propagation (one entry
+    per edge) and P on first entry lookup (parallel edges summed).
+    """
+    return TransitionKernel(graph=g)
 
 
 def _step(v: np.ndarray, kernel: TransitionKernel,
@@ -254,14 +320,16 @@ def path_log_weight(traj: Trajectory, k_sigma: TransitionKernel,
                     k_eta: TransitionKernel) -> float:
     """Log-probability of the exact path under the two quenched kernels."""
     s = traj.switch_time if traj.switch_time is not None else traj.length
+    # the row arrays are read once per path, not once per step
+    rows = [(mat.indptr, mat.indices, mat.data)
+            for mat in (k_sigma.matrix, k_eta.matrix)]
+    states = traj.states.tolist()
     total = 0.0
     for j in range(traj.length):
-        k = k_sigma if j < s else k_eta
-        p = k.entry(int(traj.states[j]), int(traj.states[j + 1]))
+        x, y = states[j], states[j + 1]
+        p = _entry(*rows[j >= s], x, y)
         if p == 0.0:
-            raise ImpossibleStep(
-                f"step {j}: no edge {int(traj.states[j])} -> {int(traj.states[j + 1])}"
-            )
+            raise ImpossibleStep(f"step {j}: no edge {x} -> {y}")
         total += math.log(p)
     return total
 

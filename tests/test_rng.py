@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixlab.errors import BadRange
 from mixlab.rng import LANE, RngStream
 
 
@@ -41,3 +42,12 @@ def test_negative_values_rejected():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, -2)
+
+
+def test_lane_offset_must_stay_inside_its_lane():
+    s = RngStream(7)
+    assert s.lane(1, LANE - 1).stream_index == 2 * LANE - 1
+    # lane(1, 2**32) would be lane(2, 0)
+    for k in (LANE, LANE + 5, -1):
+        with pytest.raises(BadRange):
+            s.lane(1, k)

@@ -149,3 +149,10 @@ def test_json_round_trip():
     ocm = sample_digraph(validate_degrees("ocm", [2, 2, 3]), RngStream(6))
     back2 = digraph_from_json(digraph_to_json(ocm))
     assert np.array_equal(back2.heads, ocm.heads)
+
+
+def test_json_ocm_rejects_repeated_targets():
+    # an OCM out-map is injective, so no row may name a target twice
+    with pytest.raises(BadValue):
+        _graph_from_edges([[1, 1], [0, 2], [0, 1]], model="ocm")
+    assert _graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm").n == 3

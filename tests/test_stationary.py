@@ -66,6 +66,17 @@ def test_period_three_chain_raises_not_converged():
     assert err.best.sum() == pytest.approx(1.0)
 
 
+def test_not_converged_counts_components_of_a_multigraph():
+    # two doubled cycles, {0, 1, 2} of period 3 and {3, 4}: every edge is
+    # parallel, and the period-3 part keeps the averaged iterate moving
+    doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": "dcm",
+           "out_edges": [[1, 1], [2, 2], [0, 0], [4, 4], [3, 3]]}
+    k = kernel_from_digraph(digraph_from_json(json.dumps(doc)))
+    with pytest.raises(NotConverged) as info:
+        stationary_distribution(k, start=delta_at(0, 5), max_iters=30)
+    assert info.value.scc_count == 2
+
+
 def test_eulerian_equals_in_law_immediately():
     seq = validate_degrees("dcm", [2, 3, 4, 2, 3], [2, 3, 4, 2, 3])
     mu = in_degree_distribution(seq)

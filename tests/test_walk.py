@@ -8,10 +8,11 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
-                    delta_at, digraph_from_json, double_row,
+                    delta_at, digraph_from_json, digraph_to_json, double_row,
                     kernel_from_digraph, path_log_weight, propagate,
-                    sample_digraph, sample_trajectory, time_averaged_row,
-                    tv_distance, validate_degrees, write_distribution_csv)
+                    sample_dcm, sample_digraph, sample_trajectory,
+                    time_averaged_row, tv_distance, validate_degrees,
+                    write_distribution_csv)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab.walk import Trajectory
 
@@ -45,6 +46,61 @@ def test_kernel_weights_count_multiplicities():
     table = k.entry_table()
     assert table[(0, 1)] == pytest.approx(2 / 3)
     assert (0, 0) not in table
+
+
+def dense_transpose_oracle(g):
+    """P^T accumulated edge by edge: entry (head, tail) gains 1/out-degree."""
+    tails = np.repeat(np.arange(g.n), g.seq.out_degrees)
+    pt = np.zeros((g.n, g.n))
+    np.add.at(pt, (g.heads, tails), 1.0 / g.seq.out_degrees[tails])
+    return pt
+
+
+def kernel_test_graphs():
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
+    graphs = [sample_digraph(dcm, RngStream(seed)) for seed in range(8)]
+    graphs += [sample_digraph(ocm, RngStream(seed)) for seed in range(4)]
+    graphs += [digraph_from_json(digraph_to_json(g)) for g in graphs[:2]]
+    graphs.append(_graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]))
+    graphs.append(_graph_from_edges([[0, 0, 1], [1, 2], [0, 2]]))
+    graphs.append(_graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm"))
+    return graphs
+
+
+def test_kernel_orientations_match_dense_edge_oracle():
+    graphs = kernel_test_graphs()
+    loops = parallels = 0
+    for g in graphs:
+        tails = np.repeat(np.arange(g.n), g.seq.out_degrees)
+        loops += int((g.heads == tails).any())
+        parallels += int(len(set(zip(tails, g.heads))) < g.seq.m)
+        pt = dense_transpose_oracle(g)
+        k = kernel_from_digraph(g)
+        assert k.nnz == g.seq.m == k.transpose.nnz
+        assert np.array_equal(k.transpose.toarray(), pt)
+        assert k.matrix.has_canonical_format
+        assert np.array_equal(k.matrix.toarray(), pt.T)
+        v = np.random.default_rng(0).dirichlet(np.ones(g.n))
+        got = propagate(v, k, 6)
+        for _ in range(6):
+            v = pt @ v
+        assert np.abs(got - v).max() <= 1e-15
+    # the set must exercise what the per-edge layout has to get right, and
+    # both builds of P^T: from a DCM matching and from the out-lists alone
+    assert loops >= 2 and parallels >= 2
+    assert {g.head_stubs is None for g in graphs} == {True, False}
+
+
+def test_dcm_permutes_stub_indices_like_the_head_slots():
+    # the same stream must realize the same graph as permuting head slots
+    seq = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    head_slots = np.repeat(np.arange(seq.n), seq.in_degrees)
+    for seed in range(5):
+        want = RngStream(seed, 3).generator().permutation(head_slots)
+        g = sample_dcm(seq, RngStream(seed, 3))
+        assert np.array_equal(g.heads, want)
+        assert np.array_equal(head_slots[g.head_stubs], g.heads)
 
 
 def test_rows_are_stochastic_for_sampled_graphs():
