@@ -18,6 +18,7 @@ from .errors import (AllReplicatesFailed, BadCurveName, BadGeneratorSyntax,
 from .experiments import (CrosscheckResult, ExperimentConfig, PathWeightResult,
                           annealed_check, double_cutoff_sweep, gamma_hat,
                           joint_relaxation_curve, marginal_mc_crosscheck,
+                          marginal_crosscheck_report,
                           marginal_relaxation_curve, path_weight_lln,
                           path_weight_report, pick_regime,
                           static_cutoff_profile, stationary_diagnostics,
@@ -34,8 +35,7 @@ from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          widespread_stats)
 from .walk import (MassMonitor, OperationBudget, Trajectory, TransitionKernel,
                    delta_at, double_row, kernel_from_digraph, path_log_weight,
-                   propagate, sample_trajectory, time_averaged_row,
-                   write_distribution_csv)
+                   propagate, sample_trajectory, time_averaged_row)
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -17,40 +16,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ModelKind, validate_degrees
+from .core import ModelKind, load_degree_sequence, validate_degrees
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
                      UnknownFlag)
-from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, CrosscheckResult,
+from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, _meta,
                           annealed_check, double_cutoff_sweep,
-                          joint_relaxation_curve, marginal_mc_crosscheck,
+                          joint_relaxation_curve, marginal_crosscheck_report,
                           marginal_relaxation_curve, path_weight_report,
                           static_cutoff_profile, stationary_diagnostics,
                           stationary_gap_report)
-from .report import (ExperimentReport, ReportRow, atomic_write_text,
-                     diagnostics_csv_text)
+from .report import atomic_write_text, diagnostics_csv_text
 from .rng import RngStream
 from .stationary import DEFAULT_TOL
 from .walk import OperationBudget
 
 # stream lane reserved for degree-multiset shuffles; experiments use 1..6
 DEGREE_LANE = 7
-
-_DEFAULTS = {
-    "model": "dcm",
-    "env_samples": 10,
-    "start_vertices": "32",
-    "root_seed": 0,
-    "out_dir": ".",
-    "time_scale": "regeneration",
-    "epsilon": 0.1,
-    "schedule_samples": 200,
-    "traj_samples": 1000,
-    "gap_replicates": 20,
-    "budget": 5e10,
-    "tol": DEFAULT_TOL,
-    "threads": None,  # resolved from MIXLAB_THREADS, else 1
-}
 
 
 @dataclass(frozen=True)
@@ -77,7 +59,7 @@ class RunSpec:
     gap_replicates: int = 20
     root_seed: int = 0
     out_dir: str = "."
-    threads: Optional[int] = None
+    threads: Optional[int] = None  # resolved from MIXLAB_THREADS, else 1
     budget: float = 5e10
     tol: float = DEFAULT_TOL
     max_iters: Optional[int] = None
@@ -147,20 +129,14 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     if extras:
         raise UnknownFlag(f"unrecognized arguments: {' '.join(extras)}")
 
-    file_values = {}
+    # only the keys a file or flag sets; RunSpec's fields hold the defaults
+    merged = {}
     if ns.config:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise BadValue("config file must hold a JSON object")
-        file_values = dict(raw)
-
-    merged = dict(_DEFAULTS)
+        merged = _json_object(_read(ns.config, "config file"), "config file")
     known = {f.name for f in fields(RunSpec)}
-    for key, value in file_values.items():
+    for key in merged:
         if key not in known:
             raise UnknownFlag(f"unknown config key {key!r}")
-        merged[key] = value
     for key in known:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
@@ -177,13 +153,13 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
             merged[key] = _int_list(merged[key])
         elif merged.get(key) is not None:
             merged[key] = tuple(int(s) for s in merged[key])
-    sv = merged["start_vertices"]
+    sv = merged.get("start_vertices")
     if isinstance(sv, (list, tuple)):
         merged["start_vertices"] = ",".join(str(int(v)) for v in sv)
-    else:
+    elif sv is not None:
         merged["start_vertices"] = str(sv)
 
-    spec = RunSpec(**{k: merged.get(k) for k in known})
+    spec = RunSpec(**merged)
     if spec.alpha is not None and not (0.0 < spec.alpha < 1.0):
         raise BadValue(f"alpha must be in (0, 1), got {spec.alpha}")
     return spec
@@ -243,12 +219,22 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
     raise BadGeneratorSyntax(f"unknown generator kind {kind!r}")
 
 
-def _degrees_from_mapping(obj: dict, model: ModelKind):
-    if "out_degrees" not in obj:
-        raise MissingRequired("degree object needs 'out_degrees'")
-    this_model = ModelKind(obj.get("model", model.value))
-    return validate_degrees(this_model, obj["out_degrees"],
-                            obj.get("in_degrees"))
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise BadValue(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadValue(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadValue(f"{what} must hold a JSON object")
+    return doc
 
 
 def build_degree_sequence(spec: RunSpec):
@@ -262,9 +248,12 @@ def build_degree_sequence(spec: RunSpec):
         return degrees_from_generator(spec.generator, model, spec.root_seed,
                                       spec.n)
     if spec.degrees is not None:
-        return _degrees_from_mapping(json.loads(spec.degrees), model)
-    with open(spec.degrees_file, "r", encoding="utf-8") as fh:
-        return _degrees_from_mapping(json.load(fh), model)
+        doc = _json_object(spec.degrees, "--degrees")
+    else:
+        doc = _json_object(_read(spec.degrees_file, "degrees file"),
+                           "degrees file")
+    # the document's own "model" wins over --model
+    return load_degree_sequence({"model": spec.model, **doc})
 
 
 def _start_vertices_value(text: str):
@@ -305,25 +294,6 @@ def _require(spec: RunSpec, **named):
                                           for m in missing))
 
 
-def _crosscheck_report(result: CrosscheckResult, spec: RunSpec,
-                       seq) -> ExperimentReport:
-    # theory column carries the deterministic estimate the sampler must hit
-    row = ReportRow(abscissa=float(result.t), estimate=result.sampled,
-                    std_err=result.std_err, theory=result.exact,
-                    n_effective=result.schedules)
-    meta = {
-        "experiment": "marginal-crosscheck",
-        "n": seq.n, "model": seq.model.value, "root_seed": spec.root_seed,
-        "alpha": spec.alpha, "t": result.t,
-        "schedules": result.schedules,
-        "mean_refreshes": result.mean_refreshes,
-        "deterministic_estimate": result.exact,
-        "sampled_estimate": result.sampled,
-        "abs_gap": abs(result.sampled - result.exact),
-    }
-    return ExperimentReport("marginal-crosscheck", [row], meta)
-
-
 def run(spec: RunSpec) -> int:
     """Execute one experiment; writes CSV + metadata and prints a summary."""
     seq = build_degree_sequence(spec)
@@ -348,12 +318,8 @@ def run(spec: RunSpec) -> int:
         rows, failures = stationary_diagnostics(cfg, budget=budget)
         csv_path = base + ".csv"
         atomic_write_text(csv_path, diagnostics_csv_text(rows))
-        meta = {
-            "experiment": "diagnostics", "n": seq.n,
-            "model": seq.model.value, "root_seed": spec.root_seed,
-            "replicates": len(rows), "solve_failures": failures,
-            "threads": threads,
-        }
+        meta = _meta("diagnostics", cfg, replicates=len(rows),
+                     solve_failures=failures, threads=threads)
         atomic_write_text(base + ".json",
                           json.dumps(meta, indent=2, sort_keys=True) + "\n")
         print(f"diagnostics: {len(rows)} converged, {failures} failed "
@@ -379,9 +345,9 @@ def run(spec: RunSpec) -> int:
                                            budget=budget, threads=threads)
     elif exp == "marginal-crosscheck":
         _require(spec, alpha=spec.alpha, t=spec.t)
-        result = marginal_mc_crosscheck(cfg, spec.t, spec.schedule_samples,
-                                        budget=budget)
-        report = _crosscheck_report(result, spec, seq)
+        report = marginal_crosscheck_report(cfg, spec.t,
+                                            spec.schedule_samples,
+                                            budget=budget)
     elif exp == "annealed":
         _require(spec, t_grid=spec.t_grid)
         report = annealed_check(cfg, spec.t_grid, budget=budget,

@@ -24,6 +24,7 @@ from .errors import (
     DegreeTooSmall,
     LengthMismatch,
     MismatchedSums,
+    MissingRequired,
     ModelMismatch,
 )
 
@@ -41,6 +42,11 @@ MIN_DEGREE = 2
 class ModelKind(enum.Enum):
     DCM = "dcm"
     OCM = "ocm"
+
+    @classmethod
+    def _missing_(cls, value):
+        # ModelKind("xyz") raises a typed error, not a bare ValueError
+        raise BadValue(f"model must be 'dcm' or 'ocm', got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +72,28 @@ class DegreeSequence:
         return bool(np.array_equal(self.out_degrees, self.in_degrees))
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """values as a 1-d int64 array; BadValue unless every entry is an integer.
+
+    Integral floats such as 2.0 are accepted; 2.5, NaN, inf and strings
+    are refused rather than truncated.  The result is always a fresh array.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise LengthMismatch(f"{name} must be a 1-d sequence") from exc
+    if arr.ndim != 1:
+        raise LengthMismatch(f"{name} must be a 1-d sequence")
+    integral = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and bool(
+        np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0 ** 63))))
+    if not integral:
+        raise BadValue(f"{name} must hold integers")
+    return arr.astype(np.int64)
+
+
 def _as_degree_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
+    arr = integer_array(values, name)
+    if arr.size == 0:
         raise LengthMismatch(f"{name} must be a nonempty 1-d sequence")
     return arr
 
@@ -125,10 +150,8 @@ def validate_degrees(model: ModelKind, out_degrees, in_degrees=None) -> DegreeSe
             stacklevel=2,
         )
 
-    out = out.copy()
     out.setflags(write=False)
     if inn is not None:
-        inn = inn.copy()
         inn.setflags(write=False)
     return DegreeSequence(model=model, out_degrees=out, in_degrees=inn,
                           n=n, m=m, delta=delta)
@@ -138,7 +161,8 @@ def load_degree_sequence(source) -> DegreeSequence:
     """Build a DegreeSequence from a JSON document or an already-parsed dict.
 
     Expected shape: {"model": "dcm"|"ocm", "out_degrees": [...],
-    "in_degrees": [...]?}.
+    "in_degrees": [...]?}.  A document without "out_degrees" raises
+    MissingRequired.
     """
     if isinstance(source, (str, bytes)):
         doc = json.loads(source)
@@ -146,8 +170,12 @@ def load_degree_sequence(source) -> DegreeSequence:
         doc = json.load(source)
     else:
         doc = source
-    if "model" not in doc or "out_degrees" not in doc:
-        raise BadValue("degree document needs 'model' and 'out_degrees'")
+    if not isinstance(doc, dict):
+        raise BadValue("degree document must be a JSON object")
+    if "out_degrees" not in doc:
+        raise MissingRequired("degree document needs 'out_degrees'")
+    if "model" not in doc:
+        raise BadValue("degree document needs 'model'")
     return validate_degrees(
         ModelKind(doc["model"]), doc["out_degrees"], doc.get("in_degrees")
     )

@@ -77,8 +77,8 @@ class ExperimentConfig:
         if self.env_samples < 1:
             raise BadValue("env_samples must be >= 1")
         for b in self.beta_grid:
-            if b < 0:
-                raise BadValue(f"beta {b} must be nonnegative")
+            if not 0 <= b < math.inf:
+                raise BadValue(f"beta {b} must be finite and nonnegative")
 
     def require_alpha(self) -> float:
         if self.alpha is None:
@@ -96,14 +96,6 @@ def _pair(i: int, j: int) -> int:
     if not (0 <= i < (1 << 16) and 0 <= j < (1 << 16)):
         raise BadValue("replicate/sample index exceeds the stream layout")
     return (i << 16) | j
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def gamma_hat(cfg: ExperimentConfig) -> float:
@@ -156,11 +148,13 @@ def theory_curve(name: str, beta: float, gamma: Optional[float] = None,
     raise BadCurveName(f"unknown curve {name!r}; expected one of {CURVE_NAMES}")
 
 
-def resolve_max_starts(cfg: ExperimentConfig):
-    """Start vertices for max/min-over-x experiments.
+def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
+    """Start vertices and the mode string that lands in the metadata.
 
-    Integer counts switch to exhaustive enumeration at small n so the
-    worst case is exact there; the mode string lands in the metadata.
+    An integer count samples that many distinct starts.  With
+    ``exhaustive_small`` (max/min-over-x experiments) a count switches to
+    every vertex at small n, so the worst case is exact there; without it
+    (one environment replicate per start) a count is always sampled.
     """
     n = cfg.seq.n
     sv = cfg.start_vertices
@@ -171,32 +165,10 @@ def resolve_max_starts(cfg: ExperimentConfig):
     if isinstance(sv, (int, np.integer)):
         if sv < 1:
             raise BadValue("start_vertices count must be >= 1")
-        if n <= EXHAUSTIVE_LIMIT or sv >= n:
+        if exhaustive_small and (n <= EXHAUSTIVE_LIMIT or sv >= n):
             return list(range(n)), "exhaustive"
         gen = RngStream(cfg.root_seed).lane(_LANE_STARTS).generator()
-        picks = np.sort(gen.choice(n, size=int(sv), replace=False))
-        return [int(x) for x in picks], "sample"
-    starts = [int(x) for x in sv]
-    for x in starts:
-        if not 0 <= x < n:
-            raise BadRange(f"start vertex {x} outside [0, {n})")
-    return starts, "explicit"
-
-
-def resolve_replicate_starts(cfg: ExperimentConfig):
-    """Start vertices when each start defines its own environment replicate."""
-    n = cfg.seq.n
-    sv = cfg.start_vertices
-    if isinstance(sv, str):
-        if sv != "all":
-            raise BadValue(f"start_vertices string must be 'all', got {sv!r}")
-        return list(range(n)), "exhaustive"
-    if isinstance(sv, (int, np.integer)):
-        if sv < 1:
-            raise BadValue("start_vertices count must be >= 1")
-        count = min(int(sv), n)
-        gen = RngStream(cfg.root_seed).lane(_LANE_STARTS).generator()
-        picks = np.sort(gen.choice(n, size=count, replace=False))
+        picks = np.sort(gen.choice(n, size=min(int(sv), n), replace=False))
         return [int(x) for x in picks], "sample"
     starts = [int(x) for x in sv]
     for x in starts:
@@ -210,6 +182,94 @@ def _mean_std(values: List[float]):
     mean = float(arr.mean())
     err = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, err
+
+
+# ---------------------------------------------------------------------------
+# the replicate engine shared by the multi-environment experiments
+# ---------------------------------------------------------------------------
+
+def _parallel_map(fn, items, threads: int):
+    """Yield fn(item) for every item, in item order."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, items)
+
+
+def _replicates(one, items, threads: int, monitor: MassMonitor):
+    """Yield one(item, replicate_monitor) for every item, in item order.
+
+    Each replicate's own monitor is merged into ``monitor`` as its result
+    arrives; nothing is kept, so callers reduce results as they stream in.
+    """
+    def run(item):
+        mon = MassMonitor()
+        return one(item, mon), mon
+
+    for result, mon in _parallel_map(run, items, threads):
+        monitor.merge(mon)
+        yield result
+
+
+def _converged(results, msg: str):
+    """(kept results, failure count); None marks a failed stationary solve."""
+    results = list(results)
+    kept = [res for res in results if res is not None]
+    if not kept:
+        raise AllReplicatesFailed(msg)
+    return kept, len(results) - len(kept)
+
+
+def _stationary(kernel: TransitionKernel, cfg: ExperimentConfig,
+                mu: np.ndarray) -> Optional[np.ndarray]:
+    """Stationary law of kernel, started from mu; None when the solve fails."""
+    try:
+        return stationary_distribution(kernel, tol=cfg.tol,
+                                       max_iters=cfg.max_iters,
+                                       start=mu).distribution
+    except NotConverged:
+        return None
+
+
+def _gap(cfg: ExperimentConfig, replicates: int,
+         budget: Optional[OperationBudget]):
+    """Stationary-gap estimate on the stream lane every gap run shares."""
+    return estimate_stationary_gap(cfg.seq, replicates,
+                                   RngStream(cfg.root_seed).lane(_LANE_GAP),
+                                   tol=cfg.tol, max_iters=cfg.max_iters,
+                                   budget=budget)
+
+
+def _kernel(seq: DegreeSequence, stream: RngStream) -> TransitionKernel:
+    """Sample one environment on stream and wrap it as a walk kernel."""
+    return kernel_from_digraph(sample_digraph(seq, stream))
+
+
+def _laws_at(x: int, kernel: TransitionKernel, times: Sequence[int],
+             monitor: MassMonitor):
+    """Yield (t, delta_x P^t) for sorted times, one propagate per gap."""
+    v = delta_at(x, kernel.n)
+    cur = 0
+    for t in times:
+        v = propagate(v, kernel, t - cur, monitor)
+        cur = t
+        yield t, v
+
+
+def _meta(name: str, cfg: ExperimentConfig,
+          monitor: Optional[MassMonitor] = None, scale=None, **extra) -> dict:
+    """Sidecar keys every experiment shares, then its own ``extra`` keys."""
+    meta = {"experiment": name, "n": cfg.seq.n,
+            "model": cfg.seq.model.value, "root_seed": cfg.root_seed}
+    if scale is not None:
+        meta.update(entropy=scale.entropy, entropic_time=scale.entropic_time)
+    if monitor is not None:
+        meta.update(renormalizations=monitor.renormalizations,
+                    max_drift=monitor.max_drift)
+    meta.update(extra)
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -232,67 +292,42 @@ def static_cutoff_profile(cfg: ExperimentConfig,
     betas = list(cfg.beta_grid)
     ts = [_floor_time(b * scale.entropic_time) for b in betas]
     t_unique = sorted(set(ts))
-    starts, mode = resolve_max_starts(cfg)
+    starts, mode = resolve_starts(cfg)
     if budget is not None:
         budget.charge(float(cfg.env_samples) * len(starts) * max(t_unique) * seq.m)
     base = RngStream(cfg.root_seed)
 
-    def one(r: int):
-        g = sample_digraph(seq, base.lane(_LANE_ENV_A, r))
-        kernel = kernel_from_digraph(g)
-        monitor = MassMonitor()
-        try:
-            pi = stationary_distribution(kernel, tol=cfg.tol,
-                                         max_iters=cfg.max_iters,
-                                         start=mu).distribution
-        except NotConverged:
-            return None, monitor
-        worst = {t: 0.0 for t in t_unique}
+    def one(r: int, monitor: MassMonitor):
+        kernel = _kernel(seq, base.lane(_LANE_ENV_A, r))
+        pi = _stationary(kernel, cfg, mu)
+        if pi is None:
+            return None
+        worst = dict.fromkeys(t_unique, 0.0)
         for x in starts:
-            v = delta_at(x, seq.n)
-            cur = 0
-            for t in t_unique:
-                v = propagate(v, kernel, t - cur, monitor)
-                cur = t
-                d = tv_distance(v, pi)
-                if d > worst[t]:
-                    worst[t] = d
-        return worst, monitor
+            for t, v in _laws_at(x, kernel, t_unique, monitor):
+                worst[t] = max(worst[t], tv_distance(v, pi))
+        return worst
 
-    results = _parallel_map(one, range(cfg.env_samples), threads)
     monitor = MassMonitor()
-    per_rep = []
-    failures = 0
-    for worst, mon in results:
-        monitor.merge(mon)
-        if worst is None:
-            failures += 1
-        else:
-            per_rep.append(worst)
-    if not per_rep:
-        raise AllReplicatesFailed("no stationary solve converged")
+    per_rep, failures = _converged(
+        _replicates(one, range(cfg.env_samples), threads, monitor),
+        "no stationary solve converged")
 
     rows = []
     for beta, t in zip(betas, ts):
-        vals = [w[t] for w in per_rep]
-        mean, err = _mean_std(vals)
+        mean, err = _mean_std([w[t] for w in per_rep])
         rows.append(ReportRow(
             abscissa=beta, estimate=mean, std_err=err,
             theory=1.0 if beta < 1.0 else 0.0,
             n_effective=len(per_rep),
             flagged=abs(beta - 1.0) < FLAG_MARGIN,
         ))
-    meta = {
-        "experiment": "static-cutoff",
-        "n": seq.n, "model": seq.model.value, "root_seed": cfg.root_seed,
-        "entropy": scale.entropy, "entropic_time": scale.entropic_time,
-        "times": ts, "start_mode": mode, "start_count": len(starts),
-        "replicates": len(per_rep), "solve_failures": failures,
-        "renormalizations": monitor.renormalizations,
-        "max_drift": monitor.max_drift,
-        "per_beta_replicate_values": {str(b): [w[t] for w in per_rep]
-                                      for b, t in zip(betas, ts)},
-    }
+    meta = _meta(
+        "static-cutoff", cfg, monitor, scale,
+        times=ts, start_mode=mode, start_count=len(starts),
+        replicates=len(per_rep), solve_failures=failures,
+        per_beta_replicate_values={str(b): [w[t] for w in per_rep]
+                                   for b, t in zip(betas, ts)})
     return ExperimentReport("static-cutoff", rows, meta)
 
 
@@ -311,8 +346,8 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     the replicate mean of that statistic; both extremes for every
     replicate are recorded in the metadata.
     """
-    if beta < 0:
-        raise BadValue("beta must be nonnegative")
+    if not 0 <= beta < math.inf:
+        raise BadValue(f"beta {beta} must be finite and nonnegative")
     if cfg.s_grid is None or len(cfg.s_grid) == 0:
         raise BadValue("double-cutoff needs s_grid")
     seq = cfg.seq
@@ -324,78 +359,49 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
         if not 0 <= s <= t:
             raise BadRange(f"switch time {s} outside [0, {t}]")
     s_sorted = sorted(set(s_grid))
-    starts, mode = resolve_max_starts(cfg)
+    starts, mode = resolve_starts(cfg)
     if budget is not None:
         per_start = t + sum(t - s for s in s_sorted)
         budget.charge(float(cfg.env_samples) * len(starts) * per_start * seq.m)
     base = RngStream(cfg.root_seed)
 
-    def one(r: int):
-        g_sigma = sample_digraph(seq, base.lane(_LANE_ENV_A, r))
-        g_eta = sample_digraph(seq, base.lane(_LANE_ENV_B, r))
-        k_sigma = kernel_from_digraph(g_sigma)
-        k_eta = kernel_from_digraph(g_eta)
-        monitor = MassMonitor()
-        try:
-            pi_eta = stationary_distribution(k_eta, tol=cfg.tol,
-                                             max_iters=cfg.max_iters,
-                                             start=mu).distribution
-        except NotConverged:
-            return None, monitor
-        lo = {s: math.inf for s in s_sorted}
-        hi = {s: 0.0 for s in s_sorted}
+    def one(r: int, monitor: MassMonitor):
+        k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, r))
+        k_eta = _kernel(seq, base.lane(_LANE_ENV_B, r))
+        pi_eta = _stationary(k_eta, cfg, mu)
+        if pi_eta is None:
+            return None
+        lo = dict.fromkeys(s_sorted, math.inf)
+        hi = dict.fromkeys(s_sorted, 0.0)
         for x in starts:
-            v = delta_at(x, seq.n)
-            cur = 0
-            saved = {}
-            for s in s_sorted:
-                v = propagate(v, k_sigma, s - cur, monitor)
-                cur = s
-                saved[s] = v
-            for s in s_sorted:
-                w = propagate(saved[s], k_eta, t - s, monitor)
-                d = tv_distance(w, pi_eta)
+            for s, v in _laws_at(x, k_sigma, s_sorted, monitor):
+                d = tv_distance(propagate(v, k_eta, t - s, monitor), pi_eta)
                 lo[s] = min(lo[s], d)
                 hi[s] = max(hi[s], d)
-        return (lo, hi), monitor
+        return lo, hi
 
-    results = _parallel_map(one, range(cfg.env_samples), threads)
     monitor = MassMonitor()
-    mins, maxes = [], []
-    failures = 0
-    for res, mon in results:
-        monitor.merge(mon)
-        if res is None:
-            failures += 1
-        else:
-            mins.append(res[0])
-            maxes.append(res[1])
-    if not mins:
-        raise AllReplicatesFailed("no stationary solve converged")
+    per_rep, failures = _converged(
+        _replicates(one, range(cfg.env_samples), threads, monitor),
+        "no stationary solve converged")
 
     use_min = beta < 1.0
     rows = []
     for s in s_sorted:
-        vals = [(lo if use_min else hi)[s] for lo, hi in zip(mins, maxes)]
-        mean, err = _mean_std(vals)
+        mean, err = _mean_std([(lo if use_min else hi)[s]
+                               for lo, hi in per_rep])
         rows.append(ReportRow(
             abscissa=float(s), estimate=mean, std_err=err,
             theory=1.0 if beta < 1.0 else 0.0,
-            n_effective=len(mins),
+            n_effective=len(per_rep),
         ))
-    meta = {
-        "experiment": "double-cutoff",
-        "n": seq.n, "model": seq.model.value, "root_seed": cfg.root_seed,
-        "beta": beta, "t": t,
-        "entropy": scale.entropy, "entropic_time": scale.entropic_time,
-        "statistic": "min_over_starts" if use_min else "max_over_starts",
-        "start_mode": mode, "start_count": len(starts),
-        "replicates": len(mins), "solve_failures": failures,
-        "renormalizations": monitor.renormalizations,
-        "max_drift": monitor.max_drift,
-        "per_s_min": {str(s): [lo[s] for lo in mins] for s in s_sorted},
-        "per_s_max": {str(s): [hi[s] for hi in maxes] for s in s_sorted},
-    }
+    meta = _meta(
+        "double-cutoff", cfg, monitor, scale, beta=beta, t=t,
+        statistic="min_over_starts" if use_min else "max_over_starts",
+        start_mode=mode, start_count=len(starts),
+        replicates=len(per_rep), solve_failures=failures,
+        per_s_min={str(s): [lo[s] for lo, _ in per_rep] for s in s_sorted},
+        per_s_max={str(s): [hi[s] for _, hi in per_rep] for s in s_sorted})
     return ExperimentReport("double-cutoff", rows, meta)
 
 
@@ -439,29 +445,21 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
              "general": "joint_general"}[regime]
     betas = list(cfg.beta_grid)
     ts = [_floor_time(b / alpha) for b in betas]
-    starts, mode = resolve_replicate_starts(cfg)
+    starts, mode = resolve_starts(cfg, exhaustive_small=False)
     if budget is not None:
         budget.charge(float(len(starts)) * cfg.env_samples
                       * sum(2 * t for t in ts) * seq.m)
     base = RngStream(cfg.root_seed)
 
-    def one(args):
-        i, x = args
-        g_sigma = sample_digraph(seq, base.lane(_LANE_ENV_A, i))
-        k_sigma = kernel_from_digraph(g_sigma)
-        monitor = MassMonitor()
+    def one(item, monitor: MassMonitor):
+        i, x = item
+        k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, i))
         sums = {b: 0.0 for b in betas}
         used = 0
-        skipped = 0
         for j in range(cfg.env_samples):
-            g_eta = sample_digraph(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
-            k_eta = kernel_from_digraph(g_eta)
-            try:
-                pi_eta = stationary_distribution(k_eta, tol=cfg.tol,
-                                                 max_iters=cfg.max_iters,
-                                                 start=mu).distribution
-            except NotConverged:
-                skipped += 1
+            k_eta = _kernel(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
+            pi_eta = _stationary(k_eta, cfg, mu)
+            if pi_eta is None:
                 continue
             used += 1
             for beta, t in zip(betas, ts):
@@ -475,45 +473,32 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
                     l1 = float(np.abs(refresh_once * row
                                       - stay_weight * pi_eta).sum())
                 sums[beta] += 0.5 * (survive + l1)
-        if used == 0:
-            return None, skipped, monitor
-        return {b: sums[b] / used for b in betas}, skipped, monitor
+        used_total[i] = used
+        return {b: sums[b] / used for b in betas} if used else None
 
-    results = _parallel_map(one, list(enumerate(starts)), threads)
     monitor = MassMonitor()
-    per_rep = []
-    skipped_total = 0
-    for est, skipped, mon in results:
-        monitor.merge(mon)
-        skipped_total += skipped
-        if est is not None:
-            per_rep.append(est)
-    if not per_rep:
-        raise AllReplicatesFailed("every replicate lost all its environments")
+    used_total = [0] * len(starts)
+    per_rep, _ = _converged(
+        _replicates(one, enumerate(starts), threads, monitor),
+        "every replicate lost all its environments")
 
     rows = []
     for beta in betas:
-        vals = [est[beta] for est in per_rep]
-        mean, err = _mean_std(vals)
+        mean, err = _mean_std([est[beta] for est in per_rep])
         rows.append(ReportRow(
             abscissa=beta, estimate=min(mean, 1.0), std_err=err,
             theory=theory_curve(curve, beta, gamma=gh),
             n_effective=len(per_rep) * cfg.env_samples,
             flagged=(curve == "joint_general" and abs(beta - gh) < FLAG_MARGIN),
         ))
-    meta = {
-        "experiment": "joint",
-        "n": seq.n, "model": seq.model.value, "root_seed": cfg.root_seed,
-        "alpha": alpha, "gamma_hat": gh, "regime": regime, "curve": curve,
-        "entropy": scale.entropy, "entropic_time": scale.entropic_time,
-        "times": ts, "start_mode": mode, "starts": starts,
-        "replicates": len(per_rep), "env_samples": cfg.env_samples,
-        "env_skipped": skipped_total,
-        "renormalizations": monitor.renormalizations,
-        "max_drift": monitor.max_drift,
-        "per_beta_replicate_values": {str(b): [est[b] for est in per_rep]
-                                      for b in betas},
-    }
+    meta = _meta(
+        "joint", cfg, monitor, scale,
+        alpha=alpha, gamma_hat=gh, regime=regime, curve=curve,
+        times=ts, start_mode=mode, starts=starts,
+        replicates=len(per_rep), env_samples=cfg.env_samples,
+        env_skipped=len(starts) * cfg.env_samples - sum(used_total),
+        per_beta_replicate_values={str(b): [est[b] for est in per_rep]
+                                   for b in betas})
     return ExperimentReport("joint", rows, meta)
 
 
@@ -552,95 +537,62 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     else:
         ts = [_floor_time(b * scale.entropic_time) for b in betas]
 
-    # stationary gap between the in-law and the true stationary law:
-    # exactly zero for Eulerian matchings, estimated otherwise
-    gap_err = 0.0
-    gap_meta: dict = {}
     if time_scale == "entropic":
-        need_gap = True
         curve = "static_profile"
     else:
         curve = {"0": "marginal_gamma0", "inf": "marginal_gammainf",
                  "general": "marginal_general"}[regime]
-        need_gap = curve in ("marginal_gamma0", "marginal_general")
-    if need_gap:
+    # stationary gap between the in-law and the true stationary law:
+    # exactly zero for Eulerian matchings, estimated otherwise
+    gap, gap_err, gap_meta = None, 0.0, {}
+    if curve != "marginal_gammainf":
         if seq.is_eulerian:
             gap = 0.0
             gap_meta = {"q_hat": 0.0, "q_std_err": 0.0, "q_exact": True}
         else:
-            gr = estimate_stationary_gap(seq, gap_replicates,
-                                         RngStream(cfg.root_seed).lane(_LANE_GAP),
-                                         tol=cfg.tol, max_iters=cfg.max_iters,
-                                         budget=budget)
+            gr = _gap(cfg, gap_replicates, budget)
             gap = gr.gap
             gap_err = gr.std_err
             gap_meta = {"q_hat": gr.gap, "q_std_err": gr.std_err,
                         "q_exact": False,
                         "q_replicates": gr.replicates_used,
                         "q_failures": gr.failures}
-    else:
-        gap = None
 
-    starts, mode = resolve_replicate_starts(cfg)
+    starts, mode = resolve_starts(cfg, exhaustive_small=False)
     if budget is not None:
         budget.charge(float(len(starts)) * max(ts) * seq.m)
     base = RngStream(cfg.root_seed)
     t_sorted = sorted(set(ts))
 
-    def one(args):
-        i, x = args
-        g = sample_digraph(seq, base.lane(_LANE_ENV_A, i))
-        kernel = kernel_from_digraph(g)
-        monitor = MassMonitor()
-        v = delta_at(x, seq.n)
-        cur = 0
-        out = {}
-        for t in t_sorted:
-            v = propagate(v, kernel, t - cur, monitor)
-            cur = t
-            out[t] = (1.0 - alpha) ** t * tv_distance(v, mu)
-        return out, monitor
+    def one(item, monitor: MassMonitor):
+        i, x = item
+        kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
+        return {t: (1.0 - alpha) ** t * tv_distance(v, mu)
+                for t, v in _laws_at(x, kernel, t_sorted, monitor)}
 
-    results = _parallel_map(one, list(enumerate(starts)), threads)
     monitor = MassMonitor()
-    per_rep = [res for res, _ in results]
-    for _, mon in results:
-        monitor.merge(mon)
+    per_rep = list(_replicates(one, enumerate(starts), threads, monitor))
 
-    def row_flag(beta: float) -> bool:
-        if curve == "marginal_general":
-            return abs(beta - gh) < FLAG_MARGIN
-        if curve == "static_profile":
-            return abs(beta - 1.0) < FLAG_MARGIN
-        return False
-
+    # the curve's jump, if it has one, flags the grid points next to it
+    jump = {"marginal_general": gh, "static_profile": 1.0}.get(curve)
     rows = []
     for beta, t in zip(betas, ts):
-        vals = [out[t] for out in per_rep]
-        mean, err = _mean_std(vals)
-        if curve == "static_profile":
-            th = theory_curve(curve, beta, gap=gap)
-        else:
-            th = theory_curve(curve, beta, gamma=gh, gap=gap)
+        mean, err = _mean_std([out[t] for out in per_rep])
         rows.append(ReportRow(
             abscissa=beta, estimate=mean,
             std_err=float(math.hypot(err, gap_err * math.exp(-beta))),
-            theory=th, n_effective=len(per_rep), flagged=row_flag(beta),
+            theory=theory_curve(curve, beta, gamma=gh, gap=gap),
+            n_effective=len(per_rep),
+            flagged=jump is not None and abs(beta - jump) < FLAG_MARGIN,
         ))
-    meta = {
-        "experiment": "marginal",
-        "n": seq.n, "model": seq.model.value, "root_seed": cfg.root_seed,
-        "alpha": alpha, "gamma_hat": gh, "regime": regime, "curve": curve,
-        "time_scale": time_scale,
-        "entropy": scale.entropy, "entropic_time": scale.entropic_time,
-        "times": ts, "start_mode": mode, "starts": starts,
-        "replicates": len(per_rep),
-        "renormalizations": monitor.renormalizations,
-        "max_drift": monitor.max_drift,
-        "per_beta_replicate_values": {str(b): [out[t] for out in per_rep]
-                                      for b, t in zip(betas, ts)},
-        **gap_meta,
-    }
+    meta = _meta(
+        "marginal", cfg, monitor, scale,
+        alpha=alpha, gamma_hat=gh, regime=regime, curve=curve,
+        time_scale=time_scale, times=ts, start_mode=mode, starts=starts,
+        replicates=len(per_rep),
+        per_beta_replicate_values={str(b): [out[t] for out in per_rep]
+                                   for b, t in zip(betas, ts)},
+        **gap_meta)
     return ExperimentReport("marginal", rows, meta)
 
 
@@ -674,19 +626,16 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         raise BadValue("need at least one schedule per batch")
     seq = cfg.seq
     mu = in_degree_distribution(seq)
-    starts, _ = resolve_replicate_starts(cfg)
-    x = starts[0]
+    x = resolve_starts(cfg, exhaustive_small=False)[0][0]
     base = RngStream(cfg.root_seed)
-    g_sigma = sample_digraph(seq, base.lane(_LANE_ENV_A, 0))
-    k_sigma = kernel_from_digraph(g_sigma)
+    k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
     monitor = MassMonitor()
     if budget is not None:
         budget.charge(float(schedule_samples + 1) * t * seq.m)
 
     # deterministic side: no refresh happens with weight (1-alpha)^t and
     # conditional law P_sigma^t(x, .); sampling marginalizes the rest
-    v = delta_at(x, seq.n)
-    v = propagate(v, k_sigma, t, monitor)
+    v = propagate(delta_at(x, seq.n), k_sigma, t, monitor)
     exact = (1.0 - alpha) ** t * tv_distance(v, mu)
 
     total = np.zeros(seq.n)
@@ -702,8 +651,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         for step in range(t):
             if flips[step]:
                 env_used += 1
-                g = sample_digraph(seq, base.lane(_LANE_SCHED, _pair(m, env_used)))
-                kernel = kernel_from_digraph(g)
+                kernel = _kernel(seq, base.lane(_LANE_SCHED, _pair(m, env_used)))
                 # refresh step: the environment changes, the walker holds
             else:
                 w = propagate(w, kernel, 1, monitor)
@@ -715,16 +663,30 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
 
     mean_law = total / schedule_samples
     sampled = tv_distance(mean_law, mu)
-    loo = []
-    for b in range(batches):
-        rest = (total - batch_sums[b]) / (schedule_samples - batch_counts[b])
-        loo.append(tv_distance(rest, mu))
-    loo_arr = np.asarray(loo)
+    rest = (total - batch_sums) / (schedule_samples - batch_counts)[:, None]
+    loo = np.array([tv_distance(law, mu) for law in rest])
     std_err = float(math.sqrt((batches - 1) / batches
-                              * float(((loo_arr - loo_arr.mean()) ** 2).sum())))
+                              * float(((loo - loo.mean()) ** 2).sum())))
     return CrosscheckResult(t=t, exact=exact, sampled=sampled,
                             std_err=std_err, schedules=schedule_samples,
                             mean_refreshes=refreshes / schedule_samples)
+
+
+def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
+                               schedule_samples: int,
+                               budget: Optional[OperationBudget] = None) -> ExperimentReport:
+    """Curve-shaped wrapper: the theory column carries the deterministic
+    estimate the sampled one must hit."""
+    res = marginal_mc_crosscheck(cfg, t, schedule_samples, budget=budget)
+    row = ReportRow(abscissa=float(res.t), estimate=res.sampled,
+                    std_err=res.std_err, theory=res.exact,
+                    n_effective=res.schedules)
+    meta = _meta(
+        "marginal-crosscheck", cfg, alpha=cfg.alpha, t=res.t,
+        schedules=res.schedules, mean_refreshes=res.mean_refreshes,
+        deterministic_estimate=res.exact, sampled_estimate=res.sampled,
+        abs_gap=abs(res.sampled - res.exact))
+    return ExperimentReport("marginal-crosscheck", [row], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +708,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
         raise BadValue("t_grid must hold nonnegative integers")
     seq = cfg.seq
     mu = in_degree_distribution(seq)
-    starts, mode = resolve_max_starts(cfg)
+    starts, mode = resolve_starts(cfg)
     samples = cfg.env_samples
     if budget is not None:
         budget.charge(float(samples) * len(starts) * max(ts) * seq.m)
@@ -754,32 +716,26 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     shape = (len(ts), len(starts), seq.n)
     mean_acc = np.zeros(shape)
     sq_acc = np.zeros(shape)
-    monitor = MassMonitor()
 
-    def walk_one_env(j: int):
-        g = sample_digraph(seq, base.lane(_LANE_ENV_A, j))
-        kernel = kernel_from_digraph(g)
-        mon = MassMonitor()
-        laws = np.empty((len(ts), len(starts), seq.n))
+    def one(j: int, monitor: MassMonitor):
+        kernel = _kernel(seq, base.lane(_LANE_ENV_A, j))
+        laws = np.empty(shape)
         for xi, x in enumerate(starts):
-            v = delta_at(x, seq.n)
-            cur = 0
-            for ti, t in enumerate(ts):
-                v = propagate(v, kernel, t - cur, mon)
-                cur = t
+            for ti, (_, v) in enumerate(_laws_at(x, kernel, ts, monitor)):
                 laws[ti, xi] = v
-        return laws, mon
+        return laws
 
-    for laws, mon in _parallel_map(walk_one_env, range(samples), threads):
-        monitor.merge(mon)
+    monitor = MassMonitor()
+    for laws in _replicates(one, range(samples), threads, monitor):
         mean_acc += laws
         sq_acc += laws * laws
 
     mean_acc /= samples
     rows = []
+    worst_start = {}
     for ti, t in enumerate(ts):
         dists = np.abs(mean_acc[ti] - mu[None, :]).sum(axis=1) * 0.5
-        worst = int(np.argmax(dists))
+        worst = worst_start[str(t)] = int(np.argmax(dists))
         if samples > 1:
             var = (sq_acc[ti, worst] - samples * mean_acc[ti, worst] ** 2)
             var = np.maximum(var / (samples - 1), 0.0)
@@ -790,17 +746,9 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
             abscissa=float(t), estimate=float(dists[worst]), std_err=err,
             theory=0.0, n_effective=samples,
         ))
-    meta = {
-        "experiment": "annealed",
-        "n": seq.n, "model": seq.model.value, "root_seed": cfg.root_seed,
-        "times": ts, "env_samples": samples,
-        "start_mode": mode, "start_count": len(starts),
-        "renormalizations": monitor.renormalizations,
-        "max_drift": monitor.max_drift,
-        "worst_start": {str(t): int(np.argmax(
-            np.abs(mean_acc[ti] - mu[None, :]).sum(axis=1)))
-            for ti, t in enumerate(ts)},
-    }
+    meta = _meta("annealed", cfg, monitor, times=ts, env_samples=samples,
+                 start_mode=mode, start_count=len(starts),
+                 worst_start=worst_start)
     return ExperimentReport("annealed", rows, meta)
 
 
@@ -878,16 +826,12 @@ def path_weight_report(cfg: ExperimentConfig, s: int, t: int,
                                           / res.samples)),
                   theory=1.0, n_effective=res.samples),
     ]
-    meta = {
-        "experiment": "weight-lln",
-        "n": cfg.seq.n, "model": cfg.seq.model.value,
-        "root_seed": cfg.root_seed,
-        "t": res.t, "switch_time": res.switch_time,
-        "entropy": res.entropy, "mean_rate": res.mean_rate,
-        "rate_abs_error": abs(res.mean_rate - res.entropy),
-        "epsilon": res.epsilon, "samples": res.samples,
-        "row_meaning": "fraction of trajectories in the entropy window",
-    }
+    meta = _meta(
+        "weight-lln", cfg, t=res.t, switch_time=res.switch_time,
+        entropy=res.entropy, mean_rate=res.mean_rate,
+        rate_abs_error=abs(res.mean_rate - res.entropy),
+        epsilon=res.epsilon, samples=res.samples,
+        row_meaning="fraction of trajectories in the entropy window")
     return ExperimentReport("weight-lln", rows, meta)
 
 
@@ -913,20 +857,11 @@ def stationary_gap_report(cfg: ExperimentConfig,
                           replicates: Optional[int] = None,
                           budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Mean distance between stationary law and in-law, as a one-row curve."""
-    gr = estimate_stationary_gap(cfg.seq,
-                                 cfg.env_samples if replicates is None
-                                 else int(replicates),
-                                 RngStream(cfg.root_seed).lane(_LANE_GAP),
-                                 tol=cfg.tol, max_iters=cfg.max_iters,
-                                 budget=budget)
+    gr = _gap(cfg, cfg.env_samples if replicates is None else int(replicates),
+              budget)
     theory = 0.0 if cfg.seq.is_eulerian else math.nan
     rows = [ReportRow(abscissa=0.0, estimate=gr.gap, std_err=gr.std_err,
                       theory=theory, n_effective=gr.replicates_used)]
-    meta = {
-        "experiment": "q-estimate",
-        "n": cfg.seq.n, "model": cfg.seq.model.value,
-        "root_seed": cfg.root_seed,
-        "replicates": gr.replicates_used, "solve_failures": gr.failures,
-        "eulerian": cfg.seq.is_eulerian,
-    }
+    meta = _meta("q-estimate", cfg, replicates=gr.replicates_used,
+                 solve_failures=gr.failures, eulerian=cfg.seq.is_eulerian)
     return ExperimentReport("q-estimate", rows, meta)

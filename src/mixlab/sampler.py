@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import DegreeSequence, ModelKind, validate_degrees
+from .core import DegreeSequence, ModelKind, integer_array, validate_degrees
 from .errors import BadRange, BadValue
 from .rng import RngStream
 
@@ -59,9 +59,13 @@ def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
 
 def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
     """Match the m tail stubs to a uniform permutation of the m head stubs."""
+    return _match(seq, stream.generator(), stream)
+
+
+def _match(seq: DegreeSequence, gen: np.random.Generator,
+           stream: RngStream) -> Digraph:
     if seq.model is not ModelKind.DCM:
         raise BadValue("sample_dcm needs a DCM degree sequence")
-    gen = stream.generator()
     head_slots = np.repeat(np.arange(seq.n, dtype=np.int64), seq.in_degrees)
     # Shuffling stub indices draws the same numbers as shuffling the slots,
     # so every seed realizes the same graph, and the matching is kept.
@@ -124,11 +128,14 @@ def sample_simple_dcm(seq: DegreeSequence, stream: RngStream,
                       max_tries: int = 1000) -> Digraph:
     """Rejection-sample a simple DCM realization.
 
+    Every try draws from the one generator of ``stream``, so the first try
+    is ``sample_dcm(seq, stream)`` and no try touches another stream.
     Provided for callers that need simple graphs; the estimators in this
     package are calibrated on the unconditioned model.
     """
-    for k in range(max_tries):
-        g = sample_dcm(seq, stream.offset(k))
+    gen = stream.generator()
+    for _ in range(max_tries):
+        g = _match(seq, gen, stream)
         if is_simple(g):
             return g
     raise BadValue(f"no simple realization in {max_tries} tries")
@@ -157,7 +164,7 @@ def digraph_from_json(text: str) -> Digraph:
     out_edges = doc["out_edges"]
     out_degrees = [len(row) for row in out_edges]
     n = len(out_edges)
-    heads = np.array([h for row in out_edges for h in row], dtype=np.int64)
+    heads = integer_array([h for row in out_edges for h in row], "edge heads")
     if heads.size and (heads.min() < 0 or heads.max() >= n):
         raise BadRange("edge head outside vertex range")
     if model is ModelKind.DCM:

@@ -19,7 +19,7 @@ from .core import DegreeSequence, in_degree_distribution, tv_distance
 from .errors import AllReplicatesFailed, BadValue, NotConverged
 from .rng import RngStream
 from .sampler import sample_digraph
-from .walk import MassMonitor, OperationBudget, TransitionKernel, kernel_from_digraph
+from .walk import OperationBudget, TransitionKernel, kernel_from_digraph
 
 DEFAULT_TOL = 1e-10
 
@@ -46,8 +46,8 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     SCC count for diagnosis) when max_iters passes without the averaged
     iterate reaching the tolerance in total variation.
     """
-    if tol <= 0:
-        raise BadValue("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise BadValue(f"tol must be positive and finite, got {tol}")
     n = kernel.n
     if max_iters is None:
         max_iters = _default_max_iters(n)
@@ -139,14 +139,11 @@ class DiagnosticsRow:
 
 def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
                      tol: float = DEFAULT_TOL, max_iters: Optional[int] = None,
-                     budget: Optional[OperationBudget] = None,
-                     monitor: Optional[MassMonitor] = None):
+                     budget: Optional[OperationBudget] = None):
     """Sample graphs on consecutive streams and solve each for its stationary law.
 
     Returns (rows, failures): one DiagnosticsRow per converged replicate.
-    ``monitor`` is unused today but keeps the call shape uniform.
     """
-    del monitor
     if replicates < 1:
         raise BadValue("replicates must be >= 1")
     mu = in_degree_distribution(seq)

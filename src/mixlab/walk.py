@@ -11,10 +11,7 @@ only when a caller reads single entries or rows.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -34,8 +31,8 @@ class OperationBudget:
     DEFAULT_CAP = 5e10
 
     def __init__(self, cap: float = DEFAULT_CAP):
-        if cap <= 0:
-            raise BadValue("budget cap must be positive")
+        if not 0 < cap < math.inf:
+            raise BadValue(f"budget cap must be positive and finite, got {cap}")
         self.cap = float(cap)
         self.used = 0.0
         self._lock = threading.Lock()
@@ -105,25 +102,10 @@ class TransitionKernel:
                 self._transpose = _transpose_matrix(self._graph)
         return self._transpose
 
-    def row(self, x: int) -> np.ndarray:
-        if not 0 <= x < self.n:
-            raise BadRange(f"vertex {x} outside [0, {self.n})")
-        return np.asarray(self.matrix.getrow(x).todense()).ravel()
-
     def entry(self, x: int, y: int) -> float:
         """P(x, y); zero when the edge is absent."""
         mat = self.matrix
         return _entry(mat.indptr, mat.indices, mat.data, x, y)
-
-    def entry_table(self) -> dict:
-        """Dict {(x, y): P(x, y)} for batch lookups."""
-        out = {}
-        mat = self.matrix
-        indptr, indices, data = mat.indptr, mat.indices, mat.data
-        for x in range(self.n):
-            for k in range(indptr[x], indptr[x + 1]):
-                out[(x, int(indices[k]))] = float(data[k])
-        return out
 
 
 def _entry(indptr, indices, data, x: int, y: int) -> float:
@@ -237,7 +219,6 @@ def double_row(x: int, s: int, t: int, k_sigma: TransitionKernel,
 
 def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
                       k_eta: TransitionKernel,
-                      checkpoint_stride: Optional[int] = None,
                       monitor: Optional[MassMonitor] = None,
                       budget: Optional[OperationBudget] = None) -> np.ndarray:
     """Average over switch times s = 1..t of the two-environment rows.
@@ -245,15 +226,12 @@ def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
     Returns (1/t) * sum_s (delta_x P_sigma^{s-1} P_eta^{t-s}).  Both the
     running first-environment vector and the Horner-style accumulator
     advance forward in s together, so the whole thing costs 2t kernel
-    applications and O(n) memory; ``checkpoint_stride`` is accepted for
-    callers that tune memory but nothing here needs it.
+    applications and O(n) memory.
     """
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
     if t < 1:
         raise BadRange("t must be >= 1")
-    if checkpoint_stride is not None and checkpoint_stride < 1:
-        raise BadValue("checkpoint_stride must be >= 1")
     if budget is not None:
         budget.charge(2.0 * t * max(k_sigma.nnz, k_eta.nnz))
     u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
@@ -333,20 +311,3 @@ def path_log_weight(traj: Trajectory, k_sigma: TransitionKernel,
         total += math.log(p)
     return total
 
-
-def write_distribution_csv(path, dist) -> None:
-    """Export a probability vector as (vertex, prob) rows, atomically."""
-    dist = np.asarray(dist, dtype=np.float64)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex", "prob"])
-            for i, p in enumerate(dist):
-                writer.writerow([i, format(float(p), ".12g")])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -346,3 +346,58 @@ def test_run_annealed(tmp_path, capsys):
     assert [r.abscissa for r in rows] == [1.0, 2.0]
     assert all(r.theory == 0.0 for r in rows)
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# typed errors: one "error:" line, never a traceback
+
+
+def run_error(args, capsys):
+    code = main(args)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
+
+
+@pytest.mark.parametrize("flags", [
+    ["--degrees", "{not json"],
+    ["--degrees", "[2, 2, 2]"],
+    ["--degrees-file", "MISSING"],
+    ["--config", "MISSING"],
+    ["--degrees", '{"model": "xyz", "out_degrees": [2, 2, 2]}'],
+    ["--degrees", '{"out_degrees": [2.5, 2, 2], "in_degrees": [2, 2, 2.5]}'],
+    ["--config", "MODEL_XYZ", "--generator", "regular:3", "--n", "10"],
+], ids=["bad-json", "not-an-object", "missing-degrees-file",
+        "missing-config", "unknown-model", "non-integer-degrees",
+        "unknown-config-model"])
+def test_bad_degree_and_config_sources_exit_1(tmp_path, capsys, flags):
+    (tmp_path / "xyz.json").write_text(json.dumps({"model": "xyz"}))
+    paths = {"MISSING": str(tmp_path / "missing.json"),
+             "MODEL_XYZ": str(tmp_path / "xyz.json")}
+    flags = [paths.get(f, f) for f in flags]
+    assert run_error(["q-estimate", *flags, "--out-dir", str(tmp_path)],
+                     capsys) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--budget", "nan"], ["--budget", "inf"],
+    ["--beta-grid", "inf"], ["--beta-grid", "nan"],
+])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, flags):
+    args = ["static-cutoff", "--generator", "eulerian:3x20",
+            "--beta-grid", "0.5", "--env-samples", "1",
+            "--start-vertices", "2", "--out-dir", str(tmp_path), *flags]
+    assert run_error(args, capsys) == 1
+
+
+@pytest.mark.parametrize("experiment, flags", [
+    ("static-cutoff", ["--beta-grid", "0.5"]),
+    ("double-cutoff", ["--beta", "0.7", "--s-grid", "0,1"]),
+    ("joint", ["--alpha", "0.4", "--beta-grid", "0.5"]),
+])
+def test_all_failed_solves_exit_2(tmp_path, capsys, experiment, flags):
+    args = [experiment, "--generator", "mix:2x30,3x10", "--max-iters", "1",
+            "--env-samples", "2", "--start-vertices", "2",
+            "--out-dir", str(tmp_path), *flags]
+    assert run_error(args, capsys) == 2
+    assert not list(tmp_path.glob("*.csv"))

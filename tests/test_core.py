@@ -10,7 +10,7 @@ from mixlab import (DegreeTooLarge, DegreeTooSmall, LengthMismatch,
                     MismatchedSums, ModelKind, ModelMismatch,
                     entropic_scale, in_degree_distribution,
                     load_degree_sequence, tv_distance, validate_degrees)
-from mixlab.errors import BadValue
+from mixlab.errors import BadValue, MissingRequired
 
 
 def test_validate_accepts_and_freezes_dcm():
@@ -114,3 +114,25 @@ def test_load_degree_sequence_from_text_dict_and_file():
         assert seq.n == 2 and seq.m == 4
     with pytest.raises(BadValue):
         load_degree_sequence({"out_degrees": [2, 2]})
+    with pytest.raises(MissingRequired):
+        load_degree_sequence({"model": "dcm", "in_degrees": [2, 2]})
+    with pytest.raises(BadValue):
+        load_degree_sequence({"model": "xyz", "out_degrees": [2, 2]})
+
+
+@pytest.mark.parametrize("out_degrees, in_degrees", [
+    ([2.5, 2, 2], [2, 2, 2.5]),
+    ([2, 2, 2], [2, 2, math.nan]),
+    ([2, 2, math.inf], [2, 2, 2]),
+    (["2", 2, 2], [2, 2, 2]),
+])
+def test_validate_refuses_non_integer_degrees(out_degrees, in_degrees):
+    # truncating 2.5 to 2 would silently run a different ensemble
+    with pytest.raises(BadValue):
+        validate_degrees("dcm", out_degrees, in_degrees)
+
+
+def test_validate_accepts_integral_floats():
+    seq = validate_degrees("dcm", [2.0, 3.0], [3, 2])
+    assert seq.out_degrees.dtype == np.int64
+    assert list(seq.out_degrees) == [2, 3]

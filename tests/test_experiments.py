@@ -13,9 +13,11 @@ from mixlab import (ExperimentConfig, RngStream, annealed_check,
                     path_weight_report, sample_digraph,
                     static_cutoff_profile, stationary_distribution,
                     stationary_gap_report, tv_distance, validate_degrees)
-from mixlab.errors import BadRange, BadValue, BudgetExceeded
-from mixlab.experiments import (resolve_max_starts, resolve_replicate_starts,
-                                _floor_time)
+from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
+                           BudgetExceeded)
+from mixlab.experiments import _floor_time, resolve_starts
+from mixlab.cli import degrees_from_generator
+from mixlab.core import ModelKind
 from mixlab.walk import OperationBudget, delta_at, propagate
 
 
@@ -37,6 +39,9 @@ def test_config_validation():
         cfg_for(REG3_120, env_samples=0)
     with pytest.raises(BadValue):
         cfg_for(REG3_120, beta_grid=(0.5, -1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadValue):
+            cfg_for(REG3_120, beta_grid=(0.5, bad))
     with pytest.raises(BadValue):
         gamma_hat(cfg_for(REG3_120))  # alpha unset
 
@@ -55,27 +60,31 @@ def test_gamma_hat_is_derived_from_alpha_and_scale():
 
 def test_start_resolution_modes():
     small = cfg_for(REG3_120, start_vertices=8)
-    starts, mode = resolve_max_starts(small)
+    starts, mode = resolve_starts(small)
     assert mode == "exhaustive" and len(starts) == 120
 
     big_seq = validate_degrees("ocm", [2] * 2500)
-    sampled, mode = resolve_max_starts(cfg_for(big_seq, start_vertices=8))
+    sampled, mode = resolve_starts(cfg_for(big_seq, start_vertices=8))
     assert mode == "sample"
     assert len(sampled) == 8 == len(set(sampled))
     assert sampled == sorted(sampled)
-    again, _ = resolve_max_starts(cfg_for(big_seq, start_vertices=8))
+    again, _ = resolve_starts(cfg_for(big_seq, start_vertices=8))
     assert again == sampled  # deterministic in the root seed
 
-    explicit, mode = resolve_max_starts(cfg_for(REG3_120,
-                                                start_vertices=[4, 9]))
+    explicit, mode = resolve_starts(cfg_for(REG3_120, start_vertices=[4, 9]))
     assert mode == "explicit" and explicit == [4, 9]
     with pytest.raises(BadRange):
-        resolve_max_starts(cfg_for(REG3_120, start_vertices=[500]))
+        resolve_starts(cfg_for(REG3_120, start_vertices=[500]))
     with pytest.raises(BadValue):
-        resolve_max_starts(cfg_for(REG3_120, start_vertices="some"))
+        resolve_starts(cfg_for(REG3_120, start_vertices="some"))
 
-    reps, mode = resolve_replicate_starts(cfg_for(REG3_120, start_vertices=6))
+    reps, mode = resolve_starts(cfg_for(REG3_120, start_vertices=6),
+                                exhaustive_small=False)
     assert mode == "sample" and len(reps) == 6
+    # without the exhaustive switch a count above n samples every vertex
+    every, mode = resolve_starts(cfg_for(REG3_120, start_vertices=500),
+                                 exhaustive_small=False)
+    assert mode == "sample" and every == list(range(120))
 
 
 def test_static_profile_rows_and_metadata():
@@ -216,6 +225,9 @@ def test_double_cutoff_validates_switch_grid():
     cfg = cfg_for(REG3_120, s_grid=(0, 50), env_samples=2, start_vertices=3)
     with pytest.raises(BadRange):
         double_cutoff_sweep(cfg, 0.5)  # t is small, 50 is out of range
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(BadValue):
+            double_cutoff_sweep(cfg, bad)
 
 
 def test_double_cutoff_statistic_depends_on_beta():
@@ -244,3 +256,17 @@ def test_gap_report_theory_column():
     report2 = stationary_gap_report(ocm)
     assert math.isnan(report2.rows[0].theory)
     assert report2.rows[0].estimate > 0.0
+
+
+@pytest.mark.parametrize("run", [
+    static_cutoff_profile,
+    lambda cfg: double_cutoff_sweep(cfg, 0.7),
+    joint_relaxation_curve,
+], ids=["static", "double", "joint"])
+def test_every_failed_solve_raises_all_replicates_failed(run):
+    # one power iteration never certifies a non-Eulerian stationary law
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 0)
+    cfg = cfg_for(seq, alpha=0.4, beta_grid=(0.5,), s_grid=(0, 1),
+                  env_samples=2, start_vertices=2, max_iters=1)
+    with pytest.raises(AllReplicatesFailed):
+        run(cfg)

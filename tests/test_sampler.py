@@ -131,6 +131,32 @@ def test_sample_simple_dcm_returns_simple():
     assert np.array_equal(g.heads, h.heads)
 
 
+def first_simple_heads(seq, stream):
+    """Heads of the first simple matching among successive draws of the
+    stream's one generator."""
+    gen = stream.generator()
+    tails = np.repeat(np.arange(seq.n), seq.out_degrees)
+    slots = np.repeat(np.arange(seq.n), seq.in_degrees)
+    while True:
+        heads = slots[gen.permutation(seq.m)]
+        if (len(set(zip(tails.tolist(), heads.tolist()))) == seq.m
+                and not (tails == heads).any()):
+            return heads
+
+
+def test_sample_simple_dcm_retries_on_its_own_stream():
+    # retrying on the next stream index would reuse replicate r + 1's stream
+    seq = validate_degrees("dcm", [2] * 6, [2] * 6)
+    retried = 0
+    for r in range(20):
+        stream = RngStream(1, r)
+        g = sample_simple_dcm(seq, stream)
+        assert g.stream == stream
+        assert np.array_equal(g.heads, first_simple_heads(seq, stream))
+        retried += not np.array_equal(g.heads, sample_dcm(seq, stream).heads)
+    assert retried > 0
+
+
 def test_strong_connectivity():
     cycle = _graph_from_edges([[1, 1], [2, 2], [0, 0]])
     assert strongly_connected(cycle)
@@ -149,6 +175,13 @@ def test_json_round_trip():
     ocm = sample_digraph(validate_degrees("ocm", [2, 2, 3]), RngStream(6))
     back2 = digraph_from_json(digraph_to_json(ocm))
     assert np.array_equal(back2.heads, ocm.heads)
+
+
+def test_json_refuses_non_integer_heads():
+    with pytest.raises(BadValue):
+        _graph_from_edges([[1.7, 2], [0, 2.2], [0, 1]])
+    assert _graph_from_edges([[1.0, 2], [0, 2], [0, 1]]).heads.tolist() == [
+        1, 2, 0, 2, 0, 1]
 
 
 def test_json_ocm_rejects_repeated_targets():

@@ -97,6 +97,14 @@ def test_custom_start_and_validation():
         stationary_distribution(k, max_iters=0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_solver_refuses_non_finite_tol(tol):
+    # a NaN tolerance would never be met and burn every iteration
+    k = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
+    with pytest.raises(BadValue):
+        stationary_distribution(k, tol=tol)
+
+
 def test_solver_charges_budget_per_iteration():
     k = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
     budget = OperationBudget(cap=1e6)

@@ -11,8 +11,7 @@ from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
                     delta_at, digraph_from_json, digraph_to_json, double_row,
                     kernel_from_digraph, path_log_weight, propagate,
                     sample_dcm, sample_digraph, sample_trajectory,
-                    time_averaged_row, tv_distance, validate_degrees,
-                    write_distribution_csv)
+                    time_averaged_row, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab.walk import Trajectory
 
@@ -41,11 +40,6 @@ def test_kernel_weights_count_multiplicities():
     assert k.entry(0, 2) == pytest.approx(1 / 3)
     assert k.entry(0, 0) == 0.0
     assert k.entry(1, 2) == pytest.approx(0.5)
-    row = k.row(0)
-    assert row.sum() == pytest.approx(1.0)
-    table = k.entry_table()
-    assert table[(0, 1)] == pytest.approx(2 / 3)
-    assert (0, 0) not in table
 
 
 def dense_transpose_oracle(g):
@@ -179,11 +173,8 @@ def test_time_averaged_row_matches_naive_oracle():
             assert np.abs(got - want).max() < 1e-12
 
 
-def test_time_averaged_row_ignores_checkpoint_stride():
+def test_time_averaged_row_needs_a_positive_time():
     _, _, k1, k2 = random_kernel_pair(5, n=6, d=2)
-    a = time_averaged_row(0, 6, k1, k2)
-    b = time_averaged_row(0, 6, k1, k2, checkpoint_stride=2)
-    assert np.array_equal(a, b)
     with pytest.raises(BadRange):
         time_averaged_row(0, 0, k1, k2)
 
@@ -250,6 +241,13 @@ def test_budget_accounting_and_exhaustion():
         OperationBudget(cap=0)
 
 
+@pytest.mark.parametrize("cap", [np.nan, np.inf, -1.0])
+def test_budget_refuses_non_finite_or_negative_cap(cap):
+    # a NaN cap compares false against every charge and would never bind
+    with pytest.raises(BadValue):
+        OperationBudget(cap=cap)
+
+
 def test_budget_charge_is_thread_safe():
     budget = OperationBudget(cap=1e9)
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -263,15 +261,6 @@ def test_monitor_merge_keeps_worst_drift():
     a.merge(b)
     assert a.renormalizations == 3
     assert a.max_drift == pytest.approx(3e-10)
-
-
-def test_write_distribution_csv(tmp_path):
-    path = tmp_path / "dist.csv"
-    write_distribution_csv(path, np.array([0.25, 0.75]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "vertex,prob"
-    assert lines[1] == "0,0.25"
-    assert lines[2] == "1,0.75"
 
 
 def test_kernel_accepts_explicit_matrices():
