@@ -11,8 +11,10 @@ import argparse
 import json
 import os
 import sys
+from collections import abc
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import (List, Optional, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -122,6 +124,34 @@ def _int_list(text: str):
         raise BadValue(f"bad integer list {text!r}") from exc
 
 
+# start_vertices is kept as text, but a config file may give a count or a list
+_CONFIG_HINTS = {"start_vertices": (Union[str, int, List[int]],
+                                    "str, int or a list of int")}
+
+
+def _fits(value, hint) -> bool:
+    """True when a JSON value can stand for a field annotated ``hint``;
+    a list field also takes a comma-separated string."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return any(_fits(value, arg) for arg in args)
+    if get_origin(hint) in (list, abc.Sequence):
+        return isinstance(value, str) or (
+            isinstance(value, list) and all(_fits(v, args[0]) for v in value))
+    allowed = (int, float) if hint is float else hint
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _check_config_types(doc: dict) -> None:
+    hints = get_type_hints(RunSpec)
+    for f in fields(RunSpec):
+        if f.name in doc:
+            hint, text = _CONFIG_HINTS.get(f.name, (hints[f.name], f.type))
+            if not _fits(doc[f.name], hint):
+                raise BadValue(f"config key {f.name!r} must be {text}, "
+                               f"got {doc[f.name]!r}")
+
+
 def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     """Turn CLI words into a RunSpec; unknown flags are typed errors."""
     parser = _build_parser()
@@ -137,6 +167,7 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     for key in merged:
         if key not in known:
             raise UnknownFlag(f"unknown config key {key!r}")
+    _check_config_types(merged)
     for key in known:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:

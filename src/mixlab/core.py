@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -70,6 +71,52 @@ class DegreeSequence:
         if self.model is not ModelKind.DCM:
             return False
         return bool(np.array_equal(self.out_degrees, self.in_degrees))
+
+    @property
+    def index_dtype(self):
+        """The integer type scipy keeps for CSR indices of an m-edge kernel."""
+        return np.int32 if self.m <= np.iinfo(np.int32).max else np.int64
+
+    # Arrays that depend only on the degrees, built on first use and shared,
+    # read-only, by every graph and kernel sampled from this sequence.
+
+    @cached_property
+    def out_offsets(self) -> np.ndarray:
+        """Start of each vertex's out-edges in a flat edge list (n + 1)."""
+        return _frozen(_offsets(self.out_degrees, np.int64))
+
+    @cached_property
+    def in_offsets(self) -> np.ndarray:
+        """Start of each vertex's in-edges, in the index dtype (n + 1, DCM)."""
+        return _frozen(_offsets(self.in_degrees, self.index_dtype))
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """Tail vertex of each out-stub, stubs in tail order (m, index dtype)."""
+        return _frozen(np.repeat(np.arange(self.n, dtype=self.index_dtype),
+                                 self.out_degrees))
+
+    @cached_property
+    def head_slots(self) -> np.ndarray:
+        """Head vertex of each in-stub, stubs in head order (m, int64, DCM)."""
+        return _frozen(np.repeat(np.arange(self.n, dtype=np.int64),
+                                 self.in_degrees))
+
+    @cached_property
+    def inv_out_degrees(self) -> np.ndarray:
+        """1 / out-degree per vertex: the weight of each of its out-edges."""
+        return _frozen(1.0 / self.out_degrees.astype(np.float64))
+
+
+def _offsets(degrees: np.ndarray, dtype) -> np.ndarray:
+    out = np.zeros(degrees.size + 1, dtype=dtype)
+    np.cumsum(degrees, out=out[1:])
+    return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def integer_array(values, name: str) -> np.ndarray:

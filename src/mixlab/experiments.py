@@ -10,8 +10,10 @@ and reported, never accepted as an input.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -27,7 +29,7 @@ from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          stationary_distribution)
 from .walk import (MassMonitor, OperationBudget, TransitionKernel, delta_at,
                    kernel_from_digraph, path_log_weight, propagate,
-                   sample_trajectory, time_averaged_row)
+                   sample_trajectory, time_averaged_rows)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -92,10 +94,22 @@ def _floor_time(x: float) -> int:
     return int(math.floor(x + 1e-12))
 
 
+# _pair packs two indices of 16 bits each into one stream-lane offset.
+_PAIR_MAX = (1 << 16) - 1
+
+
 def _pair(i: int, j: int) -> int:
-    if not (0 <= i < (1 << 16) and 0 <= j < (1 << 16)):
-        raise BadValue("replicate/sample index exceeds the stream layout")
+    if not (0 <= i <= _PAIR_MAX and 0 <= j <= _PAIR_MAX):
+        raise BadValue(f"replicate/sample index exceeds the stream layout's "
+                       f"limit of {_PAIR_MAX}")
     return (i << 16) | j
+
+
+def _check_pair_index(what: str, largest: int) -> None:
+    """Refuse, before any sampling, a run whose indices _pair cannot pack."""
+    if largest > _PAIR_MAX:
+        raise BadValue(f"{what} needs stream index {largest}, beyond the "
+                       f"stream layout's limit of {_PAIR_MAX}")
 
 
 def gamma_hat(cfg: ExperimentConfig) -> float:
@@ -189,13 +203,28 @@ def _mean_std(values: List[float]):
 # ---------------------------------------------------------------------------
 
 def _parallel_map(fn, items, threads: int):
-    """Yield fn(item) for every item, in item order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    """Yield fn(item) for every item, in item order.
+
+    A pool holds at most 2 * threads submitted items that are not yet
+    yielded, so ``items`` is read at most that far ahead of the consumer
+    and finished results cannot pile up while it is behind.
+    """
+    if threads <= 1:
         yield from map(fn, items)
         return
+    items = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)
+        pending = deque(pool.submit(fn, item)
+                        for item in islice(items, 2 * threads))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, item)
+                               for item in islice(items, 1))
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _replicates(one, items, threads: int, monitor: MassMonitor):
@@ -445,7 +474,11 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
              "general": "joint_general"}[regime]
     betas = list(cfg.beta_grid)
     ts = [_floor_time(b / alpha) for b in betas]
+    t_of = dict(zip(betas, ts))  # a repeated beta is estimated once
+    t_rows = [t for t in ts if t > 0]
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
+    _check_pair_index("start_vertices", len(starts) - 1)
+    _check_pair_index("env_samples", cfg.env_samples - 1)
     if budget is not None:
         budget.charge(float(len(starts)) * cfg.env_samples
                       * sum(2 * t for t in ts) * seq.m)
@@ -462,15 +495,15 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
             if pi_eta is None:
                 continue
             used += 1
-            for beta, t in zip(betas, ts):
+            # every grid time's row from one pass up to the largest
+            rows = time_averaged_rows(x, t_rows, k_sigma, k_eta, monitor)
+            for beta, t in t_of.items():
                 survive, refresh_once = _joint_coefficients(alpha, t)
                 stay_weight = survive + refresh_once
                 if t == 0:
                     l1 = stay_weight  # row term vanishes; all mass vs pi
                 else:
-                    row = time_averaged_row(x, t, k_sigma, k_eta,
-                                            monitor=monitor)
-                    l1 = float(np.abs(refresh_once * row
+                    l1 = float(np.abs(refresh_once * rows[t]
                                       - stay_weight * pi_eta).sum())
                 sums[beta] += 0.5 * (survive + l1)
         used_total[i] = used
@@ -618,12 +651,24 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     static kernels; averaging over schedules must reproduce the
     deterministic marginal estimate at the same t.  The jackknife over
     schedule batches gives the std_err.
+
+    Every schedule walks in the first environment until its first refresh,
+    so the laws delta_x P_sigma^k are walked once and shared: a schedule
+    starts from the law at its first refresh step k (k = t when it never
+    refreshes, the law the deterministic side also uses).  Only the k some
+    schedule uses are kept, so this table holds at most
+    min(t, schedule_samples) + 1 vectors of length n.  A refreshed
+    environment is sampled only when a later step walks in it; its stream
+    lane does not depend on that, and every refresh still counts toward
+    ``mean_refreshes``.
     """
     alpha = cfg.require_alpha()
     if t < 0:
         raise BadValue("t must be nonnegative")
     if schedule_samples < batches:
         raise BadValue("need at least one schedule per batch")
+    _check_pair_index("schedule_samples", schedule_samples - 1)
+    _check_pair_index("t", t)  # a schedule refreshes at most t times
     seq = cfg.seq
     mu = in_degree_distribution(seq)
     x = resolve_starts(cfg, exhaustive_small=False)[0][0]
@@ -633,29 +678,30 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     if budget is not None:
         budget.charge(float(schedule_samples + 1) * t * seq.m)
 
+    refresh_steps = [
+        np.flatnonzero(base.lane(_LANE_SCHED, _pair(m, 0)).generator()
+                       .random(t) < alpha).tolist()
+        for m in range(schedule_samples)]
+    first = [steps[0] if steps else t for steps in refresh_steps]
+    prefix = dict(_laws_at(x, k_sigma, sorted(set(first) | {t}), monitor))
+
     # deterministic side: no refresh happens with weight (1-alpha)^t and
     # conditional law P_sigma^t(x, .); sampling marginalizes the rest
-    v = propagate(delta_at(x, seq.n), k_sigma, t, monitor)
-    exact = (1.0 - alpha) ** t * tv_distance(v, mu)
+    exact = (1.0 - alpha) ** t * tv_distance(prefix[t], mu)
 
     total = np.zeros(seq.n)
     batch_sums = np.zeros((batches, seq.n))
     batch_counts = np.zeros(batches, dtype=np.int64)
     refreshes = 0
-    for m in range(schedule_samples):
-        sched_gen = base.lane(_LANE_SCHED, _pair(m, 0)).generator()
-        flips = sched_gen.random(t) < alpha
-        w = delta_at(x, seq.n)
-        kernel = k_sigma
-        env_used = 0
-        for step in range(t):
-            if flips[step]:
-                env_used += 1
-                kernel = _kernel(seq, base.lane(_LANE_SCHED, _pair(m, env_used)))
-                # refresh step: the environment changes, the walker holds
-            else:
-                w = propagate(w, kernel, 1, monitor)
-        refreshes += env_used
+    for m, steps in enumerate(refresh_steps):
+        w = prefix[first[m]]
+        # on a refresh step the environment changes and the walker holds;
+        # environment k walks the steps between refreshes k and k + 1
+        for k, (r, end) in enumerate(zip(steps, steps[1:] + [t]), start=1):
+            if end - r > 1:
+                kernel = _kernel(seq, base.lane(_LANE_SCHED, _pair(m, k)))
+                w = propagate(w, kernel, end - r - 1, monitor)
+        refreshes += len(steps)
         total += w
         b = m % batches
         batch_sums[b] += w

@@ -47,14 +47,12 @@ class Digraph:
 
 def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
             head_stubs: Optional[np.ndarray] = None) -> Digraph:
-    offsets = np.zeros(seq.n + 1, dtype=np.int64)
-    np.cumsum(seq.out_degrees, out=offsets[1:])
     heads = np.asarray(heads, dtype=np.int64)  # callers pass fresh arrays
-    for arr in (heads, offsets, head_stubs):
+    for arr in (heads, head_stubs):
         if arr is not None:
             arr.setflags(write=False)
-    return Digraph(seq=seq, heads=heads, offsets=offsets, stream=stream,
-                   head_stubs=head_stubs)
+    return Digraph(seq=seq, heads=heads, offsets=seq.out_offsets,
+                   stream=stream, head_stubs=head_stubs)
 
 
 def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
@@ -66,11 +64,10 @@ def _match(seq: DegreeSequence, gen: np.random.Generator,
            stream: RngStream) -> Digraph:
     if seq.model is not ModelKind.DCM:
         raise BadValue("sample_dcm needs a DCM degree sequence")
-    head_slots = np.repeat(np.arange(seq.n, dtype=np.int64), seq.in_degrees)
     # Shuffling stub indices draws the same numbers as shuffling the slots,
     # so every seed realizes the same graph, and the matching is kept.
     head_stubs = gen.permutation(seq.m)
-    return _finish(seq, head_slots[head_stubs], stream, head_stubs)
+    return _finish(seq, seq.head_slots[head_stubs], stream, head_stubs)
 
 
 def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
@@ -115,7 +112,7 @@ def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:
 
 def is_simple(g: Digraph) -> bool:
     """True when the graph has no self-loops and no parallel edges."""
-    tails = np.repeat(np.arange(g.n, dtype=np.int64), g.seq.out_degrees)
+    tails = g.seq.tails
     if (g.heads == tails).any():
         return False
     order = np.lexsort((g.heads, tails))
@@ -142,8 +139,8 @@ def sample_simple_dcm(seq: DegreeSequence, stream: RngStream,
 
 
 def strongly_connected(g: Digraph) -> bool:
-    tails = np.repeat(np.arange(g.n, dtype=np.int64), g.seq.out_degrees)
-    adj = csr_matrix((np.ones(len(g.heads)), (tails, g.heads)), shape=(g.n, g.n))
+    adj = csr_matrix((np.ones(len(g.heads)), (g.seq.tails, g.heads)),
+                     shape=(g.n, g.n))
     ncomp, _ = connected_components(adj, directed=True, connection="strong")
     return int(ncomp) == 1
 

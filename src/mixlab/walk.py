@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -117,21 +117,12 @@ def _entry(indptr, indices, data, x: int, y: int) -> float:
     return 0.0
 
 
-def _edge_weights(g: Digraph) -> np.ndarray:
-    return 1.0 / g.seq.out_degrees.astype(np.float64)
-
-
-def _index_dtype(g: Digraph):
-    """The integer type scipy keeps for CSR indices of g's kernel."""
-    return np.int32 if g.seq.m <= np.iinfo(np.int32).max else np.int64
-
-
 def _out_lists(g: Digraph) -> csr_matrix:
     """P with one entry per edge, in sampling order (writable copies)."""
-    idx = _index_dtype(g)
-    data = np.repeat(_edge_weights(g), g.seq.out_degrees)
-    return csr_matrix((data, g.heads.astype(idx), g.offsets.astype(idx)),
-                      shape=(g.n, g.n))
+    seq = g.seq
+    idx = seq.index_dtype
+    return csr_matrix((seq.inv_out_degrees[seq.tails], g.heads.astype(idx),
+                       g.offsets.astype(idx)), shape=(g.n, g.n))
 
 
 def _row_matrix(g: Digraph) -> csr_matrix:
@@ -146,14 +137,12 @@ def _transpose_matrix(g: Digraph) -> csr_matrix:
         # scipy's CSR -> CSC conversion is an O(m) counting sort by head
         return _out_lists(g).tocsc().T
     # A DCM matching already groups the edges by head: stub j of the
-    # head-ordered stubs sits at row position j of P^T.
-    idx = _index_dtype(g)
-    indptr = np.zeros(g.n + 1, dtype=idx)
-    np.cumsum(g.seq.in_degrees, out=indptr[1:])
-    tails = np.empty(g.seq.m, dtype=idx)
-    tails[g.head_stubs] = np.repeat(np.arange(g.n, dtype=idx),
-                                    g.seq.out_degrees)
-    return csr_matrix((_edge_weights(g)[tails], tails, indptr),
+    # head-ordered stubs sits at row position j of P^T.  The row pointer is
+    # the sequence's shared, read-only in-degree offsets.
+    seq = g.seq
+    tails = np.empty(seq.m, dtype=seq.index_dtype)
+    tails[g.head_stubs] = seq.tails
+    return csr_matrix((seq.inv_out_degrees[tails], tails, seq.in_offsets),
                       shape=(g.n, g.n))
 
 
@@ -166,9 +155,9 @@ def kernel_from_digraph(g: Digraph) -> TransitionKernel:
     return TransitionKernel(graph=g)
 
 
-def _step(v: np.ndarray, kernel: TransitionKernel,
-          monitor: Optional[MassMonitor]) -> np.ndarray:
-    v = kernel.transpose @ v
+def _renormalized(v: np.ndarray,
+                  monitor: Optional[MassMonitor]) -> np.ndarray:
+    """v, divided by its mass when that drifted from 1 by more than DIST_TOL."""
     s = float(v.sum())
     drift = abs(s - 1.0)
     renorm = drift > DIST_TOL
@@ -177,6 +166,11 @@ def _step(v: np.ndarray, kernel: TransitionKernel,
     if monitor is not None:
         monitor.record(drift, renorm)
     return v
+
+
+def _step(v: np.ndarray, kernel: TransitionKernel,
+          monitor: Optional[MassMonitor]) -> np.ndarray:
+    return _renormalized(kernel.transpose @ v, monitor)
 
 
 def propagate(dist, kernel: TransitionKernel, steps: int,
@@ -217,6 +211,42 @@ def double_row(x: int, s: int, t: int, k_sigma: TransitionKernel,
     return propagate(v, k_eta, t - s, monitor, budget)
 
 
+def time_averaged_rows(x: int, times: Sequence[int],
+                       k_sigma: TransitionKernel, k_eta: TransitionKernel,
+                       monitor: Optional[MassMonitor] = None,
+                       budget: Optional[OperationBudget] = None) -> dict:
+    """``{t: time_averaged_row(x, t, ...)}`` for every t in times, in one pass.
+
+    The Horner accumulator after switch time s is s times the row for
+    t = s, so one pass up to max(times) yields every row, bitwise equal to
+    separate calls, for 2 max(times) kernel applications instead of
+    2 sum(times).  Memory is O(n) per distinct t.
+    """
+    if k_sigma.n != k_eta.n:
+        raise BadValue("kernels have different vertex counts")
+    wanted = set(times)
+    if any(t < 1 for t in wanted):
+        raise BadRange("t must be >= 1")
+    t_max = max(wanted, default=0)
+    if budget is not None:
+        budget.charge(2.0 * t_max * max(k_sigma.nnz, k_eta.nnz))
+    u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
+    acc = np.zeros(k_sigma.n)
+    tmat = k_eta.transpose
+    rows = {}
+    for s in range(1, t_max + 1):
+        if s > 1:
+            # raw product: the accumulator's mass is s-1, not 1, so the
+            # per-step drift check does not apply to it
+            acc = tmat @ acc
+        acc += u
+        if s in wanted:
+            rows[s] = _renormalized(acc / float(s), monitor)
+        if s < t_max:
+            u = _step(u, k_sigma, monitor)
+    return rows
+
+
 def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
                       k_eta: TransitionKernel,
                       monitor: Optional[MassMonitor] = None,
@@ -226,34 +256,10 @@ def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
     Returns (1/t) * sum_s (delta_x P_sigma^{s-1} P_eta^{t-s}).  Both the
     running first-environment vector and the Horner-style accumulator
     advance forward in s together, so the whole thing costs 2t kernel
-    applications and O(n) memory.
+    applications and O(n) memory.  This is the single-t case of
+    ``time_averaged_rows``, which serves a whole grid of t from one pass.
     """
-    if k_sigma.n != k_eta.n:
-        raise BadValue("kernels have different vertex counts")
-    if t < 1:
-        raise BadRange("t must be >= 1")
-    if budget is not None:
-        budget.charge(2.0 * t * max(k_sigma.nnz, k_eta.nnz))
-    u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
-    acc = np.zeros(k_sigma.n)
-    tmat = k_eta.transpose
-    for s in range(1, t + 1):
-        if s > 1:
-            # raw product: the accumulator's mass is s-1, not 1, so the
-            # per-step drift check does not apply to it
-            acc = tmat @ acc
-        acc += u
-        if s < t:
-            u = _step(u, k_sigma, monitor)
-    out = acc / float(t)
-    total = float(out.sum())
-    drift = abs(total - 1.0)
-    renorm = drift > DIST_TOL
-    if renorm:
-        out = out / total
-    if monitor is not None:
-        monitor.record(drift, renorm)
-    return out
+    return time_averaged_rows(x, (t,), k_sigma, k_eta, monitor, budget)[t]
 
 
 @dataclass(frozen=True, eq=False)

@@ -379,6 +379,22 @@ def test_bad_degree_and_config_sources_exit_1(tmp_path, capsys, flags):
                      capsys) == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"env_samples": "3"}, {"gap_replicates": "3"}, {"budget": "1e9"},
+    {"beta_grid": [0.5, "1"]}, {"start_vertices": 2.5}, {"threads": True},
+    {"generator": 3},
+], ids=["env-samples-str", "gap-replicates-str", "budget-str",
+        "beta-grid-item", "start-vertices-float", "threads-bool",
+        "generator-int"])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    args = ["q-estimate", "--config", str(cfg), "--generator", "mix:2x30,3x10",
+            "--out-dir", str(tmp_path)]
+    assert run_error(args, capsys) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"], ["--budget", "nan"], ["--budget", "inf"],
     ["--beta-grid", "inf"], ["--beta-grid", "nan"],

@@ -15,7 +15,9 @@ from mixlab import (ExperimentConfig, RngStream, annealed_check,
                     stationary_gap_report, tv_distance, validate_degrees)
 from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            BudgetExceeded)
-from mixlab.experiments import _floor_time, resolve_starts
+from mixlab import experiments
+from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
+                                _pair, _parallel_map, resolve_starts)
 from mixlab.cli import degrees_from_generator
 from mixlab.core import ModelKind
 from mixlab.walk import OperationBudget, delta_at, propagate
@@ -186,6 +188,115 @@ def test_crosscheck_high_refresh_rate_freezes_the_walk():
     assert res.exact < 0.01
     assert res.sampled > 0.8
     assert res.mean_refreshes > 2.0
+
+
+def crosscheck_per_schedule_loop(cfg, t, schedule_samples, batches=10):
+    """The crosscheck as one loop per schedule: every schedule walks its
+    prefix again one step at a time and samples a kernel at every refresh."""
+    alpha, seq = cfg.alpha, cfg.seq
+    mu = in_degree_distribution(seq)
+    x = resolve_starts(cfg, exhaustive_small=False)[0][0]
+    base = RngStream(cfg.root_seed)
+    k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
+    v = propagate(delta_at(x, seq.n), k_sigma, t)
+    exact = (1.0 - alpha) ** t * tv_distance(v, mu)
+    total = np.zeros(seq.n)
+    batch_sums = np.zeros((batches, seq.n))
+    batch_counts = np.zeros(batches, dtype=np.int64)
+    refreshes = 0
+    for m in range(schedule_samples):
+        flips = base.lane(_LANE_SCHED, _pair(m, 0)).generator().random(t) < alpha
+        w = delta_at(x, seq.n)
+        kernel = k_sigma
+        env_used = 0
+        for step in range(t):
+            if flips[step]:
+                env_used += 1
+                kernel = _kernel(seq, base.lane(_LANE_SCHED, _pair(m, env_used)))
+            else:
+                w = propagate(w, kernel, 1)
+        refreshes += env_used
+        total += w
+        batch_sums[m % batches] += w
+        batch_counts[m % batches] += 1
+    sampled = tv_distance(total / schedule_samples, mu)
+    rest = (total - batch_sums) / (schedule_samples - batch_counts)[:, None]
+    loo = np.array([tv_distance(law, mu) for law in rest])
+    std_err = float(math.sqrt((batches - 1) / batches
+                              * float(((loo - loo.mean()) ** 2).sum())))
+    return exact, sampled, std_err, refreshes / schedule_samples
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.97])
+@pytest.mark.parametrize("t", [0, 1, 6])
+def test_crosscheck_shared_prefix_matches_per_schedule_loop(alpha, t):
+    # alpha 0.97 refreshes back to back and on the last step; 0.01 mostly
+    # never refreshes, so nearly every schedule ends on the shared prefix
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    cfg = cfg_for(seq, alpha=alpha, start_vertices=[4])
+    res = marginal_mc_crosscheck(cfg, t=t, schedule_samples=40)
+    assert (res.exact, res.sampled, res.std_err, res.mean_refreshes) == \
+        crosscheck_per_schedule_loop(cfg, t, 40)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("a graph was sampled before the layout check")
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: marginal_mc_crosscheck(cfg, t=5, schedule_samples=70_000),
+    lambda cfg: marginal_mc_crosscheck(cfg, t=70_000, schedule_samples=20),
+    lambda cfg: joint_relaxation_curve(
+        ExperimentConfig(seq=cfg.seq, root_seed=5, alpha=0.3,
+                         beta_grid=(0.5,), env_samples=70_000,
+                         start_vertices=[0])),
+    lambda cfg: joint_relaxation_curve(
+        ExperimentConfig(seq=cfg.seq, root_seed=5, alpha=0.3,
+                         beta_grid=(0.5,), start_vertices=[0] * 70_000)),
+], ids=["schedules", "crosscheck-t", "env-samples", "starts"])
+def test_stream_layout_limit_is_checked_before_sampling(monkeypatch, run):
+    monkeypatch.setattr(experiments, "sample_digraph", _no_sampling)
+    cfg = cfg_for(REG3_120, alpha=0.3, start_vertices=[0])
+    with pytest.raises(BadValue, match="65535"):
+        run(cfg)
+
+
+def test_joint_grid_rows_equal_single_beta_runs():
+    # one Horner pass serves the whole grid: beta 0 (t = 0), two betas on
+    # one time (t = 2) and a repeated beta must each give what a run of
+    # that beta alone gives, bit for bit
+    seq = validate_degrees("dcm", [3] * 40, [3] * 40)
+    grid = (1.0, 0.0, 0.5, 0.55, 1.5, 0.5)
+    runs = {b: joint_relaxation_curve(cfg_for(
+        seq, alpha=0.25, beta_grid=(b,), env_samples=3, start_vertices=3))
+        for b in grid}
+    report = joint_relaxation_curve(cfg_for(
+        seq, alpha=0.25, beta_grid=grid, env_samples=3, start_vertices=3))
+    assert report.metadata["times"] == [4, 0, 2, 2, 6, 2]
+    per_beta = report.metadata["per_beta_replicate_values"]
+    for row, b in zip(report.rows, grid):
+        alone = runs[b]
+        assert per_beta[str(b)] == \
+            alone.metadata["per_beta_replicate_values"][str(b)]
+        assert row.estimate == alone.rows[0].estimate
+
+
+def test_parallel_map_reads_at_most_two_items_per_thread_ahead():
+    read = 0
+
+    def items():
+        nonlocal read
+        for i in range(40):
+            read += 1
+            yield i
+
+    for threads in (2, 3):
+        read = 0
+        got = []
+        for out in _parallel_map(lambda i: i * i, items(), threads):
+            got.append(out)
+            assert read - len(got) <= 2 * threads
+        assert got == [i * i for i in range(40)]
 
 
 def test_annealed_single_step_is_noise_level():

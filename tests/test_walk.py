@@ -11,7 +11,8 @@ from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
                     delta_at, digraph_from_json, digraph_to_json, double_row,
                     kernel_from_digraph, path_log_weight, propagate,
                     sample_dcm, sample_digraph, sample_trajectory,
-                    time_averaged_row, tv_distance, validate_degrees)
+                    time_averaged_row, time_averaged_rows, tv_distance,
+                    validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab.walk import Trajectory
 
@@ -84,6 +85,31 @@ def test_kernel_orientations_match_dense_edge_oracle():
     # both builds of P^T: from a DCM matching and from the out-lists alone
     assert loops >= 2 and parallels >= 2
     assert {g.head_stubs is None for g in graphs} == {True, False}
+
+
+def test_per_sequence_arrays_are_shared_and_read_only():
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    fresh = {
+        "out_offsets": np.concatenate([[0], np.cumsum(dcm.out_degrees)]),
+        "in_offsets": np.concatenate([[0], np.cumsum(dcm.in_degrees)]),
+        "tails": np.repeat(np.arange(5), dcm.out_degrees),
+        "head_slots": np.repeat(np.arange(5), dcm.in_degrees),
+        "inv_out_degrees": 1.0 / dcm.out_degrees,
+    }
+    for seed in range(6):
+        g = sample_digraph(dcm, RngStream(seed))
+        k = kernel_from_digraph(g)
+        assert g.offsets is dcm.out_offsets
+        assert np.shares_memory(k.transpose.indptr, dcm.in_offsets)
+        assert np.array_equal(k.transpose.toarray(), dense_transpose_oracle(g))
+        assert np.array_equal(k.matrix.toarray(), dense_transpose_oracle(g).T)
+    for name, want in fresh.items():
+        arr = getattr(dcm, name)
+        assert arr is getattr(dcm, name), name
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+        assert np.array_equal(arr, want), name
 
 
 def test_dcm_permutes_stub_indices_like_the_head_slots():
@@ -177,6 +203,22 @@ def test_time_averaged_row_needs_a_positive_time():
     _, _, k1, k2 = random_kernel_pair(5, n=6, d=2)
     with pytest.raises(BadRange):
         time_averaged_row(0, 0, k1, k2)
+    with pytest.raises(BadRange):
+        time_averaged_rows(0, [3, 0], k1, k2)
+    assert time_averaged_rows(0, [], k1, k2) == {}
+
+
+def test_time_averaged_rows_equal_separate_calls_bitwise():
+    for seed in range(4):
+        _, _, k1, k2 = random_kernel_pair(seed, n=7, d=3)
+        grid = [5, 1, 5, 3, 8]
+        budget = OperationBudget()
+        rows = time_averaged_rows(2, grid, k1, k2, budget=budget)
+        assert sorted(rows) == [1, 3, 5, 8]
+        for t in grid:
+            assert np.array_equal(rows[t], time_averaged_row(2, t, k1, k2))
+        # one pass up to the largest time, not one per grid time
+        assert budget.used == 2 * 8 * max(k1.nnz, k2.nnz)
 
 
 def test_trajectory_shape_and_edge_membership():
