@@ -36,6 +36,9 @@ from .walk import OperationBudget
 # stream lane reserved for degree-multiset shuffles; experiments use 1..6
 DEGREE_LANE = 7
 
+# --threads and MIXLAB_THREADS outside [1, MAX_THREADS] are refused
+MAX_THREADS = 64
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -299,15 +302,22 @@ def _start_vertices_value(text: str):
 
 
 def _resolve_threads(spec: RunSpec) -> int:
-    if spec.threads is not None:
-        return max(1, spec.threads)
-    env = os.environ.get("MIXLAB_THREADS")
-    if env:
+    """--threads, else MIXLAB_THREADS, else 1; BadValue outside
+    [1, MAX_THREADS], since the pool starts one OS thread per worker."""
+    threads, source = spec.threads, "--threads"
+    if threads is None:
+        env = os.environ.get("MIXLAB_THREADS")
+        if not env:
+            return 1
+        source = "MIXLAB_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise BadValue(f"bad MIXLAB_THREADS {env!r}") from exc
-    return 1
+    if not 1 <= threads <= MAX_THREADS:
+        raise BadValue(f"{source} must be in [1, {MAX_THREADS}], "
+                       f"got {threads}")
+    return threads
 
 
 def _out_base(spec: RunSpec, n: int) -> str:
@@ -327,8 +337,8 @@ def _require(spec: RunSpec, **named):
 
 def run(spec: RunSpec) -> int:
     """Execute one experiment; writes CSV + metadata and prints a summary."""
-    seq = build_degree_sequence(spec)
     threads = _resolve_threads(spec)
+    seq = build_degree_sequence(spec)
     budget = OperationBudget(cap=spec.budget)
     cfg = ExperimentConfig(
         seq=seq,

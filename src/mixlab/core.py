@@ -75,7 +75,7 @@ class DegreeSequence:
     @property
     def index_dtype(self):
         """The integer type scipy keeps for CSR indices of an m-edge kernel."""
-        return np.int32 if self.m <= np.iinfo(np.int32).max else np.int64
+        return index_dtype_for(self.m)
 
     # Arrays that depend only on the degrees, built on first use and shared,
     # read-only, by every graph and kernel sampled from this sequence.
@@ -106,6 +106,11 @@ class DegreeSequence:
     def inv_out_degrees(self) -> np.ndarray:
         """1 / out-degree per vertex: the weight of each of its out-edges."""
         return _frozen(1.0 / self.out_degrees.astype(np.float64))
+
+
+def index_dtype_for(count: int):
+    """The integer type scipy keeps for CSR indices of a count-entry matrix."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
 
 
 def _offsets(degrees: np.ndarray, dtype) -> np.ndarray:

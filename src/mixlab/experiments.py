@@ -44,6 +44,22 @@ FLAG_MARGIN = 0.1
 EXHAUSTIVE_LIMIT = 2000
 DEFAULT_START_SAMPLE = 32
 
+# annealed_check stacks B = _BATCH_ENTRIES // (S * m) environments, each
+# with S starts, into one block-diagonal kernel and moves all their laws by
+# one SpMM per step, if B >= 1 and m <= _BATCH_MAX_EDGES; otherwise each
+# environment walks alone, one SpMV per start.  Measured against walking
+# alone on annealed, 3-regular DCM, t = 1 (median CPU of 3 alternating
+# rounds of 5 runs; 2-core VM, Python 3.11, numpy 2.4, scipy 1.17):
+# - m = 300, S = 4: 0.88 s alone, 0.29-0.35 s at 16384 ... 262144 entries
+#   (B = 13 ... 218; tracemalloc peak 0.38 ... 5.9 MiB).  S = 32: 0.56 s
+#   alone, 0.15 / 0.11 / 0.15 s at 32768 / 65536 / 131072.  S = 100: 0.45 s
+#   alone, 0.09 / 0.12 s at 65536 (B = 2) / 131072 (B = 4).
+# - At 65536 entries, S = 4 and 32: 1.4-2.5x faster for m = 600 ... 1500,
+#   1.3x for m = 2100 at S = 4; slower for m = 3000 (0.14 -> 0.16 s at
+#   S = 4, B = 5), and up to 2x slower for m = 15000 and 30000 at B = 2.
+_BATCH_ENTRIES = 65536
+_BATCH_MAX_EDGES = 2048
+
 # Disjoint stream lanes for nested sampling loops.
 _LANE_ENV_A = 1
 _LANE_ENV_B = 2
@@ -276,10 +292,10 @@ def _kernel(seq: DegreeSequence, stream: RngStream) -> TransitionKernel:
     return kernel_from_digraph(sample_digraph(seq, stream))
 
 
-def _laws_at(x: int, kernel: TransitionKernel, times: Sequence[int],
+def _laws_at(v: np.ndarray, kernel: TransitionKernel, times: Sequence[int],
              monitor: MassMonitor):
-    """Yield (t, delta_x P^t) for sorted times, one propagate per gap."""
-    v = delta_at(x, kernel.n)
+    """Yield (t, v P^t) for sorted times, one propagate per gap; v is a law
+    or a block of laws."""
     cur = 0
     for t in times:
         v = propagate(v, kernel, t - cur, monitor)
@@ -333,7 +349,8 @@ def static_cutoff_profile(cfg: ExperimentConfig,
             return None
         worst = dict.fromkeys(t_unique, 0.0)
         for x in starts:
-            for t, v in _laws_at(x, kernel, t_unique, monitor):
+            laws = _laws_at(delta_at(x, seq.n), kernel, t_unique, monitor)
+            for t, v in laws:
                 worst[t] = max(worst[t], tv_distance(v, pi))
         return worst
 
@@ -403,7 +420,8 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
         lo = dict.fromkeys(s_sorted, math.inf)
         hi = dict.fromkeys(s_sorted, 0.0)
         for x in starts:
-            for s, v in _laws_at(x, k_sigma, s_sorted, monitor):
+            laws = _laws_at(delta_at(x, seq.n), k_sigma, s_sorted, monitor)
+            for s, v in laws:
                 d = tv_distance(propagate(v, k_eta, t - s, monitor), pi_eta)
                 lo[s] = min(lo[s], d)
                 hi[s] = max(hi[s], d)
@@ -600,8 +618,8 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     def one(item, monitor: MassMonitor):
         i, x = item
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
-        return {t: (1.0 - alpha) ** t * tv_distance(v, mu)
-                for t, v in _laws_at(x, kernel, t_sorted, monitor)}
+        laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, monitor)
+        return {t: (1.0 - alpha) ** t * tv_distance(v, mu) for t, v in laws}
 
     monitor = MassMonitor()
     per_rep = list(_replicates(one, enumerate(starts), threads, monitor))
@@ -638,6 +656,8 @@ class CrosscheckResult:
     std_err: float
     schedules: int
     mean_refreshes: float
+    renormalizations: int = 0
+    max_drift: float = 0.0
 
 
 def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
@@ -683,7 +703,8 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                        .random(t) < alpha).tolist()
         for m in range(schedule_samples)]
     first = [steps[0] if steps else t for steps in refresh_steps]
-    prefix = dict(_laws_at(x, k_sigma, sorted(set(first) | {t}), monitor))
+    prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
+                           sorted(set(first) | {t}), monitor))
 
     # deterministic side: no refresh happens with weight (1-alpha)^t and
     # conditional law P_sigma^t(x, .); sampling marginalizes the rest
@@ -715,7 +736,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                               * float(((loo - loo.mean()) ** 2).sum())))
     return CrosscheckResult(t=t, exact=exact, sampled=sampled,
                             std_err=std_err, schedules=schedule_samples,
-                            mean_refreshes=refreshes / schedule_samples)
+                            mean_refreshes=refreshes / schedule_samples,
+                            renormalizations=monitor.renormalizations,
+                            max_drift=monitor.max_drift)
 
 
 def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
@@ -728,7 +751,9 @@ def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
                     std_err=res.std_err, theory=res.exact,
                     n_effective=res.schedules)
     meta = _meta(
-        "marginal-crosscheck", cfg, alpha=cfg.alpha, t=res.t,
+        "marginal-crosscheck", cfg,
+        MassMonitor(res.renormalizations, res.max_drift),
+        alpha=cfg.alpha, t=res.t,
         schedules=res.schedules, mean_refreshes=res.mean_refreshes,
         deterministic_estimate=res.exact, sampled_estimate=res.sampled,
         abs_gap=abs(res.sampled - res.exact))
@@ -748,6 +773,18 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     is 0 at every t >= 1.  std_err is the analytic Monte-Carlo bound
     0.5 * sum_y sqrt(var_hat(y) / samples), which dominates the bias of
     plugging the sample mean into TV.
+
+    Small environments run in batches of B = _BATCH_ENTRIES // (S * m)
+    for S starts while m <= _BATCH_MAX_EDGES, each sampled on its own
+    stream lane: a batch is one block-diagonal kernel, and every
+    (environment, start) law moves by one product per step.  Otherwise
+    (B = 0 or a larger m) each environment walks alone, one SpMV per
+    start.  Laws are reduced environment by environment in replicate
+    order, so the result does not depend on B.  At most 2 * threads items
+    are in flight (one with one thread).  An environment walked alone
+    holds |t_grid| * S * n floats of laws; a batch holds B * m kernel
+    entries and B * (|t_grid| + 4) * S * n floats of laws and transient
+    blocks, where B * S * n <= _BATCH_ENTRIES / 2 as m >= 2n.
     """
     ts = sorted(set(int(t) for t in t_grid))
     if not ts or ts[0] < 0:
@@ -759,22 +796,38 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     if budget is not None:
         budget.charge(float(samples) * len(starts) * max(ts) * seq.m)
     base = RngStream(cfg.root_seed)
-    shape = (len(ts), len(starts), seq.n)
-    mean_acc = np.zeros(shape)
-    sq_acc = np.zeros(shape)
+    n, width = seq.n, len(starts)
+    mean_acc = np.zeros((len(ts), width, n))
+    sq_acc = np.zeros((len(ts), width, n))
+    size = _BATCH_ENTRIES // (width * seq.m)
+    alone = size == 0 or seq.m > _BATCH_MAX_EDGES
+    size = 1 if alone else size
+    batches = (range(lo, min(lo + size, samples))
+               for lo in range(0, samples, size))
 
-    def one(j: int, monitor: MassMonitor):
-        kernel = _kernel(seq, base.lane(_LANE_ENV_A, j))
-        laws = np.empty(shape)
-        for xi, x in enumerate(starts):
-            for ti, (_, v) in enumerate(_laws_at(x, kernel, ts, monitor)):
-                laws[ti, xi] = v
+    def one(batch: range, monitor: MassMonitor):
+        kernel = kernel_from_digraph(*(
+            sample_digraph(seq, base.lane(_LANE_ENV_A, j)) for j in batch))
+        b = len(batch)
+        laws = np.empty((b, len(ts), width, n))
+        if alone:
+            for xi, x in enumerate(starts):
+                for ti, (_, w) in enumerate(
+                        _laws_at(delta_at(x, n), kernel, ts, monitor)):
+                    laws[0, ti, xi] = w
+            return laws
+        v = np.zeros((b, n, width))
+        v[:, starts, np.arange(width)] = 1.0    # delta_x in every block
+        for ti, (_, w) in enumerate(
+                _laws_at(v.reshape(b * n, width), kernel, ts, monitor)):
+            laws[:, ti] = w.reshape(b, n, width).transpose(0, 2, 1)
         return laws
 
     monitor = MassMonitor()
-    for laws in _replicates(one, range(samples), threads, monitor):
-        mean_acc += laws
-        sq_acc += laws * laws
+    for laws in _replicates(one, batches, threads, monitor):
+        for law in laws:        # replicate order, never a sum over the batch
+            mean_acc += law
+            sq_acc += law * law
 
     mean_acc /= samples
     rows = []

@@ -6,7 +6,9 @@ therefore builds P^T first, in O(m) on first use, with one entry of
 weight 1/out-degree per edge: parallel edges stay separate entries and
 self-loops sit on the diagonal.  The row orientation P, which puts weight
 multiplicity/out-degree on each distinct head, is built from the out-lists
-only when a caller reads single entries or rows.
+only when a caller reads single entries or rows.  Digraphs on one degree
+sequence can share one block-diagonal kernel, through which propagate
+moves a whole (n, k) block of laws by one product per step.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .core import DIST_TOL
+from .core import DIST_TOL, DegreeSequence, index_dtype_for
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
 from .sampler import Digraph
@@ -68,44 +70,57 @@ class MassMonitor:
 class TransitionKernel:
     """Row-stochastic sparse walk matrix over [0, n).
 
-    Give either the matrix P or the digraph it comes from.  Both
-    orientations are built lazily and cached: ``transpose`` (P^T, what
-    propagation multiplies by) and ``matrix`` (P, summed and sorted, for
-    entry lookups).  ``nnz`` counts stored entries, so a digraph kernel
-    has nnz == m.
+    Give either the matrix P or the digraphs it comes from.  One digraph
+    gives its walk; several digraphs on one degree sequence give one
+    block-diagonal kernel whose block e, on vertices [e n, (e + 1) n), is
+    the walk on the e-th digraph, so one product steps the whole batch.
+    ``blocks`` counts them (1 for a matrix).  Both orientations are built
+    lazily and cached: ``transpose`` (P^T, what propagation multiplies by)
+    and ``matrix`` (P, summed and sorted, for entry lookups).  ``nnz``
+    counts stored entries, so a digraph kernel has nnz == blocks * m.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
-                 graph: Optional[Digraph] = None):
-        if (matrix is None) == (graph is None):
-            raise BadValue("give exactly one of matrix and graph")
+                 graphs: Sequence[Digraph] = ()):
+        if (matrix is None) == (not graphs):
+            raise BadValue("give exactly one of matrix and graphs")
         self._matrix = matrix
-        self._graph = graph
+        self._graphs = tuple(graphs)
         self._transpose = None
-        if graph is not None:
-            self.n, self.nnz = graph.n, graph.seq.m
+        self.blocks = max(1, len(self._graphs))
+        if self._graphs:
+            seq = self._graphs[0].seq
+            if not all(_same_sequence(g.seq, seq) for g in self._graphs):
+                raise BadValue("a kernel's digraphs need one degree sequence")
+            self.n, self.nnz = self.blocks * seq.n, self.blocks * seq.m
         else:
             self.n, self.nnz = matrix.shape[0], matrix.nnz
 
     @property
     def matrix(self) -> csr_matrix:
         if self._matrix is None:
-            self._matrix = _row_matrix(self._graph)
+            self._matrix = _row_matrix(self._graphs)
         return self._matrix
 
     @property
     def transpose(self) -> csr_matrix:
         if self._transpose is None:
-            if self._graph is None:
-                self._transpose = self._matrix.T.tocsr()
+            if self._graphs:
+                self._transpose = _transpose_matrix(self._graphs)
             else:
-                self._transpose = _transpose_matrix(self._graph)
+                self._transpose = self._matrix.T.tocsr()
         return self._transpose
 
     def entry(self, x: int, y: int) -> float:
         """P(x, y); zero when the edge is absent."""
         mat = self.matrix
         return _entry(mat.indptr, mat.indices, mat.data, x, y)
+
+
+def _same_sequence(a: DegreeSequence, b: DegreeSequence) -> bool:
+    return a is b or (a.model is b.model
+                      and np.array_equal(a.out_degrees, b.out_degrees)
+                      and np.array_equal(a.in_degrees, b.in_degrees))
 
 
 def _entry(indptr, indices, data, x: int, y: int) -> float:
@@ -117,42 +132,77 @@ def _entry(indptr, indices, data, x: int, y: int) -> float:
     return 0.0
 
 
-def _out_lists(g: Digraph) -> csr_matrix:
-    """P with one entry per edge, in sampling order (writable copies)."""
-    seq = g.seq
-    idx = seq.index_dtype
-    return csr_matrix((seq.inv_out_degrees[seq.tails], g.heads.astype(idx),
-                       g.offsets.astype(idx)), shape=(g.n, g.n))
+def _block_pointer(offsets: np.ndarray, blocks: int, m: int,
+                   dtype) -> np.ndarray:
+    """Row pointer of the block-diagonal stack of blocks m-entry matrices
+    that share the row pointer offsets (a fresh, writable array)."""
+    n = offsets.size - 1
+    ptr = np.empty(blocks * n + 1, dtype=dtype)
+    body = ptr[:-1].reshape(blocks, n)
+    body[:] = offsets[:-1]
+    body += np.arange(blocks, dtype=dtype)[:, None] * m
+    ptr[-1] = blocks * m
+    return ptr
 
 
-def _row_matrix(g: Digraph) -> csr_matrix:
-    mat = _out_lists(g)
+def _out_lists(graphs: Sequence[Digraph]) -> csr_matrix:
+    """P with one entry per edge, in sampling order (writable copies),
+    block-diagonal over the graphs."""
+    seq = graphs[0].seq
+    b, n, m = len(graphs), seq.n, seq.m
+    idx = index_dtype_for(b * m)
+    heads = np.stack([g.heads for g in graphs], dtype=idx)
+    heads += np.arange(b, dtype=idx)[:, None] * n
+    data = seq.inv_out_degrees[np.broadcast_to(seq.tails, (b, m))].ravel()
+    indptr = _block_pointer(seq.out_offsets, b, m, idx)
+    return csr_matrix((data, heads.ravel(), indptr), shape=(b * n, b * n))
+
+
+def _row_matrix(graphs: Sequence[Digraph]) -> csr_matrix:
+    mat = _out_lists(graphs)
     mat.sum_duplicates()        # sorts each row, then merges parallel edges
     return mat
 
 
-def _transpose_matrix(g: Digraph) -> csr_matrix:
-    """P^T with one entry per edge: row y lists the tails of y's in-edges."""
-    if g.head_stubs is None:
-        # scipy's CSR -> CSC conversion is an O(m) counting sort by head
-        return _out_lists(g).tocsc().T
+def _transpose_matrix(graphs: Sequence[Digraph]) -> csr_matrix:
+    """Block-diagonal P^T with one entry per edge: row y lists the tails of
+    y's in-edges.  One graph is the one-block case: when every digraph has
+    a matching, or none has, each block equals its digraph's own P^T entry
+    for entry (a mixed batch takes the out-list build for all)."""
+    if any(g.head_stubs is None for g in graphs):
+        # scipy's CSR -> CSC conversion is a stable O(m) counting sort by
+        # head, so each row keeps its graph's own entry order
+        return _out_lists(graphs).tocsc().T
     # A DCM matching already groups the edges by head: stub j of the
-    # head-ordered stubs sits at row position j of P^T.  The row pointer is
-    # the sequence's shared, read-only in-degree offsets.
-    seq = g.seq
-    tails = np.empty(seq.m, dtype=seq.index_dtype)
-    tails[g.head_stubs] = seq.tails
-    return csr_matrix((seq.inv_out_degrees[tails], tails, seq.in_offsets),
-                      shape=(g.n, g.n))
+    # head-ordered stubs sits at row position j of P^T.  Row e of the
+    # (b, m) table is block e, whose tails are offset by e n.  One graph
+    # uses the sequence's shared, read-only in-degree offsets as its row
+    # pointer.
+    seq = graphs[0].seq
+    b, n, m = len(graphs), seq.n, seq.m
+    idx = index_dtype_for(b * m)
+    tails = np.empty((b, m), dtype=idx)
+    for row, g in zip(tails, graphs):
+        row[g.head_stubs] = seq.tails
+    data = seq.inv_out_degrees[tails]
+    if b == 1:
+        indptr = seq.in_offsets
+    else:
+        tails += np.arange(b, dtype=idx)[:, None] * n
+        indptr = _block_pointer(seq.in_offsets, b, m, idx)
+    return csr_matrix((data.ravel(), tails.ravel(), indptr),
+                      shape=(b * n, b * n))
 
 
-def kernel_from_digraph(g: Digraph) -> TransitionKernel:
+def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
     """Walk kernel of g: each out-edge of x carries 1/out-degree(x).
 
-    Nothing is built here; P^T is built on first propagation (one entry
-    per edge) and P on first entry lookup (parallel edges summed).
+    Given more digraphs on g's degree sequence, one block-diagonal kernel
+    over all of them, block e for the e-th digraph.  Nothing is built
+    here; P^T is built on first propagation (one entry per edge) and P on
+    first entry lookup (parallel edges summed).
     """
-    return TransitionKernel(graph=g)
+    return TransitionKernel(graphs=(g, *more))
 
 
 def _renormalized(v: np.ndarray,
@@ -173,20 +223,48 @@ def _step(v: np.ndarray, kernel: TransitionKernel,
     return _renormalized(kernel.transpose @ v, monitor)
 
 
+def _block_step(v: np.ndarray, kernel: TransitionKernel,
+                monitor: Optional[MassMonitor]) -> np.ndarray:
+    """_step for a (kernel.n, k) block: each kernel block's part of each
+    column is one distribution, checked and renormalized on its own."""
+    w = kernel.transpose @ v
+    laws = w.reshape(kernel.blocks, kernel.n // kernel.blocks,
+                     w.shape[1]).transpose(0, 2, 1)     # a view of w
+    # summed over contiguous rows, each mass equals the 1-d v.sum() bitwise
+    sums = np.ascontiguousarray(laws).sum(axis=2)
+    drift = np.abs(sums - 1.0)
+    renorm = drift > DIST_TOL
+    if renorm.any():
+        laws[renorm] /= sums[renorm][:, None]
+    if monitor is not None:
+        for d, r in zip(drift.ravel().tolist(), renorm.ravel().tolist()):
+            monitor.record(d, r)
+    return w
+
+
 def propagate(dist, kernel: TransitionKernel, steps: int,
               monitor: Optional[MassMonitor] = None,
               budget: Optional[OperationBudget] = None) -> np.ndarray:
-    """Push a distribution ``steps`` whole steps forward."""
+    """Push a distribution ``steps`` whole steps forward.
+
+    dist is one distribution of length kernel.n, or a (kernel.n, k) block
+    of k columns pushed by one product per step.  In a block, each kernel
+    block's part of each column is a distribution of its own: its drift is
+    checked, renormalized and recorded as a lone vector's would be, so the
+    result equals separate 1-d calls bit for bit.
+    """
     if steps < 0:
         raise BadRange("steps must be nonnegative")
     v = np.asarray(dist, dtype=np.float64)
-    if v.shape != (kernel.n,):
-        raise BadValue(f"distribution length {v.shape} != kernel size {kernel.n}")
+    if v.shape != (kernel.n,) and (v.ndim != 2 or len(v) != kernel.n):
+        raise BadValue(f"distribution shape {v.shape} does not fit "
+                       f"kernel size {kernel.n}")
     if budget is not None:
-        budget.charge(float(steps) * kernel.nnz)
+        budget.charge(float(steps) * kernel.nnz * (v.size // kernel.n))
     v = v.copy()
+    step = _step if v.ndim == 1 else _block_step
     for _ in range(steps):
-        v = _step(v, kernel, monitor)
+        v = step(v, kernel, monitor)
     return v
 
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mixlab import cli
 from mixlab.cli import (
     DEGREE_LANE,
     RunSpec,
@@ -320,6 +321,8 @@ def test_run_crosscheck_writes_gap_metadata(tmp_path, capsys):
         (tmp_path / "marginal-crosscheck_n30_a0.2_seed0.json").read_text())
     assert meta["schedules"] == 40
     assert meta["abs_gap"] >= 0.0
+    assert meta["renormalizations"] == 0
+    assert 0.0 <= meta["max_drift"] < 1e-9
     rows = parse_curve_csv(
         (tmp_path / "marginal-crosscheck_n30_a0.2_seed0.csv").read_text())
     assert rows[0].abscissa == 3.0
@@ -417,3 +420,26 @@ def test_all_failed_solves_exit_2(tmp_path, capsys, experiment, flags):
             "--out-dir", str(tmp_path), *flags]
     assert run_error(args, capsys) == 2
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _no_degrees(spec):
+    raise AssertionError("degrees were built before the thread check")
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--threads", "0"], None), (["--threads", "-2"], None),
+    (["--threads", "65"], None), ([], "0"), ([], "65"),
+    (["--threads", "1000000"], "1"),
+], ids=["zero", "negative", "above-64", "env-zero", "env-above-64",
+        "flag-wins"])
+def test_thread_count_outside_1_to_64_exits_1(tmp_path, capsys, monkeypatch,
+                                              flags, env):
+    # refused while parsing: no pool is ever started with these counts
+    monkeypatch.setattr(cli, "build_degree_sequence", _no_degrees)
+    if env is None:
+        monkeypatch.delenv("MIXLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MIXLAB_THREADS", env)
+    args = ["q-estimate", "--generator", "mix:2x30,3x10",
+            "--out-dir", str(tmp_path), *flags]
+    assert run_error(args, capsys) == 1

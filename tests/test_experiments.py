@@ -1,6 +1,7 @@
 """Experiment drivers: exact identities at small scale, wiring, metadata."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
                                 _pair, _parallel_map, resolve_starts)
 from mixlab.cli import degrees_from_generator
 from mixlab.core import ModelKind
-from mixlab.walk import OperationBudget, delta_at, propagate
+from mixlab.walk import MassMonitor, OperationBudget, delta_at, propagate
 
 
 REG3_120 = validate_degrees("dcm", [3] * 120, [3] * 120)
@@ -309,6 +310,102 @@ def test_annealed_single_step_is_noise_level():
     assert report.rows[0].theory == 0.0
     with pytest.raises(BadValue):
         annealed_check(cfg, t_grid=())
+
+
+def annealed_per_environment_loop(cfg, t_grid):
+    """annealed_check with one kernel and one propagate call per
+    (environment, start, time): rows, worst starts and monitor."""
+    ts = sorted(set(t_grid))
+    seq, samples = cfg.seq, cfg.env_samples
+    starts, _ = resolve_starts(cfg)
+    base = RngStream(cfg.root_seed)
+    monitor = MassMonitor()
+    mean = np.zeros((len(ts), len(starts), seq.n))
+    sq = np.zeros_like(mean)
+    for j in range(samples):
+        kernel = _kernel(seq, base.lane(_LANE_ENV_A, j))
+        laws = np.empty_like(mean)
+        for xi, x in enumerate(starts):
+            v, cur = delta_at(x, seq.n), 0
+            for ti, t in enumerate(ts):
+                v = propagate(v, kernel, t - cur, monitor)
+                cur = t
+                laws[ti, xi] = v
+        mean += laws
+        sq += laws * laws
+    mean /= samples
+    mu = in_degree_distribution(seq)
+    rows, worst_start = [], {}
+    for ti, t in enumerate(ts):
+        dists = np.abs(mean[ti] - mu[None, :]).sum(axis=1) * 0.5
+        worst = worst_start[str(t)] = int(np.argmax(dists))
+        var = np.maximum((sq[ti, worst] - samples * mean[ti, worst] ** 2)
+                         / (samples - 1), 0.0)
+        rows.append((float(dists[worst]),
+                     0.5 * float(np.sqrt(var / samples).sum())))
+    return rows, worst_start, monitor
+
+
+@pytest.mark.parametrize("batch_entries",
+                         [experiments._BATCH_ENTRIES, 1080, 1])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_annealed_batches_equal_per_environment_loop(monkeypatch, threads,
+                                                     batch_entries):
+    # 3 starts: the real constant puts all 37 environments in one batch;
+    # 1080 entries gives batches of 5 (DCM, m = 70) or 4 (OCM, m = 90) and
+    # a short last one; 1 walks every environment alone, start by start
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
+    seq = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
+    assert seq.m == 70
+    for t_grid, model_seq in (((0, 3, 1, 3), seq),
+                              ((2, 0), validate_degrees("ocm", [3] * 30))):
+        cfg = cfg_for(model_seq, env_samples=37, start_vertices=[4, 0, 4])
+        report = annealed_check(cfg, t_grid, threads=threads)
+        rows, worst_start, monitor = annealed_per_environment_loop(cfg, t_grid)
+        assert [(r.estimate, r.std_err) for r in report.rows] == rows
+        assert report.metadata["worst_start"] == worst_start
+        assert report.metadata["max_drift"] == monitor.max_drift
+        assert report.metadata["renormalizations"] == \
+            monitor.renormalizations
+
+
+def _annealed_peak_bytes(cfg, t_grid=(1,)):
+    tracemalloc.start()
+    try:
+        annealed_check(cfg, t_grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_annealed_memory_does_not_grow_with_environments():
+    seq = validate_degrees("dcm", [3] * 100, [3] * 100)
+    annealed_check(cfg_for(seq, env_samples=2), t_grid=(1,))  # warm caches
+    small, large = (
+        _annealed_peak_bytes(cfg_for(seq, env_samples=envs,
+                                     start_vertices=[0, 1, 2, 3]))
+        for envs in (2000, 8000))
+    assert large - small <= 64 * 1024
+
+
+def test_annealed_batch_memory_is_bounded_with_every_start():
+    # S = n starts: over the per-environment loop, a batch adds at most the
+    # (|t_grid| + 4) * _BATCH_ENTRIES / 2 floats its docstring states
+    seq = validate_degrees("dcm", [3] * 100, [3] * 100)
+    cfg = cfg_for(seq, env_samples=50, start_vertices="all")
+    t_grid = (1, 2, 3)
+    warm = cfg_for(seq, env_samples=2, start_vertices="all")
+    annealed_check(warm, t_grid)
+    annealed_per_environment_loop(warm, t_grid)
+    tracemalloc.start()
+    try:
+        annealed_per_environment_loop(cfg, t_grid)
+        alone = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batched = _annealed_peak_bytes(cfg, t_grid)
+    bound = (len(t_grid) + 4) * experiments._BATCH_ENTRIES // 2 * 8
+    assert batched - alone <= bound
 
 
 def test_path_weights_exact_for_uniform_out_maps():

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix
 
 from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
                     delta_at, digraph_from_json, digraph_to_json, double_row,
@@ -87,6 +87,93 @@ def test_kernel_orientations_match_dense_edge_oracle():
     assert {g.head_stubs is None for g in graphs} == {True, False}
 
 
+def block_diag_arrays(mats):
+    """data, indices and indptr of scipy's block_diag of mats, entries not
+    merged: its COO lists each block's entries row by row, in CSR order."""
+    coo = block_diag(mats, format="coo")
+    assert (np.diff(coo.row) >= 0).all()
+    counts = np.bincount(coo.row, minlength=coo.shape[0])
+    return coo.data, coo.col, np.concatenate([[0], np.cumsum(counts)])
+
+
+def kernel_batches():
+    """Runs of digraphs on one degree sequence: sampled DCM (with a
+    matching), sampled OCM, JSON-loaded DCM, and hand-written multigraphs."""
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
+    sampled = [sample_digraph(dcm, RngStream(seed)) for seed in range(6)]
+    return [
+        sampled,
+        [sample_digraph(ocm, RngStream(seed)) for seed in range(4)],
+        [digraph_from_json(digraph_to_json(g)) for g in sampled[:3]],
+        [_graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]),
+         _graph_from_edges([[0, 1, 1], [2, 2], [0, 1]])],
+        sampled[4:5],
+    ]
+
+
+def test_block_transpose_equals_block_diag_of_per_graph_transposes():
+    loops = parallels = 0
+    for graphs in kernel_batches():
+        k = kernel_from_digraph(*graphs)
+        seq = graphs[0].seq
+        assert (k.blocks, k.n, k.nnz) == (len(graphs), len(graphs) * seq.n,
+                                           len(graphs) * seq.m)
+        data, indices, indptr = block_diag_arrays(
+            [kernel_from_digraph(g).transpose for g in graphs])
+        pt = k.transpose
+        assert np.array_equal(pt.data, data)
+        assert np.array_equal(pt.indices, indices)
+        assert np.array_equal(pt.indptr, indptr)
+        for g in graphs:
+            tails = np.repeat(np.arange(g.n), g.seq.out_degrees)
+            loops += int((g.heads == tails).any())
+            parallels += int(len(set(zip(tails, g.heads))) < g.seq.m)
+    assert loops >= 2 and parallels >= 2
+
+
+def test_a_batch_needs_one_degree_sequence():
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
+    with pytest.raises(BadValue):
+        kernel_from_digraph(sample_digraph(dcm, RngStream(0)),
+                            sample_digraph(ocm, RngStream(0)))
+
+
+def test_block_propagate_equals_per_graph_propagate_bitwise():
+    # columns of mass 1, of mass 1 up to rounding and of mass far from 1,
+    # so that some vectors renormalize and others do not
+    rng = np.random.default_rng(4)
+    for graphs in kernel_batches():
+        k = kernel_from_digraph(*graphs)
+        n, b = graphs[0].n, len(graphs)
+        block = np.zeros((b, n, 3))
+        block[:, 1, 0] = 1.0
+        block[:, :, 1] = rng.dirichlet(np.ones(n), size=b)
+        scale = rng.choice([0.1, 1 / n], size=(b, 1))
+        block[:, :, 2] = rng.random((b, n)) * scale
+        for steps in (0, 1, 5):
+            monitor = MassMonitor()
+            got = propagate(block.reshape(b * n, 3), k, steps, monitor)
+            want = MassMonitor()
+            for e, g in enumerate(graphs):
+                for j in range(3):
+                    one = MassMonitor()
+                    v = propagate(block[e, :, j], kernel_from_digraph(g),
+                                  steps, one)
+                    assert np.array_equal(got[e * n:(e + 1) * n, j], v)
+                    want.merge(one)
+            assert monitor == want
+            assert (monitor.renormalizations > 0) == (steps > 0)
+
+
+def test_block_propagate_charges_every_column():
+    _, _, k, _ = random_kernel_pair(2)
+    budget = OperationBudget()
+    propagate(np.eye(k.n)[:, :3], k, 4, budget=budget)
+    assert budget.used == 4 * 3 * k.nnz
+
+
 def test_per_sequence_arrays_are_shared_and_read_only():
     dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
     fresh = {
@@ -156,6 +243,10 @@ def test_propagate_rejects_bad_input():
         propagate(delta_at(0, k.n), k, -1)
     with pytest.raises(BadValue):
         propagate(np.ones(3), k, 1)
+    with pytest.raises(BadValue):
+        propagate(np.ones((3, 2)), k, 1)
+    with pytest.raises(BadValue):
+        propagate(np.ones((k.n, 2, 1)), k, 1)
 
 
 def test_mass_conserved_over_long_runs():
