@@ -35,8 +35,8 @@ from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          widespread_stats)
 from .walk import (MassMonitor, OperationBudget, Trajectory, TransitionKernel,
                    delta_at, double_row, kernel_from_digraph, path_log_weight,
-                   propagate, sample_trajectory, time_averaged_row,
-                   time_averaged_rows)
+                   path_log_weights, propagate, sample_paths,
+                   sample_trajectory, time_averaged_row, time_averaged_rows)
 
 __version__ = "0.1.0"
 

@@ -28,8 +28,8 @@ from .sampler import sample_digraph
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          stationary_distribution)
 from .walk import (MassMonitor, OperationBudget, TransitionKernel, delta_at,
-                   kernel_from_digraph, path_log_weight, propagate,
-                   sample_trajectory, time_averaged_rows)
+                   kernel_from_digraph, path_log_weights, propagate,
+                   sample_paths, time_averaged_rows)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -67,6 +67,10 @@ _LANE_STARTS = 3
 _LANE_GAP = 4
 _LANE_SCHED = 5
 _LANE_TRAJ = 6
+
+# path_weight_lln walks its trajectories in blocks of this many, block b on
+# stream (_LANE_TRAJ, b).
+_PATH_BLOCK = 2048
 
 CURVE_NAMES = ("joint_gamma0", "joint_gammainf", "joint_general",
                "marginal_gamma0", "marginal_gammainf", "marginal_general",
@@ -876,6 +880,12 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     and t - s in the second, and checks that -log(weight)/t concentrates
     at the degree entropy: the fraction with -log w in
     [(1-eps) H t, (1+eps) H t] is returned along with the mean rate.
+
+    Trajectories are walked in blocks of ``_PATH_BLOCK``, all paths of a
+    block stepped together on stream ``(_LANE_TRAJ, b)`` for block b, so
+    besides the two environments and their kernels the memory is the
+    traj_samples starts and log-weights plus one block's
+    ``_PATH_BLOCK * (t + 1)`` states.
     """
     if not 0 <= s <= t or t < 1:
         raise BadRange(f"need 0 <= s <= t with t >= 1, got s={s}, t={t}")
@@ -897,10 +907,11 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     start_gen = base.lane(_LANE_STARTS).generator()
     xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
     log_weights = np.empty(traj_samples)
-    for m in range(traj_samples):
-        traj = sample_trajectory(int(xs[m]), s, t, g_sigma, g_eta,
-                                 base.lane(_LANE_TRAJ, m))
-        log_weights[m] = path_log_weight(traj, k_sigma, k_eta)
+    for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
+        hi = lo + _PATH_BLOCK
+        states = sample_paths(xs[lo:hi], s, t, g_sigma, g_eta,
+                              base.lane(_LANE_TRAJ, b))
+        log_weights[lo:hi] = path_log_weights(states, s, k_sigma, k_eta)
 
     rates = -log_weights / t
     target = scale.entropy

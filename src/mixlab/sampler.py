@@ -71,37 +71,46 @@ def _match(seq: DegreeSequence, gen: np.random.Generator,
 
 
 def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    """Each vertex independently picks d_x distinct targets uniformly."""
+    """Each vertex independently picks d_x distinct targets uniformly.
+
+    Vertices are drawn one out-degree class at a time, classes in
+    increasing degree and vertices in order within a class, so the draws
+    and their sorted copies take O(m) memory whatever the largest degree.
+    A regular sequence is a single class drawn as one (n, d) block.
+    """
     if seq.model is not ModelKind.OCM:
         raise BadValue("sample_ocm needs an OCM degree sequence")
     gen = stream.generator()
-    n = seq.n
     degs = seq.out_degrees
-    dmax = int(degs.max())
-    # Draw a candidate block per vertex and redraw rows with repeats; for
-    # d << n almost every row is accepted on the first pass.
-    draws = gen.integers(0, n, size=(n, dmax), dtype=np.int64)
-    mask = np.arange(dmax)[None, :] < degs[:, None]
-    draws[~mask] = -np.arange(1, dmax * n + 1).reshape(n, dmax)[~mask]  # unique fillers
+    heads = np.empty(seq.m, dtype=np.int64)
+    for d in np.unique(degs).tolist():
+        rows = np.flatnonzero(degs == d)
+        slots = seq.out_offsets[rows][:, None] + np.arange(d)
+        heads[slots] = _distinct_rows(gen, seq.n, rows.size, d)
+    return _finish(seq, heads, stream)
+
+
+def _distinct_rows(gen: np.random.Generator, n: int, rows: int,
+                   d: int) -> np.ndarray:
+    """rows x d uniform draws from [0, n), each row without repeats."""
+    # Draw a candidate block and redraw rows with repeats; for d << sqrt(n)
+    # almost every row is accepted on the first pass.
+    draws = gen.integers(0, n, size=(rows, d), dtype=np.int64)
     for _ in range(64):
         s = np.sort(draws, axis=1)
         bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
         if not bad.any():
-            break
-        redraw = gen.integers(0, n, size=(int(bad.sum()), dmax), dtype=np.int64)
-        sub = draws[bad]
-        sub[mask[bad]] = redraw[mask[bad]]
-        draws[bad] = sub
-    else:
-        # Astronomically unlikely for d <= n/2; fall back to per-vertex draws.
-        for x in np.nonzero(bad)[0]:
-            d = int(degs[x])
-            picks = set()
-            while len(picks) < d:
-                picks.add(int(gen.integers(0, n)))
-            draws[x, :d] = sorted(picks)
-    heads = draws[mask]
-    return _finish(seq, heads, stream)
+            return draws
+        draws[bad] = gen.integers(0, n, size=(int(bad.sum()), d),
+                                  dtype=np.int64)
+    # Rows still repeating after 64 rounds (likely only when d is near
+    # sqrt(n) or above) pick their targets one at a time.
+    for x in np.flatnonzero(bad):
+        picks = set()
+        while len(picks) < d:
+            picks.add(int(gen.integers(0, n)))
+        draws[x] = sorted(picks)
+    return draws
 
 
 def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:

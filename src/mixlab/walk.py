@@ -6,9 +6,18 @@ therefore builds P^T first, in O(m) on first use, with one entry of
 weight 1/out-degree per edge: parallel edges stay separate entries and
 self-loops sit on the diagonal.  The row orientation P, which puts weight
 multiplicity/out-degree on each distinct head, is built from the out-lists
-only when a caller reads single entries or rows.  Digraphs on one degree
-sequence can share one block-diagonal kernel, through which propagate
-moves a whole (n, k) block of laws by one product per step.
+only when a caller weighs paths.  Digraphs on one degree sequence can
+share one block-diagonal kernel, through which propagate moves a whole
+(n, k) block of laws by one product per step.
+
+Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
+together on one stream, one draw over the whole block per step, and
+returns their (N, t + 1) states; ``path_log_weights`` weighs every path
+with one vectorized lookup in P per step.  ``sample_trajectory`` and
+``path_log_weight`` are the single-path forms: the first draws one path
+on a stream of its own, the second is the one-row case of the weigher.
+A caller with many paths walks them in blocks, one stream per block, so
+it holds one block's states at a time.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ class TransitionKernel:
     the walk on the e-th digraph, so one product steps the whole batch.
     ``blocks`` counts them (1 for a matrix).  Both orientations are built
     lazily and cached: ``transpose`` (P^T, what propagation multiplies by)
-    and ``matrix`` (P, summed and sorted, for entry lookups).  ``nnz``
+    and ``matrix`` (P, summed and sorted, what path weights read).  ``nnz``
     counts stored entries, so a digraph kernel has nnz == blocks * m.
     """
 
@@ -111,25 +120,11 @@ class TransitionKernel:
                 self._transpose = self._matrix.T.tocsr()
         return self._transpose
 
-    def entry(self, x: int, y: int) -> float:
-        """P(x, y); zero when the edge is absent."""
-        mat = self.matrix
-        return _entry(mat.indptr, mat.indices, mat.data, x, y)
-
 
 def _same_sequence(a: DegreeSequence, b: DegreeSequence) -> bool:
     return a is b or (a.model is b.model
                       and np.array_equal(a.out_degrees, b.out_degrees)
                       and np.array_equal(a.in_degrees, b.in_degrees))
-
-
-def _entry(indptr, indices, data, x: int, y: int) -> float:
-    """P(x, y) read from the arrays of a sorted CSR matrix."""
-    lo, hi = indptr[x], indptr[x + 1]
-    k = lo + indices[lo:hi].searchsorted(y)
-    if k < hi and indices[k] == y:
-        return float(data[k])
-    return 0.0
 
 
 def _block_pointer(offsets: np.ndarray, blocks: int, m: int,
@@ -200,7 +195,7 @@ def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
     Given more digraphs on g's degree sequence, one block-diagonal kernel
     over all of them, block e for the e-th digraph.  Nothing is built
     here; P^T is built on first propagation (one entry per edge) and P on
-    first entry lookup (parallel edges summed).
+    first path weight (parallel edges summed).
     """
     return TransitionKernel(graphs=(g, *more))
 
@@ -353,6 +348,13 @@ class Trajectory:
         return len(self.states) - 1
 
 
+def _check_walk(s: int, t: int, g_sigma: Digraph, g_eta: Digraph) -> None:
+    if g_sigma.n != g_eta.n:
+        raise BadValue("digraphs have different vertex counts")
+    if not (0 <= s <= t):
+        raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
+
+
 def sample_trajectory(x: int, s: int, t: int, g_sigma: Digraph,
                       g_eta: Digraph, stream: RngStream) -> Trajectory:
     """Walk t steps from x: the first s through g_sigma, the rest through g_eta.
@@ -360,10 +362,7 @@ def sample_trajectory(x: int, s: int, t: int, g_sigma: Digraph,
     Each step picks a uniform raw out-edge, so parallel edges carry their
     multiplicity and self-loops can be traversed.
     """
-    if g_sigma.n != g_eta.n:
-        raise BadValue("digraphs have different vertex counts")
-    if not (0 <= s <= t):
-        raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
+    _check_walk(s, t, g_sigma, g_eta)
     if not 0 <= x < g_sigma.n:
         raise BadRange(f"start {x} outside [0, {g_sigma.n})")
     gen = stream.generator()
@@ -378,20 +377,94 @@ def sample_trajectory(x: int, s: int, t: int, g_sigma: Digraph,
     return Trajectory(states=states, switch_time=s)
 
 
-def path_log_weight(traj: Trajectory, k_sigma: TransitionKernel,
-                    k_eta: TransitionKernel) -> float:
-    """Log-probability of the exact path under the two quenched kernels."""
-    s = traj.switch_time if traj.switch_time is not None else traj.length
-    # the row arrays are read once per path, not once per step
-    rows = [(mat.indptr, mat.indices, mat.data)
-            for mat in (k_sigma.matrix, k_eta.matrix)]
-    states = traj.states.tolist()
-    total = 0.0
-    for j in range(traj.length):
-        x, y = states[j], states[j + 1]
-        p = _entry(*rows[j >= s], x, y)
-        if p == 0.0:
-            raise ImpossibleStep(f"step {j}: no edge {x} -> {y}")
-        total += math.log(p)
+def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
+                 stream: RngStream) -> np.ndarray:
+    """States (N, t + 1) of N walks from the starts xs, stepped together.
+
+    Like ``sample_trajectory``, the first s steps go through g_sigma and the
+    rest through g_eta, each along a uniform raw out-edge.  Every step is
+    one draw of N edge ranks from the one generator of ``stream``, each
+    below its vertex's out-degree, so no rounding can pick a rank past the
+    last edge.  Memory is the (N, t + 1) states and O(N) per step.
+    """
+    _check_walk(s, t, g_sigma, g_eta)
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 1:
+        raise BadValue(f"starts must be one-dimensional, got shape {xs.shape}")
+    if xs.size and not (0 <= xs.min() and xs.max() < g_sigma.n):
+        raise BadRange(f"a start lies outside [0, {g_sigma.n})")
+    gen = stream.generator()
+    states = np.empty((xs.size, t + 1), dtype=np.int64)
+    states[:, 0] = cur = xs
+    for step in range(1, t + 1):
+        g = g_sigma if step <= s else g_eta
+        first = g.offsets[cur]
+        cur = g.heads[first + gen.integers(0, g.offsets[cur + 1] - first)]
+        states[:, step] = cur
+    return states
+
+
+def _row_positions(indptr: np.ndarray, indices: np.ndarray, x: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """For each pair, where y would sit in the sorted row x of a CSR
+    matrix: one bisection inside every row at once, about log2(max row
+    length) vectorized passes."""
+    lo = indptr[x].astype(np.int64)
+    size = indptr[x + 1] - lo
+    last = len(indices) - 1
+    while True:
+        live = size > 0
+        if not live.any():
+            return lo
+        half = size >> 1
+        probe = lo + half
+        right = live & (indices[np.minimum(probe, last)] < y)
+        lo = np.where(right, probe + 1, lo)
+        size = np.where(right, size - half - 1, half)
+
+
+def _step_log_probs(mat: csr_matrix, x: np.ndarray, y: np.ndarray,
+                    step: int) -> np.ndarray:
+    """log P(x, y) for one step of every path; ImpossibleStep if an edge
+    is absent."""
+    k = np.minimum(_row_positions(mat.indptr, mat.indices, x, y),
+                   mat.nnz - 1)
+    found = (k < mat.indptr[x + 1]) & (mat.indices[k] == y)
+    if not found.all():
+        i = int(np.flatnonzero(~found)[0])
+        raise ImpossibleStep(f"trajectory {i}, step {step}: "
+                             f"no edge {x[i]} -> {y[i]}")
+    # math.log of each distinct probability: np.log can differ from it in
+    # the last bit (seen at 0.9999999999999998)
+    probs, inverse = np.unique(mat.data[k], return_inverse=True)
+    return np.array([math.log(p) for p in probs.tolist()])[inverse]
+
+
+def path_log_weights(states, s: int, k_sigma: TransitionKernel,
+                     k_eta: TransitionKernel) -> np.ndarray:
+    """Log-probability of each row of states (N, t + 1) as an exact path:
+    steps before s under k_sigma, the rest under k_eta.
+
+    Each step looks up P(x, y) for all N paths at once and adds its logs,
+    so every path is summed in step order, bitwise as a scalar loop would.
+    """
+    states = np.asarray(states)
+    if states.ndim != 2:
+        raise BadValue(f"states must be (paths, t + 1), got {states.shape}")
+    mats = (k_sigma.matrix, k_eta.matrix)
+    total = np.zeros(len(states))
+    for j in range(states.shape[1] - 1):
+        total += _step_log_probs(mats[j >= s], states[:, j],
+                                 states[:, j + 1], j)
     return total
 
+
+def path_log_weight(traj: Trajectory, k_sigma: TransitionKernel,
+                    k_eta: TransitionKernel) -> float:
+    """Log-probability of the exact path under the two quenched kernels.
+
+    The single-path case of ``path_log_weights``.
+    """
+    s = traj.switch_time if traj.switch_time is not None else traj.length
+    return float(path_log_weights(traj.states[None, :], s, k_sigma,
+                                  k_eta)[0])

@@ -10,10 +10,11 @@ from mixlab import (ExperimentConfig, RngStream, annealed_check,
                     double_cutoff_sweep, entropic_scale, gamma_hat,
                     in_degree_distribution, joint_relaxation_curve,
                     kernel_from_digraph, marginal_mc_crosscheck,
-                    marginal_relaxation_curve, path_weight_lln,
-                    path_weight_report, sample_digraph,
-                    static_cutoff_profile, stationary_distribution,
-                    stationary_gap_report, tv_distance, validate_degrees)
+                    marginal_relaxation_curve, path_log_weights,
+                    path_weight_lln, path_weight_report, sample_digraph,
+                    sample_paths, static_cutoff_profile,
+                    stationary_distribution, stationary_gap_report,
+                    tv_distance, validate_degrees)
 from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            BudgetExceeded)
 from mixlab import experiments
@@ -419,6 +420,46 @@ def test_path_weights_exact_for_uniform_out_maps():
     assert res.frac_in_window == 1.0
     with pytest.raises(BadRange):
         path_weight_lln(cfg, s=5, t=3, traj_samples=10)
+
+
+def test_path_weight_lln_walks_blocks_on_their_own_streams(monkeypatch):
+    seq = validate_degrees("dcm", [2, 3, 4, 2, 3] * 6, [3, 2, 2, 4, 3] * 6)
+    cfg = cfg_for(seq)
+    s, t, samples, block = 2, 7, 50, 16
+    monkeypatch.setattr(experiments, "_PATH_BLOCK", block)
+    res = path_weight_lln(cfg, s, t, samples)
+    # replay: the start draw and both environments on their lanes, block b
+    # of the paths on (_LANE_TRAJ, b), the last block short
+    base = RngStream(cfg.root_seed)
+    g1 = sample_digraph(seq, base.lane(_LANE_ENV_A, 0))
+    g2 = sample_digraph(seq, base.lane(experiments._LANE_ENV_B, 0))
+    xs = base.lane(experiments._LANE_STARTS).generator().choice(
+        seq.n, size=samples, replace=True, p=in_degree_distribution(seq))
+    weights = np.concatenate([
+        path_log_weights(
+            sample_paths(xs[lo:lo + block], s, t, g1, g2,
+                         base.lane(experiments._LANE_TRAJ, b)),
+            s, kernel_from_digraph(g1), kernel_from_digraph(g2))
+        for b, lo in enumerate(range(0, samples, block))])
+    assert res.mean_rate == float((-weights / t).mean())
+    assert len(set(weights.tolist())) > 1      # the rates really vary
+
+
+def test_path_weight_lln_generators_do_not_grow_with_paths(monkeypatch):
+    calls = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: calls.append(self) or generator(self))
+    cfg = cfg_for(validate_degrees("ocm", [3] * 30))
+    counts = {}
+    for samples in (1, 100, experiments._PATH_BLOCK, 10_000):
+        calls.clear()
+        path_weight_lln(cfg, s=2, t=4, traj_samples=samples)
+        counts[samples] = len(calls)
+    # two environments, the start draw and one stream per block of paths
+    blocks = -(-10_000 // experiments._PATH_BLOCK)
+    assert counts == {1: 4, 100: 4, experiments._PATH_BLOCK: 4,
+                      10_000: 3 + blocks}
 
 
 def test_path_weight_report_row():

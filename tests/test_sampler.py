@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -90,6 +91,65 @@ def test_ocm_handles_degrees_near_n():
     g2 = sample_ocm(full, RngStream(4))
     for x in range(5):
         assert sorted(g2.out_edges(x).tolist()) == [0, 1, 2, 3, 4]
+
+
+def whole_block_ocm_heads(seq, stream):
+    """The OCM sampler that drew one (n, max degree) block for all vertices
+    at once, kept as the reference for regular sequences."""
+    gen = stream.generator()
+    n = seq.n
+    degs = seq.out_degrees
+    dmax = int(degs.max())
+    draws = gen.integers(0, n, size=(n, dmax), dtype=np.int64)
+    mask = np.arange(dmax)[None, :] < degs[:, None]
+    draws[~mask] = -np.arange(1, dmax * n + 1).reshape(n, dmax)[~mask]
+    for _ in range(64):
+        s = np.sort(draws, axis=1)
+        bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
+        if not bad.any():
+            break
+        redraw = gen.integers(0, n, size=(int(bad.sum()), dmax),
+                              dtype=np.int64)
+        sub = draws[bad]
+        sub[mask[bad]] = redraw[mask[bad]]
+        draws[bad] = sub
+    else:
+        for x in np.nonzero(bad)[0]:
+            d = int(degs[x])
+            picks = set()
+            while len(picks) < d:
+                picks.add(int(gen.integers(0, n)))
+            draws[x, :d] = sorted(picks)
+    return draws[mask]
+
+
+def test_regular_ocm_draws_the_whole_block_samplers_graphs():
+    # n = d = 5 and n = 10, d = 5 redraw many rows, some of them past the
+    # 64 rounds; regular:3 at n = 30 is the weight-lln CLI case
+    for n, d in ((30, 3), (5, 5), (10, 5), (200, 14), (6, 2)):
+        seq = validate_degrees("ocm", [d] * n)
+        for seed in range(10):
+            stream = RngStream(seed, 3)
+            assert np.array_equal(sample_ocm(seq, stream).heads,
+                                  whole_block_ocm_heads(seq, stream))
+
+
+def test_ocm_memory_is_linear_with_a_hub():
+    # one vertex of degree 1000 among 10^5: a block of n x max-degree
+    # draws would take 800 MB, the per-class draws take O(m + n)
+    n = 100_000
+    with pytest.warns(UserWarning, match="max degree"):
+        seq = validate_degrees("ocm", [1000] + [2] * (n - 1))
+    tracemalloc.start()
+    try:
+        g = sample_ocm(seq, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * (seq.m + n)
+    for x in (0, 1, n - 1):
+        row = g.out_edges(x).tolist()
+        assert len(set(row)) == len(row) == seq.out_degrees[x]
 
 
 def test_sampling_is_deterministic_per_stream():

@@ -1,6 +1,7 @@
 """Propagation against dense matrix-power oracles, trajectory laws, weights."""
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,10 +10,10 @@ from scipy.sparse import block_diag, csr_matrix
 
 from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
                     delta_at, digraph_from_json, digraph_to_json, double_row,
-                    kernel_from_digraph, path_log_weight, propagate,
-                    sample_dcm, sample_digraph, sample_trajectory,
-                    time_averaged_row, time_averaged_rows, tv_distance,
-                    validate_degrees)
+                    kernel_from_digraph, path_log_weight, path_log_weights,
+                    propagate, sample_dcm, sample_digraph, sample_paths,
+                    sample_trajectory, time_averaged_row, time_averaged_rows,
+                    tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab.walk import Trajectory
 
@@ -37,10 +38,10 @@ def dense(kernel):
 def test_kernel_weights_count_multiplicities():
     g = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
     k = kernel_from_digraph(g)
-    assert k.entry(0, 1) == pytest.approx(2 / 3)
-    assert k.entry(0, 2) == pytest.approx(1 / 3)
-    assert k.entry(0, 0) == 0.0
-    assert k.entry(1, 2) == pytest.approx(0.5)
+    assert k.matrix[0, 1] == pytest.approx(2 / 3)
+    assert k.matrix[0, 2] == pytest.approx(1 / 3)
+    assert k.matrix[0, 0] == 0.0
+    assert k.matrix[1, 2] == pytest.approx(0.5)
 
 
 def dense_transpose_oracle(g):
@@ -361,6 +362,116 @@ def test_sampled_paths_have_consistent_weights():
             p = p1 if step < 2 else p2
             want += np.log(p[traj.states[step], traj.states[step + 1]])
         assert path_log_weight(traj, k1, k2) == pytest.approx(want, abs=1e-12)
+
+
+def scalar_log_weight(states, s, p_sigma, p_eta):
+    """A path's log-weight summed one step at a time from dense P."""
+    total = 0.0
+    for j in range(len(states) - 1):
+        p = p_sigma if j < s else p_eta
+        total += math.log(p[states[j], states[j + 1]])
+    return total
+
+
+def path_test_pairs():
+    """(g_sigma, g_eta) pairs: sampled DCM and OCM, a degree-40 hub, and
+    JSON multigraphs with self-loops and parallel edges."""
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3] * 8, [3, 2, 2, 4, 3] * 8)
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3] * 8)
+    hub = validate_degrees("ocm", [40] + [2, 3] * 20)
+    pairs = [tuple(sample_digraph(seq, RngStream(seed).lane(env))
+                   for env in (1, 2))
+             for seq in (dcm, ocm, hub) for seed in range(2)]
+    pairs.append((_graph_from_edges([[1, 1, 2], [2, 0, 0], [0, 2]]),
+                  _graph_from_edges([[0, 0, 1], [1, 2, 2], [0, 0]])))
+    return pairs
+
+
+def test_path_log_weights_equal_scalar_weights_bitwise():
+    t = 9
+    for i, (g1, g2) in enumerate(path_test_pairs()):
+        k1, k2 = kernel_from_digraph(g1), kernel_from_digraph(g2)
+        p1, p2 = dense(k1), dense(k2)
+        xs = np.arange(g1.n).repeat(4)
+        for s in (0, 4, t):
+            states = sample_paths(xs, s, t, g1, g2, RngStream(i, s))
+            got = path_log_weights(states, s, k1, k2).tolist()
+            assert got == [scalar_log_weight(row, s, p1, p2)
+                           for row in states.tolist()]
+            # the single-path form, on a sample of the rows
+            for row, w in zip(states[::9], got[::9]):
+                traj = Trajectory(states=row, switch_time=s)
+                assert path_log_weight(traj, k1, k2) == w
+
+
+def test_path_log_weight_of_a_probability_below_one_is_math_log():
+    # seven parallel edges of weight 1/7 sum to 0.9999999999999998, whose
+    # np.log can differ from math.log in the last bit
+    g = _graph_from_edges([[1] * 7, [0] * 7])
+    k = kernel_from_digraph(g)
+    p = float(k.matrix[0, 1])
+    assert p == 0.9999999999999998
+    want = math.log(p) + math.log(p) + math.log(p)
+    states = np.array([[0, 1, 0, 1], [1, 0, 1, 0]])
+    assert np.array_equal(path_log_weights(states, 2, k, k), [want, want])
+    assert path_log_weight(Trajectory(states[0], None), k, k) == want
+
+
+def test_path_log_weights_refuse_a_forged_step():
+    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
+    k1, k2 = kernel_from_digraph(g1), kernel_from_digraph(g2)
+    states = np.array([[0, 1, 2, 0], [0, 2, 2, 1], [1, 0, 0, 1]])
+    # rows 1 and 2 take a self-loop at step 1, which only g2 has
+    with pytest.raises(ImpossibleStep, match="trajectory 1, step 1"):
+        path_log_weights(states, 2, k1, k2)
+    # 1 -> 0 is an edge of g1 only
+    with pytest.raises(ImpossibleStep, match="no edge 1 -> 0"):
+        path_log_weights(np.array([[2, 1, 0]]), 1, k1, k2)
+    assert path_log_weights(np.array([[2, 1, 0]]), 2, k1, k2)[0] == \
+        math.log(1 / 2) + math.log(1 / 2)
+
+
+def test_sample_paths_follow_the_right_environment():
+    for i, (g1, g2) in enumerate(path_test_pairs()):
+        t, s = 8, 3
+        xs = np.arange(g1.n).repeat(3)
+        states = sample_paths(xs, s, t, g1, g2, RngStream(40, i))
+        assert states.shape == (xs.size, t + 1)
+        assert np.array_equal(states[:, 0], xs)
+        for row in states.tolist():
+            for step in range(t):
+                env = g1 if step < s else g2
+                assert row[step + 1] in env.out_edges(row[step]).tolist()
+        # one stream replays the whole block
+        assert np.array_equal(states,
+                              sample_paths(xs, s, t, g1, g2, RngStream(40, i)))
+
+
+def test_sample_paths_refuse_bad_input():
+    g1, g2, _, _ = random_kernel_pair(6, n=6, d=2)
+    with pytest.raises(BadRange):
+        sample_paths([0, 1], 4, 3, g1, g2, RngStream(0))
+    with pytest.raises(BadRange):
+        sample_paths([0, 6], 1, 3, g1, g2, RngStream(0))
+    with pytest.raises(BadValue):
+        sample_paths([[0, 1]], 1, 3, g1, g2, RngStream(0))
+    assert sample_paths([], 1, 3, g1, g2, RngStream(0)).shape == (0, 4)
+
+
+def test_sample_paths_endpoint_law_matches_double_row():
+    # the reg6 check of test_09, with all 4000 paths stepped together
+    reg6 = validate_degrees("dcm", [2] * 6, [2] * 6)
+    g1 = sample_digraph(reg6, RngStream(7).lane(1))
+    g2 = sample_digraph(reg6, RngStream(7).lane(2))
+    s, t, reps = 2, 5, 4000
+    states = sample_paths(np.zeros(reps, dtype=int), s, t, g1, g2,
+                          RngStream(9).lane(6))
+    emp = np.bincount(states[:, -1], minlength=6) / reps
+    law = double_row(0, s, t, kernel_from_digraph(g1),
+                     kernel_from_digraph(g2))
+    bound = 3 * np.sqrt(law * (1 - law) / reps) + 1e-9
+    assert (np.abs(emp - law) <= bound).all()
 
 
 def test_budget_accounting_and_exhaustion():
