@@ -26,9 +26,8 @@ from .experiments import (CrosscheckResult, ExperimentConfig, PathWeightResult,
 from .report import (ExperimentReport, ReportRow, diagnostics_csv_text,
                      parse_curve_csv)
 from .rng import LANE, RngStream
-from .sampler import (Digraph, digraph_from_json, digraph_to_json, is_simple,
-                      sample_dcm, sample_digraph, sample_ocm,
-                      sample_simple_dcm, strongly_connected)
+from .sampler import (Digraph, digraph_from_json, digraph_to_json, sample_dcm,
+                      sample_digraph, sample_ocm)
 from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          WidespreadStats, estimate_stationary_gap,
                          solve_replicates, stationary_distribution,

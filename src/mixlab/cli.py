@@ -1,8 +1,10 @@
 """Command-line driver: one experiment per invocation, CSV + JSON out.
 
 Flag values win over config-file values, which win over defaults.  Output
-files are written atomically and are byte-identical across rerun and
-thread counts for a fixed root seed.
+files are written atomically and are byte-identical across reruns for a
+fixed root seed.  Replicates run serially; ``--threads`` (or
+``MIXLAB_THREADS``) is still accepted and recorded in the sidecar, but it
+does not change the work.
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--gap-replicates", type=int)
     p.add_argument("--root-seed", type=int)
     p.add_argument("--out-dir")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility and recorded in the "
+                        "sidecar; replicates run serially whatever its value")
     p.add_argument("--budget", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int)
@@ -196,6 +200,8 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     spec = RunSpec(**merged)
     if spec.alpha is not None and not (0.0 < spec.alpha < 1.0):
         raise BadValue(f"alpha must be in (0, 1), got {spec.alpha}")
+    if spec.root_seed < 0:
+        raise BadValue(f"root seed must be nonnegative, got {spec.root_seed}")
     return spec
 
 
@@ -237,6 +243,8 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
             raise BadGeneratorSyntax(f"bad degree {body!r}") from exc
         if n is None:
             raise MissingRequired("regular:D needs --n")
+        if n < 1:
+            raise BadValue(f"regular:D needs --n >= 1, got {n}")
         out = np.full(n, d, dtype=np.int64)
         in_deg = out.copy() if model is ModelKind.DCM else None
         return validate_degrees(model, out, in_deg)
@@ -303,7 +311,7 @@ def _start_vertices_value(text: str):
 
 def _resolve_threads(spec: RunSpec) -> int:
     """--threads, else MIXLAB_THREADS, else 1; BadValue outside
-    [1, MAX_THREADS], since the pool starts one OS thread per worker."""
+    [1, MAX_THREADS].  The value only lands in the sidecar."""
     threads, source = spec.threads, "--threads"
     if threads is None:
         env = os.environ.get("MIXLAB_THREADS")
@@ -371,19 +379,18 @@ def run(spec: RunSpec) -> int:
 
     if exp == "static-cutoff":
         _require(spec, beta_grid=spec.beta_grid)
-        report = static_cutoff_profile(cfg, budget=budget, threads=threads)
+        report = static_cutoff_profile(cfg, budget=budget)
     elif exp == "double-cutoff":
         _require(spec, beta=spec.beta, s_grid=spec.s_grid)
-        report = double_cutoff_sweep(cfg, spec.beta, budget=budget,
-                                     threads=threads)
+        report = double_cutoff_sweep(cfg, spec.beta, budget=budget)
     elif exp == "joint":
         _require(spec, alpha=spec.alpha, beta_grid=spec.beta_grid)
-        report = joint_relaxation_curve(cfg, budget=budget, threads=threads)
+        report = joint_relaxation_curve(cfg, budget=budget)
     elif exp == "marginal":
         _require(spec, alpha=spec.alpha, beta_grid=spec.beta_grid)
         report = marginal_relaxation_curve(cfg, time_scale=spec.time_scale,
                                            gap_replicates=spec.gap_replicates,
-                                           budget=budget, threads=threads)
+                                           budget=budget)
     elif exp == "marginal-crosscheck":
         _require(spec, alpha=spec.alpha, t=spec.t)
         report = marginal_crosscheck_report(cfg, spec.t,
@@ -391,8 +398,7 @@ def run(spec: RunSpec) -> int:
                                             budget=budget)
     elif exp == "annealed":
         _require(spec, t_grid=spec.t_grid)
-        report = annealed_check(cfg, spec.t_grid, budget=budget,
-                                threads=threads)
+        report = annealed_check(cfg, spec.t_grid, budget=budget)
     elif exp == "weight-lln":
         _require(spec, t=spec.t, switch_time=spec.switch_time)
         report = path_weight_report(cfg, spec.switch_time, spec.t,

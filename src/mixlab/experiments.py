@@ -10,10 +10,7 @@ and reported, never accepted as an input.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -222,44 +219,16 @@ def _mean_std(values: List[float]):
 # the replicate engine shared by the multi-environment experiments
 # ---------------------------------------------------------------------------
 
-def _parallel_map(fn, items, threads: int):
-    """Yield fn(item) for every item, in item order.
+def _parallel_map(fn, items):
+    """Yield fn(item) for every item, in item order: the one replicate loop.
 
-    A pool holds at most 2 * threads submitted items that are not yet
-    yielded, so ``items`` is read at most that far ahead of the consumer
-    and finished results cannot pile up while it is behind.
+    ``items`` is read at most one item ahead of the consumer, so finished
+    results never pile up and callers reduce them as they stream in.  The
+    loop is serial; the name is kept because ``perfbench/tracer.py`` wraps
+    this function by name to time the replicate engine.
     """
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque(pool.submit(fn, item)
-                        for item in islice(items, 2 * threads))
-        try:
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(fn, item)
-                               for item in islice(items, 1))
-                yield result
-        finally:
-            for future in pending:
-                future.cancel()
-
-
-def _replicates(one, items, threads: int, monitor: MassMonitor):
-    """Yield one(item, replicate_monitor) for every item, in item order.
-
-    Each replicate's own monitor is merged into ``monitor`` as its result
-    arrives; nothing is kept, so callers reduce results as they stream in.
-    """
-    def run(item):
-        mon = MassMonitor()
-        return one(item, mon), mon
-
-    for result, mon in _parallel_map(run, items, threads):
-        monitor.merge(mon)
-        yield result
+    for item in items:
+        yield fn(item)
 
 
 def _converged(results, msg: str):
@@ -326,8 +295,7 @@ def _meta(name: str, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def static_cutoff_profile(cfg: ExperimentConfig,
-                          budget: Optional[OperationBudget] = None,
-                          threads: int = 1) -> ExperimentReport:
+                          budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Worst-start distance to stationarity at times beta * entropic_time.
 
     One environment per replicate; the estimate column is the replicate
@@ -345,8 +313,9 @@ def static_cutoff_profile(cfg: ExperimentConfig,
     if budget is not None:
         budget.charge(float(cfg.env_samples) * len(starts) * max(t_unique) * seq.m)
     base = RngStream(cfg.root_seed)
+    monitor = MassMonitor()
 
-    def one(r: int, monitor: MassMonitor):
+    def one(r: int):
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, r))
         pi = _stationary(kernel, cfg, mu)
         if pi is None:
@@ -358,9 +327,8 @@ def static_cutoff_profile(cfg: ExperimentConfig,
                 worst[t] = max(worst[t], tv_distance(v, pi))
         return worst
 
-    monitor = MassMonitor()
     per_rep, failures = _converged(
-        _replicates(one, range(cfg.env_samples), threads, monitor),
+        _parallel_map(one, range(cfg.env_samples)),
         "no stationary solve converged")
 
     rows = []
@@ -386,8 +354,7 @@ def static_cutoff_profile(cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
-                        budget: Optional[OperationBudget] = None,
-                        threads: int = 1) -> ExperimentReport:
+                        budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Sweep the switch time s at fixed total time t = floor(beta * t_ent).
 
     For beta < 1 the theorem-relevant statistic is the best case (min over
@@ -414,8 +381,9 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
         per_start = t + sum(t - s for s in s_sorted)
         budget.charge(float(cfg.env_samples) * len(starts) * per_start * seq.m)
     base = RngStream(cfg.root_seed)
+    monitor = MassMonitor()
 
-    def one(r: int, monitor: MassMonitor):
+    def one(r: int):
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, r))
         k_eta = _kernel(seq, base.lane(_LANE_ENV_B, r))
         pi_eta = _stationary(k_eta, cfg, mu)
@@ -431,9 +399,8 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
                 hi[s] = max(hi[s], d)
         return lo, hi
 
-    monitor = MassMonitor()
     per_rep, failures = _converged(
-        _replicates(one, range(cfg.env_samples), threads, monitor),
+        _parallel_map(one, range(cfg.env_samples)),
         "no stationary solve converged")
 
     use_min = beta < 1.0
@@ -469,8 +436,7 @@ def _joint_coefficients(alpha: float, t: int):
 
 
 def joint_relaxation_curve(cfg: ExperimentConfig,
-                           budget: Optional[OperationBudget] = None,
-                           threads: int = 1) -> ExperimentReport:
+                           budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Joint-chain distance estimate on the refresh time scale t = beta / alpha.
 
     Per replicate (one environment and one start), the estimate combines
@@ -505,8 +471,10 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
         budget.charge(float(len(starts)) * cfg.env_samples
                       * sum(2 * t for t in ts) * seq.m)
     base = RngStream(cfg.root_seed)
+    monitor = MassMonitor()
+    used_total = [0] * len(starts)
 
-    def one(item, monitor: MassMonitor):
+    def one(item):
         i, x = item
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, i))
         sums = {b: 0.0 for b in betas}
@@ -531,10 +499,8 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
         used_total[i] = used
         return {b: sums[b] / used for b in betas} if used else None
 
-    monitor = MassMonitor()
-    used_total = [0] * len(starts)
     per_rep, _ = _converged(
-        _replicates(one, enumerate(starts), threads, monitor),
+        _parallel_map(one, enumerate(starts)),
         "every replicate lost all its environments")
 
     rows = []
@@ -564,8 +530,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
 def marginal_relaxation_curve(cfg: ExperimentConfig,
                               time_scale: str = "regeneration",
                               gap_replicates: int = 20,
-                              budget: Optional[OperationBudget] = None,
-                              threads: int = 1) -> ExperimentReport:
+                              budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Position-law distance (1 - alpha)^t * TV(P_sigma^t(x, .), mu_in).
 
     ``time_scale`` picks the grid: "regeneration" runs t = floor(beta/alpha)
@@ -618,15 +583,15 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
         budget.charge(float(len(starts)) * max(ts) * seq.m)
     base = RngStream(cfg.root_seed)
     t_sorted = sorted(set(ts))
+    monitor = MassMonitor()
 
-    def one(item, monitor: MassMonitor):
+    def one(item):
         i, x = item
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
         laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, monitor)
         return {t: (1.0 - alpha) ** t * tv_distance(v, mu) for t, v in laws}
 
-    monitor = MassMonitor()
-    per_rep = list(_replicates(one, enumerate(starts), threads, monitor))
+    per_rep = list(_parallel_map(one, enumerate(starts)))
 
     # the curve's jump, if it has one, flags the grid points next to it
     jump = {"marginal_general": gh, "static_profile": 1.0}.get(curve)
@@ -769,8 +734,7 @@ def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
 # ---------------------------------------------------------------------------
 
 def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
-                   budget: Optional[OperationBudget] = None,
-                   threads: int = 1) -> ExperimentReport:
+                   budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """TV between the environment-averaged t-step law and the in-law.
 
     The averaged law mixes essentially immediately, so the theory column
@@ -784,8 +748,8 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     (environment, start) law moves by one product per step.  Otherwise
     (B = 0 or a larger m) each environment walks alone, one SpMV per
     start.  Laws are reduced environment by environment in replicate
-    order, so the result does not depend on B.  At most 2 * threads items
-    are in flight (one with one thread).  An environment walked alone
+    order, so the result does not depend on B.  One item (an environment
+    or a batch) is in flight at a time.  An environment walked alone
     holds |t_grid| * S * n floats of laws; a batch holds B * m kernel
     entries and B * (|t_grid| + 4) * S * n floats of laws and transient
     blocks, where B * S * n <= _BATCH_ENTRIES / 2 as m >= 2n.
@@ -808,8 +772,9 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     size = 1 if alone else size
     batches = (range(lo, min(lo + size, samples))
                for lo in range(0, samples, size))
+    monitor = MassMonitor()
 
-    def one(batch: range, monitor: MassMonitor):
+    def one(batch: range):
         kernel = kernel_from_digraph(*(
             sample_digraph(seq, base.lane(_LANE_ENV_A, j)) for j in batch))
         b = len(batch)
@@ -827,8 +792,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
             laws[:, ti] = w.reshape(b, n, width).transpose(0, 2, 1)
         return laws
 
-    monitor = MassMonitor()
-    for laws in _replicates(one, batches, threads, monitor):
+    for laws in _parallel_map(one, batches):
         for law in laws:        # replicate order, never a sum over the batch
             mean_acc += law
             sq_acc += law * law

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import DegreeSequence, ModelKind, integer_array, validate_degrees
 from .errors import BadRange, BadValue
@@ -57,16 +55,11 @@ def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
 
 def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
     """Match the m tail stubs to a uniform permutation of the m head stubs."""
-    return _match(seq, stream.generator(), stream)
-
-
-def _match(seq: DegreeSequence, gen: np.random.Generator,
-           stream: RngStream) -> Digraph:
     if seq.model is not ModelKind.DCM:
         raise BadValue("sample_dcm needs a DCM degree sequence")
     # Shuffling stub indices draws the same numbers as shuffling the slots,
     # so every seed realizes the same graph, and the matching is kept.
-    head_stubs = gen.permutation(seq.m)
+    head_stubs = stream.generator().permutation(seq.m)
     return _finish(seq, seq.head_slots[head_stubs], stream, head_stubs)
 
 
@@ -117,41 +110,6 @@ def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:
     if seq.model is ModelKind.DCM:
         return sample_dcm(seq, stream)
     return sample_ocm(seq, stream)
-
-
-def is_simple(g: Digraph) -> bool:
-    """True when the graph has no self-loops and no parallel edges."""
-    tails = g.seq.tails
-    if (g.heads == tails).any():
-        return False
-    order = np.lexsort((g.heads, tails))
-    t, h = tails[order], g.heads[order]
-    dup = (t[1:] == t[:-1]) & (h[1:] == h[:-1])
-    return not bool(dup.any())
-
-
-def sample_simple_dcm(seq: DegreeSequence, stream: RngStream,
-                      max_tries: int = 1000) -> Digraph:
-    """Rejection-sample a simple DCM realization.
-
-    Every try draws from the one generator of ``stream``, so the first try
-    is ``sample_dcm(seq, stream)`` and no try touches another stream.
-    Provided for callers that need simple graphs; the estimators in this
-    package are calibrated on the unconditioned model.
-    """
-    gen = stream.generator()
-    for _ in range(max_tries):
-        g = _match(seq, gen, stream)
-        if is_simple(g):
-            return g
-    raise BadValue(f"no simple realization in {max_tries} tries")
-
-
-def strongly_connected(g: Digraph) -> bool:
-    adj = csr_matrix((np.ones(len(g.heads)), (g.seq.tails, g.heads)),
-                     shape=(g.n, g.n))
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return int(ncomp) == 1
 
 
 def digraph_to_json(g: Digraph) -> str:

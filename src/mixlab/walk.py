@@ -60,7 +60,7 @@ class OperationBudget:
 
 @dataclass
 class MassMonitor:
-    """Tally of propagation drift events; merge in a fixed order for determinism."""
+    """Tally of propagation drift events; one per run, fed by every replicate."""
 
     renormalizations: int = 0
     max_drift: float = 0.0
@@ -70,10 +70,6 @@ class MassMonitor:
             self.max_drift = drift
         if renormalized:
             self.renormalizations += 1
-
-    def merge(self, other: "MassMonitor") -> None:
-        self.renormalizations += other.renormalizations
-        self.max_drift = max(self.max_drift, other.max_drift)
 
 
 class TransitionKernel:

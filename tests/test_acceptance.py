@@ -45,7 +45,6 @@ from mixlab.walk import (
     time_averaged_row,
 )
 
-THREADS = 4
 BUDGET_CAP = 5e10
 
 _cache: dict = {}
@@ -74,8 +73,7 @@ def test_01_static_cutoff_profile():
     t0 = time.time()
     cfg = ExperimentConfig(seq=reg3_10k(), root_seed=1, beta_grid=(0.7, 1.5),
                            env_samples=10, start_vertices=32)
-    report = static_cutoff_profile(cfg, budget=OperationBudget(BUDGET_CAP),
-                                   threads=THREADS)
+    report = static_cutoff_profile(cfg, budget=OperationBudget(BUDGET_CAP))
     by_beta = {row.abscissa: row.estimate for row in report.rows}
     assert by_beta[0.7] >= 0.90
     assert by_beta[1.5] <= 0.10
@@ -95,8 +93,7 @@ def test_02_double_cutoff_switch_sweep():
     grid_lo = tuple(sorted({0, t_lo // 4, t_lo // 2, (3 * t_lo) // 4, t_lo}))
     cfg = ExperimentConfig(seq=seq, root_seed=2, s_grid=grid_lo,
                            env_samples=10, start_vertices=32)
-    low = double_cutoff_sweep(cfg, 0.7, budget=OperationBudget(BUDGET_CAP),
-                              threads=THREADS)
+    low = double_cutoff_sweep(cfg, 0.7, budget=OperationBudget(BUDGET_CAP))
     assert min(min(v) for v in low.metadata["per_s_min"].values()) >= 0.90
 
     # above the cutoff the admissible switch times exclude a window around
@@ -105,8 +102,7 @@ def test_02_double_cutoff_switch_sweep():
     assert all(s <= 0.75 * t_ent for s in grid_hi)
     cfg = ExperimentConfig(seq=seq, root_seed=2, s_grid=grid_hi,
                            env_samples=10, start_vertices=32)
-    high = double_cutoff_sweep(cfg, 1.5, budget=OperationBudget(BUDGET_CAP),
-                               threads=THREADS)
+    high = double_cutoff_sweep(cfg, 1.5, budget=OperationBudget(BUDGET_CAP))
     assert max(max(v) for v in high.metadata["per_s_max"].values()) <= 0.10
     assert time.time() - t0 <= 600
 
@@ -126,7 +122,7 @@ def test_03_joint_relaxation_trichotomy():
                                alpha=gamma_target / t_ent, beta_grid=betas,
                                env_samples=30, start_vertices=4)
         budget = OperationBudget(BUDGET_CAP)
-        report = joint_relaxation_curve(cfg, budget=budget, threads=THREADS)
+        report = joint_relaxation_curve(cfg, budget=budget)
         expected = "inf" if gamma_target > 5 else "0"
         assert report.metadata["regime"] == expected
         assert report.metadata["gamma_hat"] == pytest.approx(gamma_target)
@@ -146,8 +142,7 @@ def test_04_marginal_relaxation_trichotomy():
     eul = ExperimentConfig(seq=reg3_10k(), root_seed=4, alpha=0.02,
                            beta_grid=(0.5, 2.0, 3.0), start_vertices=20)
     report = marginal_relaxation_curve(eul, time_scale="entropic",
-                                       budget=OperationBudget(BUDGET_CAP),
-                                       threads=THREADS)
+                                       budget=OperationBudget(BUDGET_CAP))
     assert report.metadata["regime"] == "0"
     assert report.metadata["q_exact"] is True
     by_beta = {row.abscissa: row.estimate for row in report.rows}
@@ -161,8 +156,7 @@ def test_04_marginal_relaxation_trichotomy():
     fast = ExperimentConfig(seq=seq, root_seed=4, alpha=5.15 / t_ent,
                             beta_grid=(0.5, 1.0, 2.0), start_vertices=20)
     report = marginal_relaxation_curve(fast,
-                                       budget=OperationBudget(BUDGET_CAP),
-                                       threads=THREADS)
+                                       budget=OperationBudget(BUDGET_CAP))
     assert report.metadata["regime"] == "inf"
     for row in report.rows:
         assert abs(row.estimate - math.exp(-row.abscissa)) <= 0.05
@@ -171,8 +165,7 @@ def test_04_marginal_relaxation_trichotomy():
     mid = ExperimentConfig(seq=seq, root_seed=4, alpha=1.0 / t_ent,
                            beta_grid=(0.5, 2.0), start_vertices=20)
     report = marginal_relaxation_curve(mid,
-                                       budget=OperationBudget(BUDGET_CAP),
-                                       threads=THREADS)
+                                       budget=OperationBudget(BUDGET_CAP))
     assert report.metadata["regime"] == "general"
     for row in report.rows:
         assert not row.flagged
@@ -194,8 +187,7 @@ def test_05_crosscheck_consistency():
     cfg = ExperimentConfig(seq=seq, root_seed=5, alpha=alpha,
                            beta_grid=(0.8, 1.2, 1.6), start_vertices=10)
     marginal = marginal_relaxation_curve(cfg,
-                                         budget=OperationBudget(BUDGET_CAP),
-                                         threads=THREADS)
+                                         budget=OperationBudget(BUDGET_CAP))
     for row in marginal.rows:
         t = math.floor(row.abscissa / alpha)
         cc = marginal_mc_crosscheck(cfg, t, 4000,
@@ -219,8 +211,7 @@ def test_06_annealed_in_law():
     small = validate_degrees("dcm", np.full(100, 3), np.full(100, 3))
     cfg = ExperimentConfig(seq=small, root_seed=6, env_samples=20_000,
                            start_vertices=[0, 1, 2, 3])
-    report = annealed_check(cfg, (1,), budget=OperationBudget(BUDGET_CAP),
-                            threads=THREADS)
+    report = annealed_check(cfg, (1,), budget=OperationBudget(BUDGET_CAP))
     row = report.rows[0]
     assert row.estimate <= row.std_err
 
@@ -229,8 +220,7 @@ def test_06_annealed_in_law():
     t = math.floor(2 * entropic_scale(seq).entropic_time)
     cfg = ExperimentConfig(seq=seq, root_seed=6, env_samples=30,
                            start_vertices=[0, 1, 2, 3])
-    report = annealed_check(cfg, (t,), budget=OperationBudget(BUDGET_CAP),
-                            threads=THREADS)
+    report = annealed_check(cfg, (t,), budget=OperationBudget(BUDGET_CAP))
     assert report.rows[0].estimate <= 0.05
 
 

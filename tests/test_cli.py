@@ -370,9 +370,11 @@ def run_error(args, capsys):
     ["--degrees", '{"model": "xyz", "out_degrees": [2, 2, 2]}'],
     ["--degrees", '{"out_degrees": [2.5, 2, 2], "in_degrees": [2, 2, 2.5]}'],
     ["--config", "MODEL_XYZ", "--generator", "regular:3", "--n", "10"],
+    ["--root-seed", "-1", "--generator", "regular:3", "--n", "10"],
+    ["--generator", "regular:3", "--n", "-5"],
 ], ids=["bad-json", "not-an-object", "missing-degrees-file",
         "missing-config", "unknown-model", "non-integer-degrees",
-        "unknown-config-model"])
+        "unknown-config-model", "negative-root-seed", "negative-size"])
 def test_bad_degree_and_config_sources_exit_1(tmp_path, capsys, flags):
     (tmp_path / "xyz.json").write_text(json.dumps({"model": "xyz"}))
     paths = {"MISSING": str(tmp_path / "missing.json"),

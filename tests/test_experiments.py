@@ -283,8 +283,10 @@ def test_joint_grid_rows_equal_single_beta_runs():
         assert row.estimate == alone.rows[0].estimate
 
 
-def test_parallel_map_reads_at_most_two_items_per_thread_ahead():
+def test_parallel_map_reads_at_most_one_item_ahead():
+    # annealed_check's memory bound counts one batch in flight
     read = 0
+    got = []
 
     def items():
         nonlocal read
@@ -292,13 +294,14 @@ def test_parallel_map_reads_at_most_two_items_per_thread_ahead():
             read += 1
             yield i
 
-    for threads in (2, 3):
-        read = 0
-        got = []
-        for out in _parallel_map(lambda i: i * i, items(), threads):
-            got.append(out)
-            assert read - len(got) <= 2 * threads
-        assert got == [i * i for i in range(40)]
+    def square(i):
+        assert read == len(got) + 1
+        return i * i
+
+    for out in _parallel_map(square, items()):
+        assert read == len(got) + 1
+        got.append(out)
+    assert got == [i * i for i in range(40)]
 
 
 def test_annealed_single_step_is_noise_level():
@@ -349,8 +352,7 @@ def annealed_per_environment_loop(cfg, t_grid):
 
 @pytest.mark.parametrize("batch_entries",
                          [experiments._BATCH_ENTRIES, 1080, 1])
-@pytest.mark.parametrize("threads", [1, 3])
-def test_annealed_batches_equal_per_environment_loop(monkeypatch, threads,
+def test_annealed_batches_equal_per_environment_loop(monkeypatch,
                                                      batch_entries):
     # 3 starts: the real constant puts all 37 environments in one batch;
     # 1080 entries gives batches of 5 (DCM, m = 70) or 4 (OCM, m = 90) and
@@ -361,7 +363,7 @@ def test_annealed_batches_equal_per_environment_loop(monkeypatch, threads,
     for t_grid, model_seq in (((0, 3, 1, 3), seq),
                               ((2, 0), validate_degrees("ocm", [3] * 30))):
         cfg = cfg_for(model_seq, env_samples=37, start_vertices=[4, 0, 4])
-        report = annealed_check(cfg, t_grid, threads=threads)
+        report = annealed_check(cfg, t_grid)
         rows, worst_start, monitor = annealed_per_environment_loop(cfg, t_grid)
         assert [(r.estimate, r.std_err) for r in report.rows] == rows
         assert report.metadata["worst_start"] == worst_start

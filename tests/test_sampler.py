@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab import (RngStream, digraph_from_json, digraph_to_json, is_simple,
-                    sample_dcm, sample_digraph, sample_ocm, sample_simple_dcm,
-                    strongly_connected, validate_degrees)
+from mixlab import (RngStream, digraph_from_json, digraph_to_json, sample_dcm,
+                    sample_digraph, sample_ocm, validate_degrees)
 from mixlab.errors import BadValue
 
 
@@ -174,54 +173,6 @@ def _graph_from_edges(out_edges, model="dcm"):
     doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": model,
            "out_edges": out_edges}
     return digraph_from_json(json.dumps(doc))
-
-
-def test_is_simple_detects_loops_and_parallels():
-    assert is_simple(_graph_from_edges([[1, 2], [0, 2], [0, 1]]))
-    parallel = _graph_from_edges([[1, 1], [0, 2], [0, 2]])
-    assert not is_simple(parallel)
-    loop = _graph_from_edges([[0, 1], [0, 2], [1, 2]])
-    assert not is_simple(loop)
-
-
-def test_sample_simple_dcm_returns_simple():
-    g = sample_simple_dcm(TRIPLE, RngStream(1))
-    assert is_simple(g)
-    h = sample_simple_dcm(TRIPLE, RngStream(1))
-    assert np.array_equal(g.heads, h.heads)
-
-
-def first_simple_heads(seq, stream):
-    """Heads of the first simple matching among successive draws of the
-    stream's one generator."""
-    gen = stream.generator()
-    tails = np.repeat(np.arange(seq.n), seq.out_degrees)
-    slots = np.repeat(np.arange(seq.n), seq.in_degrees)
-    while True:
-        heads = slots[gen.permutation(seq.m)]
-        if (len(set(zip(tails.tolist(), heads.tolist()))) == seq.m
-                and not (tails == heads).any()):
-            return heads
-
-
-def test_sample_simple_dcm_retries_on_its_own_stream():
-    # retrying on the next stream index would reuse replicate r + 1's stream
-    seq = validate_degrees("dcm", [2] * 6, [2] * 6)
-    retried = 0
-    for r in range(20):
-        stream = RngStream(1, r)
-        g = sample_simple_dcm(seq, stream)
-        assert g.stream == stream
-        assert np.array_equal(g.heads, first_simple_heads(seq, stream))
-        retried += not np.array_equal(g.heads, sample_dcm(seq, stream).heads)
-    assert retried > 0
-
-
-def test_strong_connectivity():
-    cycle = _graph_from_edges([[1, 1], [2, 2], [0, 0]])
-    assert strongly_connected(cycle)
-    split = _graph_from_edges([[1, 1], [0, 0], [3, 3], [2, 2]])
-    assert not strongly_connected(split)
 
 
 def test_json_round_trip():
