@@ -352,17 +352,20 @@ def annealed_per_environment_loop(cfg, t_grid):
 
 @pytest.mark.parametrize("batch_entries",
                          [experiments._BATCH_ENTRIES, 1080, 1])
-def test_annealed_batches_equal_per_environment_loop(monkeypatch,
+@pytest.mark.parametrize("n_starts", [1, 3])
+def test_annealed_batches_equal_per_environment_loop(monkeypatch, n_starts,
                                                      batch_entries):
-    # 3 starts: the real constant puts all 37 environments in one batch;
-    # 1080 entries gives batches of 5 (DCM, m = 70) or 4 (OCM, m = 90) and
-    # a short last one; 1 walks every environment alone, start by start
+    # the real constant puts all 37 environments in one batch; with 3
+    # starts 1080 entries gives batches of 5 (DCM, m = 70) or 4 (OCM,
+    # m = 90), with 1 start batches of 15 or 12, and a short last one;
+    # 1 walks every environment alone, start by start
     monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
     seq = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
     assert seq.m == 70
     for t_grid, model_seq in (((0, 3, 1, 3), seq),
                               ((2, 0), validate_degrees("ocm", [3] * 30))):
-        cfg = cfg_for(model_seq, env_samples=37, start_vertices=[4, 0, 4])
+        cfg = cfg_for(model_seq, env_samples=37,
+                      start_vertices=[4, 0, 4][:n_starts])
         report = annealed_check(cfg, t_grid)
         rows, worst_start, monitor = annealed_per_environment_loop(cfg, t_grid)
         assert [(r.estimate, r.std_err) for r in report.rows] == rows
