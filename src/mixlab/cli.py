@@ -2,9 +2,8 @@
 
 Flag values win over config-file values, which win over defaults.  Output
 files are written atomically and are byte-identical across reruns for a
-fixed root seed.  Replicates run serially; ``--threads`` (or
-``MIXLAB_THREADS``) is still accepted and recorded in the sidecar, but it
-does not change the work.
+fixed root seed.  Replicates run serially; ``--threads`` is still
+accepted and recorded in the sidecar, but it does not change the work.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .walk import OperationBudget
 # stream lane reserved for degree-multiset shuffles; experiments use 1..6
 DEGREE_LANE = 7
 
-# --threads and MIXLAB_THREADS outside [1, MAX_THREADS] are refused
+# --threads outside [1, MAX_THREADS] is refused
 MAX_THREADS = 64
 
 
@@ -66,7 +65,7 @@ class RunSpec:
     gap_replicates: int = 20
     root_seed: int = 0
     out_dir: str = "."
-    threads: Optional[int] = None  # resolved from MIXLAB_THREADS, else 1
+    threads: Optional[int] = None  # 1 when not given
     budget: float = 5e10
     tol: float = DEFAULT_TOL
     max_iters: Optional[int] = None
@@ -200,8 +199,6 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     spec = RunSpec(**merged)
     if spec.alpha is not None and not (0.0 < spec.alpha < 1.0):
         raise BadValue(f"alpha must be in (0, 1), got {spec.alpha}")
-    if spec.root_seed < 0:
-        raise BadValue(f"root seed must be nonnegative, got {spec.root_seed}")
     return spec
 
 
@@ -310,20 +307,11 @@ def _start_vertices_value(text: str):
 
 
 def _resolve_threads(spec: RunSpec) -> int:
-    """--threads, else MIXLAB_THREADS, else 1; BadValue outside
-    [1, MAX_THREADS].  The value only lands in the sidecar."""
-    threads, source = spec.threads, "--threads"
-    if threads is None:
-        env = os.environ.get("MIXLAB_THREADS")
-        if not env:
-            return 1
-        source = "MIXLAB_THREADS"
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise BadValue(f"bad MIXLAB_THREADS {env!r}") from exc
+    """--threads, else 1; BadValue outside [1, MAX_THREADS].  The value
+    only lands in the sidecar."""
+    threads = 1 if spec.threads is None else spec.threads
     if not 1 <= threads <= MAX_THREADS:
-        raise BadValue(f"{source} must be in [1, {MAX_THREADS}], "
+        raise BadValue(f"--threads must be in [1, {MAX_THREADS}], "
                        f"got {threads}")
     return threads
 

@@ -65,6 +65,10 @@ _LANE_GAP = 4
 _LANE_SCHED = 5
 _LANE_TRAJ = 6
 
+# marginal_mc_crosscheck's jackknife leaves out one of this many schedule
+# batches at a time; schedule m lands in batch m % _JACKKNIFE_BATCHES.
+_JACKKNIFE_BATCHES = 10
+
 # path_weight_lln walks its trajectories in blocks of this many, block b on
 # stream (_LANE_TRAJ, b).
 _PATH_BLOCK = 2048
@@ -631,7 +635,6 @@ class CrosscheckResult:
 
 def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                            schedule_samples: int,
-                           batches: int = 10,
                            budget: Optional[OperationBudget] = None) -> CrosscheckResult:
     """Drive the regenerating chain by sampled refresh schedules.
 
@@ -654,7 +657,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     alpha = cfg.require_alpha()
     if t < 0:
         raise BadValue("t must be nonnegative")
-    if schedule_samples < batches:
+    if schedule_samples < _JACKKNIFE_BATCHES:
         raise BadValue("need at least one schedule per batch")
     _check_pair_index("schedule_samples", schedule_samples - 1)
     _check_pair_index("t", t)  # a schedule refreshes at most t times
@@ -680,8 +683,8 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     exact = (1.0 - alpha) ** t * tv_distance(prefix[t], mu)
 
     total = np.zeros(seq.n)
-    batch_sums = np.zeros((batches, seq.n))
-    batch_counts = np.zeros(batches, dtype=np.int64)
+    batch_sums = np.zeros((_JACKKNIFE_BATCHES, seq.n))
+    batch_counts = np.zeros(_JACKKNIFE_BATCHES, dtype=np.int64)
     refreshes = 0
     for m, steps in enumerate(refresh_steps):
         w = prefix[first[m]]
@@ -693,7 +696,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                 w = propagate(w, kernel, end - r - 1, monitor)
         refreshes += len(steps)
         total += w
-        b = m % batches
+        b = m % _JACKKNIFE_BATCHES
         batch_sums[b] += w
         batch_counts[b] += 1
 
@@ -701,7 +704,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     sampled = tv_distance(mean_law, mu)
     rest = (total - batch_sums) / (schedule_samples - batch_counts)[:, None]
     loo = np.array([tv_distance(law, mu) for law in rest])
-    std_err = float(math.sqrt((batches - 1) / batches
+    std_err = float(math.sqrt((_JACKKNIFE_BATCHES - 1) / _JACKKNIFE_BATCHES
                               * float(((loo - loo.mean()) ** 2).sum())))
     return CrosscheckResult(t=t, exact=exact, sampled=sampled,
                             std_err=std_err, schedules=schedule_samples,

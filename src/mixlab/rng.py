@@ -26,7 +26,7 @@ class RngStream:
 
     def __post_init__(self):
         if self.root_seed < 0 or self.stream_index < 0:
-            raise ValueError("seed and stream index must be nonnegative")
+            raise BadRange("seed and stream index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; calling twice replays the stream."""

@@ -36,9 +36,6 @@ class Digraph:
     def n(self) -> int:
         return self.seq.n
 
-    def out_degree(self, x: int) -> int:
-        return int(self.offsets[x + 1] - self.offsets[x])
-
     def out_edges(self, x: int) -> np.ndarray:
         return self.heads[self.offsets[x]:self.offsets[x + 1]]
 

@@ -13,11 +13,10 @@ share one block-diagonal kernel, through which propagate moves a whole
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
 returns their (N, t + 1) states; ``path_log_weights`` weighs every path
-with one vectorized lookup in P per step.  ``sample_trajectory`` and
-``path_log_weight`` are the single-path forms: the first draws one path
-on a stream of its own, the second is the one-row case of the weigher.
-A caller with many paths walks them in blocks, one stream per block, so
-it holds one block's states at a time.
+with one scipy lookup ``P[x, y]`` per step.  ``sample_trajectory`` and
+``path_log_weight`` are the one-row cases of these two.  A caller with
+many paths walks them in blocks, one stream per block, so it holds one
+block's states at a time.
 """
 
 from __future__ import annotations
@@ -65,11 +64,12 @@ class MassMonitor:
     renormalizations: int = 0
     max_drift: float = 0.0
 
-    def record(self, drift: float, renormalized: bool) -> None:
+    def record(self, drift: float, renormalized: int) -> None:
+        """Note a step's largest drift and how many vectors it
+        renormalized (a bool counts 0 or 1)."""
         if drift > self.max_drift:
             self.max_drift = drift
-        if renormalized:
-            self.renormalizations += 1
+        self.renormalizations += int(renormalized)
 
 
 class TransitionKernel:
@@ -228,8 +228,7 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
     if renorm.any():
         laws[renorm] /= sums[renorm][:, None]
     if monitor is not None:
-        for d, r in zip(drift.ravel().tolist(), renorm.ravel().tolist()):
-            monitor.record(d, r)
+        monitor.record(float(drift.max(initial=0.0)), int(renorm.sum()))
     return w
 
 
@@ -344,46 +343,28 @@ class Trajectory:
         return len(self.states) - 1
 
 
-def _check_walk(s: int, t: int, g_sigma: Digraph, g_eta: Digraph) -> None:
-    if g_sigma.n != g_eta.n:
-        raise BadValue("digraphs have different vertex counts")
-    if not (0 <= s <= t):
-        raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
-
-
 def sample_trajectory(x: int, s: int, t: int, g_sigma: Digraph,
                       g_eta: Digraph, stream: RngStream) -> Trajectory:
-    """Walk t steps from x: the first s through g_sigma, the rest through g_eta.
-
-    Each step picks a uniform raw out-edge, so parallel edges carry their
-    multiplicity and self-loops can be traversed.
-    """
-    _check_walk(s, t, g_sigma, g_eta)
-    if not 0 <= x < g_sigma.n:
-        raise BadRange(f"start {x} outside [0, {g_sigma.n})")
-    gen = stream.generator()
-    states = np.empty(t + 1, dtype=np.int64)
-    states[0] = x
-    cur = x
-    for step in range(1, t + 1):
-        g = g_sigma if step <= s else g_eta
-        edges = g.out_edges(cur)
-        cur = int(edges[gen.integers(0, len(edges))])
-        states[step] = cur
-    return Trajectory(states=states, switch_time=s)
+    """Walk t steps from x: the first s through g_sigma, the rest through
+    g_eta.  The one-path case of ``sample_paths``, on a stream of its own."""
+    return Trajectory(sample_paths([x], s, t, g_sigma, g_eta, stream)[0], s)
 
 
 def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
                  stream: RngStream) -> np.ndarray:
     """States (N, t + 1) of N walks from the starts xs, stepped together.
 
-    Like ``sample_trajectory``, the first s steps go through g_sigma and the
-    rest through g_eta, each along a uniform raw out-edge.  Every step is
-    one draw of N edge ranks from the one generator of ``stream``, each
-    below its vertex's out-degree, so no rounding can pick a rank past the
-    last edge.  Memory is the (N, t + 1) states and O(N) per step.
+    The first s steps go through g_sigma and the rest through g_eta, each
+    along a uniform raw out-edge, so parallel edges carry their
+    multiplicity and self-loops can be traversed.  Every step is one draw
+    of N edge ranks from the one generator of ``stream``, each below its
+    vertex's out-degree, so no rounding can pick a rank past the last
+    edge.  Memory is the (N, t + 1) states and O(N) per step.
     """
-    _check_walk(s, t, g_sigma, g_eta)
+    if g_sigma.n != g_eta.n:
+        raise BadValue("digraphs have different vertex counts")
+    if not (0 <= s <= t):
+        raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 1:
         raise BadValue(f"starts must be one-dimensional, got shape {xs.shape}")
@@ -400,39 +381,20 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     return states
 
 
-def _row_positions(indptr: np.ndarray, indices: np.ndarray, x: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """For each pair, where y would sit in the sorted row x of a CSR
-    matrix: one bisection inside every row at once, about log2(max row
-    length) vectorized passes."""
-    lo = indptr[x].astype(np.int64)
-    size = indptr[x + 1] - lo
-    last = len(indices) - 1
-    while True:
-        live = size > 0
-        if not live.any():
-            return lo
-        half = size >> 1
-        probe = lo + half
-        right = live & (indices[np.minimum(probe, last)] < y)
-        lo = np.where(right, probe + 1, lo)
-        size = np.where(right, size - half - 1, half)
-
-
 def _step_log_probs(mat: csr_matrix, x: np.ndarray, y: np.ndarray,
                     step: int) -> np.ndarray:
     """log P(x, y) for one step of every path; ImpossibleStep if an edge
-    is absent."""
-    k = np.minimum(_row_positions(mat.indptr, mat.indices, x, y),
-                   mat.nnz - 1)
-    found = (k < mat.indptr[x + 1]) & (mat.indices[k] == y)
-    if not found.all():
-        i = int(np.flatnonzero(~found)[0])
+    is absent.  scipy's lookup bisects a canonical row and otherwise scans
+    it, summing duplicate entries; a missing entry reads 0."""
+    step_probs = np.asarray(mat[x, y]).ravel()
+    missing = np.flatnonzero(step_probs == 0)
+    if missing.size:
+        i = int(missing[0])
         raise ImpossibleStep(f"trajectory {i}, step {step}: "
                              f"no edge {x[i]} -> {y[i]}")
     # math.log of each distinct probability: np.log can differ from it in
     # the last bit (seen at 0.9999999999999998)
-    probs, inverse = np.unique(mat.data[k], return_inverse=True)
+    probs, inverse = np.unique(step_probs, return_inverse=True)
     return np.array([math.log(p) for p in probs.tolist()])[inverse]
 
 
@@ -444,9 +406,16 @@ def path_log_weights(states, s: int, k_sigma: TransitionKernel,
     Each step looks up P(x, y) for all N paths at once and adds its logs,
     so every path is summed in step order, bitwise as a scalar loop would.
     """
+    if k_sigma.n != k_eta.n:
+        raise BadValue("kernels have different vertex counts")
     states = np.asarray(states)
     if states.ndim != 2:
         raise BadValue(f"states must be (paths, t + 1), got {states.shape}")
+    if not states.size:
+        return np.zeros(len(states))
+    # scipy would read state -1 as row n - 1
+    if not (0 <= states.min() and states.max() < k_sigma.n):
+        raise BadRange(f"a state lies outside [0, {k_sigma.n})")
     mats = (k_sigma.matrix, k_eta.matrix)
     total = np.zeros(len(states))
     for j in range(states.shape[1] - 1):

@@ -302,17 +302,6 @@ def test_run_unknown_flag_is_an_error(capsys):
     capsys.readouterr()
 
 
-def test_threads_env_var_applies(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MIXLAB_THREADS", "3")
-    run_ok(["static-cutoff", "--generator", "eulerian:3x20",
-            "--beta-grid", "0.5", "--env-samples", "1",
-            "--start-vertices", "2", "--out-dir", str(tmp_path)])
-    meta = json.loads(
-        (tmp_path / "static-cutoff_n20_ana_seed0.json").read_text())
-    assert meta["threads"] == 3
-    capsys.readouterr()
-
-
 def test_run_crosscheck_writes_gap_metadata(tmp_path, capsys):
     run_ok(["marginal-crosscheck", "--generator", "eulerian:3x30",
             "--alpha", "0.2", "--t", "3", "--schedule-samples", "40",
@@ -428,20 +417,14 @@ def _no_degrees(spec):
     raise AssertionError("degrees were built before the thread check")
 
 
-@pytest.mark.parametrize("flags, env", [
-    (["--threads", "0"], None), (["--threads", "-2"], None),
-    (["--threads", "65"], None), ([], "0"), ([], "65"),
-    (["--threads", "1000000"], "1"),
-], ids=["zero", "negative", "above-64", "env-zero", "env-above-64",
-        "flag-wins"])
+@pytest.mark.parametrize("flags", [
+    ["--threads", "0"], ["--threads", "-2"], ["--threads", "65"],
+    ["--threads", "1000000"],
+], ids=["zero", "negative", "above-64", "far-above-64"])
 def test_thread_count_outside_1_to_64_exits_1(tmp_path, capsys, monkeypatch,
-                                              flags, env):
-    # refused while parsing: no pool is ever started with these counts
+                                              flags):
+    # refused before any degrees are built
     monkeypatch.setattr(cli, "build_degree_sequence", _no_degrees)
-    if env is None:
-        monkeypatch.delenv("MIXLAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MIXLAB_THREADS", env)
     args = ["q-estimate", "--generator", "mix:2x30,3x10",
             "--out-dir", str(tmp_path), *flags]
     assert run_error(args, capsys) == 1

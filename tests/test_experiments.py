@@ -107,6 +107,12 @@ def test_static_profile_rows_and_metadata():
     assert report.metadata["start_count"] == 120
 
 
+def test_negative_root_seed_is_a_typed_error():
+    cfg = cfg_for(REG3_120, beta_grid=(0.5,), root_seed=-1)
+    with pytest.raises(BadRange):
+        static_cutoff_profile(cfg)
+
+
 def test_joint_time_zero_distance_is_one():
     # beta/alpha below 1 floors to t=0: nothing has moved or refreshed
     cfg = cfg_for(REG3_120, alpha=0.9, beta_grid=(0.05,), env_samples=2,

@@ -38,9 +38,9 @@ def test_offset_and_lane_arithmetic():
 
 
 def test_negative_values_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRange):
         RngStream(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRange):
         RngStream(0, -2)
 
 

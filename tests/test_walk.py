@@ -256,6 +256,14 @@ def test_mass_conserved_over_long_runs():
     assert monitor.max_drift < 1e-9
 
 
+def test_monitor_record_adds_renormalization_counts():
+    monitor = MassMonitor()
+    monitor.record(1e-12, False)
+    monitor.record(0.5, 3)
+    monitor.record(0.1, True)
+    assert monitor == MassMonitor(renormalizations=4, max_drift=0.5)
+
+
 def test_double_row_matches_dense_products():
     for seed in range(3):
         _, _, k1, k2 = random_kernel_pair(seed)
@@ -428,6 +436,69 @@ def test_path_log_weights_refuse_a_forged_step():
         path_log_weights(np.array([[2, 1, 0]]), 1, k1, k2)
     assert path_log_weights(np.array([[2, 1, 0]]), 2, k1, k2)[0] == \
         math.log(1 / 2) + math.log(1 / 2)
+
+
+def scalar_trajectory(x, s, t, g_sigma, g_eta, stream):
+    """One path stepped one scalar draw at a time: the reference that
+    ``sample_trajectory``, a one-row block of ``sample_paths``, matches."""
+    gen = stream.generator()
+    states = [x]
+    for step in range(1, t + 1):
+        edges = (g_sigma if step <= s else g_eta).out_edges(states[-1])
+        states.append(int(edges[gen.integers(0, len(edges))]))
+    return states
+
+
+def test_sample_trajectory_equals_the_scalar_walk_bitwise():
+    t = 8
+    for i, (g1, g2) in enumerate(path_test_pairs()[:-1]):   # DCM and OCM
+        for s in (0, t // 2, t):
+            for x in range(0, g1.n, 7):
+                stream = RngStream(i, s).lane(6, x)
+                traj = sample_trajectory(x, s, t, g1, g2, stream)
+                assert traj.switch_time == s
+                assert traj.states.tolist() == scalar_trajectory(
+                    x, s, t, g1, g2, stream)
+
+
+def test_non_canonical_matrix_kernel_weighs_like_its_dense_oracle():
+    # row 0 lists its columns out of order; row 1 stores two halves of its
+    # one entry; row 2 does both
+    data = np.array([0.25, 0.75, 0.5, 0.5, 0.25, 0.5, 0.25])
+    indices = np.array([2, 1, 0, 0, 1, 0, 1])
+    mat = csr_matrix((data, indices, [0, 2, 4, 7]), shape=(3, 3))
+    assert not mat.has_canonical_format
+    dense_p = mat.toarray()
+    assert dense_p.tolist() == [[0, 0.75, 0.25], [1, 0, 0], [0.5, 0.5, 0]]
+    k = TransitionKernel(mat)
+    states = np.array([[0, 1, 0, 2, 1], [2, 0, 2, 0, 1], [1, 0, 1, 0, 2]])
+    got = path_log_weights(states, 2, k, k).tolist()
+    assert got == [scalar_log_weight(row, 2, dense_p, dense_p)
+                   for row in states.tolist()]
+    with pytest.raises(ImpossibleStep, match="no edge 1 -> 1"):
+        path_log_weights(np.array([[0, 1, 1]]), 1, k, k)
+
+
+@pytest.mark.parametrize("states", [
+    [[0, 1, 2], [0, 1, 3]], [[3, 0, 1]], [[0, 1, 2], [-1, 1, 2]],
+    [[0, -1, 2]],
+], ids=["head-n", "start-n", "start-minus-1", "head-minus-1"])
+def test_path_log_weights_refuse_states_outside_the_kernel(states):
+    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    k = kernel_from_digraph(g1)
+    with pytest.raises(BadRange):
+        path_log_weights(np.array(states), 1, k, k)
+    with pytest.raises(BadRange):
+        path_log_weight(Trajectory(np.array(states[-1]), None), k, k)
+
+
+def test_path_log_weights_refuse_kernels_of_different_sizes():
+    k3 = kernel_from_digraph(_graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]))
+    k2 = kernel_from_digraph(_graph_from_edges([[1, 1], [0, 0]]))
+    with pytest.raises(BadValue):
+        path_log_weights(np.array([[0, 1, 0]]), 1, k2, k3)
+    assert path_log_weights(np.empty((0, 3), dtype=np.int64), 1, k3,
+                            k3).shape == (0,)
 
 
 def test_sample_paths_follow_the_right_environment():
