@@ -19,7 +19,8 @@ from typing import (List, Optional, Sequence, Union, get_args, get_origin,
 
 import numpy as np
 
-from .core import ModelKind, load_degree_sequence, validate_degrees
+from .core import (ModelKind, json_object, load_degree_sequence,
+                   validate_degrees)
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
                      UnknownFlag)
@@ -168,7 +169,7 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     # only the keys a file or flag sets; RunSpec's fields hold the defaults
     merged = {}
     if ns.config:
-        merged = _json_object(_read(ns.config, "config file"), "config file")
+        merged = json_object(_read(ns.config, "config file"), "config file")
     known = {f.name for f in fields(RunSpec)}
     for key in merged:
         if key not in known:
@@ -266,16 +267,6 @@ def _read(path: str, what: str) -> str:
         raise BadValue(f"cannot read {what} {path!r}: {exc.strerror}") from exc
 
 
-def _json_object(text: str, what: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadValue(f"{what} must hold a JSON object")
-    return doc
-
-
 def build_degree_sequence(spec: RunSpec):
     model = ModelKind(spec.model)
     sources = [s for s in (spec.generator, spec.degrees, spec.degrees_file)
@@ -287,10 +278,10 @@ def build_degree_sequence(spec: RunSpec):
         return degrees_from_generator(spec.generator, model, spec.root_seed,
                                       spec.n)
     if spec.degrees is not None:
-        doc = _json_object(spec.degrees, "--degrees")
+        doc = json_object(spec.degrees, "--degrees")
     else:
-        doc = _json_object(_read(spec.degrees_file, "degrees file"),
-                           "degrees file")
+        doc = json_object(_read(spec.degrees_file, "degrees file"),
+                          "degrees file")
     # the document's own "model" wins over --model
     return load_degree_sequence({"model": spec.model, **doc})
 

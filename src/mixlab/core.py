@@ -209,6 +209,18 @@ def validate_degrees(model: ModelKind, out_degrees, in_degrees=None) -> DegreeSe
                           n=n, m=m, delta=delta)
 
 
+def json_object(text, what: str) -> dict:
+    """The JSON object in text (str or bytes); BadValue, naming what, if
+    text is not JSON or holds something other than an object."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:    # JSONDecodeError, or bytes not in UTF-8
+        raise BadValue(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadValue(f"{what} must hold a JSON object")
+    return doc
+
+
 def load_degree_sequence(source) -> DegreeSequence:
     """Build a DegreeSequence from a JSON document or an already-parsed dict.
 
@@ -216,12 +228,9 @@ def load_degree_sequence(source) -> DegreeSequence:
     "in_degrees": [...]?}.  A document without "out_degrees" raises
     MissingRequired.
     """
-    if isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        doc = source
+    doc = source.read() if hasattr(source, "read") else source
+    if isinstance(doc, (str, bytes)):
+        doc = json_object(doc, "degree document")
     if not isinstance(doc, dict):
         raise BadValue("degree document must be a JSON object")
     if "out_degrees" not in doc:

@@ -206,6 +206,8 @@ def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
         picks = np.sort(gen.choice(n, size=min(int(sv), n), replace=False))
         return [int(x) for x in picks], "sample"
     starts = [int(x) for x in sv]
+    if not starts:
+        raise BadValue("start_vertices list must not be empty")
     for x in starts:
         if not 0 <= x < n:
             raise BadRange(f"start vertex {x} outside [0, {n})")

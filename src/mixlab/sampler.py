@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DegreeSequence, ModelKind, integer_array, validate_degrees
+from .core import (DegreeSequence, ModelKind, integer_array, json_object,
+                   validate_degrees)
 from .errors import BadRange, BadValue
 from .rng import RngStream
 
@@ -120,9 +121,21 @@ def digraph_to_json(g: Digraph) -> str:
 
 
 def digraph_from_json(text: str) -> Digraph:
-    doc = json.loads(text)
-    model = ModelKind(doc["model"])
-    out_edges = doc["out_edges"]
+    """The digraph of a ``digraph_to_json`` document; BadValue if text is
+    not one."""
+    doc = json_object(text, "digraph document")
+    try:
+        model = ModelKind(doc["model"])
+        out_edges = doc["out_edges"]
+        seed = (doc["seed"]["root_seed"], doc["seed"]["stream_index"])
+    except (KeyError, TypeError) as exc:    # TypeError: seed not an object
+        raise BadValue("a digraph document needs 'model', 'out_edges' and "
+                       "'seed' with 'root_seed' and 'stream_index'") from exc
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in seed):
+        raise BadValue(f"digraph seed must hold integers, got {seed}")
+    if not (isinstance(out_edges, list)
+            and all(isinstance(row, list) for row in out_edges)):
+        raise BadValue("digraph out_edges must be a list of lists")
     out_degrees = [len(row) for row in out_edges]
     n = len(out_edges)
     heads = integer_array([h for row in out_edges for h in row], "edge heads")
@@ -135,5 +148,4 @@ def digraph_from_json(text: str) -> Digraph:
         if any(len(set(row)) != len(row) for row in out_edges):
             raise BadValue("OCM out-edges must have distinct targets")
         seq = validate_degrees(model, out_degrees)
-    stream = RngStream(doc["seed"]["root_seed"], doc["seed"]["stream_index"])
-    return _finish(seq, heads, stream)
+    return _finish(seq, heads, RngStream(*seed))

@@ -2,18 +2,17 @@
 
 Propagation is P^T times a dense vector, with mass drift watched at 1e-9
 and every renormalization counted rather than hidden.  A digraph kernel
-therefore builds P^T first, in O(m) on first use, with one entry of
-weight 1/out-degree per edge: parallel edges stay separate entries and
-self-loops sit on the diagonal.  The row orientation P, which puts weight
-multiplicity/out-degree on each distinct head, is built from the out-lists
-only when a caller weighs paths.  Digraphs on one degree sequence can
-share one block-diagonal kernel, through which propagate moves a whole
-(n, k) block of laws by one product per step.
+therefore builds P^T, in O(m) on first use, with one entry of weight
+1/out-degree per edge: parallel edges stay separate entries and self-loops
+sit on the diagonal.  P^T is the one matrix a kernel stores; P is a
+zero-copy view of it.  Digraphs on one degree sequence can share one
+block-diagonal kernel, through which propagate moves a whole (n, k) block
+of laws by one product per step.
 
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
 returns their (N, t + 1) states; ``path_log_weights`` weighs every path
-with one scipy lookup ``P[x, y]`` per step.  ``sample_trajectory`` and
+with one scipy lookup ``P^T[y, x]`` per step.  ``sample_trajectory`` and
 ``path_log_weight`` are the one-row cases of these two.  A caller with
 many paths walks them in blocks, one stream per block, so it holds one
 block's states at a time.
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .core import DIST_TOL, DegreeSequence, index_dtype_for
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
@@ -79,19 +78,19 @@ class TransitionKernel:
     gives its walk; several digraphs on one degree sequence give one
     block-diagonal kernel whose block e, on vertices [e n, (e + 1) n), is
     the walk on the e-th digraph, so one product steps the whole batch.
-    ``blocks`` counts them (1 for a matrix).  Both orientations are built
-    lazily and cached: ``transpose`` (P^T, what propagation multiplies by)
-    and ``matrix`` (P, summed and sorted, what path weights read).  ``nnz``
-    counts stored entries, so a digraph kernel has nnz == blocks * m.
+    ``blocks`` counts them (1 for a matrix).  The kernel stores one
+    matrix, ``transpose`` (P^T, what propagation multiplies by and path
+    weights read): a digraph kernel builds it on first use and caches it,
+    a matrix kernel builds it from P at once and keeps no copy of P.
+    ``nnz`` counts stored entries, so a digraph kernel has nnz == blocks * m.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
                  graphs: Sequence[Digraph] = ()):
         if (matrix is None) == (not graphs):
             raise BadValue("give exactly one of matrix and graphs")
-        self._matrix = matrix
         self._graphs = tuple(graphs)
-        self._transpose = None
+        self._transpose = None if matrix is None else matrix.T.tocsr()
         self.blocks = max(1, len(self._graphs))
         if self._graphs:
             seq = self._graphs[0].seq
@@ -102,18 +101,15 @@ class TransitionKernel:
             self.n, self.nnz = matrix.shape[0], matrix.nnz
 
     @property
-    def matrix(self) -> csr_matrix:
-        if self._matrix is None:
-            self._matrix = _row_matrix(self._graphs)
-        return self._matrix
+    def matrix(self) -> csc_matrix:
+        """P as a CSC view of ``transpose``: it shares P^T's arrays, and
+        builds and caches nothing of its own."""
+        return self.transpose.T
 
     @property
     def transpose(self) -> csr_matrix:
         if self._transpose is None:
-            if self._graphs:
-                self._transpose = _transpose_matrix(self._graphs)
-            else:
-                self._transpose = self._matrix.T.tocsr()
+            self._transpose = _transpose_matrix(self._graphs)
         return self._transpose
 
 
@@ -137,8 +133,8 @@ def _block_pointer(offsets: np.ndarray, blocks: int, m: int,
 
 
 def _out_lists(graphs: Sequence[Digraph]) -> csr_matrix:
-    """P with one entry per edge, in sampling order (writable copies),
-    block-diagonal over the graphs."""
+    """P with one entry per edge, in sampling order, block-diagonal over
+    the graphs."""
     seq = graphs[0].seq
     b, n, m = len(graphs), seq.n, seq.m
     idx = index_dtype_for(b * m)
@@ -147,12 +143,6 @@ def _out_lists(graphs: Sequence[Digraph]) -> csr_matrix:
     data = seq.inv_out_degrees[np.broadcast_to(seq.tails, (b, m))].ravel()
     indptr = _block_pointer(seq.out_offsets, b, m, idx)
     return csr_matrix((data, heads.ravel(), indptr), shape=(b * n, b * n))
-
-
-def _row_matrix(graphs: Sequence[Digraph]) -> csr_matrix:
-    mat = _out_lists(graphs)
-    mat.sum_duplicates()        # sorts each row, then merges parallel edges
-    return mat
 
 
 def _transpose_matrix(graphs: Sequence[Digraph]) -> csr_matrix:
@@ -190,8 +180,7 @@ def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
 
     Given more digraphs on g's degree sequence, one block-diagonal kernel
     over all of them, block e for the e-th digraph.  Nothing is built
-    here; P^T is built on first propagation (one entry per edge) and P on
-    first path weight (parallel edges summed).
+    here; P^T, one entry per edge, is built on first use.
     """
     return TransitionKernel(graphs=(g, *more))
 
@@ -381,12 +370,13 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     return states
 
 
-def _step_log_probs(mat: csr_matrix, x: np.ndarray, y: np.ndarray,
+def _step_log_probs(transpose: csr_matrix, x: np.ndarray, y: np.ndarray,
                     step: int) -> np.ndarray:
-    """log P(x, y) for one step of every path; ImpossibleStep if an edge
-    is absent.  scipy's lookup bisects a canonical row and otherwise scans
-    it, summing duplicate entries; a missing entry reads 0."""
-    step_probs = np.asarray(mat[x, y]).ravel()
+    """log P(x, y) for one step of every path, read as P^T[y, x];
+    ImpossibleStep if an edge is absent.  scipy's lookup bisects a
+    canonical row and otherwise scans it, summing duplicate entries, so
+    parallel edges add up; a missing entry reads 0."""
+    step_probs = np.asarray(transpose[y, x]).ravel()
     missing = np.flatnonzero(step_probs == 0)
     if missing.size:
         i = int(missing[0])
@@ -403,8 +393,9 @@ def path_log_weights(states, s: int, k_sigma: TransitionKernel,
     """Log-probability of each row of states (N, t + 1) as an exact path:
     steps before s under k_sigma, the rest under k_eta.
 
-    Each step looks up P(x, y) for all N paths at once and adds its logs,
-    so every path is summed in step order, bitwise as a scalar loop would.
+    Each step looks up P(x, y) as P^T[y, x], in the P^T that propagation
+    uses, for all N paths at once and adds its logs, so every path is
+    summed in step order, bitwise as a scalar loop would.
     """
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
@@ -416,7 +407,7 @@ def path_log_weights(states, s: int, k_sigma: TransitionKernel,
     # scipy would read state -1 as row n - 1
     if not (0 <= states.min() and states.max() < k_sigma.n):
         raise BadRange(f"a state lies outside [0, {k_sigma.n})")
-    mats = (k_sigma.matrix, k_eta.matrix)
+    mats = (k_sigma.transpose, k_eta.transpose)
     total = np.zeros(len(states))
     for j in range(states.shape[1] - 1):
         total += _step_log_probs(mats[j >= s], states[:, j],

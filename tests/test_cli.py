@@ -134,6 +134,7 @@ def test_start_vertices_value_forms():
     assert _start_vertices_value("0,5,9") == [0, 5, 9]
     # trailing comma forces a one-vertex list rather than a count
     assert _start_vertices_value("4,") == [4]
+    assert _start_vertices_value(",") == []
     with pytest.raises(BadValue):
         _start_vertices_value("many")
 
@@ -398,6 +399,25 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, flags):
             "--beta-grid", "0.5", "--env-samples", "1",
             "--start-vertices", "2", "--out-dir", str(tmp_path), *flags]
     assert run_error(args, capsys) == 1
+
+
+@pytest.mark.parametrize("experiment, flags", [
+    ("static-cutoff", ["--beta-grid", "0.5"]),
+    ("double-cutoff", ["--beta", "0.7", "--s-grid", "0,1"]),
+    ("joint", ["--alpha", "0.4", "--beta-grid", "0.5"]),
+    ("marginal", ["--alpha", "0.3", "--beta-grid", "0.6"]),
+    ("marginal-crosscheck", ["--alpha", "0.2", "--t", "3",
+                             "--schedule-samples", "50"]),
+    ("annealed", ["--t-grid", "1,2"]),
+])
+def test_empty_start_list_exits_1(tmp_path, capsys, experiment, flags):
+    # "," is an explicit list with no vertex in it, not a count
+    args = [experiment, "--generator", "mix:2x30,3x10", "--env-samples", "2",
+            "--start-vertices", ",", "--out-dir", str(tmp_path), *flags]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: start_vertices list must not be empty\n", err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("experiment, flags", [

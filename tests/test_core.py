@@ -120,6 +120,13 @@ def test_load_degree_sequence_from_text_dict_and_file():
         load_degree_sequence({"model": "xyz", "out_degrees": [2, 2]})
 
 
+@pytest.mark.parametrize("source", ["not json", b"\xff", "[2, 2]"],
+                         ids=["not-json", "not-utf-8", "not-an-object"])
+def test_load_degree_sequence_refuses_text_that_is_no_json_object(source):
+    with pytest.raises(BadValue):
+        load_degree_sequence(source)
+
+
 @pytest.mark.parametrize("out_degrees, in_degrees", [
     ([2.5, 2, 2], [2, 2, 2.5]),
     ([2, 2, 2], [2, 2, math.nan]),

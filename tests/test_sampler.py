@@ -195,6 +195,29 @@ def test_json_refuses_non_integer_heads():
         1, 2, 0, 2, 0, 1]
 
 
+GOOD_DOC = {"seed": {"root_seed": 0, "stream_index": 0}, "model": "dcm",
+            "out_edges": [[1, 2], [0, 2], [0, 1]]}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2, 3]",
+    json.dumps({k: v for k, v in GOOD_DOC.items() if k != "model"}),
+    json.dumps({k: v for k, v in GOOD_DOC.items() if k != "seed"}),
+    json.dumps({k: v for k, v in GOOD_DOC.items() if k != "out_edges"}),
+    json.dumps({**GOOD_DOC, "seed": {"root_seed": 0}}),
+    json.dumps({**GOOD_DOC, "seed": 7}),
+    json.dumps({**GOOD_DOC, "seed": {"root_seed": "0", "stream_index": 0}}),
+    json.dumps({**GOOD_DOC, "out_edges": [1, 2, 3]}),
+], ids=["not-json", "not-an-object", "no-model", "no-seed", "no-out-edges",
+        "no-stream-index", "seed-not-an-object", "seed-not-an-integer",
+        "rows-not-lists"])
+def test_json_refuses_a_malformed_document_with_bad_value(text):
+    assert digraph_from_json(json.dumps(GOOD_DOC)).n == 3
+    with pytest.raises(BadValue):
+        digraph_from_json(text)
+
+
 def test_json_ocm_rejects_repeated_targets():
     # an OCM out-map is injective, so no row may name a target twice
     with pytest.raises(BadValue):

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.sparse import block_diag, csr_matrix
+from scipy.sparse import block_diag, csr_matrix, issparse
 
 from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
                     delta_at, digraph_from_json, digraph_to_json, double_row,
@@ -15,6 +15,7 @@ from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
                     sample_trajectory, time_averaged_row, time_averaged_rows,
                     tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
+from mixlab import walk
 from mixlab.walk import Trajectory
 
 
@@ -75,7 +76,6 @@ def test_kernel_orientations_match_dense_edge_oracle():
         k = kernel_from_digraph(g)
         assert k.nnz == g.seq.m == k.transpose.nnz
         assert np.array_equal(k.transpose.toarray(), pt)
-        assert k.matrix.has_canonical_format
         assert np.array_equal(k.matrix.toarray(), pt.T)
         v = np.random.default_rng(0).dirichlet(np.ones(g.n))
         got = propagate(v, k, 6)
@@ -86,6 +86,47 @@ def test_kernel_orientations_match_dense_edge_oracle():
     # both builds of P^T: from a DCM matching and from the out-lists alone
     assert loops >= 2 and parallels >= 2
     assert {g.head_stubs is None for g in graphs} == {True, False}
+
+
+def stored_matrices(kernel):
+    """Ids of the sparse matrices a kernel holds."""
+    return [id(v) for v in vars(kernel).values() if issparse(v)]
+
+
+def test_kernel_stores_one_matrix_and_p_is_a_view_of_it():
+    graphs = kernel_test_graphs()
+    mat = csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    kernels = [kernel_from_digraph(g) for g in graphs]
+    kernels += [kernel_from_digraph(*graphs[:3]), TransitionKernel(mat)]
+    for k in kernels:
+        p, pt = k.matrix, k.transpose
+        assert stored_matrices(k) == [id(pt)]
+        for a, b in ((p.data, pt.data), (p.indices, pt.indices),
+                     (p.indptr, pt.indptr)):
+            assert np.shares_memory(a, b)
+        assert np.array_equal(p.toarray(), pt.toarray().T)
+    # a matrix kernel keeps P^T only, not the P it was given
+    assert not np.shares_memory(kernels[-1].transpose.data, mat.data)
+    assert np.array_equal(kernels[-1].matrix.toarray(), mat.toarray())
+
+
+def test_path_weights_on_a_dcm_kernel_build_only_the_lazy_transpose(
+        monkeypatch):
+    g1, g2, k1, k2 = random_kernel_pair(3)
+    assert g1.head_stubs is not None and stored_matrices(k1) == []
+    build, builds = walk._transpose_matrix, []
+
+    def counted(graphs):
+        builds.append(graphs)
+        return build(graphs)
+    monkeypatch.setattr(walk, "_transpose_matrix", counted)
+    # the DCM build of P^T never lists out-edges
+    monkeypatch.setattr(walk, "_out_lists", None)
+    states = sample_paths(np.arange(g1.n), 2, 5, g1, g2, RngStream(3))
+    path_log_weights(states, 2, k1, k2)
+    assert builds == [(g1,), (g2,)]
+    assert stored_matrices(k1) == [id(k1.transpose)]
+    assert stored_matrices(k2) == [id(k2.transpose)]
 
 
 def block_diag_arrays(mats):
