@@ -24,9 +24,10 @@ from .core import (ModelKind, json_object, load_degree_sequence,
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
                      UnknownFlag)
-from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, _meta,
-                          annealed_check, double_cutoff_sweep,
-                          joint_relaxation_curve, marginal_crosscheck_report,
+from .experiments import (DEFAULT_START_SAMPLE, DEGREE_LANE, EXPERIMENT_NAMES,
+                          ExperimentConfig, _meta, annealed_check,
+                          double_cutoff_sweep, joint_relaxation_curve,
+                          marginal_crosscheck_report,
                           marginal_relaxation_curve, path_weight_report,
                           static_cutoff_profile, stationary_diagnostics,
                           stationary_gap_report)
@@ -34,9 +35,6 @@ from .report import atomic_write_text, diagnostics_csv_text
 from .rng import RngStream
 from .stationary import DEFAULT_TOL
 from .walk import OperationBudget
-
-# stream lane reserved for degree-multiset shuffles; experiments use 1..6
-DEGREE_LANE = 7
 
 # --threads outside [1, MAX_THREADS] is refused
 MAX_THREADS = 64
@@ -61,13 +59,13 @@ class RunSpec:
     epsilon: float = 0.1
     schedule_samples: int = 200
     env_samples: int = 10
-    start_vertices: str = "32"
+    start_vertices: Union[str, int, List[int]] = DEFAULT_START_SAMPLE
     time_scale: str = "regeneration"
     gap_replicates: int = 20
     root_seed: int = 0
     out_dir: str = "."
     threads: Optional[int] = None  # 1 when not given
-    budget: float = 5e10
+    budget: float = OperationBudget.DEFAULT_CAP
     tol: float = DEFAULT_TOL
     max_iters: Optional[int] = None
 
@@ -117,23 +115,25 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _float_list(text: str):
+def _number_list(value, kind):
+    """A tuple of kind from comma-separated text or from a list."""
+    items = value.split(",") if isinstance(value, str) else value
     try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok != "")
+        return tuple(kind(item) for item in items if item != "")
     except ValueError as exc:
-        raise BadValue(f"bad numeric list {text!r}") from exc
+        raise BadValue(f"bad {kind.__name__} list {value!r}") from exc
 
 
-def _int_list(text: str):
+def _start_vertices_value(text: str):
+    """'all', a count, or (any text with a comma) a list of vertices."""
+    if text == "all":
+        return "all"
+    if "," in text:
+        return list(_number_list(text, int))
     try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok != "")
+        return int(text)
     except ValueError as exc:
-        raise BadValue(f"bad integer list {text!r}") from exc
-
-
-# start_vertices is kept as text, but a config file may give a count or a list
-_CONFIG_HINTS = {"start_vertices": (Union[str, int, List[int]],
-                                    "str, int or a list of int")}
+        raise BadValue(f"bad start-vertices {text!r}") from exc
 
 
 def _fits(value, hint) -> bool:
@@ -152,11 +152,9 @@ def _fits(value, hint) -> bool:
 def _check_config_types(doc: dict) -> None:
     hints = get_type_hints(RunSpec)
     for f in fields(RunSpec):
-        if f.name in doc:
-            hint, text = _CONFIG_HINTS.get(f.name, (hints[f.name], f.type))
-            if not _fits(doc[f.name], hint):
-                raise BadValue(f"config key {f.name!r} must be {text}, "
-                               f"got {doc[f.name]!r}")
+        if f.name in doc and not _fits(doc[f.name], hints[f.name]):
+            raise BadValue(f"config key {f.name!r} must be {f.type}, "
+                           f"got {doc[f.name]!r}")
 
 
 def parse_run_spec(argv: Sequence[str]) -> RunSpec:
@@ -181,21 +179,13 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
             merged[key] = flag_val
     merged["experiment"] = ns.experiment
 
-    for key in ("beta_grid",):
-        if isinstance(merged.get(key), str):
-            merged[key] = _float_list(merged[key])
-        elif merged.get(key) is not None:
-            merged[key] = tuple(float(b) for b in merged[key])
-    for key in ("s_grid", "t_grid"):
-        if isinstance(merged.get(key), str):
-            merged[key] = _int_list(merged[key])
-        elif merged.get(key) is not None:
-            merged[key] = tuple(int(s) for s in merged[key])
-    sv = merged.get("start_vertices")
-    if isinstance(sv, (list, tuple)):
-        merged["start_vertices"] = ",".join(str(int(v)) for v in sv)
-    elif sv is not None:
-        merged["start_vertices"] = str(sv)
+    for key, kind in (("beta_grid", float), ("s_grid", int), ("t_grid", int)):
+        if merged.get(key) is not None:
+            merged[key] = _number_list(merged[key], kind)
+    # a count or a list from a config file is already final
+    if isinstance(merged.get("start_vertices"), str):
+        merged["start_vertices"] = _start_vertices_value(
+            merged["start_vertices"])
 
     spec = RunSpec(**merged)
     if spec.alpha is not None and not (0.0 < spec.alpha < 1.0):
@@ -286,17 +276,6 @@ def build_degree_sequence(spec: RunSpec):
     return load_degree_sequence({"model": spec.model, **doc})
 
 
-def _start_vertices_value(text: str):
-    if text == "all":
-        return "all"
-    if "," in text:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise BadValue(f"bad start-vertices {text!r}") from exc
-
-
 def _resolve_threads(spec: RunSpec) -> int:
     """--threads, else 1; BadValue outside [1, MAX_THREADS].  The value
     only lands in the sidecar."""
@@ -334,7 +313,7 @@ def run(spec: RunSpec) -> int:
         beta_grid=spec.beta_grid or (),
         s_grid=spec.s_grid,
         env_samples=spec.env_samples,
-        start_vertices=_start_vertices_value(spec.start_vertices),
+        start_vertices=spec.start_vertices,
         tol=spec.tol,
         max_iters=spec.max_iters,
     )

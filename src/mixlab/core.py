@@ -72,11 +72,6 @@ class DegreeSequence:
             return False
         return bool(np.array_equal(self.out_degrees, self.in_degrees))
 
-    @property
-    def index_dtype(self):
-        """The integer type scipy keeps for CSR indices of an m-edge kernel."""
-        return index_dtype_for(self.m)
-
     # Arrays that depend only on the degrees, built on first use and shared,
     # read-only, by every graph and kernel sampled from this sequence.
 
@@ -88,13 +83,14 @@ class DegreeSequence:
     @cached_property
     def in_offsets(self) -> np.ndarray:
         """Start of each vertex's in-edges, in the index dtype (n + 1, DCM)."""
-        return _frozen(_offsets(self.in_degrees, self.index_dtype))
+        return _frozen(_offsets(self.in_degrees, index_dtype_for(self.m)))
 
     @cached_property
     def tails(self) -> np.ndarray:
         """Tail vertex of each out-stub, stubs in tail order (m, index dtype)."""
-        return _frozen(np.repeat(np.arange(self.n, dtype=self.index_dtype),
-                                 self.out_degrees))
+        return _frozen(np.repeat(
+            np.arange(self.n, dtype=index_dtype_for(self.m)),
+            self.out_degrees))
 
     @cached_property
     def head_slots(self) -> np.ndarray:
@@ -275,6 +271,14 @@ def tv_distance(a, b) -> float:
     if a.shape != b.shape:
         raise LengthMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * float(np.abs(a - b).sum())
+
+
+def mean_std_err(values):
+    """Sample mean and its standard error std(ddof=1) / sqrt(n); the error
+    is 0 for a single value."""
+    arr = np.asarray(values, dtype=np.float64)
+    err = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), err
 
 
 def assert_distribution(p, tol: float = DIST_TOL) -> np.ndarray:

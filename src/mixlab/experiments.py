@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (DegreeSequence, entropic_scale, in_degree_distribution,
-                   tv_distance)
+                   mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
                      NotConverged)
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream
 from .sampler import sample_digraph
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
-                         stationary_distribution)
+                         solve_replicates, stationary_distribution)
 from .walk import (MassMonitor, OperationBudget, TransitionKernel, delta_at,
                    kernel_from_digraph, path_log_weights, propagate,
                    sample_paths, time_averaged_rows)
@@ -64,6 +64,7 @@ _LANE_STARTS = 3
 _LANE_GAP = 4
 _LANE_SCHED = 5
 _LANE_TRAJ = 6
+DEGREE_LANE = 7     # degree-multiset shuffles of the CLI's mix: generator
 
 # marginal_mc_crosscheck's jackknife leaves out one of this many schedule
 # batches at a time; schedule m lands in batch m % _JACKKNIFE_BATCHES.
@@ -115,22 +116,16 @@ def _floor_time(x: float) -> int:
     return int(math.floor(x + 1e-12))
 
 
-# _pair packs two indices of 16 bits each into one stream-lane offset.
+# _pair packs two indices of 16 bits each into one stream-lane offset; an
+# experiment calls it on its largest indices before it samples anything.
 _PAIR_MAX = (1 << 16) - 1
 
 
 def _pair(i: int, j: int) -> int:
     if not (0 <= i <= _PAIR_MAX and 0 <= j <= _PAIR_MAX):
-        raise BadValue(f"replicate/sample index exceeds the stream layout's "
-                       f"limit of {_PAIR_MAX}")
+        raise BadValue(f"stream indices ({i}, {j}) exceed the stream "
+                       f"layout's limit of {_PAIR_MAX}")
     return (i << 16) | j
-
-
-def _check_pair_index(what: str, largest: int) -> None:
-    """Refuse, before any sampling, a run whose indices _pair cannot pack."""
-    if largest > _PAIR_MAX:
-        raise BadValue(f"{what} needs stream index {largest}, beyond the "
-                       f"stream layout's limit of {_PAIR_MAX}")
 
 
 def gamma_hat(cfg: ExperimentConfig) -> float:
@@ -212,13 +207,6 @@ def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
         if not 0 <= x < n:
             raise BadRange(f"start vertex {x} outside [0, {n})")
     return starts, "explicit"
-
-
-def _mean_std(values: List[float]):
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    err = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, err
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +327,7 @@ def static_cutoff_profile(cfg: ExperimentConfig,
 
     rows = []
     for beta, t in zip(betas, ts):
-        mean, err = _mean_std([w[t] for w in per_rep])
+        mean, err = mean_std_err([w[t] for w in per_rep])
         rows.append(ReportRow(
             abscissa=beta, estimate=mean, std_err=err,
             theory=1.0 if beta < 1.0 else 0.0,
@@ -412,8 +400,8 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     use_min = beta < 1.0
     rows = []
     for s in s_sorted:
-        mean, err = _mean_std([(lo if use_min else hi)[s]
-                               for lo, hi in per_rep])
+        mean, err = mean_std_err([(lo if use_min else hi)[s]
+                                  for lo, hi in per_rep])
         rows.append(ReportRow(
             abscissa=float(s), estimate=mean, std_err=err,
             theory=1.0 if beta < 1.0 else 0.0,
@@ -462,7 +450,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
-    gh = alpha * scale.entropic_time
+    gh = gamma_hat(cfg)
     regime = pick_regime(gh)
     curve = {"0": "joint_gamma0", "inf": "joint_gammainf",
              "general": "joint_general"}[regime]
@@ -471,8 +459,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     t_of = dict(zip(betas, ts))  # a repeated beta is estimated once
     t_rows = [t for t in ts if t > 0]
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
-    _check_pair_index("start_vertices", len(starts) - 1)
-    _check_pair_index("env_samples", cfg.env_samples - 1)
+    _pair(len(starts) - 1, cfg.env_samples - 1)
     if budget is not None:
         budget.charge(float(len(starts)) * cfg.env_samples
                       * sum(2 * t for t in ts) * seq.m)
@@ -511,7 +498,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
 
     rows = []
     for beta in betas:
-        mean, err = _mean_std([est[beta] for est in per_rep])
+        mean, err = mean_std_err([est[beta] for est in per_rep])
         rows.append(ReportRow(
             abscissa=beta, estimate=min(mean, 1.0), std_err=err,
             theory=theory_curve(curve, beta, gamma=gh),
@@ -555,7 +542,7 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
-    gh = alpha * scale.entropic_time
+    gh = gamma_hat(cfg)
     regime = pick_regime(gh)
     betas = list(cfg.beta_grid)
     if time_scale == "regeneration":
@@ -603,7 +590,7 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     jump = {"marginal_general": gh, "static_profile": 1.0}.get(curve)
     rows = []
     for beta, t in zip(betas, ts):
-        mean, err = _mean_std([out[t] for out in per_rep])
+        mean, err = mean_std_err([out[t] for out in per_rep])
         rows.append(ReportRow(
             abscissa=beta, estimate=mean,
             std_err=float(math.hypot(err, gap_err * math.exp(-beta))),
@@ -661,8 +648,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         raise BadValue("t must be nonnegative")
     if schedule_samples < _JACKKNIFE_BATCHES:
         raise BadValue("need at least one schedule per batch")
-    _check_pair_index("schedule_samples", schedule_samples - 1)
-    _check_pair_index("t", t)  # a schedule refreshes at most t times
+    _pair(schedule_samples - 1, t)  # a schedule refreshes at most t times
     seq = cfg.seq
     mu = in_degree_distribution(seq)
     x = resolve_starts(cfg, exhaustive_small=False)[0][0]
@@ -925,7 +911,6 @@ def stationary_diagnostics(cfg: ExperimentConfig,
     Thin wrapper so the command-line driver and library callers share one
     stream layout with the other experiments.
     """
-    from .stationary import solve_replicates
     return solve_replicates(cfg.seq, cfg.env_samples,
                             RngStream(cfg.root_seed).lane(_LANE_GAP),
                             tol=cfg.tol, max_iters=cfg.max_iters,

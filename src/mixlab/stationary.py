@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import DegreeSequence, in_degree_distribution, tv_distance
+from .core import (DegreeSequence, in_degree_distribution, mean_std_err,
+                   tv_distance)
 from .errors import AllReplicatesFailed, BadValue, NotConverged
 from .rng import RngStream
 from .sampler import sample_digraph
@@ -187,8 +188,6 @@ def estimate_stationary_gap(seq: DegreeSequence, replicates: int,
                                       max_iters=max_iters, budget=budget)
     if not rows:
         raise AllReplicatesFailed(f"all {replicates} stationary solves failed")
-    values = np.array([row.tv_to_in_law for row in rows])
-    used = len(values)
-    std_err = float(values.std(ddof=1) / math.sqrt(used)) if used > 1 else 0.0
-    return GapEstimate(gap=float(values.mean()), std_err=std_err,
-                       replicates_used=used, failures=failures)
+    gap, std_err = mean_std_err([row.tv_to_in_law for row in rows])
+    return GapEstimate(gap=gap, std_err=std_err, replicates_used=len(rows),
+                       failures=failures)

@@ -37,7 +37,7 @@ def test_parse_defaults():
     assert spec.experiment == "marginal"
     assert spec.model == "dcm"
     assert spec.env_samples == 10
-    assert spec.start_vertices == "32"
+    assert spec.start_vertices == 32
     assert spec.root_seed == 0
     assert spec.alpha is None
     assert spec.beta_grid is None
@@ -56,7 +56,7 @@ def test_parse_full_flag_set():
     assert spec.alpha == 0.4
     assert spec.beta_grid == (0.5, 1.0, 2.0)
     assert spec.env_samples == 7
-    assert spec.start_vertices == "0,5,9"
+    assert spec.start_vertices == [0, 5, 9]
     assert spec.root_seed == 11
     assert spec.threads == 4
     assert spec.budget == 1e8
@@ -110,7 +110,7 @@ def test_config_file_merge_and_precedence(tmp_path):
     assert spec.alpha == 0.5
     assert spec.env_samples == 4
     assert spec.beta_grid == (0.5, 1.5)
-    assert spec.start_vertices == "2,3"
+    assert spec.start_vertices == [2, 3]
     assert spec.traj_samples == 1000
 
 
@@ -128,6 +128,27 @@ def test_config_file_must_hold_object(tmp_path):
         parse_run_spec(["marginal", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("value, parsed, mode, count", [
+    ([5], [5], "explicit", 1),
+    (5, 5, "exhaustive", 40),
+    ("4,", [4], "explicit", 1),
+], ids=["one-vertex-list", "count", "one-vertex-text"])
+def test_config_start_vertices_reach_the_run(tmp_path, capsys, value, parsed,
+                                             mode, count):
+    # a config file's list is a list of vertices, whatever its length
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"start_vertices": value}))
+    args = ["static-cutoff", "--config", str(cfg), "--generator",
+            "eulerian:3x40", "--beta-grid", "0.5", "--env-samples", "1",
+            "--out-dir", str(tmp_path)]
+    assert parse_run_spec(args).start_vertices == parsed
+    run_ok(args)
+    meta = json.loads(
+        (tmp_path / "static-cutoff_n40_ana_seed0.json").read_text())
+    assert (meta["start_mode"], meta["start_count"]) == (mode, count)
+    capsys.readouterr()
+
+
 def test_start_vertices_value_forms():
     assert _start_vertices_value("all") == "all"
     assert _start_vertices_value("32") == 32
@@ -137,6 +158,8 @@ def test_start_vertices_value_forms():
     assert _start_vertices_value(",") == []
     with pytest.raises(BadValue):
         _start_vertices_value("many")
+    with pytest.raises(BadValue):
+        _start_vertices_value("1,x")
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +432,17 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, flags):
     ("marginal-crosscheck", ["--alpha", "0.2", "--t", "3",
                              "--schedule-samples", "50"]),
     ("annealed", ["--t-grid", "1,2"]),
+    ("static-cutoff", ["--beta-grid", "0.5", "--config", "EMPTY_LIST"]),
 ])
 def test_empty_start_list_exits_1(tmp_path, capsys, experiment, flags):
-    # "," is an explicit list with no vertex in it, not a count
+    # "," is an explicit list with no vertex in it, not a count; so is a
+    # config file's []
+    cfg = tmp_path / "starts.json"
+    cfg.write_text(json.dumps({"start_vertices": []}))
+    starts = [] if "--config" in flags else ["--start-vertices", ","]
+    flags = [str(cfg) if f == "EMPTY_LIST" else f for f in flags]
     args = [experiment, "--generator", "mix:2x30,3x10", "--env-samples", "2",
-            "--start-vertices", ",", "--out-dir", str(tmp_path), *flags]
+            *starts, "--out-dir", str(tmp_path), *flags]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == "error: start_vertices list must not be empty\n", err
