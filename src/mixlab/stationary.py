@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .core import (DegreeSequence, in_degree_distribution, mean_std_err,
                    tv_distance)
-from .errors import AllReplicatesFailed, BadValue, NotConverged
+from .errors import (AllReplicatesFailed, BadValue, LengthMismatch,
+                     NotConverged)
 from .rng import RngStream
 from .sampler import sample_digraph
 from .walk import OperationBudget, TransitionKernel, kernel_from_digraph
@@ -55,7 +55,17 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     if max_iters < 1:
         raise BadValue("max_iters must be >= 1")
 
-    v = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=np.float64).copy()
+    if start is None:
+        v = np.full(n, 1.0 / n)
+    else:
+        # checked here, since a NaN start would run every iteration; its
+        # mass is not, since callers may pass an unnormalized start
+        v = np.asarray(start, dtype=np.float64)
+        if v.shape != (n,):
+            raise LengthMismatch(f"start shape {v.shape} does not fit "
+                                 f"kernel size {n}")
+        if not np.isfinite(v).all():
+            raise BadValue("start has a non-finite entry")
     tmat = kernel.transpose
     if budget is not None:
         budget.charge(kernel.nnz)
@@ -84,6 +94,9 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
                 return StationaryResult(distribution=pi, iterations=iterations,
                                         residual=verified)
         cand_prev = cand
+
+    # imported here: csgraph loads scipy.linalg, which only a failed solve needs
+    from scipy.sparse.csgraph import connected_components
 
     # Reversing every edge keeps the strong components, so P^T serves.
     # scipy's strong-component search never returns on a CSR matrix with

@@ -21,7 +21,6 @@ block's states at a time.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +34,10 @@ from .sampler import Digraph
 
 
 class OperationBudget:
-    """Caps scalar multiply-add work for a run; charge before doing the work."""
+    """Caps scalar multiply-add work for a run; charge before doing the work.
+
+    A run charges it from one thread, replicate after replicate, so it
+    takes no lock."""
 
     DEFAULT_CAP = 5e10
 
@@ -44,16 +46,14 @@ class OperationBudget:
             raise BadValue(f"budget cap must be positive and finite, got {cap}")
         self.cap = float(cap)
         self.used = 0.0
-        self._lock = threading.Lock()
 
     def charge(self, ops: float) -> None:
-        with self._lock:
-            if self.used + ops > self.cap:
-                raise BudgetExceeded(
-                    f"operation budget exhausted: "
-                    f"{self.used + ops:.3g} > {self.cap:.3g}"
-                )
-            self.used += ops
+        if self.used + ops > self.cap:
+            raise BudgetExceeded(
+                f"operation budget exhausted: "
+                f"{self.used + ops:.3g} > {self.cap:.3g}"
+            )
+        self.used += ops
 
 
 @dataclass
@@ -187,8 +187,13 @@ def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
 
 def _renormalized(v: np.ndarray,
                   monitor: Optional[MassMonitor]) -> np.ndarray:
-    """v, divided by its mass when that drifted from 1 by more than DIST_TOL."""
+    """v, divided by its mass when that drifted from 1 by more than DIST_TOL.
+
+    A NaN mass would pass the drift test and poison every later step
+    unseen, so a non-finite mass raises BadValue."""
     s = float(v.sum())
+    if not math.isfinite(s):
+        raise BadValue(f"a step's mass is {s}, not finite")
     drift = abs(s - 1.0)
     renorm = drift > DIST_TOL
     if renorm:
@@ -212,6 +217,8 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
                      w.shape[1]).transpose(0, 2, 1)     # a view of w
     # summed over contiguous rows, each mass equals the 1-d v.sum() bitwise
     sums = np.ascontiguousarray(laws).sum(axis=2)
+    if not np.isfinite(sums).all():
+        raise BadValue("a step's mass is not finite")
     drift = np.abs(sums - 1.0)
     renorm = drift > DIST_TOL
     if renorm.any():
@@ -230,7 +237,8 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
     of k columns pushed by one product per step.  In a block, each kernel
     block's part of each column is a distribution of its own: its drift is
     checked, renormalized and recorded as a lone vector's would be, so the
-    result equals separate 1-d calls bit for bit.
+    result equals separate 1-d calls bit for bit.  A step whose mass is
+    not finite (a NaN or infinite entry) raises BadValue.
     """
     if steps < 0:
         raise BadRange("steps must be nonnegative")

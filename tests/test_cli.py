@@ -1,7 +1,11 @@
 """Command-line parsing, degree-sequence construction, and end-to-end runs."""
 
+import importlib.util
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,44 @@ def test_run_annealed(tmp_path, capsys):
     assert [r.abscissa for r in rows] == [1.0, 2.0]
     assert all(r.theory == 0.0 for r in rows)
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+_FOOTPRINT_CHILD = """
+import json, sys
+from mixlab.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in json.loads(sys.argv[2])
+                               if m in sys.modules)]))
+"""
+
+# about 11 MiB and 0.1 s of CPU at start-up; only a failed solve loads them
+_DEFERRED_MODULES = ["scipy.sparse.csgraph", "scipy.sparse.linalg",
+                     "scipy.linalg"]
+
+
+def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
+    # a fresh interpreter, so no other test has imported them already
+    path = Path(__file__).with_name("test_acceptance.py")
+    spec = importlib.util.spec_from_file_location("_acceptance", path)
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    args = ["joint", *acceptance.CLI_CASES["joint"], "--root-seed", "12",
+            "--out-dir", str(tmp_path)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(args),
+         json.dumps(_DEFERRED_MODULES)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+    assert list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,10 @@ def test_assert_distribution():
         mixlab.assert_distribution([0.5, 0.6])
     with pytest.raises(BadValue):
         mixlab.assert_distribution([1.2, -0.2])
+    # a NaN passes both the sign and the mass comparison unless refused
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [], [[0.5, 0.5]]):
+        with pytest.raises(BadValue):
+            mixlab.assert_distribution(bad)
 
 
 def test_load_degree_sequence_from_text_dict_and_file():

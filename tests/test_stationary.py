@@ -11,7 +11,7 @@ from mixlab import (NotConverged, RngStream, TransitionKernel, delta_at,
                     in_degree_distribution, kernel_from_digraph,
                     sample_digraph, solve_replicates, stationary_distribution,
                     tv_distance, validate_degrees, widespread_stats)
-from mixlab.errors import AllReplicatesFailed, BadValue
+from mixlab.errors import AllReplicatesFailed, BadValue, LengthMismatch
 from mixlab.walk import OperationBudget
 
 
@@ -95,6 +95,22 @@ def test_custom_start_and_validation():
         stationary_distribution(k, tol=0.0)
     with pytest.raises(BadValue):
         stationary_distribution(k, max_iters=0)
+
+
+def test_start_is_checked_before_iterating():
+    k = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
+    for start in ([1.0, 0.0, 0.0], [[0.5, 0.5]], []):
+        with pytest.raises(LengthMismatch):
+            stationary_distribution(k, start=np.array(start))
+    # a NaN start would otherwise run every iteration and fail to converge
+    for start in ([np.nan, 1.0], [np.inf, 0.0]):
+        budget = OperationBudget(cap=1e6)
+        with pytest.raises(BadValue):
+            stationary_distribution(k, start=np.array(start), budget=budget)
+        assert budget.used == 0.0
+    # the mass is not checked: an unnormalized start is allowed
+    res = stationary_distribution(k, start=np.array([3.0, 1.0]))
+    assert np.abs(res.distribution - [2 / 3, 1 / 3]).max() < 1e-9
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
