@@ -249,9 +249,9 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
     raise BadGeneratorSyntax(f"unknown generator kind {kind!r}")
 
 
-def _read(path: str, what: str) -> str:
+def _read(path: str, what: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise BadValue(f"cannot read {what} {path!r}: {exc.strerror}") from exc

@@ -64,7 +64,8 @@ class BadCurveName(MixingLabError):
 
 
 class BudgetExceeded(MixingLabError):
-    """Planned work passed the configured operation budget."""
+    """A kernel product or solver iteration would pass the operation budget;
+    the call that would cross the cap raises it before doing that work."""
 
 
 class BadGeneratorSyntax(MixingLabError):

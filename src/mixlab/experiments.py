@@ -235,12 +235,13 @@ def _converged(results, msg: str):
 
 
 def _stationary(kernel: TransitionKernel, cfg: ExperimentConfig,
-                mu: np.ndarray) -> Optional[np.ndarray]:
+                mu: np.ndarray,
+                budget: Optional[OperationBudget]) -> Optional[np.ndarray]:
     """Stationary law of kernel, started from mu; None when the solve fails."""
     try:
         return stationary_distribution(kernel, tol=cfg.tol,
-                                       max_iters=cfg.max_iters,
-                                       start=mu).distribution
+                                       max_iters=cfg.max_iters, start=mu,
+                                       budget=budget).distribution
     except NotConverged:
         return None
 
@@ -260,12 +261,12 @@ def _kernel(seq: DegreeSequence, stream: RngStream) -> TransitionKernel:
 
 
 def _laws_at(v: np.ndarray, kernel: TransitionKernel, times: Sequence[int],
-             monitor: MassMonitor):
+             monitor: MassMonitor, budget: Optional[OperationBudget]):
     """Yield (t, v P^t) for sorted times, one propagate per gap; v is a law
     or a block of laws."""
     cur = 0
     for t in times:
-        v = propagate(v, kernel, t - cur, monitor)
+        v = propagate(v, kernel, t - cur, monitor, budget)
         cur = t
         yield t, v
 
@@ -304,19 +305,18 @@ def static_cutoff_profile(cfg: ExperimentConfig,
     ts = [_floor_time(b * scale.entropic_time) for b in betas]
     t_unique = sorted(set(ts))
     starts, mode = resolve_starts(cfg)
-    if budget is not None:
-        budget.charge(float(cfg.env_samples) * len(starts) * max(t_unique) * seq.m)
     base = RngStream(cfg.root_seed)
     monitor = MassMonitor()
 
     def one(r: int):
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, r))
-        pi = _stationary(kernel, cfg, mu)
+        pi = _stationary(kernel, cfg, mu, budget)
         if pi is None:
             return None
         worst = dict.fromkeys(t_unique, 0.0)
         for x in starts:
-            laws = _laws_at(delta_at(x, seq.n), kernel, t_unique, monitor)
+            laws = _laws_at(delta_at(x, seq.n), kernel, t_unique, monitor,
+                            budget)
             for t, v in laws:
                 worst[t] = max(worst[t], tv_distance(v, pi))
         return worst
@@ -371,24 +371,23 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
             raise BadRange(f"switch time {s} outside [0, {t}]")
     s_sorted = sorted(set(s_grid))
     starts, mode = resolve_starts(cfg)
-    if budget is not None:
-        per_start = t + sum(t - s for s in s_sorted)
-        budget.charge(float(cfg.env_samples) * len(starts) * per_start * seq.m)
     base = RngStream(cfg.root_seed)
     monitor = MassMonitor()
 
     def one(r: int):
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, r))
         k_eta = _kernel(seq, base.lane(_LANE_ENV_B, r))
-        pi_eta = _stationary(k_eta, cfg, mu)
+        pi_eta = _stationary(k_eta, cfg, mu, budget)
         if pi_eta is None:
             return None
         lo = dict.fromkeys(s_sorted, math.inf)
         hi = dict.fromkeys(s_sorted, 0.0)
         for x in starts:
-            laws = _laws_at(delta_at(x, seq.n), k_sigma, s_sorted, monitor)
+            laws = _laws_at(delta_at(x, seq.n), k_sigma, s_sorted, monitor,
+                            budget)
             for s, v in laws:
-                d = tv_distance(propagate(v, k_eta, t - s, monitor), pi_eta)
+                d = tv_distance(propagate(v, k_eta, t - s, monitor, budget),
+                                pi_eta)
                 lo[s] = min(lo[s], d)
                 hi[s] = max(hi[s], d)
         return lo, hi
@@ -460,9 +459,6 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     t_rows = [t for t in ts if t > 0]
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
     _pair(len(starts) - 1, cfg.env_samples - 1)
-    if budget is not None:
-        budget.charge(float(len(starts)) * cfg.env_samples
-                      * sum(2 * t for t in ts) * seq.m)
     base = RngStream(cfg.root_seed)
     monitor = MassMonitor()
     used_total = [0] * len(starts)
@@ -474,12 +470,13 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
         used = 0
         for j in range(cfg.env_samples):
             k_eta = _kernel(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
-            pi_eta = _stationary(k_eta, cfg, mu)
+            pi_eta = _stationary(k_eta, cfg, mu, budget)
             if pi_eta is None:
                 continue
             used += 1
             # every grid time's row from one pass up to the largest
-            rows = time_averaged_rows(x, t_rows, k_sigma, k_eta, monitor)
+            rows = time_averaged_rows(x, t_rows, k_sigma, k_eta, monitor,
+                                      budget)
             for beta, t in t_of.items():
                 survive, refresh_once = _joint_coefficients(alpha, t)
                 stay_weight = survive + refresh_once
@@ -572,8 +569,6 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
                         "q_failures": gr.failures}
 
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
-    if budget is not None:
-        budget.charge(float(len(starts)) * max(ts) * seq.m)
     base = RngStream(cfg.root_seed)
     t_sorted = sorted(set(ts))
     monitor = MassMonitor()
@@ -581,7 +576,7 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     def one(item):
         i, x = item
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
-        laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, monitor)
+        laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, monitor, budget)
         return {t: (1.0 - alpha) ** t * tv_distance(v, mu) for t, v in laws}
 
     per_rep = list(_parallel_map(one, enumerate(starts)))
@@ -655,8 +650,6 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     base = RngStream(cfg.root_seed)
     k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
     monitor = MassMonitor()
-    if budget is not None:
-        budget.charge(float(schedule_samples + 1) * t * seq.m)
 
     refresh_steps = [
         np.flatnonzero(base.lane(_LANE_SCHED, _pair(m, 0)).generator()
@@ -664,7 +657,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         for m in range(schedule_samples)]
     first = [steps[0] if steps else t for steps in refresh_steps]
     prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
-                           sorted(set(first) | {t}), monitor))
+                           sorted(set(first) | {t}), monitor, budget))
 
     # deterministic side: no refresh happens with weight (1-alpha)^t and
     # conditional law P_sigma^t(x, .); sampling marginalizes the rest
@@ -681,7 +674,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         for k, (r, end) in enumerate(zip(steps, steps[1:] + [t]), start=1):
             if end - r > 1:
                 kernel = _kernel(seq, base.lane(_LANE_SCHED, _pair(m, k)))
-                w = propagate(w, kernel, end - r - 1, monitor)
+                w = propagate(w, kernel, end - r - 1, monitor, budget)
         refreshes += len(steps)
         total += w
         b = m % _JACKKNIFE_BATCHES
@@ -752,8 +745,6 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     mu = in_degree_distribution(seq)
     starts, mode = resolve_starts(cfg)
     samples = cfg.env_samples
-    if budget is not None:
-        budget.charge(float(samples) * len(starts) * max(ts) * seq.m)
     base = RngStream(cfg.root_seed)
     n, width = seq.n, len(starts)
     mean_acc = np.zeros((len(ts), width, n))
@@ -773,13 +764,15 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
         if alone:
             for xi, x in enumerate(starts):
                 for ti, (_, w) in enumerate(
-                        _laws_at(delta_at(x, n), kernel, ts, monitor)):
+                        _laws_at(delta_at(x, n), kernel, ts, monitor,
+                                 budget)):
                     laws[0, ti, xi] = w
             return laws
         v = np.zeros((b, n, width))
         v[:, starts, np.arange(width)] = 1.0    # delta_x in every block
         for ti, (_, w) in enumerate(
-                _laws_at(v.reshape(b * n, width), kernel, ts, monitor)):
+                _laws_at(v.reshape(b * n, width), kernel, ts, monitor,
+                         budget)):
             laws[:, ti] = w.reshape(b, n, width).transpose(0, 2, 1)
         return laws
 
@@ -856,14 +849,14 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     g_eta = sample_digraph(seq, base.lane(_LANE_ENV_B, 0))
     k_sigma = kernel_from_digraph(g_sigma)
     k_eta = kernel_from_digraph(g_eta)
-    if budget is not None:
-        budget.charge(float(traj_samples) * t * seq.delta)
 
     start_gen = base.lane(_LANE_STARTS).generator()
     xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
     log_weights = np.empty(traj_samples)
     for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
-        hi = lo + _PATH_BLOCK
+        hi = min(lo + _PATH_BLOCK, traj_samples)
+        if budget is not None:
+            budget.charge(float(hi - lo) * t * seq.delta)
         states = sample_paths(xs[lo:hi], s, t, g_sigma, g_eta,
                               base.lane(_LANE_TRAJ, b))
         log_weights[lo:hi] = path_log_weights(states, s, k_sigma, k_eta)

@@ -34,10 +34,10 @@ from .sampler import Digraph
 
 
 class OperationBudget:
-    """Caps scalar multiply-add work for a run; charge before doing the work.
-
-    A run charges it from one thread, replicate after replicate, so it
-    takes no lock."""
+    """Caps scalar multiply-add work for a run: ``propagate``,
+    ``time_averaged_rows`` and ``stationary_distribution`` charge every
+    product or solver iteration before it runs.  A run charges it from
+    one thread, replicate after replicate, so it takes no lock."""
 
     DEFAULT_CAP = 5e10
 
@@ -190,10 +190,10 @@ def _renormalized(v: np.ndarray,
     """v, divided by its mass when that drifted from 1 by more than DIST_TOL.
 
     A NaN mass would pass the drift test and poison every later step
-    unseen, so a non-finite mass raises BadValue."""
+    unseen, and a zero mass cannot be divided by: both raise BadValue."""
     s = float(v.sum())
-    if not math.isfinite(s):
-        raise BadValue(f"a step's mass is {s}, not finite")
+    if not math.isfinite(s) or s == 0.0:
+        raise BadValue(f"a law's mass is {s}, not finite and nonzero")
     drift = abs(s - 1.0)
     renorm = drift > DIST_TOL
     if renorm:
@@ -217,8 +217,8 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
                      w.shape[1]).transpose(0, 2, 1)     # a view of w
     # summed over contiguous rows, each mass equals the 1-d v.sum() bitwise
     sums = np.ascontiguousarray(laws).sum(axis=2)
-    if not np.isfinite(sums).all():
-        raise BadValue("a step's mass is not finite")
+    if not (np.isfinite(sums).all() and sums.all()):
+        raise BadValue("a law's mass is not finite and nonzero")
     drift = np.abs(sums - 1.0)
     renorm = drift > DIST_TOL
     if renorm.any():
@@ -237,8 +237,8 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
     of k columns pushed by one product per step.  In a block, each kernel
     block's part of each column is a distribution of its own: its drift is
     checked, renormalized and recorded as a lone vector's would be, so the
-    result equals separate 1-d calls bit for bit.  A step whose mass is
-    not finite (a NaN or infinite entry) raises BadValue.
+    result equals separate 1-d calls bit for bit.  A law whose mass is
+    zero or not finite, dist itself at zero steps, raises BadValue.
     """
     if steps < 0:
         raise BadRange("steps must be nonnegative")
@@ -248,6 +248,11 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
                        f"kernel size {kernel.n}")
     if budget is not None:
         budget.charge(float(steps) * kernel.nnz * (v.size // kernel.n))
+    if steps == 0:      # no step will check dist's masses, so check them here
+        blocks = kernel.blocks if v.ndim == 2 else 1
+        mass = v.reshape(blocks, len(v) // blocks, v.size // len(v)).sum(1)
+        if not (np.isfinite(mass).all() and mass.all()):
+            raise BadValue("a law's mass is not finite and nonzero")
     v = v.copy()
     step = _step if v.ndim == 1 else _block_step
     for _ in range(steps):

@@ -427,13 +427,19 @@ def run_error(args, capsys):
     ["--config", "MODEL_XYZ", "--generator", "regular:3", "--n", "10"],
     ["--root-seed", "-1", "--generator", "regular:3", "--n", "10"],
     ["--generator", "regular:3", "--n", "-5"],
+    ["--degrees-file", "NOT_UTF8"],
+    ["--config", "NOT_UTF8", "--generator", "regular:3", "--n", "10"],
 ], ids=["bad-json", "not-an-object", "missing-degrees-file",
         "missing-config", "unknown-model", "non-integer-degrees",
-        "unknown-config-model", "negative-root-seed", "negative-size"])
+        "unknown-config-model", "negative-root-seed", "negative-size",
+        "non-utf8-degrees-file", "non-utf8-config"])
 def test_bad_degree_and_config_sources_exit_1(tmp_path, capsys, flags):
     (tmp_path / "xyz.json").write_text(json.dumps({"model": "xyz"}))
+    # a UTF-16 byte-order mark, then {"a":1} in one byte per character
+    (tmp_path / "bytes.json").write_bytes(bytes.fromhex("fffe7b2261223a317d"))
     paths = {"MISSING": str(tmp_path / "missing.json"),
-             "MODEL_XYZ": str(tmp_path / "xyz.json")}
+             "MODEL_XYZ": str(tmp_path / "xyz.json"),
+             "NOT_UTF8": str(tmp_path / "bytes.json")}
     flags = [paths.get(f, f) for f in flags]
     assert run_error(["q-estimate", *flags, "--out-dir", str(tmp_path)],
                      capsys) == 1

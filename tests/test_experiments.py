@@ -507,6 +507,62 @@ def test_budget_cap_stops_heavy_runs_upfront():
         joint_relaxation_curve(cfg, budget=OperationBudget(cap=100.0))
 
 
+MIX_120 = validate_degrees("dcm", [2] * 60 + [3] * 60, [3] * 60 + [2] * 60)
+
+# each run charges its budget where the work happens: products and solves
+BUDGET_RUNS = {
+    "static-cutoff": lambda b: static_cutoff_profile(
+        cfg_for(MIX_120, beta_grid=(0.5, 1.5), env_samples=2), budget=b),
+    "double-cutoff": lambda b: double_cutoff_sweep(
+        cfg_for(MIX_120, s_grid=(0, 2), env_samples=2,
+                start_vertices=[0, 7]), 1.5, budget=b),
+    "joint": lambda b: joint_relaxation_curve(
+        cfg_for(MIX_120, alpha=0.3, beta_grid=(0.5, 1.0), env_samples=2,
+                start_vertices=2), budget=b),
+    "marginal": lambda b: marginal_relaxation_curve(
+        cfg_for(MIX_120, alpha=0.3, beta_grid=(0.6,), start_vertices=3),
+        gap_replicates=2, budget=b),
+    "marginal-crosscheck": lambda b: marginal_mc_crosscheck(
+        cfg_for(MIX_120, alpha=0.2, start_vertices=[0]), 4, 20, budget=b),
+    "annealed": lambda b: annealed_check(
+        cfg_for(MIX_120, env_samples=4, start_vertices=[0, 1]), (1, 2),
+        budget=b),
+    # two path blocks, so a cap one below stops before the second
+    "weight-lln": lambda b: path_weight_lln(
+        cfg_for(MIX_120), 2, 4, experiments._PATH_BLOCK + 100, budget=b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_RUNS))
+def test_a_cap_one_below_the_full_charge_stops_the_run(name):
+    run = BUDGET_RUNS[name]
+    full = OperationBudget()
+    run(full)
+    assert full.used > 0
+    cap = full.used - 1
+    short = OperationBudget(cap)
+    with pytest.raises(BudgetExceeded):
+        run(short)
+    # stopped at the call that would cross the cap, not before any work
+    assert 0 < short.used <= cap
+
+
+def test_static_cutoff_charges_its_walks_and_solves():
+    cfg = cfg_for(MIX_120, beta_grid=(0.5, 1.5), env_samples=3)
+    budget = OperationBudget()
+    report = static_cutoff_profile(cfg, budget=budget)
+    meta = report.metadata
+    assert meta["replicates"] == 3
+    mu = in_degree_distribution(MIX_120)
+    solves = [stationary_distribution(
+        _kernel(MIX_120, RngStream(5).lane(_LANE_ENV_A, r)), start=mu)
+        for r in range(3)]
+    walks = 3 * meta["start_count"] * max(meta["times"]) * MIX_120.m
+    solved = sum(res.iterations + 1 for res in solves) * MIX_120.m
+    assert (walks, solved) == (864000, 48600)
+    assert budget.used == walks + solved
+
+
 def test_gap_report_theory_column():
     eul = cfg_for(REG3_120, env_samples=3)
     report = stationary_gap_report(eul)

@@ -314,6 +314,36 @@ def test_block_propagate_refuses_a_non_finite_mass():
     assert monitor == MassMonitor()
 
 
+TWO_STATE = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("law, steps", [
+    ([math.nan, 1.0], 0), ([math.inf, 0.0], 0), ([0.0, 0.0], 0),
+    ([0.0, 0.0], 1), ([0.0, 0.0], 3), ([[0.0, 0.0], [0.0, 0.0]], 1),
+], ids=["nan-0", "inf-0", "zero-0", "zero-1", "zero-3", "zero-block-1"])
+def test_propagate_refuses_a_zero_or_non_finite_law(law, steps):
+    # zero steps check dist itself; a zero mass would be divided by 0
+    monitor = MassMonitor()
+    with pytest.raises(BadValue):
+        propagate(np.array(law), TWO_STATE, steps, monitor)
+    assert monitor == MassMonitor()
+
+
+# NaN at one step or more: test_block_propagate_refuses_a_non_finite_mass
+@pytest.mark.parametrize("bad, steps", [(0.0, 0), (0.0, 1), (math.nan, 0)],
+                         ids=["zero-0", "zero-1", "nan-0"])
+def test_block_propagate_refuses_a_zero_or_non_finite_law(bad, steps):
+    graphs = kernel_batches()[0]
+    k = kernel_from_digraph(*graphs)
+    n = graphs[0].n
+    block = np.zeros((k.n, 2))
+    block[0::n, 0] = 1.0
+    block[1::n, 1] = 1.0
+    block[k.n - n + 1, 1] = bad     # the last block's second column
+    with pytest.raises(BadValue):
+        propagate(block, k, steps)
+
+
 def test_mass_conserved_over_long_runs():
     monitor = MassMonitor()
     _, _, k, _ = random_kernel_pair(3)
