@@ -4,6 +4,9 @@ Flag values win over config-file values, which win over defaults.  Output
 files are written atomically and are byte-identical across reruns for a
 fixed root seed.  Replicates run serially; ``--threads`` is still
 accepted and recorded in the sidecar, but it does not change the work.
+
+Each option is declared once, as a ``RunSpec`` field that the parser is
+built from, and each report experiment once, as a row of ``_RUNS``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import sys
 from collections import abc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import (List, Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
@@ -24,7 +27,7 @@ from .core import (ModelKind, json_object, load_degree_sequence,
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
                      UnknownFlag)
-from .experiments import (DEFAULT_START_SAMPLE, DEGREE_LANE, EXPERIMENT_NAMES,
+from .experiments import (DEFAULT_START_SAMPLE, DEGREE_LANE, TIME_SCALES,
                           ExperimentConfig, _meta, annealed_check,
                           double_cutoff_sweep, joint_relaxation_curve,
                           marginal_crosscheck_report,
@@ -40,34 +43,65 @@ from .walk import OperationBudget
 MAX_THREADS = 64
 
 
+def _option(default=None, help=None, choices=None):
+    """A RunSpec field whose flag has help text or fixed choices."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunSpec:
+    """Every run option, declared once.  Each field but ``experiment`` is
+    the flag ``--`` plus its dashed name and the config key of its own
+    name.  Its annotation types both: a flag parses to int or float when
+    the annotation (without Optional) is one, and stays text otherwise."""
+
     experiment: str
-    model: str = "dcm"
-    generator: Optional[str] = None
-    degrees: Optional[str] = None
-    degrees_file: Optional[str] = None
+    model: str = _option(ModelKind.DCM.value,
+                         choices=[kind.value for kind in ModelKind])
+    generator: Optional[str] = _option(
+        help="regular:D (with --n), mix:D1xK1,D2xK2,..., eulerian:D1xK1,...")
+    degrees: Optional[str] = _option(help="inline JSON degree object")
+    degrees_file: Optional[str] = _option(help="path to a JSON degree object")
     n: Optional[int] = None
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    beta_grid: Optional[Sequence[float]] = None
-    s_grid: Optional[Sequence[int]] = None
+    beta_grid: Sequence[float] = _option((), help="comma-separated floats")
+    s_grid: Optional[Sequence[int]] = _option(
+        help="comma-separated switch times")
     t: Optional[int] = None
-    t_grid: Optional[Sequence[int]] = None
+    t_grid: Optional[Sequence[int]] = _option(help="comma-separated times")
     switch_time: Optional[int] = None
     traj_samples: int = 1000
     epsilon: float = 0.1
     schedule_samples: int = 200
     env_samples: int = 10
-    start_vertices: Union[str, int, List[int]] = DEFAULT_START_SAMPLE
-    time_scale: str = "regeneration"
+    start_vertices: Union[str, int, List[int]] = _option(
+        DEFAULT_START_SAMPLE,
+        help="'all', a count, or comma-separated vertices "
+             "(a trailing comma forces a one-vertex list)")
+    time_scale: str = _option(TIME_SCALES[0], choices=TIME_SCALES)
     gap_replicates: int = 20
     root_seed: int = 0
     out_dir: str = "."
-    threads: Optional[int] = None  # 1 when not given
+    threads: Optional[int] = _option(  # 1 when not given
+        help="accepted for compatibility and recorded in the sidecar; "
+             "replicates run serially whatever its value")
     budget: float = OperationBudget.DEFAULT_CAP
     tol: float = DEFAULT_TOL
     max_iters: Optional[int] = None
+
+
+_HINTS = get_type_hints(RunSpec)
+
+
+def _bare(hint):
+    """hint without Optional: Optional[int] is int; other unions stay."""
+    args = [arg for arg in get_args(hint) if arg is not type(None)]
+    return args[0] if get_origin(hint) is Union and len(args) == 1 else hint
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,39 +113,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="mixlab", add_help=True,
                 description="random-walk mixing experiments on random digraphs")
-    p.add_argument("experiment", choices=EXPERIMENT_NAMES)
+    p.add_argument("experiment", choices=[*_RUNS, "diagnostics"])
     p.add_argument("--config", help="JSON file of defaults (snake_case keys)")
-    p.add_argument("--model", choices=["dcm", "ocm"])
-    p.add_argument("--generator",
-                   help="regular:D (with --n), mix:D1xK1,D2xK2,..., "
-                        "eulerian:D1xK1,...")
-    p.add_argument("--degrees", help="inline JSON degree object")
-    p.add_argument("--degrees-file", help="path to a JSON degree object")
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beta-grid", help="comma-separated floats")
-    p.add_argument("--s-grid", help="comma-separated switch times")
-    p.add_argument("--t", type=int)
-    p.add_argument("--t-grid", help="comma-separated times")
-    p.add_argument("--switch-time", type=int)
-    p.add_argument("--traj-samples", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--schedule-samples", type=int)
-    p.add_argument("--env-samples", type=int)
-    p.add_argument("--start-vertices",
-                   help="'all', a count, or comma-separated vertices "
-                        "(a trailing comma forces a one-vertex list)")
-    p.add_argument("--time-scale", choices=["regeneration", "entropic"])
-    p.add_argument("--gap-replicates", type=int)
-    p.add_argument("--root-seed", type=int)
-    p.add_argument("--out-dir")
-    p.add_argument("--threads", type=int,
-                   help="accepted for compatibility and recorded in the "
-                        "sidecar; replicates run serially whatever its value")
-    p.add_argument("--budget", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
+    for f in fields(RunSpec)[1:]:  # every field after experiment
+        kind = _bare(_HINTS[f.name])
+        p.add_argument(_flag(f.name),
+                       type=kind if kind in (int, float) else None,
+                       help=f.metadata.get("help"),
+                       choices=f.metadata.get("choices"))
     return p
 
 
@@ -149,14 +158,6 @@ def _fits(value, hint) -> bool:
     return isinstance(value, allowed) and not isinstance(value, bool)
 
 
-def _check_config_types(doc: dict) -> None:
-    hints = get_type_hints(RunSpec)
-    for f in fields(RunSpec):
-        if f.name in doc and not _fits(doc[f.name], hints[f.name]):
-            raise BadValue(f"config key {f.name!r} must be {f.type}, "
-                           f"got {doc[f.name]!r}")
-
-
 def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     """Turn CLI words into a RunSpec; unknown flags are typed errors."""
     parser = _build_parser()
@@ -168,20 +169,19 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
     merged = {}
     if ns.config:
         merged = json_object(_read(ns.config, "config file"), "config file")
-    known = {f.name for f in fields(RunSpec)}
-    for key in merged:
-        if key not in known:
+    for key, value in merged.items():
+        if key not in _HINTS:
             raise UnknownFlag(f"unknown config key {key!r}")
-    _check_config_types(merged)
-    for key in known:
-        flag_val = getattr(ns, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    merged["experiment"] = ns.experiment
+        if not _fits(value, _HINTS[key]):
+            raise BadValue(f"config key {key!r} must be "
+                           f"{RunSpec.__annotations__[key]}, got {value!r}")
+    merged.update((key, value) for key, value in vars(ns).items()
+                  if value is not None and key != "config")
 
-    for key, kind in (("beta_grid", float), ("s_grid", int), ("t_grid", int)):
-        if merged.get(key) is not None:
-            merged[key] = _number_list(merged[key], kind)
+    for key, hint in _HINTS.items():
+        kind = _bare(hint)
+        if get_origin(kind) is abc.Sequence and merged.get(key) is not None:
+            merged[key] = _number_list(merged[key], get_args(kind)[0])
     # a count or a list from a config file is already final
     if isinstance(merged.get("start_vertices"), str):
         merged["start_vertices"] = _start_vertices_value(
@@ -293,12 +293,33 @@ def _out_base(spec: RunSpec, n: int) -> str:
                         f"_seed{spec.root_seed}")
 
 
-def _require(spec: RunSpec, **named):
-    missing = [flag for flag, value in named.items() if value is None]
-    if missing:
-        raise MissingRequired(f"{spec.experiment} needs "
-                              + ", ".join(f"--{m.replace('_', '-')}"
-                                          for m in missing))
+# Each report experiment: the options it cannot run without, and the call
+# that returns its report.  diagnostics writes its own CSV, in run().
+_RUNS = {
+    "static-cutoff": (["beta_grid"], lambda cfg, spec, budget:
+                      static_cutoff_profile(cfg, budget=budget)),
+    "double-cutoff": (["beta", "s_grid"], lambda cfg, spec, budget:
+                      double_cutoff_sweep(cfg, spec.beta, budget=budget)),
+    "joint": (["alpha", "beta_grid"], lambda cfg, spec, budget:
+              joint_relaxation_curve(cfg, budget=budget)),
+    "marginal": (["alpha", "beta_grid"], lambda cfg, spec, budget:
+                 marginal_relaxation_curve(
+                     cfg, time_scale=spec.time_scale,
+                     gap_replicates=spec.gap_replicates, budget=budget)),
+    "marginal-crosscheck": (["alpha", "t"], lambda cfg, spec, budget:
+                            marginal_crosscheck_report(
+                                cfg, spec.t, spec.schedule_samples,
+                                budget=budget)),
+    "annealed": (["t_grid"], lambda cfg, spec, budget:
+                 annealed_check(cfg, spec.t_grid, budget=budget)),
+    "weight-lln": (["t", "switch_time"], lambda cfg, spec, budget:
+                   path_weight_report(cfg, spec.switch_time, spec.t,
+                                      spec.traj_samples, spec.epsilon,
+                                      budget=budget)),
+    "q-estimate": ([], lambda cfg, spec, budget:
+                   stationary_gap_report(cfg, replicates=spec.gap_replicates,
+                                         budget=budget)),
+}
 
 
 def run(spec: RunSpec) -> int:
@@ -306,68 +327,33 @@ def run(spec: RunSpec) -> int:
     threads = _resolve_threads(spec)
     seq = build_degree_sequence(spec)
     budget = OperationBudget(cap=spec.budget)
-    cfg = ExperimentConfig(
-        seq=seq,
-        root_seed=spec.root_seed,
-        alpha=spec.alpha,
-        beta_grid=spec.beta_grid or (),
-        s_grid=spec.s_grid,
-        env_samples=spec.env_samples,
-        start_vertices=spec.start_vertices,
-        tol=spec.tol,
-        max_iters=spec.max_iters,
-    )
+    cfg = ExperimentConfig(seq=seq, **{
+        f.name: getattr(spec, f.name) for f in fields(ExperimentConfig)
+        if f.name in _HINTS})
     os.makedirs(spec.out_dir, exist_ok=True)
     base = _out_base(spec, seq.n)
-    exp = spec.experiment
 
-    if exp == "diagnostics":
+    if spec.experiment == "diagnostics":
         rows, failures = stationary_diagnostics(cfg, budget=budget)
         csv_path = base + ".csv"
         atomic_write_text(csv_path, diagnostics_csv_text(rows))
         meta = _meta("diagnostics", cfg, replicates=len(rows),
-                     solve_failures=failures, threads=threads)
+                     solve_failures=failures, threads=threads,
+                     operations_charged=budget.used)
         atomic_write_text(base + ".json",
                           json.dumps(meta, indent=2, sort_keys=True) + "\n")
         print(f"diagnostics: {len(rows)} converged, {failures} failed "
               f"-> {csv_path}")
-        if rows:
-            return 0
-        return 2
+        return 0 if rows else 2
 
-    if exp == "static-cutoff":
-        _require(spec, beta_grid=spec.beta_grid)
-        report = static_cutoff_profile(cfg, budget=budget)
-    elif exp == "double-cutoff":
-        _require(spec, beta=spec.beta, s_grid=spec.s_grid)
-        report = double_cutoff_sweep(cfg, spec.beta, budget=budget)
-    elif exp == "joint":
-        _require(spec, alpha=spec.alpha, beta_grid=spec.beta_grid)
-        report = joint_relaxation_curve(cfg, budget=budget)
-    elif exp == "marginal":
-        _require(spec, alpha=spec.alpha, beta_grid=spec.beta_grid)
-        report = marginal_relaxation_curve(cfg, time_scale=spec.time_scale,
-                                           gap_replicates=spec.gap_replicates,
-                                           budget=budget)
-    elif exp == "marginal-crosscheck":
-        _require(spec, alpha=spec.alpha, t=spec.t)
-        report = marginal_crosscheck_report(cfg, spec.t,
-                                            spec.schedule_samples,
-                                            budget=budget)
-    elif exp == "annealed":
-        _require(spec, t_grid=spec.t_grid)
-        report = annealed_check(cfg, spec.t_grid, budget=budget)
-    elif exp == "weight-lln":
-        _require(spec, t=spec.t, switch_time=spec.switch_time)
-        report = path_weight_report(cfg, spec.switch_time, spec.t,
-                                    spec.traj_samples, spec.epsilon,
-                                    budget=budget)
-    elif exp == "q-estimate":
-        report = stationary_gap_report(cfg, replicates=spec.gap_replicates,
-                                       budget=budget)
-    else:
-        raise BadValue(f"unknown experiment {exp!r}")
-
+    needs, report_of = _RUNS[spec.experiment]
+    # an empty grid is as good as none
+    missing = [_flag(name) for name in needs
+               if getattr(spec, name) in (None, ())]
+    if missing:
+        raise MissingRequired(f"{spec.experiment} needs "
+                              + ", ".join(missing))
+    report = report_of(cfg, spec, budget)
     report.metadata.setdefault("threads", threads)
     report.metadata.setdefault("operations_charged", budget.used)
     csv_path = base + ".csv"

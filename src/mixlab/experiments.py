@@ -78,9 +78,8 @@ CURVE_NAMES = ("joint_gamma0", "joint_gammainf", "joint_general",
                "marginal_gamma0", "marginal_gammainf", "marginal_general",
                "static_profile")
 
-EXPERIMENT_NAMES = ("static-cutoff", "double-cutoff", "joint", "marginal",
-                    "marginal-crosscheck", "annealed", "weight-lln",
-                    "diagnostics", "q-estimate")
+# marginal_relaxation_curve's time grids; the first is the default
+TIME_SCALES = ("regeneration", "entropic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,8 +530,8 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     over environments and starts; each start carries its own environment.
     """
     alpha = cfg.require_alpha()
-    if time_scale not in ("regeneration", "entropic"):
-        raise BadValue(f"time_scale must be 'regeneration' or 'entropic', "
+    if time_scale not in TIME_SCALES:
+        raise BadValue(f"time_scale must be one of {TIME_SCALES}, "
                        f"got {time_scale!r}")
     if not cfg.beta_grid:
         raise BadValue("beta_grid must be nonempty")

@@ -88,6 +88,8 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
             best_res, best = res, cand_prev
         if res <= tol:
             pi = cand_prev / cand_prev.sum()
+            if budget is not None:
+                budget.charge(kernel.nnz)
             verified = tv_distance(tmat @ pi, pi)
             if verified <= tol:
                 pi.setflags(write=False)

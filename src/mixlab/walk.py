@@ -289,8 +289,8 @@ def time_averaged_rows(x: int, times: Sequence[int],
 
     The Horner accumulator after switch time s is s times the row for
     t = s, so one pass up to max(times) yields every row, bitwise equal to
-    separate calls, for 2 max(times) kernel applications instead of
-    2 sum(times).  Memory is O(n) per distinct t.
+    separate calls, for 2 (max(times) - 1) kernel applications instead
+    of 2 sum(times - 1).  Memory is O(n) per distinct t.
     """
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
@@ -298,8 +298,8 @@ def time_averaged_rows(x: int, times: Sequence[int],
     if any(t < 1 for t in wanted):
         raise BadRange("t must be >= 1")
     t_max = max(wanted, default=0)
-    if budget is not None:
-        budget.charge(2.0 * t_max * max(k_sigma.nnz, k_eta.nnz))
+    if budget is not None and t_max > 1:
+        budget.charge((t_max - 1.0) * (k_sigma.nnz + k_eta.nnz))
     u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
     acc = np.zeros(k_sigma.n)
     tmat = k_eta.transpose
@@ -325,8 +325,8 @@ def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
 
     Returns (1/t) * sum_s (delta_x P_sigma^{s-1} P_eta^{t-s}).  Both the
     running first-environment vector and the Horner-style accumulator
-    advance forward in s together, so the whole thing costs 2t kernel
-    applications and O(n) memory.  This is the single-t case of
+    advance forward in s together, so the whole thing costs 2 (t - 1)
+    kernel applications and O(n) memory.  This is the single-t case of
     ``time_averaged_rows``, which serves a whole grid of t from one pass.
     """
     return time_averaged_rows(x, (t,), k_sigma, k_eta, monitor, budget)[t]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_parse_defaults():
     assert spec.start_vertices == 32
     assert spec.root_seed == 0
     assert spec.alpha is None
-    assert spec.beta_grid is None
+    assert spec.beta_grid == ()
     assert spec.threads is None
     assert spec.budget == 5e10
 
@@ -76,6 +77,53 @@ def test_parse_grids_and_scales():
     assert spec.s_grid == (0, 1, 2, 5)
     assert spec.t_grid == (3, 9)
     assert spec.time_scale == "entropic"
+
+
+# every run flag, in order: scripts break when one is lost or renamed
+RUN_FLAGS = [
+    "--model", "--generator", "--degrees", "--degrees-file", "--n",
+    "--alpha", "--beta", "--beta-grid", "--s-grid", "--t", "--t-grid",
+    "--switch-time", "--traj-samples", "--epsilon", "--schedule-samples",
+    "--env-samples", "--start-vertices", "--time-scale", "--gap-replicates",
+    "--root-seed", "--out-dir", "--threads", "--budget", "--tol",
+    "--max-iters",
+]
+
+
+def test_every_flag_is_a_run_spec_field():
+    options = [s for a in cli._build_parser()._actions
+               for s in a.option_strings if s not in ("-h", "--help")]
+    assert options == ["--config", *RUN_FLAGS]
+    assert RUN_FLAGS == ["--" + f.name.replace("_", "-")
+                         for f in fields(RunSpec) if f.name != "experiment"]
+
+
+# the flags each report experiment cannot run without
+REQUIRED_FLAGS = {
+    "static-cutoff": ["--beta-grid"],
+    "double-cutoff": ["--beta", "--s-grid"],
+    "joint": ["--alpha", "--beta-grid"],
+    "marginal": ["--alpha", "--beta-grid"],
+    "marginal-crosscheck": ["--alpha", "--t"],
+    "annealed": ["--t-grid"],
+    "weight-lln": ["--t", "--switch-time"],
+    "q-estimate": [],
+}
+
+
+def test_run_table_covers_every_report_experiment():
+    assert sorted(cli._RUNS) == sorted(REQUIRED_FLAGS)
+
+
+@pytest.mark.parametrize(
+    "experiment", [e for e in cli._RUNS if REQUIRED_FLAGS.get(e)])
+def test_missing_required_flags_are_named(tmp_path, experiment):
+    spec = parse_run_spec([experiment, "--generator", "eulerian:3x20",
+                           "--out-dir", str(tmp_path)])
+    with pytest.raises(MissingRequired) as err:
+        run(spec)
+    assert str(err.value) == (f"{experiment} needs "
+                              + ", ".join(REQUIRED_FLAGS[experiment]))
 
 
 def test_parse_rejects_unknown_flag():
@@ -384,13 +432,27 @@ _DEFERRED_MODULES = ["scipy.sparse.csgraph", "scipy.sparse.linalg",
                      "scipy.linalg"]
 
 
-def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
-    # a fresh interpreter, so no other test has imported them already
+def _cli_cases() -> dict:
     path = Path(__file__).with_name("test_acceptance.py")
     spec = importlib.util.spec_from_file_location("_acceptance", path)
     acceptance = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(acceptance)
-    args = ["joint", *acceptance.CLI_CASES["joint"], "--root-seed", "12",
+    return acceptance.CLI_CASES
+
+
+def test_every_sidecar_reports_its_operations(tmp_path, capsys):
+    for experiment, extra in _cli_cases().items():
+        out_dir = tmp_path / experiment
+        run_ok([experiment, *extra, "--out-dir", str(out_dir)])
+        (sidecar,) = out_dir.glob("*.json")
+        meta = json.loads(sidecar.read_text())
+        assert meta["operations_charged"] > 0, experiment
+    capsys.readouterr()
+
+
+def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
+    # a fresh interpreter, so no other test has imported them already
+    args = ["joint", *_cli_cases()["joint"], "--root-seed", "12",
             "--out-dir", str(tmp_path)]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -558,8 +558,9 @@ def test_static_cutoff_charges_its_walks_and_solves():
         _kernel(MIX_120, RngStream(5).lane(_LANE_ENV_A, r)), start=mu)
         for r in range(3)]
     walks = 3 * meta["start_count"] * max(meta["times"]) * MIX_120.m
-    solved = sum(res.iterations + 1 for res in solves) * MIX_120.m
-    assert (walks, solved) == (864000, 48600)
+    # the first product, one per iteration and the closing check
+    solved = sum(res.iterations + 2 for res in solves) * MIX_120.m
+    assert (walks, solved) == (864000, 49500)
     assert budget.used == walks + solved
 
 

@@ -125,8 +125,8 @@ def test_solver_charges_budget_per_iteration():
     k = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
     budget = OperationBudget(cap=1e6)
     res = stationary_distribution(k, budget=budget)
-    # initial matvec plus one per loop iteration, nnz = 3
-    assert budget.used == pytest.approx(3.0 * (res.iterations + 1))
+    # initial matvec, one per loop iteration and the closing check, nnz = 3
+    assert budget.used == pytest.approx(3.0 * (res.iterations + 2))
 
 
 def test_widespread_stats_extremes():

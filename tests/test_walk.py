@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, issparse
 
-from mixlab import (MassMonitor, OperationBudget, RngStream, TransitionKernel,
-                    delta_at, digraph_from_json, digraph_to_json, double_row,
-                    kernel_from_digraph, path_log_weight, path_log_weights,
-                    propagate, sample_dcm, sample_digraph, sample_paths,
-                    sample_trajectory, time_averaged_row, time_averaged_rows,
-                    tv_distance, validate_degrees)
+from mixlab import (MassMonitor, NotConverged, OperationBudget, RngStream,
+                    TransitionKernel, delta_at, digraph_from_json,
+                    digraph_to_json, double_row, kernel_from_digraph,
+                    path_log_weight, path_log_weights, propagate, sample_dcm,
+                    sample_digraph, sample_paths, sample_trajectory,
+                    stationary_distribution, time_averaged_row,
+                    time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab import walk
 from mixlab.walk import Trajectory
@@ -412,7 +413,7 @@ def test_time_averaged_rows_equal_separate_calls_bitwise():
         for t in grid:
             assert np.array_equal(rows[t], time_averaged_row(2, t, k1, k2))
         # one pass up to the largest time, not one per grid time
-        assert budget.used == 2 * 8 * max(k1.nnz, k2.nnz)
+        assert budget.used == 7 * (k1.nnz + k2.nnz)
 
 
 def test_trajectory_shape_and_edge_membership():
@@ -648,6 +649,55 @@ def test_budget_accounting_and_exhaustion():
         propagate(delta_at(0, k.n), k, 1, budget=budget)
     with pytest.raises(BadValue):
         OperationBudget(cap=0)
+
+
+class _CountingTranspose:
+    """A kernel's P^T that tallies the scalar products it performs:
+    nnz per column of every product."""
+
+    def __init__(self, mat):
+        self.mat, self.ops = mat, 0
+
+    def __matmul__(self, v):
+        self.ops += self.mat.nnz * (1 if v.ndim == 1 else v.shape[1])
+        return self.mat @ v
+
+    def copy(self):
+        return self.mat.copy()
+
+
+def _failed_solve(k_sigma, k_eta, budget):
+    with pytest.raises(NotConverged):
+        stationary_distribution(k_sigma, tol=1e-15, max_iters=2,
+                                budget=budget)
+
+
+COUNTED_RUNS = {
+    "propagate-law": lambda ks, ke, b: propagate(delta_at(0, ks.n), ks, 5,
+                                                 budget=b),
+    "propagate-block": lambda ks, ke, b: propagate(
+        np.full((ks.n, 3), 1.0 / ks.n), ks, 4, budget=b),
+    "rows-t1": lambda ks, ke, b: time_averaged_rows(0, [1], ks, ke, budget=b),
+    "rows-t6": lambda ks, ke, b: time_averaged_rows(0, [2, 6], ks, ke,
+                                                    budget=b),
+    "solve-converged": lambda ks, ke, b: stationary_distribution(ks,
+                                                                 budget=b),
+    "solve-failed": _failed_solve,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_RUNS))
+def test_budget_charges_equal_the_products_performed(name):
+    seq = validate_degrees("dcm", [2] * 6 + [3] * 6, [3] * 6 + [2] * 6)
+    kernels = [kernel_from_digraph(sample_digraph(seq, RngStream(4).lane(i)))
+               for i in (1, 2)]
+    for k in kernels:
+        k._transpose = _CountingTranspose(k.transpose)
+    budget = OperationBudget()
+    COUNTED_RUNS[name](*kernels, budget)
+    performed = sum(k.transpose.ops for k in kernels)
+    assert budget.used == performed
+    assert (performed == 0) == (name == "rows-t1")
 
 
 @pytest.mark.parametrize("cap", [np.nan, np.inf, -1.0])
