@@ -374,6 +374,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MixingLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout was closed early (say, piped into head); written files
+        # stay.  Point stdout at devnull so the interpreter's flush at exit
+        # cannot raise the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the run finished "
+              "printing", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -635,7 +635,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     min(t, schedule_samples) + 1 vectors of length n.  A refreshed
     environment is sampled only when a later step walks in it; its stream
     lane does not depend on that, and every refresh still counts toward
-    ``mean_refreshes``.
+    ``mean_refreshes``.  The streams of all schedules, and then of all
+    walked environments, are keyed in one ``RngStream.lanes`` pass each,
+    which holds 16 bytes per stream.
     """
     alpha = cfg.require_alpha()
     if t < 0:
@@ -650,11 +652,19 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
     monitor = MassMonitor()
 
+    # schedule m draws its refresh steps on lane offset _pair(m, 0)
+    schedules = range(_pair(0, 0), _pair(schedule_samples - 1, 0) + 1,
+                      _pair(1, 0))
     refresh_steps = [
-        np.flatnonzero(base.lane(_LANE_SCHED, _pair(m, 0)).generator()
-                       .random(t) < alpha).tolist()
-        for m in range(schedule_samples)]
+        np.flatnonzero(stream.generator().random(t) < alpha).tolist()
+        for stream in base.lanes(_LANE_SCHED, schedules)]
     first = [steps[0] if steps else t for steps in refresh_steps]
+    # environment k of schedule m is on lane offset _pair(m, k); only the
+    # environments a step walks in are sampled, in the loop's order below
+    walked = base.lanes(_LANE_SCHED, np.fromiter(
+        (_pair(m, k) for m, steps in enumerate(refresh_steps)
+         for k, (r, end) in enumerate(zip(steps, steps[1:] + [t]), start=1)
+         if end - r > 1), dtype=np.int64))
     prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
                            sorted(set(first) | {t}), monitor, budget))
 
@@ -670,10 +680,10 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         w = prefix[first[m]]
         # on a refresh step the environment changes and the walker holds;
         # environment k walks the steps between refreshes k and k + 1
-        for k, (r, end) in enumerate(zip(steps, steps[1:] + [t]), start=1):
+        for r, end in zip(steps, steps[1:] + [t]):
             if end - r > 1:
-                kernel = _kernel(seq, base.lane(_LANE_SCHED, _pair(m, k)))
-                w = propagate(w, kernel, end - r - 1, monitor, budget)
+                w = propagate(w, _kernel(seq, next(walked)), end - r - 1,
+                              monitor, budget)
         refreshes += len(steps)
         total += w
         b = m % _JACKKNIFE_BATCHES
@@ -727,8 +737,9 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
 
     Small environments run in batches of B = _BATCH_ENTRIES // (S * m)
     for S starts while m <= _BATCH_MAX_EDGES, each sampled on its own
-    stream lane: a batch is one block-diagonal kernel, and every
-    (environment, start) law moves by one product per step.  Otherwise
+    stream lane, keyed per batch in one ``RngStream.lanes`` pass: a batch
+    is one block-diagonal kernel, and every (environment, start) law
+    moves by one product per step.  Otherwise
     (B = 0 or a larger m) each environment walks alone, one SpMV per
     start.  Laws are reduced environment by environment in replicate
     order, so the result does not depend on B.  One item (an environment
@@ -757,7 +768,8 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
 
     def one(batch: range):
         kernel = kernel_from_digraph(*(
-            sample_digraph(seq, base.lane(_LANE_ENV_A, j)) for j in batch))
+            sample_digraph(seq, stream)
+            for stream in base.lanes(_LANE_ENV_A, batch)))
         b = len(batch)
         laws = np.empty((b, len(ts), width, n))
         if alone:

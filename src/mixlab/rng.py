@@ -4,13 +4,29 @@ Every random object in the package is tied to an ``RngStream``: a
 ``(root_seed, stream_index)`` pair mapped to a counter-based Philox
 generator.  Stream k is reachable directly, without generating streams
 0..k-1, and distinct indices give statistically independent streams.
+
+A stream's Philox key is the one numpy derives from
+``SeedSequence((root_seed, stream_index))``.  Building that SeedSequence
+costs about as much as sampling a small graph, so ``RngStream.lanes``
+derives the keys of many streams of one lane at once: ``lane_keys`` runs
+numpy's SeedSequence algorithm (hash the entropy words into a pool of four
+uint32 words, mix every pool word into every other, then
+``generate_state(2, uint64)``) in uint32 array arithmetic, one array
+element per stream.  Its keys are bitwise those of numpy, so a keyed
+stream draws exactly the numbers of the unkeyed stream with the same
+index.  A keyed stream hands its key to Philox through ``_PhiloxKey``, an
+``ISeedSequence``: ``Philox(key=...)`` would first build a SeedSequence
+from OS entropy, which costs more than the one it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import BadRange
 
@@ -18,11 +34,100 @@ from .errors import BadRange
 # nested loops (replicate r, environment j, ...) can never collide.
 LANE = 1 << 32
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(x: int) -> List[int]:
+    """x as little-endian uint32 words, at least one (numpy's entropy)."""
+    out = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        out.append(x & _MASK32)
+    return out
+
+
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) running hash constants start * mult**i mod 2**32."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray, c: int,
+          rows: int) -> np.ndarray:
+    """numpy's hashmix for hash calls c..c+rows-1 on the given rows: xor
+    with the constant, step it, multiply by the new one, fold 16 bits."""
+    v = values ^ consts[c:c + rows]
+    v *= consts[c + 1:c + rows + 1]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L)
+    r -= y * np.uint32(_MIX_R)
+    r ^= r >> 16
+    return r
+
+
+def lane_keys(root_seed: int, which: int, ks: np.ndarray) -> np.ndarray:
+    """(len(ks), 2) uint64 Philox keys of streams ``which * LANE + k``.
+
+    Row i equals ``SeedSequence((root_seed, which * LANE + ks[i]))
+    .generate_state(2, np.uint64)`` bitwise.  ks holds offsets in
+    [0, LANE), so only the stream index's low entropy word varies: the
+    entropy is root_seed's words, then k, then which's words if which > 0.
+    """
+    entropy = _words(root_seed) + [np.asarray(ks, dtype=np.uint32)]
+    if which:
+        entropy += _words(which)
+    extra = max(len(entropy) - _POOL, 0)
+    consts = _hash_consts(_INIT_A, _MULT_A,
+                          _POOL + _POOL * (_POOL - 1) + _POOL * extra)
+    pool = np.zeros((_POOL, len(ks)), dtype=np.uint32)
+    for i, word in enumerate(entropy[:_POOL]):
+        pool[i] = word
+    pool = _hash(pool, consts, 0, _POOL)
+    c = _POOL
+    # numpy mixes pool word src into each other word in turn; src itself
+    # does not change meanwhile, so the three updates run as one
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts, c, _POOL - 1))
+        c += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hash(np.asarray(word, dtype=np.uint32), consts,
+                                c, _POOL))
+        c += _POOL
+    state = _hash(pool, _hash_consts(_INIT_B, _MULT_B, _POOL), 0, _POOL)
+    # generate_state(2, uint64) reads word pairs as little-endian uint64
+    return (np.ascontiguousarray(state.T).astype("<u4").view("<u8")
+            .astype(np.uint64))
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a key derived beforehand, in place of a SeedSequence."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
 
 @dataclass(frozen=True)
 class RngStream:
     root_seed: int
     stream_index: int = 0
+    # the stream's Philox key when ``lanes`` derived it; not a field, so a
+    # stream is its (root_seed, stream_index) either way
+    key: ClassVar[Optional[np.ndarray]] = None
 
     def __post_init__(self):
         if self.root_seed < 0 or self.stream_index < 0:
@@ -30,8 +135,11 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; calling twice replays the stream."""
-        seq = np.random.SeedSequence((self.root_seed, self.stream_index))
-        return np.random.Generator(np.random.Philox(seq))
+        if self.key is None:
+            seq = SeedSequence((self.root_seed, self.stream_index))
+        else:
+            seq = _PhiloxKey(self.key)
+        return Generator(Philox(seq))
 
     def offset(self, k: int) -> "RngStream":
         """Stream ``stream_index + k`` under the same root seed."""
@@ -42,3 +150,27 @@ class RngStream:
         if not 0 <= k < LANE:
             raise BadRange(f"lane offset {k} outside [0, 2**32)")
         return RngStream(self.root_seed, which * LANE + k)
+
+    def lanes(self, which: int, ks: Union[Sequence[int], np.ndarray]
+              ) -> Iterator[RngStream]:
+        """The streams ``lane(which, k)`` for k in ks, keyed in one pass.
+
+        Offsets are checked and every key derived before this returns; it
+        then holds ks and 16 bytes of key per stream, and builds each
+        stream when the iteration reaches it.  A single offset takes
+        ``lane``'s path, which is faster for one stream than a pass.
+        """
+        offsets = np.asarray(ks)
+        if offsets.size and not (0 <= offsets.min() and offsets.max() < LANE):
+            raise BadRange("lane offsets outside [0, 2**32)")
+        if offsets.size == 1:
+            return iter([self.lane(which, int(offsets.flat[0]))])
+        keys = lane_keys(self.root_seed, which, offsets)
+        start = which * LANE
+        return (_keyed(RngStream(self.root_seed, start + int(k)), key)
+                for k, key in zip(ks, keys))
+
+
+def _keyed(stream: RngStream, key: np.ndarray) -> RngStream:
+    object.__setattr__(stream, "key", key)   # frozen, and not a field
+    return stream

@@ -450,17 +450,21 @@ def test_every_sidecar_reports_its_operations(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this mixlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
     # a fresh interpreter, so no other test has imported them already
     args = ["joint", *_cli_cases()["joint"], "--root-seed", "12",
             "--out-dir", str(tmp_path)]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(args),
          json.dumps(_DEFERRED_MODULES)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
@@ -477,6 +481,25 @@ def run_error(args, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return code
+
+
+def test_closed_stdout_ends_in_one_error_line(tmp_path):
+    # stdout is a pipe whose read end is closed before the run prints
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixlab.cli", "q-estimate",
+             "--generator", "eulerian:3x20", "--out-dir", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_child_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    # the files were written before the summary line
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
 
 
 @pytest.mark.parametrize("flags", [

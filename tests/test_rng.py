@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mixlab import digraph_to_json, sample_digraph, validate_degrees
 from mixlab.errors import BadRange
-from mixlab.rng import LANE, RngStream
+from mixlab.experiments import _PAIR_MAX, _pair
+from mixlab.rng import LANE, RngStream, lane_keys
 
 
 def test_same_stream_replays_identical_draws():
@@ -51,3 +55,92 @@ def test_lane_offset_must_stay_inside_its_lane():
     for k in (LANE, LANE + 5, -1):
         with pytest.raises(BadRange):
             s.lane(1, k)
+
+
+# ---------------------------------------------------------------------------
+# lane_keys / lanes: numpy's SeedSequence keys, derived in one pass
+
+_PAIR_MAXIMA = (_pair(_PAIR_MAX, 0), _pair(0, _PAIR_MAX),
+                _pair(_PAIR_MAX, _PAIR_MAX))
+
+
+def _numpy_key(root, index):
+    return np.random.SeedSequence((root, index)).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**64 + 3,
+                                  2**96, 2**200 + 12345])
+def test_lane_keys_equal_numpy_seed_sequence(root):
+    # lane 0 holds the one-word indices up to 2**32 - 1; lane 1 starts at
+    # 2**32, the first two-word index; lanes 1-7 are the experiments';
+    # roots from 2**96 up fill the pool of four words before the index
+    for which in (*range(8), 2**32, 2**70):
+        ks = [0, 1, LANE - 1, *_PAIR_MAXIMA]
+        keys = lane_keys(root, which, np.array(ks))
+        assert keys.dtype == np.uint64 and keys.shape == (len(ks), 2)
+        for k, key in zip(ks, keys):
+            assert np.array_equal(key, _numpy_key(root, which * LANE + k)), \
+                (root, which, k)
+
+
+def test_lane_keys_of_no_offsets():
+    assert lane_keys(7, 1, np.array([], dtype=np.int64)).shape == (0, 2)
+    assert list(RngStream(7).lanes(1, [])) == []
+    assert list(RngStream(7).lanes(1, range(0))) == []
+
+
+@pytest.mark.parametrize("root,which", [(0, 0), (12, 1), (2**40, 5),
+                                        (2**100, 7)])
+def test_keyed_streams_draw_what_numpy_draws(root, which):
+    ks = [0, 3, LANE - 1, *_PAIR_MAXIMA]
+    for k, stream in zip(ks, RngStream(root).lanes(which, ks)):
+        assert stream.key is not None
+        ref = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((root, which * LANE + k))))
+        gen = stream.generator()
+        assert np.array_equal(gen.random(8), ref.random(8))
+        assert np.array_equal(gen.permutation(50), ref.permutation(50))
+
+
+def test_lanes_refuse_offsets_outside_a_lane():
+    s = RngStream(7)
+    for ks in ([LANE], [0, -1], [5, LANE + 5], [2**64],
+               range(LANE - 1, LANE + 1)):
+        with pytest.raises(BadRange):
+            s.lanes(1, ks)
+
+
+def test_keyed_stream_is_the_lane_stream():
+    s = RngStream(7, 3)
+    ks = np.array([0, 9, LANE - 1])
+    for k, keyed in zip(ks, s.lanes(2, ks)):
+        plain = s.lane(2, int(k))
+        assert keyed == plain and hash(keyed) == hash(plain)
+        assert repr(keyed) == repr(plain)
+        assert type(keyed.stream_index) is int
+    # a single offset takes lane()'s path
+    (single,) = s.lanes(2, [4])
+    assert single == s.lane(2, 4) and single.key is None
+
+
+def test_digraph_from_a_keyed_stream_records_its_seed():
+    seq = validate_degrees("dcm", [2, 3, 2, 2], [3, 2, 2, 2])
+    for k, stream in zip(range(4), RngStream(11).lanes(1, range(4))):
+        keyed = sample_digraph(seq, stream)
+        plain = sample_digraph(seq, RngStream(11).lane(1, k))
+        assert np.array_equal(keyed.heads, plain.heads)
+        assert digraph_to_json(keyed) == digraph_to_json(plain)
+
+
+def test_lanes_hold_sixteen_bytes_per_stream():
+    count = 10**5
+    s = RngStream(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        streams = s.lanes(1, range(count))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 16 * count <= held <= 16 * count + 4096, held
+    assert sum(1 for _ in streams) == count

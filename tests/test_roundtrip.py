@@ -1,4 +1,5 @@
-"""Property round trips: degree documents and digraph JSON load back equal."""
+"""Property round trips: degree documents and digraph JSON load back equal,
+and batch-derived stream keys equal numpy's SeedSequence keys."""
 
 import json
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mixlab import (RngStream, digraph_from_json, digraph_to_json,  # noqa: E402
                     load_degree_sequence, sample_digraph, validate_degrees)
+from mixlab.rng import LANE, lane_keys  # noqa: E402
 
 
 @st.composite
@@ -55,3 +57,16 @@ def test_json_round_trip_keeps_every_sampled_digraph(g):
     assert np.array_equal(back.offsets, g.offsets)
     assert back.seq.model is g.seq.model
     assert back.stream == g.stream
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**140), st.integers(0, 2**40),
+       st.lists(st.integers(0, LANE - 1), min_size=2, max_size=6))
+def test_lane_keys_round_trip_through_seed_sequence(root, which, ks):
+    keys = lane_keys(root, which, np.array(ks))
+    streams = RngStream(root).lanes(which, ks)
+    for k, key, stream in zip(ks, keys, streams):
+        seq = np.random.SeedSequence((root, which * LANE + k))
+        assert np.array_equal(key, seq.generate_state(2, np.uint64))
+        ref = np.random.Generator(np.random.Philox(seq))
+        assert np.array_equal(stream.generator().random(4), ref.random(4))
