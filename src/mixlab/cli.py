@@ -367,7 +367,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         spec = parse_run_spec(args)
-        return run(spec)
+        code = run(spec)
+        # a piped stdout is block-buffered: flush here, so a closed pipe
+        # raises below and not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except (AllReplicatesFailed, NotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -377,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # stdout was closed early (say, piped into head); written files
         # stay.  Point stdout at devnull so the interpreter's flush at exit
-        # cannot raise the same error again.
+        # finds somewhere to put what is still buffered.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output closed before the run finished "
               "printing", file=sys.stderr)

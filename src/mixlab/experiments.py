@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from itertools import chain, islice
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +57,11 @@ DEFAULT_START_SAMPLE = 32
 #   S = 4, B = 5), and up to 2x slower for m = 15000 and 30000 at B = 2.
 _BATCH_ENTRIES = 65536
 _BATCH_MAX_EDGES = 2048
+# annealed_check keys its environment streams this many at a time: one
+# RngStream.lanes pass costs about 5 lane().generator() calls, so a lone
+# environment must not pay a pass of its own, and the keys held stay at
+# 16 KiB however many environments run
+_KEY_CHUNK = 1024
 
 # Disjoint stream lanes for nested sampling loops.
 _LANE_ENV_A = 1
@@ -636,8 +642,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     environment is sampled only when a later step walks in it; its stream
     lane does not depend on that, and every refresh still counts toward
     ``mean_refreshes``.  The streams of all schedules, and then of all
-    walked environments, are keyed in one ``RngStream.lanes`` pass each,
-    which holds 16 bytes per stream.
+    walked environments, are keyed in one ``RngStream.lanes`` pass each.
     """
     alpha = cfg.require_alpha()
     if t < 0:
@@ -653,18 +658,22 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     monitor = MassMonitor()
 
     # schedule m draws its refresh steps on lane offset _pair(m, 0)
-    schedules = range(_pair(0, 0), _pair(schedule_samples - 1, 0) + 1,
-                      _pair(1, 0))
     refresh_steps = [
         np.flatnonzero(stream.generator().random(t) < alpha).tolist()
-        for stream in base.lanes(_LANE_SCHED, schedules)]
+        for stream in base.lanes(
+            _LANE_SCHED, [_pair(m, 0) for m in range(schedule_samples)])]
     first = [steps[0] if steps else t for steps in refresh_steps]
-    # environment k of schedule m is on lane offset _pair(m, k); only the
-    # environments a step walks in are sampled, in the loop's order below
-    walked = base.lanes(_LANE_SCHED, np.fromiter(
-        (_pair(m, k) for m, steps in enumerate(refresh_steps)
+    # on a refresh step the environment changes and the walker holds;
+    # environment k of schedule m, on lane offset _pair(m, k), walks the
+    # steps between refreshes k and k + 1.  Only the environments a step
+    # walks in are sampled: segments[m] lists their (length, offset).
+    segments = [
+        [(end - r - 1, _pair(m, k))
          for k, (r, end) in enumerate(zip(steps, steps[1:] + [t]), start=1)
-         if end - r > 1), dtype=np.int64))
+         if end - r > 1]
+        for m, steps in enumerate(refresh_steps)]
+    walked = base.lanes(_LANE_SCHED,
+                        [k for segs in segments for _, k in segs])
     prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
                            sorted(set(first) | {t}), monitor, budget))
 
@@ -676,15 +685,12 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     batch_sums = np.zeros((_JACKKNIFE_BATCHES, seq.n))
     batch_counts = np.zeros(_JACKKNIFE_BATCHES, dtype=np.int64)
     refreshes = 0
-    for m, steps in enumerate(refresh_steps):
+    for m, segs in enumerate(segments):
         w = prefix[first[m]]
-        # on a refresh step the environment changes and the walker holds;
-        # environment k walks the steps between refreshes k and k + 1
-        for r, end in zip(steps, steps[1:] + [t]):
-            if end - r > 1:
-                w = propagate(w, _kernel(seq, next(walked)), end - r - 1,
-                              monitor, budget)
-        refreshes += len(steps)
+        # zip takes from segs first, so walked gives up len(segs) streams
+        for (length, _), stream in zip(segs, walked):
+            w = propagate(w, _kernel(seq, stream), length, monitor, budget)
+        refreshes += len(refresh_steps[m])
         total += w
         b = m % _JACKKNIFE_BATCHES
         batch_sums[b] += w
@@ -737,16 +743,16 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
 
     Small environments run in batches of B = _BATCH_ENTRIES // (S * m)
     for S starts while m <= _BATCH_MAX_EDGES, each sampled on its own
-    stream lane, keyed per batch in one ``RngStream.lanes`` pass: a batch
-    is one block-diagonal kernel, and every (environment, start) law
-    moves by one product per step.  Otherwise
+    stream lane: a batch is one block-diagonal kernel, and every
+    (environment, start) law moves by one product per step.  Otherwise
     (B = 0 or a larger m) each environment walks alone, one SpMV per
     start.  Laws are reduced environment by environment in replicate
     order, so the result does not depend on B.  One item (an environment
     or a batch) is in flight at a time.  An environment walked alone
     holds |t_grid| * S * n floats of laws; a batch holds B * m kernel
     entries and B * (|t_grid| + 4) * S * n floats of laws and transient
-    blocks, where B * S * n <= _BATCH_ENTRIES / 2 as m >= 2n.
+    blocks, where B * S * n <= _BATCH_ENTRIES / 2 as m >= 2n.  Environment
+    streams are keyed _KEY_CHUNK at a time by ``RngStream.lanes``.
     """
     ts = sorted(set(int(t) for t in t_grid))
     if not ts or ts[0] < 0:
@@ -762,14 +768,15 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     size = _BATCH_ENTRIES // (width * seq.m)
     alone = size == 0 or seq.m > _BATCH_MAX_EDGES
     size = 1 if alone else size
-    batches = (range(lo, min(lo + size, samples))
-               for lo in range(0, samples, size))
+    streams = chain.from_iterable(
+        base.lanes(_LANE_ENV_A, range(lo, min(lo + _KEY_CHUNK, samples)))
+        for lo in range(0, samples, _KEY_CHUNK))
+    batches = (list(islice(streams, size)) for _ in range(0, samples, size))
     monitor = MassMonitor()
 
-    def one(batch: range):
+    def one(batch: List[RngStream]):
         kernel = kernel_from_digraph(*(
-            sample_digraph(seq, stream)
-            for stream in base.lanes(_LANE_ENV_A, batch)))
+            sample_digraph(seq, stream) for stream in batch))
         b = len(batch)
         laws = np.empty((b, len(ts), width, n))
         if alone:

@@ -21,8 +21,8 @@ from OS entropy, which costs more than the one it replaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -125,9 +125,10 @@ class _PhiloxKey(ISeedSequence):
 class RngStream:
     root_seed: int
     stream_index: int = 0
-    # the stream's Philox key when ``lanes`` derived it; not a field, so a
-    # stream is its (root_seed, stream_index) either way
-    key: ClassVar[Optional[np.ndarray]] = None
+    # the stream's Philox key when ``lanes`` derived it; a stream compares,
+    # hashes and prints as its (root_seed, stream_index) either way
+    key: Optional[np.ndarray] = field(default=None, compare=False,
+                                      repr=False)
 
     def __post_init__(self):
         if self.root_seed < 0 or self.stream_index < 0:
@@ -157,20 +158,12 @@ class RngStream:
 
         Offsets are checked and every key derived before this returns; it
         then holds ks and 16 bytes of key per stream, and builds each
-        stream when the iteration reaches it.  A single offset takes
-        ``lane``'s path, which is faster for one stream than a pass.
+        stream when the iteration reaches it.
         """
         offsets = np.asarray(ks)
         if offsets.size and not (0 <= offsets.min() and offsets.max() < LANE):
             raise BadRange("lane offsets outside [0, 2**32)")
-        if offsets.size == 1:
-            return iter([self.lane(which, int(offsets.flat[0]))])
         keys = lane_keys(self.root_seed, which, offsets)
         start = which * LANE
-        return (_keyed(RngStream(self.root_seed, start + int(k)), key)
+        return (RngStream(self.root_seed, start + int(k), key)
                 for k, key in zip(ks, keys))
-
-
-def _keyed(stream: RngStream, key: np.ndarray) -> RngStream:
-    object.__setattr__(stream, "key", key)   # frozen, and not a field
-    return stream

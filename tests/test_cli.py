@@ -483,8 +483,14 @@ def run_error(args, capsys):
     return code
 
 
-def test_closed_stdout_ends_in_one_error_line(tmp_path):
-    # stdout is a pipe whose read end is closed before the run prints
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_ends_in_one_error_line(tmp_path, unbuffered):
+    # stdout is a pipe whose read end is closed before the run prints; a
+    # pipe is block-buffered unless PYTHONUNBUFFERED is set
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -492,7 +498,7 @@ def test_closed_stdout_ends_in_one_error_line(tmp_path):
             [sys.executable, "-m", "mixlab.cli", "q-estimate",
              "--generator", "eulerian:3x20", "--out-dir", str(tmp_path)],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
-            env=_child_env(), timeout=120)
+            env=env, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 1

@@ -381,6 +381,22 @@ def test_annealed_batches_equal_per_environment_loop(monkeypatch, n_starts,
             monitor.renormalizations
 
 
+@pytest.mark.parametrize("batch_entries", [1080, 1])
+def test_annealed_key_chunks_equal_per_environment_loop(monkeypatch,
+                                                        batch_entries):
+    # keying 7 environment streams at a time splits batches of 5 and 15
+    # and lone environments across keying passes; every stream stays
+    monkeypatch.setattr(experiments, "_KEY_CHUNK", 7)
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
+    seq = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
+    for starts in ([4], [4, 0, 4]):
+        cfg = cfg_for(seq, env_samples=37, start_vertices=starts)
+        report = annealed_check(cfg, (0, 3, 1))
+        rows, worst_start, _ = annealed_per_environment_loop(cfg, (0, 3, 1))
+        assert [(r.estimate, r.std_err) for r in report.rows] == rows
+        assert report.metadata["worst_start"] == worst_start
+
+
 def _annealed_peak_bytes(cfg, t_grid=(1,)):
     tracemalloc.start()
     try:

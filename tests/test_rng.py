@@ -118,9 +118,8 @@ def test_keyed_stream_is_the_lane_stream():
         assert keyed == plain and hash(keyed) == hash(plain)
         assert repr(keyed) == repr(plain)
         assert type(keyed.stream_index) is int
-    # a single offset takes lane()'s path
     (single,) = s.lanes(2, [4])
-    assert single == s.lane(2, 4) and single.key is None
+    assert single == s.lane(2, 4) and single.key is not None
 
 
 def test_digraph_from_a_keyed_stream_records_its_seed():
