@@ -32,8 +32,8 @@ from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          WidespreadStats, estimate_stationary_gap,
                          solve_replicates, stationary_distribution,
                          widespread_stats)
-from .walk import (MassMonitor, OperationBudget, Trajectory, TransitionKernel,
-                   delta_at, double_row, kernel_from_digraph, path_log_weight,
+from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
+                   double_row, kernel_from_digraph, path_log_weight,
                    path_log_weights, propagate, sample_paths,
                    sample_trajectory, time_averaged_row, time_averaged_rows)
 

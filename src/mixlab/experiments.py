@@ -10,6 +10,7 @@ and reported, never accepted as an input.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import List, Optional, Sequence, Union
@@ -17,7 +18,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .core import (DegreeSequence, entropic_scale, in_degree_distribution,
-                   mean_std_err, tv_distance)
+                   integer_array, mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
                      NotConverged)
 from .report import ExperimentReport, ReportRow
@@ -25,7 +26,7 @@ from .rng import RngStream
 from .sampler import sample_digraph
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
-from .walk import (MassMonitor, OperationBudget, TransitionKernel, delta_at,
+from .walk import (OperationBudget, TransitionKernel, delta_at,
                    kernel_from_digraph, path_log_weights, propagate,
                    sample_paths, time_averaged_rows)
 
@@ -265,29 +266,65 @@ def _kernel(seq: DegreeSequence, stream: RngStream) -> TransitionKernel:
     return kernel_from_digraph(sample_digraph(seq, stream))
 
 
+def _ledger(budget: Optional[OperationBudget]) -> OperationBudget:
+    """budget, or for a call without one a ledger no run can exhaust."""
+    return OperationBudget(sys.float_info.max) if budget is None else budget
+
+
 def _laws_at(v: np.ndarray, kernel: TransitionKernel, times: Sequence[int],
-             monitor: MassMonitor, budget: Optional[OperationBudget]):
+             ledger: OperationBudget):
     """Yield (t, v P^t) for sorted times, one propagate per gap; v is a law
     or a block of laws."""
     cur = 0
     for t in times:
-        v = propagate(v, kernel, t - cur, monitor, budget)
+        v = propagate(v, kernel, t - cur, ledger)
         cur = t
         yield t, v
 
 
 def _meta(name: str, cfg: ExperimentConfig,
-          monitor: Optional[MassMonitor] = None, scale=None, **extra) -> dict:
+          ledger: Optional[OperationBudget] = None, scale=None,
+          **extra) -> dict:
     """Sidecar keys every experiment shares, then its own ``extra`` keys."""
     meta = {"experiment": name, "n": cfg.seq.n,
             "model": cfg.seq.model.value, "root_seed": cfg.root_seed}
     if scale is not None:
         meta.update(entropy=scale.entropy, entropic_time=scale.entropic_time)
-    if monitor is not None:
-        meta.update(renormalizations=monitor.renormalizations,
-                    max_drift=monitor.max_drift)
+    if ledger is not None:
+        meta.update(renormalizations=ledger.renormalizations,
+                    max_drift=ledger.max_drift)
     meta.update(extra)
     return meta
+
+
+def _beta_times(cfg: ExperimentConfig, time_of):
+    """The beta grid and its grid times floor(time_of(beta))."""
+    if not cfg.beta_grid:
+        raise BadValue("beta_grid must be nonempty")
+    betas = list(cfg.beta_grid)
+    return betas, [_floor_time(time_of(b)) for b in betas]
+
+
+def _curve(betas, ts, per_rep, theory, jump=None, n_effective=None,
+           gap_err=0.0):
+    """A beta-curve's rows and its per_beta_replicate_values, in one pass.
+
+    per_rep holds one {t: value} per replicate; the row at beta reads time
+    t, against theory(beta).  Rows within FLAG_MARGIN of jump are flagged,
+    and gap_err * exp(-beta) adds to each std_err in quadrature.
+    """
+    rows, values = [], {}
+    for beta, t in zip(betas, ts):
+        values[str(beta)] = reps = [rep[t] for rep in per_rep]
+        mean, err = mean_std_err(reps)
+        rows.append(ReportRow(
+            abscissa=beta, estimate=min(mean, 1.0),
+            std_err=float(math.hypot(err, gap_err * math.exp(-beta))),
+            theory=theory(beta),
+            n_effective=len(per_rep) if n_effective is None else n_effective,
+            flagged=jump is not None and abs(beta - jump) < FLAG_MARGIN,
+        ))
+    return rows, values
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +338,24 @@ def static_cutoff_profile(cfg: ExperimentConfig,
     One environment per replicate; the estimate column is the replicate
     mean of max-over-starts TV, against the step profile 1(beta < 1).
     """
-    if not cfg.beta_grid:
-        raise BadValue("beta_grid must be nonempty")
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
-    betas = list(cfg.beta_grid)
-    ts = [_floor_time(b * scale.entropic_time) for b in betas]
+    betas, ts = _beta_times(cfg, lambda b: b * scale.entropic_time)
     t_unique = sorted(set(ts))
     starts, mode = resolve_starts(cfg)
     base = RngStream(cfg.root_seed)
-    monitor = MassMonitor()
+    ledger = _ledger(budget)
 
     def one(r: int):
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, r))
-        pi = _stationary(kernel, cfg, mu, budget)
+        pi = _stationary(kernel, cfg, mu, ledger)
         if pi is None:
             return None
         worst = dict.fromkeys(t_unique, 0.0)
         for x in starts:
-            laws = _laws_at(delta_at(x, seq.n), kernel, t_unique, monitor,
-                            budget)
-            for t, v in laws:
+            for t, v in _laws_at(delta_at(x, seq.n), kernel, t_unique,
+                                 ledger):
                 worst[t] = max(worst[t], tv_distance(v, pi))
         return worst
 
@@ -330,21 +363,13 @@ def static_cutoff_profile(cfg: ExperimentConfig,
         _parallel_map(one, range(cfg.env_samples)),
         "no stationary solve converged")
 
-    rows = []
-    for beta, t in zip(betas, ts):
-        mean, err = mean_std_err([w[t] for w in per_rep])
-        rows.append(ReportRow(
-            abscissa=beta, estimate=mean, std_err=err,
-            theory=1.0 if beta < 1.0 else 0.0,
-            n_effective=len(per_rep),
-            flagged=abs(beta - 1.0) < FLAG_MARGIN,
-        ))
+    rows, values = _curve(betas, ts, per_rep,
+                          lambda b: 1.0 if b < 1.0 else 0.0, jump=1.0)
     meta = _meta(
-        "static-cutoff", cfg, monitor, scale,
+        "static-cutoff", cfg, ledger, scale,
         times=ts, start_mode=mode, start_count=len(starts),
         replicates=len(per_rep), solve_failures=failures,
-        per_beta_replicate_values={str(b): [w[t] for w in per_rep]
-                                   for b, t in zip(betas, ts)})
+        per_beta_replicate_values=values)
     return ExperimentReport("static-cutoff", rows, meta)
 
 
@@ -370,29 +395,27 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
     t = _floor_time(beta * scale.entropic_time)
-    s_grid = [int(s) for s in cfg.s_grid]
+    s_grid = integer_array(cfg.s_grid, "s_grid").tolist()
     for s in s_grid:
         if not 0 <= s <= t:
             raise BadRange(f"switch time {s} outside [0, {t}]")
     s_sorted = sorted(set(s_grid))
     starts, mode = resolve_starts(cfg)
     base = RngStream(cfg.root_seed)
-    monitor = MassMonitor()
+    ledger = _ledger(budget)
 
     def one(r: int):
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, r))
         k_eta = _kernel(seq, base.lane(_LANE_ENV_B, r))
-        pi_eta = _stationary(k_eta, cfg, mu, budget)
+        pi_eta = _stationary(k_eta, cfg, mu, ledger)
         if pi_eta is None:
             return None
         lo = dict.fromkeys(s_sorted, math.inf)
         hi = dict.fromkeys(s_sorted, 0.0)
         for x in starts:
-            laws = _laws_at(delta_at(x, seq.n), k_sigma, s_sorted, monitor,
-                            budget)
-            for s, v in laws:
-                d = tv_distance(propagate(v, k_eta, t - s, monitor, budget),
-                                pi_eta)
+            for s, v in _laws_at(delta_at(x, seq.n), k_sigma, s_sorted,
+                                 ledger):
+                d = tv_distance(propagate(v, k_eta, t - s, ledger), pi_eta)
                 lo[s] = min(lo[s], d)
                 hi[s] = max(hi[s], d)
         return lo, hi
@@ -412,7 +435,7 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
             n_effective=len(per_rep),
         ))
     meta = _meta(
-        "double-cutoff", cfg, monitor, scale, beta=beta, t=t,
+        "double-cutoff", cfg, ledger, scale, beta=beta, t=t,
         statistic="min_over_starts" if use_min else "max_over_starts",
         start_mode=mode, start_count=len(starts),
         replicates=len(per_rep), solve_failures=failures,
@@ -449,8 +472,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     which removes an O(alpha) bias at the alphas a desk run can afford.
     """
     alpha = cfg.require_alpha()
-    if not cfg.beta_grid:
-        raise BadValue("beta_grid must be nonempty")
+    betas, ts = _beta_times(cfg, lambda b: b / alpha)
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
@@ -458,31 +480,28 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     regime = pick_regime(gh)
     curve = {"0": "joint_gamma0", "inf": "joint_gammainf",
              "general": "joint_general"}[regime]
-    betas = list(cfg.beta_grid)
-    ts = [_floor_time(b / alpha) for b in betas]
-    t_of = dict(zip(betas, ts))  # a repeated beta is estimated once
+    t_unique = sorted(set(ts))  # a time shared by betas is estimated once
     t_rows = [t for t in ts if t > 0]
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
     _pair(len(starts) - 1, cfg.env_samples - 1)
     base = RngStream(cfg.root_seed)
-    monitor = MassMonitor()
+    ledger = _ledger(budget)
     used_total = [0] * len(starts)
 
     def one(item):
         i, x = item
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, i))
-        sums = {b: 0.0 for b in betas}
+        sums = dict.fromkeys(t_unique, 0.0)
         used = 0
         for j in range(cfg.env_samples):
             k_eta = _kernel(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
-            pi_eta = _stationary(k_eta, cfg, mu, budget)
+            pi_eta = _stationary(k_eta, cfg, mu, ledger)
             if pi_eta is None:
                 continue
             used += 1
             # every grid time's row from one pass up to the largest
-            rows = time_averaged_rows(x, t_rows, k_sigma, k_eta, monitor,
-                                      budget)
-            for beta, t in t_of.items():
+            rows = time_averaged_rows(x, t_rows, k_sigma, k_eta, ledger)
+            for t in t_unique:
                 survive, refresh_once = _joint_coefficients(alpha, t)
                 stay_weight = survive + refresh_once
                 if t == 0:
@@ -490,31 +509,25 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
                 else:
                     l1 = float(np.abs(refresh_once * rows[t]
                                       - stay_weight * pi_eta).sum())
-                sums[beta] += 0.5 * (survive + l1)
+                sums[t] += 0.5 * (survive + l1)
         used_total[i] = used
-        return {b: sums[b] / used for b in betas} if used else None
+        return {t: sums[t] / used for t in t_unique} if used else None
 
     per_rep, _ = _converged(
         _parallel_map(one, enumerate(starts)),
         "every replicate lost all its environments")
 
-    rows = []
-    for beta in betas:
-        mean, err = mean_std_err([est[beta] for est in per_rep])
-        rows.append(ReportRow(
-            abscissa=beta, estimate=min(mean, 1.0), std_err=err,
-            theory=theory_curve(curve, beta, gamma=gh),
-            n_effective=len(per_rep) * cfg.env_samples,
-            flagged=(curve == "joint_general" and abs(beta - gh) < FLAG_MARGIN),
-        ))
+    rows, values = _curve(
+        betas, ts, per_rep, lambda b: theory_curve(curve, b, gamma=gh),
+        jump=gh if curve == "joint_general" else None,
+        n_effective=len(per_rep) * cfg.env_samples)
     meta = _meta(
-        "joint", cfg, monitor, scale,
+        "joint", cfg, ledger, scale,
         alpha=alpha, gamma_hat=gh, regime=regime, curve=curve,
         times=ts, start_mode=mode, starts=starts,
         replicates=len(per_rep), env_samples=cfg.env_samples,
         env_skipped=len(starts) * cfg.env_samples - sum(used_total),
-        per_beta_replicate_values={str(b): [est[b] for est in per_rep]
-                                   for b in betas})
+        per_beta_replicate_values=values)
     return ExperimentReport("joint", rows, meta)
 
 
@@ -539,24 +552,19 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     if time_scale not in TIME_SCALES:
         raise BadValue(f"time_scale must be one of {TIME_SCALES}, "
                        f"got {time_scale!r}")
-    if not cfg.beta_grid:
-        raise BadValue("beta_grid must be nonempty")
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
     gh = gamma_hat(cfg)
     regime = pick_regime(gh)
-    betas = list(cfg.beta_grid)
     if time_scale == "regeneration":
-        ts = [_floor_time(b / alpha) for b in betas]
-    else:
-        ts = [_floor_time(b * scale.entropic_time) for b in betas]
-
-    if time_scale == "entropic":
-        curve = "static_profile"
-    else:
+        betas, ts = _beta_times(cfg, lambda b: b / alpha)
         curve = {"0": "marginal_gamma0", "inf": "marginal_gammainf",
                  "general": "marginal_general"}[regime]
+    else:
+        betas, ts = _beta_times(cfg, lambda b: b * scale.entropic_time)
+        curve = "static_profile"
+    ledger = _ledger(budget)
     # stationary gap between the in-law and the true stationary law:
     # exactly zero for Eulerian matchings, estimated otherwise
     gap, gap_err, gap_meta = None, 0.0, {}
@@ -565,7 +573,7 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
             gap = 0.0
             gap_meta = {"q_hat": 0.0, "q_std_err": 0.0, "q_exact": True}
         else:
-            gr = _gap(cfg, gap_replicates, budget)
+            gr = _gap(cfg, gap_replicates, ledger)
             gap = gr.gap
             gap_err = gr.std_err
             gap_meta = {"q_hat": gr.gap, "q_std_err": gr.std_err,
@@ -576,35 +584,26 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
     base = RngStream(cfg.root_seed)
     t_sorted = sorted(set(ts))
-    monitor = MassMonitor()
 
     def one(item):
         i, x = item
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
-        laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, monitor, budget)
+        laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, ledger)
         return {t: (1.0 - alpha) ** t * tv_distance(v, mu) for t, v in laws}
 
     per_rep = list(_parallel_map(one, enumerate(starts)))
 
     # the curve's jump, if it has one, flags the grid points next to it
-    jump = {"marginal_general": gh, "static_profile": 1.0}.get(curve)
-    rows = []
-    for beta, t in zip(betas, ts):
-        mean, err = mean_std_err([out[t] for out in per_rep])
-        rows.append(ReportRow(
-            abscissa=beta, estimate=mean,
-            std_err=float(math.hypot(err, gap_err * math.exp(-beta))),
-            theory=theory_curve(curve, beta, gamma=gh, gap=gap),
-            n_effective=len(per_rep),
-            flagged=jump is not None and abs(beta - jump) < FLAG_MARGIN,
-        ))
+    rows, values = _curve(
+        betas, ts, per_rep,
+        lambda b: theory_curve(curve, b, gamma=gh, gap=gap),
+        jump={"marginal_general": gh, "static_profile": 1.0}.get(curve),
+        gap_err=gap_err)
     meta = _meta(
-        "marginal", cfg, monitor, scale,
+        "marginal", cfg, ledger, scale,
         alpha=alpha, gamma_hat=gh, regime=regime, curve=curve,
         time_scale=time_scale, times=ts, start_mode=mode, starts=starts,
-        replicates=len(per_rep),
-        per_beta_replicate_values={str(b): [out[t] for out in per_rep]
-                                   for b, t in zip(betas, ts)},
+        replicates=len(per_rep), per_beta_replicate_values=values,
         **gap_meta)
     return ExperimentReport("marginal", rows, meta)
 
@@ -618,8 +617,6 @@ class CrosscheckResult:
     std_err: float
     schedules: int
     mean_refreshes: float
-    renormalizations: int = 0
-    max_drift: float = 0.0
 
 
 def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
@@ -655,7 +652,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     x = resolve_starts(cfg, exhaustive_small=False)[0][0]
     base = RngStream(cfg.root_seed)
     k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
-    monitor = MassMonitor()
+    ledger = _ledger(budget)
 
     # schedule m draws its refresh steps on lane offset _pair(m, 0)
     refresh_steps = [
@@ -675,7 +672,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     walked = base.lanes(_LANE_SCHED,
                         [k for segs in segments for _, k in segs])
     prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
-                           sorted(set(first) | {t}), monitor, budget))
+                           sorted(set(first) | {t}), ledger))
 
     # deterministic side: no refresh happens with weight (1-alpha)^t and
     # conditional law P_sigma^t(x, .); sampling marginalizes the rest
@@ -689,7 +686,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
         w = prefix[first[m]]
         # zip takes from segs first, so walked gives up len(segs) streams
         for (length, _), stream in zip(segs, walked):
-            w = propagate(w, _kernel(seq, stream), length, monitor, budget)
+            w = propagate(w, _kernel(seq, stream), length, ledger)
         refreshes += len(refresh_steps[m])
         total += w
         b = m % _JACKKNIFE_BATCHES
@@ -704,9 +701,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                               * float(((loo - loo.mean()) ** 2).sum())))
     return CrosscheckResult(t=t, exact=exact, sampled=sampled,
                             std_err=std_err, schedules=schedule_samples,
-                            mean_refreshes=refreshes / schedule_samples,
-                            renormalizations=monitor.renormalizations,
-                            max_drift=monitor.max_drift)
+                            mean_refreshes=refreshes / schedule_samples)
 
 
 def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
@@ -714,14 +709,13 @@ def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
                                budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Curve-shaped wrapper: the theory column carries the deterministic
     estimate the sampled one must hit."""
-    res = marginal_mc_crosscheck(cfg, t, schedule_samples, budget=budget)
+    ledger = _ledger(budget)
+    res = marginal_mc_crosscheck(cfg, t, schedule_samples, budget=ledger)
     row = ReportRow(abscissa=float(res.t), estimate=res.sampled,
                     std_err=res.std_err, theory=res.exact,
                     n_effective=res.schedules)
     meta = _meta(
-        "marginal-crosscheck", cfg,
-        MassMonitor(res.renormalizations, res.max_drift),
-        alpha=cfg.alpha, t=res.t,
+        "marginal-crosscheck", cfg, ledger, alpha=cfg.alpha, t=res.t,
         schedules=res.schedules, mean_refreshes=res.mean_refreshes,
         deterministic_estimate=res.exact, sampled_estimate=res.sampled,
         abs_gap=abs(res.sampled - res.exact))
@@ -754,7 +748,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     blocks, where B * S * n <= _BATCH_ENTRIES / 2 as m >= 2n.  Environment
     streams are keyed _KEY_CHUNK at a time by ``RngStream.lanes``.
     """
-    ts = sorted(set(int(t) for t in t_grid))
+    ts = sorted(set(integer_array(t_grid, "t_grid").tolist()))
     if not ts or ts[0] < 0:
         raise BadValue("t_grid must hold nonnegative integers")
     seq = cfg.seq
@@ -772,7 +766,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
         base.lanes(_LANE_ENV_A, range(lo, min(lo + _KEY_CHUNK, samples)))
         for lo in range(0, samples, _KEY_CHUNK))
     batches = (list(islice(streams, size)) for _ in range(0, samples, size))
-    monitor = MassMonitor()
+    ledger = _ledger(budget)
 
     def one(batch: List[RngStream]):
         kernel = kernel_from_digraph(*(
@@ -782,15 +776,13 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
         if alone:
             for xi, x in enumerate(starts):
                 for ti, (_, w) in enumerate(
-                        _laws_at(delta_at(x, n), kernel, ts, monitor,
-                                 budget)):
+                        _laws_at(delta_at(x, n), kernel, ts, ledger)):
                     laws[0, ti, xi] = w
             return laws
         v = np.zeros((b, n, width))
         v[:, starts, np.arange(width)] = 1.0    # delta_x in every block
         for ti, (_, w) in enumerate(
-                _laws_at(v.reshape(b * n, width), kernel, ts, monitor,
-                         budget)):
+                _laws_at(v.reshape(b * n, width), kernel, ts, ledger)):
             laws[:, ti] = w.reshape(b, n, width).transpose(0, 2, 1)
         return laws
 
@@ -815,7 +807,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
             abscissa=float(t), estimate=float(dists[worst]), std_err=err,
             theory=0.0, n_effective=samples,
         ))
-    meta = _meta("annealed", cfg, monitor, times=ts, env_samples=samples,
+    meta = _meta("annealed", cfg, ledger, times=ts, env_samples=samples,
                  start_mode=mode, start_count=len(starts),
                  worst_start=worst_start)
     return ExperimentReport("annealed", rows, meta)

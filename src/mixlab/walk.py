@@ -1,13 +1,14 @@
 """Transition kernels and everything that moves mass through them.
 
 Propagation is P^T times a dense vector, with mass drift watched at 1e-9
-and every renormalization counted rather than hidden.  A digraph kernel
-therefore builds P^T, in O(m) on first use, with one entry of weight
-1/out-degree per edge: parallel edges stay separate entries and self-loops
-sit on the diagonal.  P^T is the one matrix a kernel stores; P is a
-zero-copy view of it.  Digraphs on one degree sequence can share one
-block-diagonal kernel, through which propagate moves a whole (n, k) block
-of laws by one product per step.
+and every renormalization counted rather than hidden, in the run's one
+ledger: the ``OperationBudget`` that also holds its work cap and charge.
+A digraph kernel therefore builds P^T, in O(m) on first use, with one
+entry of weight 1/out-degree per edge: parallel edges stay separate
+entries and self-loops sit on the diagonal.  P^T is the one matrix a
+kernel stores; P is a zero-copy view of it.  Digraphs on one degree
+sequence can share one block-diagonal kernel, through which propagate
+moves a whole (n, k) block of laws by one product per step.
 
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
@@ -34,10 +35,12 @@ from .sampler import Digraph
 
 
 class OperationBudget:
-    """Caps scalar multiply-add work for a run: ``propagate``,
+    """A run's ledger: the cap on scalar multiply-add work, the work charged
+    so far (``used``) and the tally of mass drift.  ``propagate``,
     ``time_averaged_rows`` and ``stationary_distribution`` charge every
-    product or solver iteration before it runs.  A run charges it from
-    one thread, replicate after replicate, so it takes no lock."""
+    product or solver iteration before it runs; every propagation step
+    records its drift.  A run charges it from one thread, replicate after
+    replicate, so it takes no lock."""
 
     DEFAULT_CAP = 5e10
 
@@ -46,6 +49,8 @@ class OperationBudget:
             raise BadValue(f"budget cap must be positive and finite, got {cap}")
         self.cap = float(cap)
         self.used = 0.0
+        self.renormalizations = 0
+        self.max_drift = 0.0
 
     def charge(self, ops: float) -> None:
         if self.used + ops > self.cap:
@@ -54,14 +59,6 @@ class OperationBudget:
                 f"{self.used + ops:.3g} > {self.cap:.3g}"
             )
         self.used += ops
-
-
-@dataclass
-class MassMonitor:
-    """Tally of propagation drift events; one per run, fed by every replicate."""
-
-    renormalizations: int = 0
-    max_drift: float = 0.0
 
     def record(self, drift: float, renormalized: int) -> None:
         """Note a step's largest drift and how many vectors it
@@ -186,7 +183,7 @@ def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
 
 
 def _renormalized(v: np.ndarray,
-                  monitor: Optional[MassMonitor]) -> np.ndarray:
+                  budget: Optional[OperationBudget]) -> np.ndarray:
     """v, divided by its mass when that drifted from 1 by more than DIST_TOL.
 
     A NaN mass would pass the drift test and poison every later step
@@ -198,18 +195,18 @@ def _renormalized(v: np.ndarray,
     renorm = drift > DIST_TOL
     if renorm:
         v = v / s
-    if monitor is not None:
-        monitor.record(drift, renorm)
+    if budget is not None:
+        budget.record(drift, renorm)
     return v
 
 
 def _step(v: np.ndarray, kernel: TransitionKernel,
-          monitor: Optional[MassMonitor]) -> np.ndarray:
-    return _renormalized(kernel.transpose @ v, monitor)
+          budget: Optional[OperationBudget]) -> np.ndarray:
+    return _renormalized(kernel.transpose @ v, budget)
 
 
 def _block_step(v: np.ndarray, kernel: TransitionKernel,
-                monitor: Optional[MassMonitor]) -> np.ndarray:
+                budget: Optional[OperationBudget]) -> np.ndarray:
     """_step for a (kernel.n, k) block: each kernel block's part of each
     column is one distribution, checked and renormalized on its own."""
     w = kernel.transpose @ v
@@ -223,13 +220,12 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
     renorm = drift > DIST_TOL
     if renorm.any():
         laws[renorm] /= sums[renorm][:, None]
-    if monitor is not None:
-        monitor.record(float(drift.max(initial=0.0)), int(renorm.sum()))
+    if budget is not None:
+        budget.record(float(drift.max(initial=0.0)), int(renorm.sum()))
     return w
 
 
 def propagate(dist, kernel: TransitionKernel, steps: int,
-              monitor: Optional[MassMonitor] = None,
               budget: Optional[OperationBudget] = None) -> np.ndarray:
     """Push a distribution ``steps`` whole steps forward.
 
@@ -256,7 +252,7 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
     v = v.copy()
     step = _step if v.ndim == 1 else _block_step
     for _ in range(steps):
-        v = step(v, kernel, monitor)
+        v = step(v, kernel, budget)
     return v
 
 
@@ -270,20 +266,18 @@ def delta_at(x: int, n: int) -> np.ndarray:
 
 def double_row(x: int, s: int, t: int, k_sigma: TransitionKernel,
                k_eta: TransitionKernel,
-               monitor: Optional[MassMonitor] = None,
                budget: Optional[OperationBudget] = None) -> np.ndarray:
     """Law after s steps in one environment then t - s in another."""
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
     if not 0 <= s <= t:
         raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
-    v = propagate(delta_at(x, k_sigma.n), k_sigma, s, monitor, budget)
-    return propagate(v, k_eta, t - s, monitor, budget)
+    v = propagate(delta_at(x, k_sigma.n), k_sigma, s, budget)
+    return propagate(v, k_eta, t - s, budget)
 
 
 def time_averaged_rows(x: int, times: Sequence[int],
                        k_sigma: TransitionKernel, k_eta: TransitionKernel,
-                       monitor: Optional[MassMonitor] = None,
                        budget: Optional[OperationBudget] = None) -> dict:
     """``{t: time_averaged_row(x, t, ...)}`` for every t in times, in one pass.
 
@@ -311,15 +305,14 @@ def time_averaged_rows(x: int, times: Sequence[int],
             acc = tmat @ acc
         acc += u
         if s in wanted:
-            rows[s] = _renormalized(acc / float(s), monitor)
+            rows[s] = _renormalized(acc / float(s), budget)
         if s < t_max:
-            u = _step(u, k_sigma, monitor)
+            u = _step(u, k_sigma, budget)
     return rows
 
 
 def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
                       k_eta: TransitionKernel,
-                      monitor: Optional[MassMonitor] = None,
                       budget: Optional[OperationBudget] = None) -> np.ndarray:
     """Average over switch times s = 1..t of the two-environment rows.
 
@@ -329,7 +322,7 @@ def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
     kernel applications and O(n) memory.  This is the single-t case of
     ``time_averaged_rows``, which serves a whole grid of t from one pass.
     """
-    return time_averaged_rows(x, (t,), k_sigma, k_eta, monitor, budget)[t]
+    return time_averaged_rows(x, (t,), k_sigma, k_eta, budget)[t]
 
 
 @dataclass(frozen=True, eq=False)

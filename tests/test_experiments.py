@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from mixlab import (ExperimentConfig, RngStream, annealed_check,
                     double_cutoff_sweep, entropic_scale, gamma_hat,
@@ -22,7 +23,8 @@ from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
                                 _pair, _parallel_map, resolve_starts)
 from mixlab.cli import degrees_from_generator
 from mixlab.core import ModelKind
-from mixlab.walk import MassMonitor, OperationBudget, delta_at, propagate
+from mixlab.walk import (OperationBudget, TransitionKernel, delta_at,
+                         propagate)
 
 
 REG3_120 = validate_degrees("dcm", [3] * 120, [3] * 120)
@@ -269,24 +271,55 @@ def test_stream_layout_limit_is_checked_before_sampling(monkeypatch, run):
         run(cfg)
 
 
-def test_joint_grid_rows_equal_single_beta_runs():
-    # one Horner pass serves the whole grid: beta 0 (t = 0), two betas on
-    # one time (t = 2) and a repeated beta must each give what a run of
-    # that beta alone gives, bit for bit
+# each beta-curve with its grid times for GRID on 3-regular n = 40
+# (t_ent = log 40 / log 3) at alpha = 0.25
+CURVE_RUNS = {
+    "static": (static_cutoff_profile, [3, 0, 1, 1, 5, 1]),
+    "joint": (joint_relaxation_curve, [4, 0, 2, 2, 6, 2]),
+    "marginal": (marginal_relaxation_curve, [4, 0, 2, 2, 6, 2]),
+}
+GRID = (1.0, 0.0, 0.5, 0.55, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_RUNS))
+def test_curve_grid_rows_equal_single_beta_runs(name):
+    # one pass serves the whole grid: beta 0 (t = 0), two betas on one
+    # time and a repeated beta must each give what a run of that beta
+    # alone gives, bit for bit
+    run, times = CURVE_RUNS[name]
     seq = validate_degrees("dcm", [3] * 40, [3] * 40)
-    grid = (1.0, 0.0, 0.5, 0.55, 1.5, 0.5)
-    runs = {b: joint_relaxation_curve(cfg_for(
-        seq, alpha=0.25, beta_grid=(b,), env_samples=3, start_vertices=3))
-        for b in grid}
-    report = joint_relaxation_curve(cfg_for(
-        seq, alpha=0.25, beta_grid=grid, env_samples=3, start_vertices=3))
-    assert report.metadata["times"] == [4, 0, 2, 2, 6, 2]
+
+    def report_of(grid):
+        return run(cfg_for(seq, alpha=0.25, beta_grid=grid, env_samples=3,
+                           start_vertices=3))
+
+    def fields(row):
+        return row.estimate, row.std_err, row.theory, row.flagged
+
+    report = report_of(GRID)
+    assert report.metadata["times"] == times
     per_beta = report.metadata["per_beta_replicate_values"]
-    for row, b in zip(report.rows, grid):
-        alone = runs[b]
+    for row, b in zip(report.rows, GRID):
+        alone = report_of((b,))
+        assert fields(row) == fields(alone.rows[0])
         assert per_beta[str(b)] == \
             alone.metadata["per_beta_replicate_values"][str(b)]
-        assert row.estimate == alone.rows[0].estimate
+
+
+def test_joint_rank_one_kernels_give_the_survival_mass(monkeypatch):
+    # with sigma = eta = 1 pi^T every averaged row at t >= 2 is pi_eta, so
+    # the refresh-once term cancels and the estimate is (1 - alpha)^t
+    seq = validate_degrees("dcm", [3] * 40, [3] * 40)
+    pi = np.random.default_rng(3).dirichlet(np.ones(seq.n))
+    rank_one = TransitionKernel(csr_matrix(np.outer(np.ones(seq.n), pi)))
+    monkeypatch.setattr(experiments, "_kernel", lambda seq, stream: rank_one)
+    alpha = 0.25
+    report = joint_relaxation_curve(cfg_for(
+        seq, alpha=alpha, beta_grid=(0.5, 1.0, 1.75, 3.0), env_samples=2,
+        start_vertices=3))
+    assert report.metadata["times"] == [2, 4, 7, 12]
+    for row, t in zip(report.rows, report.metadata["times"]):
+        assert row.estimate == pytest.approx((1 - alpha) ** t, abs=1e-12)
 
 
 def test_parallel_map_reads_at_most_one_item_ahead():
@@ -324,12 +357,12 @@ def test_annealed_single_step_is_noise_level():
 
 def annealed_per_environment_loop(cfg, t_grid):
     """annealed_check with one kernel and one propagate call per
-    (environment, start, time): rows, worst starts and monitor."""
+    (environment, start, time): rows, worst starts and ledger."""
     ts = sorted(set(t_grid))
     seq, samples = cfg.seq, cfg.env_samples
     starts, _ = resolve_starts(cfg)
     base = RngStream(cfg.root_seed)
-    monitor = MassMonitor()
+    ledger = OperationBudget()
     mean = np.zeros((len(ts), len(starts), seq.n))
     sq = np.zeros_like(mean)
     for j in range(samples):
@@ -338,7 +371,7 @@ def annealed_per_environment_loop(cfg, t_grid):
         for xi, x in enumerate(starts):
             v, cur = delta_at(x, seq.n), 0
             for ti, t in enumerate(ts):
-                v = propagate(v, kernel, t - cur, monitor)
+                v = propagate(v, kernel, t - cur, ledger)
                 cur = t
                 laws[ti, xi] = v
         mean += laws
@@ -353,7 +386,7 @@ def annealed_per_environment_loop(cfg, t_grid):
                          / (samples - 1), 0.0)
         rows.append((float(dists[worst]),
                      0.5 * float(np.sqrt(var / samples).sum())))
-    return rows, worst_start, monitor
+    return rows, worst_start, ledger
 
 
 @pytest.mark.parametrize("batch_entries",
@@ -373,12 +406,18 @@ def test_annealed_batches_equal_per_environment_loop(monkeypatch, n_starts,
         cfg = cfg_for(model_seq, env_samples=37,
                       start_vertices=[4, 0, 4][:n_starts])
         report = annealed_check(cfg, t_grid)
-        rows, worst_start, monitor = annealed_per_environment_loop(cfg, t_grid)
+        rows, worst_start, ledger = annealed_per_environment_loop(cfg, t_grid)
         assert [(r.estimate, r.std_err) for r in report.rows] == rows
         assert report.metadata["worst_start"] == worst_start
-        assert report.metadata["max_drift"] == monitor.max_drift
-        assert report.metadata["renormalizations"] == \
-            monitor.renormalizations
+        drift = (report.metadata["renormalizations"],
+                 report.metadata["max_drift"])
+        assert drift == (ledger.renormalizations, ledger.max_drift)
+        # a caller's budget is the ledger the sidecar reads
+        budget = OperationBudget()
+        with_budget = annealed_check(cfg, t_grid, budget=budget)
+        assert (with_budget.metadata["renormalizations"],
+                with_budget.metadata["max_drift"]) == drift
+        assert (budget.renormalizations, budget.max_drift) == drift
 
 
 @pytest.mark.parametrize("batch_entries", [1080, 1])
@@ -504,6 +543,22 @@ def test_double_cutoff_validates_switch_grid():
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(BadValue):
             double_cutoff_sweep(cfg, bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+def test_double_cutoff_refuses_a_non_integer_switch_time(bad):
+    cfg = cfg_for(REG3_120, s_grid=(0, bad), env_samples=2, start_vertices=3)
+    with pytest.raises(BadValue, match="s_grid"):
+        double_cutoff_sweep(cfg, 1.5)
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+def test_annealed_refuses_a_non_integer_time(bad):
+    # 1.5 would otherwise run as t = 1
+    cfg = cfg_for(REG3_120, env_samples=2, start_vertices=[0])
+    with pytest.raises(BadValue, match="t_grid"):
+        annealed_check(cfg, (1, bad))
+    assert annealed_check(cfg, (2.0,)).metadata["times"] == [2]
 
 
 def test_double_cutoff_statistic_depends_on_beta():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, issparse
 
-from mixlab import (MassMonitor, NotConverged, OperationBudget, RngStream,
+from mixlab import (NotConverged, OperationBudget, RngStream,
                     TransitionKernel, delta_at, digraph_from_json,
                     digraph_to_json, double_row, kernel_from_digraph,
                     path_log_weight, path_log_weights, propagate, sample_dcm,
@@ -23,6 +23,10 @@ def _graph_from_edges(out_edges, model="dcm"):
     doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": model,
            "out_edges": out_edges}
     return digraph_from_json(json.dumps(doc))
+
+
+def drift_tally(ledger):
+    return ledger.renormalizations, ledger.max_drift
 
 
 def random_kernel_pair(seed, n=8, d=3):
@@ -195,16 +199,16 @@ def test_block_propagate_equals_per_graph_propagate_bitwise():
         scale = rng.choice([0.1, 1 / n], size=(b, 1))
         block[:, :, 2] = rng.random((b, n)) * scale
         for steps in (0, 1, 5):
-            monitor = MassMonitor()
-            got = propagate(block.reshape(b * n, 3), k, steps, monitor)
-            want = MassMonitor()
+            ledger = OperationBudget()
+            got = propagate(block.reshape(b * n, 3), k, steps, ledger)
+            want = OperationBudget()
             for e, g in enumerate(graphs):
                 for j in range(3):
                     v = propagate(block[e, :, j], kernel_from_digraph(g),
                                   steps, want)
                     assert np.array_equal(got[e * n:(e + 1) * n, j], v)
-            assert monitor == want
-            assert (monitor.renormalizations > 0) == (steps > 0)
+            assert drift_tally(ledger) == drift_tally(want)
+            assert (ledger.renormalizations > 0) == (steps > 0)
 
 
 def test_block_propagate_charges_every_column():
@@ -295,10 +299,10 @@ def test_propagate_refuses_a_non_finite_mass(bad):
     _, _, k, _ = random_kernel_pair(2)
     v = delta_at(0, k.n)
     v[1] = bad
-    monitor = MassMonitor()
+    ledger = OperationBudget()
     with pytest.raises(BadValue):
-        propagate(v, k, 3, monitor)
-    assert monitor == MassMonitor()
+        propagate(v, k, 3, ledger)
+    assert drift_tally(ledger) == (0, 0.0)
 
 
 def test_block_propagate_refuses_a_non_finite_mass():
@@ -309,10 +313,10 @@ def test_block_propagate_refuses_a_non_finite_mass():
     block[0::n, 0] = 1.0
     block[1::n, 1] = 1.0
     block[k.n - 1, 1] = np.nan      # the last block's second column
-    monitor = MassMonitor()
+    ledger = OperationBudget()
     with pytest.raises(BadValue):
-        propagate(block, k, 3, monitor)
-    assert monitor == MassMonitor()
+        propagate(block, k, 3, ledger)
+    assert drift_tally(ledger) == (0, 0.0)
 
 
 TWO_STATE = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
@@ -324,10 +328,10 @@ TWO_STATE = TransitionKernel(csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]])))
 ], ids=["nan-0", "inf-0", "zero-0", "zero-1", "zero-3", "zero-block-1"])
 def test_propagate_refuses_a_zero_or_non_finite_law(law, steps):
     # zero steps check dist itself; a zero mass would be divided by 0
-    monitor = MassMonitor()
+    ledger = OperationBudget()
     with pytest.raises(BadValue):
-        propagate(np.array(law), TWO_STATE, steps, monitor)
-    assert monitor == MassMonitor()
+        propagate(np.array(law), TWO_STATE, steps, ledger)
+    assert drift_tally(ledger) == (0, 0.0)
 
 
 # NaN at one step or more: test_block_propagate_refuses_a_non_finite_mass
@@ -346,19 +350,21 @@ def test_block_propagate_refuses_a_zero_or_non_finite_law(bad, steps):
 
 
 def test_mass_conserved_over_long_runs():
-    monitor = MassMonitor()
+    ledger = OperationBudget()
     _, _, k, _ = random_kernel_pair(3)
-    v = propagate(delta_at(1, k.n), k, 200, monitor)
+    v = propagate(delta_at(1, k.n), k, 200, ledger)
     assert v.sum() == pytest.approx(1.0, abs=1e-9)
-    assert monitor.max_drift < 1e-9
+    assert ledger.max_drift < 1e-9
 
 
 def test_monitor_record_adds_renormalization_counts():
-    monitor = MassMonitor()
-    monitor.record(1e-12, False)
-    monitor.record(0.5, 3)
-    monitor.record(0.1, True)
-    assert monitor == MassMonitor(renormalizations=4, max_drift=0.5)
+    # the ledger's drift tally; recording charges no work
+    ledger = OperationBudget()
+    ledger.record(1e-12, False)
+    ledger.record(0.5, 3)
+    ledger.record(0.1, True)
+    assert drift_tally(ledger) == (4, 0.5)
+    assert ledger.used == 0.0
 
 
 def test_double_row_matches_dense_products():
