@@ -94,9 +94,11 @@ class DegreeSequence:
 
     @cached_property
     def head_slots(self) -> np.ndarray:
-        """Head vertex of each in-stub, stubs in head order (m, int64, DCM)."""
-        return _frozen(np.repeat(np.arange(self.n, dtype=np.int64),
-                                 self.in_degrees))
+        """Head vertex of each in-stub, stubs in head order (m, index
+        dtype, DCM)."""
+        return _frozen(np.repeat(
+            np.arange(self.n, dtype=index_dtype_for(self.m)),
+            self.in_degrees))
 
     @cached_property
     def inv_out_degrees(self) -> np.ndarray:

@@ -642,6 +642,8 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     walked environments, are keyed in one ``RngStream.lanes`` pass each.
     """
     alpha = cfg.require_alpha()
+    t, schedule_samples = integer_array(
+        [t, schedule_samples], "t and schedule_samples").tolist()
     if t < 0:
         raise BadValue("t must be nonnegative")
     if schedule_samples < _JACKKNIFE_BATCHES:
@@ -840,11 +842,13 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     [(1-eps) H t, (1+eps) H t] is returned along with the mean rate.
 
     Trajectories are walked in blocks of ``_PATH_BLOCK``, all paths of a
-    block stepped together on stream ``(_LANE_TRAJ, b)`` for block b, so
-    besides the two environments and their kernels the memory is the
-    traj_samples starts and log-weights plus one block's
-    ``_PATH_BLOCK * (t + 1)`` states.
+    block stepped together on stream ``(_LANE_TRAJ, b)`` for block b, and
+    weighed on the digraphs they walked; no kernel is built.  So besides
+    the two environments the memory is the traj_samples starts and
+    log-weights plus one block's ``_PATH_BLOCK * (t + 1)`` states.
     """
+    s, t, traj_samples = integer_array([s, t, traj_samples],
+                                       "s, t and traj_samples").tolist()
     if not 0 <= s <= t or t < 1:
         raise BadRange(f"need 0 <= s <= t with t >= 1, got s={s}, t={t}")
     if traj_samples < 1:
@@ -857,8 +861,6 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     base = RngStream(cfg.root_seed)
     g_sigma = sample_digraph(seq, base.lane(_LANE_ENV_A, 0))
     g_eta = sample_digraph(seq, base.lane(_LANE_ENV_B, 0))
-    k_sigma = kernel_from_digraph(g_sigma)
-    k_eta = kernel_from_digraph(g_eta)
 
     start_gen = base.lane(_LANE_STARTS).generator()
     xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
@@ -869,7 +871,7 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
             budget.charge(float(hi - lo) * t * seq.delta)
         states = sample_paths(xs[lo:hi], s, t, g_sigma, g_eta,
                               base.lane(_LANE_TRAJ, b))
-        log_weights[lo:hi] = path_log_weights(states, s, k_sigma, k_eta)
+        log_weights[lo:hi] = path_log_weights(states, s, g_sigma, g_eta)
 
     rates = -log_weights / t
     target = scale.entropy

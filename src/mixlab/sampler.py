@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DegreeSequence, ModelKind, integer_array, json_object,
-                   validate_degrees)
+from .core import (DegreeSequence, ModelKind, index_dtype_for, integer_array,
+                   json_object, validate_degrees)
 from .errors import BadRange, BadValue
 from .rng import RngStream
 
@@ -19,8 +19,9 @@ class Digraph:
     """A realized multigraph: ragged out-edge lists in flat CSR-like storage.
 
     ``heads[offsets[x]:offsets[x+1]]`` are the head vertices of x's out-edges,
-    with multiplicity, in sampling order.  Self-loops and parallel edges are
-    kept; the walk semantics need them.
+    with multiplicity, in sampling order, in the sequence's index dtype
+    (``index_dtype_for(m)``).  Self-loops and parallel edges are kept; the
+    walk semantics need them.
 
     ``head_stubs`` is the matching of a DCM sample: edge e (position e in
     ``heads``) took head stub ``head_stubs[e]``, stubs numbered in order of
@@ -43,7 +44,8 @@ class Digraph:
 
 def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
             head_stubs: Optional[np.ndarray] = None) -> Digraph:
-    heads = np.asarray(heads, dtype=np.int64)  # callers pass fresh arrays
+    # callers pass fresh arrays
+    heads = np.asarray(heads, dtype=index_dtype_for(seq.m))
     for arr in (heads, head_stubs):
         if arr is not None:
             arr.setflags(write=False)
@@ -73,7 +75,7 @@ def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
         raise BadValue("sample_ocm needs an OCM degree sequence")
     gen = stream.generator()
     degs = seq.out_degrees
-    heads = np.empty(seq.m, dtype=np.int64)
+    heads = np.empty(seq.m, dtype=index_dtype_for(seq.m))
     for d in np.unique(degs).tolist():
         rows = np.flatnonzero(degs == d)
         slots = seq.out_offsets[rows][:, None] + np.arange(d)

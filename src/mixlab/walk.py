@@ -13,7 +13,8 @@ moves a whole (n, k) block of laws by one product per step.
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
 returns their (N, t + 1) states; ``path_log_weights`` weighs every path
-with one scipy lookup ``P^T[y, x]`` per step.  ``sample_trajectory`` and
+on the digraphs it walked, reading each step's P(x, y) from x's out-list,
+so weighing builds no kernel.  ``sample_trajectory`` and
 ``path_log_weight`` are the one-row cases of these two.  A caller with
 many paths walks them in blocks, one stream per block, so it holds one
 block's states at a time.
@@ -76,9 +77,9 @@ class TransitionKernel:
     block-diagonal kernel whose block e, on vertices [e n, (e + 1) n), is
     the walk on the e-th digraph, so one product steps the whole batch.
     ``blocks`` counts them (1 for a matrix).  The kernel stores one
-    matrix, ``transpose`` (P^T, what propagation multiplies by and path
-    weights read): a digraph kernel builds it on first use and caches it,
-    a matrix kernel builds it from P at once and keeps no copy of P.
+    matrix, ``transpose`` (P^T, what propagation multiplies by): a
+    digraph kernel builds it on first use and caches it, a matrix kernel
+    builds it from P at once and keeps no copy of P.
     ``nnz`` counts stored entries, so a digraph kernel has nnz == blocks * m.
     """
 
@@ -249,7 +250,8 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
         mass = v.reshape(blocks, len(v) // blocks, v.size // len(v)).sum(1)
         if not (np.isfinite(mass).all() and mass.all()):
             raise BadValue("a law's mass is not finite and nonzero")
-    v = v.copy()
+        return v.copy()
+    # the first step returns a fresh array, so dist is never written to
     step = _step if v.ndim == 1 else _block_step
     for _ in range(steps):
         v = step(v, kernel, budget)
@@ -376,13 +378,25 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     return states
 
 
-def _step_log_probs(transpose: csr_matrix, x: np.ndarray, y: np.ndarray,
+def _step_log_probs(g: Digraph, x: np.ndarray, y: np.ndarray,
                     step: int) -> np.ndarray:
-    """log P(x, y) for one step of every path, read as P^T[y, x];
-    ImpossibleStep if an edge is absent.  scipy's lookup bisects a
-    canonical row and otherwise scans it, summing duplicate entries, so
-    parallel edges add up; a missing entry reads 0."""
-    step_probs = np.asarray(transpose[y, x]).ravel()
+    """log P(x, y) for one step of every path, read from x's out-list;
+    ImpossibleStep if an edge is absent.  Each copy of the edge x -> y,
+    in list order, adds 1/d(x) to a sum that starts at 0, as scipy's
+    lookup P^T[y, x] sums duplicate entries, so parallel edges add up to
+    the same bits.  List position k is read only for the rows longer
+    than k, so a step costs the sum of the out-degrees of x."""
+    first = g.offsets[x]
+    degrees = g.offsets[x + 1] - first
+    inv = 1.0 / degrees
+    step_probs = np.where(g.heads[first] == y, inv, 0.0)   # position 0
+    rows = np.flatnonzero(degrees > 1)
+    k = 1
+    while rows.size:
+        hit = rows[g.heads[first[rows] + k] == y[rows]]
+        step_probs[hit] += inv[hit]
+        k += 1
+        rows = rows[degrees[rows] > k]
     missing = np.flatnonzero(step_probs == 0)
     if missing.size:
         i = int(missing[0])
@@ -394,39 +408,39 @@ def _step_log_probs(transpose: csr_matrix, x: np.ndarray, y: np.ndarray,
     return np.array([math.log(p) for p in probs.tolist()])[inverse]
 
 
-def path_log_weights(states, s: int, k_sigma: TransitionKernel,
-                     k_eta: TransitionKernel) -> np.ndarray:
+def path_log_weights(states, s: int, g_sigma: Digraph,
+                     g_eta: Digraph) -> np.ndarray:
     """Log-probability of each row of states (N, t + 1) as an exact path:
-    steps before s under k_sigma, the rest under k_eta.
+    steps before s walk g_sigma, the rest g_eta.
 
-    Each step looks up P(x, y) as P^T[y, x], in the P^T that propagation
-    uses, for all N paths at once and adds its logs, so every path is
-    summed in step order, bitwise as a scalar loop would.
+    Each step reads P(x, y) from x's out-list, for all N paths at once,
+    and adds its logs, so every path is summed in step order, bitwise as a
+    scalar loop over the walk matrix P would.  No kernel is built.
     """
-    if k_sigma.n != k_eta.n:
-        raise BadValue("kernels have different vertex counts")
+    if g_sigma.n != g_eta.n:
+        raise BadValue("digraphs have different vertex counts")
     states = np.asarray(states)
     if states.ndim != 2:
         raise BadValue(f"states must be (paths, t + 1), got {states.shape}")
     if not states.size:
         return np.zeros(len(states))
-    # scipy would read state -1 as row n - 1
-    if not (0 <= states.min() and states.max() < k_sigma.n):
-        raise BadRange(f"a state lies outside [0, {k_sigma.n})")
-    mats = (k_sigma.transpose, k_eta.transpose)
+    # offsets[-1] would read state -1 as the end of the last out-list
+    if not (0 <= states.min() and states.max() < g_sigma.n):
+        raise BadRange(f"a state lies outside [0, {g_sigma.n})")
+    graphs = (g_sigma, g_eta)
     total = np.zeros(len(states))
     for j in range(states.shape[1] - 1):
-        total += _step_log_probs(mats[j >= s], states[:, j],
+        total += _step_log_probs(graphs[j >= s], states[:, j],
                                  states[:, j + 1], j)
     return total
 
 
-def path_log_weight(traj: Trajectory, k_sigma: TransitionKernel,
-                    k_eta: TransitionKernel) -> float:
-    """Log-probability of the exact path under the two quenched kernels.
+def path_log_weight(traj: Trajectory, g_sigma: Digraph,
+                    g_eta: Digraph) -> float:
+    """Log-probability of the exact path under the two quenched digraphs.
 
     The single-path case of ``path_log_weights``.
     """
     s = traj.switch_time if traj.switch_time is not None else traj.length
-    return float(path_log_weights(traj.states[None, :], s, k_sigma,
-                                  k_eta)[0])
+    return float(path_log_weights(traj.states[None, :], s, g_sigma,
+                                  g_eta)[0])

@@ -18,7 +18,7 @@ from mixlab import (ExperimentConfig, RngStream, annealed_check,
                     tv_distance, validate_degrees)
 from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            BudgetExceeded)
-from mixlab import experiments
+from mixlab import experiments, walk
 from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
                                 _pair, _parallel_map, resolve_starts)
 from mixlab.cli import degrees_from_generator
@@ -505,7 +505,7 @@ def test_path_weight_lln_walks_blocks_on_their_own_streams(monkeypatch):
         path_log_weights(
             sample_paths(xs[lo:lo + block], s, t, g1, g2,
                          base.lane(experiments._LANE_TRAJ, b)),
-            s, kernel_from_digraph(g1), kernel_from_digraph(g2))
+            s, g1, g2)
         for b, lo in enumerate(range(0, samples, block))])
     assert res.mean_rate == float((-weights / t).mean())
     assert len(set(weights.tolist())) > 1      # the rates really vary
@@ -526,6 +526,45 @@ def test_path_weight_lln_generators_do_not_grow_with_paths(monkeypatch):
     blocks = -(-10_000 // experiments._PATH_BLOCK)
     assert counts == {1: 4, 100: 4, experiments._PATH_BLOCK: 4,
                       10_000: 3 + blocks}
+
+
+def test_path_weight_lln_builds_no_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+    monkeypatch.setattr(walk, "_transpose_matrix", refuse)
+    monkeypatch.setattr(walk.TransitionKernel, "__init__", refuse)
+    for seq in (validate_degrees("dcm", [2, 3, 4, 2, 3] * 6,
+                                 [3, 2, 2, 4, 3] * 6),
+                validate_degrees("ocm", [3] * 30)):
+        assert path_weight_lln(cfg_for(seq), 2, 7, 50).samples == 50
+
+
+def test_path_weight_lln_memory_holds_no_kernel():
+    # 3-regular DCM: the two digraphs (heads and matchings) and the
+    # sequence's arrays take about 36 bytes per edge; two P^T matrices
+    # (8 + 4 bytes per edge each) would take it past the bound
+    seq = validate_degrees("dcm", [3] * 20_000, [3] * 20_000)
+    tracemalloc.start()
+    try:
+        path_weight_lln(cfg_for(seq), 4, 8, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * seq.m
+
+
+def test_path_weight_lln_refuses_a_non_integer_time():
+    cfg = cfg_for(validate_degrees("dcm", [3] * 40, [3] * 40))
+    with pytest.raises(BadValue, match="must hold integers"):
+        path_weight_lln(cfg, 1, 2.5, 10)
+    with pytest.raises(BadValue, match="must hold integers"):
+        path_weight_lln(cfg, 0.5, 2, 10)
+
+
+def test_crosscheck_refuses_a_non_integer_time():
+    cfg = cfg_for(validate_degrees("dcm", [3] * 40, [3] * 40), alpha=0.1)
+    with pytest.raises(BadValue, match="must hold integers"):
+        marginal_mc_crosscheck(cfg, 2.5, 20)
 
 
 def test_path_weight_report_row():

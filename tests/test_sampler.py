@@ -11,6 +11,7 @@ from scipy import stats
 
 from mixlab import (RngStream, digraph_from_json, digraph_to_json, sample_dcm,
                     sample_digraph, sample_ocm, validate_degrees)
+from mixlab.core import index_dtype_for
 from mixlab.errors import BadValue
 
 
@@ -186,6 +187,16 @@ def test_json_round_trip():
     ocm = sample_digraph(validate_degrees("ocm", [2, 2, 3]), RngStream(6))
     back2 = digraph_from_json(digraph_to_json(ocm))
     assert np.array_equal(back2.heads, ocm.heads)
+
+
+def test_heads_are_held_in_the_index_dtype():
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
+    graphs = [sample_dcm(dcm, RngStream(1)), sample_ocm(ocm, RngStream(1))]
+    graphs += [digraph_from_json(digraph_to_json(g)) for g in graphs]
+    for g in graphs:
+        assert g.heads.dtype == index_dtype_for(g.seq.m) == np.int32
+    assert dcm.head_slots.dtype == index_dtype_for(dcm.m)
 
 
 def test_json_refuses_non_integer_heads():

@@ -15,7 +15,6 @@ from mixlab import (NotConverged, OperationBudget, RngStream,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
-from mixlab import walk
 from mixlab.walk import Trajectory
 
 
@@ -102,6 +101,8 @@ def test_kernel_stores_one_matrix_and_p_is_a_view_of_it():
     mat = csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     kernels = [kernel_from_digraph(g) for g in graphs]
     kernels += [kernel_from_digraph(*graphs[:3]), TransitionKernel(mat)]
+    # a digraph kernel builds its P^T on first use, not before
+    assert all(stored_matrices(k) == [] for k in kernels[:-1])
     for k in kernels:
         p, pt = k.matrix, k.transpose
         assert stored_matrices(k) == [id(pt)]
@@ -112,25 +113,6 @@ def test_kernel_stores_one_matrix_and_p_is_a_view_of_it():
     # a matrix kernel keeps P^T only, not the P it was given
     assert not np.shares_memory(kernels[-1].transpose.data, mat.data)
     assert np.array_equal(kernels[-1].matrix.toarray(), mat.toarray())
-
-
-def test_path_weights_on_a_dcm_kernel_build_only_the_lazy_transpose(
-        monkeypatch):
-    g1, g2, k1, k2 = random_kernel_pair(3)
-    assert g1.head_stubs is not None and stored_matrices(k1) == []
-    build, builds = walk._transpose_matrix, []
-
-    def counted(graphs):
-        builds.append(graphs)
-        return build(graphs)
-    monkeypatch.setattr(walk, "_transpose_matrix", counted)
-    # the DCM build of P^T never lists out-edges
-    monkeypatch.setattr(walk, "_out_lists", None)
-    states = sample_paths(np.arange(g1.n), 2, 5, g1, g2, RngStream(3))
-    path_log_weights(states, 2, k1, k2)
-    assert builds == [(g1,), (g2,)]
-    assert stored_matrices(k1) == [id(k1.transpose)]
-    assert stored_matrices(k2) == [id(k2.transpose)]
 
 
 def block_diag_arrays(mats):
@@ -279,6 +261,22 @@ def test_propagate_zero_steps_is_identity_copy():
     assert np.array_equal(out, v)
     out[0] = 0.5  # must be a copy, not a view
     assert v[0] == 1.0
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_propagate_never_writes_to_or_aliases_its_input(steps):
+    # read-only inputs, off from mass 1 so every step renormalizes in place
+    g1, g2, k, _ = random_kernel_pair(1)
+    block_kernel = kernel_from_digraph(g1, g2)
+    for v, kernel in ((delta_at(0, k.n) * (1 + 1e-6), k),
+                      (np.full((2 * k.n, 3), (1 + 1e-6) / k.n),
+                       block_kernel)):
+        v.setflags(write=False)
+        before = v.copy()
+        out = propagate(v, kernel, steps)
+        assert np.array_equal(v, before)
+        assert not np.shares_memory(out, v)
+        assert out.flags.writeable
 
 
 def test_propagate_rejects_bad_input():
@@ -451,14 +449,13 @@ def test_trajectory_endpoint_law_matches_double_row():
 def test_path_log_weight_multiplies_step_probabilities():
     g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
     g2 = _graph_from_edges([[1, 2], [0, 2], [0, 1]])
-    k1, k2 = kernel_from_digraph(g1), kernel_from_digraph(g2)
     traj = Trajectory(states=np.array([0, 1, 2, 0]), switch_time=2)
     # steps: 0->1 in env1 (2/3), 1->2 in env1 (1/2), 2->0 in env2 (1/2)
     want = np.log(2 / 3) + np.log(1 / 2) + np.log(1 / 2)
-    assert path_log_weight(traj, k1, k2) == pytest.approx(want, abs=1e-12)
+    assert path_log_weight(traj, g1, g2) == pytest.approx(want, abs=1e-12)
     impossible = Trajectory(states=np.array([0, 0, 1, 2]), switch_time=2)
     with pytest.raises(ImpossibleStep):
-        path_log_weight(impossible, k1, k2)
+        path_log_weight(impossible, g1, g2)
 
 
 def test_sampled_paths_have_consistent_weights():
@@ -470,7 +467,7 @@ def test_sampled_paths_have_consistent_weights():
         for step in range(6):
             p = p1 if step < 2 else p2
             want += np.log(p[traj.states[step], traj.states[step + 1]])
-        assert path_log_weight(traj, k1, k2) == pytest.approx(want, abs=1e-12)
+        assert path_log_weight(traj, g1, g2) == pytest.approx(want, abs=1e-12)
 
 
 def scalar_log_weight(states, s, p_sigma, p_eta):
@@ -497,47 +494,47 @@ def path_test_pairs():
 
 
 def test_path_log_weights_equal_scalar_weights_bitwise():
+    # weights read from out-lists against P from the kernel's P^T, so the
+    # two orientations check each other bit for bit
     t = 9
     for i, (g1, g2) in enumerate(path_test_pairs()):
-        k1, k2 = kernel_from_digraph(g1), kernel_from_digraph(g2)
-        p1, p2 = dense(k1), dense(k2)
+        p1 = dense(kernel_from_digraph(g1))
+        p2 = dense(kernel_from_digraph(g2))
         xs = np.arange(g1.n).repeat(4)
         for s in (0, 4, t):
             states = sample_paths(xs, s, t, g1, g2, RngStream(i, s))
-            got = path_log_weights(states, s, k1, k2).tolist()
+            got = path_log_weights(states, s, g1, g2).tolist()
             assert got == [scalar_log_weight(row, s, p1, p2)
                            for row in states.tolist()]
             # the single-path form, on a sample of the rows
             for row, w in zip(states[::9], got[::9]):
                 traj = Trajectory(states=row, switch_time=s)
-                assert path_log_weight(traj, k1, k2) == w
+                assert path_log_weight(traj, g1, g2) == w
 
 
 def test_path_log_weight_of_a_probability_below_one_is_math_log():
     # seven parallel edges of weight 1/7 sum to 0.9999999999999998, whose
     # np.log can differ from math.log in the last bit
     g = _graph_from_edges([[1] * 7, [0] * 7])
-    k = kernel_from_digraph(g)
-    p = float(k.matrix[0, 1])
+    p = float(kernel_from_digraph(g).matrix[0, 1])
     assert p == 0.9999999999999998
     want = math.log(p) + math.log(p) + math.log(p)
     states = np.array([[0, 1, 0, 1], [1, 0, 1, 0]])
-    assert np.array_equal(path_log_weights(states, 2, k, k), [want, want])
-    assert path_log_weight(Trajectory(states[0], None), k, k) == want
+    assert np.array_equal(path_log_weights(states, 2, g, g), [want, want])
+    assert path_log_weight(Trajectory(states[0], None), g, g) == want
 
 
 def test_path_log_weights_refuse_a_forged_step():
     g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
     g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
-    k1, k2 = kernel_from_digraph(g1), kernel_from_digraph(g2)
     states = np.array([[0, 1, 2, 0], [0, 2, 2, 1], [1, 0, 0, 1]])
     # rows 1 and 2 take a self-loop at step 1, which only g2 has
     with pytest.raises(ImpossibleStep, match="trajectory 1, step 1"):
-        path_log_weights(states, 2, k1, k2)
+        path_log_weights(states, 2, g1, g2)
     # 1 -> 0 is an edge of g1 only
     with pytest.raises(ImpossibleStep, match="no edge 1 -> 0"):
-        path_log_weights(np.array([[2, 1, 0]]), 1, k1, k2)
-    assert path_log_weights(np.array([[2, 1, 0]]), 2, k1, k2)[0] == \
+        path_log_weights(np.array([[2, 1, 0]]), 1, g1, g2)
+    assert path_log_weights(np.array([[2, 1, 0]]), 2, g1, g2)[0] == \
         math.log(1 / 2) + math.log(1 / 2)
 
 
@@ -564,44 +561,25 @@ def test_sample_trajectory_equals_the_scalar_walk_bitwise():
                     x, s, t, g1, g2, stream)
 
 
-def test_non_canonical_matrix_kernel_weighs_like_its_dense_oracle():
-    # row 0 lists its columns out of order; row 1 stores two halves of its
-    # one entry; row 2 does both
-    data = np.array([0.25, 0.75, 0.5, 0.5, 0.25, 0.5, 0.25])
-    indices = np.array([2, 1, 0, 0, 1, 0, 1])
-    mat = csr_matrix((data, indices, [0, 2, 4, 7]), shape=(3, 3))
-    assert not mat.has_canonical_format
-    dense_p = mat.toarray()
-    assert dense_p.tolist() == [[0, 0.75, 0.25], [1, 0, 0], [0.5, 0.5, 0]]
-    k = TransitionKernel(mat)
-    states = np.array([[0, 1, 0, 2, 1], [2, 0, 2, 0, 1], [1, 0, 1, 0, 2]])
-    got = path_log_weights(states, 2, k, k).tolist()
-    assert got == [scalar_log_weight(row, 2, dense_p, dense_p)
-                   for row in states.tolist()]
-    with pytest.raises(ImpossibleStep, match="no edge 1 -> 1"):
-        path_log_weights(np.array([[0, 1, 1]]), 1, k, k)
-
-
 @pytest.mark.parametrize("states", [
     [[0, 1, 2], [0, 1, 3]], [[3, 0, 1]], [[0, 1, 2], [-1, 1, 2]],
     [[0, -1, 2]],
 ], ids=["head-n", "start-n", "start-minus-1", "head-minus-1"])
 def test_path_log_weights_refuse_states_outside_the_kernel(states):
-    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
-    k = kernel_from_digraph(g1)
+    g = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
     with pytest.raises(BadRange):
-        path_log_weights(np.array(states), 1, k, k)
+        path_log_weights(np.array(states), 1, g, g)
     with pytest.raises(BadRange):
-        path_log_weight(Trajectory(np.array(states[-1]), None), k, k)
+        path_log_weight(Trajectory(np.array(states[-1]), None), g, g)
 
 
 def test_path_log_weights_refuse_kernels_of_different_sizes():
-    k3 = kernel_from_digraph(_graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]))
-    k2 = kernel_from_digraph(_graph_from_edges([[1, 1], [0, 0]]))
+    g3 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = _graph_from_edges([[1, 1], [0, 0]])
     with pytest.raises(BadValue):
-        path_log_weights(np.array([[0, 1, 0]]), 1, k2, k3)
-    assert path_log_weights(np.empty((0, 3), dtype=np.int64), 1, k3,
-                            k3).shape == (0,)
+        path_log_weights(np.array([[0, 1, 0]]), 1, g2, g3)
+    assert path_log_weights(np.empty((0, 3), dtype=np.int64), 1, g3,
+                            g3).shape == (0,)
 
 
 def test_sample_paths_follow_the_right_environment():
