@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,10 +43,10 @@ FLAG_MARGIN = 0.1
 EXHAUSTIVE_LIMIT = 2000
 DEFAULT_START_SAMPLE = 32
 
-# annealed_check stacks B = _BATCH_ENTRIES // (S * m) environments, each
-# with S starts, into one block-diagonal kernel and moves all their laws by
-# one SpMM per step, if B >= 1 and m <= _BATCH_MAX_EDGES; otherwise each
-# environment walks alone, one SpMV per start.  Measured against walking
+# _environment_laws stacks B = max(1, _BATCH_ENTRIES // (S * m)) environments
+# of S starts into one block-diagonal kernel and moves their laws in chunks
+# of w = max(1, min(S, _BATCH_ENTRIES // m)) starts, one product per chunk
+# and step; B = w = 1 where m > _BATCH_MAX_EDGES.  Measured against walking
 # alone on annealed, 3-regular DCM, t = 1 (median CPU of 3 alternating
 # rounds of 5 runs; 2-core VM, Python 3.11, numpy 2.4, scipy 1.17):
 # - m = 300, S = 4: 0.88 s alone, 0.29-0.35 s at 16384 ... 262144 entries
@@ -56,9 +56,11 @@ DEFAULT_START_SAMPLE = 32
 # - At 65536 entries, S = 4 and 32: 1.4-2.5x faster for m = 600 ... 1500,
 #   1.3x for m = 2100 at S = 4; slower for m = 3000 (0.14 -> 0.16 s at
 #   S = 4, B = 5), and up to 2x slower for m = 15000 and 30000 at B = 2.
+# - One SpMV costs 11.5 / 45.6 us per step against 33.4 / 72.9 us for an
+#   (n, 1) block at n = 2000 / 10^4, so B = w = 1 walks a 1-d law.
 _BATCH_ENTRIES = 65536
 _BATCH_MAX_EDGES = 2048
-# annealed_check keys its environment streams this many at a time: one
+# _environment_laws keys its environment streams this many at a time: one
 # RngStream.lanes pass costs about 5 lane().generator() calls, so a lone
 # environment must not pay a pass of its own, and the keys held stay at
 # 16 KiB however many environments run
@@ -104,8 +106,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise BadValue(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.env_samples < 1:
+        samples = int(integer_array([self.env_samples], "env_samples")[0])
+        if samples < 1:
             raise BadValue("env_samples must be >= 1")
+        object.__setattr__(self, "env_samples", samples)
         for b in self.beta_grid:
             if not 0 <= b < math.inf:
                 raise BadValue(f"beta {b} must be finite and nonnegative")
@@ -198,15 +202,16 @@ def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
         if sv != "all":
             raise BadValue(f"start_vertices string must be 'all', got {sv!r}")
         return list(range(n)), "exhaustive"
-    if isinstance(sv, (int, np.integer)):
+    if np.ndim(sv) == 0:
+        sv = int(integer_array([sv], "start_vertices count")[0])
         if sv < 1:
             raise BadValue("start_vertices count must be >= 1")
         if exhaustive_small and (n <= EXHAUSTIVE_LIMIT or sv >= n):
             return list(range(n)), "exhaustive"
         gen = RngStream(cfg.root_seed).lane(_LANE_STARTS).generator()
-        picks = np.sort(gen.choice(n, size=min(int(sv), n), replace=False))
+        picks = np.sort(gen.choice(n, size=min(sv, n), replace=False))
         return [int(x) for x in picks], "sample"
-    starts = [int(x) for x in sv]
+    starts = integer_array(sv, "start_vertices").tolist()
     if not starts:
         raise BadValue("start_vertices list must not be empty")
     for x in starts:
@@ -282,6 +287,48 @@ def _laws_at(v: np.ndarray, kernel: TransitionKernel, times: Sequence[int],
         yield t, v
 
 
+def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
+                      ts: Sequence[int], ledger: OperationBudget):
+    """Yield environment e's laws at the sorted times ts, shaped
+    (len(ts), S, n), for each row e of the (samples, S) table starts.
+
+    Environment e is sampled on stream (_LANE_ENV_A, e), keyed _KEY_CHUNK
+    at a time.  Every law equals its own 1-d walk bit for bit, and laws
+    come in replicate order.  One item is in flight: B * m kernel entries,
+    B * |ts| * S * n floats of laws, and one chunk's transient blocks of
+    B * w * n floats each, at most _BATCH_ENTRIES / 2 as m >= 2n.
+    """
+    seq, (samples, width) = cfg.seq, starts.shape
+    n, m = seq.n, seq.m
+    entries = _BATCH_ENTRIES if m <= _BATCH_MAX_EDGES else 0
+    size = max(1, entries // (width * m))
+    chunk = max(1, min(width, entries // m))
+    base = RngStream(cfg.root_seed)
+    streams = chain.from_iterable(
+        base.lanes(_LANE_ENV_A, range(lo, min(lo + _KEY_CHUNK, samples)))
+        for lo in range(0, samples, _KEY_CHUNK))
+    batches = ((lo, list(islice(streams, size)))
+               for lo in range(0, samples, size))
+
+    def one(item):
+        lo, batch = item
+        kernel = kernel_from_digraph(*(
+            sample_digraph(seq, stream) for stream in batch))
+        b = len(batch)
+        laws = np.empty((b, len(ts), width, n))
+        for c in range(0, width, chunk):
+            xs = starts[lo:lo + b, c:c + chunk] + n * np.arange(b)[:, None]
+            v = np.zeros((b * n, xs.shape[1]))
+            v[xs, np.arange(xs.shape[1])] = 1.0     # delta_x in every block
+            for ti, (_, w) in enumerate(_laws_at(
+                    v.ravel() if v.size == n else v, kernel, ts, ledger)):
+                laws[:, ti, c:c + chunk] = w.reshape(b, n, -1).swapaxes(1, 2)
+        return laws
+
+    for laws in _parallel_map(one, batches):
+        yield from laws         # replicate order, never a sum over the batch
+
+
 def _meta(name: str, cfg: ExperimentConfig,
           ledger: Optional[OperationBudget] = None, scale=None,
           **extra) -> dict:
@@ -307,8 +354,9 @@ def _beta_times(cfg: ExperimentConfig, time_of):
 
 def _curve(betas, ts, per_rep, theory, jump=None, n_effective=None,
            gap_err=0.0):
-    """A beta-curve's rows and its per_beta_replicate_values, in one pass.
+    """A curve's rows and its per_beta_replicate_values, in one pass.
 
+    betas are the abscissae (double-cutoff passes its switch times);
     per_rep holds one {t: value} per replicate; the row at beta reads time
     t, against theory(beta).  Rows within FLAG_MARGIN of jump are flagged,
     and gap_err * exp(-beta) adds to each std_err in quadrature.
@@ -425,15 +473,9 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
         "no stationary solve converged")
 
     use_min = beta < 1.0
-    rows = []
-    for s in s_sorted:
-        mean, err = mean_std_err([(lo if use_min else hi)[s]
-                                  for lo, hi in per_rep])
-        rows.append(ReportRow(
-            abscissa=float(s), estimate=mean, std_err=err,
-            theory=1.0 if beta < 1.0 else 0.0,
-            n_effective=len(per_rep),
-        ))
+    rows, _ = _curve([float(s) for s in s_sorted], s_sorted,
+                     [pair[not use_min] for pair in per_rep],
+                     lambda s: 1.0 if use_min else 0.0)
     meta = _meta(
         "double-cutoff", cfg, ledger, scale, beta=beta, t=t,
         statistic="min_over_starts" if use_min else "max_over_starts",
@@ -546,7 +588,8 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     small-gamma secondary grid, against the static step profile.
 
     The surviving-environment factor is exact, so the only randomness is
-    over environments and starts; each start carries its own environment.
+    over environments and starts: replicate i walks from starts[i] in
+    environment i, through ``_environment_laws``.
     """
     alpha = cfg.require_alpha()
     if time_scale not in TIME_SCALES:
@@ -582,16 +625,12 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
                         "q_failures": gr.failures}
 
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
-    base = RngStream(cfg.root_seed)
     t_sorted = sorted(set(ts))
-
-    def one(item):
-        i, x = item
-        kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
-        laws = _laws_at(delta_at(x, seq.n), kernel, t_sorted, ledger)
-        return {t: (1.0 - alpha) ** t * tv_distance(v, mu) for t, v in laws}
-
-    per_rep = list(_parallel_map(one, enumerate(starts)))
+    per_rep = [
+        {t: (1.0 - alpha) ** t * tv_distance(v[0], mu)
+         for t, v in zip(t_sorted, laws)}
+        for laws in _environment_laws(cfg, np.array(starts)[:, None],
+                                      t_sorted, ledger)]
 
     # the curve's jump, if it has one, flags the grid points next to it
     rows, values = _curve(
@@ -737,18 +776,10 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     0.5 * sum_y sqrt(var_hat(y) / samples), which dominates the bias of
     plugging the sample mean into TV.
 
-    Small environments run in batches of B = _BATCH_ENTRIES // (S * m)
-    for S starts while m <= _BATCH_MAX_EDGES, each sampled on its own
-    stream lane: a batch is one block-diagonal kernel, and every
-    (environment, start) law moves by one product per step.  Otherwise
-    (B = 0 or a larger m) each environment walks alone, one SpMV per
-    start.  Laws are reduced environment by environment in replicate
-    order, so the result does not depend on B.  One item (an environment
-    or a batch) is in flight at a time.  An environment walked alone
-    holds |t_grid| * S * n floats of laws; a batch holds B * m kernel
-    entries and B * (|t_grid| + 4) * S * n floats of laws and transient
-    blocks, where B * S * n <= _BATCH_ENTRIES / 2 as m >= 2n.  Environment
-    streams are keyed _KEY_CHUNK at a time by ``RngStream.lanes``.
+    Every environment walks from the same S starts through
+    ``_environment_laws``, and laws are summed in replicate order, so the
+    result does not depend on batch or chunk sizes.  Besides the walker's
+    item in flight, the run holds 2 * |t_grid| * S * n floats of sums.
     """
     ts = sorted(set(integer_array(t_grid, "t_grid").tolist()))
     if not ts or ts[0] < 0:
@@ -757,41 +788,13 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     mu = in_degree_distribution(seq)
     starts, mode = resolve_starts(cfg)
     samples = cfg.env_samples
-    base = RngStream(cfg.root_seed)
-    n, width = seq.n, len(starts)
-    mean_acc = np.zeros((len(ts), width, n))
-    sq_acc = np.zeros((len(ts), width, n))
-    size = _BATCH_ENTRIES // (width * seq.m)
-    alone = size == 0 or seq.m > _BATCH_MAX_EDGES
-    size = 1 if alone else size
-    streams = chain.from_iterable(
-        base.lanes(_LANE_ENV_A, range(lo, min(lo + _KEY_CHUNK, samples)))
-        for lo in range(0, samples, _KEY_CHUNK))
-    batches = (list(islice(streams, size)) for _ in range(0, samples, size))
+    mean_acc = np.zeros((len(ts), len(starts), seq.n))
+    sq_acc = np.zeros((len(ts), len(starts), seq.n))
     ledger = _ledger(budget)
-
-    def one(batch: List[RngStream]):
-        kernel = kernel_from_digraph(*(
-            sample_digraph(seq, stream) for stream in batch))
-        b = len(batch)
-        laws = np.empty((b, len(ts), width, n))
-        if alone:
-            for xi, x in enumerate(starts):
-                for ti, (_, w) in enumerate(
-                        _laws_at(delta_at(x, n), kernel, ts, ledger)):
-                    laws[0, ti, xi] = w
-            return laws
-        v = np.zeros((b, n, width))
-        v[:, starts, np.arange(width)] = 1.0    # delta_x in every block
-        for ti, (_, w) in enumerate(
-                _laws_at(v.reshape(b * n, width), kernel, ts, ledger)):
-            laws[:, ti] = w.reshape(b, n, width).transpose(0, 2, 1)
-        return laws
-
-    for laws in _parallel_map(one, batches):
-        for law in laws:        # replicate order, never a sum over the batch
-            mean_acc += law
-            sq_acc += law * law
+    for law in _environment_laws(
+            cfg, np.broadcast_to(starts, (samples, len(starts))), ts, ledger):
+        mean_acc += law
+        sq_acc += law * law
 
     mean_acc /= samples
     rows = []
@@ -926,7 +929,7 @@ def stationary_gap_report(cfg: ExperimentConfig,
                           replicates: Optional[int] = None,
                           budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Mean distance between stationary law and in-law, as a one-row curve."""
-    gr = _gap(cfg, cfg.env_samples if replicates is None else int(replicates),
+    gr = _gap(cfg, cfg.env_samples if replicates is None else replicates,
               budget)
     theory = 0.0 if cfg.seq.is_eulerian else math.nan
     rows = [ReportRow(abscissa=0.0, estimate=gr.gap, std_err=gr.std_err,

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DegreeSequence, in_degree_distribution, mean_std_err,
-                   tv_distance)
+from .core import (DegreeSequence, in_degree_distribution, integer_array,
+                   mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadValue, LengthMismatch,
                      NotConverged)
 from .rng import RngStream
@@ -52,6 +52,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     n = kernel.n
     if max_iters is None:
         max_iters = _default_max_iters(n)
+    max_iters = int(integer_array([max_iters], "max_iters")[0])
     if max_iters < 1:
         raise BadValue("max_iters must be >= 1")
 
@@ -160,6 +161,7 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
 
     Returns (rows, failures): one DiagnosticsRow per converged replicate.
     """
+    replicates = int(integer_array([replicates], "replicates")[0])
     if replicates < 1:
         raise BadValue("replicates must be >= 1")
     mu = in_degree_distribution(seq)

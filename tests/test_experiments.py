@@ -22,7 +22,7 @@ from mixlab import experiments, walk
 from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
                                 _pair, _parallel_map, resolve_starts)
 from mixlab.cli import degrees_from_generator
-from mixlab.core import ModelKind
+from mixlab.core import ModelKind, mean_std_err
 from mixlab.walk import (OperationBudget, TransitionKernel, delta_at,
                          propagate)
 
@@ -390,14 +390,16 @@ def annealed_per_environment_loop(cfg, t_grid):
 
 
 @pytest.mark.parametrize("batch_entries",
-                         [experiments._BATCH_ENTRIES, 1080, 1])
+                         [experiments._BATCH_ENTRIES, 1080, 150, 1])
 @pytest.mark.parametrize("n_starts", [1, 3])
 def test_annealed_batches_equal_per_environment_loop(monkeypatch, n_starts,
                                                      batch_entries):
     # the real constant puts all 37 environments in one batch; with 3
     # starts 1080 entries gives batches of 5 (DCM, m = 70) or 4 (OCM,
     # m = 90), with 1 start batches of 15 or 12, and a short last one;
-    # 1 walks every environment alone, start by start
+    # with 3 starts 150 walks one environment at a time in column chunks
+    # of 2 + 1 starts (DCM) or 1 start (OCM), with 1 start batches of 2
+    # (DCM); 1 walks every environment alone, start by start
     monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
     seq = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
     assert seq.m == 70
@@ -455,24 +457,116 @@ def test_annealed_memory_does_not_grow_with_environments():
     assert large - small <= 64 * 1024
 
 
-def test_annealed_batch_memory_is_bounded_with_every_start():
-    # S = n starts: over the per-environment loop, a batch adds at most the
-    # (|t_grid| + 4) * _BATCH_ENTRIES / 2 floats its docstring states
-    seq = validate_degrees("dcm", [3] * 100, [3] * 100)
-    cfg = cfg_for(seq, env_samples=50, start_vertices="all")
-    t_grid = (1, 2, 3)
+def _walker_bytes_over_loop(n, env_samples, t_grid=(1, 2, 3)):
+    """annealed_check's tracemalloc peak with every start on 3-regular n,
+    less that of the per-environment loop."""
+    seq = validate_degrees("dcm", [3] * n, [3] * n)
+    cfg = cfg_for(seq, env_samples=env_samples, start_vertices="all")
     warm = cfg_for(seq, env_samples=2, start_vertices="all")
     annealed_check(warm, t_grid)
     annealed_per_environment_loop(warm, t_grid)
     tracemalloc.start()
     try:
         annealed_per_environment_loop(cfg, t_grid)
-        alone = tracemalloc.get_traced_memory()[1]
+        loop = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batched = _annealed_peak_bytes(cfg, t_grid)
-    bound = (len(t_grid) + 4) * experiments._BATCH_ENTRIES // 2 * 8
-    assert batched - alone <= bound
+    return _annealed_peak_bytes(cfg, t_grid) - loop
+
+
+def test_annealed_batch_memory_is_bounded_with_every_start():
+    # S = n starts: over the per-environment loop, a batch adds at most the
+    # (|t_grid| + 4) * _BATCH_ENTRIES / 2 floats its docstring states
+    bound = (3 + 4) * experiments._BATCH_ENTRIES // 2 * 8
+    assert _walker_bytes_over_loop(100, 50) <= bound
+
+
+def test_annealed_chunk_memory_is_bounded_with_every_start():
+    # S * m = 480000 > _BATCH_ENTRIES: each environment walks alone, its
+    # 400 starts in column chunks of 54; the chunks stay within the same
+    # bound, which one block of all 400 starts would exceed
+    bound = (3 + 4) * experiments._BATCH_ENTRIES // 2 * 8
+    assert _walker_bytes_over_loop(400, 4) <= bound
+
+
+def marginal_per_start_loop(cfg):
+    """marginal_relaxation_curve's replicates with one kernel and one
+    propagate call per (start, time): {t: value} per start, and ledger."""
+    alpha, seq = cfg.alpha, cfg.seq
+    starts, _ = resolve_starts(cfg, exhaustive_small=False)
+    ts = sorted({_floor_time(b / alpha) for b in cfg.beta_grid})
+    base = RngStream(cfg.root_seed)
+    mu = in_degree_distribution(seq)
+    ledger = OperationBudget()
+    per_rep = []
+    for i, x in enumerate(starts):
+        kernel = _kernel(seq, base.lane(_LANE_ENV_A, i))
+        v, cur, rep = delta_at(x, seq.n), 0, {}
+        for t in ts:
+            v = propagate(v, kernel, t - cur, ledger)
+            cur = t
+            rep[t] = (1.0 - alpha) ** t * tv_distance(v, mu)
+        per_rep.append(rep)
+    return per_rep, ledger
+
+
+@pytest.mark.parametrize("key_chunk", [experiments._KEY_CHUNK, 7])
+@pytest.mark.parametrize("batch_entries",
+                         [experiments._BATCH_ENTRIES, 1080, 1])
+def test_marginal_batches_equal_per_start_loop(monkeypatch, batch_entries,
+                                               key_chunk):
+    # m = 90: the real constant walks all 32 environments in one batch,
+    # 1080 in batches of 12, 12 and 8, and 1 each alone as a 1-d law; 7
+    # keys per pass splits the batches across keying passes
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
+    monkeypatch.setattr(experiments, "_KEY_CHUNK", key_chunk)
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    cfg = cfg_for(seq, alpha=0.3, beta_grid=(0.0, 1.2, 0.6, 2.4),
+                  start_vertices=32)
+    report = marginal_relaxation_curve(cfg, gap_replicates=4)
+    per_rep, ledger = marginal_per_start_loop(cfg)
+    values = {str(b): [rep[_floor_time(b / 0.3)] for rep in per_rep]
+              for b in cfg.beta_grid}
+    assert report.metadata["per_beta_replicate_values"] == values
+    gap_err = report.metadata["q_std_err"]
+    rows = []
+    for b in cfg.beta_grid:
+        mean, err = mean_std_err(values[str(b)])
+        rows.append((min(mean, 1.0),
+                     math.hypot(err, gap_err * math.exp(-b))))
+    assert [(r.estimate, r.std_err) for r in report.rows] == rows
+    assert (report.metadata["renormalizations"],
+            report.metadata["max_drift"]) == (ledger.renormalizations,
+                                              ledger.max_drift)
+
+
+def test_crosscheck_exact_side_equals_batched_marginal_replicate():
+    # m = 90, so marginal walks its 4 environments in one batch while the
+    # crosscheck walks environment 0 as a 1-d law
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    cfg = cfg_for(seq, alpha=0.3, beta_grid=(1.2,), start_vertices=4)
+    report = marginal_relaxation_curve(cfg, gap_replicates=4)
+    res = marginal_mc_crosscheck(cfg, 4, 10)
+    assert res.exact == report.metadata["per_beta_replicate_values"]["1.2"][0]
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_non_integer_counts_are_typed_errors(bad):
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    with pytest.raises(BadValue):
+        cfg_for(seq, env_samples=bad)
+    for starts in (bad, [0, bad]):
+        with pytest.raises(BadValue):
+            resolve_starts(cfg_for(seq, start_vertices=starts))
+    kernel = kernel_from_digraph(sample_digraph(seq, RngStream(5).lane(1, 0)))
+    with pytest.raises(BadValue):
+        stationary_distribution(kernel, max_iters=bad)
+    # not Eulerian, so marginal estimates the stationary gap
+    with pytest.raises(BadValue):
+        marginal_relaxation_curve(cfg_for(seq, alpha=0.3, beta_grid=(0.6,)),
+                                  gap_replicates=bad)
+    with pytest.raises(BadValue):
+        stationary_gap_report(cfg_for(seq), replicates=bad)
 
 
 def test_path_weights_exact_for_uniform_out_maps():
