@@ -106,9 +106,12 @@ class DegreeSequence:
         return _frozen(1.0 / self.out_degrees.astype(np.float64))
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def index_dtype_for(count: int):
     """The integer type scipy keeps for CSR indices of a count-entry matrix."""
-    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+    return np.int32 if count <= _INT32_MAX else np.int64
 
 
 def _offsets(degrees: np.ndarray, dtype) -> np.ndarray:

@@ -10,6 +10,7 @@ and reported, never accepted as an input.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -22,7 +23,7 @@ from .core import (DegreeSequence, entropic_scale, in_degree_distribution,
 from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
                      NotConverged)
 from .report import ExperimentReport, ReportRow
-from .rng import RngStream
+from .rng import RngStream, shared_generator
 from .sampler import sample_digraph
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
@@ -104,20 +105,38 @@ class ExperimentConfig:
     max_iters: Optional[int] = None
 
     def __post_init__(self):
-        if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise BadValue(f"alpha must be in (0, 1), got {self.alpha}")
+        # any Python int is a seed, however large, so no int64 cast here
+        if (isinstance(self.root_seed, bool)
+                or not isinstance(self.root_seed, numbers.Integral)):
+            raise BadValue(f"root_seed must be an integer, got "
+                           f"{self.root_seed!r}")
+        if self.root_seed < 0:
+            raise BadRange(f"root_seed must be nonnegative, got "
+                           f"{self.root_seed}")
+        object.__setattr__(self, "root_seed", int(self.root_seed))
+        if self.alpha is not None and not (_is_real(self.alpha)
+                                           and 0.0 < self.alpha < 1.0):
+            raise BadValue(f"alpha must be in (0, 1), got {self.alpha!r}")
         samples = int(integer_array([self.env_samples], "env_samples")[0])
         if samples < 1:
             raise BadValue("env_samples must be >= 1")
         object.__setattr__(self, "env_samples", samples)
         for b in self.beta_grid:
-            if not 0 <= b < math.inf:
-                raise BadValue(f"beta {b} must be finite and nonnegative")
+            _check_beta(b)
 
     def require_alpha(self) -> float:
         if self.alpha is None:
             raise BadValue("this experiment needs alpha")
         return self.alpha
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_beta(beta) -> None:
+    if not (_is_real(beta) and 0 <= beta < math.inf):
+        raise BadValue(f"beta {beta!r} must be finite and nonnegative")
 
 
 def _floor_time(x: float) -> int:
@@ -435,8 +454,7 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     the replicate mean of that statistic; both extremes for every
     replicate are recorded in the metadata.
     """
-    if not 0 <= beta < math.inf:
-        raise BadValue(f"beta {beta} must be finite and nonnegative")
+    _check_beta(beta)
     if cfg.s_grid is None or len(cfg.s_grid) == 0:
         raise BadValue("double-cutoff needs s_grid")
     seq = cfg.seq
@@ -697,7 +715,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
 
     # schedule m draws its refresh steps on lane offset _pair(m, 0)
     refresh_steps = [
-        np.flatnonzero(stream.generator().random(t) < alpha).tolist()
+        np.flatnonzero(shared_generator(stream).random(t) < alpha).tolist()
         for stream in base.lanes(
             _LANE_SCHED, [_pair(m, 0) for m in range(schedule_samples)])]
     first = [steps[0] if steps else t for steps in refresh_steps]

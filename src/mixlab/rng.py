@@ -17,10 +17,24 @@ stream draws exactly the numbers of the unkeyed stream with the same
 index.  A keyed stream hands its key to Philox through ``_PhiloxKey``, an
 ``ISeedSequence``: ``Philox(key=...)`` would first build a SeedSequence
 from OS entropy, which costs more than the one it replaces.
+
+A sampled environment draws only a few hundred numbers, so a fresh
+``Generator(Philox(...))`` per keyed stream would cost more than its
+draws.  Philox is counter-based: its output depends only on (key,
+counter).  ``shared_generator`` therefore keeps one generator per thread
+and, for each keyed stream, resets its Philox through the public
+``state`` setter to the state a fresh Philox has: the stream's key,
+counter 0, an empty buffer and no spare 32-bit word.  It then draws
+exactly the numbers ``stream.generator()`` would.  The generator it
+returns is valid only until that thread's next ``shared_generator``
+call, so it must never leave the call that borrowed it: draw, then drop
+it.  ``RngStream.generator()`` keeps returning a fresh generator, since
+some callers hold theirs across other draws.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -167,3 +181,35 @@ class RngStream:
         start = which * LANE
         return (RngStream(self.root_seed, start + int(k), key)
                 for k, key in zip(ks, keys))
+
+
+class _Shared(threading.local):
+    """Each thread's one re-keyable generator: ``__init__`` runs in the
+    importing thread at import, and in any other on its first read."""
+
+    def __init__(self):
+        self.generator = Generator(Philox(_PhiloxKey(
+            np.zeros(2, dtype=np.uint64))))
+
+
+_shared = _Shared()
+
+
+def shared_generator(stream: RngStream) -> np.random.Generator:
+    """A generator that draws exactly what ``stream.generator()`` draws.
+
+    For a keyed stream (one yielded by ``RngStream.lanes``) this is the
+    calling thread's shared generator, reset to the stream's fresh state;
+    it is valid until the thread's next call, so draw from it and drop it.
+    An unkeyed stream gets ``stream.generator()``.
+    """
+    if stream.key is None:
+        return stream.generator()
+    gen = _shared.generator
+    # Python ints: the setter reads them several times faster than arrays
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": stream.key.tolist()},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen

@@ -11,7 +11,7 @@ import numpy as np
 from .core import (DegreeSequence, ModelKind, index_dtype_for, integer_array,
                    json_object, validate_degrees)
 from .errors import BadRange, BadValue
-from .rng import RngStream
+from .rng import RngStream, shared_generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +59,7 @@ def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
         raise BadValue("sample_dcm needs a DCM degree sequence")
     # Shuffling stub indices draws the same numbers as shuffling the slots,
     # so every seed realizes the same graph, and the matching is kept.
-    head_stubs = stream.generator().permutation(seq.m)
+    head_stubs = shared_generator(stream).permutation(seq.m)
     return _finish(seq, seq.head_slots[head_stubs], stream, head_stubs)
 
 
@@ -73,7 +73,7 @@ def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
     """
     if seq.model is not ModelKind.OCM:
         raise BadValue("sample_ocm needs an OCM degree sequence")
-    gen = stream.generator()
+    gen = shared_generator(stream)
     degs = seq.out_degrees
     heads = np.empty(seq.m, dtype=index_dtype_for(seq.m))
     for d in np.unique(degs).tolist():

@@ -50,6 +50,10 @@ def test_config_validation():
             cfg_for(REG3_120, beta_grid=(0.5, bad))
     with pytest.raises(BadValue):
         gamma_hat(cfg_for(REG3_120))  # alpha unset
+    # a seed is any nonnegative integer, past 64 bits too
+    for seed in (2**64 + 1, np.uint64(2**63)):
+        cfg = cfg_for(REG3_120, root_seed=seed)
+        assert cfg.root_seed == seed and type(cfg.root_seed) is int
 
 
 def test_floor_time_survives_float_dust():
@@ -110,9 +114,22 @@ def test_static_profile_rows_and_metadata():
 
 
 def test_negative_root_seed_is_a_typed_error():
-    cfg = cfg_for(REG3_120, beta_grid=(0.5,), root_seed=-1)
+    # refused where the config is built, before any stream exists
     with pytest.raises(BadRange):
-        static_cutoff_profile(cfg)
+        static_cutoff_profile(cfg_for(REG3_120, beta_grid=(0.5,),
+                                      root_seed=-1))
+
+
+@pytest.mark.parametrize("field,bad,error", [
+    ("root_seed", 2.5, BadValue), ("root_seed", math.nan, BadValue),
+    ("root_seed", "5", BadValue), ("root_seed", True, BadValue),
+    ("root_seed", np.int64(-3), BadRange),
+    ("alpha", "0.3", BadValue), ("alpha", True, BadValue),
+    ("beta_grid", ["1"], BadValue), ("beta_grid", (0.5, None), BadValue)])
+def test_bad_config_values_are_typed_errors(field, bad, error):
+    seq = degrees_from_generator("regular:3", ModelKind.DCM, 3, n=30)
+    with pytest.raises(error):
+        cfg_for(seq, **{field: bad})
 
 
 def test_joint_time_zero_distance_is_one():

@@ -6,7 +6,7 @@ import pytest
 from mixlab import digraph_to_json, sample_digraph, validate_degrees
 from mixlab.errors import BadRange
 from mixlab.experiments import _PAIR_MAX, _pair
-from mixlab.rng import LANE, RngStream, lane_keys
+from mixlab.rng import LANE, RngStream, lane_keys, shared_generator
 
 
 def test_same_stream_replays_identical_draws():
@@ -100,6 +100,34 @@ def test_keyed_streams_draw_what_numpy_draws(root, which):
         gen = stream.generator()
         assert np.array_equal(gen.random(8), ref.random(8))
         assert np.array_equal(gen.permutation(50), ref.permutation(50))
+
+
+def _three_draws(gen, i):
+    """permutation, random and an odd count of uint32 draws, rotated by i so
+    that each kind of draw runs first after some other kind left a partial
+    buffer or a spare 32-bit word behind."""
+    draws = [lambda: gen.permutation(7 + i % 5),
+             lambda: gen.random(1 + 2 * (i % 3)),
+             lambda: gen.integers(0, 2**32 - 1, size=1 + 2 * (i % 2),
+                                  dtype=np.uint32)]
+    return [draws[(i + j) % 3]() for j in range(3)]
+
+
+@pytest.mark.parametrize("root", [0, 2**40, 2**100])
+def test_shared_generator_draws_what_a_fresh_one_draws(root):
+    keyed = list(RngStream(root).lanes(1, range(40)))
+    # every third stream is unkeyed, so a keyed one also follows a fresh one
+    streams = [RngStream(root).lane(2, i) if i % 3 == 2 else keyed[i]
+               for i in range(40)]
+    shared = {id(shared_generator(s)) for s in keyed}
+    assert len(shared) == 1
+    for i, stream in enumerate(streams):
+        gen = shared_generator(stream)
+        assert (id(gen) in shared) == (stream.key is not None)
+        got = _three_draws(gen, i)
+        want = _three_draws(stream.generator(), i)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_lanes_refuse_offsets_outside_a_lane():

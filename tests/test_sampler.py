@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +12,7 @@ import pytest
 from scipy import stats
 
 from mixlab import (RngStream, digraph_from_json, digraph_to_json, sample_dcm,
-                    sample_digraph, sample_ocm, validate_degrees)
+                    sample_digraph, sample_ocm, sampler, validate_degrees)
 from mixlab.core import index_dtype_for
 from mixlab.errors import BadValue
 
@@ -150,6 +152,76 @@ def test_ocm_memory_is_linear_with_a_hub():
     for x in (0, 1, n - 1):
         row = g.out_edges(x).tolist()
         assert len(set(row)) == len(row) == seq.out_degrees[x]
+
+
+# OCM n = 32, d = 5 (d near sqrt(n)) redraws rows in _distinct_rows' loop,
+# n = d = 5 also past its 64 rounds; the mixed sequences hold several
+# degree classes, one draw each.  n is a power of two where it can be: there
+# a zero word from a stale buffer is a valid draw, while for other n the
+# bounded draw rejects it and the stale buffer would go unseen.
+KEYED_SEQS = [validate_degrees("dcm", [2, 3, 2, 3, 4], [3, 3, 2, 2, 4]),
+              validate_degrees("dcm", [3] * 40, [3] * 40),
+              validate_degrees("ocm", [5] * 32),
+              validate_degrees("ocm", [5] * 5),
+              validate_degrees("ocm", [2, 3, 4, 5] * 8)]
+
+
+def _sample_all(seqs, streams):
+    return [sample_digraph(seq, stream)
+            for stream in streams for seq in seqs]
+
+
+@pytest.mark.parametrize("seq", KEYED_SEQS, ids=range(len(KEYED_SEQS)))
+def test_keyed_samples_equal_the_fresh_generator_oracle(seq, monkeypatch):
+    streams = list(RngStream(21).lanes(1, range(60)))
+    got = _sample_all([seq], streams)
+    monkeypatch.setattr(sampler, "shared_generator", RngStream.generator)
+    want = _sample_all([seq], streams)
+    for g, o in zip(got, want):
+        assert np.array_equal(g.heads, o.heads)
+        # OCM graphs hold no matching: None equals only None here
+        assert np.array_equal(g.head_stubs, o.head_stubs)
+        assert g.stream == o.stream
+        assert np.array_equal(g.stream.key, o.stream.key)
+
+
+def test_threads_sample_keyed_environments_as_serially():
+    lanes = [list(RngStream(8).lanes(which, range(200)))
+             for which in range(1, 5)]
+    serial = [_sample_all(KEYED_SEQS[1:3], streams) for streams in lanes]
+    out = [None] * len(lanes)
+
+    def work(i):
+        out[i] = _sample_all(KEYED_SEQS[1:3], lanes[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(lanes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(out, serial):
+        assert [g.heads.tolist() for g in got] == [
+            g.heads.tolist() for g in want]
+
+
+def test_keyed_sampling_builds_at_most_one_generator(monkeypatch):
+    calls = []
+    fresh = RngStream.generator
+
+    def counted(self):
+        calls.append(self)
+        return fresh(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    _sample_all(KEYED_SEQS[1:3], RngStream(4).lanes(1, range(100)))
+    assert len(calls) <= 1
 
 
 def test_sampling_is_deterministic_per_stream():
