@@ -187,10 +187,7 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
         merged["start_vertices"] = _start_vertices_value(
             merged["start_vertices"])
 
-    spec = RunSpec(**merged)
-    if spec.alpha is not None and not (0.0 < spec.alpha < 1.0):
-        raise BadValue(f"alpha must be in (0, 1), got {spec.alpha}")
-    return spec
+    return RunSpec(**merged)
 
 
 def _parse_blocks(body: str):
@@ -330,7 +327,11 @@ def run(spec: RunSpec) -> int:
     cfg = ExperimentConfig(seq=seq, **{
         f.name: getattr(spec, f.name) for f in fields(ExperimentConfig)
         if f.name in _HINTS})
-    os.makedirs(spec.out_dir, exist_ok=True)
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise BadValue(f"cannot create output directory {spec.out_dir!r}: "
+                       f"{exc.strerror}") from exc
     base = _out_base(spec, seq.n)
 
     if spec.experiment == "diagnostics":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,6 +124,11 @@ def _offsets(degrees: np.ndarray, dtype) -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def is_real(x) -> bool:
+    """True for a real number (NaN and inf included), False for a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def integer_array(values, name: str) -> np.ndarray:

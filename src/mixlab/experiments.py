@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Optional, Sequence, Union
@@ -19,15 +18,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (DegreeSequence, entropic_scale, in_degree_distribution,
-                   integer_array, mean_std_err, tv_distance)
+                   integer_array, is_real, mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
                      NotConverged)
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream, shared_generator
 from .sampler import sample_digraph
-from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
+from .stationary import (DEFAULT_TOL, check_tol, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
-from .walk import (OperationBudget, TransitionKernel, delta_at,
+from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    kernel_from_digraph, path_log_weights, propagate,
                    sample_paths, time_averaged_rows)
 
@@ -84,9 +83,22 @@ _JACKKNIFE_BATCHES = 10
 # stream (_LANE_TRAJ, b).
 _PATH_BLOCK = 2048
 
-CURVE_NAMES = ("joint_gamma0", "joint_gammainf", "joint_general",
-               "marginal_gamma0", "marginal_gammainf", "marginal_general",
-               "static_profile")
+# Every limit curve is one switch in beta: an upper form below its switch
+# point, a lower form from it on, q the stationary gap.  The regimes switch
+# at gamma = 0, at the run's gamma_hat or at infinity, so the mixed regime
+# interpolates between the two extremes; the static profile switches at 1.
+_JOINT = (lambda b, q: (1.0 + b) * math.exp(-b), lambda b, q: math.exp(-b))
+_MARGINAL = (lambda b, q: math.exp(-b), lambda b, q: q * math.exp(-b))
+_STATIC = (lambda b, q: 1.0, lambda b, q: q)
+_CURVES = {  # name -> (forms, switch point), None for the run's gamma
+    "joint_gamma0": (_JOINT, 0.0),
+    "joint_gammainf": (_JOINT, math.inf),
+    "joint_general": (_JOINT, None),
+    "marginal_gamma0": (_MARGINAL, 0.0),
+    "marginal_gammainf": (_MARGINAL, math.inf),
+    "marginal_general": (_MARGINAL, None),
+    "static_profile": (_STATIC, 1.0)}
+CURVE_NAMES = tuple(_CURVES)
 
 # marginal_relaxation_curve's time grids; the first is the default
 TIME_SCALES = ("regeneration", "entropic")
@@ -114,9 +126,10 @@ class ExperimentConfig:
             raise BadRange(f"root_seed must be nonnegative, got "
                            f"{self.root_seed}")
         object.__setattr__(self, "root_seed", int(self.root_seed))
-        if self.alpha is not None and not (_is_real(self.alpha)
+        if self.alpha is not None and not (is_real(self.alpha)
                                            and 0.0 < self.alpha < 1.0):
             raise BadValue(f"alpha must be in (0, 1), got {self.alpha!r}")
+        check_tol(self.tol)
         samples = int(integer_array([self.env_samples], "env_samples")[0])
         if samples < 1:
             raise BadValue("env_samples must be >= 1")
@@ -130,16 +143,14 @@ class ExperimentConfig:
         return self.alpha
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _check_beta(beta) -> None:
-    if not (_is_real(beta) and 0 <= beta < math.inf):
+    if not (is_real(beta) and 0 <= beta < math.inf):
         raise BadValue(f"beta {beta!r} must be finite and nonnegative")
 
 
 def _floor_time(x: float) -> int:
+    if not math.isfinite(x):
+        raise BadValue(f"grid time {x} is not finite; beta is too large")
     # the tiny nudge keeps exact-integer products (e.g. beta/alpha = 2.0)
     # from flooring down through float dust
     return int(math.floor(x + 1e-12))
@@ -169,42 +180,33 @@ def pick_regime(gh: float) -> str:
     return "general"
 
 
-def _phi(b: float, gap: float) -> float:
-    # step profile with its jump at 1; equality resolves to the upper branch
-    return 1.0 if b < 1.0 else gap
-
-
 def theory_curve(name: str, beta: float, gamma: Optional[float] = None,
                  gap: Optional[float] = None) -> float:
     """Limit-curve value at beta for one of the named regimes."""
     if beta < 0:
         raise BadValue("beta must be nonnegative")
-    decay = math.exp(-beta)
-    if name == "joint_gamma0":
-        return decay
-    if name == "joint_gammainf":
-        return (1.0 + beta) * decay
-    if name == "joint_general":
+    if name not in CURVE_NAMES:     # a tuple: an unhashable name is no error
+        raise BadCurveName(f"unknown curve {name!r}; expected one of {CURVE_NAMES}")
+    forms, switch = _CURVES[name]
+    upper, lower = forms
+    if switch == math.inf:      # never reached, not even by beta = inf
+        return upper(beta, gap)
+    if switch is None:
         if gamma is None or gamma <= 0:
-            raise BadValue("joint_general needs gamma > 0")
-        return (1.0 + beta) * decay if beta < gamma else decay
-    if name == "marginal_gamma0":
-        if gap is None:
-            raise BadValue("marginal_gamma0 needs the stationary gap")
-        return gap * decay
-    if name == "marginal_gammainf":
-        return decay
-    if name == "marginal_general":
-        if gamma is None or gamma <= 0:
-            raise BadValue("marginal_general needs gamma > 0")
-        if gap is None:
-            raise BadValue("marginal_general needs the stationary gap")
-        return _phi(beta / gamma, gap) * decay
-    if name == "static_profile":
-        if gap is None:
-            raise BadValue("static_profile needs the stationary gap")
-        return _phi(beta, gap)
-    raise BadCurveName(f"unknown curve {name!r}; expected one of {CURVE_NAMES}")
+            raise BadValue(f"{name} needs gamma > 0")
+        switch = gamma
+    if forms is not _JOINT and gap is None:
+        raise BadValue(f"{name} needs the stationary gap")
+    return upper(beta, gap) if beta < switch else lower(beta, gap)
+
+
+def _limit_curve(forms, gh: Optional[float] = None):
+    """(name, switch point) of the curve a run on these forms is scored
+    against: the static profile, or the curve of gh's regime."""
+    switch = (1.0 if forms is _STATIC else
+              {"0": 0.0, "general": None, "inf": math.inf}[pick_regime(gh)])
+    name = next(n for n, spec in _CURVES.items() if spec == (forms, switch))
+    return name, gh if switch is None else switch
 
 
 def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
@@ -290,11 +292,6 @@ def _kernel(seq: DegreeSequence, stream: RngStream) -> TransitionKernel:
     return kernel_from_digraph(sample_digraph(seq, stream))
 
 
-def _ledger(budget: Optional[OperationBudget]) -> OperationBudget:
-    """budget, or for a call without one a ledger no run can exhaust."""
-    return OperationBudget(sys.float_info.max) if budget is None else budget
-
-
 def _laws_at(v: np.ndarray, kernel: TransitionKernel, times: Sequence[int],
              ledger: OperationBudget):
     """Yield (t, v P^t) for sorted times, one propagate per gap; v is a law
@@ -371,14 +368,14 @@ def _beta_times(cfg: ExperimentConfig, time_of):
     return betas, [_floor_time(time_of(b)) for b in betas]
 
 
-def _curve(betas, ts, per_rep, theory, jump=None, n_effective=None,
+def _curve(betas, ts, per_rep, theory, switch=math.inf, n_effective=None,
            gap_err=0.0):
     """A curve's rows and its per_beta_replicate_values, in one pass.
 
     betas are the abscissae (double-cutoff passes its switch times);
     per_rep holds one {t: value} per replicate; the row at beta reads time
-    t, against theory(beta).  Rows within FLAG_MARGIN of jump are flagged,
-    and gap_err * exp(-beta) adds to each std_err in quadrature.
+    t, against theory(beta).  Rows within FLAG_MARGIN of a switch in (0, inf)
+    are flagged, and gap_err * exp(-beta) adds to each std_err in quadrature.
     """
     rows, values = [], {}
     for beta, t in zip(betas, ts):
@@ -389,7 +386,7 @@ def _curve(betas, ts, per_rep, theory, jump=None, n_effective=None,
             std_err=float(math.hypot(err, gap_err * math.exp(-beta))),
             theory=theory(beta),
             n_effective=len(per_rep) if n_effective is None else n_effective,
-            flagged=jump is not None and abs(beta - jump) < FLAG_MARGIN,
+            flagged=0 < switch < math.inf and abs(beta - switch) < FLAG_MARGIN,
         ))
     return rows, values
 
@@ -412,7 +409,8 @@ def static_cutoff_profile(cfg: ExperimentConfig,
     t_unique = sorted(set(ts))
     starts, mode = resolve_starts(cfg)
     base = RngStream(cfg.root_seed)
-    ledger = _ledger(budget)
+    ledger = as_ledger(budget)
+    curve, switch = _limit_curve(_STATIC)
 
     def one(r: int):
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, r))
@@ -431,7 +429,7 @@ def static_cutoff_profile(cfg: ExperimentConfig,
         "no stationary solve converged")
 
     rows, values = _curve(betas, ts, per_rep,
-                          lambda b: 1.0 if b < 1.0 else 0.0, jump=1.0)
+                          lambda b: theory_curve(curve, b, gap=0.0), switch)
     meta = _meta(
         "static-cutoff", cfg, ledger, scale,
         times=ts, start_mode=mode, start_count=len(starts),
@@ -468,7 +466,7 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     s_sorted = sorted(set(s_grid))
     starts, mode = resolve_starts(cfg)
     base = RngStream(cfg.root_seed)
-    ledger = _ledger(budget)
+    ledger = as_ledger(budget)
 
     def one(r: int):
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, r))
@@ -537,15 +535,13 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
     gh = gamma_hat(cfg)
-    regime = pick_regime(gh)
-    curve = {"0": "joint_gamma0", "inf": "joint_gammainf",
-             "general": "joint_general"}[regime]
+    curve, switch = _limit_curve(_JOINT, gh)
     t_unique = sorted(set(ts))  # a time shared by betas is estimated once
     t_rows = [t for t in ts if t > 0]
     starts, mode = resolve_starts(cfg, exhaustive_small=False)
     _pair(len(starts) - 1, cfg.env_samples - 1)
     base = RngStream(cfg.root_seed)
-    ledger = _ledger(budget)
+    ledger = as_ledger(budget)
     used_total = [0] * len(starts)
 
     def one(item):
@@ -579,11 +575,10 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
 
     rows, values = _curve(
         betas, ts, per_rep, lambda b: theory_curve(curve, b, gamma=gh),
-        jump=gh if curve == "joint_general" else None,
-        n_effective=len(per_rep) * cfg.env_samples)
+        switch, n_effective=len(per_rep) * cfg.env_samples)
     meta = _meta(
         "joint", cfg, ledger, scale,
-        alpha=alpha, gamma_hat=gh, regime=regime, curve=curve,
+        alpha=alpha, gamma_hat=gh, regime=pick_regime(gh), curve=curve,
         times=ts, start_mode=mode, starts=starts,
         replicates=len(per_rep), env_samples=cfg.env_samples,
         env_skipped=len(starts) * cfg.env_samples - sum(used_total),
@@ -617,19 +612,17 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
     gh = gamma_hat(cfg)
-    regime = pick_regime(gh)
     if time_scale == "regeneration":
         betas, ts = _beta_times(cfg, lambda b: b / alpha)
-        curve = {"0": "marginal_gamma0", "inf": "marginal_gammainf",
-                 "general": "marginal_general"}[regime]
+        curve, switch = _limit_curve(_MARGINAL, gh)
     else:
         betas, ts = _beta_times(cfg, lambda b: b * scale.entropic_time)
-        curve = "static_profile"
-    ledger = _ledger(budget)
-    # stationary gap between the in-law and the true stationary law:
-    # exactly zero for Eulerian matchings, estimated otherwise
+        curve, switch = _limit_curve(_STATIC)
+    ledger = as_ledger(budget)
+    # stationary gap between the in-law and the true stationary law, read
+    # from the switch on: exactly zero for Eulerian matchings, else estimated
     gap, gap_err, gap_meta = None, 0.0, {}
-    if curve != "marginal_gammainf":
+    if switch < math.inf:
         if seq.is_eulerian:
             gap = 0.0
             gap_meta = {"q_hat": 0.0, "q_std_err": 0.0, "q_exact": True}
@@ -650,15 +643,13 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
         for laws in _environment_laws(cfg, np.array(starts)[:, None],
                                       t_sorted, ledger)]
 
-    # the curve's jump, if it has one, flags the grid points next to it
     rows, values = _curve(
         betas, ts, per_rep,
-        lambda b: theory_curve(curve, b, gamma=gh, gap=gap),
-        jump={"marginal_general": gh, "static_profile": 1.0}.get(curve),
+        lambda b: theory_curve(curve, b, gamma=gh, gap=gap), switch,
         gap_err=gap_err)
     meta = _meta(
         "marginal", cfg, ledger, scale,
-        alpha=alpha, gamma_hat=gh, regime=regime, curve=curve,
+        alpha=alpha, gamma_hat=gh, regime=pick_regime(gh), curve=curve,
         time_scale=time_scale, times=ts, start_mode=mode, starts=starts,
         replicates=len(per_rep), per_beta_replicate_values=values,
         **gap_meta)
@@ -711,7 +702,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     x = resolve_starts(cfg, exhaustive_small=False)[0][0]
     base = RngStream(cfg.root_seed)
     k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
-    ledger = _ledger(budget)
+    ledger = as_ledger(budget)
 
     # schedule m draws its refresh steps on lane offset _pair(m, 0)
     refresh_steps = [
@@ -768,7 +759,7 @@ def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
                                budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """Curve-shaped wrapper: the theory column carries the deterministic
     estimate the sampled one must hit."""
-    ledger = _ledger(budget)
+    ledger = as_ledger(budget)
     res = marginal_mc_crosscheck(cfg, t, schedule_samples, budget=ledger)
     row = ReportRow(abscissa=float(res.t), estimate=res.sampled,
                     std_err=res.std_err, theory=res.exact,
@@ -808,7 +799,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     samples = cfg.env_samples
     mean_acc = np.zeros((len(ts), len(starts), seq.n))
     sq_acc = np.zeros((len(ts), len(starts), seq.n))
-    ledger = _ledger(budget)
+    ledger = as_ledger(budget)
     for law in _environment_laws(
             cfg, np.broadcast_to(starts, (samples, len(starts))), ts, ledger):
         mean_acc += law
@@ -874,7 +865,7 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
         raise BadRange(f"need 0 <= s <= t with t >= 1, got s={s}, t={t}")
     if traj_samples < 1:
         raise BadValue("traj_samples must be >= 1")
-    if not 0 < epsilon < 1:
+    if not (is_real(epsilon) and 0 < epsilon < 1):
         raise BadValue("epsilon must be in (0, 1)")
     seq = cfg.seq
     scale = entropic_scale(seq)
@@ -886,10 +877,10 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     start_gen = base.lane(_LANE_STARTS).generator()
     xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
     log_weights = np.empty(traj_samples)
+    ledger = as_ledger(budget)
     for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
         hi = min(lo + _PATH_BLOCK, traj_samples)
-        if budget is not None:
-            budget.charge(float(hi - lo) * t * seq.delta)
+        ledger.charge(float(hi - lo) * t * seq.delta)
         states = sample_paths(xs[lo:hi], s, t, g_sigma, g_eta,
                               base.lane(_LANE_TRAJ, b))
         log_weights[lo:hi] = path_log_weights(states, s, g_sigma, g_eta)

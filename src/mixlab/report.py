@@ -29,16 +29,21 @@ def fmt(x) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write path through a temporary file beside it; BadValue on OSError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise BadValue(f"cannot write {os.fspath(path)!r}: "
+                       f"{exc.strerror}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,7 @@ uint32 words, mix every pool word into every other, then
 ``generate_state(2, uint64)``) in uint32 array arithmetic, one array
 element per stream.  Its keys are bitwise those of numpy, so a keyed
 stream draws exactly the numbers of the unkeyed stream with the same
-index.  A keyed stream hands its key to Philox through ``_PhiloxKey``, an
-``ISeedSequence``: ``Philox(key=...)`` would first build a SeedSequence
-from OS entropy, which costs more than the one it replaces.
+index.
 
 A sampled environment draws only a few hundred numbers, so a fresh
 ``Generator(Philox(...))`` per keyed stream would cost more than its
@@ -29,7 +27,9 @@ exactly the numbers ``stream.generator()`` would.  The generator it
 returns is valid only until that thread's next ``shared_generator``
 call, so it must never leave the call that borrowed it: draw, then drop
 it.  ``RngStream.generator()`` keeps returning a fresh generator, since
-some callers hold theirs across other draws.
+some callers hold theirs across other draws.  The package's keyed streams
+draw through ``shared_generator``, so only library code and tests ask a
+keyed stream for one, and get a plain ``Philox(key=...)``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import BadRange
 
@@ -125,16 +124,6 @@ def lane_keys(root_seed: int, which: int, ks: np.ndarray) -> np.ndarray:
             .astype(np.uint64))
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox a key derived beforehand, in place of a SeedSequence."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
 @dataclass(frozen=True)
 class RngStream:
     root_seed: int
@@ -151,10 +140,9 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; calling twice replays the stream."""
         if self.key is None:
-            seq = SeedSequence((self.root_seed, self.stream_index))
-        else:
-            seq = _PhiloxKey(self.key)
-        return Generator(Philox(seq))
+            return Generator(Philox(SeedSequence((self.root_seed,
+                                                  self.stream_index))))
+        return Generator(Philox(key=self.key))
 
     def offset(self, k: int) -> "RngStream":
         """Stream ``stream_index + k`` under the same root seed."""
@@ -188,8 +176,7 @@ class _Shared(threading.local):
     importing thread at import, and in any other on its first read."""
 
     def __init__(self):
-        self.generator = Generator(Philox(_PhiloxKey(
-            np.zeros(2, dtype=np.uint64))))
+        self.generator = Generator(Philox(0))
 
 
 _shared = _Shared()

@@ -15,12 +15,13 @@ from typing import Optional
 import numpy as np
 
 from .core import (DegreeSequence, in_degree_distribution, integer_array,
-                   mean_std_err, tv_distance)
+                   is_real, mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadValue, LengthMismatch,
                      NotConverged)
 from .rng import RngStream
 from .sampler import sample_digraph
-from .walk import OperationBudget, TransitionKernel, kernel_from_digraph
+from .walk import (OperationBudget, TransitionKernel, as_ledger,
+                   kernel_from_digraph)
 
 DEFAULT_TOL = 1e-10
 
@@ -30,6 +31,11 @@ class StationaryResult:
     distribution: np.ndarray
     iterations: int
     residual: float
+
+
+def check_tol(tol) -> None:
+    if not (is_real(tol) and 0 < tol < math.inf):
+        raise BadValue(f"tol must be positive and finite, got {tol!r}")
 
 
 def _default_max_iters(n: int) -> int:
@@ -47,8 +53,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     SCC count for diagnosis) when max_iters passes without the averaged
     iterate reaching the tolerance in total variation.
     """
-    if not 0 < tol < math.inf:
-        raise BadValue(f"tol must be positive and finite, got {tol}")
+    check_tol(tol)
     n = kernel.n
     if max_iters is None:
         max_iters = _default_max_iters(n)
@@ -68,8 +73,8 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
         if not np.isfinite(v).all():
             raise BadValue("start has a non-finite entry")
     tmat = kernel.transpose
-    if budget is not None:
-        budget.charge(kernel.nnz)
+    budget = as_ledger(budget)
+    budget.charge(kernel.nnz)
 
     w = tmat @ v
     cand_prev = 0.5 * (v + w)
@@ -77,8 +82,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     best_res = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        if budget is not None:
-            budget.charge(kernel.nnz)
+        budget.charge(kernel.nnz)
         v = w
         w = tmat @ v
         cand = 0.5 * (v + w)
@@ -89,8 +93,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
             best_res, best = res, cand_prev
         if res <= tol:
             pi = cand_prev / cand_prev.sum()
-            if budget is not None:
-                budget.charge(kernel.nnz)
+            budget.charge(kernel.nnz)
             verified = tv_distance(tmat @ pi, pi)
             if verified <= tol:
                 pi.setflags(write=False)
@@ -199,6 +202,7 @@ def estimate_stationary_gap(seq: DegreeSequence, replicates: int,
     Zero exactly when in-degrees equal out-degrees vertex by vertex; skips
     non-converged replicates and raises AllReplicatesFailed if none survive.
     """
+    replicates = int(integer_array([replicates], "replicates")[0])
     if replicates < 2:
         raise BadValue("need at least 2 replicates for a standard error")
     rows, failures = solve_replicates(seq, replicates, stream, tol=tol,

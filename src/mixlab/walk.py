@@ -23,13 +23,14 @@ block's states at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .core import DIST_TOL, DegreeSequence, index_dtype_for
+from .core import DIST_TOL, DegreeSequence, index_dtype_for, is_real
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
 from .sampler import Digraph
@@ -46,8 +47,8 @@ class OperationBudget:
     DEFAULT_CAP = 5e10
 
     def __init__(self, cap: float = DEFAULT_CAP):
-        if not 0 < cap < math.inf:
-            raise BadValue(f"budget cap must be positive and finite, got {cap}")
+        if not (is_real(cap) and 0 < cap < math.inf):
+            raise BadValue(f"budget cap must be positive and finite, got {cap!r}")
         self.cap = float(cap)
         self.used = 0.0
         self.renormalizations = 0
@@ -67,6 +68,11 @@ class OperationBudget:
         if drift > self.max_drift:
             self.max_drift = drift
         self.renormalizations += int(renormalized)
+
+
+def as_ledger(budget: Optional[OperationBudget]) -> OperationBudget:
+    """budget, or for a call without one a ledger no run can exhaust."""
+    return OperationBudget(sys.float_info.max) if budget is None else budget
 
 
 class TransitionKernel:
@@ -183,8 +189,7 @@ def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
     return TransitionKernel(graphs=(g, *more))
 
 
-def _renormalized(v: np.ndarray,
-                  budget: Optional[OperationBudget]) -> np.ndarray:
+def _renormalized(v: np.ndarray, budget: OperationBudget) -> np.ndarray:
     """v, divided by its mass when that drifted from 1 by more than DIST_TOL.
 
     A NaN mass would pass the drift test and poison every later step
@@ -196,18 +201,17 @@ def _renormalized(v: np.ndarray,
     renorm = drift > DIST_TOL
     if renorm:
         v = v / s
-    if budget is not None:
-        budget.record(drift, renorm)
+    budget.record(drift, renorm)
     return v
 
 
 def _step(v: np.ndarray, kernel: TransitionKernel,
-          budget: Optional[OperationBudget]) -> np.ndarray:
+          budget: OperationBudget) -> np.ndarray:
     return _renormalized(kernel.transpose @ v, budget)
 
 
 def _block_step(v: np.ndarray, kernel: TransitionKernel,
-                budget: Optional[OperationBudget]) -> np.ndarray:
+                budget: OperationBudget) -> np.ndarray:
     """_step for a (kernel.n, k) block: each kernel block's part of each
     column is one distribution, checked and renormalized on its own."""
     w = kernel.transpose @ v
@@ -221,8 +225,7 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
     renorm = drift > DIST_TOL
     if renorm.any():
         laws[renorm] /= sums[renorm][:, None]
-    if budget is not None:
-        budget.record(float(drift.max(initial=0.0)), int(renorm.sum()))
+    budget.record(float(drift.max(initial=0.0)), int(renorm.sum()))
     return w
 
 
@@ -237,14 +240,15 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
     result equals separate 1-d calls bit for bit.  A law whose mass is
     zero or not finite, dist itself at zero steps, raises BadValue.
     """
+    if budget is None:      # inline, not as_ledger(budget): a call per step
+        budget = as_ledger(None)
     if steps < 0:
         raise BadRange("steps must be nonnegative")
     v = np.asarray(dist, dtype=np.float64)
     if v.shape != (kernel.n,) and (v.ndim != 2 or len(v) != kernel.n):
         raise BadValue(f"distribution shape {v.shape} does not fit "
                        f"kernel size {kernel.n}")
-    if budget is not None:
-        budget.charge(float(steps) * kernel.nnz * (v.size // kernel.n))
+    budget.charge(float(steps) * kernel.nnz * (v.size // kernel.n))
     if steps == 0:      # no step will check dist's masses, so check them here
         blocks = kernel.blocks if v.ndim == 2 else 1
         mass = v.reshape(blocks, len(v) // blocks, v.size // len(v)).sum(1)
@@ -294,8 +298,8 @@ def time_averaged_rows(x: int, times: Sequence[int],
     if any(t < 1 for t in wanted):
         raise BadRange("t must be >= 1")
     t_max = max(wanted, default=0)
-    if budget is not None and t_max > 1:
-        budget.charge((t_max - 1.0) * (k_sigma.nnz + k_eta.nnz))
+    budget = as_ledger(budget)
+    budget.charge(max(t_max - 1.0, 0.0) * (k_sigma.nnz + k_eta.nnz))
     u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
     acc = np.zeros(k_sigma.n)
     tmat = k_eta.transpose

@@ -131,13 +131,6 @@ def test_parse_rejects_unknown_flag():
         parse_run_spec(["joint", "--no-such-flag", "1"])
 
 
-def test_parse_rejects_bad_alpha():
-    with pytest.raises(BadValue):
-        parse_run_spec(["joint", "--alpha", "1.5"])
-    with pytest.raises(BadValue):
-        parse_run_spec(["joint", "--alpha", "0"])
-
-
 def test_parse_rejects_bad_experiment():
     with pytest.raises(BadValue):
         parse_run_spec(["no-such-experiment"])
@@ -550,6 +543,38 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, doc):
             "--out-dir", str(tmp_path)]
     assert run_error(args, capsys) == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0"])
+def test_alpha_outside_0_1_exits_1(tmp_path, capsys, alpha):
+    # checked once, where the run's config is built
+    args = ["joint", "--generator", "eulerian:3x20", "--alpha", alpha,
+            "--beta-grid", "0.5", "--env-samples", "2",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: alpha must be in (0, 1), got {float(alpha)!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file", "csv-is-a-dir"])
+def test_unusable_output_path_exits_1(tmp_path, capsys, where):
+    # the directory cannot be made, or the report cannot be written; the
+    # error line names the path at fault
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    csv = tmp_path / "q-estimate_n20_ana_seed0.csv"
+    csv.mkdir()
+    out_dir, named = {"file": (taken, taken),
+                      "under-a-file": (taken / "sub", taken / "sub"),
+                      "csv-is-a-dir": (tmp_path, csv)}[where]
+    args = ["q-estimate", "--generator", "eulerian:3x20",
+            "--out-dir", str(out_dir)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(str(named)) in err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("flags", [

@@ -586,6 +586,49 @@ def test_non_integer_counts_are_typed_errors(bad):
         stationary_gap_report(cfg_for(seq), replicates=bad)
 
 
+MIX = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+NON_REAL_SCALARS = {
+    "config-tol": lambda: cfg_for(MIX, tol="x"),
+    "solver-tol": lambda: stationary_distribution(
+        kernel_from_digraph(sample_digraph(MIX, RngStream(5).lane(1, 0))),
+        tol="1e-9"),
+    "budget-cap": lambda: OperationBudget("5"),
+    "epsilon": lambda: path_weight_lln(cfg_for(MIX), 1, 2, 10,
+                                       epsilon="0.1"),
+    # not Eulerian, so marginal estimates the stationary gap
+    "gap-replicates": lambda: marginal_relaxation_curve(
+        cfg_for(MIX, alpha=0.3, beta_grid=(0.6,)), gap_replicates="3"),
+    "gap-report-replicates": lambda: stationary_gap_report(
+        cfg_for(MIX), replicates="3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_REAL_SCALARS))
+def test_non_real_scalars_are_typed_errors(name):
+    with pytest.raises(BadValue):
+        NON_REAL_SCALARS[name]()
+
+
+# each run's grid time overflows to inf on 3-regular n = 50
+HUGE_BETA_RUNS = {
+    "static": lambda seq: static_cutoff_profile(
+        cfg_for(seq, beta_grid=(1e308,), env_samples=2)),
+    "joint": lambda seq: joint_relaxation_curve(
+        cfg_for(seq, alpha=0.001, beta_grid=(1e306,), env_samples=2)),
+    "marginal": lambda seq: marginal_relaxation_curve(
+        cfg_for(seq, alpha=0.001, beta_grid=(1e306,), env_samples=2)),
+    "double": lambda seq: double_cutoff_sweep(
+        cfg_for(seq, s_grid=(0,), env_samples=2), 1e308),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_BETA_RUNS))
+def test_a_grid_time_past_floats_is_a_typed_error(name):
+    seq = validate_degrees("dcm", [3] * 50, [3] * 50)
+    with pytest.raises(BadValue, match="not finite"):
+        HUGE_BETA_RUNS[name](seq)
+
+
 def test_path_weights_exact_for_uniform_out_maps():
     # distinct targets mean every step has weight exactly 1/3, so the rate
     # is the entropy log 3 for every single trajectory

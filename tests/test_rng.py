@@ -97,9 +97,15 @@ def test_keyed_streams_draw_what_numpy_draws(root, which):
         assert stream.key is not None
         ref = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((root, which * LANE + k))))
-        gen = stream.generator()
-        assert np.array_equal(gen.random(8), ref.random(8))
-        assert np.array_equal(gen.permutation(50), ref.permutation(50))
+        # the stream's unkeyed twin, and a fresh generator per comparison
+        twin = RngStream(root).lane(which, k).generator()
+        for other in (ref, twin):
+            gen = stream.generator()
+            assert np.array_equal(gen.random(8), other.random(8))
+            assert np.array_equal(gen.permutation(50), other.permutation(50))
+            assert np.array_equal(
+                gen.integers(0, 2**32 - 1, size=5, dtype=np.uint32),
+                other.integers(0, 2**32 - 1, size=5, dtype=np.uint32))
 
 
 def _three_draws(gen, i):

@@ -1,13 +1,15 @@
 """Limit-curve values, regime selection, and flagging rules."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 
-from mixlab import theory_curve
-from mixlab.errors import BadCurveName, BadValue
-from mixlab.experiments import (FLAG_MARGIN, GAMMA_HIGH, GAMMA_LOW,
-                                pick_regime)
+from mixlab import experiments, theory_curve
+from mixlab.errors import BadCurveName, BadValue, MixingLabError
+from mixlab.experiments import (CURVE_NAMES, FLAG_MARGIN, GAMMA_HIGH,
+                                GAMMA_LOW, pick_regime)
 
 
 def test_joint_curves_frozen_values():
@@ -73,3 +75,93 @@ def test_regime_thresholds_are_strict():
     assert pick_regime(GAMMA_HIGH) == "general"
     assert pick_regime(5.01) == "inf"
     assert FLAG_MARGIN == pytest.approx(0.1)
+
+
+def _seven_branch_curve(name, beta, gamma=None, gap=None):
+    """The limit curves as seven hand-written branches: the oracle the
+    switch table must reproduce bit for bit."""
+    def phi(b, gap):
+        return 1.0 if b < 1.0 else gap
+    if beta < 0:
+        raise BadValue("beta must be nonnegative")
+    decay = math.exp(-beta)
+    if name == "joint_gamma0":
+        return decay
+    if name == "joint_gammainf":
+        return (1.0 + beta) * decay
+    if name == "joint_general":
+        if gamma is None or gamma <= 0:
+            raise BadValue("joint_general needs gamma > 0")
+        return (1.0 + beta) * decay if beta < gamma else decay
+    if name == "marginal_gamma0":
+        if gap is None:
+            raise BadValue("marginal_gamma0 needs the stationary gap")
+        return gap * decay
+    if name == "marginal_gammainf":
+        return decay
+    if name == "marginal_general":
+        if gamma is None or gamma <= 0:
+            raise BadValue("marginal_general needs gamma > 0")
+        if gap is None:
+            raise BadValue("marginal_general needs the stationary gap")
+        return phi(beta / gamma, gap) * decay
+    if name == "static_profile":
+        if gap is None:
+            raise BadValue("static_profile needs the stationary gap")
+        return phi(beta, gap)
+    raise BadCurveName(f"unknown curve {name!r}; expected one of "
+                       f"{CURVE_NAMES}")
+
+
+def _outcome(curve, *args):
+    """A curve's value as its float64 bytes, or its error type and text."""
+    try:
+        return struct.pack("<d", curve(*args))
+    except MixingLabError as exc:
+        return type(exc), str(exc)
+
+
+def _around(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+GAMMAS = [0.01, GAMMA_LOW, 1.0, GAMMA_HIGH, 50.0]
+
+
+@pytest.mark.parametrize("name", [*CURVE_NAMES, "no_such_curve"])
+def test_switch_table_equals_the_seven_branch_curves(name):
+    betas = [float(b) for x in [0.0, 1.0, *GAMMAS, math.inf] + [0.5, 3.0,
+             700.0, 800.0] for b in _around(x)]
+    for beta in betas:
+        for gamma in [None, -1.0, 0.0, *GAMMAS]:
+            for gap in [None, 0.0, 0.3]:
+                args = (name, beta, gamma, gap)
+                assert (_outcome(theory_curve, *args)
+                        == _outcome(_seven_branch_curve, *args)), args
+
+
+def _old_curve_and_jump(family, gh):
+    """Curve name and jump as the experiments chose them one by one."""
+    if family == "static":
+        return "static_profile", 1.0
+    regime = pick_regime(gh)
+    suffix = {"0": "gamma0", "inf": "gammainf", "general": "general"}[regime]
+    return f"{family}_{suffix}", gh if regime == "general" else None
+
+
+@pytest.mark.parametrize("family", ["joint", "marginal", "static"])
+def test_limit_curve_helper_keeps_each_name_and_jump(family):
+    forms = {"joint": experiments._JOINT, "marginal": experiments._MARGINAL,
+             "static": experiments._STATIC}[family]
+    for gh in [float(g) for x in (GAMMA_LOW, 1.0, GAMMA_HIGH)
+               for g in _around(x)]:
+        name, switch = experiments._limit_curve(forms, gh)
+        old_name, jump = _old_curve_and_jump(family, gh)
+        assert name == old_name
+        assert (switch if 0 < switch < math.inf else None) == jump
+        # rows near the jump, and only those, are flagged
+        betas = [0.05, 0.5, 1.05, gh - 0.05, gh + 0.2, 9.0]
+        rows, _ = experiments._curve(betas, betas, [dict.fromkeys(betas, 0.5)],
+                                     lambda b: 0.0, switch)
+        assert [row.flagged for row in rows] == [
+            jump is not None and abs(b - jump) < FLAG_MARGIN for b in betas]

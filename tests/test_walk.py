@@ -15,7 +15,7 @@ from mixlab import (NotConverged, OperationBudget, RngStream,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
-from mixlab.walk import Trajectory
+from mixlab.walk import Trajectory, as_ledger
 
 
 def _graph_from_edges(out_edges, model="dcm"):
@@ -682,6 +682,29 @@ def test_budget_charges_equal_the_products_performed(name):
     performed = sum(k.transpose.ops for k in kernels)
     assert budget.used == performed
     assert (performed == 0) == (name == "rows-t1")
+
+
+def _bits(result):
+    """A run's result as exactly comparable bytes and numbers."""
+    if isinstance(result, dict):
+        return {t: _bits(row) for t, row in result.items()}
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    if result is None:
+        return None
+    return _bits(result.distribution), result.iterations, result.residual
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_RUNS))
+def test_no_budget_gives_the_bits_of_an_uncapped_ledger(name):
+    # propagate maps a missing budget inline, the others through as_ledger
+    seq = validate_degrees("dcm", [2] * 6 + [3] * 6, [3] * 6 + [2] * 6)
+    kernels = [kernel_from_digraph(sample_digraph(seq, RngStream(4).lane(i)))
+               for i in (1, 2)]
+    without = COUNTED_RUNS[name](*kernels, None)
+    ledger = as_ledger(None)
+    assert _bits(COUNTED_RUNS[name](*kernels, ledger)) == _bits(without)
+    assert ledger.used > 0 or name == "rows-t1"
 
 
 @pytest.mark.parametrize("cap", [np.nan, np.inf, -1.0])
