@@ -7,9 +7,8 @@ distance-to-equilibrium curves those walks follow at scale.
 """
 
 from .core import (DegreeSequence, DIST_TOL, EntropicScale, ModelKind,
-                   assert_distribution, entropic_scale,
-                   in_degree_distribution, load_degree_sequence, tv_distance,
-                   validate_degrees)
+                   entropic_scale, in_degree_distribution,
+                   load_degree_sequence, tv_distance, validate_degrees)
 from .errors import (AllReplicatesFailed, BadCurveName, BadGeneratorSyntax,
                      BadRange, BadValue, BudgetExceeded, DegreeTooLarge,
                      DegreeTooSmall, ImpossibleStep, LengthMismatch,

@@ -284,7 +284,8 @@ def _resolve_threads(spec: RunSpec) -> int:
 
 
 def _out_base(spec: RunSpec, n: int) -> str:
-    alpha_txt = "na" if spec.alpha is None else f"{spec.alpha:g}"
+    # every digit of alpha, so runs at two alphas never share a file
+    alpha_txt = "na" if spec.alpha is None else repr(float(spec.alpha))
     return os.path.join(spec.out_dir,
                         f"{spec.experiment}_n{n}_a{alpha_txt}"
                         f"_seed{spec.root_seed}")

@@ -290,17 +290,3 @@ def mean_std_err(values):
     arr = np.asarray(values, dtype=np.float64)
     err = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return float(arr.mean()), err
-
-
-def assert_distribution(p, tol: float = DIST_TOL) -> np.ndarray:
-    """Validate a probability vector; returns it as float64."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise BadValue("distribution must be 1-d and non-empty")
-    if not np.isfinite(p).all():
-        raise BadValue("distribution has a non-finite entry")
-    if p.min() < -tol:
-        raise BadValue(f"negative mass {p.min():g}")
-    if abs(p.sum() - 1.0) > tol:
-        raise BadValue(f"mass {p.sum():.15g} not within {tol:g} of 1")
-    return p

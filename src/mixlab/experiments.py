@@ -183,10 +183,15 @@ def pick_regime(gh: float) -> str:
 def theory_curve(name: str, beta: float, gamma: Optional[float] = None,
                  gap: Optional[float] = None) -> float:
     """Limit-curve value at beta for one of the named regimes."""
+    if not (is_real(beta) and beta == beta):
+        raise BadValue(f"beta must be a real number, got {beta!r}")
     if beta < 0:
         raise BadValue("beta must be nonnegative")
     if name not in CURVE_NAMES:     # a tuple: an unhashable name is no error
         raise BadCurveName(f"unknown curve {name!r}; expected one of {CURVE_NAMES}")
+    for label, x in (("gamma", gamma), ("gap", gap)):
+        if x is not None and not (is_real(x) and x == x):
+            raise BadValue(f"{label} must be a real number, got {x!r}")
     forms, switch = _CURVES[name]
     upper, lower = forms
     if switch == math.inf:      # never reached, not even by beta = inf

@@ -5,31 +5,28 @@ Every random object in the package is tied to an ``RngStream``: a
 generator.  Stream k is reachable directly, without generating streams
 0..k-1, and distinct indices give statistically independent streams.
 
-A stream's Philox key is the one numpy derives from
+Every stream carries its Philox key, the one numpy derives from
 ``SeedSequence((root_seed, stream_index))``.  Building that SeedSequence
 costs about as much as sampling a small graph, so ``RngStream.lanes``
 derives the keys of many streams of one lane at once: ``lane_keys`` runs
 numpy's SeedSequence algorithm (hash the entropy words into a pool of four
 uint32 words, mix every pool word into every other, then
 ``generate_state(2, uint64)``) in uint32 array arithmetic, one array
-element per stream.  Its keys are bitwise those of numpy, so a keyed
-stream draws exactly the numbers of the unkeyed stream with the same
-index.
+element per stream.  Its keys are bitwise those of numpy, so a stream
+draws the same numbers however its key was derived.
 
 A sampled environment draws only a few hundred numbers, so a fresh
-``Generator(Philox(...))`` per keyed stream would cost more than its
-draws.  Philox is counter-based: its output depends only on (key,
-counter).  ``shared_generator`` therefore keeps one generator per thread
-and, for each keyed stream, resets its Philox through the public
-``state`` setter to the state a fresh Philox has: the stream's key,
-counter 0, an empty buffer and no spare 32-bit word.  It then draws
-exactly the numbers ``stream.generator()`` would.  The generator it
-returns is valid only until that thread's next ``shared_generator``
-call, so it must never leave the call that borrowed it: draw, then drop
-it.  ``RngStream.generator()`` keeps returning a fresh generator, since
-some callers hold theirs across other draws.  The package's keyed streams
-draw through ``shared_generator``, so only library code and tests ask a
-keyed stream for one, and get a plain ``Philox(key=...)``.
+``Generator(Philox(...))`` per stream would cost more than its draws.
+Philox is counter-based: its output depends only on (key, counter).
+``shared_generator`` therefore keeps one generator per thread and, for
+each stream, resets its Philox through the public ``state`` setter to the
+state a fresh Philox has: the stream's key, counter 0, an empty buffer and
+no spare 32-bit word.  It then draws exactly the numbers
+``stream.generator()`` would.  The generator it returns is valid only
+until that thread's next ``shared_generator`` call, so it must never leave
+the call that borrowed it: draw, then drop it.  ``RngStream.generator()``
+keeps returning a fresh generator, for callers that hold theirs across
+other draws.
 """
 
 from __future__ import annotations
@@ -128,25 +125,22 @@ def lane_keys(root_seed: int, which: int, ks: np.ndarray) -> np.ndarray:
 class RngStream:
     root_seed: int
     stream_index: int = 0
-    # the stream's Philox key when ``lanes`` derived it; a stream compares,
-    # hashes and prints as its (root_seed, stream_index) either way
+    # the stream's Philox key, derived here unless ``lanes`` passes it; a
+    # stream compares, hashes and prints as its (root_seed, stream_index)
     key: Optional[np.ndarray] = field(default=None, compare=False,
                                       repr=False)
 
     def __post_init__(self):
         if self.root_seed < 0 or self.stream_index < 0:
             raise BadRange("seed and stream index must be nonnegative")
+        if self.key is None:
+            object.__setattr__(self, "key", SeedSequence(
+                (self.root_seed, self.stream_index)).generate_state(
+                    2, np.uint64))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; calling twice replays the stream."""
-        if self.key is None:
-            return Generator(Philox(SeedSequence((self.root_seed,
-                                                  self.stream_index))))
         return Generator(Philox(key=self.key))
-
-    def offset(self, k: int) -> "RngStream":
-        """Stream ``stream_index + k`` under the same root seed."""
-        return RngStream(self.root_seed, self.stream_index + k)
 
     def lane(self, which: int, k: int = 0) -> "RngStream":
         """Stream ``which * LANE + k``, for collision-free nested loops."""
@@ -185,13 +179,10 @@ _shared = _Shared()
 def shared_generator(stream: RngStream) -> np.random.Generator:
     """A generator that draws exactly what ``stream.generator()`` draws.
 
-    For a keyed stream (one yielded by ``RngStream.lanes``) this is the
-    calling thread's shared generator, reset to the stream's fresh state;
-    it is valid until the thread's next call, so draw from it and drop it.
-    An unkeyed stream gets ``stream.generator()``.
+    This is the calling thread's shared generator, reset to the stream's
+    fresh state; it is valid until the thread's next call, so draw from it
+    and drop it.
     """
-    if stream.key is None:
-        return stream.generator()
     gen = _shared.generator
     # Python ints: the setter reads them several times faster than arrays
     gen.bit_generator.state = {

@@ -16,9 +16,9 @@ import numpy as np
 
 from .core import (DegreeSequence, in_degree_distribution, integer_array,
                    is_real, mean_std_err, tv_distance)
-from .errors import (AllReplicatesFailed, BadValue, LengthMismatch,
+from .errors import (AllReplicatesFailed, BadRange, BadValue, LengthMismatch,
                      NotConverged)
-from .rng import RngStream
+from .rng import LANE, RngStream
 from .sampler import sample_digraph
 from .walk import (OperationBudget, TransitionKernel, as_ledger,
                    kernel_from_digraph)
@@ -160,18 +160,24 @@ class DiagnosticsRow:
 def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
                      tol: float = DEFAULT_TOL, max_iters: Optional[int] = None,
                      budget: Optional[OperationBudget] = None):
-    """Sample graphs on consecutive streams and solve each for its stationary law.
+    """Sample graphs on consecutive streams of ``stream``'s lane, from
+    ``stream`` on, and solve each for its stationary law.
 
     Returns (rows, failures): one DiagnosticsRow per converged replicate.
+    Raises BadRange when the replicates would run past the lane's end.
     """
     replicates = int(integer_array([replicates], "replicates")[0])
     if replicates < 1:
         raise BadValue("replicates must be >= 1")
+    which, first = divmod(stream.stream_index, LANE)
+    if first + replicates > LANE:
+        raise BadRange(f"{replicates} replicate streams from stream "
+                       f"{stream.stream_index} run past the end of its lane")
     mu = in_degree_distribution(seq)
     rows = []
     failures = 0
-    for r in range(replicates):
-        sub = stream.offset(r)
+    subs = stream.lanes(which, range(first, first + replicates))
+    for r, sub in enumerate(subs):
         g = sample_digraph(seq, sub)
         kernel = kernel_from_digraph(g)
         try:

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .core import DIST_TOL, DegreeSequence, index_dtype_for, is_real
+from .core import (DIST_TOL, DegreeSequence, index_dtype_for, integer_array,
+                   is_real)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
 from .sampler import Digraph
@@ -263,6 +264,7 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
 
 
 def delta_at(x: int, n: int) -> np.ndarray:
+    (x,) = integer_array([x], "vertex").tolist()
     if not 0 <= x < n:
         raise BadRange(f"vertex {x} outside [0, {n})")
     v = np.zeros(n)
@@ -276,6 +278,7 @@ def double_row(x: int, s: int, t: int, k_sigma: TransitionKernel,
     """Law after s steps in one environment then t - s in another."""
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
+    s, t = integer_array([s, t], "s and t").tolist()
     if not 0 <= s <= t:
         raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
     v = propagate(delta_at(x, k_sigma.n), k_sigma, s, budget)
@@ -294,13 +297,13 @@ def time_averaged_rows(x: int, times: Sequence[int],
     """
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
-    wanted = set(times)
+    wanted = set(integer_array(list(times), "times").tolist())
     if any(t < 1 for t in wanted):
         raise BadRange("t must be >= 1")
     t_max = max(wanted, default=0)
+    u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
     budget = as_ledger(budget)
     budget.charge(max(t_max - 1.0, 0.0) * (k_sigma.nnz + k_eta.nnz))
-    u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
     acc = np.zeros(k_sigma.n)
     tmat = k_eta.transpose
     rows = {}
@@ -364,11 +367,13 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     """
     if g_sigma.n != g_eta.n:
         raise BadValue("digraphs have different vertex counts")
+    s, t = integer_array([s, t], "s and t").tolist()
     if not (0 <= s <= t):
         raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = np.asarray(xs)
     if xs.ndim != 1:
         raise BadValue(f"starts must be one-dimensional, got shape {xs.shape}")
+    xs = integer_array(xs, "starts")
     if xs.size and not (0 <= xs.min() and xs.max() < g_sigma.n):
         raise BadRange(f"a start lies outside [0, {g_sigma.n})")
     gen = stream.generator()

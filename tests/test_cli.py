@@ -331,6 +331,24 @@ def test_run_static_cutoff_and_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_alphas_past_the_sixth_digit_write_their_own_files(tmp_path,
+                                                          capsys):
+    written = {}
+    for alpha in ("0.1234561", "0.1234564"):
+        run_ok(["joint", "--generator", "eulerian:3x20", "--alpha", alpha,
+                "--beta-grid", "0.5", "--env-samples", "2",
+                "--start-vertices", "0,", "--out-dir", str(tmp_path)])
+        base = f"joint_n20_a{alpha}_seed0"
+        written[alpha] = ((tmp_path / f"{base}.csv").read_bytes(),
+                          (tmp_path / f"{base}.json").read_bytes())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"joint_n20_a{alpha}_seed0.{ext}" for alpha in written
+        for ext in ("csv", "json"))
+    # each file pair is its own run's: the sidecars record different alphas
+    assert written["0.1234561"][1] != written["0.1234564"][1]
+    capsys.readouterr()
+
+
 def test_run_marginal_with_explicit_alpha(tmp_path, capsys):
     run_ok(["marginal", "--generator", "eulerian:3x30", "--alpha", "0.3",
             "--beta-grid", "0.6", "--env-samples", "2",

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import mixlab
 from mixlab import (DegreeTooLarge, DegreeTooSmall, LengthMismatch,
                     MismatchedSums, ModelKind, ModelMismatch,
                     entropic_scale, in_degree_distribution,
@@ -95,18 +94,6 @@ def test_tv_distance_metric_properties():
         assert ab == pytest.approx(ba)
         assert 0.0 <= ab <= 1.0 + 1e-12
         assert ab <= tv_distance(a, c) + tv_distance(c, b) + 1e-12
-
-
-def test_assert_distribution():
-    mixlab.assert_distribution([0.25, 0.75])
-    with pytest.raises(BadValue):
-        mixlab.assert_distribution([0.5, 0.6])
-    with pytest.raises(BadValue):
-        mixlab.assert_distribution([1.2, -0.2])
-    # a NaN passes both the sign and the mass comparison unless refused
-    for bad in ([np.nan, 1.0], [np.inf, 0.0], [], [[0.5, 0.5]]):
-        with pytest.raises(BadValue):
-            mixlab.assert_distribution(bad)
 
 
 def test_load_degree_sequence_from_text_dict_and_file():

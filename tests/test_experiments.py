@@ -676,10 +676,11 @@ def test_path_weight_lln_generators_do_not_grow_with_paths(monkeypatch):
         calls.clear()
         path_weight_lln(cfg, s=2, t=4, traj_samples=samples)
         counts[samples] = len(calls)
-    # two environments, the start draw and one stream per block of paths
+    # the start draw and one stream per block of paths; the two
+    # environments draw on the shared generator
     blocks = -(-10_000 // experiments._PATH_BLOCK)
-    assert counts == {1: 4, 100: 4, experiments._PATH_BLOCK: 4,
-                      10_000: 3 + blocks}
+    assert counts == {1: 2, 100: 2, experiments._PATH_BLOCK: 2,
+                      10_000: 1 + blocks}
 
 
 def test_path_weight_lln_builds_no_kernel(monkeypatch):

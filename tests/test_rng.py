@@ -34,7 +34,6 @@ def test_stream_is_reachable_without_history():
 
 def test_offset_and_lane_arithmetic():
     s = RngStream(7, 3)
-    assert s.offset(10) == RngStream(7, 13)
     assert s.lane(2) == RngStream(7, 2 * LANE)
     assert s.lane(2, 5) == RngStream(7, 2 * LANE + 5)
     # lanes are wide enough that offsets within one never reach the next
@@ -97,7 +96,8 @@ def test_keyed_streams_draw_what_numpy_draws(root, which):
         assert stream.key is not None
         ref = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((root, which * LANE + k))))
-        # the stream's unkeyed twin, and a fresh generator per comparison
+        # the lane() stream of the same index, and a fresh generator per
+        # comparison
         twin = RngStream(root).lane(which, k).generator()
         for other in (ref, twin):
             gen = stream.generator()
@@ -120,16 +120,30 @@ def _three_draws(gen, i):
 
 
 @pytest.mark.parametrize("root", [0, 2**40, 2**100])
+def test_every_stream_carries_numpys_key(root):
+    ks = [0, 3, LANE - 1]
+    made = [RngStream(root), RngStream(root, 5), RngStream(root, 2**70),
+            *(RngStream(root).lane(2, k) for k in ks),
+            *RngStream(root).lanes(2, ks)]
+    for stream in made:
+        assert stream.key.dtype == np.uint64
+        assert np.array_equal(stream.key,
+                              _numpy_key(root, stream.stream_index)), stream
+
+
+@pytest.mark.parametrize("root", [0, 2**40, 2**100])
 def test_shared_generator_draws_what_a_fresh_one_draws(root):
-    keyed = list(RngStream(root).lanes(1, range(40)))
-    # every third stream is unkeyed, so a keyed one also follows a fresh one
-    streams = [RngStream(root).lane(2, i) if i % 3 == 2 else keyed[i]
-               for i in range(40)]
-    shared = {id(shared_generator(s)) for s in keyed}
-    assert len(shared) == 1
+    laned = list(RngStream(root).lanes(1, range(40)))
+    # every third stream is built directly or by lane(), every sixth of
+    # them with an index past 2**64, so each kind follows the other
+    streams = [laned[i] if i % 3 != 2 else
+               RngStream(root, 2**70 + i) if i % 6 == 5 else
+               RngStream(root).lane(2, i) for i in range(40)]
+    gen_ids = {id(shared_generator(s)) for s in streams}
+    assert len(gen_ids) == 1
     for i, stream in enumerate(streams):
         gen = shared_generator(stream)
-        assert (id(gen) in shared) == (stream.key is not None)
+        assert id(gen) in gen_ids
         got = _three_draws(gen, i)
         want = _three_draws(stream.generator(), i)
         for a, b in zip(got, want):

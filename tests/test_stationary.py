@@ -11,7 +11,9 @@ from mixlab import (NotConverged, RngStream, TransitionKernel, delta_at,
                     in_degree_distribution, kernel_from_digraph,
                     sample_digraph, solve_replicates, stationary_distribution,
                     tv_distance, validate_degrees, widespread_stats)
-from mixlab.errors import AllReplicatesFailed, BadValue, LengthMismatch
+from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
+                           LengthMismatch)
+from mixlab.rng import LANE
 from mixlab.walk import OperationBudget
 
 
@@ -150,6 +152,25 @@ def test_solve_replicates_rows_and_seeds():
         assert row.residual <= 1e-10
         assert row.l2_stat >= 1.0
         assert 0.0 <= row.tv_to_in_law <= 1.0
+
+
+def test_replicate_streams_stay_inside_the_base_streams_lane():
+    seq = validate_degrees("dcm", [2, 3, 2, 3, 2, 2], [2, 2, 3, 2, 3, 2])
+    # the last three streams of lane 1 are the last three replicates
+    rows, _ = solve_replicates(seq, 3, RngStream(1, 2 * LANE - 3))
+    assert [row.seed for row in rows] == [2 * LANE - 3, 2 * LANE - 2,
+                                          2 * LANE - 1]
+    mu = in_degree_distribution(seq)
+    for row in rows:
+        g = sample_digraph(seq, RngStream(1, row.seed))
+        pi = stationary_distribution(kernel_from_digraph(g), start=mu)
+        assert row.tv_to_in_law == tv_distance(pi.distribution, mu)
+    # one more would be the first stream of lane 2
+    for base, replicates in ((RngStream(1, LANE - 2), 3),
+                             (RngStream(1, 2 * LANE - 1), 2),
+                             (RngStream(1), 2**40)):
+        with pytest.raises(BadRange):
+            estimate_stationary_gap(seq, replicates, base)
 
 
 def test_gap_is_zero_for_eulerian_and_positive_otherwise():

@@ -68,6 +68,29 @@ def test_curve_argument_validation():
         theory_curve("static_profile", 1.0)  # gap missing
 
 
+@pytest.mark.parametrize("args,kwargs", [
+    (("static_profile", math.nan), {"gap": 0.1}),
+    (("joint_gamma0", math.nan), {}),
+    (("joint_gamma0", "1"), {}),
+    (("joint_gamma0", None), {}),
+    (("joint_gamma0", True), {}),
+    (("marginal_general", 2.0), {"gamma": math.nan, "gap": 0.1}),
+    (("joint_general", 0.5), {"gamma": "2"}),
+    (("static_profile", 2.0), {"gap": math.nan}),
+    (("marginal_gamma0", 0.5), {"gap": "0.1"}),
+])
+def test_nan_and_non_real_inputs_are_refused(args, kwargs):
+    with pytest.raises(BadValue):
+        theory_curve(*args, **kwargs)
+
+
+def test_infinite_beta_stays_legal():
+    assert theory_curve("joint_gamma0", math.inf) == 0.0
+    assert theory_curve("static_profile", math.inf, gap=0.3) == 0.3
+    assert theory_curve("marginal_general", math.inf, gamma=1.0,
+                        gap=0.3) == 0.0
+
+
 def test_regime_thresholds_are_strict():
     assert pick_regime(0.19) == "0"
     assert pick_regime(GAMMA_LOW) == "general"

@@ -714,6 +714,48 @@ def test_budget_refuses_non_finite_or_negative_cap(cap):
         OperationBudget(cap=cap)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "3", None, math.nan])
+def test_a_vertex_must_be_an_integer(bad):
+    _, _, k1, k2 = random_kernel_pair(3)
+    with pytest.raises(BadValue):
+        delta_at(bad, 8)
+    for s, t in ((0, 0), (1, 2)):
+        with pytest.raises(BadValue):
+            double_row(bad, s, t, k1, k2)
+    ledger = OperationBudget()
+    with pytest.raises(BadValue):
+        time_averaged_rows(bad, [2], k1, k2, ledger)
+    assert ledger.used == 0     # refused before any work is charged
+
+
+def test_walk_times_and_starts_must_be_integers():
+    g1, g2, k1, k2 = random_kernel_pair(3)
+    stream = RngStream(5)
+    cases = [lambda: sample_paths([1.5, 2.7], 1, 2, g1, g2, stream),
+             lambda: sample_paths([0, "2"], 1, 2, g1, g2, stream),
+             lambda: sample_paths([0, 1], 0.5, 2, g1, g2, stream),
+             lambda: sample_paths([0, 1], 1, 2.5, g1, g2, stream),
+             lambda: sample_trajectory(0, 1, "2", g1, g2, stream),
+             lambda: time_averaged_rows(0, [2.5], k1, k2),
+             lambda: time_averaged_rows(0, ["2"], k1, k2),
+             lambda: double_row(0, 1.5, 3, k1, k2),
+             lambda: double_row(0, 1, math.nan, k1, k2)]
+    for case in cases:
+        with pytest.raises(BadValue):
+            case()
+    ledger = OperationBudget()
+    with pytest.raises(BadRange):
+        time_averaged_rows(99, [3], k1, k2, ledger)
+    assert ledger.used == 0
+    # integral floats and numpy integers are vertices and times
+    assert np.array_equal(delta_at(2.0, 4), delta_at(2, 4))
+    assert np.array_equal(delta_at(np.int32(2), 4), delta_at(2, 4))
+    assert np.array_equal(double_row(0, 1.0, 3.0, k1, k2),
+                          double_row(0, 1, 3, k1, k2))
+    assert np.array_equal(time_averaged_rows(0, [2.0], k1, k2)[2],
+                          time_averaged_row(0, 2, k1, k2))
+
+
 def test_kernel_accepts_explicit_matrices():
     mat = csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     k = TransitionKernel(mat)
