@@ -22,8 +22,8 @@ from typing import (List, Optional, Sequence, Union, get_args, get_origin,
 
 import numpy as np
 
-from .core import (ModelKind, json_object, load_degree_sequence,
-                   validate_degrees)
+from .core import (ModelKind, count_at_least, json_object,
+                   load_degree_sequence, validate_degrees)
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
                      UnknownFlag)
@@ -228,8 +228,7 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
             raise BadGeneratorSyntax(f"bad degree {body!r}") from exc
         if n is None:
             raise MissingRequired("regular:D needs --n")
-        if n < 1:
-            raise BadValue(f"regular:D needs --n >= 1, got {n}")
+        n = count_at_least(n, 1, "--n")
         out = np.full(n, d, dtype=np.int64)
         in_deg = out.copy() if model is ModelKind.DCM else None
         return validate_degrees(model, out, in_deg)

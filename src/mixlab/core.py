@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BadRange,
     BadValue,
     DegreeTooLarge,
     DegreeTooSmall,
@@ -134,8 +135,8 @@ def is_real(x) -> bool:
 def integer_array(values, name: str) -> np.ndarray:
     """values as a 1-d int64 array; BadValue unless every entry is an integer.
 
-    Integral floats such as 2.0 are accepted; 2.5, NaN, inf and strings
-    are refused rather than truncated.  The result is always a fresh array.
+    Integral floats such as 2.0 are accepted; bools, 2.5, NaN, inf and
+    strings are BadValue, integers past int64 BadRange.  Always a fresh array.
     """
     try:
         arr = np.asarray(values)
@@ -143,11 +144,25 @@ def integer_array(values, name: str) -> np.ndarray:
         raise LengthMismatch(f"{name} must be a 1-d sequence") from exc
     if arr.ndim != 1:
         raise LengthMismatch(f"{name} must be a 1-d sequence")
+    # numpy reads [True, 2] as int64; an array or a range holds no bool
+    if not (isinstance(values, (np.ndarray, range))
+            or {bool, np.bool_}.isdisjoint(map(type, values))):
+        raise BadValue(f"{name} must hold integers, not bools")
+    if arr.dtype.kind == "O" and all(isinstance(v, int) for v in values):
+        raise BadRange(f"{name} must lie in the int64 range")
     integral = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and bool(
         np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0 ** 63))))
     if not integral:
         raise BadValue(f"{name} must hold integers")
     return arr.astype(np.int64)
+
+
+def count_at_least(value, minimum: int, name: str) -> int:
+    """value as a Python int; BadValue unless it is an integer >= minimum."""
+    (n,) = integer_array([value], name).tolist()
+    if n < minimum:
+        raise BadValue(f"{name} must be >= {minimum}, got {n}")
+    return n
 
 
 def _as_degree_array(values, name: str) -> np.ndarray:

@@ -10,15 +10,15 @@ and reported, never accepted as an input.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DegreeSequence, entropic_scale, in_degree_distribution,
-                   integer_array, is_real, mean_std_err, tv_distance)
+from .core import (DegreeSequence, count_at_least, entropic_scale,
+                   in_degree_distribution, integer_array, is_real,
+                   mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
                      NotConverged)
 from .report import ExperimentReport, ReportRow
@@ -117,23 +117,16 @@ class ExperimentConfig:
     max_iters: Optional[int] = None
 
     def __post_init__(self):
-        # any Python int is a seed, however large, so no int64 cast here
-        if (isinstance(self.root_seed, bool)
-                or not isinstance(self.root_seed, numbers.Integral)):
-            raise BadValue(f"root_seed must be an integer, got "
-                           f"{self.root_seed!r}")
-        if self.root_seed < 0:
-            raise BadRange(f"root_seed must be nonnegative, got "
-                           f"{self.root_seed}")
-        object.__setattr__(self, "root_seed", int(self.root_seed))
+        object.__setattr__(self, "root_seed",
+                           RngStream(self.root_seed).root_seed)
         if self.alpha is not None and not (is_real(self.alpha)
                                            and 0.0 < self.alpha < 1.0):
             raise BadValue(f"alpha must be in (0, 1), got {self.alpha!r}")
         check_tol(self.tol)
-        samples = int(integer_array([self.env_samples], "env_samples")[0])
-        if samples < 1:
-            raise BadValue("env_samples must be >= 1")
-        object.__setattr__(self, "env_samples", samples)
+        object.__setattr__(self, "env_samples",
+                           count_at_least(self.env_samples, 1, "env_samples"))
+        if not np.iterable(self.beta_grid):
+            raise BadValue(f"beta_grid {self.beta_grid!r} is not a sequence")
         for b in self.beta_grid:
             _check_beta(b)
 
@@ -229,9 +222,7 @@ def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
             raise BadValue(f"start_vertices string must be 'all', got {sv!r}")
         return list(range(n)), "exhaustive"
     if np.ndim(sv) == 0:
-        sv = int(integer_array([sv], "start_vertices count")[0])
-        if sv < 1:
-            raise BadValue("start_vertices count must be >= 1")
+        sv = count_at_least(sv, 1, "start_vertices count")
         if exhaustive_small and (n <= EXHAUSTIVE_LIMIT or sv >= n):
             return list(range(n)), "exhaustive"
         gen = RngStream(cfg.root_seed).lane(_LANE_STARTS).generator()
@@ -695,12 +686,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     walked environments, are keyed in one ``RngStream.lanes`` pass each.
     """
     alpha = cfg.require_alpha()
-    t, schedule_samples = integer_array(
-        [t, schedule_samples], "t and schedule_samples").tolist()
-    if t < 0:
-        raise BadValue("t must be nonnegative")
-    if schedule_samples < _JACKKNIFE_BATCHES:
-        raise BadValue("need at least one schedule per batch")
+    t = count_at_least(t, 0, "t")
+    schedule_samples = count_at_least(schedule_samples, _JACKKNIFE_BATCHES,
+                                      "schedule_samples")
     _pair(schedule_samples - 1, t)  # a schedule refreshes at most t times
     seq = cfg.seq
     mu = in_degree_distribution(seq)
@@ -786,9 +774,10 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     """TV between the environment-averaged t-step law and the in-law.
 
     The averaged law mixes essentially immediately, so the theory column
-    is 0 at every t >= 1.  std_err is the analytic Monte-Carlo bound
-    0.5 * sum_y sqrt(var_hat(y) / samples), which dominates the bias of
-    plugging the sample mean into TV.
+    is 0 at every t >= 1, and 1 at t = 0, the limit of TV(delta_x, mu).
+    std_err is the analytic Monte-Carlo bound 0.5 * sum_y
+    sqrt(var_hat(y) / samples), which dominates the bias of plugging the
+    sample mean into TV.
 
     Every environment walks from the same S starts through
     ``_environment_laws``, and laws are summed in replicate order, so the
@@ -824,7 +813,7 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
             err = 0.0
         rows.append(ReportRow(
             abscissa=float(t), estimate=float(dists[worst]), std_err=err,
-            theory=0.0, n_effective=samples,
+            theory=1.0 if t == 0 else 0.0, n_effective=samples,
         ))
     meta = _meta("annealed", cfg, ledger, times=ts, env_samples=samples,
                  start_mode=mode, start_count=len(starts),
@@ -864,12 +853,10 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     the two environments the memory is the traj_samples starts and
     log-weights plus one block's ``_PATH_BLOCK * (t + 1)`` states.
     """
-    s, t, traj_samples = integer_array([s, t, traj_samples],
-                                       "s, t and traj_samples").tolist()
+    s, t = integer_array([s, t], "s and t").tolist()
     if not 0 <= s <= t or t < 1:
         raise BadRange(f"need 0 <= s <= t with t >= 1, got s={s}, t={t}")
-    if traj_samples < 1:
-        raise BadValue("traj_samples must be >= 1")
+    traj_samples = count_at_least(traj_samples, 1, "traj_samples")
     if not (is_real(epsilon) and 0 < epsilon < 1):
         raise BadValue("epsilon must be in (0, 1)")
     seq = cfg.seq

@@ -31,6 +31,7 @@ other draws.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Union
@@ -38,7 +39,8 @@ from typing import Iterator, List, Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import BadRange
+from .core import integer_array
+from .errors import BadRange, BadValue
 
 # Experiments carve the 64-bit stream index into disjoint lanes so that
 # nested loops (replicate r, environment j, ...) can never collide.
@@ -86,6 +88,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
+def _index(value, name: str) -> int:
+    """A seed or stream index: a nonnegative int, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadValue(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise BadRange(f"{name} must be nonnegative, got {value}")
+    return int(value)
+
+
 def lane_keys(root_seed: int, which: int, ks: np.ndarray) -> np.ndarray:
     """(len(ks), 2) uint64 Philox keys of streams ``which * LANE + k``.
 
@@ -131,9 +142,10 @@ class RngStream:
                                       repr=False)
 
     def __post_init__(self):
-        if self.root_seed < 0 or self.stream_index < 0:
-            raise BadRange("seed and stream index must be nonnegative")
-        if self.key is None:
+        if self.key is None:    # ``lanes`` passes keys of checked streams
+            for name in ("root_seed", "stream_index"):
+                value = _index(getattr(self, name), name)
+                object.__setattr__(self, name, value)
             object.__setattr__(self, "key", SeedSequence(
                 (self.root_seed, self.stream_index)).generate_state(
                     2, np.uint64))
@@ -144,21 +156,21 @@ class RngStream:
 
     def lane(self, which: int, k: int = 0) -> "RngStream":
         """Stream ``which * LANE + k``, for collision-free nested loops."""
-        if not 0 <= k < LANE:
-            raise BadRange(f"lane offset {k} outside [0, 2**32)")
-        return RngStream(self.root_seed, which * LANE + k)
+        (stream,) = self.lanes(which, [k])
+        return stream
 
     def lanes(self, which: int, ks: Union[Sequence[int], np.ndarray]
               ) -> Iterator[RngStream]:
         """The streams ``lane(which, k)`` for k in ks, keyed in one pass.
 
-        Offsets are checked and every key derived before this returns; it
-        then holds ks and 16 bytes of key per stream, and builds each
-        stream when the iteration reaches it.
+        Offsets are read by ``integer_array`` and every key derived before
+        this returns; it then holds ks and 16 bytes of key per stream, and
+        builds each stream when the iteration reaches it.
         """
-        offsets = np.asarray(ks)
+        offsets = integer_array(ks, "lane offsets")
         if offsets.size and not (0 <= offsets.min() and offsets.max() < LANE):
             raise BadRange("lane offsets outside [0, 2**32)")
+        which = _index(which, "lane")
         keys = lane_keys(self.root_seed, which, offsets)
         start = which * LANE
         return (RngStream(self.root_seed, start + int(k), key)

@@ -129,12 +129,11 @@ def digraph_from_json(text: str) -> Digraph:
     try:
         model = ModelKind(doc["model"])
         out_edges = doc["out_edges"]
-        seed = (doc["seed"]["root_seed"], doc["seed"]["stream_index"])
+        stream = RngStream(doc["seed"]["root_seed"],
+                           doc["seed"]["stream_index"])
     except (KeyError, TypeError) as exc:    # TypeError: seed not an object
         raise BadValue("a digraph document needs 'model', 'out_edges' and "
                        "'seed' with 'root_seed' and 'stream_index'") from exc
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in seed):
-        raise BadValue(f"digraph seed must hold integers, got {seed}")
     if not (isinstance(out_edges, list)
             and all(isinstance(row, list) for row in out_edges)):
         raise BadValue("digraph out_edges must be a list of lists")
@@ -150,4 +149,4 @@ def digraph_from_json(text: str) -> Digraph:
         if any(len(set(row)) != len(row) for row in out_edges):
             raise BadValue("OCM out-edges must have distinct targets")
         seq = validate_degrees(model, out_degrees)
-    return _finish(seq, heads, RngStream(*seed))
+    return _finish(seq, heads, stream)

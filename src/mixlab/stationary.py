@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DegreeSequence, in_degree_distribution, integer_array,
+from .core import (DegreeSequence, count_at_least, in_degree_distribution,
                    is_real, mean_std_err, tv_distance)
 from .errors import (AllReplicatesFailed, BadRange, BadValue, LengthMismatch,
                      NotConverged)
@@ -57,9 +57,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     n = kernel.n
     if max_iters is None:
         max_iters = _default_max_iters(n)
-    max_iters = int(integer_array([max_iters], "max_iters")[0])
-    if max_iters < 1:
-        raise BadValue("max_iters must be >= 1")
+    max_iters = count_at_least(max_iters, 1, "max_iters")
 
     if start is None:
         v = np.full(n, 1.0 / n)
@@ -166,9 +164,7 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
     Returns (rows, failures): one DiagnosticsRow per converged replicate.
     Raises BadRange when the replicates would run past the lane's end.
     """
-    replicates = int(integer_array([replicates], "replicates")[0])
-    if replicates < 1:
-        raise BadValue("replicates must be >= 1")
+    replicates = count_at_least(replicates, 1, "replicates")
     which, first = divmod(stream.stream_index, LANE)
     if first + replicates > LANE:
         raise BadRange(f"{replicates} replicate streams from stream "
@@ -208,9 +204,7 @@ def estimate_stationary_gap(seq: DegreeSequence, replicates: int,
     Zero exactly when in-degrees equal out-degrees vertex by vertex; skips
     non-converged replicates and raises AllReplicatesFailed if none survive.
     """
-    replicates = int(integer_array([replicates], "replicates")[0])
-    if replicates < 2:
-        raise BadValue("need at least 2 replicates for a standard error")
+    replicates = count_at_least(replicates, 2, "replicates")  # for std_err
     rows, failures = solve_replicates(seq, replicates, stream, tol=tol,
                                       max_iters=max_iters, budget=budget)
     if not rows:

@@ -370,9 +370,8 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     s, t = integer_array([s, t], "s and t").tolist()
     if not (0 <= s <= t):
         raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
-    xs = np.asarray(xs)
-    if xs.ndim != 1:
-        raise BadValue(f"starts must be one-dimensional, got shape {xs.shape}")
+    if np.ndim(xs) != 1:
+        raise BadValue(f"starts must be one-dimensional, got {np.shape(xs)}")
     xs = integer_array(xs, "starts")
     if xs.size and not (0 <= xs.min() and xs.max() < g_sigma.n):
         raise BadRange(f"a start lies outside [0, {g_sigma.n})")

@@ -9,7 +9,8 @@ from mixlab import (DegreeTooLarge, DegreeTooSmall, LengthMismatch,
                     MismatchedSums, ModelKind, ModelMismatch,
                     entropic_scale, in_degree_distribution,
                     load_degree_sequence, tv_distance, validate_degrees)
-from mixlab.errors import BadValue, MissingRequired
+from mixlab.core import count_at_least, integer_array
+from mixlab.errors import BadRange, BadValue, MissingRequired
 
 
 def test_validate_accepts_and_freezes_dcm():
@@ -134,3 +135,28 @@ def test_validate_accepts_integral_floats():
     seq = validate_degrees("dcm", [2.0, 3.0], [3, 2])
     assert seq.out_degrees.dtype == np.int64
     assert list(seq.out_degrees) == [2, 3]
+
+
+@pytest.mark.parametrize("values", [
+    [True, 2], [2, False], (1, np.True_), [True, 2.0], [np.bool_(False)]])
+def test_integer_array_refuses_a_bool_among_integers(values):
+    # numpy reads [True, 2] as int64, which would silently run as [1, 2]
+    with pytest.raises(BadValue, match="bools"):
+        integer_array(values, "x")
+
+
+def test_integer_input_rule_keeps_integral_floats_and_numpy_integers():
+    with pytest.raises(BadValue):
+        count_at_least(True, 0, "count")
+    assert integer_array([2.0, np.int32(3), 4], "x").tolist() == [2, 3, 4]
+    assert integer_array(np.array([1, 0]), "x").tolist() == [1, 0]
+    assert integer_array(range(3), "x").tolist() == [0, 1, 2]
+    assert count_at_least(2.0, 1, "count") == 2
+    assert type(count_at_least(np.int64(3), 1, "count")) is int
+    with pytest.raises(BadValue, match="count must be >= 1"):
+        count_at_least(0, 1, "count")
+    # an integer numpy cannot hold is out of range, not malformed
+    with pytest.raises(BadRange):
+        integer_array([2**64], "x")
+    with pytest.raises(BadValue):
+        integer_array([2**64, 1.5], "x")

@@ -852,3 +852,53 @@ def test_every_failed_solve_raises_all_replicates_failed(run):
                   env_samples=2, start_vertices=2, max_iters=1)
     with pytest.raises(AllReplicatesFailed):
         run(cfg)
+
+
+def test_bools_are_not_counts_or_times_but_integral_floats_are():
+    # numpy reads [True, 2] as int64, so each of these used to run as 1
+    cfg = cfg_for(MIX, alpha=0.2, env_samples=2, start_vertices=[0])
+    cases = {
+        "s_grid": lambda: double_cutoff_sweep(
+            cfg_for(REG3_120, s_grid=[True, 2], env_samples=2,
+                    start_vertices=3), 0.7),
+        "t_grid": lambda: annealed_check(cfg, [True, 2]),
+        "crosscheck t": lambda: marginal_mc_crosscheck(cfg, True, 20),
+        "crosscheck schedules": lambda: marginal_mc_crosscheck(cfg, 3, True),
+        "weight-lln s": lambda: path_weight_lln(cfg, True, 4, 50),
+        "weight-lln samples": lambda: path_weight_lln(cfg, 1, 4, True),
+        "env_samples": lambda: cfg_for(MIX, env_samples=True),
+        "start count": lambda: resolve_starts(
+            cfg_for(MIX, start_vertices=True)),
+        "start list": lambda: resolve_starts(
+            cfg_for(MIX, start_vertices=[True, 3])),
+        "replicates": lambda: stationary_gap_report(cfg, replicates=True),
+    }
+    for name, case in cases.items():
+        with pytest.raises(BadValue):
+            case()
+            pytest.fail(f"{name} accepted a bool")
+    # integral floats are still counts and times
+    cfg = cfg_for(MIX, alpha=0.2, env_samples=2.0, start_vertices=[0])
+    assert cfg.env_samples == 2 and type(cfg.env_samples) is int
+    assert (marginal_mc_crosscheck(cfg, 3.0, 20.0)
+            == marginal_mc_crosscheck(cfg, 3, 20))
+    assert (path_weight_lln(cfg, 1.0, 4.0, 50.0)
+            == path_weight_lln(cfg, 1, 4, 50))
+    assert (resolve_starts(cfg_for(MIX, start_vertices=4.0))
+            == resolve_starts(cfg_for(MIX, start_vertices=4)))
+
+
+@pytest.mark.parametrize("bad", [None, 0.5, 3])
+def test_beta_grid_must_be_a_sequence(bad):
+    with pytest.raises(BadValue, match="beta_grid"):
+        cfg_for(REG3_120, beta_grid=bad)
+
+
+def test_annealed_theory_is_one_at_time_zero():
+    # at t = 0 every environment's law is delta_x, and TV(delta_x, mu)
+    # = 1 - mu(x) tends to 1; from t = 1 on the averaged law has mixed
+    cfg = cfg_for(REG3_120, env_samples=2, start_vertices=[0, 5])
+    rows = annealed_check(cfg, [0, 1, 2]).rows
+    assert [row.theory for row in rows] == [1.0, 0.0, 0.0]
+    assert rows[0].estimate == pytest.approx(1 - 1 / 120, abs=1e-12)
+    assert abs(rows[0].estimate - rows[0].theory) < 0.01

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixlab import digraph_to_json, sample_digraph, validate_degrees
-from mixlab.errors import BadRange
+from mixlab.errors import BadRange, BadValue
 from mixlab.experiments import _PAIR_MAX, _pair
 from mixlab.rng import LANE, RngStream, lane_keys, shared_generator
 
@@ -191,3 +191,40 @@ def test_lanes_hold_sixteen_bytes_per_stream():
         tracemalloc.stop()
     assert 16 * count <= held <= 16 * count + 4096, held
     assert sum(1 for _ in streams) == count
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", True, None, np.float64(2.0)])
+def test_a_seed_or_stream_index_must_be_an_integer(bad):
+    with pytest.raises(BadValue, match="root_seed"):
+        RngStream(bad)
+    with pytest.raises(BadValue, match="stream_index"):
+        RngStream(1, bad)
+    with pytest.raises(BadRange, match="stream_index"):
+        RngStream(1, -1)
+    # any nonnegative Python or numpy integer is one, however large
+    for seed in (2**64 + 1, np.uint64(2**63), np.int32(7)):
+        stream = RngStream(seed, seed)
+        assert stream.root_seed == seed and type(stream.root_seed) is int
+        assert type(stream.stream_index) is int
+        assert np.array_equal(stream.key, _numpy_key(int(seed), int(seed)))
+
+
+def test_lane_refuses_a_non_integer_lane_or_offset():
+    s = RngStream(7)
+    for which, k in ((1, 1.5), (True, 3), (1, True), (1.0, 2), (1, "3")):
+        with pytest.raises(BadValue):
+            s.lane(which, k)
+    for bad in ([1.5], ["3"], [True, 2], [0, np.True_]):
+        with pytest.raises(BadValue):
+            s.lanes(1, bad)
+    with pytest.raises(BadValue):
+        s.lanes(True, [3])
+    # out of range stays BadRange, past int64 too; an integral float is
+    # an offset, as it is a count elsewhere
+    for ks in ([2**64], [-1], [LANE]):
+        with pytest.raises(BadRange):
+            s.lanes(1, ks)
+    with pytest.raises(BadRange):
+        s.lane(1, -1)
+    (two,) = s.lanes(1, [2.0])
+    assert two == s.lane(1, 2) and type(two.stream_index) is int

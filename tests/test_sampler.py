@@ -306,3 +306,16 @@ def test_json_ocm_rejects_repeated_targets():
     with pytest.raises(BadValue):
         _graph_from_edges([[1, 1], [0, 2], [0, 1]], model="ocm")
     assert _graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm").n == 3
+
+
+@pytest.mark.parametrize("root_seed, stream_index, field", [
+    (2.5, 0, "root_seed"), (True, 0, "root_seed"), (0, 1.0, "stream_index"),
+    (0, False, "stream_index")])
+def test_json_seed_is_checked_by_the_stream(root_seed, stream_index, field):
+    # RngStream checks the seed, so its error names the field
+    doc = {**GOOD_DOC, "seed": {"root_seed": root_seed,
+                                "stream_index": stream_index}}
+    with pytest.raises(BadValue, match=f"{field} must be an integer"):
+        digraph_from_json(json.dumps(doc))
+    big = {**GOOD_DOC, "seed": {"root_seed": 2**70, "stream_index": 3}}
+    assert digraph_from_json(json.dumps(big)).stream == RngStream(2**70, 3)

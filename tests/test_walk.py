@@ -761,3 +761,22 @@ def test_kernel_accepts_explicit_matrices():
     k = TransitionKernel(mat)
     out = propagate(np.array([1.0, 0.0]), k, 1)
     assert np.allclose(out, [0.5, 0.5])
+
+
+def test_walk_counts_and_starts_refuse_bools():
+    # numpy reads [True, 2] as int64; each of these used to run as 1
+    g1, g2, k1, k2 = random_kernel_pair(3)
+    stream = RngStream(5)
+    cases = [lambda: sample_paths([True, 2], 1, 2, g1, g2, stream),
+             lambda: sample_paths([0, 1], True, 2, g1, g2, stream),
+             lambda: sample_trajectory(0, 1, True, g1, g2, stream),
+             lambda: double_row(0, True, 3, k1, k2),
+             lambda: double_row(0, 1, True, k1, k2),
+             lambda: time_averaged_rows(0, [True, 2], k1, k2)]
+    for case in cases:
+        with pytest.raises(BadValue):
+            case()
+    # integral floats and numpy arrays of starts still walk
+    assert np.array_equal(sample_paths([1.0, 2.0], 1, 2.0, g1, g2, stream),
+                          sample_paths(np.array([1, 2]), 1, 2, g1, g2,
+                                       stream))
