@@ -26,13 +26,14 @@ from .report import (ExperimentReport, ReportRow, diagnostics_csv_text,
                      parse_curve_csv)
 from .rng import LANE, RngStream
 from .sampler import (Digraph, digraph_from_json, digraph_to_json, sample_dcm,
-                      sample_digraph, sample_ocm)
+                      sample_digraph, sample_ocm, sample_tables)
 from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          WidespreadStats, estimate_stationary_gap,
                          solve_replicates, stationary_distribution,
                          widespread_stats)
 from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
-                   double_row, kernel_from_digraph, path_log_weight,
+                   double_row, kernel_from_digraph, kernel_from_tables,
+                   path_log_weight,
                    path_log_weights, propagate, sample_paths,
                    sample_trajectory, time_averaged_row, time_averaged_rows)
 

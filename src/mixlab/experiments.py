@@ -23,12 +23,13 @@ from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
                      NotConverged)
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream, shared_generator
-from .sampler import sample_digraph
+from .sampler import sample_digraph, sample_tables
 from .stationary import (DEFAULT_TOL, check_tol, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
-                   kernel_from_digraph, path_log_weights, propagate,
-                   sample_paths, time_averaged_rows)
+                   kernel_from_digraph, kernel_from_tables,
+                   path_log_weights, propagate, sample_paths,
+                   time_averaged_rows)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -301,14 +302,18 @@ def _laws_at(v: np.ndarray, kernel: TransitionKernel, times: Sequence[int],
 
 def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
                       ts: Sequence[int], ledger: OperationBudget):
-    """Yield environment e's laws at the sorted times ts, shaped
-    (len(ts), S, n), for each row e of the (samples, S) table starts.
+    """Yield, batch by batch, the laws at the sorted times ts of each row e
+    of the (samples, S) table starts: a (B, len(ts), S, n) array, row e
+    of it environment e's laws from the starts in its row.
 
     Environment e is sampled on stream (_LANE_ENV_A, e), keyed _KEY_CHUNK
-    at a time.  Every law equals its own 1-d walk bit for bit, and laws
-    come in replicate order.  One item is in flight: B * m kernel entries,
-    B * |ts| * S * n floats of laws, and one chunk's transient blocks of
-    B * w * n floats each, at most _BATCH_ENTRIES / 2 as m >= 2n.
+    at a time.  A batch is drawn as ``sample_tables``' (B, m) tables and
+    walked on the block-diagonal kernel built from them, with no digraph
+    per environment.  Every law equals its own 1-d walk bit for bit, and
+    batches come in replicate order.  One batch is in flight: B * m kernel
+    entries, the B * m tables, B * |ts| * S * n floats of laws, and one
+    chunk's transient blocks of B * w * n floats each, at most
+    _BATCH_ENTRIES / 2 as m >= 2n.
     """
     seq, (samples, width) = cfg.seq, starts.shape
     n, m = seq.n, seq.m
@@ -324,8 +329,7 @@ def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
 
     def one(item):
         lo, batch = item
-        kernel = kernel_from_digraph(*(
-            sample_digraph(seq, stream) for stream in batch))
+        kernel = kernel_from_tables(seq, *sample_tables(seq, batch))
         b = len(batch)
         laws = np.empty((b, len(ts), width, n))
         for c in range(0, width, chunk):
@@ -337,8 +341,7 @@ def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
                 laws[:, ti, c:c + chunk] = w.reshape(b, n, -1).swapaxes(1, 2)
         return laws
 
-    for laws in _parallel_map(one, batches):
-        yield from laws         # replicate order, never a sum over the batch
+    return _parallel_map(one, batches)
 
 
 def _meta(name: str, cfg: ExperimentConfig,
@@ -636,8 +639,9 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     per_rep = [
         {t: (1.0 - alpha) ** t * tv_distance(v[0], mu)
          for t, v in zip(t_sorted, laws)}
-        for laws in _environment_laws(cfg, np.array(starts)[:, None],
-                                      t_sorted, ledger)]
+        for batch in _environment_laws(cfg, np.array(starts)[:, None],
+                                       t_sorted, ledger)
+        for laws in batch]
 
     rows, values = _curve(
         betas, ts, per_rep,
@@ -769,6 +773,13 @@ def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
 # annealed law: averaging the environment before walking kills the cutoff
 # ---------------------------------------------------------------------------
 
+def _add_in_order(acc: np.ndarray, batch: np.ndarray) -> None:
+    """acc += batch[0]; acc += batch[1]; ... as one reduction, bitwise: numpy
+    reduces the outer axis in order, not pairwise.  batch[0] is overwritten."""
+    batch[0] += acc
+    np.add.reduce(batch, axis=0, out=acc)
+
+
 def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
                    budget: Optional[OperationBudget] = None) -> ExperimentReport:
     """TV between the environment-averaged t-step law and the in-law.
@@ -781,8 +792,10 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
 
     Every environment walks from the same S starts through
     ``_environment_laws``, and laws are summed in replicate order, so the
-    result does not depend on batch or chunk sizes.  Besides the walker's
-    item in flight, the run holds 2 * |t_grid| * S * n floats of sums.
+    result does not depend on batch or chunk sizes: each batch is added
+    to the sums by one reduction over its environments, in order.  Besides
+    the walker's batch in flight, the run holds 2 * |t_grid| * S * n floats
+    of sums and, while it adds a batch, that batch's squared laws.
     """
     ts = sorted(set(integer_array(t_grid, "t_grid").tolist()))
     if not ts or ts[0] < 0:
@@ -794,10 +807,10 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     mean_acc = np.zeros((len(ts), len(starts), seq.n))
     sq_acc = np.zeros((len(ts), len(starts), seq.n))
     ledger = as_ledger(budget)
-    for law in _environment_laws(
+    for laws in _environment_laws(
             cfg, np.broadcast_to(starts, (samples, len(starts))), ts, ledger):
-        mean_acc += law
-        sq_acc += law * law
+        _add_in_order(sq_acc, laws * laws)
+        _add_in_order(mean_acc, laws)
 
     mean_acc /= samples
     rows = []

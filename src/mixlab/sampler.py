@@ -1,10 +1,16 @@
-"""Digraph samplers: uniform stub matching (DCM) and injective out-maps (OCM)."""
+"""Digraph samplers: uniform stub matching (DCM) and injective out-maps (OCM).
+
+``sample_tables`` is the one sampler: it draws B environments, one per
+stream, into (B, m) tables of heads and, for DCM, matchings, with no
+object per environment.  ``sample_digraph`` wraps its one-row case as a
+``Digraph``.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +50,7 @@ class Digraph:
 
 def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
             head_stubs: Optional[np.ndarray] = None) -> Digraph:
-    # callers pass fresh arrays
+    # callers pass fresh arrays, or rows of fresh tables
     heads = np.asarray(heads, dtype=index_dtype_for(seq.m))
     for arr in (heads, head_stubs):
         if arr is not None:
@@ -53,34 +59,65 @@ def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
                    stream=stream, head_stubs=head_stubs)
 
 
-def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    """Match the m tail stubs to a uniform permutation of the m head stubs."""
-    if seq.model is not ModelKind.DCM:
-        raise BadValue("sample_dcm needs a DCM degree sequence")
-    # Shuffling stub indices draws the same numbers as shuffling the slots,
-    # so every seed realizes the same graph, and the matching is kept.
-    head_stubs = shared_generator(stream).permutation(seq.m)
-    return _finish(seq, seq.head_slots[head_stubs], stream, head_stubs)
+def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One environment per stream on seq, as (B, m) tables of its rows.
 
+    Row e of ``heads`` holds the out-lists of the digraph drawn on
+    streams[e], and for DCM row e of ``head_stubs`` its matching: bitwise
+    the ``heads`` and ``head_stubs`` of ``sample_digraph(seq, streams[e])``,
+    which is the one-row case.  OCM returns no matching.
 
-def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    """Each vertex independently picks d_x distinct targets uniformly.
+    DCM matches the m tail stubs to a uniform permutation of the m head
+    stubs: shuffling row e, an ``arange(m)``, in place draws what
+    ``permutation(m)`` draws.  Shuffling stub indices draws the same
+    numbers as shuffling the head slots, so every seed realizes the same
+    graph, and the matching is kept.
 
+    OCM has each vertex independently pick d_x distinct targets uniformly.
     Vertices are drawn one out-degree class at a time, classes in
     increasing degree and vertices in order within a class, so the draws
     and their sorted copies take O(m) memory whatever the largest degree.
     A regular sequence is a single class drawn as one (n, d) block.
     """
+    shape = (len(streams), seq.m)
+    if seq.model is ModelKind.DCM:
+        # intp, so indexing with the matching converts nothing
+        head_stubs = np.empty(shape, dtype=np.intp)
+        head_stubs[:] = np.arange(seq.m)
+        for row, stream in zip(head_stubs, streams):
+            shared_generator(stream).shuffle(row)
+        return np.take(seq.head_slots, head_stubs), head_stubs
+    degs = seq.out_degrees
+    classes = [(d, seq.out_offsets[np.flatnonzero(degs == d)][:, None]
+                + np.arange(d)) for d in np.unique(degs).tolist()]
+    heads = np.empty(shape, dtype=index_dtype_for(seq.m))
+    for row, stream in zip(heads, streams):
+        gen = shared_generator(stream)
+        for d, slots in classes:
+            row[slots] = _distinct_rows(gen, seq.n, len(slots), d)
+    return heads, None
+
+
+def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:
+    """The environment drawn on stream: ``sample_tables``' one-row case."""
+    heads, head_stubs = sample_tables(seq, (stream,))
+    return _finish(seq, heads[0], stream,
+                   None if head_stubs is None else head_stubs[0])
+
+
+def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
+    """Match the m tail stubs to a uniform permutation of the m head stubs."""
+    if seq.model is not ModelKind.DCM:
+        raise BadValue("sample_dcm needs a DCM degree sequence")
+    return sample_digraph(seq, stream)
+
+
+def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
+    """Each vertex independently picks d_x distinct targets uniformly."""
     if seq.model is not ModelKind.OCM:
         raise BadValue("sample_ocm needs an OCM degree sequence")
-    gen = shared_generator(stream)
-    degs = seq.out_degrees
-    heads = np.empty(seq.m, dtype=index_dtype_for(seq.m))
-    for d in np.unique(degs).tolist():
-        rows = np.flatnonzero(degs == d)
-        slots = seq.out_offsets[rows][:, None] + np.arange(d)
-        heads[slots] = _distinct_rows(gen, seq.n, rows.size, d)
-    return _finish(seq, heads, stream)
+    return sample_digraph(seq, stream)
 
 
 def _distinct_rows(gen: np.random.Generator, n: int, rows: int,
@@ -104,12 +141,6 @@ def _distinct_rows(gen: np.random.Generator, n: int, rows: int,
             picks.add(int(gen.integers(0, n)))
         draws[x] = sorted(picks)
     return draws
-
-
-def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    if seq.model is ModelKind.DCM:
-        return sample_dcm(seq, stream)
-    return sample_ocm(seq, stream)
 
 
 def digraph_to_json(g: Digraph) -> str:

@@ -3,12 +3,18 @@
 Propagation is P^T times a dense vector, with mass drift watched at 1e-9
 and every renormalization counted rather than hidden, in the run's one
 ledger: the ``OperationBudget`` that also holds its work cap and charge.
-A digraph kernel therefore builds P^T, in O(m) on first use, with one
-entry of weight 1/out-degree per edge: parallel edges stay separate
-entries and self-loops sit on the diagonal.  P^T is the one matrix a
-kernel stores; P is a zero-copy view of it.  Digraphs on one degree
-sequence can share one block-diagonal kernel, through which propagate
-moves a whole (n, k) block of laws by one product per step.
+A digraph kernel therefore builds P^T, in O(m), with one entry of weight
+1/out-degree per edge: parallel edges stay separate entries and
+self-loops sit on the diagonal.  P^T is the one matrix a kernel stores;
+P is a zero-copy view of it.  Digraphs on one degree sequence can share
+one block-diagonal kernel, through which propagate moves a whole (n, k)
+block of laws by one product per step.  One builder makes every P^T,
+from (B, m) tables of heads and DCM matchings: ``kernel_from_digraph``
+hands it its graphs' rows and builds on first use, ``kernel_from_tables``
+hands it a batch drawn by ``sampler.sample_tables`` and builds at once,
+so a batch of environments needs no digraph object each.  scipy.sparse
+is imported by that builder, so a run that builds no kernel never loads
+it.
 
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
@@ -25,16 +31,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
 
 from .core import (DIST_TOL, DegreeSequence, index_dtype_for, integer_array,
                    is_real)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
 from .sampler import Digraph
+
+if TYPE_CHECKING:   # imported by the P^T builder, so a run without a kernel
+    from scipy.sparse import csc_matrix, csr_matrix     # never loads scipy
 
 
 class OperationBudget:
@@ -79,31 +87,32 @@ def as_ledger(budget: Optional[OperationBudget]) -> OperationBudget:
 class TransitionKernel:
     """Row-stochastic sparse walk matrix over [0, n).
 
-    Give either the matrix P or the digraphs it comes from.  One digraph
-    gives its walk; several digraphs on one degree sequence give one
-    block-diagonal kernel whose block e, on vertices [e n, (e + 1) n), is
-    the walk on the e-th digraph, so one product steps the whole batch.
+    Give either the matrix P or ``rows``, the (seq, heads, head_stubs)
+    tables of B digraphs on one degree sequence (see
+    ``sampler.sample_tables``): one row gives its digraph's walk, B rows
+    one block-diagonal kernel whose block e, on vertices [e n, (e + 1) n),
+    is the walk on row e's digraph, so one product steps the whole batch.
     ``blocks`` counts them (1 for a matrix).  The kernel stores one
-    matrix, ``transpose`` (P^T, what propagation multiplies by): a
-    digraph kernel builds it on first use and caches it, a matrix kernel
-    builds it from P at once and keeps no copy of P.
-    ``nnz`` counts stored entries, so a digraph kernel has nnz == blocks * m.
+    matrix, ``transpose`` (P^T, what propagation multiplies by): a kernel
+    of rows builds it on first use and caches it, a matrix kernel builds
+    it from P at once and keeps no copy of P.
+    ``nnz`` counts stored entries, so a kernel of rows has nnz == blocks * m.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
-                 graphs: Sequence[Digraph] = ()):
-        if (matrix is None) == (not graphs):
-            raise BadValue("give exactly one of matrix and graphs")
-        self._graphs = tuple(graphs)
-        self._transpose = None if matrix is None else matrix.T.tocsr()
-        self.blocks = max(1, len(self._graphs))
-        if self._graphs:
-            seq = self._graphs[0].seq
-            if not all(_same_sequence(g.seq, seq) for g in self._graphs):
-                raise BadValue("a kernel's digraphs need one degree sequence")
-            self.n, self.nnz = self.blocks * seq.n, self.blocks * seq.m
-        else:
+                 rows: Optional[tuple] = None):
+        if (matrix is None) == (rows is None):
+            raise BadValue("give exactly one of matrix and rows")
+        self._rows = rows
+        if rows is None:
+            self._transpose = matrix.T.tocsr()
+            self.blocks = 1
             self.n, self.nnz = matrix.shape[0], matrix.nnz
+        else:
+            seq, heads, _ = rows
+            self._transpose = None
+            self.blocks = len(heads)
+            self.n, self.nnz = self.blocks * seq.n, self.blocks * seq.m
 
     @property
     def matrix(self) -> csc_matrix:
@@ -114,7 +123,7 @@ class TransitionKernel:
     @property
     def transpose(self) -> csr_matrix:
         if self._transpose is None:
-            self._transpose = _transpose_matrix(self._graphs)
+            self._transpose = _transpose_matrix(*self._rows)
         return self._transpose
 
 
@@ -137,47 +146,46 @@ def _block_pointer(offsets: np.ndarray, blocks: int, m: int,
     return ptr
 
 
-def _out_lists(graphs: Sequence[Digraph]) -> csr_matrix:
-    """P with one entry per edge, in sampling order, block-diagonal over
-    the graphs."""
-    seq = graphs[0].seq
-    b, n, m = len(graphs), seq.n, seq.m
+def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
+                      head_stubs: Optional[np.ndarray]) -> csr_matrix:
+    """Block-diagonal P^T of the (B, m) tables, one entry per edge: row y
+    of block e lists the tails of y's in-edges in row e's digraph, offset
+    by e n.  B = 1 is the one-graph case, and each block equals its row's
+    own one-graph P^T entry for entry."""
+    from scipy.sparse import csr_matrix
+    b, n, m = len(heads), seq.n, seq.m
     idx = index_dtype_for(b * m)
-    heads = np.stack([g.heads for g in graphs], dtype=idx)
-    heads += np.arange(b, dtype=idx)[:, None] * n
-    data = seq.inv_out_degrees[np.broadcast_to(seq.tails, (b, m))].ravel()
-    indptr = _block_pointer(seq.out_offsets, b, m, idx)
-    return csr_matrix((data, heads.ravel(), indptr), shape=(b * n, b * n))
-
-
-def _transpose_matrix(graphs: Sequence[Digraph]) -> csr_matrix:
-    """Block-diagonal P^T with one entry per edge: row y lists the tails of
-    y's in-edges.  One graph is the one-block case: when every digraph has
-    a matching, or none has, each block equals its digraph's own P^T entry
-    for entry (a mixed batch takes the out-list build for all)."""
-    if any(g.head_stubs is None for g in graphs):
-        # scipy's CSR -> CSC conversion is a stable O(m) counting sort by
-        # head, so each row keeps its graph's own entry order
-        return _out_lists(graphs).tocsc().T
+    offsets = np.arange(b, dtype=idx)[:, None] * n
+    if head_stubs is None:
+        # P with one entry per edge, in sampling order; scipy's CSR -> CSC
+        # conversion is a stable O(m) counting sort by head, so each row
+        # of P^T keeps its graph's own entry order
+        data = np.take(seq.inv_out_degrees, np.broadcast_to(seq.tails, (b, m)))
+        p = csr_matrix((data.ravel(), (heads + offsets).ravel(),
+                        _block_pointer(seq.out_offsets, b, m, idx)),
+                       shape=(b * n, b * n))
+        return p.tocsc().T
     # A DCM matching already groups the edges by head: stub j of the
-    # head-ordered stubs sits at row position j of P^T.  Row e of the
-    # (b, m) table is block e, whose tails are offset by e n.  One graph
-    # uses the sequence's shared, read-only in-degree offsets as its row
-    # pointer.
-    seq = graphs[0].seq
-    b, n, m = len(graphs), seq.n, seq.m
-    idx = index_dtype_for(b * m)
+    # head-ordered stubs sits at row position j of P^T, so row e's tails
+    # are scattered to its matching (row by row: faster than one flat
+    # scatter).  One graph uses the sequence's shared, read-only in-degree
+    # offsets as its row pointer.
     tails = np.empty((b, m), dtype=idx)
-    for row, g in zip(tails, graphs):
-        row[g.head_stubs] = seq.tails
-    data = seq.inv_out_degrees[tails]
+    for row, stubs in zip(tails, head_stubs):
+        row[stubs] = seq.tails
+    data = np.take(seq.inv_out_degrees, tails)
     if b == 1:
         indptr = seq.in_offsets
     else:
-        tails += np.arange(b, dtype=idx)[:, None] * n
+        tails += offsets
         indptr = _block_pointer(seq.in_offsets, b, m, idx)
     return csr_matrix((data.ravel(), tails.ravel(), indptr),
                       shape=(b * n, b * n))
+
+
+def _table(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows as one (B, m) table; one row as a view of it."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
@@ -185,9 +193,28 @@ def kernel_from_digraph(g: Digraph, *more: Digraph) -> TransitionKernel:
 
     Given more digraphs on g's degree sequence, one block-diagonal kernel
     over all of them, block e for the e-th digraph.  Nothing is built
-    here; P^T, one entry per edge, is built on first use.
+    here: the graphs' rows go to the kernel, which builds P^T, one entry
+    per edge, on first use.  When every digraph has a matching, P^T is
+    built from the matchings; when one lacks it, from the out-lists.
     """
-    return TransitionKernel(graphs=(g, *more))
+    graphs = (g, *more)
+    if not all(_same_sequence(x.seq, g.seq) for x in more):
+        raise BadValue("a kernel's digraphs need one degree sequence")
+    stubs = [x.head_stubs for x in graphs]
+    return TransitionKernel(rows=(
+        g.seq, _table([x.heads for x in graphs]),
+        None if any(s is None for s in stubs) else _table(stubs)))
+
+
+def kernel_from_tables(seq: DegreeSequence, heads: np.ndarray,
+                       head_stubs: Optional[np.ndarray] = None
+                       ) -> TransitionKernel:
+    """The block-diagonal kernel of ``sampler.sample_tables``' (B, m)
+    tables, block e for row e, with P^T built here rather than on first
+    use: a batch walker uses it at once."""
+    kernel = TransitionKernel(rows=(seq, heads, head_stubs))
+    kernel._transpose = _transpose_matrix(seq, heads, head_stubs)
+    return kernel
 
 
 def _renormalized(v: np.ndarray, budget: OperationBudget) -> np.ndarray:
@@ -240,9 +267,13 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
     checked, renormalized and recorded as a lone vector's would be, so the
     result equals separate 1-d calls bit for bit.  A law whose mass is
     zero or not finite, dist itself at zero steps, raises BadValue.
+    steps is read by ``integer_array``: 2.0 is two steps, a bool or 2.5
+    is BadValue, a negative count BadRange.
     """
     if budget is None:      # inline, not as_ledger(budget): a call per step
         budget = as_ledger(None)
+    if type(steps) is not int:  # the hot path passes ints: one type test
+        (steps,) = integer_array([steps], "steps").tolist()
     if steps < 0:
         raise BadRange("steps must be nonnegative")
     v = np.asarray(dist, dtype=np.float64)
@@ -423,10 +454,14 @@ def path_log_weights(states, s: int, g_sigma: Digraph,
 
     Each step reads P(x, y) from x's out-list, for all N paths at once,
     and adds its logs, so every path is summed in step order, bitwise as a
-    scalar loop over the walk matrix P would.  No kernel is built.
+    scalar loop over the walk matrix P would.  No kernel is built.  s is
+    read by ``integer_array``, as ``propagate`` reads its steps.
     """
     if g_sigma.n != g_eta.n:
         raise BadValue("digraphs have different vertex counts")
+    (s,) = integer_array([s], "s").tolist()
+    if s < 0:
+        raise BadRange(f"switch time must be nonnegative, got {s}")
     states = np.asarray(states)
     if states.ndim != 2:
         raise BadValue(f"states must be (paths, t + 1), got {states.shape}")

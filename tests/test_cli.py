@@ -433,9 +433,14 @@ def test_run_annealed(tmp_path, capsys):
 _FOOTPRINT_CHILD = """
 import json, sys
 from mixlab.cli import main
-code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in json.loads(sys.argv[2])
-                               if m in sys.modules)]))
+watched = json.loads(sys.argv[2])
+at_import = sorted(m for m in watched if m in sys.modules)
+try:
+    code = main(json.loads(sys.argv[1]))
+except SystemExit as exc:   # --help
+    code = exc.code
+print(json.dumps([code, at_import,
+                  sorted(m for m in watched if m in sys.modules)]))
 """
 
 # about 11 MiB and 0.1 s of CPU at start-up; only a failed solve loads them
@@ -468,19 +473,37 @@ def _child_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
-    # a fresh interpreter, so no other test has imported them already
-    args = ["joint", *_cli_cases()["joint"], "--root-seed", "12",
-            "--out-dir", str(tmp_path)]
+def _footprint(args, modules):
+    """(exit code, modules of ``modules`` loaded after ``import mixlab.cli``,
+    those loaded after ``main(args)``), in a fresh interpreter, so no other
+    test has imported them already."""
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(args),
-         json.dumps(_DEFERRED_MODULES)],
+         json.dumps(modules)],
         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
-    assert loaded == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
+    args = ["joint", *_cli_cases()["joint"], "--root-seed", "12",
+            "--out-dir", str(tmp_path)]
+    assert _footprint(args, _DEFERRED_MODULES) == [0, [], []]
     assert list(tmp_path.glob("*.csv"))
+
+
+# scipy.sparse costs about 0.2 s of CPU and 20 MiB at start-up; it is
+# imported where a kernel's P^T is built, so a run that builds none (--help,
+# weight-lln) never loads it
+@pytest.mark.parametrize("experiment, builds_a_kernel", [
+    ("--help", False), ("weight-lln", False), ("annealed", True)])
+def test_scipy_sparse_is_loaded_only_to_build_a_kernel(tmp_path, experiment,
+                                                       builds_a_kernel):
+    args = [experiment]
+    if experiment != "--help":
+        args += [*_cli_cases()[experiment], "--out-dir", str(tmp_path)]
+    loaded = ["scipy.sparse"] if builds_a_kernel else []
+    assert _footprint(args, ["scipy.sparse"]) == [0, [], loaded]
 
 
 # ---------------------------------------------------------------------------

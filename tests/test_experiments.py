@@ -455,6 +455,36 @@ def test_annealed_key_chunks_equal_per_environment_loop(monkeypatch,
         assert report.metadata["worst_start"] == worst_start
 
 
+def test_batches_add_to_the_sums_as_a_loop_of_additions_bitwise():
+    # a running sum far from zero, so that summing a batch first and adding
+    # it after would round differently
+    rng = np.random.default_rng(9)
+    for shape in ((54, 1, 4, 100), (7, 3, 5, 11), (1, 2, 3, 4)):
+        acc = rng.random(shape[1:]) * 1e3
+        batch = rng.random(shape)
+        want = acc.copy()
+        for law in batch:
+            want += law
+        experiments._add_in_order(acc, batch.copy())
+        assert np.array_equal(acc, want)
+
+
+def test_batch_walker_builds_no_digraph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a digraph was built")
+    monkeypatch.setattr(experiments, "sample_digraph", refuse)
+    monkeypatch.setattr(experiments, "kernel_from_digraph", refuse)
+    eulerian = degrees_from_generator("eulerian:2x20,3x10", ModelKind.DCM, 3)
+    for seq in (eulerian, validate_degrees("ocm", [3] * 30)):
+        report = annealed_check(cfg_for(seq, env_samples=40,
+                                        start_vertices=[0, 1]), (1, 2))
+        assert report.metadata["env_samples"] == 40
+    # Eulerian, so marginal needs no stationary-gap replicates
+    report = marginal_relaxation_curve(cfg_for(eulerian, alpha=0.3,
+                                               beta_grid=(0.6, 1.2)))
+    assert report.metadata["replicates"] == eulerian.n == 30
+
+
 def _annealed_peak_bytes(cfg, t_grid=(1,)):
     tracemalloc.start()
     try:

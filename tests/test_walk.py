@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, issparse
 
-from mixlab import (NotConverged, OperationBudget, RngStream,
+from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
                     TransitionKernel, delta_at, digraph_from_json,
                     digraph_to_json, double_row, kernel_from_digraph,
-                    path_log_weight, path_log_weights, propagate, sample_dcm,
-                    sample_digraph, sample_paths, sample_trajectory,
+                    kernel_from_tables, path_log_weight, path_log_weights,
+                    propagate, sample_dcm, sample_digraph, sample_paths,
+                    sample_tables, sample_trajectory,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
@@ -780,3 +781,93 @@ def test_walk_counts_and_starts_refuse_bools():
     assert np.array_equal(sample_paths([1.0, 2.0], 1, 2.0, g1, g2, stream),
                           sample_paths(np.array([1, 2]), 1, 2, g1, g2,
                                        stream))
+
+
+def test_propagate_reads_steps_by_the_integer_rule():
+    _, _, k, _ = random_kernel_pair(2)
+    v = delta_at(0, k.n)
+    for bad in (True, False, 2.5, math.nan, "2"):
+        with pytest.raises(BadValue):
+            propagate(v, k, bad)
+    for negative in (-1, -1.0, np.int64(-2)):
+        with pytest.raises(BadRange):
+            propagate(v, k, negative)
+    # integral floats and numpy integers are step counts
+    want = propagate(v, k, 2)
+    for steps in (2.0, np.int64(2), np.int32(2)):
+        assert np.array_equal(propagate(v, k, steps), want)
+
+
+def test_path_log_weights_read_the_switch_time_by_the_integer_rule():
+    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
+    states = np.array([[0, 1, 2, 0], [0, 2, 1, 2], [1, 2, 0, 2]])
+    for bad in (True, 1.5, math.nan, "2"):
+        with pytest.raises(BadValue):
+            path_log_weights(states, bad, g1, g2)
+    with pytest.raises(BadRange):
+        path_log_weights(states, -1, g1, g2)
+    want = path_log_weights(states, 2, g1, g2)
+    for s in (2.0, np.int64(2)):
+        assert np.array_equal(path_log_weights(states, s, g1, g2), want)
+    # a trajectory without a switch time still runs wholly in g_sigma
+    traj = Trajectory(states[0], None)
+    assert path_log_weight(traj, g1, g2) == path_log_weights(
+        states[:1], 3, g1, g2)[0]
+
+
+TABLE_SEQS = [validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3]),
+              validate_degrees("dcm", [3] * 40, [3] * 40),
+              validate_degrees("ocm", [2, 3, 4, 5] * 8),
+              validate_degrees("ocm", [5] * 5)]
+
+
+@pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
+def test_table_rows_are_the_digraphs_of_their_streams(seq):
+    streams = list(RngStream(17).lanes(1, range(9)))
+    heads, head_stubs = sample_tables(seq, streams)
+    assert heads.shape == (9, seq.m)
+    assert (head_stubs is None) == (seq.model is ModelKind.OCM)
+    for e, stream in enumerate(streams):
+        g = sample_digraph(seq, stream)
+        assert np.array_equal(heads[e], g.heads)
+        assert heads[e].dtype == g.heads.dtype
+        if head_stubs is None:
+            assert g.head_stubs is None
+        else:
+            assert np.array_equal(head_stubs[e], g.head_stubs)
+            # the numbers of a fresh generator's permutation, row by row
+            assert np.array_equal(head_stubs[e],
+                                  stream.generator().permutation(seq.m))
+
+
+@pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
+def test_kernel_from_tables_equals_the_digraph_kernels_bitwise(seq):
+    streams = list(RngStream(23).lanes(1, range(6)))
+    for batch in (streams[:1], streams):
+        kernel = kernel_from_tables(seq, *sample_tables(seq, batch))
+        graphs = [sample_digraph(seq, stream) for stream in batch]
+        want = kernel_from_digraph(*graphs)
+        assert (kernel.blocks, kernel.n, kernel.nnz) == (
+            want.blocks, want.n, want.nnz)
+        pt = kernel.transpose
+        wanted = [(want.transpose.data, want.transpose.indices,
+                   want.transpose.indptr),
+                  block_diag_arrays([kernel_from_digraph(g).transpose
+                                     for g in graphs])]
+        for data, indices, indptr in wanted:
+            assert np.array_equal(pt.data, data)
+            assert np.array_equal(pt.indices, indices)
+            assert np.array_equal(pt.indptr, indptr)
+        assert pt.indices.dtype == want.transpose.indices.dtype
+
+
+def test_a_one_graph_kernel_copies_none_of_its_rows():
+    dcm, ocm = TABLE_SEQS[0], TABLE_SEQS[2]
+    for g in (sample_digraph(dcm, RngStream(3)),
+              sample_digraph(ocm, RngStream(3))):
+        seq, heads, head_stubs = kernel_from_digraph(g)._rows
+        assert seq is g.seq
+        assert np.shares_memory(heads, g.heads)
+        assert (head_stubs is None if g.head_stubs is None
+                else np.shares_memory(head_stubs, g.head_stubs))
