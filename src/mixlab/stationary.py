@@ -62,14 +62,16 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     if start is None:
         v = np.full(n, 1.0 / n)
     else:
-        # checked here, since a NaN start would run every iteration; its
-        # mass is not, since callers may pass an unnormalized start
+        # checked here, since a NaN or zero-mass start would run every
+        # iteration; callers may pass an unnormalized start
         v = np.asarray(start, dtype=np.float64)
         if v.shape != (n,):
             raise LengthMismatch(f"start shape {v.shape} does not fit "
                                  f"kernel size {n}")
         if not np.isfinite(v).all():
             raise BadValue("start has a non-finite entry")
+        if v.sum() == 0:    # every iterate keeps it, and pi divides by it
+            raise BadValue("start has zero mass")
     tmat = kernel.transpose
     budget = as_ledger(budget)
     budget.charge(kernel.nnz)

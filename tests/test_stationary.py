@@ -104,13 +104,14 @@ def test_start_is_checked_before_iterating():
     for start in ([1.0, 0.0, 0.0], [[0.5, 0.5]], []):
         with pytest.raises(LengthMismatch):
             stationary_distribution(k, start=np.array(start))
-    # a NaN start would otherwise run every iteration and fail to converge
-    for start in ([np.nan, 1.0], [np.inf, 0.0]):
+    # a NaN or zero-mass start would otherwise run every iteration and
+    # fail to converge, a zero mass with two RuntimeWarnings on the way
+    for start in ([np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0], [1.0, -1.0]):
         budget = OperationBudget(cap=1e6)
         with pytest.raises(BadValue):
             stationary_distribution(k, start=np.array(start), budget=budget)
         assert budget.used == 0.0
-    # the mass is not checked: an unnormalized start is allowed
+    # a nonzero mass is not checked: an unnormalized start is allowed
     res = stationary_distribution(k, start=np.array([3.0, 1.0]))
     assert np.abs(res.distribution - [2 / 3, 1 / 3]).max() < 1e-9
 

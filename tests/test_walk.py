@@ -101,9 +101,9 @@ def test_kernel_stores_one_matrix_and_p_is_a_view_of_it():
     graphs = kernel_test_graphs()
     mat = csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     kernels = [kernel_from_digraph(g) for g in graphs]
-    kernels += [kernel_from_digraph(*graphs[:3]), TransitionKernel(mat)]
     # a digraph kernel builds its P^T on first use, not before
-    assert all(stored_matrices(k) == [] for k in kernels[:-1])
+    assert all(stored_matrices(k) == [] for k in kernels)
+    kernels += [table_kernel(graphs[:3]), TransitionKernel(mat)]
     for k in kernels:
         p, pt = k.matrix, k.transpose
         assert stored_matrices(k) == [id(pt)]
@@ -125,13 +125,23 @@ def block_diag_arrays(mats):
     return coo.data, coo.col, np.concatenate([[0], np.cumsum(counts)])
 
 
+def table_kernel(graphs):
+    """The block-diagonal kernel of graphs on one degree sequence, built
+    from their stacked heads and, when they have them, matchings."""
+    heads = np.stack([g.heads for g in graphs])
+    stubs = [g.head_stubs for g in graphs]
+    return kernel_from_tables(graphs[0].seq, heads,
+                              None if stubs[0] is None else np.stack(stubs))
+
+
 def kernel_batches():
-    """Runs of digraphs on one degree sequence: sampled DCM (with a
-    matching), sampled OCM, JSON-loaded DCM, and hand-written multigraphs."""
+    """Runs of digraphs on one degree sequence, each with its table kernel:
+    sampled DCM (with a matching), sampled OCM, JSON-loaded DCM, and
+    hand-written multigraphs."""
     dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
     ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
     sampled = [sample_digraph(dcm, RngStream(seed)) for seed in range(6)]
-    return [
+    batches = [
         sampled,
         [sample_digraph(ocm, RngStream(seed)) for seed in range(4)],
         [digraph_from_json(digraph_to_json(g)) for g in sampled[:3]],
@@ -139,12 +149,12 @@ def kernel_batches():
          _graph_from_edges([[0, 1, 1], [2, 2], [0, 1]])],
         sampled[4:5],
     ]
+    return [(graphs, table_kernel(graphs)) for graphs in batches]
 
 
 def test_block_transpose_equals_block_diag_of_per_graph_transposes():
     loops = parallels = 0
-    for graphs in kernel_batches():
-        k = kernel_from_digraph(*graphs)
+    for graphs, k in kernel_batches():
         seq = graphs[0].seq
         assert (k.blocks, k.n, k.nnz) == (len(graphs), len(graphs) * seq.n,
                                            len(graphs) * seq.m)
@@ -161,20 +171,11 @@ def test_block_transpose_equals_block_diag_of_per_graph_transposes():
     assert loops >= 2 and parallels >= 2
 
 
-def test_a_batch_needs_one_degree_sequence():
-    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
-    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
-    with pytest.raises(BadValue):
-        kernel_from_digraph(sample_digraph(dcm, RngStream(0)),
-                            sample_digraph(ocm, RngStream(0)))
-
-
 def test_block_propagate_equals_per_graph_propagate_bitwise():
     # columns of mass 1, of mass 1 up to rounding and of mass far from 1,
     # so that some vectors renormalize and others do not
     rng = np.random.default_rng(4)
-    for graphs in kernel_batches():
-        k = kernel_from_digraph(*graphs)
+    for graphs, k in kernel_batches():
         n, b = graphs[0].n, len(graphs)
         block = np.zeros((b, n, 3))
         block[:, 1, 0] = 1.0
@@ -268,7 +269,7 @@ def test_propagate_zero_steps_is_identity_copy():
 def test_propagate_never_writes_to_or_aliases_its_input(steps):
     # read-only inputs, off from mass 1 so every step renormalizes in place
     g1, g2, k, _ = random_kernel_pair(1)
-    block_kernel = kernel_from_digraph(g1, g2)
+    block_kernel = table_kernel([g1, g2])
     for v, kernel in ((delta_at(0, k.n) * (1 + 1e-6), k),
                       (np.full((2 * k.n, 3), (1 + 1e-6) / k.n),
                        block_kernel)):
@@ -305,8 +306,7 @@ def test_propagate_refuses_a_non_finite_mass(bad):
 
 
 def test_block_propagate_refuses_a_non_finite_mass():
-    graphs = kernel_batches()[0]
-    k = kernel_from_digraph(*graphs)
+    graphs, k = kernel_batches()[0]
     n = graphs[0].n
     block = np.zeros((k.n, 2))
     block[0::n, 0] = 1.0
@@ -337,8 +337,7 @@ def test_propagate_refuses_a_zero_or_non_finite_law(law, steps):
 @pytest.mark.parametrize("bad, steps", [(0.0, 0), (0.0, 1), (math.nan, 0)],
                          ids=["zero-0", "zero-1", "nan-0"])
 def test_block_propagate_refuses_a_zero_or_non_finite_law(bad, steps):
-    graphs = kernel_batches()[0]
-    k = kernel_from_digraph(*graphs)
+    graphs, k = kernel_batches()[0]
     n = graphs[0].n
     block = np.zeros((k.n, 2))
     block[0::n, 0] = 1.0
@@ -764,6 +763,40 @@ def test_kernel_accepts_explicit_matrices():
     assert np.allclose(out, [0.5, 0.5])
 
 
+def test_kernel_refuses_malformed_input():
+    seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
+    g = sample_digraph(seq, RngStream(1))
+    two = np.stack([g.heads, g.heads])
+    cases = [
+        # propagate made a 3-vector of a 2-vertex law
+        lambda: TransitionKernel(csr_matrix(np.ones((2, 3)) / 3)),
+        # a 1-d table built a 40-vertex kernel of 10 one-edge blocks
+        lambda: kernel_from_tables(seq, g.heads),
+        lambda: kernel_from_tables(seq, g.heads[None, :-1]),
+        lambda: kernel_from_tables(seq, two[:0]),
+        # the build read the second block's tails from uninitialised memory
+        lambda: kernel_from_tables(seq, two, g.head_stubs[None]),
+        lambda: kernel_from_tables(seq, g.heads[None], g.head_stubs),
+    ]
+    for case in cases:
+        with pytest.raises(BadValue):
+            case()
+
+
+@pytest.mark.parametrize("head", [-1, 4, 7])
+def test_out_list_kernel_refuses_heads_outside_the_vertices(head):
+    # scipy took them unchecked, and the interpreter died later (SIGSEGV)
+    seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
+    heads = np.zeros((2, seq.m), dtype=np.int32)
+    heads[1, 5] = head
+    for kernel in (TransitionKernel(rows=(seq, heads, None)),
+                   TransitionKernel(rows=(seq, heads[1:], None))):
+        with pytest.raises(BadRange):
+            kernel.transpose
+    with pytest.raises(BadRange):
+        kernel_from_tables(seq, heads)
+
+
 def test_walk_counts_and_starts_refuse_bools():
     # numpy reads [True, 2] as int64; each of these used to run as 1
     g1, g2, k1, k2 = random_kernel_pair(3)
@@ -816,6 +849,20 @@ def test_path_log_weights_read_the_switch_time_by_the_integer_rule():
         states[:1], 3, g1, g2)[0]
 
 
+def test_path_log_weights_read_the_states_by_the_integer_rule():
+    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
+    states = np.array([[0, 1, 2, 0], [0, 2, 1, 2], [1, 2, 0, 2]])
+    want = path_log_weights(states, 2, g1, g2)
+    for same in (states.astype(float), states.astype(np.uint8),
+                 states.tolist()):
+        assert np.array_equal(path_log_weights(same, 2, g1, g2), want)
+    for bad in (states.astype(bool), states + 0.5,
+                np.where(states, states, np.nan), states.astype(str)):
+        with pytest.raises(BadValue):
+            path_log_weights(bad, 2, g1, g2)
+
+
 TABLE_SEQS = [validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3]),
               validate_degrees("dcm", [3] * 40, [3] * 40),
               validate_degrees("ocm", [2, 3, 4, 5] * 8),
@@ -846,20 +893,18 @@ def test_kernel_from_tables_equals_the_digraph_kernels_bitwise(seq):
     streams = list(RngStream(23).lanes(1, range(6)))
     for batch in (streams[:1], streams):
         kernel = kernel_from_tables(seq, *sample_tables(seq, batch))
-        graphs = [sample_digraph(seq, stream) for stream in batch]
-        want = kernel_from_digraph(*graphs)
-        assert (kernel.blocks, kernel.n, kernel.nnz) == (
-            want.blocks, want.n, want.nnz)
+        b = len(batch)
+        assert (kernel.blocks, kernel.n, kernel.nnz) == (b, b * seq.n,
+                                                         b * seq.m)
+        kernels = [kernel_from_digraph(sample_digraph(seq, stream))
+                   for stream in batch]
+        data, indices, indptr = block_diag_arrays(
+            [k.transpose for k in kernels])
         pt = kernel.transpose
-        wanted = [(want.transpose.data, want.transpose.indices,
-                   want.transpose.indptr),
-                  block_diag_arrays([kernel_from_digraph(g).transpose
-                                     for g in graphs])]
-        for data, indices, indptr in wanted:
-            assert np.array_equal(pt.data, data)
-            assert np.array_equal(pt.indices, indices)
-            assert np.array_equal(pt.indptr, indptr)
-        assert pt.indices.dtype == want.transpose.indices.dtype
+        assert np.array_equal(pt.data, data)
+        assert np.array_equal(pt.indices, indices)
+        assert np.array_equal(pt.indptr, indptr)
+        assert pt.indices.dtype == kernels[0].transpose.indices.dtype
 
 
 def test_a_one_graph_kernel_copies_none_of_its_rows():
