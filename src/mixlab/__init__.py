@@ -33,7 +33,7 @@ from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          widespread_stats)
 from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
                    double_row, kernel_from_digraph, kernel_from_tables,
-                   path_log_weight,
+                   one_step_laws, path_log_weight,
                    path_log_weights, propagate, sample_paths,
                    sample_trajectory, time_averaged_row, time_averaged_rows)
 

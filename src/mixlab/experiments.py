@@ -28,7 +28,7 @@ from .stationary import (DEFAULT_TOL, check_tol, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    kernel_from_digraph, kernel_from_tables,
-                   path_log_weights, propagate, sample_paths,
+                   one_step_laws, path_log_weights, propagate, sample_paths,
                    time_averaged_rows)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
@@ -307,10 +307,14 @@ def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
     of it environment e's laws from the starts in its row.
 
     Environment e is sampled on stream (_LANE_ENV_A, e), keyed _KEY_CHUNK
-    at a time.  A batch is drawn as ``sample_tables``' (B, m) tables and
-    walked on the block-diagonal kernel built from them, with no digraph
-    per environment.  Every law equals its own 1-d walk bit for bit, and
-    batches come in replicate order.  One batch is in flight: B * m kernel
+    at a time.  A batch is drawn as ``sample_tables``' (B, m) tables, with
+    no digraph per environment.  Laws at t = 0 are the deltas themselves,
+    and every walk takes its first step by ``one_step_laws``, read from the
+    heads table.  Only when max(ts) >= 2 does the batch build its
+    block-diagonal kernel, once, up front, and propagate the step-1 laws
+    on it; so a grid with no time past 1 builds no kernel and runs no
+    product.  Every law equals its own 1-d walk bit for bit, and batches
+    come in replicate order.  One batch is in flight: B * m kernel
     entries, the B * m tables, B * |ts| * S * n floats of laws, and one
     chunk's transient blocks of B * w * n floats each, at most
     _BATCH_ENTRIES / 2 as m >= 2n.
@@ -329,16 +333,28 @@ def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
 
     def one(item):
         lo, batch = item
-        kernel = kernel_from_tables(seq, *sample_tables(seq, batch))
+        heads, head_stubs = sample_tables(seq, batch)
+        kernel = (kernel_from_tables(seq, heads, head_stubs)
+                  if ts[-1] >= 2 else None)
         b = len(batch)
         laws = np.empty((b, len(ts), width, n))
         for c in range(0, width, chunk):
-            xs = starts[lo:lo + b, c:c + chunk] + n * np.arange(b)[:, None]
-            v = np.zeros((b * n, xs.shape[1]))
-            v[xs, np.arange(xs.shape[1])] = 1.0     # delta_x in every block
-            for ti, (_, w) in enumerate(_laws_at(
-                    v.ravel() if v.size == n else v, kernel, ts, ledger)):
-                laws[:, ti, c:c + chunk] = w.reshape(b, n, -1).swapaxes(1, 2)
+            xs = starts[lo:lo + b, c:c + chunk]
+            cols = slice(c, c + xs.shape[1])
+            cur = 0
+            for ti, t in enumerate(ts):
+                if t == 0:
+                    delta = laws[:, ti, cols]     # a view
+                    delta[:] = 0.0
+                    np.put_along_axis(delta, xs[:, :, None], 1.0, axis=2)
+                    continue
+                if cur == 0:
+                    v, cur = one_step_laws(seq, heads, xs, ledger), 1
+                    if v.size == n:     # b = w = 1: walk a 1-d law
+                        v = v.ravel()
+                if t > cur:
+                    v, cur = propagate(v, kernel, t - cur, ledger), t
+                laws[:, ti, cols] = v.reshape(b, n, -1).swapaxes(1, 2)
         return laws
 
     return _parallel_map(one, batches)

@@ -14,7 +14,9 @@ hands it one digraph's rows and builds on first use, ``kernel_from_tables``
 hands it a batch drawn by ``sampler.sample_tables`` and builds at once,
 so a batch of environments needs no digraph object each.  scipy.sparse
 is imported by that builder, so a run that builds no kernel never loads
-it.
+it.  A batch's first step needs no kernel either: ``one_step_laws``
+reads each delta_x P_e straight from the heads table, one weight
+1/out-degree(x) per out-edge of x, bitwise the law one product would give.
 
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
@@ -49,9 +51,10 @@ class OperationBudget:
     """A run's ledger: the cap on scalar multiply-add work, the work charged
     so far (``used``) and the tally of mass drift.  ``propagate``,
     ``time_averaged_rows`` and ``stationary_distribution`` charge every
-    product or solver iteration before it runs; every propagation step
-    records its drift.  A run charges it from one thread, replicate after
-    replicate, so it takes no lock."""
+    product or solver iteration before it runs, and ``one_step_laws`` one
+    multiply-add per out-edge it reads; every propagation step, and every
+    law ``one_step_laws`` reads, records its drift.  A run charges it from
+    one thread, replicate after replicate, so it takes no lock."""
 
     DEFAULT_CAP = 5e10
 
@@ -97,8 +100,9 @@ class TransitionKernel:
     of rows builds it on first use and caches it, a matrix kernel builds
     it from P at once and keeps no copy of P.
     ``nnz`` counts stored entries, so a kernel of rows has nnz == blocks * m.
-    A matrix that is not square or tables not (B, m) with B >= 1 raise
-    BadValue, an out-list head outside [0, n) BadRange as P^T is built.
+    A matrix that is not sparse or not square, or tables not (B, m) with
+    B >= 1, raise BadValue; an out-list head outside [0, n), or a matching
+    row that is not a permutation of [0, m), BadRange as P^T is built.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
@@ -107,6 +111,9 @@ class TransitionKernel:
             raise BadValue("give exactly one of matrix and rows")
         self._rows = rows
         if rows is None:
+            if not hasattr(matrix, "tocsr"):
+                raise BadValue(f"kernel matrix must be a scipy.sparse "
+                               f"csr_matrix, not {type(matrix).__name__}")
             n, cols = matrix.shape
             if n != cols:
                 raise BadValue(f"kernel matrix must be square, not {n}x{cols}")
@@ -175,10 +182,15 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
     # head-ordered stubs sits at row position j of P^T, so row e's tails
     # are scattered to its matching (row by row: faster than one flat
     # scatter).  One graph uses the sequence's shared, read-only in-degree
-    # offsets as its row pointer.
-    tails = np.empty((b, m), dtype=idx)
+    # offsets as its row pointer.  m in-range stubs that leave no -1 in
+    # their row are a permutation; numpy would read a stub -1 as m - 1.
+    if not (0 <= head_stubs.min() and head_stubs.max() < m):
+        raise BadRange(f"a matching stub lies outside [0, {m})")
+    tails = np.full((b, m), -1, dtype=idx)
     for row, stubs in zip(tails, head_stubs):
         row[stubs] = seq.tails
+    if tails.min() < 0:
+        raise BadRange("a matching row is not a permutation of its stubs")
     data = np.take(seq.inv_out_degrees, tails)
     if b == 1:
         indptr = seq.in_offsets
@@ -206,10 +218,11 @@ def kernel_from_tables(seq: DegreeSequence, heads: np.ndarray,
                        ) -> TransitionKernel:
     """The block-diagonal kernel of ``sampler.sample_tables``' (B, m)
     tables, block e for row e, with P^T built here rather than on first
-    use: a batch walker uses it at once.  Built on first use inside the
-    walker instead, annealed on 3-regular n = 100 with 5000 environments
-    took more CPU: median 0.10-0.12 s -> 0.14-0.16 s over 20 alternating
-    rounds (2 cores, numpy 2.4.6, scipy 1.17.1)."""
+    use: the batch walker builds one only for laws two or more steps out,
+    and uses it at once.  Built on first use inside the walker instead,
+    annealed on 3-regular n = 100 with 5000 environments (then walked on a
+    kernel from t = 1) took more CPU: median 0.10-0.12 s -> 0.14-0.16 s
+    over 20 alternating rounds (2 cores, numpy 2.4.6, scipy 1.17.1)."""
     kernel = TransitionKernel(rows=(seq, heads, head_stubs))
     kernel._transpose = _transpose_matrix(seq, heads, head_stubs)
     return kernel
@@ -236,12 +249,12 @@ def _step(v: np.ndarray, kernel: TransitionKernel,
     return _renormalized(kernel.transpose @ v, budget)
 
 
-def _block_step(v: np.ndarray, kernel: TransitionKernel,
-                budget: OperationBudget) -> np.ndarray:
-    """_step for a (kernel.n, k) block: each kernel block's part of each
-    column is one distribution, checked and renormalized on its own."""
-    w = kernel.transpose @ v
-    laws = w.reshape(kernel.blocks, kernel.n // kernel.blocks,
+def _checked_laws(w: np.ndarray, blocks: int,
+                  budget: OperationBudget) -> np.ndarray:
+    """w, a fresh (blocks * n, k) block of stepped laws, once each block's
+    part of each column is checked, renormalized in place and recorded on
+    its own, as a lone law's step would be."""
+    laws = w.reshape(blocks, len(w) // blocks,
                      w.shape[1]).transpose(0, 2, 1)     # a view of w
     # summed over contiguous rows, each mass equals the 1-d v.sum() bitwise
     sums = np.ascontiguousarray(laws).sum(axis=2)
@@ -253,6 +266,74 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
         laws[renorm] /= sums[renorm][:, None]
     budget.record(float(drift.max(initial=0.0)), int(renorm.sum()))
     return w
+
+
+def _block_step(v: np.ndarray, kernel: TransitionKernel,
+                budget: OperationBudget) -> np.ndarray:
+    """_step for a (kernel.n, k) block: each kernel block's part of each
+    column is one distribution, checked and renormalized on its own."""
+    return _checked_laws(kernel.transpose @ v, kernel.blocks, budget)
+
+
+def _integer_table(values, name: str) -> np.ndarray:
+    """values as a 2-d integer array, BadValue otherwise.  An integer
+    ndarray costs one dtype test; anything else is read entry by entry by
+    ``integer_array``, since numpy reads [[0, True]] as int64."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:   # ragged rows
+        raise BadValue(f"{name} must be a 2-d table") from exc
+    if arr.ndim != 2:
+        raise BadValue(f"{name} must be a 2-d table, got shape {arr.shape}")
+    if not isinstance(values, np.ndarray):
+        flat = [v for row in values for v in row]
+    elif arr.dtype.kind in "iu":
+        return arr
+    else:
+        flat = arr.ravel()
+    return integer_array(flat, name).reshape(arr.shape)
+
+
+def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
+                  budget: Optional[OperationBudget] = None) -> np.ndarray:
+    """The (B n, w) block of one-step laws delta_x P_e from the (B, w)
+    start table: in block e, column j is the law from starts[e, j] in the
+    digraph of row e of the (B, m) heads table (see
+    ``sampler.sample_tables``), with no kernel built.
+
+    The whole block is one bincount over the starts' out-edges, each adding
+    1/out-degree(x) in out-list order, and charged before it runs as one
+    multiply-add per out-edge read.  Every entry of a column comes from
+    its one start, so it equals the product P^T delta_x, which adds the
+    same 1/out-degree(x) copies and exact zeros, bit for bit, for DCM and
+    OCM tables alike; each law is then checked, renormalized and recorded
+    as ``propagate`` would.  Tables not (B, m) and (B, w) raise BadValue, a
+    start or a head read outside [0, n) BadRange.
+    """
+    xs = _integer_table(starts, "starts")
+    b, w = xs.shape
+    n = seq.n
+    if not (b >= 1 and np.shape(heads) == (b, seq.m)):
+        raise BadValue(f"need ({b}, {seq.m}) heads for {xs.shape} starts, "
+                       f"got {np.shape(heads)}")
+    heads, budget = np.asarray(heads), as_ledger(budget)
+    if xs.size and not (0 <= xs.min() and xs.max() < n):
+        raise BadRange(f"a start lies outside [0, {n})")
+    xs = xs.ravel()
+    degrees = seq.out_degrees[xs]
+    budget.charge(float(degrees.sum()))
+    # read edge k belongs to start which[k] and is out-edge
+    # k - (cumsum(degrees) - degrees)[which[k]] of its out-list, so it sits
+    # at position k + shift[which[k]] of its row of heads
+    which = np.repeat(np.arange(xs.size), degrees)
+    shift = seq.out_offsets[xs] - (np.cumsum(degrees) - degrees)
+    rows, cols = np.divmod(which, w)
+    read = heads[rows, np.arange(which.size) + shift[which]]
+    if read.size and not (0 <= read.min() and read.max() < n):
+        raise BadRange(f"a head lies outside [0, {n})")
+    laws = np.bincount((rows * n + read) * w + cols,
+                       seq.inv_out_degrees[xs][which], minlength=b * n * w)
+    return _checked_laws(laws.reshape(b * n, w), b, budget)
 
 
 def propagate(dist, kernel: TransitionKernel, steps: int,
@@ -461,11 +542,7 @@ def path_log_weights(states, s: int, g_sigma: Digraph,
     (s,) = integer_array([s], "s").tolist()
     if s < 0:
         raise BadRange(f"switch time must be nonnegative, got {s}")
-    states = np.asarray(states)
-    if states.ndim != 2:
-        raise BadValue(f"states must be (paths, t + 1), got {states.shape}")
-    if states.dtype.kind not in "iu":   # sampled states cost one dtype test
-        states = integer_array(states.ravel(), "states").reshape(states.shape)
+    states = _integer_table(states, "states")
     if not states.size:
         return np.zeros(len(states))
     # offsets[-1] would read state -1 as the end of the last out-list

@@ -494,14 +494,20 @@ def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
 
 # scipy.sparse costs about 0.2 s of CPU and 20 MiB at start-up; it is
 # imported where a kernel's P^T is built, so a run that builds none (--help,
-# weight-lln) never loads it
-@pytest.mark.parametrize("experiment, builds_a_kernel", [
-    ("--help", False), ("weight-lln", False), ("annealed", True)])
+# weight-lln, annealed with no time past 1) never loads it
+@pytest.mark.parametrize("experiment, t_grid, builds_a_kernel", [
+    pytest.param("--help", None, False, id="--help-False"),
+    pytest.param("weight-lln", None, False, id="weight-lln-False"),
+    pytest.param("annealed", None, True, id="annealed-True"),
+    pytest.param("annealed", "0,1", False, id="annealed-t-grid-0,1-False")])
 def test_scipy_sparse_is_loaded_only_to_build_a_kernel(tmp_path, experiment,
+                                                       t_grid,
                                                        builds_a_kernel):
     args = [experiment]
     if experiment != "--help":
         args += [*_cli_cases()[experiment], "--out-dir", str(tmp_path)]
+    if t_grid is not None:      # the last --t-grid is the one parsed
+        args += ["--t-grid", t_grid]
     loaded = ["scipy.sparse"] if builds_a_kernel else []
     assert _footprint(args, ["scipy.sparse"]) == [0, [], loaded]
 

@@ -587,6 +587,72 @@ def test_marginal_batches_equal_per_start_loop(monkeypatch, batch_entries,
                                               ledger.max_drift)
 
 
+# how _environment_laws splits the work: one batch; batches of several
+# environments; one environment at a time in column chunks; and lone
+# environments, whose 1-d laws walk alone
+WALKER_SPLITS = {"one-batch": {}, "batches": {"_BATCH_ENTRIES": 1080},
+                 "chunks": {"_BATCH_ENTRIES": 150},
+                 "lone": {"_BATCH_MAX_EDGES": 60}}
+SHORT_GRIDS = [(0,), (1,), (0, 1, 2), (1, 3, 9)]
+
+
+def _spy_on_kernels(monkeypatch):
+    """A list that gains an entry per kernel_from_tables call."""
+    calls, build = [], experiments.kernel_from_tables
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return build(*args)
+    monkeypatch.setattr(experiments, "kernel_from_tables", spy)
+    return calls
+
+
+@pytest.mark.parametrize("t_grid", SHORT_GRIDS, ids=str)
+@pytest.mark.parametrize("split", sorted(WALKER_SPLITS))
+def test_annealed_first_steps_equal_per_environment_loop(monkeypatch, split,
+                                                         t_grid):
+    # step 1 is read from the heads table and t = 0 is the delta; a kernel
+    # is built only for a grid that reaches t = 2
+    for name, value in WALKER_SPLITS[split].items():
+        monkeypatch.setattr(experiments, name, value)
+    calls = _spy_on_kernels(monkeypatch)
+    dcm = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
+    for seq in (dcm, validate_degrees("ocm", [3] * 30)):
+        cfg = cfg_for(seq, env_samples=13, start_vertices=[4, 0, 7])
+        report = annealed_check(cfg, t_grid)
+        rows, worst_start, ledger = annealed_per_environment_loop(cfg, t_grid)
+        assert [(r.estimate, r.std_err) for r in report.rows] == rows
+        assert report.metadata["worst_start"] == worst_start
+        assert (report.metadata["renormalizations"],
+                report.metadata["max_drift"]) == (ledger.renormalizations,
+                                                  ledger.max_drift)
+    # every environment is in one kernel exactly when t = 2 is reached
+    assert sum(calls) == (2 * 13 if max(t_grid) >= 2 else 0)
+
+
+@pytest.mark.parametrize("t_grid", SHORT_GRIDS, ids=str)
+@pytest.mark.parametrize("split", sorted(WALKER_SPLITS))
+def test_marginal_first_steps_equal_per_start_loop(monkeypatch, split,
+                                                   t_grid):
+    for name, value in WALKER_SPLITS[split].items():
+        monkeypatch.setattr(experiments, name, value)
+    calls = _spy_on_kernels(monkeypatch)
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    # t = floor(beta / 0.25) lands on each time of the grid
+    cfg = cfg_for(seq, alpha=0.25, beta_grid=tuple(t / 4 for t in t_grid),
+                  start_vertices=11)
+    report = marginal_relaxation_curve(cfg, gap_replicates=2)
+    per_rep, ledger = marginal_per_start_loop(cfg)
+    assert sorted(per_rep[0]) == list(t_grid)
+    values = {str(b): [rep[_floor_time(b / 0.25)] for rep in per_rep]
+              for b in cfg.beta_grid}
+    assert report.metadata["per_beta_replicate_values"] == values
+    assert (report.metadata["renormalizations"],
+            report.metadata["max_drift"]) == (ledger.renormalizations,
+                                              ledger.max_drift)
+    assert sum(calls) == (11 if max(t_grid) >= 2 else 0)
+
+
 def test_crosscheck_exact_side_equals_batched_marginal_replicate():
     # m = 90, so marginal walks its 4 environments in one batch while the
     # crosscheck walks environment 0 as a 1-d law

@@ -10,9 +10,9 @@ from scipy.sparse import block_diag, csr_matrix, issparse
 from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
                     TransitionKernel, delta_at, digraph_from_json,
                     digraph_to_json, double_row, kernel_from_digraph,
-                    kernel_from_tables, path_log_weight, path_log_weights,
-                    propagate, sample_dcm, sample_digraph, sample_paths,
-                    sample_tables, sample_trajectory,
+                    kernel_from_tables, one_step_laws, path_log_weight,
+                    path_log_weights, propagate, sample_dcm, sample_digraph,
+                    sample_paths, sample_tables, sample_trajectory,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
@@ -770,6 +770,8 @@ def test_kernel_refuses_malformed_input():
     cases = [
         # propagate made a 3-vector of a 2-vertex law
         lambda: TransitionKernel(csr_matrix(np.ones((2, 3)) / 3)),
+        # a dense matrix ended in AttributeError: no attribute 'tocsr'
+        lambda: TransitionKernel(np.eye(3)),
         # a 1-d table built a 40-vertex kernel of 10 one-edge blocks
         lambda: kernel_from_tables(seq, g.heads),
         lambda: kernel_from_tables(seq, g.heads[None, :-1]),
@@ -795,6 +797,24 @@ def test_out_list_kernel_refuses_heads_outside_the_vertices(head):
             kernel.transpose
     with pytest.raises(BadRange):
         kernel_from_tables(seq, heads)
+
+
+@pytest.mark.parametrize("fault", ["repeat", "negative", "past_m"])
+def test_matching_kernel_refuses_a_row_that_is_no_permutation(fault):
+    # a repeated stub left an entry of P^T's tails unwritten, so the kernel
+    # read leftover memory; numpy read a stub -1 as m - 1
+    seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
+    heads, stubs = sample_tables(seq, list(RngStream(4).lanes(1, range(2))))
+    stubs[0, 1] = {"repeat": stubs[0, 0], "negative": -1,
+                   "past_m": seq.m}[fault]
+    for kernel in (TransitionKernel(rows=(seq, heads, stubs)),
+                   TransitionKernel(rows=(seq, heads[:1], stubs[:1]))):
+        with pytest.raises(BadRange):
+            kernel.transpose
+    with pytest.raises(BadRange):
+        kernel_from_tables(seq, heads, stubs)
+    # the other row is a matching, and builds alone
+    assert kernel_from_tables(seq, heads[1:], stubs[1:]).nnz == seq.m
 
 
 def test_walk_counts_and_starts_refuse_bools():
@@ -858,7 +878,11 @@ def test_path_log_weights_read_the_states_by_the_integer_rule():
                  states.tolist()):
         assert np.array_equal(path_log_weights(same, 2, g1, g2), want)
     for bad in (states.astype(bool), states + 0.5,
-                np.where(states, states, np.nan), states.astype(str)):
+                np.where(states, states, np.nan), states.astype(str),
+                # numpy reads these as int64, weighing True as vertex 1
+                [[0, True, 2]], [[0, 1, 2, 0], [0, np.True_, 1, 2]],
+                # ragged rows ended in a bare ValueError from numpy
+                [[0, 1, 2], [0, 2]]):
         with pytest.raises(BadValue):
             path_log_weights(bad, 2, g1, g2)
 
@@ -916,3 +940,73 @@ def test_a_one_graph_kernel_copies_none_of_its_rows():
         assert np.shares_memory(heads, g.heads)
         assert (head_stubs is None if g.head_stubs is None
                 else np.shares_memory(head_stubs, g.head_stubs))
+
+
+def one_step_cases():
+    """(seq, heads table, its kernel) for every kernel batch, which holds
+    parallel edges and self-loops, and for sampled tables of every
+    TABLE_SEQS sequence, DCM and OCM."""
+    for graphs, k in kernel_batches():
+        yield graphs[0].seq, np.stack([g.heads for g in graphs]), k
+    for seq in TABLE_SEQS:
+        heads, stubs = sample_tables(seq, list(RngStream(29).lanes(1,
+                                                                   range(5))))
+        yield seq, heads, kernel_from_tables(seq, heads, stubs)
+
+
+def test_one_step_laws_equal_one_product_bitwise():
+    rng = np.random.default_rng(11)
+    for seq, heads, kernel in one_step_cases():
+        b, n = len(heads), seq.n
+        for w in (1, 3):
+            starts = rng.integers(0, n, size=(b, w))
+            block = np.zeros((b, n, w))
+            np.put_along_axis(block, starts[:, None, :], 1.0, axis=1)
+            want_ledger, got_ledger = OperationBudget(), OperationBudget()
+            want = propagate(block.reshape(b * n, w), kernel, 1, want_ledger)
+            got = one_step_laws(seq, heads, starts, got_ledger)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert drift_tally(got_ledger) == drift_tally(want_ledger)
+            # one multiply-add per out-edge read, not one per kernel entry
+            assert got_ledger.used == seq.out_degrees[starts].sum()
+            if b == w == 1:     # the 1-d law a lone walk propagates
+                v = propagate(block.ravel(), kernel, 1)
+                assert got.ravel().tobytes() == v.tobytes()
+
+
+def test_one_step_laws_renormalize_as_a_product_does():
+    # seven edges of weight 1/7 do not add to 1 exactly, so the laws'
+    # drift is recorded as a product's would be
+    seq = validate_degrees("ocm", [7] * 14)
+    heads, _ = sample_tables(seq, list(RngStream(3).lanes(1, range(4))))
+    kernel = kernel_from_tables(seq, heads)
+    starts = np.arange(8).reshape(4, 2)
+    block = np.zeros((4, seq.n, 2))
+    np.put_along_axis(block, starts[:, None, :], 1.0, axis=1)
+    want_ledger, got_ledger = OperationBudget(), OperationBudget()
+    want = propagate(block.reshape(-1, 2), kernel, 1, want_ledger)
+    got = one_step_laws(seq, heads, starts, got_ledger)
+    assert got.tobytes() == want.tobytes()
+    assert drift_tally(got_ledger) == drift_tally(want_ledger)
+    assert got_ledger.max_drift > 0
+
+
+def test_one_step_laws_refuse_bad_tables():
+    seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
+    heads, _ = sample_tables(seq, list(RngStream(4).lanes(1, range(2))))
+    for bad in (np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int),
+                [[0], [True]], [[0.5], [1]], [[0], [1, 2]]):
+        with pytest.raises(BadValue):
+            one_step_laws(seq, heads, bad)
+    with pytest.raises(BadValue):
+        one_step_laws(seq, heads[:, :-1], [[0], [1]])
+    for bad in ([[0], [4]], [[-1], [0]]):
+        with pytest.raises(BadRange):
+            one_step_laws(seq, heads, bad)
+    forged = heads.copy()
+    forged[1, 0] = 4
+    with pytest.raises(BadRange):
+        one_step_laws(seq, forged, [[0], [0]])
+    # the forged head is read only from vertex 0's out-list
+    assert one_step_laws(seq, forged, [[0], [1]]).shape == (8, 1)
