@@ -182,16 +182,20 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
     # head-ordered stubs sits at row position j of P^T, so row e's tails
     # are scattered to its matching (row by row: faster than one flat
     # scatter).  One graph uses the sequence's shared, read-only in-degree
-    # offsets as its row pointer.  m in-range stubs that leave no -1 in
-    # their row are a permutation; numpy would read a stub -1 as m - 1.
-    if not (0 <= head_stubs.min() and head_stubs.max() < m):
+    # offsets as its row pointer.  A row is a permutation when its m stubs
+    # lie in [0, m) and write every slot: numpy would read a stub -1 as
+    # m - 1, the scatter refuses a stub past m, and np.take refuses the
+    # vertex n that marks a slot no stub wrote.
+    if head_stubs.min() < 0:
         raise BadRange(f"a matching stub lies outside [0, {m})")
-    tails = np.full((b, m), -1, dtype=idx)
-    for row, stubs in zip(tails, head_stubs):
-        row[stubs] = seq.tails
-    if tails.min() < 0:
-        raise BadRange("a matching row is not a permutation of its stubs")
-    data = np.take(seq.inv_out_degrees, tails)
+    tails = np.full((b, m), n, dtype=idx)
+    try:
+        for row, stubs in zip(tails, head_stubs):
+            row[stubs] = seq.tails
+        data = np.take(seq.inv_out_degrees, tails)
+    except IndexError:
+        raise BadRange(f"a matching row is not a permutation of "
+                       f"[0, {m})") from None
     if b == 1:
         indptr = seq.in_offsets
     else:

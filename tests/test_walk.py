@@ -802,11 +802,14 @@ def test_out_list_kernel_refuses_heads_outside_the_vertices(head):
 @pytest.mark.parametrize("fault", ["repeat", "negative", "past_m"])
 def test_matching_kernel_refuses_a_row_that_is_no_permutation(fault):
     # a repeated stub left an entry of P^T's tails unwritten, so the kernel
-    # read leftover memory; numpy read a stub -1 as m - 1
+    # read leftover memory; numpy read a stub -1 as m - 1, here in place of
+    # the stub m - 1, so that every slot is still written
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
     heads, stubs = sample_tables(seq, list(RngStream(4).lanes(1, range(2))))
-    stubs[0, 1] = {"repeat": stubs[0, 0], "negative": -1,
-                   "past_m": seq.m}[fault]
+    if fault == "negative":
+        stubs[0, stubs[0] == seq.m - 1] = -1
+    else:
+        stubs[0, 1] = stubs[0, 0] if fault == "repeat" else seq.m
     for kernel in (TransitionKernel(rows=(seq, heads, stubs)),
                    TransitionKernel(rows=(seq, heads[:1], stubs[:1]))):
         with pytest.raises(BadRange):
