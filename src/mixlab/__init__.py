@@ -6,6 +6,8 @@ runs static and environment-refreshing walks on them, and estimates the
 distance-to-equilibrium curves those walks follow at scale.
 """
 
+import types
+
 from .core import (DegreeSequence, DIST_TOL, EntropicScale, ModelKind,
                    entropic_scale, in_degree_distribution,
                    load_degree_sequence, tv_distance, validate_degrees)
@@ -39,4 +41,5 @@ from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, types.ModuleType))]

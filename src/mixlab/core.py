@@ -42,14 +42,17 @@ DEGREE_WARN_THRESHOLD = 50
 MIN_DEGREE = 2
 
 
-class ModelKind(enum.Enum):
+class _ReadByName(enum.EnumMeta):
+    # ModelKind(value) reads value by one_of first: Enum's own lookup
+    # compares an unhashable value, such as an array, with each member
+    def __call__(cls, value):
+        return value if isinstance(value, cls) else super().__call__(
+            one_of(value, [kind.value for kind in cls], "model"))
+
+
+class ModelKind(enum.Enum, metaclass=_ReadByName):
     DCM = "dcm"
     OCM = "ocm"
-
-    @classmethod
-    def _missing_(cls, value):
-        # ModelKind("xyz") raises a typed error, not a bare ValueError
-        raise BadValue(f"model must be 'dcm' or 'ocm', got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +130,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def is_real(x) -> bool:
-    """True for a real number (NaN and inf included), False for a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def integer_array(values, name: str) -> np.ndarray:
     """values as a 1-d int64 array; BadValue unless every entry is an integer.
 
@@ -157,12 +155,83 @@ def integer_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def integers_in(values, low, high, name: str, ndim: int = 1) -> np.ndarray:
+    """values as an ndim-d integer array with every entry in [low, high).
+
+    Entries are read as ``integer_array`` reads them; a ragged or
+    wrong-rank table is BadValue, an entry outside [low, high) BadRange.
+    An integer ndarray costs one dtype test and a min/max and is returned
+    as it is; anything else is read entry by entry, since numpy reads
+    [[0, True]] as int64.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:   # ragged rows
+        raise BadValue(f"{name} must be a {ndim}-d table") from exc
+    if arr.ndim != ndim:
+        raise BadValue(f"{name} must be a {ndim}-d table, got shape "
+                       f"{arr.shape}")
+    if isinstance(values, np.ndarray):
+        if arr.dtype.kind not in "iu":
+            arr = integer_array(arr.ravel(), name).reshape(arr.shape)
+    else:
+        flat = values if ndim == 1 else [v for row in values for v in row]
+        arr = integer_array(flat, name).reshape(arr.shape)
+    if arr.size and not (low <= arr.min() and arr.max() < high):
+        raise BadRange(f"{name} must lie in [{low}, {high}), got entries "
+                       f"{arr.min()} to {arr.max()}")
+    return arr
+
+
+def integer_in(value, low, high, name: str) -> int:
+    """value as a Python int in [low, high): ``integers_in``'s one entry."""
+    (x,) = integers_in([value], low, high, name).tolist()
+    return x
+
+
 def count_at_least(value, minimum: int, name: str) -> int:
     """value as a Python int; BadValue unless it is an integer >= minimum."""
     (n,) = integer_array([value], name).tolist()
     if n < minimum:
         raise BadValue(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def real_in(value, low, high, name: str, ends: str = "()") -> float:
+    """value as a float between low and high, each end open or closed as
+    ``ends`` reads ("[)" is low <= x < high).  A bool, a non-real, NaN, an
+    integer past the float range and a value outside are BadValue."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not ((low <= x if ends[0] == "[" else low < x)
+            and (x <= high if ends[1] == "]" else x < high)):
+        raise BadValue(f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, "
+                       f"got {value!r}")
+    return x
+
+
+def one_of(value, names, name: str, error=BadValue) -> str:
+    """value if it is one of the strings names; otherwise ``error``, also
+    for a non-string such as an array, which is never compared."""
+    if not (isinstance(value, str) and value in names):
+        raise error(f"{name} must be one of {tuple(names)}, got {value!r}")
+    return value
+
+
+def law_array(values, name: str, ndim: Optional[int] = None) -> np.ndarray:
+    """values as a float64 array (a float64 ndarray as it is): BadValue if
+    it does not convert, such as a string or a ragged list; LengthMismatch
+    if it has no entries, no axis (such as None) or other than ndim axes."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadValue(f"{name} must be an array of reals") from exc
+    if not (arr.ndim and arr.size) or ndim not in (None, arr.ndim):
+        raise LengthMismatch(f"{name} of shape {arr.shape} is not a law")
+    return arr
 
 
 def _as_degree_array(values, name: str) -> np.ndarray:
@@ -236,7 +305,7 @@ def json_object(text, what: str) -> dict:
     text is not JSON or holds something other than an object."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:    # JSONDecodeError, or bytes not in UTF-8
+    except (TypeError, ValueError) as exc:  # not text, JSON or UTF-8
         raise BadValue(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BadValue(f"{what} must hold a JSON object")
@@ -257,11 +326,8 @@ def load_degree_sequence(source) -> DegreeSequence:
         raise BadValue("degree document must be a JSON object")
     if "out_degrees" not in doc:
         raise MissingRequired("degree document needs 'out_degrees'")
-    if "model" not in doc:
-        raise BadValue("degree document needs 'model'")
-    return validate_degrees(
-        ModelKind(doc["model"]), doc["out_degrees"], doc.get("in_degrees")
-    )
+    return validate_degrees(doc.get("model"), doc["out_degrees"],
+                            doc.get("in_degrees"))
 
 
 def in_degree_distribution(seq: DegreeSequence) -> np.ndarray:
@@ -292,8 +358,7 @@ def entropic_scale(seq: DegreeSequence) -> EntropicScale:
 
 def tv_distance(a, b) -> float:
     """Total variation distance: half the L1 difference of two mass vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = law_array(a, "a"), law_array(b, "b")
     if a.shape != b.shape:
         raise LengthMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * float(np.abs(a - b).sum())

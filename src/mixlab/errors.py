@@ -59,7 +59,7 @@ class AllReplicatesFailed(MixingLabError):
     """Every stationary solve in an estimate failed to converge."""
 
 
-class BadCurveName(MixingLabError):
+class BadCurveName(BadValue):
     """Unknown limit-curve identifier."""
 
 

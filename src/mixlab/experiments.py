@@ -17,14 +17,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (DegreeSequence, count_at_least, entropic_scale,
-                   in_degree_distribution, integer_array, is_real,
-                   mean_std_err, tv_distance)
-from .errors import (AllReplicatesFailed, BadCurveName, BadRange, BadValue,
-                     NotConverged)
+                   in_degree_distribution, integer_in, integers_in,
+                   mean_std_err, one_of, real_in, tv_distance)
+from .errors import AllReplicatesFailed, BadCurveName, BadValue, NotConverged
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream, shared_generator
 from .sampler import sample_digraph, sample_tables
-from .stationary import (DEFAULT_TOL, check_tol, estimate_stationary_gap,
+from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    kernel_from_digraph, kernel_from_tables,
@@ -120,26 +119,20 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "root_seed",
                            RngStream(self.root_seed).root_seed)
-        if self.alpha is not None and not (is_real(self.alpha)
-                                           and 0.0 < self.alpha < 1.0):
-            raise BadValue(f"alpha must be in (0, 1), got {self.alpha!r}")
-        check_tol(self.tol)
+        if self.alpha is not None:
+            real_in(self.alpha, 0, 1, "alpha")
+        real_in(self.tol, 0, math.inf, "tol")
         object.__setattr__(self, "env_samples",
                            count_at_least(self.env_samples, 1, "env_samples"))
         if not np.iterable(self.beta_grid):
             raise BadValue(f"beta_grid {self.beta_grid!r} is not a sequence")
         for b in self.beta_grid:
-            _check_beta(b)
+            real_in(b, 0, math.inf, "beta_grid entry", "[)")
 
     def require_alpha(self) -> float:
         if self.alpha is None:
             raise BadValue("this experiment needs alpha")
         return self.alpha
-
-
-def _check_beta(beta) -> None:
-    if not (is_real(beta) and 0 <= beta < math.inf):
-        raise BadValue(f"beta {beta!r} must be finite and nonnegative")
 
 
 def _floor_time(x: float) -> int:
@@ -167,6 +160,7 @@ def gamma_hat(cfg: ExperimentConfig) -> float:
 
 
 def pick_regime(gh: float) -> str:
+    gh = real_in(gh, 0, math.inf, "gamma_hat", "[]")
     if gh < GAMMA_LOW:
         return "0"
     if gh > GAMMA_HIGH:
@@ -176,17 +170,13 @@ def pick_regime(gh: float) -> str:
 
 def theory_curve(name: str, beta: float, gamma: Optional[float] = None,
                  gap: Optional[float] = None) -> float:
-    """Limit-curve value at beta for one of the named regimes."""
-    if not (is_real(beta) and beta == beta):
-        raise BadValue(f"beta must be a real number, got {beta!r}")
-    if beta < 0:
-        raise BadValue("beta must be nonnegative")
-    if name not in CURVE_NAMES:     # a tuple: an unhashable name is no error
-        raise BadCurveName(f"unknown curve {name!r}; expected one of {CURVE_NAMES}")
+    """Limit-curve value at beta in [0, inf] for one of the named regimes;
+    gamma and the gap, when given, are any reals but NaN."""
+    real_in(beta, 0, math.inf, "beta", "[]")
+    forms, switch = _CURVES[one_of(name, CURVE_NAMES, "curve", BadCurveName)]
     for label, x in (("gamma", gamma), ("gap", gap)):
-        if x is not None and not (is_real(x) and x == x):
-            raise BadValue(f"{label} must be a real number, got {x!r}")
-    forms, switch = _CURVES[name]
+        if x is not None:
+            real_in(x, -math.inf, math.inf, label, "[]")
     upper, lower = forms
     if switch == math.inf:      # never reached, not even by beta = inf
         return upper(beta, gap)
@@ -219,22 +209,18 @@ def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
     n = cfg.seq.n
     sv = cfg.start_vertices
     if isinstance(sv, str):
-        if sv != "all":
-            raise BadValue(f"start_vertices string must be 'all', got {sv!r}")
+        one_of(sv, ("all",), "start_vertices")
         return list(range(n)), "exhaustive"
-    if np.ndim(sv) == 0:
+    if not np.iterable(sv):
         sv = count_at_least(sv, 1, "start_vertices count")
         if exhaustive_small and (n <= EXHAUSTIVE_LIMIT or sv >= n):
             return list(range(n)), "exhaustive"
         gen = RngStream(cfg.root_seed).lane(_LANE_STARTS).generator()
         picks = np.sort(gen.choice(n, size=min(sv, n), replace=False))
         return [int(x) for x in picks], "sample"
-    starts = integer_array(sv, "start_vertices").tolist()
+    starts = integers_in(sv, 0, n, "start_vertices").tolist()
     if not starts:
         raise BadValue("start_vertices list must not be empty")
-    for x in starts:
-        if not 0 <= x < n:
-            raise BadRange(f"start vertex {x} outside [0, {n})")
     return starts, "explicit"
 
 
@@ -377,9 +363,9 @@ def _meta(name: str, cfg: ExperimentConfig,
 
 def _beta_times(cfg: ExperimentConfig, time_of):
     """The beta grid and its grid times floor(time_of(beta))."""
-    if not cfg.beta_grid:
+    betas = list(cfg.beta_grid)     # an array has no truth value
+    if not betas:
         raise BadValue("beta_grid must be nonempty")
-    betas = list(cfg.beta_grid)
     return betas, [_floor_time(time_of(b)) for b in betas]
 
 
@@ -467,18 +453,14 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     the replicate mean of that statistic; both extremes for every
     replicate are recorded in the metadata.
     """
-    _check_beta(beta)
-    if cfg.s_grid is None or len(cfg.s_grid) == 0:
-        raise BadValue("double-cutoff needs s_grid")
+    real_in(beta, 0, math.inf, "beta", "[)")
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
     t = _floor_time(beta * scale.entropic_time)
-    s_grid = integer_array(cfg.s_grid, "s_grid").tolist()
-    for s in s_grid:
-        if not 0 <= s <= t:
-            raise BadRange(f"switch time {s} outside [0, {t}]")
-    s_sorted = sorted(set(s_grid))
+    s_sorted = np.unique(integers_in(cfg.s_grid, 0, t + 1, "s_grid")).tolist()
+    if not s_sorted:
+        raise BadValue("double-cutoff needs s_grid")
     starts, mode = resolve_starts(cfg)
     base = RngStream(cfg.root_seed)
     ledger = as_ledger(budget)
@@ -620,9 +602,7 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     environment i, through ``_environment_laws``.
     """
     alpha = cfg.require_alpha()
-    if time_scale not in TIME_SCALES:
-        raise BadValue(f"time_scale must be one of {TIME_SCALES}, "
-                       f"got {time_scale!r}")
+    one_of(time_scale, TIME_SCALES, "time_scale")
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
@@ -813,9 +793,9 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
     the walker's batch in flight, the run holds 2 * |t_grid| * S * n floats
     of sums and, while it adds a batch, that batch's squared laws.
     """
-    ts = sorted(set(integer_array(t_grid, "t_grid").tolist()))
-    if not ts or ts[0] < 0:
-        raise BadValue("t_grid must hold nonnegative integers")
+    ts = np.unique(integers_in(t_grid, 0, math.inf, "t_grid")).tolist()
+    if not ts:
+        raise BadValue("t_grid must not be empty")
     seq = cfg.seq
     mu = in_degree_distribution(seq)
     starts, mode = resolve_starts(cfg)
@@ -882,12 +862,10 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     the two environments the memory is the traj_samples starts and
     log-weights plus one block's ``_PATH_BLOCK * (t + 1)`` states.
     """
-    s, t = integer_array([s, t], "s and t").tolist()
-    if not 0 <= s <= t or t < 1:
-        raise BadRange(f"need 0 <= s <= t with t >= 1, got s={s}, t={t}")
+    t = integer_in(t, 1, math.inf, "t")
+    s = integer_in(s, 0, t + 1, "s")
     traj_samples = count_at_least(traj_samples, 1, "traj_samples")
-    if not (is_real(epsilon) and 0 < epsilon < 1):
-        raise BadValue("epsilon must be in (0, 1)")
+    real_in(epsilon, 0, 1, "epsilon")
     seq = cfg.seq
     scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)

@@ -39,7 +39,7 @@ from typing import Iterator, List, Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import integer_array
+from .core import integers_in
 from .errors import BadRange, BadValue
 
 # Experiments carve the 64-bit stream index into disjoint lanes so that
@@ -163,13 +163,11 @@ class RngStream:
               ) -> Iterator[RngStream]:
         """The streams ``lane(which, k)`` for k in ks, keyed in one pass.
 
-        Offsets are read by ``integer_array`` and every key derived before
-        this returns; it then holds ks and 16 bytes of key per stream, and
-        builds each stream when the iteration reaches it.
+        Offsets are read by ``core.integers_in`` and every key derived
+        before this returns; it then holds ks and 16 bytes of key per
+        stream, and builds each stream when the iteration reaches it.
         """
-        offsets = integer_array(ks, "lane offsets")
-        if offsets.size and not (0 <= offsets.min() and offsets.max() < LANE):
-            raise BadRange("lane offsets outside [0, 2**32)")
+        offsets = integers_in(ks, 0, LANE, "lane offsets")
         which = _index(which, "lane")
         keys = lane_keys(self.root_seed, which, offsets)
         start = which * LANE

@@ -14,9 +14,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DegreeSequence, ModelKind, index_dtype_for, integer_array,
+from .core import (DegreeSequence, ModelKind, index_dtype_for, integers_in,
                    json_object, validate_degrees)
-from .errors import BadRange, BadValue
+from .errors import BadValue
 from .rng import RngStream, shared_generator
 
 
@@ -36,13 +36,16 @@ class Digraph:
 
     seq: DegreeSequence
     heads: np.ndarray
-    offsets: np.ndarray
     stream: RngStream
     head_stubs: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return self.seq.n
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.seq.out_offsets
 
     def out_edges(self, x: int) -> np.ndarray:
         return self.heads[self.offsets[x]:self.offsets[x + 1]]
@@ -55,8 +58,7 @@ def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
     for arr in (heads, head_stubs):
         if arr is not None:
             arr.setflags(write=False)
-    return Digraph(seq=seq, heads=heads, offsets=seq.out_offsets,
-                   stream=stream, head_stubs=head_stubs)
+    return Digraph(seq=seq, heads=heads, stream=stream, head_stubs=head_stubs)
 
 
 def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
@@ -170,9 +172,8 @@ def digraph_from_json(text: str) -> Digraph:
         raise BadValue("digraph out_edges must be a list of lists")
     out_degrees = [len(row) for row in out_edges]
     n = len(out_edges)
-    heads = integer_array([h for row in out_edges for h in row], "edge heads")
-    if heads.size and (heads.min() < 0 or heads.max() >= n):
-        raise BadRange("edge head outside vertex range")
+    heads = integers_in([h for row in out_edges for h in row], 0, n,
+                        "edge heads")
     if model is ModelKind.DCM:
         in_degrees = np.bincount(heads, minlength=n)
         seq = validate_degrees(model, out_degrees, in_degrees)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (DegreeSequence, count_at_least, in_degree_distribution,
-                   is_real, mean_std_err, tv_distance)
+                   law_array, mean_std_err, real_in, tv_distance)
 from .errors import (AllReplicatesFailed, BadRange, BadValue, LengthMismatch,
                      NotConverged)
 from .rng import LANE, RngStream
@@ -33,11 +33,6 @@ class StationaryResult:
     residual: float
 
 
-def check_tol(tol) -> None:
-    if not (is_real(tol) and 0 < tol < math.inf):
-        raise BadValue(f"tol must be positive and finite, got {tol!r}")
-
-
 def _default_max_iters(n: int) -> int:
     # 200 entropic times is generous; entropy >= log 2 bounds the scale.
     return 200 * max(1, math.ceil(math.log(max(n, 2)) / math.log(2.0)))
@@ -53,7 +48,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     SCC count for diagnosis) when max_iters passes without the averaged
     iterate reaching the tolerance in total variation.
     """
-    check_tol(tol)
+    tol = real_in(tol, 0, math.inf, "tol")
     n = kernel.n
     if max_iters is None:
         max_iters = _default_max_iters(n)
@@ -64,7 +59,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     else:
         # checked here, since a NaN or zero-mass start would run every
         # iteration; callers may pass an unnormalized start
-        v = np.asarray(start, dtype=np.float64)
+        v = law_array(start, "start")
         if v.shape != (n,):
             raise LengthMismatch(f"start shape {v.shape} does not fit "
                                  f"kernel size {n}")
@@ -132,7 +127,7 @@ class WidespreadStats:
 
 
 def widespread_stats(pi) -> WidespreadStats:
-    pi = np.asarray(pi, dtype=np.float64)
+    pi = law_array(pi, "pi", ndim=1)
     n = pi.size
     return WidespreadStats(l2_stat=float(n * np.dot(pi, pi)),
                            max_stat=float(n * pi.max()))

@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .core import (DIST_TOL, DegreeSequence, index_dtype_for, integer_array,
-                   is_real)
+from .core import (DIST_TOL, DegreeSequence, count_at_least, index_dtype_for,
+                   integer_in, integers_in, law_array, real_in)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
 from .sampler import Digraph
@@ -59,9 +59,7 @@ class OperationBudget:
     DEFAULT_CAP = 5e10
 
     def __init__(self, cap: float = DEFAULT_CAP):
-        if not (is_real(cap) and 0 < cap < math.inf):
-            raise BadValue(f"budget cap must be positive and finite, got {cap!r}")
-        self.cap = float(cap)
+        self.cap = real_in(cap, 0, math.inf, "budget cap")
         self.used = 0.0
         self.renormalizations = 0
         self.max_drift = 0.0
@@ -83,7 +81,9 @@ class OperationBudget:
 
 
 def as_ledger(budget: Optional[OperationBudget]) -> OperationBudget:
-    """budget, or for a call without one a ledger no run can exhaust."""
+    """budget, or for a call without one a ledger no run can exhaust: a
+    library call without ``budget=`` has no work cap, by design.  The CLI
+    always passes one (``--budget``, 5e10 by default)."""
     return OperationBudget(sys.float_info.max) if budget is None else budget
 
 
@@ -168,8 +168,7 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
     offsets = np.arange(b, dtype=idx)[:, None] * n
     if head_stubs is None:
         # scipy checks no index, and one outside [0, n) corrupts memory
-        if not (0 <= heads.min() and heads.max() < n):
-            raise BadRange(f"a head lies outside [0, {n})")
+        integers_in(heads, 0, n, "heads", ndim=2)
         # P with one entry per edge, in sampling order; scipy's CSR -> CSC
         # conversion is a stable O(m) counting sort by head, so each row
         # of P^T keeps its graph's own entry order
@@ -279,25 +278,6 @@ def _block_step(v: np.ndarray, kernel: TransitionKernel,
     return _checked_laws(kernel.transpose @ v, kernel.blocks, budget)
 
 
-def _integer_table(values, name: str) -> np.ndarray:
-    """values as a 2-d integer array, BadValue otherwise.  An integer
-    ndarray costs one dtype test; anything else is read entry by entry by
-    ``integer_array``, since numpy reads [[0, True]] as int64."""
-    try:
-        arr = np.asarray(values)
-    except ValueError as exc:   # ragged rows
-        raise BadValue(f"{name} must be a 2-d table") from exc
-    if arr.ndim != 2:
-        raise BadValue(f"{name} must be a 2-d table, got shape {arr.shape}")
-    if not isinstance(values, np.ndarray):
-        flat = [v for row in values for v in row]
-    elif arr.dtype.kind in "iu":
-        return arr
-    else:
-        flat = arr.ravel()
-    return integer_array(flat, name).reshape(arr.shape)
-
-
 def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
                   budget: Optional[OperationBudget] = None) -> np.ndarray:
     """The (B n, w) block of one-step laws delta_x P_e from the (B, w)
@@ -314,15 +294,13 @@ def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
     as ``propagate`` would.  Tables not (B, m) and (B, w) raise BadValue, a
     start or a head read outside [0, n) BadRange.
     """
-    xs = _integer_table(starts, "starts")
-    b, w = xs.shape
     n = seq.n
+    xs = integers_in(starts, 0, n, "starts", ndim=2)
+    b, w = xs.shape
     if not (b >= 1 and np.shape(heads) == (b, seq.m)):
         raise BadValue(f"need ({b}, {seq.m}) heads for {xs.shape} starts, "
                        f"got {np.shape(heads)}")
     heads, budget = np.asarray(heads), as_ledger(budget)
-    if xs.size and not (0 <= xs.min() and xs.max() < n):
-        raise BadRange(f"a start lies outside [0, {n})")
     xs = xs.ravel()
     degrees = seq.out_degrees[xs]
     budget.charge(float(degrees.sum()))
@@ -332,9 +310,8 @@ def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
     which = np.repeat(np.arange(xs.size), degrees)
     shift = seq.out_offsets[xs] - (np.cumsum(degrees) - degrees)
     rows, cols = np.divmod(which, w)
-    read = heads[rows, np.arange(which.size) + shift[which]]
-    if read.size and not (0 <= read.min() and read.max() < n):
-        raise BadRange(f"a head lies outside [0, {n})")
+    read = integers_in(heads[rows, np.arange(which.size) + shift[which]],
+                       0, n, "heads read")
     laws = np.bincount((rows * n + read) * w + cols,
                        seq.inv_out_degrees[xs][which], minlength=b * n * w)
     return _checked_laws(laws.reshape(b * n, w), b, budget)
@@ -350,16 +327,14 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
     checked, renormalized and recorded as a lone vector's would be, so the
     result equals separate 1-d calls bit for bit.  A law whose mass is
     zero or not finite, dist itself at zero steps, raises BadValue.
-    steps is read by ``integer_array``: 2.0 is two steps, a bool or 2.5
-    is BadValue, a negative count BadRange.
+    dist is read by ``core.law_array`` and steps by ``core.integer_in``:
+    2.0 is two steps, a bool or 2.5 is BadValue, a negative count BadRange.
     """
     if budget is None:      # inline, not as_ledger(budget): a call per step
         budget = as_ledger(None)
-    if type(steps) is not int:  # the hot path passes ints: one type test
-        (steps,) = integer_array([steps], "steps").tolist()
-    if steps < 0:
-        raise BadRange("steps must be nonnegative")
-    v = np.asarray(dist, dtype=np.float64)
+    if type(steps) is not int or not 0 <= steps < 2**63:  # the hot path
+        steps = integer_in(steps, 0, math.inf, "steps")
+    v = law_array(dist, "dist")
     if v.shape != (kernel.n,) and (v.ndim != 2 or len(v) != kernel.n):
         raise BadValue(f"distribution shape {v.shape} does not fit "
                        f"kernel size {kernel.n}")
@@ -378,9 +353,8 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
 
 
 def delta_at(x: int, n: int) -> np.ndarray:
-    (x,) = integer_array([x], "vertex").tolist()
-    if not 0 <= x < n:
-        raise BadRange(f"vertex {x} outside [0, {n})")
+    n = count_at_least(n, 1, "n")
+    x = integer_in(x, 0, n, "vertex")
     v = np.zeros(n)
     v[x] = 1.0
     return v
@@ -392,9 +366,8 @@ def double_row(x: int, s: int, t: int, k_sigma: TransitionKernel,
     """Law after s steps in one environment then t - s in another."""
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
-    s, t = integer_array([s, t], "s and t").tolist()
-    if not 0 <= s <= t:
-        raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
+    t = integer_in(t, 0, math.inf, "t")
+    s = integer_in(s, 0, t + 1, "s")
     v = propagate(delta_at(x, k_sigma.n), k_sigma, s, budget)
     return propagate(v, k_eta, t - s, budget)
 
@@ -411,9 +384,7 @@ def time_averaged_rows(x: int, times: Sequence[int],
     """
     if k_sigma.n != k_eta.n:
         raise BadValue("kernels have different vertex counts")
-    wanted = set(integer_array(list(times), "times").tolist())
-    if any(t < 1 for t in wanted):
-        raise BadRange("t must be >= 1")
+    wanted = set(integers_in(times, 1, math.inf, "times").tolist())
     t_max = max(wanted, default=0)
     u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
     budget = as_ledger(budget)
@@ -481,14 +452,9 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     """
     if g_sigma.n != g_eta.n:
         raise BadValue("digraphs have different vertex counts")
-    s, t = integer_array([s, t], "s and t").tolist()
-    if not (0 <= s <= t):
-        raise BadRange(f"need 0 <= s <= t, got s={s}, t={t}")
-    if np.ndim(xs) != 1:
-        raise BadValue(f"starts must be one-dimensional, got {np.shape(xs)}")
-    xs = integer_array(xs, "starts")
-    if xs.size and not (0 <= xs.min() and xs.max() < g_sigma.n):
-        raise BadRange(f"a start lies outside [0, {g_sigma.n})")
+    t = integer_in(t, 0, math.inf, "t")
+    s = integer_in(s, 0, t + 1, "s")
+    xs = integers_in(xs, 0, g_sigma.n, "starts")
     gen = stream.generator()
     states = np.empty((xs.size, t + 1), dtype=np.int64)
     states[:, 0] = cur = xs
@@ -538,20 +504,14 @@ def path_log_weights(states, s: int, g_sigma: Digraph,
     Each step reads P(x, y) from x's out-list, for all N paths at once,
     and adds its logs, so every path is summed in step order, bitwise as a
     scalar loop over the walk matrix P would.  No kernel is built.  s and
-    the states are read by ``integer_array``, as ``propagate`` reads its
-    steps.
+    the states are read by ``core.integers_in``, as ``propagate`` reads
+    its steps.
     """
     if g_sigma.n != g_eta.n:
         raise BadValue("digraphs have different vertex counts")
-    (s,) = integer_array([s], "s").tolist()
-    if s < 0:
-        raise BadRange(f"switch time must be nonnegative, got {s}")
-    states = _integer_table(states, "states")
-    if not states.size:
-        return np.zeros(len(states))
+    s = integer_in(s, 0, math.inf, "s")
     # offsets[-1] would read state -1 as the end of the last out-list
-    if not (0 <= states.min() and states.max() < g_sigma.n):
-        raise BadRange(f"a state lies outside [0, {g_sigma.n})")
+    states = integers_in(states, 0, g_sigma.n, "states", ndim=2)
     graphs = (g_sigma, g_eta)
     total = np.zeros(len(states))
     for j in range(states.shape[1] - 1):

@@ -106,7 +106,7 @@ def _seven_branch_curve(name, beta, gamma=None, gap=None):
     def phi(b, gap):
         return 1.0 if b < 1.0 else gap
     if beta < 0:
-        raise BadValue("beta must be nonnegative")
+        raise BadValue(f"beta must be in [0, inf], got {beta!r}")
     decay = math.exp(-beta)
     if name == "joint_gamma0":
         return decay
@@ -132,8 +132,7 @@ def _seven_branch_curve(name, beta, gamma=None, gap=None):
         if gap is None:
             raise BadValue("static_profile needs the stationary gap")
         return phi(beta, gap)
-    raise BadCurveName(f"unknown curve {name!r}; expected one of "
-                       f"{CURVE_NAMES}")
+    raise BadCurveName(f"curve must be one of {CURVE_NAMES}, got {name!r}")
 
 
 def _outcome(curve, *args):
