@@ -26,9 +26,9 @@ from .sampler import sample_digraph, sample_tables
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
-                   kernel_from_digraph, kernel_from_tables,
-                   one_step_laws, path_log_weights, propagate, sample_paths,
-                   time_averaged_rows)
+                   grouped_time_averaged_rows, kernel_from_digraph,
+                   kernel_from_tables, one_step_laws, path_log_weights,
+                   propagate, sample_paths)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -58,7 +58,7 @@ DEFAULT_START_SAMPLE = 32
 #   S = 4, B = 5), and up to 2x slower for m = 15000 and 30000 at B = 2.
 # - One SpMV costs 11.5 / 45.6 us per step against 33.4 / 72.9 us for an
 #   (n, 1) block at n = 2000 / 10^4, so B = w = 1 walks a 1-d law.
-_BATCH_ENTRIES = 65536
+_BATCH_ENTRIES = 65536   # joint: G = max(1, this // m) eta per sigma walk
 _BATCH_MAX_EDGES = 2048
 # _environment_laws keys its environment streams this many at a time: one
 # RngStream.lanes pass costs about 5 lane().generator() calls, so a lone
@@ -503,12 +503,20 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
 # regenerating joint chain: distance of (environment, position) to equilibrium
 # ---------------------------------------------------------------------------
 
-def _joint_coefficients(alpha: float, t: int):
+def _joint_term(alpha: float, t: int, row: Optional[np.ndarray],
+                pi_eta: Optional[np.ndarray]) -> float:
+    """One environment's term of the joint estimate at time t, from its
+    averaged row at t and its stationary law; both are None at t = 0."""
     # survival and refresh-once weights of the regeneration count at time t;
     # their limits are exp(-beta) and beta * exp(-beta)
     survive = (1.0 - alpha) ** t
     refresh_once = alpha * t * (1.0 - alpha) ** (t - 1) if t >= 1 else 0.0
-    return survive, refresh_once
+    stay_weight = survive + refresh_once
+    if row is None:
+        l1 = stay_weight    # row term vanishes; all mass vs pi
+    else:
+        l1 = float(np.abs(refresh_once * row - stay_weight * pi_eta).sum())
+    return 0.5 * (survive + l1)
 
 
 def joint_relaxation_curve(cfg: ExperimentConfig,
@@ -525,6 +533,12 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     where ``row`` is the switch-time-averaged two-environment row.  Finite
     refresh-count coefficients are used instead of their Poisson limits,
     which removes an O(alpha) bias at the alphas a desk run can afford.
+
+    Start i's environments eta_j, on streams (_LANE_ENV_B, _pair(i, j)),
+    are sampled and solved G = max(1, _BATCH_ENTRIES // m) at a time, and
+    the solved ones of a group share one walk of the sigma law, so a
+    group holds G kernels; every term is added in j order, bitwise as a
+    walk per environment would add it.
     """
     alpha = cfg.require_alpha()
     betas, ts = _beta_times(cfg, lambda b: b / alpha)
@@ -540,29 +554,32 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     base = RngStream(cfg.root_seed)
     ledger = as_ledger(budget)
     used_total = [0] * len(starts)
+    group = max(1, _BATCH_ENTRIES // seq.m)
 
     def one(item):
         i, x = item
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, i))
         sums = dict.fromkeys(t_unique, 0.0)
         used = 0
-        for j in range(cfg.env_samples):
-            k_eta = _kernel(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
-            pi_eta = _stationary(k_eta, cfg, mu, ledger)
-            if pi_eta is None:
+        streams = base.lanes(_LANE_ENV_B, [_pair(i, j)
+                                           for j in range(cfg.env_samples)])
+        for _ in range(0, cfg.env_samples, group):
+            solved = []
+            for stream in islice(streams, group):
+                k_eta = _kernel(seq, stream)
+                pi_eta = _stationary(k_eta, cfg, mu, ledger)
+                if pi_eta is not None:
+                    solved.append((k_eta, pi_eta))
+            if not solved:
                 continue
-            used += 1
-            # every grid time's row from one pass up to the largest
-            rows = time_averaged_rows(x, t_rows, k_sigma, k_eta, ledger)
-            for t in t_unique:
-                survive, refresh_once = _joint_coefficients(alpha, t)
-                stay_weight = survive + refresh_once
-                if t == 0:
-                    l1 = stay_weight  # row term vanishes; all mass vs pi
-                else:
-                    l1 = float(np.abs(refresh_once * rows[t]
-                                      - stay_weight * pi_eta).sum())
-                sums[t] += 0.5 * (survive + l1)
+            used += len(solved)
+            if 0 in sums:       # no row at t = 0
+                sums[0] += len(solved) * _joint_term(alpha, 0, None, None)
+            # every grid time's row of every solved eta from one pass,
+            # each added as it comes: sums[t] still adds in eta order
+            for t, e, row in grouped_time_averaged_rows(
+                    x, t_rows, k_sigma, [k for k, _ in solved], ledger):
+                sums[t] += _joint_term(alpha, t, row, solved[e][1])
         used_total[i] = used
         return {t: sums[t] / used for t in t_unique} if used else None
 

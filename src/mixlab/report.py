@@ -114,14 +114,20 @@ def diagnostics_csv_text(rows) -> str:
 
 
 def parse_curve_csv(text: str) -> List[ReportRow]:
-    """Re-read a written curve CSV; used by tests and downstream tooling."""
+    """Re-read a written curve CSV; used by tests and downstream tooling.
+    Anything but curve rows under the curve header is BadValue."""
+    if not isinstance(text, str):
+        raise BadValue(f"a curve CSV is text, not {type(text).__name__}")
     lines = [ln for ln in text.strip().split("\n") if ln]
-    if tuple(lines[0].split(",")) != CURVE_HEADER:
-        raise BadValue(f"unexpected header {lines[0]!r}")
+    if not lines or tuple(lines[0].split(",")) != CURVE_HEADER:
+        raise BadValue(f"unexpected header {lines[:1]!r}")
     rows = []
     for ln in lines[1:]:
-        a, e, s, th, n_eff = ln.split(",")
-        rows.append(ReportRow(abscissa=float(a), estimate=float(e),
-                              std_err=float(s), theory=float(th),
-                              n_effective=int(n_eff)))
+        try:
+            a, e, s, th, n_eff = ln.split(",")
+            rows.append(ReportRow(abscissa=float(a), estimate=float(e),
+                                  std_err=float(s), theory=float(th),
+                                  n_effective=int(n_eff)))
+        except ValueError:      # a wrong field count or a non-number
+            raise BadValue(f"malformed curve row {ln!r}") from None
     return rows

@@ -18,6 +18,12 @@ it.  A batch's first step needs no kernel either: ``one_step_laws``
 reads each delta_x P_e straight from the heads table, one weight
 1/out-degree(x) per out-edge of x, bitwise the law one product would give.
 
+Switch-time-averaged rows are Horner passes: ``time_averaged_rows``
+yields every grid time's row from one walk of the sigma law, and
+``grouped_time_averaged_rows`` serves a group of eta kernels from that
+one walk, each step applying P_sigma once and then every P_eta, so each
+row is bitwise its own one-eta call's.
+
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
 returns their (N, t + 1) states; ``path_log_weights`` weighs every path
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +56,12 @@ if TYPE_CHECKING:   # imported by the P^T builder, so a run without a kernel
 class OperationBudget:
     """A run's ledger: the cap on scalar multiply-add work, the work charged
     so far (``used``) and the tally of mass drift.  ``propagate``,
-    ``time_averaged_rows`` and ``stationary_distribution`` charge every
-    product or solver iteration before it runs, and ``one_step_laws`` one
-    multiply-add per out-edge it reads; every propagation step, and every
-    law ``one_step_laws`` reads, records its drift.  A run charges it from
-    one thread, replicate after replicate, so it takes no lock."""
+    ``grouped_time_averaged_rows`` and ``stationary_distribution`` charge
+    every product or solver iteration before it runs, and
+    ``one_step_laws`` one multiply-add per out-edge it reads; every
+    propagation step, and every law ``one_step_laws`` reads, records its
+    drift.  A run charges it from one thread, replicate after replicate,
+    so it takes no lock."""
 
     DEFAULT_CAP = 5e10
 
@@ -98,18 +105,19 @@ class TransitionKernel:
     ``blocks`` counts them (1 for a matrix).  The kernel stores one
     matrix, ``transpose`` (P^T, what propagation multiplies by): a kernel
     of rows builds it on first use and caches it, a matrix kernel builds
-    it from P at once and keeps no copy of P.
+    it from P at once and keeps no copy of P.  Once P^T is built, a kernel
+    of rows lets its tables go, so a held kernel costs P^T alone.
     ``nnz`` counts stored entries, so a kernel of rows has nnz == blocks * m.
     A matrix that is not sparse or not square, or tables not (B, m) with
-    B >= 1, raise BadValue; an out-list head outside [0, n), or a matching
-    row that is not a permutation of [0, m), BadRange as P^T is built.
+    B >= 1, ragged ones included, raise BadValue; an out-list head outside
+    [0, n), or a matching row that is not a permutation of [0, m), BadRange
+    as P^T is built.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
                  rows: Optional[tuple] = None):
         if (matrix is None) == (rows is None):
             raise BadValue("give exactly one of matrix and rows")
-        self._rows = rows
         if rows is None:
             if not hasattr(matrix, "tocsr"):
                 raise BadValue(f"kernel matrix must be a scipy.sparse "
@@ -117,16 +125,19 @@ class TransitionKernel:
             n, cols = matrix.shape
             if n != cols:
                 raise BadValue(f"kernel matrix must be square, not {n}x{cols}")
-            self._transpose = matrix.T.tocsr()
+            self._rows, self._transpose = None, matrix.T.tocsr()
             self.blocks, self.n, self.nnz = 1, n, matrix.nnz
         else:
             seq, heads, head_stubs = rows
-            shape, stubs = np.shape(heads), np.shape(head_stubs)
+            heads = _table(heads, seq.n, "heads")
+            if head_stubs is not None:
+                head_stubs = _table(head_stubs, seq.m, "head_stubs")
+            shape, stubs = heads.shape, np.shape(head_stubs)
             if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == seq.m
                     and (head_stubs is None or stubs == shape)):
                 raise BadValue(f"rows need (B, {seq.m}) tables, B >= 1; got "
                                f"heads {shape}, head_stubs {stubs}")
-            self._transpose = None
+            self._rows, self._transpose = (seq, heads, head_stubs), None
             self.blocks = shape[0]
             self.n, self.nnz = self.blocks * seq.n, self.blocks * seq.m
 
@@ -140,7 +151,17 @@ class TransitionKernel:
     def transpose(self) -> csr_matrix:
         if self._transpose is None:
             self._transpose = _transpose_matrix(*self._rows)
+            self._rows = None
         return self._transpose
+
+
+def _table(values, high: int, name: str) -> np.ndarray:
+    """A heads or matching table: an ndarray as it is, since P^T's build
+    and ``one_step_laws`` check the entries they read, anything else read
+    by ``core.integers_in``, so a ragged table is BadValue."""
+    if isinstance(values, np.ndarray):
+        return values
+    return integers_in(values, 0, high, name, ndim=2)
 
 
 def _block_pointer(offsets: np.ndarray, blocks: int, m: int,
@@ -227,7 +248,7 @@ def kernel_from_tables(seq: DegreeSequence, heads: np.ndarray,
     kernel from t = 1) took more CPU: median 0.10-0.12 s -> 0.14-0.16 s
     over 20 alternating rounds (2 cores, numpy 2.4.6, scipy 1.17.1)."""
     kernel = TransitionKernel(rows=(seq, heads, head_stubs))
-    kernel._transpose = _transpose_matrix(seq, heads, head_stubs)
+    kernel._transpose, kernel._rows = _transpose_matrix(*kernel._rows), None
     return kernel
 
 
@@ -297,10 +318,11 @@ def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
     n = seq.n
     xs = integers_in(starts, 0, n, "starts", ndim=2)
     b, w = xs.shape
-    if not (b >= 1 and np.shape(heads) == (b, seq.m)):
+    heads = _table(heads, n, "heads")
+    if not (b >= 1 and heads.shape == (b, seq.m)):
         raise BadValue(f"need ({b}, {seq.m}) heads for {xs.shape} starts, "
-                       f"got {np.shape(heads)}")
-    heads, budget = np.asarray(heads), as_ledger(budget)
+                       f"got {heads.shape}")
+    budget = as_ledger(budget)
     xs = xs.ravel()
     degrees = seq.out_degrees[xs]
     budget.charge(float(degrees.sum()))
@@ -355,7 +377,11 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
 def delta_at(x: int, n: int) -> np.ndarray:
     n = count_at_least(n, 1, "n")
     x = integer_in(x, 0, n, "vertex")
-    v = np.zeros(n)
+    try:
+        v = np.zeros(n)
+    except (ValueError, MemoryError):   # past numpy's size limit or memory
+        raise BadRange(f"a law on {n} vertices does not fit in memory"
+                       ) from None
     v[x] = 1.0
     return v
 
@@ -380,29 +406,55 @@ def time_averaged_rows(x: int, times: Sequence[int],
     The Horner accumulator after switch time s is s times the row for
     t = s, so one pass up to max(times) yields every row, bitwise equal to
     separate calls, for 2 (max(times) - 1) kernel applications instead
-    of 2 sum(times - 1).  Memory is O(n) per distinct t.
+    of 2 sum(times - 1).  Memory is O(n) per distinct t.  This is the
+    one-eta case of ``grouped_time_averaged_rows``.
     """
-    if k_sigma.n != k_eta.n:
+    return {t: row for t, _, row in grouped_time_averaged_rows(
+        x, times, k_sigma, [k_eta], budget)}
+
+
+def grouped_time_averaged_rows(x: int, times: Sequence[int],
+                               k_sigma: TransitionKernel,
+                               k_etas: Sequence[TransitionKernel],
+                               budget: Optional[OperationBudget] = None
+                               ) -> Iterator[tuple]:
+    """The rows of ``time_averaged_rows(x, times, k_sigma, k_eta)`` for
+    every k_eta in k_etas, from one walk of the sigma law, as (t, e, row)
+    for eta k_etas[e]: t ascending, and at each t every eta in order.
+
+    Each switch time s applies P_sigma once and then advances every eta's
+    Horner accumulator, so each row is bitwise its own one-eta call's.
+    The arguments are checked, and the pass's (max(times) - 1) (nnz_sigma
+    + sum nnz_eta) multiply-adds charged, when this is called; the rows
+    come as the pass reaches them, so a caller that reduces each one as
+    it comes holds O(n) per eta.
+    """
+    if any(k.n != k_sigma.n for k in k_etas):
         raise BadValue("kernels have different vertex counts")
     wanted = set(integers_in(times, 1, math.inf, "times").tolist())
     t_max = max(wanted, default=0)
     u = delta_at(x, k_sigma.n)        # delta_x P_sigma^{s-1} at switch time s
     budget = as_ledger(budget)
-    budget.charge(max(t_max - 1.0, 0.0) * (k_sigma.nnz + k_eta.nnz))
-    acc = np.zeros(k_sigma.n)
-    tmat = k_eta.transpose
-    rows = {}
+    budget.charge(max(t_max - 1.0, 0.0)
+                  * (k_sigma.nnz + sum(k.nnz for k in k_etas)))
+    return _horner_rows(u, wanted, t_max, k_sigma, k_etas, budget)
+
+
+def _horner_rows(u, wanted, t_max, k_sigma, k_etas, budget):
+    """The pass of ``grouped_time_averaged_rows``, run as its rows are read."""
+    tmats = [k.transpose for k in k_etas]
+    accs = [np.zeros(k_sigma.n) for _ in k_etas]
     for s in range(1, t_max + 1):
-        if s > 1:
-            # raw product: the accumulator's mass is s-1, not 1, so the
-            # per-step drift check does not apply to it
-            acc = tmat @ acc
-        acc += u
-        if s in wanted:
-            rows[s] = _renormalized(acc / float(s), budget)
+        for e, tmat in enumerate(tmats):
+            if s > 1:
+                # raw product: the accumulator's mass is s-1, not 1, so the
+                # per-step drift check does not apply to it
+                accs[e] = tmat @ accs[e]
+            accs[e] += u
+            if s in wanted:
+                yield s, e, _renormalized(accs[e] / float(s), budget)
         if s < t_max:
             u = _step(u, k_sigma, budget)
-    return rows
 
 
 def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,

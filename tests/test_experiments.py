@@ -339,6 +339,42 @@ def test_joint_rank_one_kernels_give_the_survival_mass(monkeypatch):
         assert row.estimate == pytest.approx((1 - alpha) ** t, abs=1e-12)
 
 
+@pytest.mark.parametrize("failing", [(), (1, 5)], ids=["solved", "failed"])
+def test_joint_groups_of_environments_give_the_walk_per_environment(
+        monkeypatch, failing):
+    # G = 2 environments share each walk of sigma, E = 3 leaves a partial
+    # last group; solves 1 (start 0, eta 1) and 5 (start 1, eta 2) fail, so
+    # one group loses an eta and one loses all it had.  Not Eulerian, so
+    # every environment has its own stationary law
+    seq = validate_degrees("dcm", [2, 3] * 20, [3, 2] * 20)
+    cfg = cfg_for(seq, alpha=0.3, beta_grid=(0.0, 0.5, 1.0, 2.0),
+                  env_samples=3, start_vertices=3)
+    stationary = experiments._stationary
+
+    def run(group):
+        calls = []
+
+        def solve(kernel, *args):
+            calls.append(kernel)
+            return (None if len(calls) - 1 in failing
+                    else stationary(kernel, *args))
+        monkeypatch.setattr(experiments, "_stationary", solve)
+        monkeypatch.setattr(experiments, "_BATCH_ENTRIES", group * seq.m)
+        ledger = OperationBudget()
+        return joint_relaxation_curve(cfg, budget=ledger), ledger
+
+    grouped, grouped_ledger = run(2)
+    alone, alone_ledger = run(1)
+    assert grouped.rows == alone.rows
+    assert grouped.metadata == alone.metadata
+    assert grouped.metadata["env_skipped"] == len(failing)
+    # sigma walked twice per start instead of three times, less where a
+    # whole group failed; t_max = 6, so 5 products per walk
+    walks = 3 * 2 - (5 in failing)
+    assert alone_ledger.used - grouped_ledger.used == \
+        (3 * 3 - walks - len(failing)) * 5 * seq.m
+
+
 def test_parallel_map_reads_at_most_one_item_ahead():
     # annealed_check's memory bound counts one batch in flight
     read = 0

@@ -9,10 +9,10 @@ end in any other exception.  Every call that takes a ``budget=`` gets a
 small one: a library call without it has no work cap, by design.
 
 Wrong duck types are out of scope: an object of another type where a
-library object goes, such as a dict where a ``DegreeSequence`` goes, an
-int where an ``RngStream`` goes, or a list where a ``sample_tables``
-table goes.  NOT_DATA lists the exports that take nothing else, with
-result records and exception classes, so every export is classified.
+library object goes, such as a dict where a ``DegreeSequence`` goes or
+an int where an ``RngStream`` goes.  NOT_DATA lists the exports that
+take nothing else, with result records and exception classes, so every
+export is classified.
 """
 
 import math
@@ -27,12 +27,13 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     annealed_check, delta_at, digraph_from_json,
                     double_cutoff_sweep, double_row,
                     estimate_stationary_gap, joint_relaxation_curve,
-                    kernel_from_digraph, load_degree_sequence,
-                    marginal_crosscheck_report, marginal_mc_crosscheck,
-                    marginal_relaxation_curve, one_step_laws,
-                    path_log_weights, path_weight_lln, path_weight_report,
-                    pick_regime, propagate, sample_digraph, sample_paths,
-                    sample_tables, sample_trajectory, solve_replicates,
+                    kernel_from_digraph, kernel_from_tables,
+                    load_degree_sequence, marginal_crosscheck_report,
+                    marginal_mc_crosscheck, marginal_relaxation_curve,
+                    one_step_laws, parse_curve_csv, path_log_weights,
+                    path_weight_lln, path_weight_report, pick_regime,
+                    propagate, sample_digraph, sample_paths, sample_tables,
+                    sample_trajectory, solve_replicates,
                     static_cutoff_profile, stationary_diagnostics,
                     stationary_distribution, stationary_gap_report,
                     theory_curve, time_averaged_row, time_averaged_rows,
@@ -59,7 +60,7 @@ MIX = validate_degrees("dcm", [2, 3] * 6, [3, 2] * 6)
 G1 = sample_digraph(REG, RngStream(3).lane(1))
 G2 = sample_digraph(REG, RngStream(3).lane(2))
 K1, K2 = kernel_from_digraph(G1), kernel_from_digraph(G2)
-HEADS, _ = sample_tables(REG, list(RngStream(3).lanes(1, range(2))))
+HEADS, STUBS = sample_tables(REG, list(RngStream(3).lanes(1, range(2))))
 MU = np.full(REG.n, 1.0 / REG.n)
 
 
@@ -134,6 +135,8 @@ SLOTS = {
     "theory_curve.gamma": lambda v: theory_curve("joint_general", 0.5,
                                                  gamma=v),
     "theory_curve.gap": lambda v: theory_curve("static_profile", 1.5, gap=v),
+    # report
+    "parse_curve_csv.text": lambda v: parse_curve_csv(v),
     # rng
     "RngStream.root_seed": lambda v: RngStream(v),
     "RngStream.stream_index": lambda v: RngStream(1, v),
@@ -167,6 +170,11 @@ SLOTS = {
     "propagate.dist": lambda v: propagate(v, K1, 1, budget()),
     "propagate.steps": lambda v: propagate(MU, K1, v, budget()),
     "one_step_laws.starts": lambda v: one_step_laws(REG, HEADS, v, budget()),
+    "one_step_laws.heads": lambda v: one_step_laws(REG, v, [[0], [1]],
+                                                   budget()),
+    "kernel_from_tables.heads": lambda v: kernel_from_tables(REG, v, STUBS),
+    "kernel_from_tables.head_stubs": lambda v: kernel_from_tables(REG, HEADS,
+                                                                  v),
     "double_row.x": lambda v: double_row(v, 1, 2, K1, K2, budget()),
     "double_row.s": lambda v: double_row(0, v, 2, K1, K2, budget()),
     "double_row.t": lambda v: double_row(0, 1, v, K1, K2, budget()),
@@ -207,6 +215,8 @@ ACCEPTED = {
     ("stationary_distribution.max_iters", "none"): DEFAULT,
     ("estimate_stationary_gap.max_iters", "none"): DEFAULT,
     ("stationary_distribution.start", "none"): DEFAULT,
+    ("kernel_from_tables.head_stubs", "none"):
+        "no matching builds P^T from the out-lists",
     ("stationary_gap_report.replicates", "none"): "None runs env_samples",
     ("pick_regime.gh", "inf"): "gamma_hat is any real in [0, inf]",
     ("pick_regime.gh", "fraction"): "gamma_hat is any real in [0, inf]",
@@ -226,12 +236,9 @@ NOT_DATA = {
     # library objects only
     "entropic_scale", "in_degree_distribution", "gamma_hat",
     "joint_relaxation_curve", "static_cutoff_profile",
-    "stationary_diagnostics", "kernel_from_digraph", "kernel_from_tables",
+    "stationary_diagnostics", "kernel_from_digraph",
     "sample_tables", "sample_digraph", "sample_dcm", "sample_ocm",
     "digraph_to_json", "diagnostics_csv_text", "path_log_weight",
-    # the text of a curve CSV this package wrote, read back by tests and
-    # tooling
-    "parse_curve_csv",
     # records the package returns
     "DegreeSequence", "EntropicScale", "CrosscheckResult",
     "PathWeightResult", "ExperimentReport", "ReportRow", "Digraph",

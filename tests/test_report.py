@@ -78,3 +78,17 @@ def test_diagnostics_csv_shape():
     lines = text.splitlines()
     assert lines[0].startswith("replicate,seed,iterations")
     assert lines[1].split(",")[0:2] == ["0", "17"]
+
+
+HEADER = ",".join(CURVE_HEADER)
+
+
+@pytest.mark.parametrize("text", [
+    "", None, HEADER + "\n1,0.5,0,0\n", HEADER + "\n1,0.5,0,0,1,2\n",
+    HEADER + "\n1,x,0,0,1\n", HEADER + "\n1,0.5,0,0,1.5\n"],
+    ids=["empty", "none", "short-row", "long-row", "non-number",
+         "fractional-count"])
+def test_parse_curve_csv_refuses_malformed_text(text):
+    # these ended in IndexError, AttributeError and ValueError
+    with pytest.raises(BadValue):
+        parse_curve_csv(text)

@@ -16,7 +16,7 @@ from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
-from mixlab.walk import Trajectory, as_ledger
+from mixlab.walk import Trajectory, as_ledger, grouped_time_averaged_rows
 
 
 def _graph_from_edges(out_edges, model="dcm"):
@@ -420,6 +420,38 @@ def test_time_averaged_rows_equal_separate_calls_bitwise():
         assert budget.used == 7 * (k1.nnz + k2.nnz)
 
 
+@pytest.mark.parametrize("seq", [
+    validate_degrees("dcm", [2, 3] * 5, [3, 2] * 5),
+    validate_degrees("ocm", [2, 3, 4] * 4)], ids=["dcm", "ocm"])
+def test_grouped_rows_equal_separate_calls_bitwise(seq):
+    k_sigma, *k_etas = [
+        kernel_from_digraph(sample_digraph(seq, RngStream(8).lane(i)))
+        for i in range(4)]
+    grid = [6, 1, 3, 6]
+    grouped, alone = OperationBudget(), OperationBudget()
+    got = list(grouped_time_averaged_rows(4, grid, k_sigma, k_etas, grouped))
+    # t ascending, and at each t every eta in order
+    assert [(t, e) for t, e, _ in got] == [(t, e) for t in (1, 3, 6)
+                                           for e in range(3)]
+    for e, k_eta in enumerate(k_etas):
+        want = time_averaged_rows(4, grid, k_sigma, k_eta, alone)
+        for t, _, row in got[e::3]:
+            assert np.array_equal(row, want[t])
+    # sigma is walked once for the group, not once per eta
+    assert grouped.used == 5 * (k_sigma.nnz + sum(k.nnz for k in k_etas))
+    assert alone.used - grouped.used == 2 * 5 * k_sigma.nnz
+    assert grouped.max_drift == alone.max_drift
+
+
+def test_grouped_rows_need_one_vertex_count():
+    _, _, k1, k2 = random_kernel_pair(5, n=6, d=2)
+    _, _, k3, _ = random_kernel_pair(5, n=8, d=2)
+    ledger = OperationBudget()
+    with pytest.raises(BadValue):
+        grouped_time_averaged_rows(0, [3], k1, [k2, k3], ledger)
+    assert ledger.used == 0
+
+
 def test_trajectory_shape_and_edge_membership():
     g1, g2, _, _ = random_kernel_pair(6, n=6, d=2)
     traj = sample_trajectory(4, 3, 9, g1, g2, RngStream(88))
@@ -664,6 +696,9 @@ COUNTED_RUNS = {
     "rows-t1": lambda ks, ke, b: time_averaged_rows(0, [1], ks, ke, budget=b),
     "rows-t6": lambda ks, ke, b: time_averaged_rows(0, [2, 6], ks, ke,
                                                     budget=b),
+    "rows-grouped": lambda ks, ke, b: {
+        (t, e): row for t, e, row in grouped_time_averaged_rows(
+            0, [2, 6], ks, [ke, ks, ke], budget=b)},
     "solve-converged": lambda ks, ke, b: stationary_distribution(ks,
                                                                  budget=b),
     "solve-failed": _failed_solve,
@@ -705,6 +740,12 @@ def test_no_budget_gives_the_bits_of_an_uncapped_ledger(name):
     ledger = as_ledger(None)
     assert _bits(COUNTED_RUNS[name](*kernels, ledger)) == _bits(without)
     assert ledger.used > 0 or name == "rows-t1"
+
+
+def test_a_law_past_numpy_size_limit_is_bad_range():
+    # np.zeros ended in numpy's ValueError ("array is too big")
+    with pytest.raises(BadRange):
+        delta_at(0, 2**62)
 
 
 @pytest.mark.parametrize("cap", [np.nan, np.inf, -1.0])
@@ -767,6 +808,7 @@ def test_kernel_refuses_malformed_input():
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
     g = sample_digraph(seq, RngStream(1))
     two = np.stack([g.heads, g.heads])
+    ragged = [g.heads.tolist(), [0, 1]]
     cases = [
         # propagate made a 3-vector of a 2-vertex law
         lambda: TransitionKernel(csr_matrix(np.ones((2, 3)) / 3)),
@@ -779,6 +821,10 @@ def test_kernel_refuses_malformed_input():
         # the build read the second block's tails from uninitialised memory
         lambda: kernel_from_tables(seq, two, g.head_stubs[None]),
         lambda: kernel_from_tables(seq, g.heads[None], g.head_stubs),
+        # np.shape of a ragged table ended in numpy's ValueError
+        lambda: kernel_from_tables(seq, ragged),
+        lambda: kernel_from_tables(seq, two, ragged),
+        lambda: TransitionKernel(rows=(seq, ragged, None)),
     ]
     for case in cases:
         with pytest.raises(BadValue):
@@ -945,6 +991,30 @@ def test_a_one_graph_kernel_copies_none_of_its_rows():
                 else np.shares_memory(head_stubs, g.head_stubs))
 
 
+def test_a_kernel_lets_its_tables_go_once_its_transpose_is_built():
+    seq = TABLE_SEQS[0]
+    kernel = kernel_from_digraph(sample_digraph(seq, RngStream(3)))
+    assert kernel._rows is not None
+    pt = kernel.transpose
+    assert kernel._rows is None and kernel.transpose is pt
+    heads, stubs = sample_tables(seq, list(RngStream(3).lanes(1, range(2))))
+    assert kernel_from_tables(seq, heads, stubs)._rows is None
+
+
+@pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
+def test_list_tables_give_the_kernel_and_laws_of_their_arrays(seq):
+    heads, stubs = sample_tables(seq, list(RngStream(6).lanes(1, range(3))))
+    lists = (heads.tolist(), None if stubs is None else stubs.tolist())
+    got = kernel_from_tables(seq, *lists).transpose
+    want = kernel_from_tables(seq, heads, stubs).transpose
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert np.array_equal(a, b)
+    starts = [[0], [1], [2]]
+    assert np.array_equal(one_step_laws(seq, lists[0], starts),
+                          one_step_laws(seq, heads, starts))
+
+
 def one_step_cases():
     """(seq, heads table, its kernel) for every kernel batch, which holds
     parallel edges and self-loops, and for sampled tables of every
@@ -1002,8 +1072,9 @@ def test_one_step_laws_refuse_bad_tables():
                 [[0], [True]], [[0.5], [1]], [[0], [1, 2]]):
         with pytest.raises(BadValue):
             one_step_laws(seq, heads, bad)
-    with pytest.raises(BadValue):
-        one_step_laws(seq, heads[:, :-1], [[0], [1]])
+    for bad in (heads[:, :-1], [heads[0].tolist(), [0, 1]]):
+        with pytest.raises(BadValue):
+            one_step_laws(seq, bad, [[0], [1]])
     for bad in ([[0], [4]], [[-1], [0]]):
         with pytest.raises(BadRange):
             one_step_laws(seq, heads, bad)
