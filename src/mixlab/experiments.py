@@ -27,8 +27,8 @@ from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    grouped_time_averaged_rows, kernel_from_digraph,
-                   kernel_from_tables, one_step_laws, path_log_weights,
-                   propagate, sample_paths)
+                   kernel_from_tables, one_step_laws, propagate,
+                   sample_path_log_weights)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -875,9 +875,9 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
 
     Trajectories are walked in blocks of ``_PATH_BLOCK``, all paths of a
     block stepped together on stream ``(_LANE_TRAJ, b)`` for block b, and
-    weighed on the digraphs they walked; no kernel is built.  So besides
-    the two environments the memory is the traj_samples starts and
-    log-weights plus one block's ``_PATH_BLOCK * (t + 1)`` states.
+    each step weighed as it is drawn; no kernel is built and no states are
+    held.  So besides the two environments the memory is the traj_samples
+    starts and log-weights plus O(_PATH_BLOCK) per step.
     """
     t = integer_in(t, 1, math.inf, "t")
     s = integer_in(s, 0, t + 1, "s")
@@ -897,9 +897,8 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
         hi = min(lo + _PATH_BLOCK, traj_samples)
         ledger.charge(float(hi - lo) * t * seq.delta)
-        states = sample_paths(xs[lo:hi], s, t, g_sigma, g_eta,
-                              base.lane(_LANE_TRAJ, b))
-        log_weights[lo:hi] = path_log_weights(states, s, g_sigma, g_eta)
+        log_weights[lo:hi] = sample_path_log_weights(
+            xs[lo:hi], s, t, g_sigma, g_eta, base.lane(_LANE_TRAJ, b))
 
     rates = -log_weights / t
     target = scale.entropy

@@ -26,12 +26,11 @@ row is bitwise its own one-eta call's.
 
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
-returns their (N, t + 1) states; ``path_log_weights`` weighs every path
-on the digraphs it walked, reading each step's P(x, y) from x's out-list,
-so weighing builds no kernel.  ``sample_trajectory`` and
-``path_log_weight`` are the one-row cases of these two.  A caller with
-many paths walks them in blocks, one stream per block, so it holds one
-block's states at a time.
+``sample_path_log_weights`` weighs each step of that walk as it is drawn,
+so it holds no block of states; ``path_log_weights`` weighs given paths.
+Each reads P(x, y) from x's out-list, so weighing builds no kernel.
+``sample_trajectory`` and ``path_log_weight`` are the one-row cases.  A
+caller with many paths walks them in blocks, one stream per block.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -111,7 +111,8 @@ class TransitionKernel:
     A matrix that is not sparse or not square, or tables not (B, m) with
     B >= 1, ragged ones included, raise BadValue; an out-list head outside
     [0, n), or a matching row that is not a permutation of [0, m), BadRange
-    as P^T is built.
+    as P^T is built.  Heads are trusted to be a matching's head slots, as
+    ``sample_tables`` makes them, so one-row builds pay no check for it.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
@@ -230,7 +231,8 @@ def kernel_from_digraph(g: Digraph) -> TransitionKernel:
 
     Nothing is built here: g's rows go to the kernel as one-row views,
     and it builds P^T, one entry per edge, on first use, from g's matching
-    when g has one and from its out-lists otherwise.
+    when g has one and from its out-lists otherwise.  g's heads are trusted
+    to be its matching's head slots, so the crosscheck pays no check.
     """
     stubs = g.head_stubs
     return TransitionKernel(rows=(g.seq, g.heads[None],
@@ -246,9 +248,14 @@ def kernel_from_tables(seq: DegreeSequence, heads: np.ndarray,
     and uses it at once.  Built on first use inside the walker instead,
     annealed on 3-regular n = 100 with 5000 environments (then walked on a
     kernel from t = 1) took more CPU: median 0.10-0.12 s -> 0.14-0.16 s
-    over 20 alternating rounds (2 cores, numpy 2.4.6, scipy 1.17.1)."""
+    over 20 alternating rounds (2 cores, numpy 2.4.6, scipy 1.17.1).
+    P^T comes from the matching and ``one_step_laws`` reads the heads, so
+    heads that are not the matching's head slots are BadValue."""
     kernel = TransitionKernel(rows=(seq, heads, head_stubs))
+    seq, heads, head_stubs = kernel._rows
     kernel._transpose, kernel._rows = _transpose_matrix(*kernel._rows), None
+    if head_stubs is not None and (heads != seq.head_slots[head_stubs]).any():
+        raise BadValue("heads are not the matching's head slots")
     return kernel
 
 
@@ -502,50 +509,75 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     vertex's out-degree, so no rounding can pick a rank past the last
     edge.  Memory is the (N, t + 1) states and O(N) per step.
     """
+    steps = _walk(xs, s, t, g_sigma, g_eta, stream)
+    xs, t = next(steps)
+    states = np.empty((xs.size, t + 1), dtype=np.int64)
+    states[:, 0] = xs
+    for *_, ys, step in steps:
+        states[:, step + 1] = ys
+    return states
+
+
+def sample_path_log_weights(xs, s: int, t: int, g_sigma: Digraph,
+                            g_eta: Digraph, stream: RngStream) -> np.ndarray:
+    """Log-weights (N,) of the N walks ``sample_paths`` draws on stream,
+    each step weighed as it is drawn, on the out-lists the draw read:
+    bitwise ``path_log_weights`` of those paths, with no states held."""
+    steps = _walk(xs, s, t, g_sigma, g_eta, stream)
+    total = np.zeros(next(steps)[0].size)
+    for step in steps:
+        total += _step_log_probs(*step)
+    return total
+
+
+def _walk(xs, s, t, g_sigma, g_eta, stream):
+    """The one step loop of ``sample_paths`` and ``sample_path_log_weights``:
+    it checks the arguments and yields the starts and t, then per step, as
+    read, the digraph, the states left with their out-list offsets and
+    degrees, the states drawn and the step."""
     if g_sigma.n != g_eta.n:
         raise BadValue("digraphs have different vertex counts")
     t = integer_in(t, 0, math.inf, "t")
     s = integer_in(s, 0, t + 1, "s")
-    xs = integers_in(xs, 0, g_sigma.n, "starts")
+    cur = integers_in(xs, 0, g_sigma.n, "starts")
     gen = stream.generator()
-    states = np.empty((xs.size, t + 1), dtype=np.int64)
-    states[:, 0] = cur = xs
-    for step in range(1, t + 1):
-        g = g_sigma if step <= s else g_eta
+    yield cur, t
+    for step in range(t):
+        g = g_sigma if step < s else g_eta
         first = g.offsets[cur]
-        cur = g.heads[first + gen.integers(0, g.offsets[cur + 1] - first)]
-        states[:, step] = cur
-    return states
+        degrees = g.offsets[cur + 1] - first
+        x, cur = cur, g.heads[first + gen.integers(0, degrees)]
+        yield g, x, first, degrees, cur, step
 
 
-def _step_log_probs(g: Digraph, x: np.ndarray, y: np.ndarray,
-                    step: int) -> np.ndarray:
-    """log P(x, y) for one step of every path, read from x's out-list;
-    ImpossibleStep if an edge is absent.  Each copy of the edge x -> y,
-    in list order, adds 1/d(x) to a sum that starts at 0, as scipy's
-    lookup P^T[y, x] sums duplicate entries, so parallel edges add up to
-    the same bits.  List position k is read only for the rows longer
-    than k, so a step costs the sum of the out-degrees of x."""
-    first = g.offsets[x]
-    degrees = g.offsets[x + 1] - first
-    inv = 1.0 / degrees
-    step_probs = np.where(g.heads[first] == y, inv, 0.0)   # position 0
-    rows = np.flatnonzero(degrees > 1)
-    k = 1
+def _step_log_probs(g, x, first, degrees, y, step):
+    """log P(x, y) for one step of every path from the c copies of x -> y
+    in x's out-list, read at each position k < d(x) only, so a step costs
+    the sum of the out-degrees; ImpossibleStep if c = 0.  P is c copies of
+    1/d(x) added in list order from 0, as scipy sums duplicate entries of
+    P^T.  Logs come from a table of the keys c (D + 1) + d that occur, D
+    the largest d, found by a sort, so it is never sized D^2; each is
+    math.log, as np.log can differ in the last bit (at 0.9999999999999998)."""
+    copies = np.zeros(y.size, dtype=np.intp)
+    k = int(degrees.min()) if y.size else 0
+    for j in range(k):      # positions every list has
+        copies += g.heads[first + j] == y
+    rows = np.flatnonzero(degrees > k)
     while rows.size:
-        hit = rows[g.heads[first[rows] + k] == y[rows]]
-        step_probs[hit] += inv[hit]
+        copies[rows] += g.heads[first[rows] + k] == y[rows]
         k += 1
         rows = rows[degrees[rows] > k]
-    missing = np.flatnonzero(step_probs == 0)
-    if missing.size:
-        i = int(missing[0])
+    if not copies.all():
+        i = int(np.argmin(copies))
         raise ImpossibleStep(f"trajectory {i}, step {step}: "
                              f"no edge {x[i]} -> {y[i]}")
-    # math.log of each distinct probability: np.log can differ from it in
-    # the last bit (seen at 0.9999999999999998)
-    probs, inverse = np.unique(step_probs, return_inverse=True)
-    return np.array([math.log(p) for p in probs.tolist()])[inverse]
+    width = int(degrees.max(initial=0)) + 1
+    keys = copies * width + degrees
+    found = np.sort(keys)
+    found = np.concatenate((found[:1], found[1:][found[1:] != found[:-1]]))
+    logs = [math.log(reduce(float.__add__, [1.0 / d] * c, 0.0))
+            for c, d in (divmod(key, width) for key in found.tolist())]
+    return np.array(logs)[np.searchsorted(found, keys)]
 
 
 def path_log_weights(states, s: int, g_sigma: Digraph,
@@ -567,7 +599,9 @@ def path_log_weights(states, s: int, g_sigma: Digraph,
     graphs = (g_sigma, g_eta)
     total = np.zeros(len(states))
     for j in range(states.shape[1] - 1):
-        total += _step_log_probs(graphs[j >= s], states[:, j],
+        g, x = graphs[j >= s], states[:, j]
+        first = g.offsets[x]
+        total += _step_log_probs(g, x, first, g.offsets[x + 1] - first,
                                  states[:, j + 1], j)
     return total
 

@@ -12,7 +12,8 @@ import pytest
 from scipy import stats
 
 from mixlab import (RngStream, digraph_from_json, digraph_to_json, sample_dcm,
-                    sample_digraph, sample_ocm, sampler, validate_degrees)
+                    sample_digraph, sample_ocm, sample_tables, sampler,
+                    validate_degrees)
 from mixlab.core import index_dtype_for
 from mixlab.errors import BadValue
 
@@ -56,6 +57,40 @@ def test_dcm_matches_enumerated_matching_law():
     obs = np.array([observed.get(k, 0) for k in keys])
     _, p = stats.chisquare(obs, exp)
     assert p > 0.001
+
+
+def chi_square_p(rows, cells):
+    """p of a chi-square test of the rows against the uniform law on cells."""
+    observed = Counter(map(tuple, rows.tolist()))
+    assert set(observed) <= set(cells)
+    obs = np.array([observed[cell] for cell in cells])
+    return stats.chisquare(obs, np.full(len(cells), len(rows) / len(cells)))[1]
+
+
+def test_table_matchings_follow_the_exact_uniform_law():
+    # every degree 2 and n = 3: the 6! = 720 matchings are equally likely
+    rows = 20_000
+    heads, stubs = sample_tables(TRIPLE, list(RngStream(11).lanes(1,
+                                                                  range(rows))))
+    assert np.array_equal(heads, TRIPLE.head_slots[stubs])
+    assert chi_square_p(stubs, list(itertools.permutations(range(6)))) > 1e-3
+
+
+def test_table_out_maps_follow_the_exact_uniform_law():
+    # n = 4, d = 2: each vertex takes one of the 12 ordered pairs of
+    # distinct targets, uniformly and independently of the others.  An OCM
+    # row costs about 40 us to draw, so half the matchings' rows keep the
+    # test near 0.5 s; the coarsest cells still expect about 70 rows
+    seq = validate_degrees("ocm", [2] * 4)
+    rows = 10_000
+    heads, stubs = sample_tables(seq, list(RngStream(12).lanes(1,
+                                                               range(rows))))
+    assert stubs is None
+    pairs = list(itertools.permutations(range(4), 2))
+    for x in range(4):
+        assert chi_square_p(heads[:, 2 * x:2 * x + 2], pairs) > 1e-3
+    assert chi_square_p(heads[:, :4], [a + b for a in pairs
+                                      for b in pairs]) > 1e-3
 
 
 def test_dcm_preserves_in_degrees_exactly():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
-from mixlab.walk import Trajectory, as_ledger, grouped_time_averaged_rows
+from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
+                         grouped_time_averaged_rows, sample_path_log_weights)
 
 
 def _graph_from_edges(out_edges, model="dcm"):
@@ -570,6 +573,99 @@ def test_path_log_weights_refuse_a_forged_step():
         math.log(1 / 2) + math.log(1 / 2)
 
 
+def in_order_sum(c, d):
+    """c copies of 1/d added one at a time to a sum that starts at 0."""
+    p = 0.0
+    for _ in range(c):
+        p += 1.0 / d
+    return p
+
+
+def edge_copies(g, x, y):
+    return int((g.out_edges(x) == y).sum())
+
+
+def test_sample_path_log_weights_equal_the_weights_of_sample_paths_bitwise():
+    # small DCM multigraphs have parallel edges and self-loops, so steps
+    # go along 2 or 3 copies of their edge; OCM steps along one
+    dcm = validate_degrees("dcm", [4, 3, 3], [3, 4, 3])
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3] * 8)
+    pairs = [tuple(sample_digraph(seq, RngStream(seed).lane(env))
+                   for env in (1, 2))
+             for seq in (dcm, ocm) for seed in range(3)]
+    pairs += path_test_pairs()
+    t, block, seen = 9, 48, set()
+    for i, (g1, g2) in enumerate(pairs):
+        xs = np.arange(g1.n).repeat(5)      # blocks of 48 leave a short one
+        for s in (0, 4, t):
+            for b, lo in enumerate(range(0, xs.size, block)):
+                stream = RngStream(i, s).lane(6, b)
+                states = sample_paths(xs[lo:lo + block], s, t, g1, g2, stream)
+                want = path_log_weights(states, s, g1, g2)
+                got = sample_path_log_weights(xs[lo:lo + block], s, t, g1, g2,
+                                              stream)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                if g1.n == dcm.n:
+                    seen.update(edge_copies(g1 if j < s else g2, x, y)
+                                for row in states.tolist()
+                                for j, (x, y) in enumerate(zip(row, row[1:])))
+    assert seen == {1, 2, 3}
+    g1, g2 = pairs[0]
+    for s in (0, 3):
+        empty = sample_path_log_weights([], s, 3, g1, g2, RngStream(5))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        assert np.array_equal(empty, path_log_weights(
+            sample_paths([], s, 3, g1, g2, RngStream(5)), s, g1, g2))
+
+
+def test_sample_path_log_weights_check_what_sample_paths_checks():
+    g1, g2 = path_test_pairs()[0]
+    g3 = _graph_from_edges([[1, 1], [0, 0]])
+    for walk_or_weigh in (sample_paths, sample_path_log_weights):
+        with pytest.raises(BadRange):
+            walk_or_weigh([0], 4, 3, g1, g2, RngStream(1))
+        with pytest.raises(BadRange):
+            walk_or_weigh([g1.n], 1, 3, g1, g2, RngStream(1))
+        with pytest.raises(BadValue):
+            walk_or_weigh([0], 1, 3, g1, g3, RngStream(1))
+        assert walk_or_weigh([0, 1], 0, 0, g1, g2, RngStream(1)).shape[0] == 2
+
+
+def test_step_log_probs_are_math_log_of_the_in_order_sum():
+    # one out-list per (c, d), d <= 12: d - c other heads, then c copies
+    # of the head 0, and a 0 past the last list, so a read past d(x) counts
+    # one copy too many; 10 copies of 1/10 sum to 0.9999999999999999, below
+    # 1, and 7 of 1/7 to 0.9999999999999998, whose np.log is not math.log's
+    pairs = [(c, d) for d in range(1, 13) for c in range(1, d + 1)]
+    degrees = np.array([d for _, d in pairs])
+    g = SimpleNamespace(heads=np.concatenate(
+        [[1] * (d - c) + [0] * c for c, d in pairs] + [[0]]))
+    got = _step_log_probs(g, np.arange(len(pairs)), np.cumsum(degrees)
+                          - degrees, degrees, np.zeros(len(pairs), int), 0)
+    want = [math.log(in_order_sum(c, d)) for c, d in pairs]
+    assert got.tolist() == want
+    assert in_order_sum(10, 10) < 1.0
+    assert np.log(in_order_sum(7, 7)) != math.log(in_order_sum(7, 7))
+
+
+def test_step_log_probs_of_a_hub_hold_no_degree_squared_table():
+    # 3000 parallel edges each way: a table with a slot for every key below
+    # c (D + 1) + d would hold 9e6 floats, 72 MB
+    d = 3000
+    with pytest.warns(UserWarning, match="max degree"):
+        g = _graph_from_edges([[1] * d, [0] * d])
+    xs = np.array([0, 1, 0])
+    tracemalloc.start()
+    try:
+        got = sample_path_log_weights(xs, 1, 2, g, g, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [2 * math.log(in_order_sum(d, d))] * 3
+    assert peak < 2**20
+
+
 def scalar_trajectory(x, s, t, g_sigma, g_eta, stream):
     """One path stepped one scalar draw at a time: the reference that
     ``sample_trajectory``, a one-row block of ``sample_paths``, matches."""
@@ -843,6 +939,23 @@ def test_out_list_kernel_refuses_heads_outside_the_vertices(head):
             kernel.transpose
     with pytest.raises(BadRange):
         kernel_from_tables(seq, heads)
+
+
+def test_kernel_from_tables_refuses_heads_that_are_not_the_matching():
+    # heads and matching once gave two walks: vertex 0's out-edges are its
+    # two self-loops in the matching, and lead to 1 in the forged heads
+    seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
+    heads, stubs = sample_tables(seq, [RngStream(3)])
+    assert heads[0, :2].tolist() == [0, 0]
+    forged = heads.copy()
+    forged[0, :2] = 1
+    assert one_step_laws(seq, forged, [[0]]).ravel().tolist() == [0, 1, 0, 0]
+    assert propagate(delta_at(0, 4), TransitionKernel(
+        rows=(seq, forged, stubs)), 1).tolist() == [1, 0, 0, 0]
+    with pytest.raises(BadValue, match="head slots"):
+        kernel_from_tables(seq, forged, stubs)
+    assert propagate(delta_at(0, 4), kernel_from_tables(seq, heads, stubs),
+                     1).tolist() == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("fault", ["repeat", "negative", "past_m"])
