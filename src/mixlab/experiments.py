@@ -28,7 +28,7 @@ from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    grouped_time_averaged_rows, kernel_from_digraph,
                    kernel_from_tables, one_step_laws, propagate,
-                   sample_path_log_weights)
+                   refreshed_kernels, sample_path_log_weights)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -678,6 +678,8 @@ class CrosscheckResult:
     std_err: float
     schedules: int
     mean_refreshes: float
+    start: int
+    start_mode: str
 
 
 def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
@@ -700,7 +702,10 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     environment is sampled only when a later step walks in it; its stream
     lane does not depend on that, and every refresh still counts toward
     ``mean_refreshes``.  The streams of all schedules, and then of all
-    walked environments, are keyed in one ``RngStream.lanes`` pass each.
+    walked environments, are keyed in one ``RngStream.lanes`` pass each,
+    and ``walk.refreshed_kernels`` draws the walked ones.  The walk starts
+    at ``resolve_starts``' first start, a count always sampled (so the
+    smallest sampled vertex, or 0 for "all"); the result records it.
     """
     alpha = cfg.require_alpha()
     t = count_at_least(t, 0, "t")
@@ -709,7 +714,8 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     _pair(schedule_samples - 1, t)  # a schedule refreshes at most t times
     seq = cfg.seq
     mu = in_degree_distribution(seq)
-    x = resolve_starts(cfg, exhaustive_small=False)[0][0]
+    starts, start_mode = resolve_starts(cfg, exhaustive_small=False)
+    x = starts[0]
     base = RngStream(cfg.root_seed)
     k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, 0))
     ledger = as_ledger(budget)
@@ -729,8 +735,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
          for k, (r, end) in enumerate(zip(steps, steps[1:] + [t]), start=1)
          if end - r > 1]
         for m, steps in enumerate(refresh_steps)]
-    walked = base.lanes(_LANE_SCHED,
-                        [k for segs in segments for _, k in segs])
+    # each walked environment's kernel holds only for its segment's walk
+    kernels = refreshed_kernels(seq, base.lanes(
+        _LANE_SCHED, [k for segs in segments for _, k in segs]))
     prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
                            sorted(set(first) | {t}), ledger))
 
@@ -744,9 +751,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     refreshes = 0
     for m, segs in enumerate(segments):
         w = prefix[first[m]]
-        # zip takes from segs first, so walked gives up len(segs) streams
-        for (length, _), stream in zip(segs, walked):
-            w = propagate(w, _kernel(seq, stream), length, ledger)
+        # zip takes from segs first, so kernels draws len(segs) environments
+        for (length, _), kernel in zip(segs, kernels):
+            w = propagate(w, kernel, length, ledger)
         refreshes += len(refresh_steps[m])
         total += w
         b = m % _JACKKNIFE_BATCHES
@@ -761,7 +768,8 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                               * float(((loo - loo.mean()) ** 2).sum())))
     return CrosscheckResult(t=t, exact=exact, sampled=sampled,
                             std_err=std_err, schedules=schedule_samples,
-                            mean_refreshes=refreshes / schedule_samples)
+                            mean_refreshes=refreshes / schedule_samples,
+                            start=x, start_mode=start_mode)
 
 
 def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
@@ -776,7 +784,8 @@ def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
                     n_effective=res.schedules)
     meta = _meta(
         "marginal-crosscheck", cfg, ledger, alpha=cfg.alpha, t=res.t,
-        schedules=res.schedules, mean_refreshes=res.mean_refreshes,
+        start=res.start, start_mode=res.start_mode, schedules=res.schedules,
+        mean_refreshes=res.mean_refreshes,
         deterministic_estimate=res.exact, sampled_estimate=res.sampled,
         abs_gap=abs(res.sampled - res.exact))
     return ExperimentReport("marginal-crosscheck", [row], meta)

@@ -17,6 +17,11 @@ is imported by that builder, so a run that builds no kernel never loads
 it.  A batch's first step needs no kernel either: ``one_step_laws``
 reads each delta_x P_e straight from the heads table, one weight
 1/out-degree(x) per out-edge of x, bitwise the law one product would give.
+``refreshed_kernels`` draws environments one at a time, in stream order,
+and builds only the first DCM kernel: every later DCM P^T has the same
+shape and row pointer, so its indices and data are rewritten in place,
+through the builder's own scatter, gather and permutation check.  A
+kernel it yields is therefore valid only until the next is drawn.
 
 Switch-time-averaged rows are Horner passes: ``time_averaged_rows``
 yields every grid time's row from one walk of the sigma law, and
@@ -39,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .core import (DIST_TOL, DegreeSequence, count_at_least, index_dtype_for,
                    integer_in, integers_in, law_array, real_in)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
-from .sampler import Digraph
+from .sampler import Digraph, sample_tables
 
 if TYPE_CHECKING:   # imported by the P^T builder, so a run without a kernel
     from scipy.sparse import csc_matrix, csr_matrix     # never loads scipy
@@ -199,24 +204,9 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
                         _block_pointer(seq.out_offsets, b, m, idx)),
                        shape=(b * n, b * n))
         return p.tocsc().T
-    # A DCM matching already groups the edges by head: stub j of the
-    # head-ordered stubs sits at row position j of P^T, so row e's tails
-    # are scattered to its matching (row by row: faster than one flat
-    # scatter).  One graph uses the sequence's shared, read-only in-degree
-    # offsets as its row pointer.  A row is a permutation when its m stubs
-    # lie in [0, m) and write every slot: numpy would read a stub -1 as
-    # m - 1, the scatter refuses a stub past m, and np.take refuses the
-    # vertex n that marks a slot no stub wrote.
-    if head_stubs.min() < 0:
-        raise BadRange(f"a matching stub lies outside [0, {m})")
-    tails = np.full((b, m), n, dtype=idx)
-    try:
-        for row, stubs in zip(tails, head_stubs):
-            row[stubs] = seq.tails
-        data = np.take(seq.inv_out_degrees, tails)
-    except IndexError:
-        raise BadRange(f"a matching row is not a permutation of "
-                       f"[0, {m})") from None
+    # one graph uses the shared, read-only in-degree offsets as row pointer
+    tails = np.empty((b, m), dtype=idx)
+    data = _matched_entries(seq, head_stubs, tails)
     if b == 1:
         indptr = seq.in_offsets
     else:
@@ -224,6 +214,53 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
         indptr = _block_pointer(seq.in_offsets, b, m, idx)
     return csr_matrix((data.ravel(), tails.ravel(), indptr),
                       shape=(b * n, b * n))
+
+
+def _matched_entries(seq: DegreeSequence, head_stubs: np.ndarray,
+                     tails: np.ndarray,
+                     data: Optional[np.ndarray] = None) -> np.ndarray:
+    """Write matching row e's P^T tails and weights into row e of tails
+    and of data (fresh when None), and return data.  Stub j of the
+    head-ordered stubs sits at row position j of P^T, so each row's tails
+    are scattered to its matching (row by row: faster than one flat
+    scatter).  A row is a permutation when its m stubs lie in [0, m) and
+    write every slot: numpy would read a stub -1 as m - 1, the scatter
+    refuses a stub past m, and np.take refuses the vertex n that marks a
+    slot no stub wrote."""
+    n, m = seq.n, seq.m
+    if head_stubs.min() < 0:
+        raise BadRange(f"a matching stub lies outside [0, {m})")
+    tails.fill(n)
+    try:
+        for row, stubs in zip(tails, head_stubs):
+            row[stubs] = seq.tails
+        return np.take(seq.inv_out_degrees, tails, out=data)
+    except IndexError:
+        raise BadRange(f"a matching row is not a permutation of "
+                       f"[0, {m})") from None
+
+
+def refreshed_kernels(seq: DegreeSequence, streams: Iterable[RngStream]
+                      ) -> Iterator[TransitionKernel]:
+    """The walk kernel of the environment drawn on each stream, in stream
+    order, bitwise ``kernel_from_digraph(sample_digraph(seq, stream))``.
+
+    A DCM one-row P^T always has shape n x n and the row pointer
+    ``seq.in_offsets``, so only the first DCM kernel is built; each later
+    one rewrites that P^T's indices and data in place.  An OCM row pointer
+    changes with each draw, so OCM kernels are built afresh.  A yielded
+    kernel is valid only until the next one is drawn.
+    """
+    kernel = None
+    for stream in streams:
+        heads, head_stubs = sample_tables(seq, (stream,))
+        if kernel is None or head_stubs is None:
+            kernel = TransitionKernel(rows=(seq, heads, head_stubs))
+            pt = kernel.transpose
+        else:
+            _matched_entries(seq, head_stubs, pt.indices[None],
+                             pt.data[None])
+        yield kernel
 
 
 def kernel_from_digraph(g: Digraph) -> TransitionKernel:

@@ -1,5 +1,6 @@
 """Experiment drivers: exact identities at small scale, wiring, metadata."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,8 @@ from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            BudgetExceeded)
 from mixlab import experiments, walk
 from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
-                                _pair, _parallel_map, resolve_starts)
+                                _pair, _parallel_map,
+                                marginal_crosscheck_report, resolve_starts)
 from mixlab.cli import degrees_from_generator
 from mixlab.core import ModelKind, mean_std_err
 from mixlab.walk import (OperationBudget, TransitionKernel, delta_at,
@@ -254,16 +256,93 @@ def crosscheck_per_schedule_loop(cfg, t, schedule_samples, batches=10):
     return exact, sampled, std_err, refreshes / schedule_samples
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.97])
-@pytest.mark.parametrize("t", [0, 1, 6])
-def test_crosscheck_shared_prefix_matches_per_schedule_loop(alpha, t):
+# DCM cases keep their ids; OCM walks each refreshed environment on a
+# fresh kernel, DCM on one P^T rewritten in place
+PREFIX_CASES = [(model, t, alpha) for model in (ModelKind.DCM, ModelKind.OCM)
+                for t in (0, 1, 6) for alpha in (0.01, 0.3, 0.97)]
+
+
+@pytest.mark.parametrize("model, t, alpha", PREFIX_CASES, ids=[
+    ("ocm-" if model is ModelKind.OCM else "") + f"{t}-{alpha}"
+    for model, t, alpha in PREFIX_CASES])
+def test_crosscheck_shared_prefix_matches_per_schedule_loop(model, t, alpha):
     # alpha 0.97 refreshes back to back and on the last step; 0.01 mostly
     # never refreshes, so nearly every schedule ends on the shared prefix
-    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    seq = degrees_from_generator("mix:2x30,3x10", model, 3)
     cfg = cfg_for(seq, alpha=alpha, start_vertices=[4])
     res = marginal_mc_crosscheck(cfg, t=t, schedule_samples=40)
     assert (res.exact, res.sampled, res.std_err, res.mean_refreshes) == \
         crosscheck_per_schedule_loop(cfg, t, 40)
+
+
+def test_crosscheck_walks_and_records_its_first_start():
+    # a count samples that many starts and walks the smallest, "all" walks
+    # vertex 0 and a list its first vertex; the sidecar names the one walked
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
+    sampled = resolve_starts(cfg_for(seq, start_vertices=10),
+                             exhaustive_small=False)[0]
+    for starts, start, mode in ((10, min(sampled), "sample"),
+                                ("all", 0, "exhaustive"),
+                                ([7, 3], 7, "explicit")):
+        cfg = cfg_for(seq, alpha=0.3, start_vertices=starts)
+        res = marginal_mc_crosscheck(cfg, 3, 10)
+        meta = marginal_crosscheck_report(cfg, 3, 10).metadata
+        assert (res.start, res.start_mode) == (start, mode)
+        assert (meta["start"], meta["start_mode"]) == (start, mode)
+        alone = marginal_mc_crosscheck(
+            cfg_for(seq, alpha=0.3, start_vertices=[start]), 3, 10)
+        assert (res.exact, res.sampled, res.std_err) == (
+            alone.exact, alone.sampled, alone.std_err)
+
+
+def _walk_matrices(seq, heads):
+    """P of each row of the (B, m) heads table, summed edge by edge."""
+    p = np.zeros((len(heads), seq.n, seq.n))
+    np.add.at(p, (np.arange(len(heads))[:, None], seq.tails, heads),
+              seq.inv_out_degrees[seq.tails])
+    return p
+
+
+def test_crosscheck_hits_the_exact_regenerating_law():
+    # n = 3 and every degree 2: the 720 stub matchings are equally likely,
+    # so A_j = E[P^j] is exact.  The walker holds on a refresh step, so the
+    # law M_t after t steps from a fresh environment, and E_t from sigma,
+    # with first refresh at step j, are
+    #   M_t = (1-a)^t A_t + sum_j a (1-a)^(j-1) A_(j-1) M_(t-j),  M_0 = I
+    #   E_t = (1-a)^t d_x S^t + sum_j a (1-a)^(j-1) d_x S^(j-1) M_(t-j)
+    # for S = P_sigma; the sampled estimate must sit within 3 std_err of
+    # TV(E_t, mu_in).  exact is the no-refresh term alone.
+    seq = validate_degrees("dcm", [2] * 3, [2] * 3)
+    stubs = np.array(list(itertools.permutations(range(seq.m))))
+    envs = _walk_matrices(seq, seq.head_slots[stubs])
+    mu = in_degree_distribution(seq)
+    seed, x = 2019, 0
+    sigma = _walk_matrices(seq, sample_digraph(
+        seq, RngStream(seed).lane(_LANE_ENV_A, 0)).heads[None])[0]
+    for alpha, t in ((0.3, 4), (0.6, 3)):
+        env_powers, a_pow, s_pow = envs, [np.eye(seq.n)], [np.eye(seq.n)[x]]
+        for _ in range(t):
+            a_pow.append(env_powers.mean(axis=0))
+            s_pow.append(s_pow[-1] @ sigma)
+            env_powers = env_powers @ envs
+
+        def refreshed(start_powers, later, s):
+            return ((1 - alpha) ** s * start_powers[s]
+                    + sum(alpha * (1 - alpha) ** (j - 1)
+                          * start_powers[j - 1] @ later[s - j]
+                          for j in range(1, s + 1)))
+
+        m_laws = [np.eye(seq.n)]
+        for s in range(1, t + 1):
+            m_laws.append(refreshed(a_pow, m_laws, s))
+        tv = tv_distance(refreshed(s_pow, m_laws, t), mu)
+        res = marginal_mc_crosscheck(
+            cfg_for(seq, root_seed=seed, alpha=alpha, start_vertices=[x]),
+            t, 2000)
+        assert abs(res.sampled - tv) <= 3 * res.std_err, (
+            f"alpha {alpha}, t {t}: sampled {res.sampled:.4f} +- "
+            f"{res.std_err:.4f}, TV(E_t, mu_in) {tv:.4f}; "
+            f"TV(E_t, mu_in) - exact = {tv - res.exact:+.4f}")
 
 
 def _no_sampling(*args, **kwargs):

@@ -18,8 +18,10 @@ from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
                     stationary_distribution, time_averaged_row,
                     time_averaged_rows, tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
+from mixlab import walk
 from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
-                         grouped_time_averaged_rows, sample_path_log_weights)
+                         grouped_time_averaged_rows, refreshed_kernels,
+                         sample_path_log_weights)
 
 
 def _graph_from_edges(out_edges, model="dcm"):
@@ -1091,6 +1093,66 @@ def test_kernel_from_tables_equals_the_digraph_kernels_bitwise(seq):
         assert np.array_equal(pt.indices, indices)
         assert np.array_equal(pt.indptr, indptr)
         assert pt.indices.dtype == kernels[0].transpose.indices.dtype
+
+
+@pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
+def test_refreshed_kernels_equal_the_digraph_kernels_bitwise(seq):
+    # DCM rewrites the first kernel's P^T in place, OCM builds each afresh
+    streams = list(RngStream(29).lanes(5, range(7)))
+    v = np.random.default_rng(3).random(seq.n)
+    v /= v.sum()
+    kernels = refreshed_kernels(seq, streams)
+    first = None
+    for e, (kernel, stream) in enumerate(zip(kernels, streams)):
+        first = kernel if first is None else first
+        assert (kernel is first) == (e == 0 or seq.model is ModelKind.DCM)
+        want = kernel_from_digraph(sample_digraph(seq, stream))
+        assert (kernel.blocks, kernel.n, kernel.nnz) == (1, seq.n, seq.m)
+        for name in ("indptr", "indices", "data"):
+            got, exact = (getattr(k.transpose, name) for k in (kernel, want))
+            assert np.array_equal(got, exact) and got.dtype == exact.dtype
+        assert np.array_equal(propagate(v, kernel, 3), propagate(v, want, 3))
+    assert e == len(streams) - 1
+
+
+@pytest.mark.parametrize("fault", ["repeat", "negative", "past_m"])
+def test_a_rewritten_kernel_refuses_a_row_that_is_no_permutation(
+        monkeypatch, fault):
+    # the second environment's matching is broken as in
+    # test_matching_kernel_refuses_a_row_that_is_no_permutation; its slot
+    # left unwritten must not keep the first environment's tail
+    seq = TABLE_SEQS[0]
+    drawn = []
+
+    def broken_second_row(seq, streams):
+        heads, stubs = sample_tables(seq, streams)
+        drawn.append(stubs)
+        if len(drawn) == 2:
+            if fault == "negative":
+                stubs[0, stubs[0] == seq.m - 1] = -1
+            else:
+                stubs[0, 1] = stubs[0, 0] if fault == "repeat" else seq.m
+        return heads, stubs
+
+    monkeypatch.setattr(walk, "sample_tables", broken_second_row)
+    kernels = refreshed_kernels(seq, RngStream(4).lanes(1, range(3)))
+    next(kernels)
+    with pytest.raises(BadRange):
+        next(kernels)
+
+
+def test_a_refreshed_kernel_holds_only_until_the_next_is_drawn():
+    # the contract: drawing the next kernel rewrites the one held
+    seq = TABLE_SEQS[0]
+    streams = list(RngStream(8).lanes(1, range(2)))
+    kernels = refreshed_kernels(seq, streams)
+    held = next(kernels)
+    first = held.transpose.indices.copy(), held.transpose.data.copy()
+    assert next(kernels) is held
+    want = kernel_from_digraph(sample_digraph(seq, streams[1])).transpose
+    assert np.array_equal(held.transpose.indices, want.indices)
+    assert np.array_equal(held.transpose.data, want.data)
+    assert not np.array_equal(held.transpose.indices, first[0])
 
 
 def test_a_one_graph_kernel_copies_none_of_its_rows():
