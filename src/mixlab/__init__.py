@@ -28,7 +28,7 @@ from .report import (ExperimentReport, ReportRow, diagnostics_csv_text,
                      parse_curve_csv)
 from .rng import LANE, RngStream
 from .sampler import (Digraph, digraph_from_json, digraph_to_json, sample_dcm,
-                      sample_digraph, sample_ocm, sample_tables)
+                      sample_digraph, sample_tables)
 from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          WidespreadStats, estimate_stationary_gap,
                          solve_replicates, stationary_distribution,
@@ -37,7 +37,7 @@ from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
                    double_row, kernel_from_digraph, kernel_from_tables,
                    one_step_laws, path_log_weight,
                    path_log_weights, propagate, sample_paths,
-                   sample_trajectory, time_averaged_row, time_averaged_rows)
+                   sample_trajectory, time_averaged_row)
 
 __version__ = "0.1.0"
 

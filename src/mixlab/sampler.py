@@ -3,7 +3,7 @@
 ``sample_tables`` is the one sampler: it draws B environments, one per
 stream, into (B, m) tables of heads and, for DCM, matchings, with no
 object per environment.  ``sample_digraph`` wraps its one-row case as a
-``Digraph``.
+``Digraph``, and ``sample_dcm`` is ``sample_digraph`` for a DCM sequence.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DegreeSequence, ModelKind, index_dtype_for, integers_in,
-                   json_object, validate_degrees)
+from .core import (DegreeSequence, ModelKind, index_dtype_for, integer_in,
+                   integers_in, json_object, validate_degrees)
 from .errors import BadValue
 from .rng import RngStream, shared_generator
 
@@ -48,6 +48,8 @@ class Digraph:
         return self.seq.out_offsets
 
     def out_edges(self, x: int) -> np.ndarray:
+        """The heads of x's out-edges; x is read by ``core.integer_in``."""
+        x = integer_in(x, 0, self.n, "vertex")
         return self.heads[self.offsets[x]:self.offsets[x + 1]]
 
 
@@ -115,13 +117,6 @@ def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
     return sample_digraph(seq, stream)
 
 
-def sample_ocm(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    """Each vertex independently picks d_x distinct targets uniformly."""
-    if seq.model is not ModelKind.OCM:
-        raise BadValue("sample_ocm needs an OCM degree sequence")
-    return sample_digraph(seq, stream)
-
-
 def _distinct_rows(gen: np.random.Generator, n: int, rows: int,
                    d: int) -> np.ndarray:
     """rows x d uniform draws from [0, n), each row without repeats."""
@@ -136,12 +131,13 @@ def _distinct_rows(gen: np.random.Generator, n: int, rows: int,
         draws[bad] = gen.integers(0, n, size=(int(bad.sum()), d),
                                   dtype=np.int64)
     # Rows still repeating after 64 rounds (likely only when d is near
-    # sqrt(n) or above) pick their targets one at a time.
+    # sqrt(n) or above) pick their targets one at a time, kept in order of
+    # first draw, as every other row keeps its draw order
     for x in np.flatnonzero(bad):
-        picks = set()
+        picks = {}
         while len(picks) < d:
-            picks.add(int(gen.integers(0, n)))
-        draws[x] = sorted(picks)
+            picks[int(gen.integers(0, n))] = None
+        draws[x] = list(picks)
     return draws
 
 
@@ -150,7 +146,8 @@ def digraph_to_json(g: Digraph) -> str:
         "seed": {"root_seed": g.stream.root_seed,
                  "stream_index": g.stream.stream_index},
         "model": g.seq.model.value,
-        "out_edges": [g.out_edges(x).tolist() for x in range(g.n)],
+        "out_edges": [row.tolist()
+                      for row in np.split(g.heads, g.offsets[1:-1])],
     }
     return json.dumps(doc)
 

@@ -69,7 +69,8 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
             raise BadValue("start has zero mass")
     tmat = kernel.transpose
     budget = as_ledger(budget)
-    budget.charge(kernel.nnz)
+    nnz = float(kernel.nnz)     # a float takes charge's fast path
+    budget.charge(nnz)
 
     w = tmat @ v
     cand_prev = 0.5 * (v + w)
@@ -77,7 +78,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     best_res = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        budget.charge(kernel.nnz)
+        budget.charge(nnz)
         v = w
         w = tmat @ v
         cand = 0.5 * (v + w)
@@ -88,7 +89,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
             best_res, best = res, cand_prev
         if res <= tol:
             pi = cand_prev / cand_prev.sum()
-            budget.charge(kernel.nnz)
+            budget.charge(nnz)
             verified = tv_distance(tmat @ pi, pi)
             if verified <= tol:
                 pi.setflags(write=False)

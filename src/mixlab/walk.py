@@ -23,11 +23,11 @@ shape and row pointer, so its indices and data are rewritten in place,
 through the builder's own scatter, gather and permutation check.  A
 kernel it yields is therefore valid only until the next is drawn.
 
-Switch-time-averaged rows are Horner passes: ``time_averaged_rows``
-yields every grid time's row from one walk of the sigma law, and
-``grouped_time_averaged_rows`` serves a group of eta kernels from that
-one walk, each step applying P_sigma once and then every P_eta, so each
-row is bitwise its own one-eta call's.
+Switch-time-averaged rows are Horner passes: ``grouped_time_averaged_rows``
+yields the row of every grid time and every eta kernel of a group from
+one walk of the sigma law, each step applying P_sigma once and then
+every P_eta, so each row is bitwise its own one-eta call's;
+``time_averaged_row`` is its one-time, one-eta case.
 
 Trajectories are arrays too.  ``sample_paths`` steps a block of N paths
 together on one stream, one draw over the whole block per step, and
@@ -77,6 +77,10 @@ class OperationBudget:
         self.max_drift = 0.0
 
     def charge(self, ops: float) -> None:
+        """Add ops, a real in [0, inf] (else BadValue: a NaN would switch
+        the cap off), to the work used; BudgetExceeded past the cap."""
+        if type(ops) is not float or not ops >= 0.0:    # the hot path
+            ops = real_in(ops, 0, math.inf, "ops", "[]")
         if self.used + ops > self.cap:
             raise BudgetExceeded(
                 f"operation budget exhausted: "
@@ -289,8 +293,8 @@ def kernel_from_tables(seq: DegreeSequence, heads: np.ndarray,
     P^T comes from the matching and ``one_step_laws`` reads the heads, so
     heads that are not the matching's head slots are BadValue."""
     kernel = TransitionKernel(rows=(seq, heads, head_stubs))
-    seq, heads, head_stubs = kernel._rows
-    kernel._transpose, kernel._rows = _transpose_matrix(*kernel._rows), None
+    _, heads, head_stubs = kernel._rows
+    kernel.transpose        # built now, and the kernel lets its tables go
     if head_stubs is not None and (heads != seq.head_slots[head_stubs]).any():
         raise BadValue("heads are not the matching's head slots")
     return kernel
@@ -442,36 +446,21 @@ def double_row(x: int, s: int, t: int, k_sigma: TransitionKernel,
     return propagate(v, k_eta, t - s, budget)
 
 
-def time_averaged_rows(x: int, times: Sequence[int],
-                       k_sigma: TransitionKernel, k_eta: TransitionKernel,
-                       budget: Optional[OperationBudget] = None) -> dict:
-    """``{t: time_averaged_row(x, t, ...)}`` for every t in times, in one pass.
-
-    The Horner accumulator after switch time s is s times the row for
-    t = s, so one pass up to max(times) yields every row, bitwise equal to
-    separate calls, for 2 (max(times) - 1) kernel applications instead
-    of 2 sum(times - 1).  Memory is O(n) per distinct t.  This is the
-    one-eta case of ``grouped_time_averaged_rows``.
-    """
-    return {t: row for t, _, row in grouped_time_averaged_rows(
-        x, times, k_sigma, [k_eta], budget)}
-
-
 def grouped_time_averaged_rows(x: int, times: Sequence[int],
                                k_sigma: TransitionKernel,
                                k_etas: Sequence[TransitionKernel],
                                budget: Optional[OperationBudget] = None
                                ) -> Iterator[tuple]:
-    """The rows of ``time_averaged_rows(x, times, k_sigma, k_eta)`` for
-    every k_eta in k_etas, from one walk of the sigma law, as (t, e, row)
-    for eta k_etas[e]: t ascending, and at each t every eta in order.
+    """``time_averaged_row(x, t, k_sigma, k_eta)`` for every distinct t in
+    times and k_eta in k_etas, bitwise, from one walk of the sigma law, as
+    (t, e, row) for eta k_etas[e]: t ascending, at each t every eta in order.
 
-    Each switch time s applies P_sigma once and then advances every eta's
-    Horner accumulator, so each row is bitwise its own one-eta call's.
-    The arguments are checked, and the pass's (max(times) - 1) (nnz_sigma
-    + sum nnz_eta) multiply-adds charged, when this is called; the rows
-    come as the pass reaches them, so a caller that reduces each one as
-    it comes holds O(n) per eta.
+    Eta e's Horner accumulator after switch time s is s times its row for
+    t = s.  Each s applies P_sigma once and then advances every
+    accumulator.  The arguments are checked, and the pass's (max(times) - 1)
+    (nnz_sigma + sum nnz_eta) multiply-adds charged, when this is called;
+    the rows come as the pass reaches them, so a caller that reduces each
+    one as it comes holds O(n) per eta.
     """
     if any(k.n != k_sigma.n for k in k_etas):
         raise BadValue("kernels have different vertex counts")
@@ -509,10 +498,12 @@ def time_averaged_row(x: int, t: int, k_sigma: TransitionKernel,
     Returns (1/t) * sum_s (delta_x P_sigma^{s-1} P_eta^{t-s}).  Both the
     running first-environment vector and the Horner-style accumulator
     advance forward in s together, so the whole thing costs 2 (t - 1)
-    kernel applications and O(n) memory.  This is the single-t case of
-    ``time_averaged_rows``, which serves a whole grid of t from one pass.
+    kernel applications and O(n) memory.  This is the one-t, one-eta case
+    of ``grouped_time_averaged_rows``, which serves grids of both.
     """
-    return time_averaged_rows(x, (t,), k_sigma, k_eta, budget)[t]
+    ((*_, row),) = grouped_time_averaged_rows(x, (t,), k_sigma, [k_eta],
+                                              budget)
+    return row
 
 
 @dataclass(frozen=True, eq=False)

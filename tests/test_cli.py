@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixlab import cli
+from mixlab import cli, rng
 from mixlab.cli import (
     DEGREE_LANE,
     RunSpec,
@@ -463,6 +464,34 @@ def test_every_sidecar_reports_its_operations(tmp_path, capsys):
         (sidecar,) = out_dir.glob("*.json")
         meta = json.loads(sidecar.read_text())
         assert meta["operations_charged"] > 0, experiment
+    capsys.readouterr()
+
+
+def test_no_run_draws_a_stream_twice(tmp_path, monkeypatch, capsys):
+    # a stream drawn twice in one run means two of its random objects are
+    # one, such as two lanes that collide; every draw goes through
+    # rng.shared_generator, held by name in each module that imports it,
+    # or through RngStream.generator
+    drawn = []
+    shared, generator = rng.shared_generator, RngStream.generator
+
+    def census(draw):
+        return lambda stream: drawn.append(
+            (stream.root_seed, stream.stream_index)) or draw(stream)
+    holders = [name for name, module in list(sys.modules.items())
+               if name.startswith("mixlab")
+               and getattr(module, "shared_generator", None) is shared]
+    assert {"mixlab.sampler", "mixlab.experiments"} <= set(holders)
+    for name in holders:
+        monkeypatch.setattr(sys.modules[name], "shared_generator",
+                            census(shared))
+    monkeypatch.setattr(RngStream, "generator", census(generator))
+    for experiment, extra in _cli_cases().items():
+        drawn.clear()
+        run_ok([experiment, *extra, "--root-seed", "12",
+                "--out-dir", str(tmp_path / experiment)])
+        twice = sorted(k for k, c in Counter(drawn).items() if c > 1)
+        assert drawn and not twice, (experiment, twice[:5])
     capsys.readouterr()
 
 

@@ -303,6 +303,32 @@ def _walk_matrices(seq, heads):
     return p
 
 
+def _every_matching_walk(seq):
+    """P of each of seq's m! stub matchings, all equally likely in DCM."""
+    stubs = np.array(list(itertools.permutations(range(seq.m))))
+    return _walk_matrices(seq, seq.head_slots[stubs])
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_annealed_hits_the_exact_averaged_law(seed):
+    # n = 3 and every degree 2: A_t, the mean of P^t over the 720
+    # matchings, is the exact annealed law, and max_x TV(delta_x A_t, mu_in)
+    # is 0, 2/15, 1/30 and 1/12 at t = 1..4
+    seq = validate_degrees("dcm", [2] * 3, [2] * 3)
+    envs, mu = _every_matching_walk(seq), in_degree_distribution(seq)
+    exact, powers = [], envs
+    for _ in range(4):
+        exact.append(0.5 * np.abs(powers.mean(axis=0) - mu).sum(axis=1).max())
+        powers = powers @ envs
+    assert np.allclose(exact, [0, 2 / 15, 1 / 30, 1 / 12], rtol=0, atol=1e-12)
+    report = annealed_check(cfg_for(seq, root_seed=seed, env_samples=4000,
+                                    start_vertices="all"), [1, 2, 3, 4])
+    for row, want in zip(report.rows, exact):
+        assert abs(row.estimate - want) <= 3 * row.std_err, (
+            f"t {row.abscissa:g}: {row.estimate:.4f} +- {row.std_err:.4f}, "
+            f"exact {want:.4f}")
+
+
 def test_crosscheck_hits_the_exact_regenerating_law():
     # n = 3 and every degree 2: the 720 stub matchings are equally likely,
     # so A_j = E[P^j] is exact.  The walker holds on a refresh step, so the
@@ -313,9 +339,7 @@ def test_crosscheck_hits_the_exact_regenerating_law():
     # for S = P_sigma; the sampled estimate must sit within 3 std_err of
     # TV(E_t, mu_in).  exact is the no-refresh term alone.
     seq = validate_degrees("dcm", [2] * 3, [2] * 3)
-    stubs = np.array(list(itertools.permutations(range(seq.m))))
-    envs = _walk_matrices(seq, seq.head_slots[stubs])
-    mu = in_degree_distribution(seq)
+    envs, mu = _every_matching_walk(seq), in_degree_distribution(seq)
     seed, x = 2019, 0
     sigma = _walk_matrices(seq, sample_digraph(
         seq, RngStream(seed).lane(_LANE_ENV_A, 0)).heads[None])[0]

@@ -12,7 +12,9 @@ Wrong duck types are out of scope: an object of another type where a
 library object goes, such as a dict where a ``DegreeSequence`` goes or
 an int where an ``RngStream`` goes.  NOT_DATA lists the exports that
 take nothing else, with result records and exception classes, so every
-export is classified.
+export is classified.  UNEXPORTED names the one public ``walk`` function
+the catalogue also covers: ``grouped_time_averaged_rows``, which serves
+every grid of joint rows that ``time_averaged_row`` takes one row of.
 """
 
 import math
@@ -36,8 +38,9 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     sample_trajectory, solve_replicates,
                     static_cutoff_profile, stationary_diagnostics,
                     stationary_distribution, stationary_gap_report,
-                    theory_curve, time_averaged_row, time_averaged_rows,
-                    tv_distance, validate_degrees, widespread_stats)
+                    theory_curve, time_averaged_row, tv_distance,
+                    validate_degrees, widespread_stats)
+from mixlab.walk import grouped_time_averaged_rows
 
 MALFORMED = {
     "nan": math.nan,
@@ -146,6 +149,7 @@ SLOTS = {
     "RngStream.lanes.ks": lambda v: list(RngStream(1).lanes(1, v)),
     # sampler
     "digraph_from_json.text": lambda v: digraph_from_json(v),
+    "Digraph.out_edges.x": lambda v: G1.out_edges(v),
     # stationary
     "stationary_distribution.tol": lambda v: stationary_distribution(
         K1, tol=v, budget=budget()),
@@ -164,6 +168,7 @@ SLOTS = {
         MIX, 2, RngStream(1), max_iters=v, budget=budget()),
     # walk
     "OperationBudget.cap": lambda v: OperationBudget(v),
+    "OperationBudget.charge.ops": lambda v: budget().charge(v),
     "TransitionKernel.matrix": lambda v: TransitionKernel(v),
     "delta_at.x": lambda v: delta_at(v, REG.n),
     "delta_at.n": lambda v: delta_at(0, v),
@@ -178,10 +183,10 @@ SLOTS = {
     "double_row.x": lambda v: double_row(v, 1, 2, K1, K2, budget()),
     "double_row.s": lambda v: double_row(0, v, 2, K1, K2, budget()),
     "double_row.t": lambda v: double_row(0, 1, v, K1, K2, budget()),
-    "time_averaged_rows.x": lambda v: time_averaged_rows(v, [2], K1, K2,
-                                                         budget()),
-    "time_averaged_rows.times": lambda v: time_averaged_rows(0, v, K1, K2,
-                                                             budget()),
+    "grouped_time_averaged_rows.x": lambda v: grouped_time_averaged_rows(
+        v, [2], K1, [K2], budget()),
+    "grouped_time_averaged_rows.times": lambda v: grouped_time_averaged_rows(
+        0, v, K1, [K2], budget()),
     "time_averaged_row.t": lambda v: time_averaged_row(0, v, K1, K2,
                                                        budget()),
     "sample_paths.xs": lambda v: sample_paths(v, 1, 2, G1, G2, RngStream(1)),
@@ -206,11 +211,13 @@ ACCEPTED = {
     ("RngStream.lanes.which", "huge"): SEED,
     ("RngStream.lanes.ks", "empty"): "no offsets key no streams",
     ("sample_paths.xs", "empty"): "no starts walk no paths",
-    ("time_averaged_rows.times", "empty"): "no times give no rows",
+    ("grouped_time_averaged_rows.times", "empty"): "no times give no rows",
     ("ExperimentConfig.tol", "fraction"): LOOSE_TOL,
     ("stationary_distribution.tol", "fraction"): LOOSE_TOL,
     ("solve_replicates.tol", "fraction"): LOOSE_TOL,
     ("OperationBudget.cap", "fraction"): "a cap is any real in (0, inf)",
+    ("OperationBudget.charge.ops", "fraction"):
+        "work charged is any real in [0, inf]",
     ("ExperimentConfig.max_iters", "none"): DEFAULT,
     ("stationary_distribution.max_iters", "none"): DEFAULT,
     ("estimate_stationary_gap.max_iters", "none"): DEFAULT,
@@ -237,16 +244,19 @@ NOT_DATA = {
     "entropic_scale", "in_degree_distribution", "gamma_hat",
     "joint_relaxation_curve", "static_cutoff_profile",
     "stationary_diagnostics", "kernel_from_digraph",
-    "sample_tables", "sample_digraph", "sample_dcm", "sample_ocm",
+    "sample_tables", "sample_digraph", "sample_dcm",
     "digraph_to_json", "diagnostics_csv_text", "path_log_weight",
     # records the package returns
     "DegreeSequence", "EntropicScale", "CrosscheckResult",
-    "PathWeightResult", "ExperimentReport", "ReportRow", "Digraph",
+    "PathWeightResult", "ExperimentReport", "ReportRow",
     "DiagnosticsRow", "GapEstimate", "StationaryResult", "WidespreadStats",
     "Trajectory",
     # constants
     "DIST_TOL", "LANE",
 }
+
+
+UNEXPORTED = {"grouped_time_averaged_rows"}
 
 
 def _named(slot):
@@ -259,7 +269,8 @@ def test_every_export_is_classified():
                   and issubclass(getattr(mixlab, name), Exception)}
     covered = {_named(slot) for slot in SLOTS}
     assert covered.isdisjoint(NOT_DATA)
-    assert covered | NOT_DATA | exceptions == set(mixlab.__all__)
+    assert UNEXPORTED <= covered and UNEXPORTED.isdisjoint(mixlab.__all__)
+    assert covered - UNEXPORTED | NOT_DATA | exceptions == set(mixlab.__all__)
     assert set(ACCEPTED) <= {(slot, name) for slot in SLOTS
                              for name in MALFORMED}
 

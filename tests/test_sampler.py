@@ -12,10 +12,9 @@ import pytest
 from scipy import stats
 
 from mixlab import (RngStream, digraph_from_json, digraph_to_json, sample_dcm,
-                    sample_digraph, sample_ocm, sample_tables, sampler,
-                    validate_degrees)
+                    sample_digraph, sample_tables, sampler, validate_degrees)
 from mixlab.core import index_dtype_for
-from mixlab.errors import BadValue
+from mixlab.errors import BadRange, BadValue
 
 
 TRIPLE = validate_degrees("dcm", [2, 2, 2], [2, 2, 2])
@@ -107,7 +106,7 @@ def test_ocm_targets_are_distinct_and_uniform():
     counts = Counter()
     samples = 3000
     for r in range(samples):
-        g = sample_ocm(seq, RngStream(7, r))
+        g = sample_digraph(seq, RngStream(7, r))
         row = g.out_edges(0)
         assert len(set(row.tolist())) == 2
         counts[frozenset(row.tolist())] += 1
@@ -120,12 +119,12 @@ def test_ocm_targets_are_distinct_and_uniform():
 
 def test_ocm_handles_degrees_near_n():
     seq = validate_degrees("ocm", [4, 5, 4, 2, 3])
-    g = sample_ocm(seq, RngStream(3))
+    g = sample_digraph(seq, RngStream(3))
     for x in range(5):
         row = g.out_edges(x).tolist()
         assert len(set(row)) == len(row)
     full = validate_degrees("ocm", [5] * 5)
-    g2 = sample_ocm(full, RngStream(4))
+    g2 = sample_digraph(full, RngStream(4))
     for x in range(5):
         assert sorted(g2.out_edges(x).tolist()) == [0, 1, 2, 3, 4]
 
@@ -153,11 +152,30 @@ def whole_block_ocm_heads(seq, stream):
     else:
         for x in np.nonzero(bad)[0]:
             d = int(degs[x])
-            picks = set()
+            picks = {}
             while len(picks) < d:
-                picks.add(int(gen.integers(0, n)))
-            draws[x, :d] = sorted(picks)
+                picks[int(gen.integers(0, n))] = None
+            draws[x, :d] = list(picks)
     return draws[mask]
+
+
+class _RepeatingBlocks:
+    """A generator whose block draws are all zeros, so every row repeats,
+    and whose scalar draws come from a script."""
+
+    def __init__(self, scalars):
+        self.scalars = iter(scalars)
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        return next(self.scalars) if size is None else np.zeros(size, dtype)
+
+
+def test_fallback_ocm_rows_keep_their_draw_order():
+    # a row past the 64 rounds takes its targets in order of first draw, as
+    # every accepted row keeps its draw order; they were sorted before
+    gen = _RepeatingBlocks([3, 1, 3, 0, 2])
+    rows = sampler._distinct_rows(gen, 4, 1, 4)
+    assert rows.tolist() == [[3, 1, 0, 2]]
 
 
 def test_regular_ocm_draws_the_whole_block_samplers_graphs():
@@ -167,7 +185,7 @@ def test_regular_ocm_draws_the_whole_block_samplers_graphs():
         seq = validate_degrees("ocm", [d] * n)
         for seed in range(10):
             stream = RngStream(seed, 3)
-            assert np.array_equal(sample_ocm(seq, stream).heads,
+            assert np.array_equal(sample_digraph(seq, stream).heads,
                                   whole_block_ocm_heads(seq, stream))
 
 
@@ -179,7 +197,7 @@ def test_ocm_memory_is_linear_with_a_hub():
         seq = validate_degrees("ocm", [1000] + [2] * (n - 1))
     tracemalloc.start()
     try:
-        g = sample_ocm(seq, RngStream(1))
+        g = sample_digraph(seq, RngStream(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,10 +287,7 @@ def test_sampling_is_deterministic_per_stream():
 
 
 def test_model_dispatch_guards():
-    dcm = validate_degrees("dcm", [2, 2], [2, 2])
     ocm = validate_degrees("ocm", [2, 2, 2])
-    with pytest.raises(BadValue):
-        sample_ocm(dcm, RngStream(0))
     with pytest.raises(BadValue):
         sample_dcm(ocm, RngStream(0))
 
@@ -283,9 +298,23 @@ def _graph_from_edges(out_edges, model="dcm"):
     return digraph_from_json(json.dumps(doc))
 
 
+def test_out_edges_reads_its_vertex():
+    g = sample_digraph(validate_degrees("dcm", [2, 3, 2], [3, 2, 2]),
+                       RngStream(5))
+    # -1 read as an empty list, and 3 and True raised outside the package
+    for bad, error in ((-1, BadRange), (3, BadRange), (True, BadValue),
+                       (1.5, BadValue), ("1", BadValue)):
+        with pytest.raises(error):
+            g.out_edges(bad)
+    assert np.array_equal(g.out_edges(1.0), g.heads[2:5])
+    assert np.array_equal(g.out_edges(np.int32(2)), g.heads[5:])
+
+
 def test_json_round_trip():
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
     g = sample_digraph(seq, RngStream(5, 9))
+    assert json.loads(digraph_to_json(g))["out_edges"] == [
+        g.out_edges(x).tolist() for x in range(g.n)]
     back = digraph_from_json(digraph_to_json(g))
     assert np.array_equal(back.heads, g.heads)
     assert np.array_equal(back.offsets, g.offsets)
@@ -299,7 +328,7 @@ def test_json_round_trip():
 def test_heads_are_held_in_the_index_dtype():
     dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
     ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
-    graphs = [sample_dcm(dcm, RngStream(1)), sample_ocm(ocm, RngStream(1))]
+    graphs = [sample_dcm(dcm, RngStream(1)), sample_digraph(ocm, RngStream(1))]
     graphs += [digraph_from_json(digraph_to_json(g)) for g in graphs]
     for g in graphs:
         assert g.heads.dtype == index_dtype_for(g.seq.m) == np.int32

@@ -16,7 +16,7 @@ from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
                     path_log_weights, propagate, sample_dcm, sample_digraph,
                     sample_paths, sample_tables, sample_trajectory,
                     stationary_distribution, time_averaged_row,
-                    time_averaged_rows, tv_distance, validate_degrees)
+                    tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab import walk
 from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
@@ -32,6 +32,12 @@ def _graph_from_edges(out_edges, model="dcm"):
 
 def drift_tally(ledger):
     return ledger.renormalizations, ledger.max_drift
+
+
+def rows_by_time(x, times, k_sigma, k_eta, budget=None):
+    """{t: row} of ``grouped_time_averaged_rows`` with the one eta k_eta."""
+    return {t: row for t, _, row in grouped_time_averaged_rows(
+        x, times, k_sigma, [k_eta], budget)}
 
 
 def random_kernel_pair(seed, n=8, d=3):
@@ -408,8 +414,8 @@ def test_time_averaged_row_needs_a_positive_time():
     with pytest.raises(BadRange):
         time_averaged_row(0, 0, k1, k2)
     with pytest.raises(BadRange):
-        time_averaged_rows(0, [3, 0], k1, k2)
-    assert time_averaged_rows(0, [], k1, k2) == {}
+        rows_by_time(0, [3, 0], k1, k2)
+    assert rows_by_time(0, [], k1, k2) == {}
 
 
 def test_time_averaged_rows_equal_separate_calls_bitwise():
@@ -417,7 +423,7 @@ def test_time_averaged_rows_equal_separate_calls_bitwise():
         _, _, k1, k2 = random_kernel_pair(seed, n=7, d=3)
         grid = [5, 1, 5, 3, 8]
         budget = OperationBudget()
-        rows = time_averaged_rows(2, grid, k1, k2, budget=budget)
+        rows = rows_by_time(2, grid, k1, k2, budget=budget)
         assert sorted(rows) == [1, 3, 5, 8]
         for t in grid:
             assert np.array_equal(rows[t], time_averaged_row(2, t, k1, k2))
@@ -439,7 +445,7 @@ def test_grouped_rows_equal_separate_calls_bitwise(seq):
     assert [(t, e) for t, e, _ in got] == [(t, e) for t in (1, 3, 6)
                                            for e in range(3)]
     for e, k_eta in enumerate(k_etas):
-        want = time_averaged_rows(4, grid, k_sigma, k_eta, alone)
+        want = rows_by_time(4, grid, k_sigma, k_eta, alone)
         for t, _, row in got[e::3]:
             assert np.array_equal(row, want[t])
     # sigma is walked once for the group, not once per eta
@@ -791,9 +797,8 @@ COUNTED_RUNS = {
                                                  budget=b),
     "propagate-block": lambda ks, ke, b: propagate(
         np.full((ks.n, 3), 1.0 / ks.n), ks, 4, budget=b),
-    "rows-t1": lambda ks, ke, b: time_averaged_rows(0, [1], ks, ke, budget=b),
-    "rows-t6": lambda ks, ke, b: time_averaged_rows(0, [2, 6], ks, ke,
-                                                    budget=b),
+    "rows-t1": lambda ks, ke, b: rows_by_time(0, [1], ks, ke, budget=b),
+    "rows-t6": lambda ks, ke, b: rows_by_time(0, [2, 6], ks, ke, budget=b),
     "rows-grouped": lambda ks, ke, b: {
         (t, e): row for t, e, row in grouped_time_averaged_rows(
             0, [2, 6], ks, [ke, ks, ke], budget=b)},
@@ -863,7 +868,7 @@ def test_a_vertex_must_be_an_integer(bad):
             double_row(bad, s, t, k1, k2)
     ledger = OperationBudget()
     with pytest.raises(BadValue):
-        time_averaged_rows(bad, [2], k1, k2, ledger)
+        rows_by_time(bad, [2], k1, k2, ledger)
     assert ledger.used == 0     # refused before any work is charged
 
 
@@ -875,8 +880,8 @@ def test_walk_times_and_starts_must_be_integers():
              lambda: sample_paths([0, 1], 0.5, 2, g1, g2, stream),
              lambda: sample_paths([0, 1], 1, 2.5, g1, g2, stream),
              lambda: sample_trajectory(0, 1, "2", g1, g2, stream),
-             lambda: time_averaged_rows(0, [2.5], k1, k2),
-             lambda: time_averaged_rows(0, ["2"], k1, k2),
+             lambda: rows_by_time(0, [2.5], k1, k2),
+             lambda: rows_by_time(0, ["2"], k1, k2),
              lambda: double_row(0, 1.5, 3, k1, k2),
              lambda: double_row(0, 1, math.nan, k1, k2)]
     for case in cases:
@@ -884,14 +889,14 @@ def test_walk_times_and_starts_must_be_integers():
             case()
     ledger = OperationBudget()
     with pytest.raises(BadRange):
-        time_averaged_rows(99, [3], k1, k2, ledger)
+        rows_by_time(99, [3], k1, k2, ledger)
     assert ledger.used == 0
     # integral floats and numpy integers are vertices and times
     assert np.array_equal(delta_at(2.0, 4), delta_at(2, 4))
     assert np.array_equal(delta_at(np.int32(2), 4), delta_at(2, 4))
     assert np.array_equal(double_row(0, 1.0, 3.0, k1, k2),
                           double_row(0, 1, 3, k1, k2))
-    assert np.array_equal(time_averaged_rows(0, [2.0], k1, k2)[2],
+    assert np.array_equal(rows_by_time(0, [2.0], k1, k2)[2],
                           time_averaged_row(0, 2, k1, k2))
 
 
@@ -990,7 +995,7 @@ def test_walk_counts_and_starts_refuse_bools():
              lambda: sample_trajectory(0, 1, True, g1, g2, stream),
              lambda: double_row(0, True, 3, k1, k2),
              lambda: double_row(0, 1, True, k1, k2),
-             lambda: time_averaged_rows(0, [True, 2], k1, k2)]
+             lambda: rows_by_time(0, [True, 2], k1, k2)]
     for case in cases:
         with pytest.raises(BadValue):
             case()
@@ -1164,6 +1169,21 @@ def test_a_one_graph_kernel_copies_none_of_its_rows():
         assert np.shares_memory(heads, g.heads)
         assert (head_stubs is None if g.head_stubs is None
                 else np.shares_memory(head_stubs, g.head_stubs))
+
+
+def test_every_table_kernel_builds_its_transpose_through_the_property(
+        monkeypatch):
+    # kernel_from_tables builds at once, but by reading ``transpose``, so
+    # a wrapper of the property sees every P^T built from tables
+    built = []
+    build = TransitionKernel.transpose.fget
+    monkeypatch.setattr(TransitionKernel, "transpose", property(
+        lambda kernel: built.append(kernel) or build(kernel)))
+    for seq in TABLE_SEQS:
+        heads, stubs = sample_tables(seq, list(RngStream(3).lanes(1, range(2))))
+        kernel = kernel_from_tables(seq, heads, stubs)
+        assert built == [kernel] and kernel._rows is None
+        built.clear()
 
 
 def test_a_kernel_lets_its_tables_go_once_its_transpose_is_built():
