@@ -34,10 +34,9 @@ from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          solve_replicates, stationary_distribution,
                          widespread_stats)
 from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
-                   double_row, kernel_from_digraph, kernel_from_tables,
-                   one_step_laws, path_log_weight,
-                   path_log_weights, propagate, sample_paths,
-                   sample_trajectory, time_averaged_row)
+                   double_row, kernel_from_digraph, one_step_laws,
+                   path_log_weight, path_log_weights, propagate,
+                   sample_paths, sample_trajectory, time_averaged_row)
 
 __version__ = "0.1.0"
 

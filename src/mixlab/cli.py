@@ -22,7 +22,7 @@ from typing import (List, Optional, Sequence, Union, get_args, get_origin,
 
 import numpy as np
 
-from .core import (ModelKind, count_at_least, json_object,
+from .core import (ModelKind, allocating, count_at_least, json_object,
                    load_degree_sequence, validate_degrees)
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
@@ -228,21 +228,20 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
             raise BadGeneratorSyntax(f"bad degree {body!r}") from exc
         if n is None:
             raise MissingRequired("regular:D needs --n")
-        n = count_at_least(n, 1, "--n")
-        out = np.full(n, d, dtype=np.int64)
-        in_deg = out.copy() if model is ModelKind.DCM else None
-        return validate_degrees(model, out, in_deg)
-    if kind in ("mix", "eulerian"):
+        blocks = [(d, count_at_least(n, 1, "--n"))]
+    elif kind in ("mix", "eulerian"):
         blocks = _parse_blocks(body)
+    else:
+        raise BadGeneratorSyntax(f"unknown generator kind {kind!r}")
+    with allocating(f"the degrees of {sum(k for _, k in blocks)} vertices"):
         out = np.concatenate([np.full(k, d, dtype=np.int64)
                               for d, k in blocks])
-        if model is ModelKind.OCM:
-            return validate_degrees(model, out, None)
-        if kind == "eulerian":
-            return validate_degrees(model, out, out.copy())
-        gen = RngStream(root_seed).lane(DEGREE_LANE).generator()
-        return validate_degrees(model, out, gen.permutation(out))
-    raise BadGeneratorSyntax(f"unknown generator kind {kind!r}")
+    if model is ModelKind.OCM:
+        return validate_degrees(model, out, None)
+    if kind != "mix":   # regular and eulerian: in-degree is out-degree
+        return validate_degrees(model, out, out.copy())
+    gen = RngStream(root_seed).lane(DEGREE_LANE).generator()
+    return validate_degrees(model, out, gen.permutation(out))
 
 
 def _read(path: str, what: str) -> bytes:

@@ -13,7 +13,9 @@ import enum
 import json
 import math
 import numbers
+import reprlib
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -209,7 +211,7 @@ def real_in(value, low, high, name: str, ends: str = "()") -> float:
     if not ((low <= x if ends[0] == "[" else low < x)
             and (x <= high if ends[1] == "]" else x < high)):
         raise BadValue(f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, "
-                       f"got {value!r}")
+                       f"got {reprlib.repr(value)}")
     return x
 
 
@@ -217,8 +219,18 @@ def one_of(value, names, name: str, error=BadValue) -> str:
     """value if it is one of the strings names; otherwise ``error``, also
     for a non-string such as an array, which is never compared."""
     if not (isinstance(value, str) and value in names):
-        raise error(f"{name} must be one of {tuple(names)}, got {value!r}")
+        raise error(f"{name} must be one of {tuple(names)}, "
+                    f"got {reprlib.repr(value)}")
     return value
+
+
+@contextmanager
+def allocating(what: str):
+    """Run a block that allocates what; numpy's refusal ends in BadRange."""
+    try:
+        yield
+    except (ValueError, MemoryError):   # past numpy's size limit or memory
+        raise BadRange(f"{what} would not fit in memory") from None
 
 
 def law_array(values, name: str, ndim: Optional[int] = None) -> np.ndarray:

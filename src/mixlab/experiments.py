@@ -16,9 +16,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DegreeSequence, count_at_least, entropic_scale,
-                   in_degree_distribution, integer_in, integers_in,
-                   mean_std_err, one_of, real_in, tv_distance)
+from .core import (DegreeSequence, allocating, count_at_least,
+                   entropic_scale, in_degree_distribution, integer_in,
+                   integers_in, mean_std_err, one_of, real_in, tv_distance)
 from .errors import AllReplicatesFailed, BadCurveName, BadValue, NotConverged
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream, shared_generator
@@ -27,8 +27,8 @@ from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    grouped_time_averaged_rows, kernel_from_digraph,
-                   kernel_from_tables, one_step_laws, propagate,
-                   refreshed_kernels, sample_path_log_weights)
+                   one_step_laws, propagate, refreshed_kernels,
+                   sample_path_log_weights)
 
 # Refresh-intensity thresholds: outside (GAMMA_LOW, GAMMA_HIGH) the run is
 # reported against the corresponding limit-regime curve.
@@ -125,7 +125,8 @@ class ExperimentConfig:
         object.__setattr__(self, "env_samples",
                            count_at_least(self.env_samples, 1, "env_samples"))
         if not np.iterable(self.beta_grid):
-            raise BadValue(f"beta_grid {self.beta_grid!r} is not a sequence")
+            raise BadValue(f"beta_grid must be a sequence, not "
+                           f"{type(self.beta_grid).__name__}")
         for b in self.beta_grid:
             real_in(b, 0, math.inf, "beta_grid entry", "[)")
 
@@ -320,7 +321,7 @@ def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
     def one(item):
         lo, batch = item
         heads, head_stubs = sample_tables(seq, batch)
-        kernel = (kernel_from_tables(seq, heads, head_stubs)
+        kernel = (TransitionKernel(rows=(seq, heads, head_stubs))
                   if ts[-1] >= 2 else None)
         b = len(batch)
         laws = np.empty((b, len(ts), width, n))
@@ -900,8 +901,9 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     g_eta = sample_digraph(seq, base.lane(_LANE_ENV_B, 0))
 
     start_gen = base.lane(_LANE_STARTS).generator()
-    xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
-    log_weights = np.empty(traj_samples)
+    with allocating(f"{traj_samples} trajectories"):
+        xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
+        log_weights = np.empty(traj_samples)
     ledger = as_ledger(budget)
     for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
         hi = min(lo + _PATH_BLOCK, traj_samples)

@@ -32,6 +32,7 @@ other draws.
 from __future__ import annotations
 
 import numbers
+import reprlib
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Union
@@ -91,7 +92,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _index(value, name: str) -> int:
     """A seed or stream index: a nonnegative int, never a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise BadValue(f"{name} must be an integer, got {value!r}")
+        raise BadValue(f"{name} must be an integer, got {reprlib.repr(value)}")
     if value < 0:
         raise BadRange(f"{name} must be nonnegative, got {value}")
     return int(value)

@@ -2,8 +2,9 @@
 
 ``sample_tables`` is the one sampler: it draws B environments, one per
 stream, into (B, m) tables of heads and, for DCM, matchings, with no
-object per environment.  ``sample_digraph`` wraps its one-row case as a
-``Digraph``, and ``sample_dcm`` is ``sample_digraph`` for a DCM sequence.
+object per environment; ``sample_matchings`` draws its DCM matchings
+alone.  ``sample_digraph`` wraps its one-row case as a ``Digraph``, and
+``sample_dcm`` is ``sample_digraph`` for a DCM sequence.
 """
 
 from __future__ import annotations
@@ -84,23 +85,28 @@ def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
     and their sorted copies take O(m) memory whatever the largest degree.
     A regular sequence is a single class drawn as one (n, d) block.
     """
-    shape = (len(streams), seq.m)
     if seq.model is ModelKind.DCM:
-        # intp, so indexing with the matching converts nothing
-        head_stubs = np.empty(shape, dtype=np.intp)
-        head_stubs[:] = np.arange(seq.m)
-        for row, stream in zip(head_stubs, streams):
-            shared_generator(stream).shuffle(row)
+        head_stubs = sample_matchings(seq.m, streams)
         return np.take(seq.head_slots, head_stubs), head_stubs
     degs = seq.out_degrees
     classes = [(d, seq.out_offsets[np.flatnonzero(degs == d)][:, None]
                 + np.arange(d)) for d in np.unique(degs).tolist()]
-    heads = np.empty(shape, dtype=index_dtype_for(seq.m))
+    heads = np.empty((len(streams), seq.m), dtype=index_dtype_for(seq.m))
     for row, stream in zip(heads, streams):
         gen = shared_generator(stream)
         for d, slots in classes:
             row[slots] = _distinct_rows(gen, seq.n, len(slots), d)
     return heads, None
+
+
+def sample_matchings(m: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """``sample_tables``' (B, m) DCM matchings, with no heads gathered."""
+    # intp, so indexing with a matching converts nothing
+    head_stubs = np.empty((len(streams), m), dtype=np.intp)
+    head_stubs[:] = np.arange(m)
+    for row, stream in zip(head_stubs, streams):
+        shared_generator(stream).shuffle(row)
+    return head_stubs
 
 
 def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:

@@ -9,19 +9,18 @@ self-loops sit on the diagonal.  P^T is the one matrix a kernel stores;
 P is a zero-copy view of it.  Digraphs on one degree sequence can share
 one block-diagonal kernel, through which propagate moves a whole (n, k)
 block of laws by one product per step.  One builder makes every P^T,
-from (B, m) tables of heads and DCM matchings: ``kernel_from_digraph``
-hands it one digraph's rows and builds on first use, ``kernel_from_tables``
-hands it a batch drawn by ``sampler.sample_tables`` and builds at once,
-so a batch of environments needs no digraph object each.  scipy.sparse
-is imported by that builder, so a run that builds no kernel never loads
-it.  A batch's first step needs no kernel either: ``one_step_laws``
-reads each delta_x P_e straight from the heads table, one weight
-1/out-degree(x) per out-edge of x, bitwise the law one product would give.
+from (B, m) tables of heads and DCM matchings, and a kernel runs it as
+it is made: ``TransitionKernel(rows=...)`` takes a batch drawn by
+``sampler.sample_tables``, with no digraph object each, and
+``kernel_from_digraph`` one digraph's rows.  scipy.sparse is imported by
+that builder, so a run that builds no kernel never loads it.  A batch's
+first step needs no kernel either: ``one_step_laws`` reads each delta_x
+P_e straight from the heads table, one weight 1/out-degree(x) per
+out-edge of x, bitwise the law one product would give.
 ``refreshed_kernels`` draws environments one at a time, in stream order,
-and builds only the first DCM kernel: every later DCM P^T has the same
-shape and row pointer, so its indices and data are rewritten in place,
-through the builder's own scatter, gather and permutation check.  A
-kernel it yields is therefore valid only until the next is drawn.
+and builds only the first DCM kernel; every later one rewrites that P^T
+in place from its matching alone, through the builder's scatter, gather
+and permutation check, so a kernel it yields holds until the next is drawn.
 
 Switch-time-averaged rows are Horner passes: ``grouped_time_averaged_rows``
 yields the row of every grid time and every eta kernel of a group from
@@ -48,11 +47,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (DIST_TOL, DegreeSequence, count_at_least, index_dtype_for,
-                   integer_in, integers_in, law_array, real_in)
+from .core import (DIST_TOL, DegreeSequence, ModelKind, allocating,
+                   count_at_least, index_dtype_for, integer_in, integers_in,
+                   law_array, real_in)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
-from .sampler import Digraph, sample_tables
+from .sampler import Digraph, sample_matchings, sample_tables
 
 if TYPE_CHECKING:   # imported by the P^T builder, so a run without a kernel
     from scipy.sparse import csc_matrix, csr_matrix     # never loads scipy
@@ -112,16 +112,15 @@ class TransitionKernel:
     one block-diagonal kernel whose block e, on vertices [e n, (e + 1) n),
     is the walk on row e's digraph, so one product steps the whole batch.
     ``blocks`` counts them (1 for a matrix).  The kernel stores one
-    matrix, ``transpose`` (P^T, what propagation multiplies by): a kernel
-    of rows builds it on first use and caches it, a matrix kernel builds
-    it from P at once and keeps no copy of P.  Once P^T is built, a kernel
-    of rows lets its tables go, so a held kernel costs P^T alone.
-    ``nnz`` counts stored entries, so a kernel of rows has nnz == blocks * m.
-    A matrix that is not sparse or not square, or tables not (B, m) with
-    B >= 1, ragged ones included, raise BadValue; an out-list head outside
-    [0, n), or a matching row that is not a permutation of [0, m), BadRange
-    as P^T is built.  Heads are trusted to be a matching's head slots, as
-    ``sample_tables`` makes them, so one-row builds pay no check for it.
+    matrix, ``transpose`` (P^T, what propagation multiplies by), built
+    here: from P, keeping no copy of it, or from the rows, by reading the
+    ``transpose`` property, after which the kernel lets its tables go, so
+    a held kernel costs P^T alone.  ``nnz`` counts stored entries, so a
+    kernel of rows has nnz == blocks * m.  A matrix that is not sparse or
+    not square, tables not (B, m) with B >= 1, ragged ones included, and
+    DCM heads that are not the matching's head slots (``one_step_laws``
+    reads the heads) raise BadValue; an out-list head outside [0, n), or a
+    matching row that is not a permutation of [0, m), BadRange.
     """
 
     def __init__(self, matrix: Optional[csr_matrix] = None,
@@ -150,6 +149,10 @@ class TransitionKernel:
             self._rows, self._transpose = (seq, heads, head_stubs), None
             self.blocks = shape[0]
             self.n, self.nnz = self.blocks * seq.n, self.blocks * seq.m
+            self.transpose      # built now, and the kernel lets its tables go
+            if (head_stubs is not None
+                    and (heads != seq.head_slots[head_stubs]).any()):
+                raise BadValue("heads are not the matching's head slots")
 
     @property
     def matrix(self) -> csc_matrix:
@@ -251,53 +254,33 @@ def refreshed_kernels(seq: DegreeSequence, streams: Iterable[RngStream]
 
     A DCM one-row P^T always has shape n x n and the row pointer
     ``seq.in_offsets``, so only the first DCM kernel is built; each later
-    one rewrites that P^T's indices and data in place.  An OCM row pointer
+    one draws its matching alone (``sampler.sample_matchings``) and
+    rewrites that P^T's indices and data in place.  An OCM row pointer
     changes with each draw, so OCM kernels are built afresh.  A yielded
     kernel is valid only until the next one is drawn.
     """
     kernel = None
     for stream in streams:
-        heads, head_stubs = sample_tables(seq, (stream,))
-        if kernel is None or head_stubs is None:
-            kernel = TransitionKernel(rows=(seq, heads, head_stubs))
+        if kernel is None or seq.model is ModelKind.OCM:
+            kernel = TransitionKernel(rows=(seq,
+                                            *sample_tables(seq, (stream,))))
             pt = kernel.transpose
         else:
-            _matched_entries(seq, head_stubs, pt.indices[None],
-                             pt.data[None])
+            _matched_entries(seq, sample_matchings(seq.m, (stream,)),
+                             pt.indices[None], pt.data[None])
         yield kernel
 
 
 def kernel_from_digraph(g: Digraph) -> TransitionKernel:
     """Walk kernel of g: each out-edge of x carries 1/out-degree(x).
 
-    Nothing is built here: g's rows go to the kernel as one-row views,
-    and it builds P^T, one entry per edge, on first use, from g's matching
-    when g has one and from its out-lists otherwise.  g's heads are trusted
-    to be its matching's head slots, so the crosscheck pays no check.
+    g's rows go to the kernel as one-row views, and it builds P^T, one
+    entry per edge, from g's matching when g has one (checking g's heads
+    against it) and from its out-lists otherwise.
     """
     stubs = g.head_stubs
     return TransitionKernel(rows=(g.seq, g.heads[None],
                                   None if stubs is None else stubs[None]))
-
-
-def kernel_from_tables(seq: DegreeSequence, heads: np.ndarray,
-                       head_stubs: Optional[np.ndarray] = None
-                       ) -> TransitionKernel:
-    """The block-diagonal kernel of ``sampler.sample_tables``' (B, m)
-    tables, block e for row e, with P^T built here rather than on first
-    use: the batch walker builds one only for laws two or more steps out,
-    and uses it at once.  Built on first use inside the walker instead,
-    annealed on 3-regular n = 100 with 5000 environments (then walked on a
-    kernel from t = 1) took more CPU: median 0.10-0.12 s -> 0.14-0.16 s
-    over 20 alternating rounds (2 cores, numpy 2.4.6, scipy 1.17.1).
-    P^T comes from the matching and ``one_step_laws`` reads the heads, so
-    heads that are not the matching's head slots are BadValue."""
-    kernel = TransitionKernel(rows=(seq, heads, head_stubs))
-    _, heads, head_stubs = kernel._rows
-    kernel.transpose        # built now, and the kernel lets its tables go
-    if head_stubs is not None and (heads != seq.head_slots[head_stubs]).any():
-        raise BadValue("heads are not the matching's head slots")
-    return kernel
 
 
 def _renormalized(v: np.ndarray, budget: OperationBudget) -> np.ndarray:
@@ -425,11 +408,8 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
 def delta_at(x: int, n: int) -> np.ndarray:
     n = count_at_least(n, 1, "n")
     x = integer_in(x, 0, n, "vertex")
-    try:
+    with allocating(f"a law on {n} vertices"):
         v = np.zeros(n)
-    except (ValueError, MemoryError):   # past numpy's size limit or memory
-        raise BadRange(f"a law on {n} vertices does not fit in memory"
-                       ) from None
     v[x] = 1.0
     return v
 

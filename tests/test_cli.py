@@ -664,6 +664,19 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, flags):
     assert run_error(args, capsys) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["static-cutoff", "--generator", "regular:3", "--n", str(10**18),
+     "--beta-grid", "1"],
+    ["static-cutoff", "--generator", f"mix:3x{10**18}", "--beta-grid", "1"],
+    ["weight-lln", "--generator", "regular:3", "--n", "40", "--t", "4",
+     "--switch-time", "2", "--traj-samples", str(10**18)],
+], ids=["regular-size", "mix-block", "traj-samples"])
+def test_an_array_too_large_to_allocate_exits_1(tmp_path, capsys, args):
+    # 10**18 entries take 6.9 EiB, which no machine can map, so numpy
+    # refuses at once and nothing is allocated; each ended in a traceback
+    assert run_error([*args, "--out-dir", str(tmp_path)], capsys) == 1
+
+
 @pytest.mark.parametrize("experiment, flags", [
     ("static-cutoff", ["--beta-grid", "0.5"]),
     ("double-cutoff", ["--beta", "0.7", "--s-grid", "0,1"]),

@@ -736,13 +736,14 @@ SHORT_GRIDS = [(0,), (1,), (0, 1, 2), (1, 3, 9)]
 
 
 def _spy_on_kernels(monkeypatch):
-    """A list that gains an entry per kernel_from_tables call."""
-    calls, build = [], experiments.kernel_from_tables
+    """A list that gains each table kernel's block count as experiments
+    builds it."""
+    calls, build = [], experiments.TransitionKernel
 
-    def spy(*args):
-        calls.append(len(args[1]))
-        return build(*args)
-    monkeypatch.setattr(experiments, "kernel_from_tables", spy)
+    def spy(rows):
+        calls.append(len(rows[1]))
+        return build(rows=rows)
+    monkeypatch.setattr(experiments, "TransitionKernel", spy)
     return calls
 
 

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, issparse
 
-from mixlab import (ModelKind, NotConverged, OperationBudget, RngStream,
-                    TransitionKernel, delta_at, digraph_from_json,
+from mixlab import (Digraph, ModelKind, NotConverged, OperationBudget,
+                    RngStream, TransitionKernel, delta_at, digraph_from_json,
                     digraph_to_json, double_row, kernel_from_digraph,
-                    kernel_from_tables, one_step_laws, path_log_weight,
-                    path_log_weights, propagate, sample_dcm, sample_digraph,
-                    sample_paths, sample_tables, sample_trajectory,
+                    one_step_laws, path_log_weight, path_log_weights,
+                    propagate, sample_dcm, sample_digraph, sample_paths,
+                    sample_tables, sample_trajectory,
                     stationary_distribution, time_averaged_row,
                     tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
-from mixlab import walk
+from mixlab import sampler, walk
 from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
                          grouped_time_averaged_rows, refreshed_kernels,
                          sample_path_log_weights)
@@ -112,9 +112,9 @@ def test_kernel_stores_one_matrix_and_p_is_a_view_of_it():
     graphs = kernel_test_graphs()
     mat = csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     kernels = [kernel_from_digraph(g) for g in graphs]
-    # a digraph kernel builds its P^T on first use, not before
-    assert all(stored_matrices(k) == [] for k in kernels)
     kernels += [table_kernel(graphs[:3]), TransitionKernel(mat)]
+    # every kernel holds its one matrix from the moment it is made
+    assert all(len(stored_matrices(k)) == 1 for k in kernels)
     for k in kernels:
         p, pt = k.matrix, k.transpose
         assert stored_matrices(k) == [id(pt)]
@@ -141,8 +141,8 @@ def table_kernel(graphs):
     from their stacked heads and, when they have them, matchings."""
     heads = np.stack([g.heads for g in graphs])
     stubs = [g.head_stubs for g in graphs]
-    return kernel_from_tables(graphs[0].seq, heads,
-                              None if stubs[0] is None else np.stack(stubs))
+    stubs = None if stubs[0] is None else np.stack(stubs)
+    return TransitionKernel(rows=(graphs[0].seq, heads, stubs))
 
 
 def kernel_batches():
@@ -918,16 +918,15 @@ def test_kernel_refuses_malformed_input():
         # a dense matrix ended in AttributeError: no attribute 'tocsr'
         lambda: TransitionKernel(np.eye(3)),
         # a 1-d table built a 40-vertex kernel of 10 one-edge blocks
-        lambda: kernel_from_tables(seq, g.heads),
-        lambda: kernel_from_tables(seq, g.heads[None, :-1]),
-        lambda: kernel_from_tables(seq, two[:0]),
+        lambda: TransitionKernel(rows=(seq, g.heads, None)),
+        lambda: TransitionKernel(rows=(seq, g.heads[None, :-1], None)),
+        lambda: TransitionKernel(rows=(seq, two[:0], None)),
         # the build read the second block's tails from uninitialised memory
-        lambda: kernel_from_tables(seq, two, g.head_stubs[None]),
-        lambda: kernel_from_tables(seq, g.heads[None], g.head_stubs),
+        lambda: TransitionKernel(rows=(seq, two, g.head_stubs[None])),
+        lambda: TransitionKernel(rows=(seq, g.heads[None], g.head_stubs)),
         # np.shape of a ragged table ended in numpy's ValueError
-        lambda: kernel_from_tables(seq, ragged),
-        lambda: kernel_from_tables(seq, two, ragged),
         lambda: TransitionKernel(rows=(seq, ragged, None)),
+        lambda: TransitionKernel(rows=(seq, two, ragged)),
     ]
     for case in cases:
         with pytest.raises(BadValue):
@@ -940,29 +939,27 @@ def test_out_list_kernel_refuses_heads_outside_the_vertices(head):
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
     heads = np.zeros((2, seq.m), dtype=np.int32)
     heads[1, 5] = head
-    for kernel in (TransitionKernel(rows=(seq, heads, None)),
-                   TransitionKernel(rows=(seq, heads[1:], None))):
+    for table in (heads, heads[1:]):
         with pytest.raises(BadRange):
-            kernel.transpose
-    with pytest.raises(BadRange):
-        kernel_from_tables(seq, heads)
+            TransitionKernel(rows=(seq, table, None))
 
 
-def test_kernel_from_tables_refuses_heads_that_are_not_the_matching():
+def test_a_table_kernel_refuses_heads_that_are_not_the_matching():
     # heads and matching once gave two walks: vertex 0's out-edges are its
-    # two self-loops in the matching, and lead to 1 in the forged heads
+    # two self-loops in the matching, and lead to 1 in the forged heads,
+    # which one_step_laws reads
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
     heads, stubs = sample_tables(seq, [RngStream(3)])
     assert heads[0, :2].tolist() == [0, 0]
     forged = heads.copy()
     forged[0, :2] = 1
     assert one_step_laws(seq, forged, [[0]]).ravel().tolist() == [0, 1, 0, 0]
-    assert propagate(delta_at(0, 4), TransitionKernel(
-        rows=(seq, forged, stubs)), 1).tolist() == [1, 0, 0, 0]
     with pytest.raises(BadValue, match="head slots"):
-        kernel_from_tables(seq, forged, stubs)
-    assert propagate(delta_at(0, 4), kernel_from_tables(seq, heads, stubs),
-                     1).tolist() == [1, 0, 0, 0]
+        TransitionKernel(rows=(seq, forged, stubs))
+    with pytest.raises(BadValue, match="head slots"):
+        kernel_from_digraph(Digraph(seq, forged[0], RngStream(3), stubs[0]))
+    assert propagate(delta_at(0, 4), TransitionKernel(
+        rows=(seq, heads, stubs)), 1).tolist() == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("fault", ["repeat", "negative", "past_m"])
@@ -976,14 +973,11 @@ def test_matching_kernel_refuses_a_row_that_is_no_permutation(fault):
         stubs[0, stubs[0] == seq.m - 1] = -1
     else:
         stubs[0, 1] = stubs[0, 0] if fault == "repeat" else seq.m
-    for kernel in (TransitionKernel(rows=(seq, heads, stubs)),
-                   TransitionKernel(rows=(seq, heads[:1], stubs[:1]))):
+    for b in (2, 1):
         with pytest.raises(BadRange):
-            kernel.transpose
-    with pytest.raises(BadRange):
-        kernel_from_tables(seq, heads, stubs)
+            TransitionKernel(rows=(seq, heads[:b], stubs[:b]))
     # the other row is a matching, and builds alone
-    assert kernel_from_tables(seq, heads[1:], stubs[1:]).nnz == seq.m
+    assert TransitionKernel(rows=(seq, heads[1:], stubs[1:])).nnz == seq.m
 
 
 def test_walk_counts_and_starts_refuse_bools():
@@ -1082,10 +1076,10 @@ def test_table_rows_are_the_digraphs_of_their_streams(seq):
 
 
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
-def test_kernel_from_tables_equals_the_digraph_kernels_bitwise(seq):
+def test_table_kernels_equal_the_digraph_kernels_bitwise(seq):
     streams = list(RngStream(23).lanes(1, range(6)))
     for batch in (streams[:1], streams):
-        kernel = kernel_from_tables(seq, *sample_tables(seq, batch))
+        kernel = TransitionKernel(rows=(seq, *sample_tables(seq, batch)))
         b = len(batch)
         assert (kernel.blocks, kernel.n, kernel.nnz) == (b, b * seq.n,
                                                          b * seq.m)
@@ -1120,26 +1114,36 @@ def test_refreshed_kernels_equal_the_digraph_kernels_bitwise(seq):
     assert e == len(streams) - 1
 
 
+@pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
+def test_a_dcm_pass_gathers_heads_for_its_first_kernel_only(monkeypatch,
+                                                             seq):
+    # a rewrite reads its matching alone, so it draws no heads table
+    tables, draw = [], walk.sample_tables
+    monkeypatch.setattr(walk, "sample_tables", lambda seq, streams: (
+        tables.append(len(streams)) or draw(seq, streams)))
+    for _ in refreshed_kernels(seq, RngStream(29).lanes(5, range(7))):
+        pass
+    assert tables == [1] * (1 if seq.model is ModelKind.DCM else 7)
+
+
 @pytest.mark.parametrize("fault", ["repeat", "negative", "past_m"])
 def test_a_rewritten_kernel_refuses_a_row_that_is_no_permutation(
         monkeypatch, fault):
-    # the second environment's matching is broken as in
+    # the second environment's matching, the first one drawn alone for a
+    # rewrite, is broken as in
     # test_matching_kernel_refuses_a_row_that_is_no_permutation; its slot
     # left unwritten must not keep the first environment's tail
     seq = TABLE_SEQS[0]
-    drawn = []
 
-    def broken_second_row(seq, streams):
-        heads, stubs = sample_tables(seq, streams)
-        drawn.append(stubs)
-        if len(drawn) == 2:
-            if fault == "negative":
-                stubs[0, stubs[0] == seq.m - 1] = -1
-            else:
-                stubs[0, 1] = stubs[0, 0] if fault == "repeat" else seq.m
-        return heads, stubs
+    def broken_row(m, streams):
+        stubs = sampler.sample_matchings(m, streams)
+        if fault == "negative":
+            stubs[0, stubs[0] == m - 1] = -1
+        else:
+            stubs[0, 1] = stubs[0, 0] if fault == "repeat" else m
+        return stubs
 
-    monkeypatch.setattr(walk, "sample_tables", broken_second_row)
+    monkeypatch.setattr(walk, "sample_matchings", broken_row)
     kernels = refreshed_kernels(seq, RngStream(4).lanes(1, range(3)))
     next(kernels)
     with pytest.raises(BadRange):
@@ -1160,11 +1164,17 @@ def test_a_refreshed_kernel_holds_only_until_the_next_is_drawn():
     assert not np.array_equal(held.transpose.indices, first[0])
 
 
-def test_a_one_graph_kernel_copies_none_of_its_rows():
+def test_a_one_graph_kernel_copies_none_of_its_rows(monkeypatch):
+    # the P^T builder is handed views of g's rows
+    given, build = [], walk._transpose_matrix
+    monkeypatch.setattr(walk, "_transpose_matrix",
+                        lambda *rows: given.append(rows) or build(*rows))
     dcm, ocm = TABLE_SEQS[0], TABLE_SEQS[2]
     for g in (sample_digraph(dcm, RngStream(3)),
               sample_digraph(ocm, RngStream(3))):
-        seq, heads, head_stubs = kernel_from_digraph(g)._rows
+        kernel_from_digraph(g)
+        (seq, heads, head_stubs), = given
+        given.clear()
         assert seq is g.seq
         assert np.shares_memory(heads, g.heads)
         assert (head_stubs is None if g.head_stubs is None
@@ -1173,35 +1183,37 @@ def test_a_one_graph_kernel_copies_none_of_its_rows():
 
 def test_every_table_kernel_builds_its_transpose_through_the_property(
         monkeypatch):
-    # kernel_from_tables builds at once, but by reading ``transpose``, so
-    # a wrapper of the property sees every P^T built from tables
+    # the constructor builds at once, but by reading ``transpose``, so a
+    # wrapper of the property sees every P^T built from tables, once
     built = []
     build = TransitionKernel.transpose.fget
     monkeypatch.setattr(TransitionKernel, "transpose", property(
         lambda kernel: built.append(kernel) or build(kernel)))
     for seq in TABLE_SEQS:
         heads, stubs = sample_tables(seq, list(RngStream(3).lanes(1, range(2))))
-        kernel = kernel_from_tables(seq, heads, stubs)
-        assert built == [kernel] and kernel._rows is None
-        built.clear()
+        g = sample_digraph(seq, RngStream(3))
+        for make in (lambda: TransitionKernel(rows=(seq, heads, stubs)),
+                     lambda: kernel_from_digraph(g)):
+            kernel = make()
+            assert built == [kernel] and kernel._rows is None
+            built.clear()
 
 
 def test_a_kernel_lets_its_tables_go_once_its_transpose_is_built():
+    # every kernel of rows builds as it is made, so none holds its tables
     seq = TABLE_SEQS[0]
     kernel = kernel_from_digraph(sample_digraph(seq, RngStream(3)))
-    assert kernel._rows is not None
-    pt = kernel.transpose
-    assert kernel._rows is None and kernel.transpose is pt
+    assert kernel._rows is None and kernel.transpose is kernel.transpose
     heads, stubs = sample_tables(seq, list(RngStream(3).lanes(1, range(2))))
-    assert kernel_from_tables(seq, heads, stubs)._rows is None
+    assert TransitionKernel(rows=(seq, heads, stubs))._rows is None
 
 
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
 def test_list_tables_give_the_kernel_and_laws_of_their_arrays(seq):
     heads, stubs = sample_tables(seq, list(RngStream(6).lanes(1, range(3))))
     lists = (heads.tolist(), None if stubs is None else stubs.tolist())
-    got = kernel_from_tables(seq, *lists).transpose
-    want = kernel_from_tables(seq, heads, stubs).transpose
+    got = TransitionKernel(rows=(seq, *lists)).transpose
+    want = TransitionKernel(rows=(seq, heads, stubs)).transpose
     for a, b in ((got.data, want.data), (got.indices, want.indices),
                  (got.indptr, want.indptr)):
         assert np.array_equal(a, b)
@@ -1219,7 +1231,7 @@ def one_step_cases():
     for seq in TABLE_SEQS:
         heads, stubs = sample_tables(seq, list(RngStream(29).lanes(1,
                                                                    range(5))))
-        yield seq, heads, kernel_from_tables(seq, heads, stubs)
+        yield seq, heads, TransitionKernel(rows=(seq, heads, stubs))
 
 
 def test_one_step_laws_equal_one_product_bitwise():
@@ -1248,7 +1260,7 @@ def test_one_step_laws_renormalize_as_a_product_does():
     # drift is recorded as a product's would be
     seq = validate_degrees("ocm", [7] * 14)
     heads, _ = sample_tables(seq, list(RngStream(3).lanes(1, range(4))))
-    kernel = kernel_from_tables(seq, heads)
+    kernel = TransitionKernel(rows=(seq, heads, None))
     starts = np.arange(8).reshape(4, 2)
     block = np.zeros((4, seq.n, 2))
     np.put_along_axis(block, starts[:, None, :], 1.0, axis=1)
