@@ -902,8 +902,8 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
 
     start_gen = base.lane(_LANE_STARTS).generator()
     with allocating(f"{traj_samples} trajectories"):
-        xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
         log_weights = np.empty(traj_samples)
+    xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
     ledger = as_ledger(budget)
     for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
         hi = min(lo + _PATH_BLOCK, traj_samples)

@@ -1,27 +1,27 @@
 """Plant each mutant of ``MUTANTS`` in a copy of the tree and run the tests
 that must catch it.
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py ID [ID ...]
+    python3 tools/mutants.py
 
 A row names a source file, an exact text in it, the text that replaces
 it, and the pytest ids that must catch the change.  The tool copies this
-checkout (without ``.git`` and caches) to a temporary directory once.  For
-each mutant in turn it writes the one changed file, runs
-``python -m pytest -x -q`` on the row's tests with the copy's ``src/``
-first on the path, and puts the file back.  It prints one line per mutant:
+checkout (without ``.git`` and caches) to a temporary directory once and
+first runs each named test there, unmutated.  Then for each mutant in
+turn it writes the one changed file, runs ``python -m pytest -x -q`` on
+the row's tests with the copy's ``src/`` first on the path, and puts the
+file back.  It prints one line per mutant:
 
 - ``caught``: a named test failed (pytest exit 1)
 - ``survived``: every named test passed (exit 0)
-- ``stale``: the old text is not in the file exactly once, or pytest ended
-  any other way, such as a named test that no longer collects
+- ``stale``: the old text is not in the file exactly once, a named test
+  does not pass on the unmutated copy, or pytest ended any other way,
+  such as a named test that no longer collects
 
 A stale row is reported, never skipped.  Exits 1 if any mutant survived or
 is stale, else 0.  A change that plants a mutant to show that a test
 catches it adds the mutant here as a row.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -109,6 +109,16 @@ _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
                                   ".benchmarks")
 
 
+def run_tests(tree: Path, tests) -> int:
+    """pytest's exit code for tests run in tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+         "no:cacheprovider", *tests],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
 def run_mutant(tree: Path, mutant: Mutant) -> str:
     """Plant mutant in tree, run its tests, restore the file; its status."""
     path = tree / mutant.file
@@ -116,33 +126,25 @@ def run_mutant(tree: Path, mutant: Mutant) -> str:
     if text.count(mutant.old) != 1:
         return "stale"
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     try:
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *mutant.tests],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL).returncode
+        code = run_tests(tree, mutant.tests)
     finally:
         path.write_text(text, encoding="utf-8")
     return {0: "survived", 1: "caught"}.get(code, "stale")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ids", nargs="*", help="mutant ids (default: all)")
-    args = parser.parse_args(argv)
-    known = {m.id for m in MUTANTS}
-    unknown = sorted(set(args.ids) - known)
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.ids or m.id in args.ids]
+def main() -> int:
     statuses = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=_IGNORED)
-        for mutant in chosen:
-            status = run_mutant(tree, mutant)
+        tests = {t for m in MUTANTS for t in m.tests}
+        passing = {t for t in sorted(tests) if run_tests(tree, (t,)) == 0}
+        for mutant in MUTANTS:
+            if passing.issuperset(mutant.tests):
+                status = run_mutant(tree, mutant)
+            else:
+                status = "stale"
             statuses.append(status)
             print(f"{status:8}  {mutant.id}", flush=True)
     bad = len(statuses) - statuses.count("caught")
