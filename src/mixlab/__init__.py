@@ -16,10 +16,9 @@ from .errors import (AllReplicatesFailed, BadCurveName, BadGeneratorSyntax,
                      DegreeTooSmall, ImpossibleStep, LengthMismatch,
                      MismatchedSums, MissingRequired, MixingLabError,
                      ModelMismatch, NotConverged, UnknownFlag)
-from .experiments import (CrosscheckResult, ExperimentConfig, PathWeightResult,
-                          annealed_check, double_cutoff_sweep, gamma_hat,
+from .experiments import (ExperimentConfig, annealed_check,
+                          double_cutoff_sweep, gamma_hat,
                           joint_relaxation_curve, marginal_mc_crosscheck,
-                          marginal_crosscheck_report,
                           marginal_relaxation_curve, path_weight_lln,
                           path_weight_report, pick_regime,
                           static_cutoff_profile, stationary_diagnostics,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from collections import abc
 from dataclasses import dataclass, field, fields
@@ -22,16 +23,16 @@ from typing import (List, Optional, Sequence, Union, get_args, get_origin,
 
 import numpy as np
 
-from .core import (ModelKind, allocating, count_at_least, json_object,
-                   load_degree_sequence, validate_degrees)
+from .core import (ModelKind, allocating, count_at_least, integer_text,
+                   json_object, load_degree_sequence, validate_degrees)
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
                      UnknownFlag)
 from .experiments import (DEFAULT_START_SAMPLE, DEGREE_LANE, TIME_SCALES,
                           ExperimentConfig, _meta, annealed_check,
                           double_cutoff_sweep, joint_relaxation_curve,
-                          marginal_crosscheck_report,
-                          marginal_relaxation_curve, path_weight_report,
+                          marginal_mc_crosscheck, marginal_relaxation_curve,
+                          path_weight_report,
                           static_cutoff_profile, stationary_diagnostics,
                           stationary_gap_report)
 from .report import atomic_write_text, diagnostics_csv_text
@@ -174,7 +175,8 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
             raise UnknownFlag(f"unknown config key {key!r}")
         if not _fits(value, _HINTS[key]):
             raise BadValue(f"config key {key!r} must be "
-                           f"{RunSpec.__annotations__[key]}, got {value!r}")
+                           f"{RunSpec.__annotations__[key]}, "
+                           f"got {reprlib.repr(value)}")
     merged.update((key, value) for key, value in vars(ns).items()
                   if value is not None and key != "config")
 
@@ -192,20 +194,14 @@ def parse_run_spec(argv: Sequence[str]) -> RunSpec:
 
 def _parse_blocks(body: str):
     blocks = []
-    for piece in body.split(","):
-        if "x" not in piece:
-            raise BadGeneratorSyntax(f"expected DxCOUNT, got {piece!r}")
-        d_txt, _, k_txt = piece.partition("x")
-        try:
-            d, k = int(d_txt), int(k_txt)
-        except ValueError as exc:
-            raise BadGeneratorSyntax(f"bad block {piece!r}") from exc
-        if d < 2 or k < 1:
-            raise BadGeneratorSyntax(f"bad block {piece!r}: need degree >= 2 "
-                                     "and count >= 1")
-        blocks.append((d, k))
-    if not blocks:
-        raise BadGeneratorSyntax("empty generator body")
+    for piece in body.split(","):   # at least one piece, maybe ""
+        d_txt, x, k_txt = piece.partition("x")
+        if not x:
+            raise BadGeneratorSyntax(
+                f"expected DxCOUNT, got {reprlib.repr(piece)}")
+        blocks.append((
+            integer_text(d_txt, 2, "generator degree", BadGeneratorSyntax),
+            integer_text(k_txt, 1, "generator count", BadGeneratorSyntax)))
     return blocks
 
 
@@ -222,10 +218,7 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
     if not sep:
         raise BadGeneratorSyntax(f"generator {token!r} needs a ':'")
     if kind == "regular":
-        try:
-            d = int(body)
-        except ValueError as exc:
-            raise BadGeneratorSyntax(f"bad degree {body!r}") from exc
+        d = integer_text(body, 2, "generator degree", BadGeneratorSyntax)
         if n is None:
             raise MissingRequired("regular:D needs --n")
         blocks = [(d, count_at_least(n, 1, "--n"))]
@@ -303,7 +296,7 @@ _RUNS = {
                      cfg, time_scale=spec.time_scale,
                      gap_replicates=spec.gap_replicates, budget=budget)),
     "marginal-crosscheck": (["alpha", "t"], lambda cfg, spec, budget:
-                            marginal_crosscheck_report(
+                            marginal_mc_crosscheck(
                                 cfg, spec.t, spec.schedule_samples,
                                 budget=budget)),
     "annealed": (["t_grid"], lambda cfg, spec, budget:

@@ -95,17 +95,18 @@ class DegreeSequence:
     @cached_property
     def tails(self) -> np.ndarray:
         """Tail vertex of each out-stub, stubs in tail order (m, index dtype)."""
-        return _frozen(np.repeat(
-            np.arange(self.n, dtype=index_dtype_for(self.m)),
-            self.out_degrees))
+        return self._stub_vertices(self.out_degrees)
 
     @cached_property
     def head_slots(self) -> np.ndarray:
         """Head vertex of each in-stub, stubs in head order (m, index
         dtype, DCM)."""
-        return _frozen(np.repeat(
-            np.arange(self.n, dtype=index_dtype_for(self.m)),
-            self.in_degrees))
+        return self._stub_vertices(self.in_degrees)
+
+    def _stub_vertices(self, degrees: np.ndarray) -> np.ndarray:
+        vertices = np.arange(self.n, dtype=index_dtype_for(self.m))
+        with allocating(f"the vertices of {self.m} stubs"):
+            return _frozen(np.repeat(vertices, degrees))
 
     @cached_property
     def inv_out_degrees(self) -> np.ndarray:
@@ -114,6 +115,7 @@ class DegreeSequence:
 
 
 _INT32_MAX = np.iinfo(np.int32).max
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def index_dtype_for(count: int):
@@ -191,6 +193,19 @@ def integer_in(value, low, high, name: str) -> int:
     return x
 
 
+def integer_text(text: str, low: int, name: str, error=BadValue) -> int:
+    """text as a Python int from low to the int64 maximum; ``error`` if
+    it does not read as one."""
+    try:
+        x = int(text)
+    except ValueError:
+        x = None
+    if x is None or not low <= x <= _INT64_MAX:
+        raise error(f"{name} must be an integer from {low} to {_INT64_MAX}, "
+                    f"got {reprlib.repr(text)}")
+    return x
+
+
 def count_at_least(value, minimum: int, name: str) -> int:
     """value as a Python int; BadValue unless it is an integer >= minimum."""
     (n,) = integer_array([value], name).tolist()
@@ -253,12 +268,20 @@ def _as_degree_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _total(degrees: np.ndarray) -> int:
+    """The exact sum of positive degrees: numpy's int64 sum where it cannot
+    wrap, else a sum of Python ints, so a total past int64 is seen."""
+    if degrees.max() <= _INT64_MAX // degrees.size:
+        return int(degrees.sum())
+    return sum(degrees.tolist())
+
+
 def validate_degrees(model: ModelKind, out_degrees, in_degrees=None) -> DegreeSequence:
     """Check a raw degree prescription and package it as a DegreeSequence.
 
     Raises LengthMismatch, DegreeTooSmall, DegreeTooLarge, MismatchedSums,
-    or ModelMismatch; warns when the max degree exceeds
-    DEGREE_WARN_THRESHOLD.
+    ModelMismatch, or BadRange for a degree total past int64; warns when
+    the max degree exceeds DEGREE_WARN_THRESHOLD.
     """
     model = ModelKind(model)
     out = _as_degree_array(out_degrees, "out_degrees")
@@ -287,16 +310,14 @@ def validate_degrees(model: ModelKind, out_degrees, in_degrees=None) -> DegreeSe
             f"out-degree {int(out.max())} exceeds vertex count {n}"
         )
 
-    if model is ModelKind.DCM:
-        m = int(out.sum())
-        if m != int(inn.sum()):
-            raise MismatchedSums(
-                f"out-degree total {m} != in-degree total {int(inn.sum())}"
-            )
-        delta = int(max(out.max(), inn.max()))
-    else:
-        m = int(out.sum())
-        delta = int(out.max())
+    m = _total(out)
+    if inn is not None and m != _total(inn):
+        raise MismatchedSums(
+            f"out-degree total {m} != in-degree total {_total(inn)}"
+        )
+    if m > _INT64_MAX:
+        raise BadRange(f"the degree total {m} is past the int64 range")
+    delta = int(out.max() if inn is None else max(out.max(), inn.max()))
 
     if delta > DEGREE_WARN_THRESHOLD:
         warnings.warn(

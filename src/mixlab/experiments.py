@@ -670,29 +670,21 @@ def marginal_relaxation_curve(cfg: ExperimentConfig,
     return ExperimentReport("marginal", rows, meta)
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
-    """Monte-Carlo marginal law vs. its exact counterpart at one time."""
-    t: int
-    exact: float
-    sampled: float
-    std_err: float
-    schedules: int
-    mean_refreshes: float
-    start: int
-    start_mode: str
-
-
 def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
                            schedule_samples: int,
-                           budget: Optional[OperationBudget] = None) -> CrosscheckResult:
-    """Drive the regenerating chain by sampled refresh schedules.
+                           budget: Optional[OperationBudget] = None) -> ExperimentReport:
+    """The marginal-crosscheck report: the regenerating chain driven by
+    sampled refresh schedules, against its deterministic side at time t.
 
     Each schedule draws its refresh times, freezes the walk on refresh
     steps, and pushes the exact conditional law through the piecewise
-    static kernels; averaging over schedules must reproduce the
-    deterministic marginal estimate at the same t.  The jackknife over
-    schedule batches gives the std_err.
+    static kernels.  The one row, at abscissa t, holds the sampled
+    estimate TV(schedule-averaged law, mu_in), its jackknife std_err over
+    schedule batches, and as theory the deterministic estimate
+    (1 - alpha)^t TV(delta_x P_sigma^t, mu_in) that the marginal curve's
+    replicate on the same environment and start computes.  The sidecar
+    repeats both, with their gap, the start walked and the mean number of
+    refreshes per schedule.
 
     Every schedule walks in the first environment until its first refresh,
     so the laws delta_x P_sigma^k are walked once and shared: a schedule
@@ -706,7 +698,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     walked environments, are keyed in one ``RngStream.lanes`` pass each,
     and ``walk.refreshed_kernels`` draws the walked ones.  The walk starts
     at ``resolve_starts``' first start, a count always sampled (so the
-    smallest sampled vertex, or 0 for "all"); the result records it.
+    smallest sampled vertex, or 0 for "all"); the sidecar records it.
     """
     alpha = cfg.require_alpha()
     t = count_at_least(t, 0, "t")
@@ -767,28 +759,14 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     loo = np.array([tv_distance(law, mu) for law in rest])
     std_err = float(math.sqrt((_JACKKNIFE_BATCHES - 1) / _JACKKNIFE_BATCHES
                               * float(((loo - loo.mean()) ** 2).sum())))
-    return CrosscheckResult(t=t, exact=exact, sampled=sampled,
-                            std_err=std_err, schedules=schedule_samples,
-                            mean_refreshes=refreshes / schedule_samples,
-                            start=x, start_mode=start_mode)
-
-
-def marginal_crosscheck_report(cfg: ExperimentConfig, t: int,
-                               schedule_samples: int,
-                               budget: Optional[OperationBudget] = None) -> ExperimentReport:
-    """Curve-shaped wrapper: the theory column carries the deterministic
-    estimate the sampled one must hit."""
-    ledger = as_ledger(budget)
-    res = marginal_mc_crosscheck(cfg, t, schedule_samples, budget=ledger)
-    row = ReportRow(abscissa=float(res.t), estimate=res.sampled,
-                    std_err=res.std_err, theory=res.exact,
-                    n_effective=res.schedules)
+    row = ReportRow(abscissa=float(t), estimate=sampled, std_err=std_err,
+                    theory=exact, n_effective=schedule_samples)
     meta = _meta(
-        "marginal-crosscheck", cfg, ledger, alpha=cfg.alpha, t=res.t,
-        start=res.start, start_mode=res.start_mode, schedules=res.schedules,
-        mean_refreshes=res.mean_refreshes,
-        deterministic_estimate=res.exact, sampled_estimate=res.sampled,
-        abs_gap=abs(res.sampled - res.exact))
+        "marginal-crosscheck", cfg, ledger, alpha=alpha, t=t, start=x,
+        start_mode=start_mode, schedules=schedule_samples,
+        mean_refreshes=refreshes / schedule_samples,
+        deterministic_estimate=exact, sampled_estimate=sampled,
+        abs_gap=abs(sampled - exact))
     return ExperimentReport("marginal-crosscheck", [row], meta)
 
 
@@ -861,40 +839,25 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
 # path weights: trajectory log-weights concentrate at the entropy rate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathWeightResult:
-    """Concentration summary for sampled two-environment trajectories."""
-    samples: int
-    t: int
-    switch_time: int
-    entropy: float
-    mean_rate: float
-    frac_in_window: float
-    epsilon: float
-
-
 def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
-                    traj_samples: int, epsilon: float = 0.1,
-                    budget: Optional[OperationBudget] = None) -> PathWeightResult:
-    """Sample trajectories across an environment switch and weigh them.
+                    traj_samples: int,
+                    budget: Optional[OperationBudget] = None) -> np.ndarray:
+    """The (traj_samples,) log-weights of trajectories sampled across an
+    environment switch.
 
-    Draws starts from the in-law, walks s steps in the first environment
-    and t - s in the second, and checks that -log(weight)/t concentrates
-    at the degree entropy: the fraction with -log w in
-    [(1-eps) H t, (1+eps) H t] is returned along with the mean rate.
-
-    Trajectories are walked in blocks of ``_PATH_BLOCK``, all paths of a
-    block stepped together on stream ``(_LANE_TRAJ, b)`` for block b, and
-    each step weighed as it is drawn; no kernel is built and no states are
-    held.  So besides the two environments the memory is the traj_samples
-    starts and log-weights plus O(_PATH_BLOCK) per step.
+    Starts are drawn from the in-law on stream _LANE_STARTS; each path
+    walks s steps in the first environment and t - s in the second, and
+    its log-weight is the sum of log P over its t steps.  Trajectories are
+    walked in blocks of ``_PATH_BLOCK``, all paths of a block stepped
+    together on stream ``(_LANE_TRAJ, b)`` for block b, and each step
+    weighed as it is drawn; no kernel is built and no states are held.
+    So besides the two environments the memory is the traj_samples starts
+    and log-weights plus O(_PATH_BLOCK) per step.
     """
     t = integer_in(t, 1, math.inf, "t")
     s = integer_in(s, 0, t + 1, "s")
     traj_samples = count_at_least(traj_samples, 1, "traj_samples")
-    real_in(epsilon, 0, 1, "epsilon")
     seq = cfg.seq
-    scale = entropic_scale(seq)
     mu = in_degree_distribution(seq)
     base = RngStream(cfg.root_seed)
     g_sigma = sample_digraph(seq, base.lane(_LANE_ENV_A, 0))
@@ -910,35 +873,33 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
         ledger.charge(float(hi - lo) * t * seq.delta)
         log_weights[lo:hi] = sample_path_log_weights(
             xs[lo:hi], s, t, g_sigma, g_eta, base.lane(_LANE_TRAJ, b))
-
-    rates = -log_weights / t
-    target = scale.entropy
-    in_window = (np.abs(-log_weights / (target * t) - 1.0) <= epsilon)
-    return PathWeightResult(
-        samples=traj_samples, t=t, switch_time=s, entropy=target,
-        mean_rate=float(rates.mean()),
-        frac_in_window=float(in_window.mean()),
-        epsilon=epsilon,
-    )
+    return log_weights
 
 
 def path_weight_report(cfg: ExperimentConfig, s: int, t: int,
                        traj_samples: int, epsilon: float = 0.1,
                        budget: Optional[OperationBudget] = None) -> ExperimentReport:
-    """Curve-shaped wrapper: one row per quantity, theory = (1, H)."""
-    res = path_weight_lln(cfg, s, t, traj_samples, epsilon, budget)
-    rows = [
-        ReportRow(abscissa=0.0, estimate=res.frac_in_window,
-                  std_err=float(math.sqrt(res.frac_in_window
-                                          * (1 - res.frac_in_window)
-                                          / res.samples)),
-                  theory=1.0, n_effective=res.samples),
-    ]
+    """The weight-lln report: -log(weight) / t of ``path_weight_lln``'s
+    trajectories concentrates at the degree entropy H.
+
+    The one row holds the fraction of trajectories with -log w in
+    [(1 - epsilon) H t, (1 + epsilon) H t], its binomial std_err and the
+    theory 1; the sidecar holds the mean rate and its distance to H.
+    """
+    real_in(epsilon, 0, 1, "epsilon")
+    log_weights = path_weight_lln(cfg, s, t, traj_samples, budget)
+    t, samples = int(t), log_weights.size
+    target = entropic_scale(cfg.seq).entropy
+    mean_rate = float((-log_weights / t).mean())
+    frac = float((np.abs(-log_weights / (target * t) - 1.0)
+                  <= epsilon).mean())
+    rows = [ReportRow(abscissa=0.0, estimate=frac,
+                      std_err=math.sqrt(frac * (1 - frac) / samples),
+                      theory=1.0, n_effective=samples)]
     meta = _meta(
-        "weight-lln", cfg, t=res.t, switch_time=res.switch_time,
-        entropy=res.entropy, mean_rate=res.mean_rate,
-        rate_abs_error=abs(res.mean_rate - res.entropy),
-        epsilon=res.epsilon, samples=res.samples,
+        "weight-lln", cfg, t=t, switch_time=int(s), entropy=target,
+        mean_rate=mean_rate, rate_abs_error=abs(mean_rate - target),
+        epsilon=epsilon, samples=samples,
         row_meaning="fraction of trajectories in the entropy window")
     return ExperimentReport("weight-lln", rows, meta)
 

@@ -15,8 +15,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DegreeSequence, ModelKind, index_dtype_for, integer_in,
-                   integers_in, json_object, validate_degrees)
+from .core import (DegreeSequence, ModelKind, allocating, index_dtype_for,
+                   integer_in, integers_in, json_object, validate_degrees)
 from .errors import BadValue
 from .rng import RngStream, shared_generator
 
@@ -88,10 +88,11 @@ def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
     if seq.model is ModelKind.DCM:
         head_stubs = sample_matchings(seq.m, streams)
         return np.take(seq.head_slots, head_stubs), head_stubs
+    with allocating(f"a {len(streams)} x {seq.m} table of heads"):
+        heads = np.empty((len(streams), seq.m), dtype=index_dtype_for(seq.m))
     degs = seq.out_degrees
     classes = [(d, seq.out_offsets[np.flatnonzero(degs == d)][:, None]
                 + np.arange(d)) for d in np.unique(degs).tolist()]
-    heads = np.empty((len(streams), seq.m), dtype=index_dtype_for(seq.m))
     for row, stream in zip(heads, streams):
         gen = shared_generator(stream)
         for d, slots in classes:
@@ -102,8 +103,9 @@ def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
 def sample_matchings(m: int, streams: Sequence[RngStream]) -> np.ndarray:
     """``sample_tables``' (B, m) DCM matchings, with no heads gathered."""
     # intp, so indexing with a matching converts nothing
-    head_stubs = np.empty((len(streams), m), dtype=np.intp)
-    head_stubs[:] = np.arange(m)
+    with allocating(f"a {len(streams)} x {m} table of matchings"):
+        head_stubs = np.empty((len(streams), m), dtype=np.intp)
+        head_stubs[:] = np.arange(m)
     for row, stream in zip(head_stubs, streams):
         shared_generator(stream).shuffle(row)
     return head_stubs

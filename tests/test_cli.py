@@ -608,16 +608,21 @@ def test_bad_degree_and_config_sources_exit_1(tmp_path, capsys, flags):
 @pytest.mark.parametrize("doc", [
     {"env_samples": "3"}, {"gap_replicates": "3"}, {"budget": "1e9"},
     {"beta_grid": [0.5, "1"]}, {"start_vertices": 2.5}, {"threads": True},
-    {"generator": 3},
+    {"generator": 3}, {"env_samples": "x" * 5000},
 ], ids=["env-samples-str", "gap-replicates-str", "budget-str",
         "beta-grid-item", "start-vertices-float", "threads-bool",
-        "generator-int"])
+        "generator-int", "env-samples-long-str"])
 def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, doc):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))
     args = ["q-estimate", "--config", str(cfg), "--generator", "mix:2x30,3x10",
             "--out-dir", str(tmp_path)]
-    assert run_error(args, capsys) == 1
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    # one short line, however long the value: the 5000-character one made
+    # a line of 5052 characters when the whole value was shown
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err) <= 250, err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -675,6 +680,22 @@ def test_an_array_too_large_to_allocate_exits_1(tmp_path, capsys, args):
     # 10**18 entries take 6.9 EiB, which no machine can map, so numpy
     # refuses at once and nothing is allocated; each ended in a traceback
     assert run_error([*args, "--out-dir", str(tmp_path)], capsys) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--generator", "regular:100000000000000000000", "--n", "10"],
+    ["--generator", "mix:100000000000000000000x5"],
+    ["--generator", "mix:3x100000000000000000000"],
+    ["--generator", "eulerian:1000000000000x1000"],
+], ids=["regular-degree", "mix-degree", "mix-count", "stub-tables"])
+def test_a_generator_past_int64_or_memory_exits_1(tmp_path, capsys, flags):
+    # a degree or count past int64 ended in numpy's OverflowError, and the
+    # stub tables of m = 10**15 in numpy's _ArrayMemoryError; each
+    # traceback is now one error line.  (A degree total past int64, which
+    # crashed the interpreter, is pinned in test_core, where it fails
+    # without a crash.)
+    assert run_error(["q-estimate", *flags, "--out-dir", str(tmp_path)],
+                     capsys) == 1
 
 
 @pytest.mark.parametrize("experiment, flags", [

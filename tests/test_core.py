@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from mixlab import (DegreeTooLarge, DegreeTooSmall, LengthMismatch,
-                    MismatchedSums, ModelKind, ModelMismatch,
+                    MismatchedSums, ModelKind, ModelMismatch, RngStream,
                     entropic_scale, in_degree_distribution,
-                    load_degree_sequence, tv_distance, validate_degrees)
+                    load_degree_sequence, sample_tables, tv_distance,
+                    validate_degrees)
 from mixlab.core import count_at_least, integer_array
 from mixlab.errors import BadRange, BadValue, MissingRequired
 
@@ -40,6 +41,29 @@ def test_validate_rejects_bad_shapes_and_sums():
         validate_degrees("dcm", [2, 2, 2], [2, 2, 3])
     with pytest.raises(DegreeTooLarge):
         validate_degrees("ocm", [4, 2, 2])  # 4 distinct targets among 3
+
+
+@pytest.mark.parametrize("count", [4, 10])
+def test_a_degree_total_past_int64_is_bad_range(count):
+    # summed in int64, these totals wrapped to 0 and to -2**63
+    with pytest.raises(BadRange, match="int64"):
+        validate_degrees("dcm", [2**62] * count, [2**62] * count)
+    # the largest total that fits is a valid sequence
+    with pytest.warns(UserWarning):
+        seq = validate_degrees("dcm", [2**62, 2**62 - 1], [2**62 - 1, 2**62])
+    assert seq.m == 2**63 - 1 and type(seq.m) is int
+
+
+def test_stub_arrays_too_large_to_allocate_are_bad_range():
+    # m = 10**15 fits int64, but its stub arrays (8 PB each) fit nowhere,
+    # so numpy refuses at once and nothing is allocated
+    with pytest.warns(UserWarning):
+        seq = validate_degrees("dcm", [10**12] * 1000, [10**12] * 1000)
+    for stubs in ("tails", "head_slots"):
+        with pytest.raises(BadRange, match="would not fit in memory"):
+            getattr(seq, stubs)
+    with pytest.raises(BadRange, match="would not fit in memory"):
+        sample_tables(seq, [RngStream(0)])
 
 
 def test_large_degree_warns_but_passes():

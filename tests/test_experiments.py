@@ -21,10 +21,10 @@ from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            BudgetExceeded)
 from mixlab import experiments, walk
 from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
-                                _pair, _parallel_map,
-                                marginal_crosscheck_report, resolve_starts)
+                                _pair, _parallel_map, resolve_starts)
 from mixlab.cli import degrees_from_generator
 from mixlab.core import ModelKind, mean_std_err
+from mixlab.report import ReportRow
 from mixlab.walk import (OperationBudget, TransitionKernel, delta_at,
                          propagate)
 
@@ -201,11 +201,12 @@ def test_marginal_regime_labels():
 def test_crosscheck_rarely_refreshing_schedules_agree_with_exact():
     seq = validate_degrees("dcm", [3] * 60, [3] * 60)
     cfg = cfg_for(seq, alpha=0.01, start_vertices=[2])
-    res = marginal_mc_crosscheck(cfg, t=4, schedule_samples=100)
-    assert res.mean_refreshes < 0.2
-    assert abs(res.sampled - res.exact) < 0.05
-    assert res.std_err >= 0.0
-    assert res.schedules == 100
+    report = marginal_mc_crosscheck(cfg, t=4, schedule_samples=100)
+    row, meta = report.rows[0], report.metadata
+    assert meta["mean_refreshes"] < 0.2
+    assert abs(row.estimate - row.theory) < 0.05
+    assert row.std_err >= 0.0
+    assert row.n_effective == meta["schedules"] == 100
 
 
 def test_crosscheck_high_refresh_rate_freezes_the_walk():
@@ -213,10 +214,10 @@ def test_crosscheck_high_refresh_rate_freezes_the_walk():
     # the sampled law stays near the start while the no-refresh weight dies
     seq = validate_degrees("dcm", [3] * 60, [3] * 60)
     cfg = cfg_for(seq, alpha=0.97, start_vertices=[2])
-    res = marginal_mc_crosscheck(cfg, t=3, schedule_samples=60)
-    assert res.exact < 0.01
-    assert res.sampled > 0.8
-    assert res.mean_refreshes > 2.0
+    report = marginal_mc_crosscheck(cfg, t=3, schedule_samples=60)
+    assert report.rows[0].theory < 0.01
+    assert report.rows[0].estimate > 0.8
+    assert report.metadata["mean_refreshes"] > 2.0
 
 
 def crosscheck_per_schedule_loop(cfg, t, schedule_samples, batches=10):
@@ -270,8 +271,10 @@ def test_crosscheck_shared_prefix_matches_per_schedule_loop(model, t, alpha):
     # never refreshes, so nearly every schedule ends on the shared prefix
     seq = degrees_from_generator("mix:2x30,3x10", model, 3)
     cfg = cfg_for(seq, alpha=alpha, start_vertices=[4])
-    res = marginal_mc_crosscheck(cfg, t=t, schedule_samples=40)
-    assert (res.exact, res.sampled, res.std_err, res.mean_refreshes) == \
+    report = marginal_mc_crosscheck(cfg, t=t, schedule_samples=40)
+    row = report.rows[0]
+    assert (row.theory, row.estimate, row.std_err,
+            report.metadata["mean_refreshes"]) == \
         crosscheck_per_schedule_loop(cfg, t, 40)
 
 
@@ -285,14 +288,12 @@ def test_crosscheck_walks_and_records_its_first_start():
                                 ("all", 0, "exhaustive"),
                                 ([7, 3], 7, "explicit")):
         cfg = cfg_for(seq, alpha=0.3, start_vertices=starts)
-        res = marginal_mc_crosscheck(cfg, 3, 10)
-        meta = marginal_crosscheck_report(cfg, 3, 10).metadata
-        assert (res.start, res.start_mode) == (start, mode)
+        report = marginal_mc_crosscheck(cfg, 3, 10)
+        meta = report.metadata
         assert (meta["start"], meta["start_mode"]) == (start, mode)
         alone = marginal_mc_crosscheck(
             cfg_for(seq, alpha=0.3, start_vertices=[start]), 3, 10)
-        assert (res.exact, res.sampled, res.std_err) == (
-            alone.exact, alone.sampled, alone.std_err)
+        assert report.rows == alone.rows
 
 
 def _walk_matrices(seq, heads):
@@ -360,13 +361,13 @@ def test_crosscheck_hits_the_exact_regenerating_law():
         for s in range(1, t + 1):
             m_laws.append(refreshed(a_pow, m_laws, s))
         tv = tv_distance(refreshed(s_pow, m_laws, t), mu)
-        res = marginal_mc_crosscheck(
+        row = marginal_mc_crosscheck(
             cfg_for(seq, root_seed=seed, alpha=alpha, start_vertices=[x]),
-            t, 2000)
-        assert abs(res.sampled - tv) <= 3 * res.std_err, (
-            f"alpha {alpha}, t {t}: sampled {res.sampled:.4f} +- "
-            f"{res.std_err:.4f}, TV(E_t, mu_in) {tv:.4f}; "
-            f"TV(E_t, mu_in) - exact = {tv - res.exact:+.4f}")
+            t, 2000).rows[0]
+        assert abs(row.estimate - tv) <= 3 * row.std_err, (
+            f"alpha {alpha}, t {t}: sampled {row.estimate:.4f} +- "
+            f"{row.std_err:.4f}, TV(E_t, mu_in) {tv:.4f}; "
+            f"TV(E_t, mu_in) - exact = {tv - row.theory:+.4f}")
 
 
 def _no_sampling(*args, **kwargs):
@@ -799,8 +800,8 @@ def test_crosscheck_exact_side_equals_batched_marginal_replicate():
     seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)
     cfg = cfg_for(seq, alpha=0.3, beta_grid=(1.2,), start_vertices=4)
     report = marginal_relaxation_curve(cfg, gap_replicates=4)
-    res = marginal_mc_crosscheck(cfg, 4, 10)
-    assert res.exact == report.metadata["per_beta_replicate_values"]["1.2"][0]
+    row = marginal_mc_crosscheck(cfg, 4, 10).rows[0]
+    assert row.theory == report.metadata["per_beta_replicate_values"]["1.2"][0]
 
 
 @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
@@ -829,8 +830,8 @@ NON_REAL_SCALARS = {
         kernel_from_digraph(sample_digraph(MIX, RngStream(5).lane(1, 0))),
         tol="1e-9"),
     "budget-cap": lambda: OperationBudget("5"),
-    "epsilon": lambda: path_weight_lln(cfg_for(MIX), 1, 2, 10,
-                                       epsilon="0.1"),
+    "epsilon": lambda: path_weight_report(cfg_for(MIX), 1, 2, 10,
+                                          epsilon="0.1"),
     # not Eulerian, so marginal estimates the stationary gap
     "gap-replicates": lambda: marginal_relaxation_curve(
         cfg_for(MIX, alpha=0.3, beta_grid=(0.6,)), gap_replicates="3"),
@@ -870,10 +871,16 @@ def test_path_weights_exact_for_uniform_out_maps():
     # is the entropy log 3 for every single trajectory
     seq = validate_degrees("ocm", [3] * 30)
     cfg = cfg_for(seq)
-    res = path_weight_lln(cfg, s=2, t=6, traj_samples=50)
-    assert res.entropy == pytest.approx(math.log(3), abs=1e-12)
-    assert res.mean_rate == pytest.approx(math.log(3), abs=1e-12)
-    assert res.frac_in_window == 1.0
+    weights = path_weight_lln(cfg, s=2, t=6, traj_samples=50)
+    assert weights.shape == (50,)
+    np.testing.assert_allclose(-weights / 6, math.log(3), rtol=0,
+                               atol=1e-12)
+    report = path_weight_report(cfg, s=2, t=6, traj_samples=50)
+    assert report.metadata["entropy"] == pytest.approx(math.log(3),
+                                                       abs=1e-12)
+    assert report.metadata["mean_rate"] == pytest.approx(math.log(3),
+                                                         abs=1e-12)
+    assert report.rows[0].estimate == 1.0
     with pytest.raises(BadRange):
         path_weight_lln(cfg, s=5, t=3, traj_samples=10)
 
@@ -897,7 +904,7 @@ def test_path_weight_lln_walks_blocks_on_their_own_streams(monkeypatch):
                          base.lane(experiments._LANE_TRAJ, b)),
             s, g1, g2)
         for b, lo in enumerate(range(0, samples, block))])
-    assert res.mean_rate == float((-weights / t).mean())
+    assert np.array_equal(res, weights)
     assert len(set(weights.tolist())) > 1      # the rates really vary
 
 
@@ -927,7 +934,7 @@ def test_path_weight_lln_builds_no_kernel(monkeypatch):
     for seq in (validate_degrees("dcm", [2, 3, 4, 2, 3] * 6,
                                  [3, 2, 2, 4, 3] * 6),
                 validate_degrees("ocm", [3] * 30)):
-        assert path_weight_lln(cfg_for(seq), 2, 7, 50).samples == 50
+        assert path_weight_lln(cfg_for(seq), 2, 7, 50).shape == (50,)
 
 
 def test_path_weight_lln_memory_holds_no_kernel():
@@ -964,6 +971,32 @@ def test_path_weight_report_row():
     assert report.rows[0].estimate == 1.0
     assert report.rows[0].theory == 1.0
     assert report.metadata["rate_abs_error"] < 1e-12
+
+
+def test_path_weight_report_reduces_the_weights_of_path_weight_lln():
+    # mixed degrees, so the rates vary; an epsilon equal to the largest
+    # relative gap puts that path on the window's closed edge
+    seq = validate_degrees("dcm", [2, 3, 4, 2, 3] * 6, [3, 2, 2, 4, 3] * 6)
+    cfg, s, t, samples = cfg_for(seq), 2, 7, 300
+    weights = path_weight_lln(cfg, s, t, samples)
+    h = entropic_scale(seq).entropy
+    gaps = np.abs(-weights / (h * t) - 1.0)
+    edge = float(gaps.max())
+    assert 0 < edge < 1 and (gaps < edge).any()
+    for epsilon in (edge, 0.1):
+        report = path_weight_report(cfg, s, t, samples, epsilon)
+        frac = float((gaps <= epsilon).mean())
+        assert report.rows == [ReportRow(
+            abscissa=0.0, estimate=frac,
+            std_err=math.sqrt(frac * (1 - frac) / samples), theory=1.0,
+            n_effective=samples)]
+        mean_rate = float((-weights / t).mean())
+        meta = report.metadata
+        assert (meta["t"], meta["switch_time"], meta["samples"],
+                meta["epsilon"]) == (t, s, samples, epsilon)
+        assert (meta["entropy"], meta["mean_rate"],
+                meta["rate_abs_error"]) == (h, mean_rate, abs(mean_rate - h))
+    assert path_weight_report(cfg, s, t, samples, edge).rows[0].estimate == 1.0
 
 
 def test_double_cutoff_validates_switch_grid():
@@ -1118,8 +1151,10 @@ def test_bools_are_not_counts_or_times_but_integral_floats_are():
     assert cfg.env_samples == 2 and type(cfg.env_samples) is int
     assert (marginal_mc_crosscheck(cfg, 3.0, 20.0)
             == marginal_mc_crosscheck(cfg, 3, 20))
-    assert (path_weight_lln(cfg, 1.0, 4.0, 50.0)
-            == path_weight_lln(cfg, 1, 4, 50))
+    assert np.array_equal(path_weight_lln(cfg, 1.0, 4.0, 50.0),
+                          path_weight_lln(cfg, 1, 4, 50))
+    assert (path_weight_report(cfg, 1.0, 4.0, 50.0)
+            == path_weight_report(cfg, 1, 4, 50))
     assert (resolve_starts(cfg_for(MIX, start_vertices=4.0))
             == resolve_starts(cfg_for(MIX, start_vertices=4)))
 

@@ -32,8 +32,7 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     double_cutoff_sweep, double_row,
                     estimate_stationary_gap, joint_relaxation_curve,
                     kernel_from_digraph, load_degree_sequence,
-                    marginal_crosscheck_report, marginal_mc_crosscheck,
-                    marginal_relaxation_curve,
+                    marginal_mc_crosscheck, marginal_relaxation_curve,
                     one_step_laws, parse_curve_csv, path_log_weights,
                     path_weight_lln, path_weight_report, pick_regime,
                     propagate, sample_digraph, sample_paths, sample_tables,
@@ -120,15 +119,13 @@ SLOTS = {
         cfg(), v, 10, budget=budget()),
     "marginal_mc_crosscheck.schedule_samples": lambda v:
         marginal_mc_crosscheck(cfg(), 2, v, budget=budget()),
-    "marginal_crosscheck_report.t": lambda v: marginal_crosscheck_report(
-        cfg(), v, 10, budget=budget()),
     "path_weight_lln.s": lambda v: path_weight_lln(cfg(), v, 3, 5,
                                                    budget=budget()),
     "path_weight_lln.t": lambda v: path_weight_lln(cfg(), 1, v, 5,
                                                    budget=budget()),
     "path_weight_lln.traj_samples": lambda v: path_weight_lln(
         cfg(), 1, 3, v, budget=budget()),
-    "path_weight_lln.epsilon": lambda v: path_weight_lln(
+    "path_weight_report.epsilon": lambda v: path_weight_report(
         cfg(), 1, 3, 5, v, budget=budget()),
     "path_weight_report.t": lambda v: path_weight_report(
         cfg(), 1, v, 5, budget=budget()),
@@ -250,8 +247,7 @@ NOT_DATA = {
     "sample_tables", "sample_digraph", "sample_dcm",
     "digraph_to_json", "diagnostics_csv_text", "path_log_weight",
     # records the package returns
-    "DegreeSequence", "EntropicScale", "CrosscheckResult",
-    "PathWeightResult", "ExperimentReport", "ReportRow",
+    "DegreeSequence", "EntropicScale", "ExperimentReport", "ReportRow",
     "DiagnosticsRow", "GapEstimate", "StationaryResult", "WidespreadStats",
     "Trajectory",
     # constants

@@ -102,6 +102,49 @@ MUTANTS = (
            "must be one of {tuple(names)}, \"\n                    f\"got {reprlib.repr(value)}",
            "must be one of {tuple(names)}, \"\n                    f\"got {value!r}",
            ("tests/test_malformed.py::test_malformed_value_is_a_typed_error",)),
+    # experiments that return their reports; generator and degree-total
+    # bounds; a shortened config value
+    Mutant("crosscheck-columns-swapped", "src/mixlab/experiments.py",
+           "estimate=sampled, std_err=std_err,\n                    theory=exact,",
+           "estimate=exact, std_err=std_err,\n                    theory=sampled,",
+           ("tests/test_experiments.py::test_crosscheck_high_refresh_rate_freezes_the_walk",)),
+    Mutant("crosscheck-jackknife-unscaled", "src/mixlab/experiments.py",
+           "math.sqrt((_JACKKNIFE_BATCHES - 1) / _JACKKNIFE_BATCHES",
+           "math.sqrt(1.0",
+           ("tests/test_experiments.py::test_crosscheck_shared_prefix_matches_per_schedule_loop",)),
+    Mutant("refreshes-counted-by-segment", "src/mixlab/experiments.py",
+           "refreshes += len(refresh_steps[m])", "refreshes += len(segs)",
+           ("tests/test_experiments.py::test_crosscheck_shared_prefix_matches_per_schedule_loop",)),
+    Mutant("crosscheck-walks-last-start", "src/mixlab/experiments.py",
+           "    x = starts[0]\n", "    x = starts[-1]\n",
+           ("tests/test_experiments.py::test_crosscheck_walks_and_records_its_first_start",)),
+    Mutant("weight-window-open", "src/mixlab/experiments.py",
+           "<= epsilon).mean())", "< epsilon).mean())",
+           ("tests/test_experiments.py::test_path_weight_report_reduces_the_weights_of_path_weight_lln",)),
+    Mutant("path-blocks-on-one-stream", "src/mixlab/experiments.py",
+           "base.lane(_LANE_TRAJ, b))", "base.lane(_LANE_TRAJ, 0))",
+           ("tests/test_experiments.py::test_path_weight_lln_walks_blocks_on_their_own_streams",)),
+    Mutant("eta-scored-against-first-pi", "src/mixlab/experiments.py",
+           "_joint_term(alpha, t, row, solved[e][1])",
+           "_joint_term(alpha, t, row, solved[0][1])",
+           ("tests/test_experiments.py::test_joint_groups_of_environments_give_the_walk_per_environment",)),
+    Mutant("int64-degree-total", "src/mixlab/core.py",
+           "    return sum(degrees.tolist())\n", "    return int(degrees.sum())\n",
+           ("tests/test_core.py::test_a_degree_total_past_int64_is_bad_range",)),
+    Mutant("no-int64-bound", "src/mixlab/core.py",
+           "not low <= x <= _INT64_MAX:", "not low <= x:",
+           ("tests/test_cli.py::test_a_generator_past_int64_or_memory_exits_1",)),
+    Mutant("stub-repeat-unguarded", "src/mixlab/core.py",
+           "        with allocating(f\"the vertices of {self.m} stubs\"):\n",
+           "        if True:\n",
+           ("tests/test_core.py::test_stub_arrays_too_large_to_allocate_are_bad_range",)),
+    Mutant("matching-table-unguarded", "src/mixlab/sampler.py",
+           "    with allocating(f\"a {len(streams)} x {m} table of matchings\"):\n",
+           "    if True:\n",
+           ("tests/test_cli.py::test_a_generator_past_int64_or_memory_exits_1",)),
+    Mutant("unbounded-config-repr", "src/mixlab/cli.py",
+           "f\"got {reprlib.repr(value)}\")", "f\"got {value!r}\")",
+           ("tests/test_cli.py::test_config_value_of_the_wrong_type_exits_1",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
