@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import reprlib
 import sys
+import warnings
 from collections import abc
 from dataclasses import dataclass, field, fields
 from typing import (List, Optional, Sequence, Union, get_args, get_origin,
@@ -23,7 +25,7 @@ from typing import (List, Optional, Sequence, Union, get_args, get_origin,
 
 import numpy as np
 
-from .core import (ModelKind, allocating, count_at_least, integer_text,
+from .core import (ModelKind, allocating, integer_in, integer_text,
                    json_object, load_degree_sequence, validate_degrees)
 from .errors import (AllReplicatesFailed, BadGeneratorSyntax, BadValue,
                      MissingRequired, MixingLabError, NotConverged,
@@ -131,7 +133,8 @@ def _number_list(value, kind):
     try:
         return tuple(kind(item) for item in items if item != "")
     except ValueError as exc:
-        raise BadValue(f"bad {kind.__name__} list {value!r}") from exc
+        raise BadValue(f"bad {kind.__name__} list "
+                       f"{reprlib.repr(value)}") from exc
 
 
 def _start_vertices_value(text: str):
@@ -143,7 +146,7 @@ def _start_vertices_value(text: str):
     try:
         return int(text)
     except ValueError as exc:
-        raise BadValue(f"bad start-vertices {text!r}") from exc
+        raise BadValue(f"bad start-vertices {reprlib.repr(text)}") from exc
 
 
 def _fits(value, hint) -> bool:
@@ -216,16 +219,18 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
     """
     kind, sep, body = token.partition(":")
     if not sep:
-        raise BadGeneratorSyntax(f"generator {token!r} needs a ':'")
+        raise BadGeneratorSyntax(
+            f"generator {reprlib.repr(token)} needs a ':'")
     if kind == "regular":
         d = integer_text(body, 2, "generator degree", BadGeneratorSyntax)
         if n is None:
             raise MissingRequired("regular:D needs --n")
-        blocks = [(d, count_at_least(n, 1, "--n"))]
+        blocks = [(d, integer_in(n, 1, math.inf, "--n"))]
     elif kind in ("mix", "eulerian"):
         blocks = _parse_blocks(body)
     else:
-        raise BadGeneratorSyntax(f"unknown generator kind {kind!r}")
+        raise BadGeneratorSyntax(
+            f"unknown generator kind {reprlib.repr(kind)}")
     with allocating(f"the degrees of {sum(k for _, k in blocks)} vertices"):
         out = np.concatenate([np.full(k, d, dtype=np.int64)
                               for d, k in blocks])
@@ -265,13 +270,10 @@ def build_degree_sequence(spec: RunSpec):
 
 
 def _resolve_threads(spec: RunSpec) -> int:
-    """--threads, else 1; BadValue outside [1, MAX_THREADS].  The value
-    only lands in the sidecar."""
-    threads = 1 if spec.threads is None else spec.threads
-    if not 1 <= threads <= MAX_THREADS:
-        raise BadValue(f"--threads must be in [1, {MAX_THREADS}], "
-                       f"got {threads}")
-    return threads
+    """--threads, else 1, read by ``core.integer_in``: BadRange outside
+    [1, MAX_THREADS].  The value only lands in the sidecar."""
+    return (1 if spec.threads is None
+            else integer_in(spec.threads, 1, MAX_THREADS + 1, "--threads"))
 
 
 def _out_base(spec: RunSpec, n: int) -> str:
@@ -358,27 +360,31 @@ def run(spec: RunSpec) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    try:
-        spec = parse_run_spec(args)
-        code = run(spec)
-        # a piped stdout is block-buffered: flush here, so a closed pipe
-        # raises below and not in the interpreter's flush at exit
-        sys.stdout.flush()
-        return code
-    except (AllReplicatesFailed, NotConverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MixingLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # stdout was closed early (say, piped into head); written files
-        # stay.  Point stdout at devnull so the interpreter's flush at exit
-        # finds somewhere to put what is still buffered.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output closed before the run finished "
-              "printing", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning, without the source line Python would add
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            spec = parse_run_spec(args)
+            code = run(spec)
+            # a piped stdout is block-buffered: flush here, so a closed
+            # pipe raises below and not in the interpreter's flush at exit
+            sys.stdout.flush()
+            return code
+        except (AllReplicatesFailed, NotConverged) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MixingLabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # stdout was closed early (say, piped into head); written
+            # files stay.  Point stdout at devnull so the interpreter's
+            # flush at exit finds somewhere to put what is still buffered.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: standard output closed before the run finished "
+                  "printing", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -182,15 +182,15 @@ def integers_in(values, low, high, name: str, ndim: int = 1) -> np.ndarray:
         flat = values if ndim == 1 else [v for row in values for v in row]
         arr = integer_array(flat, name).reshape(arr.shape)
     if arr.size and not (low <= arr.min() and arr.max() < high):
-        raise BadRange(f"{name} must lie in [{low}, {high}), got entries "
-                       f"{arr.min()} to {arr.max()}")
+        got = (arr.item() if arr.size == 1
+               else f"entries {arr.min()} to {arr.max()}")
+        raise BadRange(f"{name} must lie in [{low}, {high}), got {got}")
     return arr
 
 
 def integer_in(value, low, high, name: str) -> int:
     """value as a Python int in [low, high): ``integers_in``'s one entry."""
-    (x,) = integers_in([value], low, high, name).tolist()
-    return x
+    return integers_in([value], low, high, name).item()
 
 
 def integer_text(text: str, low: int, name: str, error=BadValue) -> int:
@@ -204,14 +204,6 @@ def integer_text(text: str, low: int, name: str, error=BadValue) -> int:
         raise error(f"{name} must be an integer from {low} to {_INT64_MAX}, "
                     f"got {reprlib.repr(text)}")
     return x
-
-
-def count_at_least(value, minimum: int, name: str) -> int:
-    """value as a Python int; BadValue unless it is an integer >= minimum."""
-    (n,) = integer_array([value], name).tolist()
-    if n < minimum:
-        raise BadValue(f"{name} must be >= {minimum}, got {n}")
-    return n
 
 
 def real_in(value, low, high, name: str, ends: str = "()") -> float:

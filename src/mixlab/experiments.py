@@ -16,9 +16,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DegreeSequence, allocating, count_at_least,
-                   entropic_scale, in_degree_distribution, integer_in,
-                   integers_in, mean_std_err, one_of, real_in, tv_distance)
+from .core import (DegreeSequence, allocating, entropic_scale,
+                   in_degree_distribution, integer_in, integers_in,
+                   mean_std_err, one_of, real_in, tv_distance)
 from .errors import AllReplicatesFailed, BadCurveName, BadValue, NotConverged
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream, shared_generator
@@ -122,8 +122,8 @@ class ExperimentConfig:
         if self.alpha is not None:
             real_in(self.alpha, 0, 1, "alpha")
         real_in(self.tol, 0, math.inf, "tol")
-        object.__setattr__(self, "env_samples",
-                           count_at_least(self.env_samples, 1, "env_samples"))
+        object.__setattr__(self, "env_samples", integer_in(
+            self.env_samples, 1, math.inf, "env_samples"))
         if not np.iterable(self.beta_grid):
             raise BadValue(f"beta_grid must be a sequence, not "
                            f"{type(self.beta_grid).__name__}")
@@ -213,7 +213,7 @@ def resolve_starts(cfg: ExperimentConfig, exhaustive_small: bool = True):
         one_of(sv, ("all",), "start_vertices")
         return list(range(n)), "exhaustive"
     if not np.iterable(sv):
-        sv = count_at_least(sv, 1, "start_vertices count")
+        sv = integer_in(sv, 1, math.inf, "start_vertices count")
         if exhaustive_small and (n <= EXHAUSTIVE_LIMIT or sv >= n):
             return list(range(n)), "exhaustive"
         gen = RngStream(cfg.root_seed).lane(_LANE_STARTS).generator()
@@ -701,9 +701,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     smallest sampled vertex, or 0 for "all"); the sidecar records it.
     """
     alpha = cfg.require_alpha()
-    t = count_at_least(t, 0, "t")
-    schedule_samples = count_at_least(schedule_samples, _JACKKNIFE_BATCHES,
-                                      "schedule_samples")
+    t = integer_in(t, 0, math.inf, "t")
+    schedule_samples = integer_in(schedule_samples, _JACKKNIFE_BATCHES,
+                                  math.inf, "schedule_samples")
     _pair(schedule_samples - 1, t)  # a schedule refreshes at most t times
     seq = cfg.seq
     mu = in_degree_distribution(seq)
@@ -856,7 +856,7 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     """
     t = integer_in(t, 1, math.inf, "t")
     s = integer_in(s, 0, t + 1, "s")
-    traj_samples = count_at_least(traj_samples, 1, "traj_samples")
+    traj_samples = integer_in(traj_samples, 1, math.inf, "traj_samples")
     seq = cfg.seq
     mu = in_degree_distribution(seq)
     base = RngStream(cfg.root_seed)

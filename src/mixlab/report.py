@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass, field
 from typing import List
@@ -120,7 +121,7 @@ def parse_curve_csv(text: str) -> List[ReportRow]:
         raise BadValue(f"a curve CSV is text, not {type(text).__name__}")
     lines = [ln for ln in text.strip().split("\n") if ln]
     if not lines or tuple(lines[0].split(",")) != CURVE_HEADER:
-        raise BadValue(f"unexpected header {lines[:1]!r}")
+        raise BadValue(f"unexpected header {reprlib.repr(lines[:1])}")
     rows = []
     for ln in lines[1:]:
         try:
@@ -129,5 +130,5 @@ def parse_curve_csv(text: str) -> List[ReportRow]:
                                   std_err=float(s), theory=float(th),
                                   n_effective=int(n_eff)))
         except ValueError:      # a wrong field count or a non-number
-            raise BadValue(f"malformed curve row {ln!r}") from None
+            raise BadValue(f"malformed curve row {reprlib.repr(ln)}") from None
     return rows

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DegreeSequence, count_at_least, in_degree_distribution,
+from .core import (DegreeSequence, in_degree_distribution, integer_in,
                    law_array, mean_std_err, real_in, tv_distance)
 from .errors import (AllReplicatesFailed, BadRange, BadValue, LengthMismatch,
                      NotConverged)
@@ -52,7 +52,7 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
     n = kernel.n
     if max_iters is None:
         max_iters = _default_max_iters(n)
-    max_iters = count_at_least(max_iters, 1, "max_iters")
+    max_iters = integer_in(max_iters, 1, math.inf, "max_iters")
 
     if start is None:
         v = np.full(n, 1.0 / n)
@@ -162,7 +162,7 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
     Returns (rows, failures): one DiagnosticsRow per converged replicate.
     Raises BadRange when the replicates would run past the lane's end.
     """
-    replicates = count_at_least(replicates, 1, "replicates")
+    replicates = integer_in(replicates, 1, math.inf, "replicates")
     which, first = divmod(stream.stream_index, LANE)
     if first + replicates > LANE:
         raise BadRange(f"{replicates} replicate streams from stream "
@@ -202,7 +202,7 @@ def estimate_stationary_gap(seq: DegreeSequence, replicates: int,
     Zero exactly when in-degrees equal out-degrees vertex by vertex; skips
     non-converged replicates and raises AllReplicatesFailed if none survive.
     """
-    replicates = count_at_least(replicates, 2, "replicates")  # for std_err
+    replicates = integer_in(replicates, 2, math.inf, "replicates")  # for std_err
     rows, failures = solve_replicates(seq, replicates, stream, tol=tol,
                                       max_iters=max_iters, budget=budget)
     if not rows:

@@ -48,8 +48,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (DIST_TOL, DegreeSequence, ModelKind, allocating,
-                   count_at_least, index_dtype_for, integer_in, integers_in,
-                   law_array, real_in)
+                   index_dtype_for, integer_in, integers_in, law_array,
+                   real_in)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
 from .rng import RngStream
 from .sampler import Digraph, sample_matchings, sample_tables
@@ -406,7 +406,7 @@ def propagate(dist, kernel: TransitionKernel, steps: int,
 
 
 def delta_at(x: int, n: int) -> np.ndarray:
-    n = count_at_least(n, 1, "n")
+    n = integer_in(n, 1, math.inf, "n")
     x = integer_in(x, 0, n, "vertex")
     with allocating(f"a law on {n} vertices"):
         v = np.zeros(n)

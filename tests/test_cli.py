@@ -626,6 +626,33 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, doc):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("flags", [
+    ["--generator", "x" * 3000],
+    ["--generator", "k" * 3000 + ":3"],
+    ["--generator", "mix:2x30,3x10", "--start-vertices", "z" * 3000],
+    ["--generator", "mix:2x30,3x10", "--beta-grid", "y" * 3000],
+], ids=["generator-without-colon", "generator-kind", "start-vertices",
+        "beta-grid-entry"])
+def test_a_long_text_is_shown_shortened(tmp_path, capsys, flags):
+    args = ["q-estimate", *flags, "--out-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    # each line held the whole text: 3032 bytes for the first
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err) <= 250, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_warning_is_one_stderr_line(tmp_path, capsys):
+    # one line, without the source line Python's own format adds
+    args = ["q-estimate", "--generator", "eulerian:51x60",
+            "--gap-replicates", "2", "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == (
+        "warning: max degree 51 exceeds 50; estimator calibrations assume "
+        "bounded degrees\n")
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "0"])
 def test_alpha_outside_0_1_exits_1(tmp_path, capsys, alpha):
     # checked once, where the run's config is built
@@ -693,9 +720,14 @@ def test_a_generator_past_int64_or_memory_exits_1(tmp_path, capsys, flags):
     # stub tables of m = 10**15 in numpy's _ArrayMemoryError; each
     # traceback is now one error line.  (A degree total past int64, which
     # crashed the interpreter, is pinned in test_core, where it fails
-    # without a crash.)
-    assert run_error(["q-estimate", *flags, "--out-dir", str(tmp_path)],
-                     capsys) == 1
+    # without a crash.)  The degree of 10**12 also warns, on one line
+    # before the error line.
+    assert main(["q-estimate", *flags, "--out-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines(keepends=True)
+    warns = flags[1].startswith("eulerian")
+    assert len(lines) == 1 + warns and lines[-1].startswith("error: "), lines
+    assert all(line.startswith("warning: max degree 1000000000000 exceeds")
+               for line in lines[:-1]), lines
 
 
 @pytest.mark.parametrize("experiment, flags", [

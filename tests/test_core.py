@@ -10,7 +10,7 @@ from mixlab import (DegreeTooLarge, DegreeTooSmall, LengthMismatch,
                     entropic_scale, in_degree_distribution,
                     load_degree_sequence, sample_tables, tv_distance,
                     validate_degrees)
-from mixlab.core import count_at_least, integer_array
+from mixlab.core import integer_array, integer_in
 from mixlab.errors import BadRange, BadValue, MissingRequired
 
 
@@ -171,14 +171,14 @@ def test_integer_array_refuses_a_bool_among_integers(values):
 
 def test_integer_input_rule_keeps_integral_floats_and_numpy_integers():
     with pytest.raises(BadValue):
-        count_at_least(True, 0, "count")
+        integer_in(True, 0, math.inf, "count")
     assert integer_array([2.0, np.int32(3), 4], "x").tolist() == [2, 3, 4]
     assert integer_array(np.array([1, 0]), "x").tolist() == [1, 0]
     assert integer_array(range(3), "x").tolist() == [0, 1, 2]
-    assert count_at_least(2.0, 1, "count") == 2
-    assert type(count_at_least(np.int64(3), 1, "count")) is int
-    with pytest.raises(BadValue, match="count must be >= 1"):
-        count_at_least(0, 1, "count")
+    assert integer_in(2.0, 1, math.inf, "count") == 2
+    assert type(integer_in(np.int64(3), 1, math.inf, "count")) is int
+    with pytest.raises(BadRange, match=r"must lie in \[1, inf\), got 0$"):
+        integer_in(0, 1, math.inf, "count")
     # an integer numpy cannot hold is out of range, not malformed
     with pytest.raises(BadRange):
         integer_array([2**64], "x")

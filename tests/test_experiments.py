@@ -43,7 +43,7 @@ def test_config_validation():
         cfg_for(REG3_120, alpha=1.5)
     with pytest.raises(BadValue):
         cfg_for(REG3_120, alpha=0.0)
-    with pytest.raises(BadValue):
+    with pytest.raises(BadRange):
         cfg_for(REG3_120, env_samples=0)
     with pytest.raises(BadValue):
         cfg_for(REG3_120, beta_grid=(0.5, -1.0))

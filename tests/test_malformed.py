@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import mixlab
+from mixlab import cli
 from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     OperationBudget, RngStream, TransitionKernel,
                     annealed_check, delta_at, digraph_from_json,
@@ -41,6 +42,7 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     stationary_distribution, stationary_gap_report,
                     theory_curve, time_averaged_row, tv_distance,
                     validate_degrees, widespread_stats)
+from mixlab.errors import BadRange
 from mixlab.walk import grouped_time_averaged_rows
 
 MALFORMED = {
@@ -290,3 +292,34 @@ def test_malformed_value_is_a_typed_error(slot, value):
         assert len(str(exc)) <= 250, str(exc)
     else:
         assert (slot, value) in ACCEPTED, "no typed error"
+
+
+def _cli_run(*flags):
+    return lambda v: cli.run(cli.parse_run_spec(["q-estimate", *flags, v]))
+
+
+# every count core.integer_in reads, with the value one below its floor
+BELOW_FLOOR = [
+    ("ExperimentConfig.env_samples", 0),
+    ("ExperimentConfig.start_vertices", 0),
+    ("marginal_mc_crosscheck.t", -1),
+    ("marginal_mc_crosscheck.schedule_samples", 9),
+    ("path_weight_lln.traj_samples", 0),
+    ("stationary_distribution.max_iters", 0),
+    ("solve_replicates.replicates", 0),
+    ("estimate_stationary_gap.replicates", 1),
+    ("delta_at.n", 0),
+    ("--n", "0"),
+    ("--threads", "0"),
+    ("--threads", "65"),
+]
+CLI_SLOTS = {"--n": _cli_run("--generator", "regular:3", "--n"),
+             "--threads": _cli_run("--generator", "mix:2x30,3x10",
+                                   "--threads")}
+
+
+@pytest.mark.parametrize("slot, value", BELOW_FLOOR)
+def test_a_count_below_its_floor_is_bad_range(slot, value):
+    # a count outside its range is BadRange, as every other integer is
+    with pytest.raises(BadRange):
+        {**SLOTS, **CLI_SLOTS}[slot](value)

@@ -85,10 +85,14 @@ HEADER = ",".join(CURVE_HEADER)
 
 @pytest.mark.parametrize("text", [
     "", None, HEADER + "\n1,0.5,0,0\n", HEADER + "\n1,0.5,0,0,1,2\n",
-    HEADER + "\n1,x,0,0,1\n", HEADER + "\n1,0.5,0,0,1.5\n"],
+    HEADER + "\n1,x,0,0,1\n", HEADER + "\n1,0.5,0,0,1.5\n", "h" * 3000,
+    HEADER + "\n" + "1," * 1500],
     ids=["empty", "none", "short-row", "long-row", "non-number",
-         "fractional-count"])
+         "fractional-count", "3000-character-header", "3000-character-row"])
 def test_parse_curve_csv_refuses_malformed_text(text):
-    # these ended in IndexError, AttributeError and ValueError
-    with pytest.raises(BadValue):
+    # these ended in IndexError, AttributeError and ValueError; a long
+    # text is shown shortened (the whole 3000-character header made an
+    # error of 3022 characters)
+    with pytest.raises(BadValue) as info:
         parse_curve_csv(text)
+    assert len(str(info.value)) <= 250, str(info.value)

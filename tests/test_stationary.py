@@ -95,7 +95,7 @@ def test_custom_start_and_validation():
     assert np.abs(res.distribution - [2 / 3, 1 / 3]).max() < 1e-9
     with pytest.raises(BadValue):
         stationary_distribution(k, tol=0.0)
-    with pytest.raises(BadValue):
+    with pytest.raises(BadRange):
         stationary_distribution(k, max_iters=0)
 
 
@@ -184,7 +184,7 @@ def test_gap_is_zero_for_eulerian_and_positive_otherwise():
     assert est2.gap > 0.01
     assert est2.std_err >= 0.0
     assert est2.replicates_used == 6
-    with pytest.raises(BadValue):
+    with pytest.raises(BadRange):
         estimate_stationary_gap(mixed, 1, RngStream(0))
 
 

@@ -145,6 +145,19 @@ MUTANTS = (
     Mutant("unbounded-config-repr", "src/mixlab/cli.py",
            "f\"got {reprlib.repr(value)}\")", "f\"got {value!r}\")",
            ("tests/test_cli.py::test_config_value_of_the_wrong_type_exits_1",)),
+    # one integer reader; short texts and one line per warning in the CLI
+    Mutant("unbounded-generator-repr", "src/mixlab/cli.py",
+           "f\"generator {reprlib.repr(token)} needs a ':'\")",
+           "f\"generator {token!r} needs a ':'\")",
+           ("tests/test_cli.py::test_a_long_text_is_shown_shortened",)),
+    Mutant("no-warning-hook", "src/mixlab/cli.py",
+           "        warnings.showwarning = lambda message, *_: print(\n"
+           "            f\"warning: {message}\", file=sys.stderr)\n", "",
+           ("tests/test_cli.py::test_a_warning_is_one_stderr_line",)),
+    Mutant("one-schedule-floor", "src/mixlab/experiments.py",
+           "integer_in(schedule_samples, _JACKKNIFE_BATCHES,",
+           "integer_in(schedule_samples, 1,",
+           ("tests/test_malformed.py::test_a_count_below_its_floor_is_bad_range",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
