@@ -504,20 +504,16 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
 # regenerating joint chain: distance of (environment, position) to equilibrium
 # ---------------------------------------------------------------------------
 
-def _joint_term(alpha: float, t: int, row: Optional[np.ndarray],
-                pi_eta: Optional[np.ndarray]) -> float:
-    """One environment's term of the joint estimate at time t, from its
-    averaged row at t and its stationary law; both are None at t = 0."""
+def _joint_term(alpha: float, t: int, row: np.ndarray,
+                pi_eta: np.ndarray) -> float:
+    """One environment's term of the joint estimate at time t >= 1, from
+    its averaged row at t and its stationary law."""
     # survival and refresh-once weights of the regeneration count at time t;
     # their limits are exp(-beta) and beta * exp(-beta)
     survive = (1.0 - alpha) ** t
-    refresh_once = alpha * t * (1.0 - alpha) ** (t - 1) if t >= 1 else 0.0
-    stay_weight = survive + refresh_once
-    if row is None:
-        l1 = stay_weight    # row term vanishes; all mass vs pi
-    else:
-        l1 = float(np.abs(refresh_once * row - stay_weight * pi_eta).sum())
-    return 0.5 * (survive + l1)
+    refresh_once = alpha * t * (1.0 - alpha) ** (t - 1)
+    l1 = np.abs(refresh_once * row - (survive + refresh_once) * pi_eta).sum()
+    return 0.5 * (survive + float(l1))
 
 
 def joint_relaxation_curve(cfg: ExperimentConfig,
@@ -560,7 +556,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
     def one(item):
         i, x = item
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, i))
-        sums = dict.fromkeys(t_unique, 0.0)
+        sums = dict.fromkeys(t_rows, 0.0)
         used = 0
         streams = base.lanes(_LANE_ENV_B, [_pair(i, j)
                                            for j in range(cfg.env_samples)])
@@ -574,15 +570,15 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
             if not solved:
                 continue
             used += len(solved)
-            if 0 in sums:       # no row at t = 0
-                sums[0] += len(solved) * _joint_term(alpha, 0, None, None)
             # every grid time's row of every solved eta from one pass,
             # each added as it comes: sums[t] still adds in eta order
             for t, e, row in grouped_time_averaged_rows(
                     x, t_rows, k_sigma, [k for k, _ in solved], ledger):
                 sums[t] += _joint_term(alpha, t, row, solved[e][1])
         used_total[i] = used
-        return {t: sums[t] / used for t in t_unique} if used else None
+        # at t = 0 nothing has refreshed, and every term is exactly 1
+        return {t: sums[t] / used if t else 1.0
+                for t in t_unique} if used else None
 
     per_rep, _ = _converged(
         _parallel_map(one, enumerate(starts)),
@@ -740,18 +736,15 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
 
     total = np.zeros(seq.n)
     batch_sums = np.zeros((_JACKKNIFE_BATCHES, seq.n))
-    batch_counts = np.zeros(_JACKKNIFE_BATCHES, dtype=np.int64)
-    refreshes = 0
+    batch_counts = np.bincount(np.arange(schedule_samples)
+                               % _JACKKNIFE_BATCHES)
     for m, segs in enumerate(segments):
         w = prefix[first[m]]
         # zip takes from segs first, so kernels draws len(segs) environments
         for (length, _), kernel in zip(segs, kernels):
             w = propagate(w, kernel, length, ledger)
-        refreshes += len(refresh_steps[m])
         total += w
-        b = m % _JACKKNIFE_BATCHES
-        batch_sums[b] += w
-        batch_counts[b] += 1
+        batch_sums[m % _JACKKNIFE_BATCHES] += w
 
     mean_law = total / schedule_samples
     sampled = tv_distance(mean_law, mu)
@@ -764,7 +757,7 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     meta = _meta(
         "marginal-crosscheck", cfg, ledger, alpha=alpha, t=t, start=x,
         start_mode=start_mode, schedules=schedule_samples,
-        mean_refreshes=refreshes / schedule_samples,
+        mean_refreshes=sum(map(len, refresh_steps)) / schedule_samples,
         deterministic_estimate=exact, sampled_estimate=sampled,
         abs_gap=abs(sampled - exact))
     return ExperimentReport("marginal-crosscheck", [row], meta)
@@ -910,15 +903,18 @@ def path_weight_report(cfg: ExperimentConfig, s: int, t: int,
 
 def stationary_diagnostics(cfg: ExperimentConfig,
                            budget: Optional[OperationBudget] = None):
-    """Per-replicate stationary solves; returns (rows, failures).
+    """Per-replicate stationary solves; returns (rows, failures), and
+    raises AllReplicatesFailed when no solve converges.
 
     Thin wrapper so the command-line driver and library callers share one
     stream layout with the other experiments.
     """
-    return solve_replicates(cfg.seq, cfg.env_samples,
-                            RngStream(cfg.root_seed).lane(_LANE_GAP),
-                            tol=cfg.tol, max_iters=cfg.max_iters,
-                            budget=budget)
+    rows, failures = solve_replicates(
+        cfg.seq, cfg.env_samples, RngStream(cfg.root_seed).lane(_LANE_GAP),
+        tol=cfg.tol, max_iters=cfg.max_iters, budget=budget)
+    if not rows:
+        raise AllReplicatesFailed(f"all {failures} stationary solves failed")
+    return rows, failures
 
 
 def stationary_gap_report(cfg: ExperimentConfig,

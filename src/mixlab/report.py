@@ -12,7 +12,7 @@ import math
 import os
 import reprlib
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import List
 
 from .errors import BadValue
@@ -76,13 +76,9 @@ class ExperimentReport:
         self.metadata.setdefault("flagged_abscissae", flagged)
 
     def csv_text(self) -> str:
-        lines = [",".join(CURVE_HEADER)]
-        for row in self.rows:
-            lines.append(",".join((
-                fmt(row.abscissa), fmt(min(max(row.estimate, 0.0), 1.0)),
-                fmt(row.std_err), fmt(row.theory), str(row.n_effective),
-            )))
-        return "\n".join(lines) + "\n"
+        return _csv_text(CURVE_HEADER, (
+            (row.abscissa, min(max(row.estimate, 0.0), 1.0), row.std_err,
+             row.theory, row.n_effective) for row in self.rows))
 
     def write(self, csv_path, metadata_path=None) -> None:
         atomic_write_text(csv_path, self.csv_text())
@@ -104,13 +100,13 @@ class ExperimentReport:
 
 
 def diagnostics_csv_text(rows) -> str:
-    lines = [",".join(DIAGNOSTICS_HEADER)]
-    for row in rows:
-        lines.append(",".join((
-            str(row.replicate), str(row.seed), str(row.iterations),
-            fmt(row.residual), fmt(row.l2_stat), fmt(row.max_stat),
-            fmt(row.tv_to_in_law),
-        )))
+    return _csv_text(DIAGNOSTICS_HEADER, map(astuple, rows))
+
+
+def _csv_text(header, rows) -> str:
+    """A header line, then one line per row with each cell through fmt."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -169,7 +169,6 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
                        f"{stream.stream_index} run past the end of its lane")
     mu = in_degree_distribution(seq)
     rows = []
-    failures = 0
     subs = stream.lanes(which, range(first, first + replicates))
     for r, sub in enumerate(subs):
         g = sample_digraph(seq, sub)
@@ -178,7 +177,6 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
             result = stationary_distribution(kernel, tol=tol, max_iters=max_iters,
                                              start=mu, budget=budget)
         except NotConverged:
-            failures += 1
             continue
         stats = widespread_stats(result.distribution)
         rows.append(DiagnosticsRow(
@@ -190,7 +188,7 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
             max_stat=stats.max_stat,
             tv_to_in_law=tv_distance(result.distribution, mu),
         ))
-    return rows, failures
+    return rows, replicates - len(rows)
 
 
 def estimate_stationary_gap(seq: DegreeSequence, replicates: int,

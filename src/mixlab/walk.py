@@ -169,10 +169,11 @@ class TransitionKernel:
 
 
 def _table(values, high: int, name: str) -> np.ndarray:
-    """A heads or matching table: an ndarray as it is, since P^T's build
-    and ``one_step_laws`` check the entries they read, anything else read
-    by ``core.integers_in``, so a ragged table is BadValue."""
-    if isinstance(values, np.ndarray):
+    """A heads or matching table: an integer ndarray as it is, since P^T's
+    build and ``one_step_laws`` check the entries they read, anything else
+    (a bool or float array too) read by ``core.integers_in``, so a ragged
+    table is BadValue."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
     return integers_in(values, 0, high, name, ndim=2)
 

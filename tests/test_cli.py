@@ -370,12 +370,17 @@ def test_run_diagnostics_exit_codes(tmp_path, capsys):
     csv_path = tmp_path / "diagnostics_n30_ana_seed0.csv"
     assert csv_path.exists()
     assert len(csv_path.read_text().strip().splitlines()) == 4
-    # starving the solver of iterations fails every replicate
+    # starving the solver of iterations fails every replicate: exit 2
+    # with one error line, as q-estimate, and no CSV
+    capsys.readouterr()
+    out_dir = tmp_path / "starved"
     code = main(["diagnostics", "--generator", "mix:2x20,3x10",
                  "--env-samples", "2", "--max-iters", "1",
-                 "--out-dir", str(tmp_path)])
+                 "--out-dir", str(out_dir)])
     assert code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: all 2 stationary solves failed"]
+    assert not list(out_dir.glob("*.csv"))
 
 
 def test_run_missing_required_flag_is_an_error(tmp_path, capsys):

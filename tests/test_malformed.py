@@ -58,6 +58,7 @@ MALFORMED = {
     "string": "x",
     "none": None,
     "wrong-rank": np.ones((2, 2, 2)),
+    "bool-table": np.ones((2, 36), dtype=bool),
 }
 
 REG = validate_degrees("dcm", [3] * 12, [3] * 12)

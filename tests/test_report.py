@@ -4,9 +4,9 @@ import math
 import pytest
 
 from mixlab.errors import BadValue
-from mixlab.report import (CURVE_HEADER, ExperimentReport, ReportRow,
-                           atomic_write_text, diagnostics_csv_text, fmt,
-                           parse_curve_csv)
+from mixlab.report import (CURVE_HEADER, DIAGNOSTICS_HEADER,
+                           ExperimentReport, ReportRow, atomic_write_text,
+                           diagnostics_csv_text, fmt, parse_curve_csv)
 from mixlab.stationary import DiagnosticsRow
 
 
@@ -52,6 +52,18 @@ def test_estimates_outside_unit_interval_rejected():
         ExperimentReport("demo", [ReportRow(0.0, 0.5, math.nan, 1.0, 1)])
 
 
+def test_csv_clips_estimates_into_the_unit_interval():
+    # the report admits estimates up to 1e-9 outside [0, 1]; the CSV
+    # prints them clipped, and every other cell as fmt prints it
+    report = ExperimentReport("demo", [
+        ReportRow(0.0, -1e-10, 0.0, 1.0, 3),
+        ReportRow(0.5, 1.0 + 1e-10, 1 / 3, math.nan, 4),
+        ReportRow(2.0, 0.25, 0.125, 0.2, 5)])
+    assert report.csv_text() == (
+        HEADER + "\n0,0,0,1,3\n0.5,1," + fmt(1 / 3) + ",nan,4\n"
+        "2,0.25,0.125,0.2,5\n")
+
+
 def test_max_gap_skips_flagged_and_nan_rows():
     report = make_report()
     # flagged row at beta=1 has the largest raw gap; it must not count
@@ -78,6 +90,8 @@ def test_diagnostics_csv_shape():
     lines = text.splitlines()
     assert lines[0].startswith("replicate,seed,iterations")
     assert lines[1].split(",")[0:2] == ["0", "17"]
+    assert text == (",".join(DIAGNOSTICS_HEADER)
+                    + "\n0,17,12,1e-11,1.5,2,0.05\n")
 
 
 HEADER = ",".join(CURVE_HEADER)

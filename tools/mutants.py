@@ -73,7 +73,8 @@ MUTANTS = (
            "    tails.fill(n)\n", "",
            ("tests/test_walk.py::test_a_rewritten_kernel_refuses_a_row_that_is_no_permutation",)),
     Mutant("tables-unread", "src/mixlab/walk.py",
-           "    if isinstance(values, np.ndarray):\n        return values\n"
+           "    if isinstance(values, np.ndarray) and values.dtype.kind in \"iu\":\n"
+           "        return values\n"
            "    return integers_in(values, 0, high, name, ndim=2)\n",
            "    return np.asarray(values)\n",
            ("tests/test_walk.py::test_kernel_refuses_malformed_input",)),
@@ -113,7 +114,7 @@ MUTANTS = (
            "math.sqrt(1.0",
            ("tests/test_experiments.py::test_crosscheck_shared_prefix_matches_per_schedule_loop",)),
     Mutant("refreshes-counted-by-segment", "src/mixlab/experiments.py",
-           "refreshes += len(refresh_steps[m])", "refreshes += len(segs)",
+           "sum(map(len, refresh_steps))", "sum(map(len, segments))",
            ("tests/test_experiments.py::test_crosscheck_shared_prefix_matches_per_schedule_loop",)),
     Mutant("crosscheck-walks-last-start", "src/mixlab/experiments.py",
            "    x = starts[0]\n", "    x = starts[-1]\n",
@@ -158,6 +159,27 @@ MUTANTS = (
            "integer_in(schedule_samples, _JACKKNIFE_BATCHES,",
            "integer_in(schedule_samples, 1,",
            ("tests/test_malformed.py::test_a_count_below_its_floor_is_bad_range",)),
+    # counts derived, not kept by hand; one CSV writer; typed table and
+    # diagnostics failures
+    Mutant("joint-time-zero-not-one", "src/mixlab/experiments.py",
+           "sums[t] / used if t else 1.0", "sums[t] / used if t else 0.5",
+           ("tests/test_experiments.py::test_joint_time_zero_distance_is_one",)),
+    Mutant("batch-counts-one-too-many", "src/mixlab/experiments.py",
+           "np.bincount(np.arange(schedule_samples)",
+           "np.bincount(np.arange(schedule_samples + 1)",
+           ("tests/test_experiments.py::test_crosscheck_shared_prefix_matches_per_schedule_loop",)),
+    Mutant("any-array-table-unread", "src/mixlab/walk.py",
+           "if isinstance(values, np.ndarray) and values.dtype.kind in \"iu\":",
+           "if isinstance(values, np.ndarray):",
+           ("tests/test_walk.py::test_list_tables_give_the_kernel_and_laws_of_their_arrays",
+            "tests/test_malformed.py::test_malformed_value_is_a_typed_error")),
+    Mutant("diagnostics-fail-silently", "src/mixlab/experiments.py",
+           "    if not rows:\n        raise AllReplicatesFailed(f\"all {failures} "
+           "stationary solves failed\")\n", "",
+           ("tests/test_cli.py::test_run_diagnostics_exit_codes",)),
+    Mutant("estimate-unclipped", "src/mixlab/report.py",
+           "min(max(row.estimate, 0.0), 1.0)", "row.estimate",
+           ("tests/test_report.py::test_csv_clips_estimates_into_the_unit_interval",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
