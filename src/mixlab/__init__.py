@@ -23,11 +23,9 @@ from .experiments import (ExperimentConfig, annealed_check,
                           path_weight_report, pick_regime,
                           static_cutoff_profile, stationary_diagnostics,
                           stationary_gap_report, theory_curve)
-from .report import (ExperimentReport, ReportRow, diagnostics_csv_text,
-                     parse_curve_csv)
+from .report import ExperimentReport, ReportRow, diagnostics_csv_text
 from .rng import LANE, RngStream
-from .sampler import (Digraph, digraph_from_json, digraph_to_json, sample_dcm,
-                      sample_digraph, sample_tables)
+from .sampler import Digraph, sample_dcm, sample_digraph, sample_tables
 from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          WidespreadStats, estimate_stationary_gap,
                          solve_replicates, stationary_distribution,

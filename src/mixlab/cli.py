@@ -237,7 +237,7 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
     if model is ModelKind.OCM:
         return validate_degrees(model, out, None)
     if kind != "mix":   # regular and eulerian: in-degree is out-degree
-        return validate_degrees(model, out, out.copy())
+        return validate_degrees(model, out, out)
     gen = RngStream(root_seed).lane(DEGREE_LANE).generator()
     return validate_degrees(model, out, gen.permutation(out))
 

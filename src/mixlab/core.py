@@ -61,8 +61,10 @@ class ModelKind(enum.Enum, metaclass=_ReadByName):
 class DegreeSequence:
     """Validated degree data plus the derived totals.
 
-    ``in_degrees`` is None exactly for OCM sequences.  Arrays are stored
-    read-only; treat instances as immutable.
+    ``in_degrees`` is None exactly for OCM sequences, and is
+    ``out_degrees`` itself when ``validate_degrees`` finds the two equal
+    vertex by vertex.  Arrays are stored read-only; treat instances as
+    immutable.
     """
 
     model: ModelKind
@@ -318,6 +320,8 @@ def validate_degrees(model: ModelKind, out_degrees, in_degrees=None) -> DegreeSe
             stacklevel=2,
         )
 
+    if inn is not None and np.array_equal(out, inn):
+        inn = out   # one array, shared, when in = out vertex by vertex
     out.setflags(write=False)
     if inn is not None:
         inn.setflags(write=False)

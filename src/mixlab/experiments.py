@@ -10,7 +10,7 @@ and reported, never accepted as an input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
@@ -695,6 +695,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     and ``walk.refreshed_kernels`` draws the walked ones.  The walk starts
     at ``resolve_starts``' first start, a count always sampled (so the
     smallest sampled vertex, or 0 for "all"); the sidecar records it.
+    Besides the walk, the run keeps each schedule's refresh steps and
+    walked segments, about 100 B a schedule and 150 B a refresh: about
+    26 MB at the 65 535-schedule cap of ``_pair`` with 2 refreshes each.
     """
     alpha = cfg.require_alpha()
     t = integer_in(t, 0, math.inf, "t")
@@ -832,6 +835,37 @@ def annealed_check(cfg: ExperimentConfig, t_grid: Sequence[int],
 # path weights: trajectory log-weights concentrate at the entropy rate
 # ---------------------------------------------------------------------------
 
+def _path_blocks(cfg: ExperimentConfig, s, t, traj_samples,
+                 ledger: OperationBudget):
+    """The walk of ``path_weight_lln``: it checks the arguments and yields
+    the checked s, t and traj_samples, then each block's log-weights.
+
+    Both environments are drawn first and keep their heads only, so their
+    DCM matchings are freed as soon as each is drawn.  Block b draws its
+    starts from one CDF of the in-law on the one _LANE_STARTS generator
+    (bitwise ``choice(n, size=traj_samples, p=mu)`` cut into blocks) and
+    walks on stream ``(_LANE_TRAJ, b)``, charging the ledger first.
+    """
+    t = integer_in(t, 1, math.inf, "t")
+    s = integer_in(s, 0, t + 1, "s")
+    traj_samples = integer_in(traj_samples, 1, math.inf, "traj_samples")
+    yield s, t, traj_samples
+    seq = cfg.seq
+    base = RngStream(cfg.root_seed)
+    g_sigma, g_eta = (
+        replace(sample_digraph(seq, base.lane(lane, 0)), head_stubs=None)
+        for lane in (_LANE_ENV_A, _LANE_ENV_B))
+    cdf = in_degree_distribution(seq).cumsum()
+    cdf /= cdf[-1]
+    start_gen = base.lane(_LANE_STARTS).generator()
+    for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
+        k = min(_PATH_BLOCK, traj_samples - lo)
+        ledger.charge(float(k) * t * seq.delta)
+        xs = cdf.searchsorted(start_gen.random(k), side="right")
+        yield sample_path_log_weights(xs, s, t, g_sigma, g_eta,
+                                      base.lane(_LANE_TRAJ, b))
+
+
 def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
                     traj_samples: int,
                     budget: Optional[OperationBudget] = None) -> np.ndarray:
@@ -841,31 +875,18 @@ def path_weight_lln(cfg: ExperimentConfig, s: int, t: int,
     Starts are drawn from the in-law on stream _LANE_STARTS; each path
     walks s steps in the first environment and t - s in the second, and
     its log-weight is the sum of log P over its t steps.  Trajectories are
-    walked in blocks of ``_PATH_BLOCK``, all paths of a block stepped
-    together on stream ``(_LANE_TRAJ, b)`` for block b, and each step
+    walked in blocks of ``_PATH_BLOCK``, all paths of a block started and
+    stepped together, block b on stream ``(_LANE_TRAJ, b)``, and each step
     weighed as it is drawn; no kernel is built and no states are held.
-    So besides the two environments the memory is the traj_samples starts
-    and log-weights plus O(_PATH_BLOCK) per step.
+    So besides the two environments' heads and an O(n) CDF the memory is
+    the traj_samples log-weights returned plus O(_PATH_BLOCK) per step.
     """
-    t = integer_in(t, 1, math.inf, "t")
-    s = integer_in(s, 0, t + 1, "s")
-    traj_samples = integer_in(traj_samples, 1, math.inf, "traj_samples")
-    seq = cfg.seq
-    mu = in_degree_distribution(seq)
-    base = RngStream(cfg.root_seed)
-    g_sigma = sample_digraph(seq, base.lane(_LANE_ENV_A, 0))
-    g_eta = sample_digraph(seq, base.lane(_LANE_ENV_B, 0))
-
-    start_gen = base.lane(_LANE_STARTS).generator()
+    blocks = _path_blocks(cfg, s, t, traj_samples, as_ledger(budget))
+    *_, traj_samples = next(blocks)
     with allocating(f"{traj_samples} trajectories"):
         log_weights = np.empty(traj_samples)
-    xs = start_gen.choice(seq.n, size=traj_samples, replace=True, p=mu)
-    ledger = as_ledger(budget)
-    for b, lo in enumerate(range(0, traj_samples, _PATH_BLOCK)):
-        hi = min(lo + _PATH_BLOCK, traj_samples)
-        ledger.charge(float(hi - lo) * t * seq.delta)
-        log_weights[lo:hi] = sample_path_log_weights(
-            xs[lo:hi], s, t, g_sigma, g_eta, base.lane(_LANE_TRAJ, b))
+    for lo, block in zip(range(0, traj_samples, _PATH_BLOCK), blocks):
+        log_weights[lo:lo + block.size] = block
     return log_weights
 
 
@@ -878,19 +899,28 @@ def path_weight_report(cfg: ExperimentConfig, s: int, t: int,
     The one row holds the fraction of trajectories with -log w in
     [(1 - epsilon) H t, (1 + epsilon) H t], its binomial std_err and the
     theory 1; the sidecar holds the mean rate and its distance to H.
+    Both are summed block by block as the blocks are walked, so the run
+    holds nothing per trajectory; the mean rate adds the blocks' sums in
+    block order.  Since nothing per trajectory would refuse a count too
+    large to walk, the whole run is charged to the budget before the
+    first block.
     """
     real_in(epsilon, 0, 1, "epsilon")
-    log_weights = path_weight_lln(cfg, s, t, traj_samples, budget)
-    t, samples = int(t), log_weights.size
+    blocks = _path_blocks(cfg, s, t, traj_samples, as_ledger(None))
+    s, t, samples = next(blocks)
+    as_ledger(budget).charge(float(samples) * t * cfg.seq.delta)
     target = entropic_scale(cfg.seq).entropy
-    mean_rate = float((-log_weights / t).mean())
-    frac = float((np.abs(-log_weights / (target * t) - 1.0)
-                  <= epsilon).mean())
+    inside, rate_sum = 0, 0.0
+    for log_weights in blocks:
+        rate_sum += float((-log_weights / t).sum())
+        inside += int(np.count_nonzero(
+            np.abs(-log_weights / (target * t) - 1.0) <= epsilon))
+    mean_rate, frac = rate_sum / samples, inside / samples
     rows = [ReportRow(abscissa=0.0, estimate=frac,
                       std_err=math.sqrt(frac * (1 - frac) / samples),
                       theory=1.0, n_effective=samples)]
     meta = _meta(
-        "weight-lln", cfg, t=t, switch_time=int(s), entropy=target,
+        "weight-lln", cfg, t=t, switch_time=s, entropy=target,
         mean_rate=mean_rate, rate_abs_error=abs(mean_rate - target),
         epsilon=epsilon, samples=samples,
         row_meaning="fraction of trajectories in the entropy window")

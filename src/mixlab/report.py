@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import reprlib
 import tempfile
 from dataclasses import astuple, dataclass, field
 from typing import List
@@ -108,23 +107,3 @@ def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(map(fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def parse_curve_csv(text: str) -> List[ReportRow]:
-    """Re-read a written curve CSV; used by tests and downstream tooling.
-    Anything but curve rows under the curve header is BadValue."""
-    if not isinstance(text, str):
-        raise BadValue(f"a curve CSV is text, not {type(text).__name__}")
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if not lines or tuple(lines[0].split(",")) != CURVE_HEADER:
-        raise BadValue(f"unexpected header {reprlib.repr(lines[:1])}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            a, e, s, th, n_eff = ln.split(",")
-            rows.append(ReportRow(abscissa=float(a), estimate=float(e),
-                                  std_err=float(s), theory=float(th),
-                                  n_effective=int(n_eff)))
-        except ValueError:      # a wrong field count or a non-number
-            raise BadValue(f"malformed curve row {reprlib.repr(ln)}") from None
-    return rows

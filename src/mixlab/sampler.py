@@ -9,14 +9,13 @@ alone.  ``sample_digraph`` wraps its one-row case as a ``Digraph``, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (DegreeSequence, ModelKind, allocating, index_dtype_for,
-                   integer_in, integers_in, json_object, validate_degrees)
+                   integer_in)
 from .errors import BadValue
 from .rng import RngStream, shared_generator
 
@@ -32,7 +31,9 @@ class Digraph:
 
     ``head_stubs`` is the matching of a DCM sample: edge e (position e in
     ``heads``) took head stub ``head_stubs[e]``, stubs numbered in order of
-    their head vertex.  It is None for graphs sampled or loaded otherwise.
+    their head vertex.  It is None for OCM samples and for digraphs that
+    drop it, as ``path_weight_lln``'s environments do: a walk reads only
+    ``heads`` and ``offsets``.
     """
 
     seq: DegreeSequence
@@ -102,10 +103,14 @@ def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
 
 def sample_matchings(m: int, streams: Sequence[RngStream]) -> np.ndarray:
     """``sample_tables``' (B, m) DCM matchings, with no heads gathered."""
-    # intp, so indexing with a matching converts nothing
+    # intp, so indexing with a matching converts nothing; one row is
+    # its own arange, with no second m-sized array
     with allocating(f"a {len(streams)} x {m} table of matchings"):
-        head_stubs = np.empty((len(streams), m), dtype=np.intp)
-        head_stubs[:] = np.arange(m)
+        if len(streams) == 1:
+            head_stubs = np.arange(m, dtype=np.intp)[None]
+        else:
+            head_stubs = np.empty((len(streams), m), dtype=np.intp)
+            head_stubs[:] = np.arange(m)
     for row, stream in zip(head_stubs, streams):
         shared_generator(stream).shuffle(row)
     return head_stubs
@@ -147,43 +152,3 @@ def _distinct_rows(gen: np.random.Generator, n: int, rows: int,
             picks[int(gen.integers(0, n))] = None
         draws[x] = list(picks)
     return draws
-
-
-def digraph_to_json(g: Digraph) -> str:
-    doc = {
-        "seed": {"root_seed": g.stream.root_seed,
-                 "stream_index": g.stream.stream_index},
-        "model": g.seq.model.value,
-        "out_edges": [row.tolist()
-                      for row in np.split(g.heads, g.offsets[1:-1])],
-    }
-    return json.dumps(doc)
-
-
-def digraph_from_json(text: str) -> Digraph:
-    """The digraph of a ``digraph_to_json`` document; BadValue if text is
-    not one."""
-    doc = json_object(text, "digraph document")
-    try:
-        model = ModelKind(doc["model"])
-        out_edges = doc["out_edges"]
-        stream = RngStream(doc["seed"]["root_seed"],
-                           doc["seed"]["stream_index"])
-    except (KeyError, TypeError) as exc:    # TypeError: seed not an object
-        raise BadValue("a digraph document needs 'model', 'out_edges' and "
-                       "'seed' with 'root_seed' and 'stream_index'") from exc
-    if not (isinstance(out_edges, list)
-            and all(isinstance(row, list) for row in out_edges)):
-        raise BadValue("digraph out_edges must be a list of lists")
-    out_degrees = [len(row) for row in out_edges]
-    n = len(out_edges)
-    heads = integers_in([h for row in out_edges for h in row], 0, n,
-                        "edge heads")
-    if model is ModelKind.DCM:
-        in_degrees = np.bincount(heads, minlength=n)
-        seq = validate_degrees(model, out_degrees, in_degrees)
-    else:
-        if any(len(set(row)) != len(row) for row in out_edges):
-            raise BadValue("OCM out-edges must have distinct targets")
-        seq = validate_degrees(model, out_degrees)
-    return _finish(seq, heads, stream)

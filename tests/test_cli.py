@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixlab import cli, rng
+from mixlab import cli, experiments, rng
 from mixlab.cli import (
     DEGREE_LANE,
     RunSpec,
@@ -30,8 +31,9 @@ from mixlab.errors import (
     MissingRequired,
     UnknownFlag,
 )
-from mixlab.report import parse_curve_csv
 from mixlab.rng import RngStream
+
+from helpers import parse_curve_csv
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +712,9 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, flags):
 ], ids=["regular-size", "mix-block", "traj-samples"])
 def test_an_array_too_large_to_allocate_exits_1(tmp_path, capsys, args):
     # 10**18 entries take 6.9 EiB, which no machine can map, so numpy
-    # refuses at once and nothing is allocated; each ended in a traceback
+    # refuses at once and nothing is allocated; each ended in a traceback.
+    # weight-lln's report holds nothing per trajectory, so its budget
+    # refuses 10**18 trajectories before the first block is walked
     assert run_error([*args, "--out-dir", str(tmp_path)], capsys) == 1
 
 
@@ -788,3 +792,73 @@ def test_thread_count_outside_1_to_64_exits_1(tmp_path, capsys, monkeypatch,
     args = ["q-estimate", "--generator", "mix:2x30,3x10",
             "--out-dir", str(tmp_path), *flags]
     assert run_error(args, capsys) == 1
+
+
+# ---------------------------------------------------------------------------
+# peak memory against the replicate count
+
+# per experiment: the flags of a small run, the flag that counts its
+# environments, schedules or trajectories, and that count R
+MEMORY_RUNS = {
+    "static-cutoff": (["--generator", "eulerian:3x40", "--beta-grid",
+                       "0.5,1.5", "--start-vertices", "4"],
+                      "--env-samples", 2),
+    "double-cutoff": (["--generator", "eulerian:3x40", "--beta", "0.7",
+                       "--s-grid", "0,2", "--start-vertices", "4"],
+                      "--env-samples", 2),
+    "joint": (["--generator", "eulerian:3x40", "--alpha", "0.4",
+               "--beta-grid", "0.5,1", "--start-vertices", "3"],
+              "--env-samples", 4),
+    "marginal": (["--generator", "mix:2x30,3x10", "--alpha", "0.3",
+                  "--beta-grid", "0.6,1.2", "--gap-replicates", "4"],
+                 "--start-vertices", 4),
+    "marginal-crosscheck": (["--generator", "mix:2x30,3x10", "--alpha",
+                             "0.2", "--t", "3", "--start-vertices", "0,"],
+                            "--schedule-samples", 50),
+    "annealed": (["--generator", "eulerian:3x40", "--t-grid", "1,2",
+                  "--start-vertices", "0,1"], "--env-samples", 4),
+    "weight-lln": (["--generator", "regular:3", "--n", "40", "--model",
+                    "ocm", "--t", "4", "--switch-time", "2"],
+                   "--traj-samples", 4096),
+    "diagnostics": (["--generator", "mix:2x30,3x10"], "--env-samples", 3),
+    "q-estimate": (["--generator", "mix:2x30,3x10"], "--gap-replicates", 3),
+}
+# how far a run's traced peak may grow from R to 8R.  diagnostics writes
+# one row per replicate, a few hundred bytes each in memory, which is its
+# output and fits the allowance at R = 3
+MEMORY_ALLOWANCE = 32 * 1024
+# marginal-crosscheck keeps each schedule's refresh steps and walked
+# segments, about 200 B a schedule at t = 3 and alpha = 0.2 (measured
+# 100 B a schedule and 150 B a refresh); see its docstring
+CROSSCHECK_BYTES_PER_SCHEDULE = 320
+
+
+def test_every_run_is_in_the_memory_table():
+    assert set(MEMORY_RUNS) == set(cli._RUNS) | {"diagnostics"}
+
+
+@pytest.mark.parametrize("experiment", sorted(MEMORY_RUNS))
+def test_peak_memory_does_not_grow_with_the_replicate_count(
+        tmp_path, monkeypatch, experiment):
+    # the walkers hold a batch of up to _BATCH_ENTRIES entries, a bound of
+    # its own (test_annealed_batch_memory_is_bounded_with_every_start);
+    # a small batch is full at R already, so R and 8R hold the same batch
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", 256)
+    flags, count_flag, r = MEMORY_RUNS[experiment]
+
+    def peak(count):
+        argv = [experiment, *flags, count_flag, str(count),
+                "--out-dir", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(r)     # the first run's peak also holds imports and caches
+    growth = peak(8 * r) - peak(r)
+    allowance = MEMORY_ALLOWANCE
+    if experiment == "marginal-crosscheck":
+        allowance += CROSSCHECK_BYTES_PER_SCHEDULE * 7 * r
+    assert growth <= allowance, growth

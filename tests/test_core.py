@@ -78,6 +78,14 @@ def test_eulerian_detection():
     assert not validate_degrees("ocm", [2, 3, 2]).is_eulerian
 
 
+def test_equal_in_and_out_degrees_are_held_once():
+    eulerian = validate_degrees("dcm", [2, 3], [2, 3])
+    assert eulerian.in_degrees is eulerian.out_degrees
+    assert not eulerian.out_degrees.flags.writeable
+    mixed = validate_degrees("dcm", [2, 3], [3, 2])
+    assert not np.shares_memory(mixed.in_degrees, mixed.out_degrees)
+
+
 def test_in_degree_distribution_values():
     seq = validate_degrees("dcm", [2, 3, 2, 3], [2, 2, 3, 3])
     mu = in_degree_distribution(seq)

@@ -938,17 +938,20 @@ def test_path_weight_lln_builds_no_kernel(monkeypatch):
 
 
 def test_path_weight_lln_memory_holds_no_kernel():
-    # 3-regular DCM: the two digraphs (heads and matchings) and the
-    # sequence's arrays take about 36 bytes per edge; two P^T matrices
+    # DCM, Eulerian or not: the two digraphs' heads, one matching while it
+    # is drawn and the sequence's arrays take about 20 bytes per edge;
+    # keeping both matchings (8 bytes per edge each) or two P^T matrices
     # (8 + 4 bytes per edge each) would take it past the bound
-    seq = validate_degrees("dcm", [3] * 20_000, [3] * 20_000)
-    tracemalloc.start()
-    try:
-        path_weight_lln(cfg_for(seq), 4, 8, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 * seq.m
+    out = np.array([2, 3, 4] * 6000)
+    for inn in (out, np.random.default_rng(0).permutation(out)):
+        seq = validate_degrees("dcm", out, inn)
+        tracemalloc.start()
+        try:
+            path_weight_lln(cfg_for(seq), 4, 8, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * seq.m, seq.is_eulerian
 
 
 def test_path_weight_lln_refuses_a_non_integer_time():
@@ -997,6 +1000,24 @@ def test_path_weight_report_reduces_the_weights_of_path_weight_lln():
         assert (meta["entropy"], meta["mean_rate"],
                 meta["rate_abs_error"]) == (h, mean_rate, abs(mean_rate - h))
     assert path_weight_report(cfg, s, t, samples, edge).rows[0].estimate == 1.0
+
+
+def test_path_weight_report_sums_its_blocks_in_order(monkeypatch):
+    # 300 paths in blocks of 64: the in-window count is that of the whole
+    # array, and the mean rate adds the blocks' sums in block order
+    monkeypatch.setattr(experiments, "_PATH_BLOCK", 64)
+    seq = validate_degrees("dcm", [2, 3, 4, 2, 3] * 6, [3, 2, 2, 4, 3] * 6)
+    cfg, s, t, samples = cfg_for(seq), 2, 7, 300
+    weights = path_weight_lln(cfg, s, t, samples)
+    h = entropic_scale(seq).entropy
+    report = path_weight_report(cfg, s, t, samples)
+    frac = float((np.abs(-weights / (h * t) - 1.0) <= 0.1).mean())
+    assert report.rows[0].estimate == frac < 1.0
+    rate = sum(float((-block / t).sum())
+               for block in np.split(weights, range(64, samples, 64)))
+    assert report.metadata["mean_rate"] == rate / samples
+    assert math.isclose(rate / samples, float((-weights / t).mean()),
+                        rel_tol=1e-12)
 
 
 def test_double_cutoff_validates_switch_grid():
@@ -1079,6 +1100,21 @@ def test_a_cap_one_below_the_full_charge_stops_the_run(name):
         run(short)
     # stopped at the call that would cross the cap, not before any work
     assert 0 < short.used <= cap
+
+
+def test_weight_lln_report_charges_its_whole_walk_before_the_first_block():
+    # the report holds nothing per trajectory, so its budget is what
+    # refuses a walk too long to finish; it charges what the library
+    # form charges block by block
+    args = (cfg_for(MIX_120), 2, 4, experiments._PATH_BLOCK + 100)
+    blocks, whole = OperationBudget(), OperationBudget()
+    path_weight_lln(*args, budget=blocks)
+    path_weight_report(*args, budget=whole)
+    assert whole.used == blocks.used > 0
+    short = OperationBudget(whole.used - 1)
+    with pytest.raises(BudgetExceeded):
+        path_weight_report(*args, budget=short)
+    assert short.used == 0
 
 
 def test_static_cutoff_charges_its_walks_and_solves():

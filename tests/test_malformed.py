@@ -14,9 +14,12 @@ Wrong duck types are out of scope: an object of another type where a
 library object goes, such as a dict where a ``DegreeSequence`` goes or
 an int where an ``RngStream`` goes.  NOT_DATA lists the exports that
 take nothing else, with result records and exception classes, so every
-export is classified.  UNEXPORTED names the one public ``walk`` function
-the catalogue also covers: ``grouped_time_averaged_rows``, which serves
-every grid of joint rows that ``time_averaged_row`` takes one row of.
+export is classified.  UNEXPORTED names what the catalogue also covers
+without an export: the public ``walk`` function
+``grouped_time_averaged_rows``, which serves every grid of joint rows
+that ``time_averaged_row`` takes one row of, and the document readers of
+the tests' ``helpers`` module, ``digraph_from_json`` and
+``parse_curve_csv``.
 """
 
 import math
@@ -29,12 +32,12 @@ import mixlab
 from mixlab import cli
 from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     OperationBudget, RngStream, TransitionKernel,
-                    annealed_check, delta_at, digraph_from_json,
-                    double_cutoff_sweep, double_row,
+                    annealed_check, delta_at, double_cutoff_sweep,
+                    double_row,
                     estimate_stationary_gap, joint_relaxation_curve,
                     kernel_from_digraph, load_degree_sequence,
                     marginal_mc_crosscheck, marginal_relaxation_curve,
-                    one_step_laws, parse_curve_csv, path_log_weights,
+                    one_step_laws, path_log_weights,
                     path_weight_lln, path_weight_report, pick_regime,
                     propagate, sample_digraph, sample_paths, sample_tables,
                     sample_trajectory, solve_replicates,
@@ -44,6 +47,8 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     validate_degrees, widespread_stats)
 from mixlab.errors import BadRange
 from mixlab.walk import grouped_time_averaged_rows
+
+from helpers import digraph_from_json, parse_curve_csv
 
 MALFORMED = {
     "nan": math.nan,
@@ -140,7 +145,7 @@ SLOTS = {
     "theory_curve.gamma": lambda v: theory_curve("joint_general", 0.5,
                                                  gamma=v),
     "theory_curve.gap": lambda v: theory_curve("static_profile", 1.5, gap=v),
-    # report
+    # report, read back by the tests' helpers
     "parse_curve_csv.text": lambda v: parse_curve_csv(v),
     # rng
     "RngStream.root_seed": lambda v: RngStream(v),
@@ -248,7 +253,7 @@ NOT_DATA = {
     "joint_relaxation_curve", "static_cutoff_profile",
     "stationary_diagnostics", "kernel_from_digraph",
     "sample_tables", "sample_digraph", "sample_dcm",
-    "digraph_to_json", "diagnostics_csv_text", "path_log_weight",
+    "diagnostics_csv_text", "path_log_weight",
     # records the package returns
     "DegreeSequence", "EntropicScale", "ExperimentReport", "ReportRow",
     "DiagnosticsRow", "GapEstimate", "StationaryResult", "WidespreadStats",
@@ -258,7 +263,8 @@ NOT_DATA = {
 }
 
 
-UNEXPORTED = {"grouped_time_averaged_rows"}
+UNEXPORTED = {"grouped_time_averaged_rows", "digraph_from_json",
+              "parse_curve_csv"}
 
 
 def _named(slot):

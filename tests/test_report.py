@@ -6,8 +6,10 @@ import pytest
 from mixlab.errors import BadValue
 from mixlab.report import (CURVE_HEADER, DIAGNOSTICS_HEADER,
                            ExperimentReport, ReportRow, atomic_write_text,
-                           diagnostics_csv_text, fmt, parse_curve_csv)
+                           diagnostics_csv_text, fmt)
 from mixlab.stationary import DiagnosticsRow
+
+from helpers import parse_curve_csv
 
 
 def make_report():

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixlab import digraph_to_json, sample_digraph, validate_degrees
+from mixlab import sample_digraph, validate_degrees
 from mixlab.errors import BadRange, BadValue
 from mixlab.experiments import _PAIR_MAX, _pair
 from mixlab.rng import LANE, RngStream, lane_keys, shared_generator
+
+from helpers import digraph_to_json
 
 
 def test_same_stream_replays_identical_draws():

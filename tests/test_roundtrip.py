@@ -9,9 +9,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mixlab import (RngStream, digraph_from_json, digraph_to_json,  # noqa: E402
-                    load_degree_sequence, sample_digraph, validate_degrees)
+from mixlab import (RngStream, load_degree_sequence,  # noqa: E402
+                    sample_digraph, validate_degrees)
 from mixlab.rng import LANE, lane_keys  # noqa: E402
+
+from helpers import digraph_from_json, digraph_to_json  # noqa: E402
 
 
 @st.composite

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab import (RngStream, digraph_from_json, digraph_to_json, sample_dcm,
-                    sample_digraph, sample_tables, sampler, validate_degrees)
+from mixlab import (RngStream, sample_dcm, sample_digraph, sample_tables,
+                    sampler, validate_degrees)
 from mixlab.core import index_dtype_for
 from mixlab.errors import BadRange, BadValue
+
+from helpers import digraph_from_json, digraph_to_json
 
 
 TRIPLE = validate_degrees("dcm", [2, 2, 2], [2, 2, 2])

@@ -7,14 +7,16 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from mixlab import (NotConverged, RngStream, TransitionKernel, delta_at,
-                    digraph_from_json, estimate_stationary_gap,
-                    in_degree_distribution, kernel_from_digraph,
-                    sample_digraph, solve_replicates, stationary_distribution,
-                    tv_distance, validate_degrees, widespread_stats)
+                    estimate_stationary_gap, in_degree_distribution,
+                    kernel_from_digraph, sample_digraph, solve_replicates,
+                    stationary_distribution, tv_distance, validate_degrees,
+                    widespread_stats)
 from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            LengthMismatch)
 from mixlab.rng import LANE
 from mixlab.walk import OperationBudget
+
+from helpers import digraph_from_json
 
 
 def dense_stationary(p):

@@ -10,8 +10,8 @@ import pytest
 from scipy.sparse import block_diag, csr_matrix, issparse
 
 from mixlab import (Digraph, ModelKind, NotConverged, OperationBudget,
-                    RngStream, TransitionKernel, delta_at, digraph_from_json,
-                    digraph_to_json, double_row, kernel_from_digraph,
+                    RngStream, TransitionKernel, delta_at, double_row,
+                    kernel_from_digraph,
                     one_step_laws, path_log_weight, path_log_weights,
                     propagate, sample_dcm, sample_digraph, sample_paths,
                     sample_tables, sample_trajectory,
@@ -22,6 +22,8 @@ from mixlab import sampler, walk
 from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
                          grouped_time_averaged_rows, refreshed_kernels,
                          sample_path_log_weights)
+
+from helpers import digraph_from_json, digraph_to_json
 
 
 def _graph_from_edges(out_edges, model="dcm"):

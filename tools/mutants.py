@@ -120,7 +120,7 @@ MUTANTS = (
            "    x = starts[0]\n", "    x = starts[-1]\n",
            ("tests/test_experiments.py::test_crosscheck_walks_and_records_its_first_start",)),
     Mutant("weight-window-open", "src/mixlab/experiments.py",
-           "<= epsilon).mean())", "< epsilon).mean())",
+           "<= epsilon))", "< epsilon))",
            ("tests/test_experiments.py::test_path_weight_report_reduces_the_weights_of_path_weight_lln",)),
     Mutant("path-blocks-on-one-stream", "src/mixlab/experiments.py",
            "base.lane(_LANE_TRAJ, b))", "base.lane(_LANE_TRAJ, 0))",
@@ -180,6 +180,18 @@ MUTANTS = (
     Mutant("estimate-unclipped", "src/mixlab/report.py",
            "min(max(row.estimate, 0.0), 1.0)", "row.estimate",
            ("tests/test_report.py::test_csv_clips_estimates_into_the_unit_interval",)),
+    # weight-lln holds only what its walk reads
+    Mutant("weight-lln-keeps-its-matchings", "src/mixlab/experiments.py",
+           "replace(sample_digraph(seq, base.lane(lane, 0)), head_stubs=None)",
+           "sample_digraph(seq, base.lane(lane, 0))",
+           ("tests/test_experiments.py::test_path_weight_lln_memory_holds_no_kernel",)),
+    Mutant("block-starts-on-the-block-stream", "src/mixlab/experiments.py",
+           "xs = cdf.searchsorted(start_gen.random(k)",
+           "xs = cdf.searchsorted(base.lane(_LANE_TRAJ, b).generator().random(k)",
+           ("tests/test_experiments.py::test_path_weight_lln_walks_blocks_on_their_own_streams",)),
+    Mutant("eulerian-degrees-held-twice", "src/mixlab/core.py",
+           "        inn = out   # one array", "        inn = inn   # one array",
+           ("tests/test_core.py::test_equal_in_and_out_degrees_are_held_once",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
