@@ -25,7 +25,7 @@ from .experiments import (ExperimentConfig, annealed_check,
                           stationary_gap_report, theory_curve)
 from .report import ExperimentReport, ReportRow, diagnostics_csv_text
 from .rng import LANE, RngStream
-from .sampler import Digraph, sample_dcm, sample_digraph, sample_tables
+from .sampler import Digraph, sample_digraph, sample_tables
 from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
                          WidespreadStats, estimate_stationary_gap,
                          solve_replicates, stationary_distribution,

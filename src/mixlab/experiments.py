@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +21,7 @@ from .core import (DegreeSequence, allocating, entropic_scale,
                    mean_std_err, one_of, real_in, tv_distance)
 from .errors import AllReplicatesFailed, BadCurveName, BadValue, NotConverged
 from .report import ExperimentReport, ReportRow
-from .rng import RngStream, shared_generator
+from .rng import RngStream, lane_keys, shared_generator
 from .sampler import sample_digraph, sample_tables
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
@@ -60,10 +60,12 @@ DEFAULT_START_SAMPLE = 32
 #   (n, 1) block at n = 2000 / 10^4, so B = w = 1 walks a 1-d law.
 _BATCH_ENTRIES = 65536   # joint: G = max(1, this // m) eta per sigma walk
 _BATCH_MAX_EDGES = 2048
-# _environment_laws keys its environment streams this many at a time: one
-# RngStream.lanes pass costs about 5 lane().generator() calls, so a lone
-# environment must not pay a pass of its own, and the keys held stay at
-# 16 KiB however many environments run
+# _environment_laws keys its environments this many at a time, rounded
+# down to a multiple of its batch size B (B if B is larger), and slices
+# each batch's keys from that table: one rng.lane_keys pass costs about 5
+# lane().generator() calls, so a lone environment must not pay a pass of
+# its own, and the keys held stay within max(_KEY_CHUNK, B) rows of 16
+# bytes however many environments run
 _KEY_CHUNK = 1024
 
 # Disjoint stream lanes for nested sampling loops.
@@ -293,58 +295,66 @@ def _environment_laws(cfg: ExperimentConfig, starts: np.ndarray,
     of the (samples, S) table starts: a (B, len(ts), S, n) array, row e
     of it environment e's laws from the starts in its row.
 
-    Environment e is sampled on stream (_LANE_ENV_A, e), keyed _KEY_CHUNK
-    at a time.  A batch is drawn as ``sample_tables``' (B, m) tables, with
-    no digraph per environment.  Laws at t = 0 are the deltas themselves,
-    and every walk takes its first step by ``one_step_laws``, read from the
-    heads table.  Only when max(ts) >= 2 does the batch build its
-    block-diagonal kernel, once, up front, and propagate the step-1 laws
-    on it; so a grid with no time past 1 builds no kernel and runs no
-    product.  Every law equals its own 1-d walk bit for bit, and batches
-    come in replicate order.  One batch is in flight: B * m kernel
-    entries, the B * m tables, B * |ts| * S * n floats of laws, and one
-    chunk's transient blocks of B * w * n floats each, at most
-    _BATCH_ENTRIES / 2 as m >= 2n.
+    Environment e is sampled on stream (_LANE_ENV_A, e).  Its key comes
+    from a ``rng.lane_keys`` table of _KEY_CHUNK environments, rounded
+    down to a multiple of B, and a batch is drawn as ``sample_tables``'
+    (B, m) tables from its B rows of that table, with no stream or
+    digraph per environment.  Laws at t = 0 are the deltas themselves,
+    and every walk takes its first step by ``one_step_laws``, read from
+    the heads table into a law-major (B, w, n) array that is stored as it
+    is.  Only when max(ts) >= 2 does the batch build its block-diagonal
+    kernel, once, up front, and propagate the step-1 laws on it, from one
+    (B n, w) copy of them, or a 1-d law when B = w = 1; so a grid with no
+    time past 1 builds no kernel and runs no product.  Every law equals
+    its own 1-d walk bit for bit, and batches come in replicate order.
+    One batch is in flight: B * m kernel entries, the B * m tables,
+    B * |ts| * S * n floats of laws, and one chunk's transient blocks of
+    B * w * n floats each, at most _BATCH_ENTRIES / 2 as m >= 2n; the
+    keys held are at most max(_KEY_CHUNK, B) rows.
     """
     seq, (samples, width) = cfg.seq, starts.shape
     n, m = seq.n, seq.m
     entries = _BATCH_ENTRIES if m <= _BATCH_MAX_EDGES else 0
     size = max(1, entries // (width * m))
     chunk = max(1, min(width, entries // m))
-    base = RngStream(cfg.root_seed)
-    streams = chain.from_iterable(
-        base.lanes(_LANE_ENV_A, range(lo, min(lo + _KEY_CHUNK, samples)))
-        for lo in range(0, samples, _KEY_CHUNK))
-    batches = ((lo, list(islice(streams, size)))
-               for lo in range(0, samples, size))
+    keyed = max(size, _KEY_CHUNK // size * size)
+
+    def batches():
+        for first in range(0, samples, keyed):
+            keys = lane_keys(cfg.root_seed, _LANE_ENV_A,
+                             np.arange(first, min(first + keyed, samples)))
+            for lo in range(0, len(keys), size):
+                yield first + lo, keys[lo:lo + size]
 
     def one(item):
-        lo, batch = item
-        heads, head_stubs = sample_tables(seq, batch)
+        lo, keys = item
+        heads, head_stubs = sample_tables(seq, keys)
         kernel = (TransitionKernel(rows=(seq, heads, head_stubs))
                   if ts[-1] >= 2 else None)
-        b = len(batch)
+        b = len(keys)
         laws = np.empty((b, len(ts), width, n))
         for c in range(0, width, chunk):
             xs = starts[lo:lo + b, c:c + chunk]
             cols = slice(c, c + xs.shape[1])
             cur = 0
             for ti, t in enumerate(ts):
+                out = laws[:, ti, cols]     # a (b, w, n) view
                 if t == 0:
-                    delta = laws[:, ti, cols]     # a view
-                    delta[:] = 0.0
-                    np.put_along_axis(delta, xs[:, :, None], 1.0, axis=2)
+                    out[:] = 0.0
+                    np.put_along_axis(out, xs[:, :, None], 1.0, axis=2)
                     continue
                 if cur == 0:
                     v, cur = one_step_laws(seq, heads, xs, ledger), 1
-                    if v.size == n:     # b = w = 1: walk a 1-d law
-                        v = v.ravel()
                 if t > cur:
+                    if v.ndim == 3:     # products move (b n, w) blocks
+                        v = (v.ravel() if v.size == n     # b = w = 1
+                             else v.transpose(0, 2, 1).reshape(b * n, -1))
                     v, cur = propagate(v, kernel, t - cur, ledger), t
-                laws[:, ti, cols] = v.reshape(b, n, -1).swapaxes(1, 2)
+                out[:] = (v if v.ndim == 3
+                          else v.reshape(b, n, -1).swapaxes(1, 2))
         return laws
 
-    return _parallel_map(one, batches)
+    return _parallel_map(one, batches())
 
 
 def _meta(name: str, cfg: ExperimentConfig,
@@ -690,14 +700,15 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
     min(t, schedule_samples) + 1 vectors of length n.  A refreshed
     environment is sampled only when a later step walks in it; its stream
     lane does not depend on that, and every refresh still counts toward
-    ``mean_refreshes``.  The streams of all schedules, and then of all
-    walked environments, are keyed in one ``RngStream.lanes`` pass each,
-    and ``walk.refreshed_kernels`` draws the walked ones.  The walk starts
-    at ``resolve_starts``' first start, a count always sampled (so the
-    smallest sampled vertex, or 0 for "all"); the sidecar records it.
-    Besides the walk, the run keeps each schedule's refresh steps and
-    walked segments, about 100 B a schedule and 150 B a refresh: about
-    26 MB at the 65 535-schedule cap of ``_pair`` with 2 refreshes each.
+    ``mean_refreshes``.  All schedules, and then all walked environments,
+    are keyed in one ``rng.lane_keys`` table each, with no stream built
+    per draw, and ``walk.refreshed_kernels`` draws the walked ones.  The
+    walk starts at ``resolve_starts``' first start, a count always
+    sampled (so the smallest sampled vertex, or 0 for "all"); the sidecar
+    records it.  Besides the walk, the run keeps each schedule's refresh
+    steps and walked segments, about 100 B a schedule and 150 B a
+    refresh: about 26 MB at the 65 535-schedule cap of ``_pair`` with 2
+    refreshes each.
     """
     alpha = cfg.require_alpha()
     t = integer_in(t, 0, math.inf, "t")
@@ -714,9 +725,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
 
     # schedule m draws its refresh steps on lane offset _pair(m, 0)
     refresh_steps = [
-        np.flatnonzero(shared_generator(stream).random(t) < alpha).tolist()
-        for stream in base.lanes(
-            _LANE_SCHED, [_pair(m, 0) for m in range(schedule_samples)])]
+        np.flatnonzero(shared_generator(key).random(t) < alpha).tolist()
+        for key in lane_keys(cfg.root_seed, _LANE_SCHED, [
+            _pair(m, 0) for m in range(schedule_samples)]).tolist()]
     first = [steps[0] if steps else t for steps in refresh_steps]
     # on a refresh step the environment changes and the walker holds;
     # environment k of schedule m, on lane offset _pair(m, k), walks the
@@ -728,8 +739,9 @@ def marginal_mc_crosscheck(cfg: ExperimentConfig, t: int,
          if end - r > 1]
         for m, steps in enumerate(refresh_steps)]
     # each walked environment's kernel holds only for its segment's walk
-    kernels = refreshed_kernels(seq, base.lanes(
-        _LANE_SCHED, [k for segs in segments for _, k in segs]))
+    kernels = refreshed_kernels(seq, lane_keys(
+        cfg.root_seed, _LANE_SCHED, [k for segs in segments
+                                     for _, k in segs]))
     prefix = dict(_laws_at(delta_at(x, seq.n), k_sigma,
                            sorted(set(first) | {t}), ledger))
 

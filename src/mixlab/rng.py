@@ -7,24 +7,30 @@ generator.  Stream k is reachable directly, without generating streams
 
 Every stream carries its Philox key, the one numpy derives from
 ``SeedSequence((root_seed, stream_index))``.  Building that SeedSequence
-costs about as much as sampling a small graph, so ``RngStream.lanes``
-derives the keys of many streams of one lane at once: ``lane_keys`` runs
-numpy's SeedSequence algorithm (hash the entropy words into a pool of four
-uint32 words, mix every pool word into every other, then
-``generate_state(2, uint64)``) in uint32 array arithmetic, one array
-element per stream.  Its keys are bitwise those of numpy, so a stream
-draws the same numbers however its key was derived.
+costs about as much as sampling a small graph, so ``lane_keys`` derives
+the keys of many streams of one lane at once, and ``RngStream.lanes``
+builds streams on them: it runs numpy's SeedSequence algorithm (hash the
+entropy words into a pool of four uint32 words, mix every pool word into
+every other, then ``generate_state(2, uint64)``) in uint32 array
+arithmetic, one array element per stream.  Its keys are bitwise those of
+numpy, so a stream draws the same numbers however its key was derived.
+
+A key table, the (B, 2) uint64 array ``lane_keys`` returns, is how a
+batch of draws is keyed: ``sampler.sample_tables`` and
+``walk.refreshed_kernels`` take one, so a batch builds no ``RngStream``
+per environment, and ``key_table`` refuses any other value.
 
 A sampled environment draws only a few hundred numbers, so a fresh
-``Generator(Philox(...))`` per stream would cost more than its draws.
+``Generator(Philox(...))`` per key would cost more than its draws.
 Philox is counter-based: its output depends only on (key, counter).
 ``shared_generator`` therefore keeps one generator per thread and, for
-each stream, resets its Philox through the public ``state`` setter to the
-state a fresh Philox has: the stream's key, counter 0, an empty buffer and
-no spare 32-bit word.  It then draws exactly the numbers
-``stream.generator()`` would.  The generator it returns is valid only
-until that thread's next ``shared_generator`` call, so it must never leave
-the call that borrowed it: draw, then drop it.  ``RngStream.generator()``
+each key, resets its Philox through the public ``state`` setter to the
+state a fresh Philox has: that key, counter 0, an empty buffer and no
+spare 32-bit word.  It then draws exactly the numbers
+``Generator(Philox(key=key))`` would, so for a stream's key those of
+``stream.generator()``.  The generator it returns is valid only until
+that thread's next ``shared_generator`` call, so it must never leave the
+call that borrowed it: draw, then drop it.  ``RngStream.generator()``
 keeps returning a fresh generator, for callers that hold theirs across
 other draws.
 """
@@ -98,14 +104,19 @@ def _index(value, name: str) -> int:
     return int(value)
 
 
-def lane_keys(root_seed: int, which: int, ks: np.ndarray) -> np.ndarray:
+def lane_keys(root_seed: int, which: int, ks) -> np.ndarray:
     """(len(ks), 2) uint64 Philox keys of streams ``which * LANE + k``.
 
     Row i equals ``SeedSequence((root_seed, which * LANE + ks[i]))
-    .generate_state(2, np.uint64)`` bitwise.  ks holds offsets in
-    [0, LANE), so only the stream index's low entropy word varies: the
+    .generate_state(2, np.uint64)`` bitwise.  The arguments are read as
+    ``RngStream.lanes`` reads them: root_seed and which are nonnegative
+    integers, and ks, read by ``core.integers_in``, holds offsets in
+    [0, LANE).  So only the stream index's low entropy word varies: the
     entropy is root_seed's words, then k, then which's words if which > 0.
     """
+    ks = integers_in(ks, 0, LANE, "lane offsets")
+    which = _index(which, "lane")
+    root_seed = _index(root_seed, "root_seed")
     entropy = _words(root_seed) + [np.asarray(ks, dtype=np.uint32)]
     if which:
         entropy += _words(which)
@@ -164,41 +175,57 @@ class RngStream:
               ) -> Iterator[RngStream]:
         """The streams ``lane(which, k)`` for k in ks, keyed in one pass.
 
-        Offsets are read by ``core.integers_in`` and every key derived
-        before this returns; it then holds ks and 16 bytes of key per
-        stream, and builds each stream when the iteration reaches it.
+        ``lane_keys`` reads the arguments and derives every key before
+        this returns; it then holds ks and 16 bytes of key per stream,
+        and builds each stream when the iteration reaches it.
         """
-        offsets = integers_in(ks, 0, LANE, "lane offsets")
-        which = _index(which, "lane")
-        keys = lane_keys(self.root_seed, which, offsets)
-        start = which * LANE
+        keys = lane_keys(self.root_seed, which, ks)
+        start = int(which) * LANE
         return (RngStream(self.root_seed, start + int(k), key)
                 for k, key in zip(ks, keys))
 
 
+def key_table(keys) -> np.ndarray:
+    """keys when it is a key table, a (B, 2) uint64 array such as
+    ``lane_keys`` returns, B >= 0; BadValue for anything else."""
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint64
+            and keys.ndim == 2 and keys.shape[1] == 2):
+        got = (f"{keys.dtype} {keys.shape}" if isinstance(keys, np.ndarray)
+               else type(keys).__name__)
+        raise BadValue(f"keys must be a (B, 2) uint64 table, got {got}")
+    return keys
+
+
 class _Shared(threading.local):
-    """Each thread's one re-keyable generator: ``__init__`` runs in the
-    importing thread at import, and in any other on its first read."""
+    """Each thread's one re-keyable generator and the fresh Philox state
+    its keys are set in: ``__init__`` runs in the importing thread at
+    import, and in any other on its first read."""
 
     def __init__(self):
         self.generator = Generator(Philox(0))
+        # the state setter copies what it reads, so one dict, re-keyed per
+        # call, serves every call of this thread
+        self.fresh = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+        self.state = {"bit_generator": "Philox", "state": self.fresh,
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
 
 
 _shared = _Shared()
 
 
-def shared_generator(stream: RngStream) -> np.random.Generator:
-    """A generator that draws exactly what ``stream.generator()`` draws.
+def shared_generator(key) -> np.random.Generator:
+    """A generator that draws exactly what ``Generator(Philox(key=key))``
+    draws, for the two words of a Philox key: a row of a key table, or a
+    pair of Python ints (a row of ``keys.tolist()``), which the state
+    setter reads several times faster.
 
-    This is the calling thread's shared generator, reset to the stream's
+    This is the calling thread's shared generator, reset to that key's
     fresh state; it is valid until the thread's next call, so draw from it
     and drop it.
     """
-    gen = _shared.generator
-    # Python ints: the setter reads them several times faster than arrays
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": stream.key.tolist()},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+    shared = _shared
+    shared.fresh["key"] = key
+    gen = shared.generator
+    gen.bit_generator.state = shared.state
     return gen

@@ -1,23 +1,22 @@
 """Digraph samplers: uniform stub matching (DCM) and injective out-maps (OCM).
 
 ``sample_tables`` is the one sampler: it draws B environments, one per
-stream, into (B, m) tables of heads and, for DCM, matchings, with no
-object per environment; ``sample_matchings`` draws its DCM matchings
-alone.  ``sample_digraph`` wraps its one-row case as a ``Digraph``, and
-``sample_dcm`` is ``sample_digraph`` for a DCM sequence.
+row of a (B, 2) key table (see ``rng.lane_keys``), into (B, m) tables of
+heads and, for DCM, matchings, with no object per environment;
+``sample_matchings`` draws its DCM matchings alone.  ``sample_digraph``
+wraps its one-row case, keyed by its stream's key, as a ``Digraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import (DegreeSequence, ModelKind, allocating, index_dtype_for,
                    integer_in)
-from .errors import BadValue
-from .rng import RngStream, shared_generator
+from .rng import RngStream, key_table, shared_generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,14 +64,17 @@ def _finish(seq: DegreeSequence, heads: np.ndarray, stream: RngStream,
     return Digraph(seq=seq, heads=heads, stream=stream, head_stubs=head_stubs)
 
 
-def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
+def sample_tables(seq: DegreeSequence, keys: np.ndarray
                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One environment per stream on seq, as (B, m) tables of its rows.
+    """One environment per row of the key table keys on seq, as (B, m)
+    tables of its rows.
 
-    Row e of ``heads`` holds the out-lists of the digraph drawn on
-    streams[e], and for DCM row e of ``head_stubs`` its matching: bitwise
-    the ``heads`` and ``head_stubs`` of ``sample_digraph(seq, streams[e])``,
-    which is the one-row case.  OCM returns no matching.
+    keys is a (B, 2) uint64 table such as ``rng.lane_keys`` returns, read
+    by ``rng.key_table`` (anything else is BadValue).  Row e of ``heads``
+    holds the out-lists of the digraph drawn with keys[e], and for DCM row
+    e of ``head_stubs`` its matching: bitwise the ``heads`` and
+    ``head_stubs`` of ``sample_digraph(seq, stream)`` for the stream whose
+    key is keys[e], which is the one-row case.  OCM returns no matching.
 
     DCM matches the m tail stubs to a uniform permutation of the m head
     stubs: shuffling row e, an ``arange(m)``, in place draws what
@@ -86,48 +88,44 @@ def sample_tables(seq: DegreeSequence, streams: Sequence[RngStream]
     and their sorted copies take O(m) memory whatever the largest degree.
     A regular sequence is a single class drawn as one (n, d) block.
     """
+    keys = key_table(keys)
     if seq.model is ModelKind.DCM:
-        head_stubs = sample_matchings(seq.m, streams)
+        head_stubs = sample_matchings(seq.m, keys)
         return np.take(seq.head_slots, head_stubs), head_stubs
-    with allocating(f"a {len(streams)} x {seq.m} table of heads"):
-        heads = np.empty((len(streams), seq.m), dtype=index_dtype_for(seq.m))
+    with allocating(f"a {len(keys)} x {seq.m} table of heads"):
+        heads = np.empty((len(keys), seq.m), dtype=index_dtype_for(seq.m))
     degs = seq.out_degrees
     classes = [(d, seq.out_offsets[np.flatnonzero(degs == d)][:, None]
                 + np.arange(d)) for d in np.unique(degs).tolist()]
-    for row, stream in zip(heads, streams):
-        gen = shared_generator(stream)
+    for row, key in zip(heads, keys.tolist()):
+        gen = shared_generator(key)
         for d, slots in classes:
             row[slots] = _distinct_rows(gen, seq.n, len(slots), d)
     return heads, None
 
 
-def sample_matchings(m: int, streams: Sequence[RngStream]) -> np.ndarray:
+def sample_matchings(m: int, keys: np.ndarray) -> np.ndarray:
     """``sample_tables``' (B, m) DCM matchings, with no heads gathered."""
+    keys = key_table(keys)
     # intp, so indexing with a matching converts nothing; one row is
     # its own arange, with no second m-sized array
-    with allocating(f"a {len(streams)} x {m} table of matchings"):
-        if len(streams) == 1:
+    with allocating(f"a {len(keys)} x {m} table of matchings"):
+        if len(keys) == 1:
             head_stubs = np.arange(m, dtype=np.intp)[None]
         else:
-            head_stubs = np.empty((len(streams), m), dtype=np.intp)
+            head_stubs = np.empty((len(keys), m), dtype=np.intp)
             head_stubs[:] = np.arange(m)
-    for row, stream in zip(head_stubs, streams):
-        shared_generator(stream).shuffle(row)
+    for row, key in zip(head_stubs, keys.tolist()):
+        shared_generator(key).shuffle(row)
     return head_stubs
 
 
 def sample_digraph(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    """The environment drawn on stream: ``sample_tables``' one-row case."""
-    heads, head_stubs = sample_tables(seq, (stream,))
+    """The environment drawn on stream: ``sample_tables``' one-row case,
+    keyed by the stream's key."""
+    heads, head_stubs = sample_tables(seq, stream.key[None])
     return _finish(seq, heads[0], stream,
                    None if head_stubs is None else head_stubs[0])
-
-
-def sample_dcm(seq: DegreeSequence, stream: RngStream) -> Digraph:
-    """Match the m tail stubs to a uniform permutation of the m head stubs."""
-    if seq.model is not ModelKind.DCM:
-        raise BadValue("sample_dcm needs a DCM degree sequence")
-    return sample_digraph(seq, stream)
 
 
 def _distinct_rows(gen: np.random.Generator, n: int, rows: int,

@@ -16,11 +16,14 @@ it is made: ``TransitionKernel(rows=...)`` takes a batch drawn by
 that builder, so a run that builds no kernel never loads it.  A batch's
 first step needs no kernel either: ``one_step_laws`` reads each delta_x
 P_e straight from the heads table, one weight 1/out-degree(x) per
-out-edge of x, bitwise the law one product would give.
-``refreshed_kernels`` draws environments one at a time, in stream order,
-and builds only the first DCM kernel; every later one rewrites that P^T
-in place from its matching alone, through the builder's scatter, gather
-and permutation check, so a kernel it yields holds until the next is drawn.
+out-edge of x, bitwise the law one product would give, into a law-major
+(B, w, n) array, each law contiguous; a caller that walks on makes the
+(B n, w) block a product moves.  ``refreshed_kernels`` draws
+environments one at a time, one per row of a (B, 2) Philox key table
+(see ``rng.lane_keys``), in row order, and builds only the first DCM
+kernel; every later one rewrites that P^T in place from its matching
+alone, through the builder's scatter, gather and permutation check, so a
+kernel it yields holds until the next is drawn.
 
 Switch-time-averaged rows are Horner passes: ``grouped_time_averaged_rows``
 yields the row of every grid time and every eta kernel of a group from
@@ -43,7 +46,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from .core import (DIST_TOL, DegreeSequence, ModelKind, allocating,
                    index_dtype_for, integer_in, integers_in, law_array,
                    real_in)
 from .errors import BadRange, BadValue, BudgetExceeded, ImpossibleStep
-from .rng import RngStream
+from .rng import RngStream, key_table
 from .sampler import Digraph, sample_matchings, sample_tables
 
 if TYPE_CHECKING:   # imported by the P^T builder, so a run without a kernel
@@ -248,12 +251,14 @@ def _matched_entries(seq: DegreeSequence, head_stubs: np.ndarray,
                        f"[0, {m})") from None
 
 
-def refreshed_kernels(seq: DegreeSequence, streams: Iterable[RngStream]
+def refreshed_kernels(seq: DegreeSequence, keys: np.ndarray
                       ) -> Iterator[TransitionKernel]:
-    """The walk kernel of the environment drawn on each stream, in stream
-    order, bitwise ``kernel_from_digraph(sample_digraph(seq, stream))``.
+    """The walk kernel of the environment drawn with each row of the key
+    table keys (see ``rng.lane_keys``), in row order: for a stream's key,
+    bitwise ``kernel_from_digraph(sample_digraph(seq, stream))``.
 
-    A DCM one-row P^T always has shape n x n and the row pointer
+    The table is read by ``rng.key_table`` before the first draw.  A DCM
+    one-row P^T always has shape n x n and the row pointer
     ``seq.in_offsets``, so only the first DCM kernel is built; each later
     one draws its matching alone (``sampler.sample_matchings``) and
     rewrites that P^T's indices and data in place.  An OCM row pointer
@@ -261,13 +266,12 @@ def refreshed_kernels(seq: DegreeSequence, streams: Iterable[RngStream]
     kernel is valid only until the next one is drawn.
     """
     kernel = None
-    for stream in streams:
+    for key in key_table(keys)[:, None]:    # one-row tables
         if kernel is None or seq.model is ModelKind.OCM:
-            kernel = TransitionKernel(rows=(seq,
-                                            *sample_tables(seq, (stream,))))
+            kernel = TransitionKernel(rows=(seq, *sample_tables(seq, key)))
             pt = kernel.transpose
         else:
-            _matched_entries(seq, sample_matchings(seq.m, (stream,)),
+            _matched_entries(seq, sample_matchings(seq.m, key),
                              pt.indices[None], pt.data[None])
         yield kernel
 
@@ -305,15 +309,11 @@ def _step(v: np.ndarray, kernel: TransitionKernel,
     return _renormalized(kernel.transpose @ v, budget)
 
 
-def _checked_laws(w: np.ndarray, blocks: int,
-                  budget: OperationBudget) -> np.ndarray:
-    """w, a fresh (blocks * n, k) block of stepped laws, once each block's
-    part of each column is checked, renormalized in place and recorded on
-    its own, as a lone law's step would be."""
-    laws = w.reshape(blocks, len(w) // blocks,
-                     w.shape[1]).transpose(0, 2, 1)     # a view of w
-    # summed over contiguous rows, each mass equals the 1-d v.sum() bitwise
-    sums = np.ascontiguousarray(laws).sum(axis=2)
+def _checked_masses(laws: np.ndarray, sums: np.ndarray,
+                    budget: OperationBudget) -> np.ndarray:
+    """laws, a (..., n) view of fresh laws whose masses are sums, once each
+    law is checked, renormalized in place and recorded on its own, as a
+    lone law's step would be."""
     if not (np.isfinite(sums).all() and sums.all()):
         raise BadValue("a law's mass is not finite and nonzero")
     drift = np.abs(sums - 1.0)
@@ -321,30 +321,37 @@ def _checked_laws(w: np.ndarray, blocks: int,
     if renorm.any():
         laws[renorm] /= sums[renorm][:, None]
     budget.record(float(drift.max(initial=0.0)), int(renorm.sum()))
-    return w
+    return laws
 
 
 def _block_step(v: np.ndarray, kernel: TransitionKernel,
                 budget: OperationBudget) -> np.ndarray:
     """_step for a (kernel.n, k) block: each kernel block's part of each
     column is one distribution, checked and renormalized on its own."""
-    return _checked_laws(kernel.transpose @ v, kernel.blocks, budget)
+    w = kernel.transpose @ v
+    laws = w.reshape(kernel.blocks, len(w) // kernel.blocks,
+                     w.shape[1]).transpose(0, 2, 1)     # a view of w
+    # summed over contiguous rows, each mass equals the 1-d v.sum() bitwise
+    _checked_masses(laws, np.ascontiguousarray(laws).sum(axis=2), budget)
+    return w
 
 
 def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
                   budget: Optional[OperationBudget] = None) -> np.ndarray:
-    """The (B n, w) block of one-step laws delta_x P_e from the (B, w)
-    start table: in block e, column j is the law from starts[e, j] in the
-    digraph of row e of the (B, m) heads table (see
-    ``sampler.sample_tables``), with no kernel built.
+    """The (B, w, n) array of one-step laws delta_x P_e from the (B, w)
+    start table: law [e, j] is the law from starts[e, j] in the digraph of
+    row e of the (B, m) heads table (see ``sampler.sample_tables``), with
+    no kernel built.  Each law is contiguous, so law-major; ``propagate``
+    moves the same laws as the (B n, w) block ``laws.transpose(0, 2, 1)
+    .reshape(B * n, w)``.
 
-    The whole block is one bincount over the starts' out-edges, each adding
+    The whole array is one bincount over the starts' out-edges, each adding
     1/out-degree(x) in out-list order, and charged before it runs as one
-    multiply-add per out-edge read.  Every entry of a column comes from
-    its one start, so it equals the product P^T delta_x, which adds the
-    same 1/out-degree(x) copies and exact zeros, bit for bit, for DCM and
-    OCM tables alike; each law is then checked, renormalized and recorded
-    as ``propagate`` would.  Tables not (B, m) and (B, w) raise BadValue, a
+    multiply-add per out-edge read.  Every entry of a law comes from its
+    one start, so it equals the product P^T delta_x, which adds the same
+    1/out-degree(x) copies and exact zeros, bit for bit, for DCM and OCM
+    tables alike; each law is then checked, renormalized and recorded as
+    ``propagate`` would.  Tables not (B, m) and (B, w) raise BadValue, a
     start or a head read outside [0, n) BadRange.
     """
     n = seq.n
@@ -363,12 +370,12 @@ def one_step_laws(seq: DegreeSequence, heads: np.ndarray, starts,
     # at position k + shift[which[k]] of its row of heads
     which = np.repeat(np.arange(xs.size), degrees)
     shift = seq.out_offsets[xs] - (np.cumsum(degrees) - degrees)
-    rows, cols = np.divmod(which, w)
-    read = integers_in(heads[rows, np.arange(which.size) + shift[which]],
-                       0, n, "heads read")
-    laws = np.bincount((rows * n + read) * w + cols,
-                       seq.inv_out_degrees[xs][which], minlength=b * n * w)
-    return _checked_laws(laws.reshape(b * n, w), b, budget)
+    read = integers_in(heads[which // w, np.arange(which.size)
+                             + shift[which]], 0, n, "heads read")
+    # start which[k] is law which[k] of the (B, w, n) array
+    laws = np.bincount(which * n + read, seq.inv_out_degrees[xs][which],
+                       minlength=b * w * n).reshape(b, w, n)
+    return _checked_masses(laws, laws.sum(axis=2), budget)
 
 
 def propagate(dist, kernel: TransitionKernel, steps: int,

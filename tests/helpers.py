@@ -1,14 +1,20 @@
-"""Test helpers: digraph JSON documents and curve CSV reading.
+"""Test helpers: digraph JSON documents, curve CSV reading and the exact
+DCM law of small degree sequences.
 
 ``digraph_to_json`` and ``digraph_from_json`` write a digraph's out-lists
 and seed as JSON and read them back, so tests can build fixture digraphs
 edge by edge; ``parse_curve_csv`` reads a written curve CSV back into
 report rows.  Each refuses a malformed document with ``BadValue``.
+``every_matching`` enumerates the m! equally likely stub matchings of a
+DCM sequence, and ``matching_law`` reduces them to the exact law of the
+edge-count matrix.
 """
 
+import itertools
 import json
 import reprlib
-from typing import List
+from collections import Counter
+from typing import Dict, List
 
 import numpy as np
 
@@ -57,6 +63,24 @@ def digraph_from_json(text: str) -> Digraph:
             raise BadValue("OCM out-edges must have distinct targets")
         seq = validate_degrees(model, out_degrees)
     return _finish(seq, heads, stream)
+
+
+def every_matching(seq) -> np.ndarray:
+    """The (m!, m) heads table of every stub matching of the DCM sequence
+    seq, each as likely as any other: row i takes the head slots in the
+    order of the i-th permutation of [0, m)."""
+    stubs = np.array(list(itertools.permutations(range(seq.m))))
+    return seq.head_slots[stubs]
+
+
+def matching_law(seq) -> Dict[tuple, float]:
+    """Exact law of a DCM draw on seq as its flattened n x n edge-count
+    matrix (a tuple of ints), counted over ``every_matching``."""
+    heads = every_matching(seq)
+    counts = np.zeros((len(heads), seq.n, seq.n), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(heads))[:, None], seq.tails, heads), 1)
+    law = Counter(map(tuple, counts.reshape(len(heads), -1).tolist()))
+    return {key: count / len(heads) for key, count in law.items()}
 
 
 def parse_curve_csv(text: str) -> List[ReportRow]:

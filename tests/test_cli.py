@@ -477,22 +477,24 @@ def test_every_sidecar_reports_its_operations(tmp_path, capsys):
 def test_no_run_draws_a_stream_twice(tmp_path, monkeypatch, capsys):
     # a stream drawn twice in one run means two of its random objects are
     # one, such as two lanes that collide; every draw goes through
-    # rng.shared_generator, held by name in each module that imports it,
-    # or through RngStream.generator
+    # rng.shared_generator, held by name in each module that imports it
+    # and given a key-table row or a pair of ints, or through
+    # RngStream.generator, so the census records each draw's Philox key
     drawn = []
     shared, generator = rng.shared_generator, RngStream.generator
 
-    def census(draw):
-        return lambda stream: drawn.append(
-            (stream.root_seed, stream.stream_index)) or draw(stream)
+    def census(draw, key_of):
+        return lambda arg: drawn.append(
+            tuple(np.asarray(key_of(arg)).tolist())) or draw(arg)
     holders = [name for name, module in list(sys.modules.items())
                if name.startswith("mixlab")
                and getattr(module, "shared_generator", None) is shared]
     assert {"mixlab.sampler", "mixlab.experiments"} <= set(holders)
     for name in holders:
         monkeypatch.setattr(sys.modules[name], "shared_generator",
-                            census(shared))
-    monkeypatch.setattr(RngStream, "generator", census(generator))
+                            census(shared, lambda key: key))
+    monkeypatch.setattr(RngStream, "generator",
+                        census(generator, lambda stream: stream.key))
     for experiment, extra in _cli_cases().items():
         drawn.clear()
         run_ok([experiment, *extra, "--root-seed", "12",

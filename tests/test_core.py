@@ -63,7 +63,7 @@ def test_stub_arrays_too_large_to_allocate_are_bad_range():
         with pytest.raises(BadRange, match="would not fit in memory"):
             getattr(seq, stubs)
     with pytest.raises(BadRange, match="would not fit in memory"):
-        sample_tables(seq, [RngStream(0)])
+        sample_tables(seq, RngStream(0).key[None])
 
 
 def test_large_degree_warns_but_passes():

@@ -1,6 +1,5 @@
 """Experiment drivers: exact identities at small scale, wiring, metadata."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -27,6 +26,8 @@ from mixlab.core import ModelKind, mean_std_err
 from mixlab.report import ReportRow
 from mixlab.walk import (OperationBudget, TransitionKernel, delta_at,
                          propagate)
+
+from helpers import every_matching
 
 
 REG3_120 = validate_degrees("dcm", [3] * 120, [3] * 120)
@@ -306,8 +307,7 @@ def _walk_matrices(seq, heads):
 
 def _every_matching_walk(seq):
     """P of each of seq's m! stub matchings, all equally likely in DCM."""
-    stubs = np.array(list(itertools.permutations(range(seq.m))))
-    return _walk_matrices(seq, seq.head_slots[stubs])
+    return _walk_matrices(seq, every_matching(seq))
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -582,8 +582,9 @@ def test_annealed_batches_equal_per_environment_loop(monkeypatch, n_starts,
 @pytest.mark.parametrize("batch_entries", [1080, 1])
 def test_annealed_key_chunks_equal_per_environment_loop(monkeypatch,
                                                         batch_entries):
-    # keying 7 environment streams at a time splits batches of 5 and 15
-    # and lone environments across keying passes; every stream stays
+    # keying 7 environment streams at a time, rounded down to whole
+    # batches, keys batches of 5 and 15 a batch per pass and lone
+    # environments 7 at a time; every stream stays
     monkeypatch.setattr(experiments, "_KEY_CHUNK", 7)
     monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
     seq = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
@@ -593,6 +594,35 @@ def test_annealed_key_chunks_equal_per_environment_loop(monkeypatch,
         rows, worst_start, _ = annealed_per_environment_loop(cfg, (0, 3, 1))
         assert [(r.estimate, r.std_err) for r in report.rows] == rows
         assert report.metadata["worst_start"] == worst_start
+
+
+@pytest.mark.parametrize("batch_entries, key_chunk, tables", [
+    (1080, 12, [10, 10, 10, 7]), (1080, 3, [5] * 7 + [2]),
+    (1, 12, [12, 12, 12, 1])])
+def test_annealed_keys_whole_batches_and_no_stream_each(
+        monkeypatch, batch_entries, key_chunk, tables):
+    # m = 70 and 3 starts: 1080 entries make batches of B = 5, 1 of B = 1.
+    # A key table holds _KEY_CHUNK keys rounded down to whole batches, B
+    # if B is larger, and the run builds no RngStream per environment
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
+    monkeypatch.setattr(experiments, "_KEY_CHUNK", key_chunk)
+    keyed, derive = [], experiments.lane_keys
+    monkeypatch.setattr(experiments, "lane_keys", lambda root, which, ks: (
+        keyed.append((which, len(ks))) or derive(root, which, ks)))
+    made, init = [], RngStream.__post_init__
+    monkeypatch.setattr(RngStream, "__post_init__",
+                        lambda stream: made.append(stream) or init(stream))
+    seq = degrees_from_generator("mix:2x20,3x10", ModelKind.DCM, 3)
+    streams = []
+    for samples in (37, 74):
+        made.clear()
+        keyed.clear()
+        annealed_check(cfg_for(seq, env_samples=samples,
+                               start_vertices=[4, 0, 4]), (1, 2))
+        streams.append(len(made))
+        if samples == 37:
+            assert keyed == [(_LANE_ENV_A, count) for count in tables]
+    assert streams[0] == streams[1]
 
 
 def test_batches_add_to_the_sums_as_a_loop_of_additions_bitwise():
@@ -704,7 +734,7 @@ def test_marginal_batches_equal_per_start_loop(monkeypatch, batch_entries,
                                                key_chunk):
     # m = 90: the real constant walks all 32 environments in one batch,
     # 1080 in batches of 12, 12 and 8, and 1 each alone as a 1-d law; 7
-    # keys per pass splits the batches across keying passes
+    # keys per pass keys one batch of 12 per pass, or 7 lone environments
     monkeypatch.setattr(experiments, "_BATCH_ENTRIES", batch_entries)
     monkeypatch.setattr(experiments, "_KEY_CHUNK", key_chunk)
     seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 3)

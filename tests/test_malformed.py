@@ -46,7 +46,8 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     theory_curve, time_averaged_row, tv_distance,
                     validate_degrees, widespread_stats)
 from mixlab.errors import BadRange
-from mixlab.walk import grouped_time_averaged_rows
+from mixlab.rng import lane_keys
+from mixlab.walk import grouped_time_averaged_rows, refreshed_kernels
 
 from helpers import digraph_from_json, parse_curve_csv
 
@@ -72,7 +73,7 @@ MIX = validate_degrees("dcm", [2, 3] * 6, [3, 2] * 6)
 G1 = sample_digraph(REG, RngStream(3).lane(1))
 G2 = sample_digraph(REG, RngStream(3).lane(2))
 K1, K2 = kernel_from_digraph(G1), kernel_from_digraph(G2)
-HEADS, STUBS = sample_tables(REG, list(RngStream(3).lanes(1, range(2))))
+HEADS, STUBS = sample_tables(REG, lane_keys(3, 1, range(2)))
 MU = np.full(REG.n, 1.0 / REG.n)
 
 
@@ -154,7 +155,11 @@ SLOTS = {
     "RngStream.lane.k": lambda v: RngStream(1).lane(1, v),
     "RngStream.lanes.which": lambda v: list(RngStream(1).lanes(v, [0])),
     "RngStream.lanes.ks": lambda v: list(RngStream(1).lanes(1, v)),
+    "lane_keys.root_seed": lambda v: lane_keys(v, 1, [0]),
+    "lane_keys.which": lambda v: lane_keys(1, v, [0]),
+    "lane_keys.ks": lambda v: lane_keys(1, 1, v),
     # sampler
+    "sample_tables.keys": lambda v: sample_tables(REG, v),
     "digraph_from_json.text": lambda v: digraph_from_json(v),
     "Digraph.out_edges.x": lambda v: G1.out_edges(v),
     # stationary
@@ -188,6 +193,8 @@ SLOTS = {
         rows=(REG, v, STUBS)),
     "TransitionKernel.rows.head_stubs": lambda v: TransitionKernel(
         rows=(REG, HEADS, v)),
+    "refreshed_kernels.keys": lambda v: next(refreshed_kernels(REG, v),
+                                             None),
     "double_row.x": lambda v: double_row(v, 1, 2, K1, K2, budget()),
     "double_row.s": lambda v: double_row(0, v, 2, K1, K2, budget()),
     "double_row.t": lambda v: double_row(0, 1, v, K1, K2, budget()),
@@ -218,6 +225,9 @@ ACCEPTED = {
     ("RngStream.lane.which", "huge"): SEED,
     ("RngStream.lanes.which", "huge"): SEED,
     ("RngStream.lanes.ks", "empty"): "no offsets key no streams",
+    ("lane_keys.root_seed", "huge"): SEED,
+    ("lane_keys.which", "huge"): SEED,
+    ("lane_keys.ks", "empty"): "no offsets give an empty key table",
     ("sample_paths.xs", "empty"): "no starts walk no paths",
     ("grouped_time_averaged_rows.times", "empty"): "no times give no rows",
     ("ExperimentConfig.tol", "fraction"): LOOSE_TOL,
@@ -252,7 +262,7 @@ NOT_DATA = {
     "entropic_scale", "in_degree_distribution", "gamma_hat",
     "joint_relaxation_curve", "static_cutoff_profile",
     "stationary_diagnostics", "kernel_from_digraph",
-    "sample_tables", "sample_digraph", "sample_dcm",
+    "sample_digraph",
     "diagnostics_csv_text", "path_log_weight",
     # records the package returns
     "DegreeSequence", "EntropicScale", "ExperimentReport", "ReportRow",
@@ -264,7 +274,7 @@ NOT_DATA = {
 
 
 UNEXPORTED = {"grouped_time_averaged_rows", "digraph_from_json",
-              "parse_curve_csv"}
+              "parse_curve_csv", "lane_keys", "refreshed_kernels"}
 
 
 def _named(slot):

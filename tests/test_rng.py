@@ -6,7 +6,8 @@ import pytest
 from mixlab import sample_digraph, validate_degrees
 from mixlab.errors import BadRange, BadValue
 from mixlab.experiments import _PAIR_MAX, _pair
-from mixlab.rng import LANE, RngStream, lane_keys, shared_generator
+from mixlab.rng import (LANE, RngStream, key_table, lane_keys,
+                        shared_generator)
 
 from helpers import digraph_to_json
 
@@ -141,10 +142,13 @@ def test_shared_generator_draws_what_a_fresh_one_draws(root):
     streams = [laned[i] if i % 3 != 2 else
                RngStream(root, 2**70 + i) if i % 6 == 5 else
                RngStream(root).lane(2, i) for i in range(40)]
-    gen_ids = {id(shared_generator(s)) for s in streams}
+    # a key is re-keyed from a key-table row or from a pair of ints
+    keys = [s.key if i % 2 else s.key.tolist()
+            for i, s in enumerate(streams)]
+    gen_ids = {id(shared_generator(key)) for key in keys}
     assert len(gen_ids) == 1
-    for i, stream in enumerate(streams):
-        gen = shared_generator(stream)
+    for i, (stream, key) in enumerate(zip(streams, keys)):
+        gen = shared_generator(key)
         assert id(gen) in gen_ids
         got = _three_draws(gen, i)
         want = _three_draws(stream.generator(), i)
@@ -230,3 +234,15 @@ def test_lane_refuses_a_non_integer_lane_or_offset():
         s.lane(1, -1)
     (two,) = s.lanes(1, [2.0])
     assert two == s.lane(1, 2) and type(two.stream_index) is int
+
+
+def test_a_key_table_is_a_b_by_two_uint64_array():
+    keys = lane_keys(5, 1, range(3))
+    assert key_table(keys) is keys and key_table(keys[:0]).shape == (0, 2)
+    for bad in (keys.tolist(), keys[0], keys[:, :1], keys.astype(np.int64),
+                keys[None], np.zeros((2, 3), np.uint64), None, "keys"):
+        with pytest.raises(BadValue, match="uint64 table"):
+            key_table(bad)
+    # a row of a table and its pair of ints key the same draws
+    assert np.array_equal(shared_generator(keys[1]).random(3),
+                          shared_generator(keys[1].tolist()).random(3))

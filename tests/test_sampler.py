@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab import (RngStream, sample_dcm, sample_digraph, sample_tables,
-                    sampler, validate_degrees)
+from mixlab import (RngStream, sample_digraph, sample_tables, sampler,
+                    validate_degrees)
 from mixlab.core import index_dtype_for
 from mixlab.errors import BadRange, BadValue
+from mixlab.rng import lane_keys
 
-from helpers import digraph_from_json, digraph_to_json
+from helpers import digraph_from_json, digraph_to_json, matching_law
 
 
 TRIPLE = validate_degrees("dcm", [2, 2, 2], [2, 2, 2])
@@ -30,26 +31,11 @@ def multiplicity_key(g):
     return tuple(mat.ravel())
 
 
-def enumerate_matching_law():
-    """Exact graph law at n=3: every bijection of 6 tails onto 6 head slots."""
-    head_slots = [0, 0, 1, 1, 2, 2]
-    tail_owner = [0, 0, 1, 1, 2, 2]
-    law = Counter()
-    for perm in itertools.permutations(range(6)):
-        mat = np.zeros((3, 3), dtype=int)
-        for stub, slot in enumerate(perm):
-            mat[tail_owner[stub], head_slots[slot]] += 1
-        law[tuple(mat.ravel())] += 1
-    total = sum(law.values())
-    assert total == 720
-    return {key: count / total for key, count in law.items()}
-
-
 def test_dcm_matches_enumerated_matching_law():
-    law = enumerate_matching_law()
+    law = matching_law(TRIPLE)
     samples = 4000
     observed = Counter(
-        multiplicity_key(sample_dcm(TRIPLE, RngStream(42, r)))
+        multiplicity_key(sample_digraph(TRIPLE, RngStream(42, r)))
         for r in range(samples)
     )
     assert set(observed) <= set(law)
@@ -71,8 +57,7 @@ def chi_square_p(rows, cells):
 def test_table_matchings_follow_the_exact_uniform_law():
     # every degree 2 and n = 3: the 6! = 720 matchings are equally likely
     rows = 20_000
-    heads, stubs = sample_tables(TRIPLE, list(RngStream(11).lanes(1,
-                                                                  range(rows))))
+    heads, stubs = sample_tables(TRIPLE, lane_keys(11, 1, range(rows)))
     assert np.array_equal(heads, TRIPLE.head_slots[stubs])
     assert chi_square_p(stubs, list(itertools.permutations(range(6)))) > 1e-3
 
@@ -84,8 +69,7 @@ def test_table_out_maps_follow_the_exact_uniform_law():
     # test near 0.5 s; the coarsest cells still expect about 70 rows
     seq = validate_degrees("ocm", [2] * 4)
     rows = 10_000
-    heads, stubs = sample_tables(seq, list(RngStream(12).lanes(1,
-                                                               range(rows))))
+    heads, stubs = sample_tables(seq, lane_keys(12, 1, range(rows)))
     assert stubs is None
     pairs = list(itertools.permutations(range(4), 2))
     for x in range(4):
@@ -97,7 +81,7 @@ def test_table_out_maps_follow_the_exact_uniform_law():
 def test_dcm_preserves_in_degrees_exactly():
     seq = validate_degrees("dcm", [3, 2, 4, 2, 3], [2, 3, 3, 4, 2])
     for r in range(5):
-        g = sample_dcm(seq, RngStream(0, r))
+        g = sample_digraph(seq, RngStream(0, r))
         counts = np.bincount(g.heads, minlength=seq.n)
         assert np.array_equal(counts, seq.in_degrees)
         assert np.array_equal(np.diff(g.offsets), seq.out_degrees)
@@ -230,7 +214,8 @@ def _sample_all(seqs, streams):
 def test_keyed_samples_equal_the_fresh_generator_oracle(seq, monkeypatch):
     streams = list(RngStream(21).lanes(1, range(60)))
     got = _sample_all([seq], streams)
-    monkeypatch.setattr(sampler, "shared_generator", RngStream.generator)
+    monkeypatch.setattr(sampler, "shared_generator", lambda key: (
+        np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))))
     want = _sample_all([seq], streams)
     for g, o in zip(got, want):
         assert np.array_equal(g.heads, o.heads)
@@ -288,12 +273,6 @@ def test_sampling_is_deterministic_per_stream():
     assert not np.array_equal(a.heads, c.heads)
 
 
-def test_model_dispatch_guards():
-    ocm = validate_degrees("ocm", [2, 2, 2])
-    with pytest.raises(BadValue):
-        sample_dcm(ocm, RngStream(0))
-
-
 def _graph_from_edges(out_edges, model="dcm"):
     doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": model,
            "out_edges": out_edges}
@@ -330,7 +309,8 @@ def test_json_round_trip():
 def test_heads_are_held_in_the_index_dtype():
     dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
     ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
-    graphs = [sample_dcm(dcm, RngStream(1)), sample_digraph(ocm, RngStream(1))]
+    graphs = [sample_digraph(dcm, RngStream(1)),
+              sample_digraph(ocm, RngStream(1))]
     graphs += [digraph_from_json(digraph_to_json(g)) for g in graphs]
     for g in graphs:
         assert g.heads.dtype == index_dtype_for(g.seq.m) == np.int32

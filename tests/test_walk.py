@@ -13,12 +13,13 @@ from mixlab import (Digraph, ModelKind, NotConverged, OperationBudget,
                     RngStream, TransitionKernel, delta_at, double_row,
                     kernel_from_digraph,
                     one_step_laws, path_log_weight, path_log_weights,
-                    propagate, sample_dcm, sample_digraph, sample_paths,
+                    propagate, sample_digraph, sample_paths,
                     sample_tables, sample_trajectory,
                     stationary_distribution, time_averaged_row,
                     tv_distance, validate_degrees)
 from mixlab.errors import (BadRange, BadValue, BudgetExceeded, ImpossibleStep)
 from mixlab import sampler, walk
+from mixlab.rng import lane_keys
 from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
                          grouped_time_averaged_rows, refreshed_kernels,
                          sample_path_log_weights)
@@ -246,7 +247,7 @@ def test_dcm_permutes_stub_indices_like_the_head_slots():
     head_slots = np.repeat(np.arange(seq.n), seq.in_degrees)
     for seed in range(5):
         want = RngStream(seed, 3).generator().permutation(head_slots)
-        g = sample_dcm(seq, RngStream(seed, 3))
+        g = sample_digraph(seq, RngStream(seed, 3))
         assert np.array_equal(g.heads, want)
         assert np.array_equal(head_slots[g.head_stubs], g.heads)
 
@@ -951,7 +952,7 @@ def test_a_table_kernel_refuses_heads_that_are_not_the_matching():
     # two self-loops in the matching, and lead to 1 in the forged heads,
     # which one_step_laws reads
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
-    heads, stubs = sample_tables(seq, [RngStream(3)])
+    heads, stubs = sample_tables(seq, RngStream(3).key[None])
     assert heads[0, :2].tolist() == [0, 0]
     forged = heads.copy()
     forged[0, :2] = 1
@@ -970,7 +971,7 @@ def test_matching_kernel_refuses_a_row_that_is_no_permutation(fault):
     # read leftover memory; numpy read a stub -1 as m - 1, here in place of
     # the stub m - 1, so that every slot is still written
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
-    heads, stubs = sample_tables(seq, list(RngStream(4).lanes(1, range(2))))
+    heads, stubs = sample_tables(seq, lane_keys(4, 1, range(2)))
     if fault == "negative":
         stubs[0, stubs[0] == seq.m - 1] = -1
     else:
@@ -1061,7 +1062,7 @@ TABLE_SEQS = [validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3]),
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
 def test_table_rows_are_the_digraphs_of_their_streams(seq):
     streams = list(RngStream(17).lanes(1, range(9)))
-    heads, head_stubs = sample_tables(seq, streams)
+    heads, head_stubs = sample_tables(seq, lane_keys(17, 1, range(9)))
     assert heads.shape == (9, seq.m)
     assert (head_stubs is None) == (seq.model is ModelKind.OCM)
     for e, stream in enumerate(streams):
@@ -1080,9 +1081,10 @@ def test_table_rows_are_the_digraphs_of_their_streams(seq):
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
 def test_table_kernels_equal_the_digraph_kernels_bitwise(seq):
     streams = list(RngStream(23).lanes(1, range(6)))
+    keys = lane_keys(23, 1, range(6))
     for batch in (streams[:1], streams):
-        kernel = TransitionKernel(rows=(seq, *sample_tables(seq, batch)))
         b = len(batch)
+        kernel = TransitionKernel(rows=(seq, *sample_tables(seq, keys[:b])))
         assert (kernel.blocks, kernel.n, kernel.nnz) == (b, b * seq.n,
                                                          b * seq.m)
         kernels = [kernel_from_digraph(sample_digraph(seq, stream))
@@ -1102,7 +1104,7 @@ def test_refreshed_kernels_equal_the_digraph_kernels_bitwise(seq):
     streams = list(RngStream(29).lanes(5, range(7)))
     v = np.random.default_rng(3).random(seq.n)
     v /= v.sum()
-    kernels = refreshed_kernels(seq, streams)
+    kernels = refreshed_kernels(seq, lane_keys(29, 5, range(7)))
     first = None
     for e, (kernel, stream) in enumerate(zip(kernels, streams)):
         first = kernel if first is None else first
@@ -1121,9 +1123,9 @@ def test_a_dcm_pass_gathers_heads_for_its_first_kernel_only(monkeypatch,
                                                              seq):
     # a rewrite reads its matching alone, so it draws no heads table
     tables, draw = [], walk.sample_tables
-    monkeypatch.setattr(walk, "sample_tables", lambda seq, streams: (
-        tables.append(len(streams)) or draw(seq, streams)))
-    for _ in refreshed_kernels(seq, RngStream(29).lanes(5, range(7))):
+    monkeypatch.setattr(walk, "sample_tables", lambda seq, keys: (
+        tables.append(len(keys)) or draw(seq, keys)))
+    for _ in refreshed_kernels(seq, lane_keys(29, 5, range(7))):
         pass
     assert tables == [1] * (1 if seq.model is ModelKind.DCM else 7)
 
@@ -1137,8 +1139,8 @@ def test_a_rewritten_kernel_refuses_a_row_that_is_no_permutation(
     # left unwritten must not keep the first environment's tail
     seq = TABLE_SEQS[0]
 
-    def broken_row(m, streams):
-        stubs = sampler.sample_matchings(m, streams)
+    def broken_row(m, keys):
+        stubs = sampler.sample_matchings(m, keys)
         if fault == "negative":
             stubs[0, stubs[0] == m - 1] = -1
         else:
@@ -1146,7 +1148,7 @@ def test_a_rewritten_kernel_refuses_a_row_that_is_no_permutation(
         return stubs
 
     monkeypatch.setattr(walk, "sample_matchings", broken_row)
-    kernels = refreshed_kernels(seq, RngStream(4).lanes(1, range(3)))
+    kernels = refreshed_kernels(seq, lane_keys(4, 1, range(3)))
     next(kernels)
     with pytest.raises(BadRange):
         next(kernels)
@@ -1156,7 +1158,7 @@ def test_a_refreshed_kernel_holds_only_until_the_next_is_drawn():
     # the contract: drawing the next kernel rewrites the one held
     seq = TABLE_SEQS[0]
     streams = list(RngStream(8).lanes(1, range(2)))
-    kernels = refreshed_kernels(seq, streams)
+    kernels = refreshed_kernels(seq, lane_keys(8, 1, range(2)))
     held = next(kernels)
     first = held.transpose.indices.copy(), held.transpose.data.copy()
     assert next(kernels) is held
@@ -1192,7 +1194,7 @@ def test_every_table_kernel_builds_its_transpose_through_the_property(
     monkeypatch.setattr(TransitionKernel, "transpose", property(
         lambda kernel: built.append(kernel) or build(kernel)))
     for seq in TABLE_SEQS:
-        heads, stubs = sample_tables(seq, list(RngStream(3).lanes(1, range(2))))
+        heads, stubs = sample_tables(seq, lane_keys(3, 1, range(2)))
         g = sample_digraph(seq, RngStream(3))
         for make in (lambda: TransitionKernel(rows=(seq, heads, stubs)),
                      lambda: kernel_from_digraph(g)):
@@ -1206,7 +1208,7 @@ def test_a_kernel_lets_its_tables_go_once_its_transpose_is_built():
     seq = TABLE_SEQS[0]
     kernel = kernel_from_digraph(sample_digraph(seq, RngStream(3)))
     assert kernel._rows is None and kernel.transpose is kernel.transpose
-    heads, stubs = sample_tables(seq, list(RngStream(3).lanes(1, range(2))))
+    heads, stubs = sample_tables(seq, lane_keys(3, 1, range(2)))
     assert TransitionKernel(rows=(seq, heads, stubs))._rows is None
 
 
@@ -1214,7 +1216,7 @@ def test_a_kernel_lets_its_tables_go_once_its_transpose_is_built():
 def test_list_tables_give_the_kernel_and_laws_of_their_arrays(seq):
     # a list, or an ndarray that is not of integers, is read by the input
     # rules, so an integral-float matching is the integer one
-    heads, stubs = sample_tables(seq, list(RngStream(6).lanes(1, range(3))))
+    heads, stubs = sample_tables(seq, lane_keys(6, 1, range(3)))
     want = TransitionKernel(rows=(seq, heads, stubs)).transpose
     starts = [[0], [1], [2]]
     for read in (np.ndarray.tolist, lambda a: a.astype(float)):
@@ -1234,9 +1236,14 @@ def one_step_cases():
     for graphs, k in kernel_batches():
         yield graphs[0].seq, np.stack([g.heads for g in graphs]), k
     for seq in TABLE_SEQS:
-        heads, stubs = sample_tables(seq, list(RngStream(29).lanes(1,
-                                                                   range(5))))
+        heads, stubs = sample_tables(seq, lane_keys(29, 1, range(5)))
         yield seq, heads, TransitionKernel(rows=(seq, heads, stubs))
+
+
+def law_major(block, b):
+    """The (b, w, n) law-major copy of a (b n, w) block of laws."""
+    return np.ascontiguousarray(block.reshape(b, -1, block.shape[1])
+                                .transpose(0, 2, 1))
 
 
 def test_one_step_laws_equal_one_product_bitwise():
@@ -1250,8 +1257,9 @@ def test_one_step_laws_equal_one_product_bitwise():
             want_ledger, got_ledger = OperationBudget(), OperationBudget()
             want = propagate(block.reshape(b * n, w), kernel, 1, want_ledger)
             got = one_step_laws(seq, heads, starts, got_ledger)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            # law-major: each law contiguous
+            assert got.shape == (b, w, n) and got.flags.c_contiguous
+            assert got.tobytes() == law_major(want, b).tobytes()
             assert drift_tally(got_ledger) == drift_tally(want_ledger)
             # one multiply-add per out-edge read, not one per kernel entry
             assert got_ledger.used == seq.out_degrees[starts].sum()
@@ -1264,7 +1272,7 @@ def test_one_step_laws_renormalize_as_a_product_does():
     # seven edges of weight 1/7 do not add to 1 exactly, so the laws'
     # drift is recorded as a product's would be
     seq = validate_degrees("ocm", [7] * 14)
-    heads, _ = sample_tables(seq, list(RngStream(3).lanes(1, range(4))))
+    heads, _ = sample_tables(seq, lane_keys(3, 1, range(4)))
     kernel = TransitionKernel(rows=(seq, heads, None))
     starts = np.arange(8).reshape(4, 2)
     block = np.zeros((4, seq.n, 2))
@@ -1272,14 +1280,14 @@ def test_one_step_laws_renormalize_as_a_product_does():
     want_ledger, got_ledger = OperationBudget(), OperationBudget()
     want = propagate(block.reshape(-1, 2), kernel, 1, want_ledger)
     got = one_step_laws(seq, heads, starts, got_ledger)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == law_major(want, 4).tobytes()
     assert drift_tally(got_ledger) == drift_tally(want_ledger)
     assert got_ledger.max_drift > 0
 
 
 def test_one_step_laws_refuse_bad_tables():
     seq = validate_degrees("dcm", [2, 3, 2, 3], [3, 2, 3, 2])
-    heads, _ = sample_tables(seq, list(RngStream(4).lanes(1, range(2))))
+    heads, _ = sample_tables(seq, lane_keys(4, 1, range(2)))
     for bad in (np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int),
                 [[0], [True]], [[0.5], [1]], [[0], [1, 2]]):
         with pytest.raises(BadValue):
@@ -1295,4 +1303,4 @@ def test_one_step_laws_refuse_bad_tables():
     with pytest.raises(BadRange):
         one_step_laws(seq, forged, [[0], [0]])
     # the forged head is read only from vertex 0's out-list
-    assert one_step_laws(seq, forged, [[0], [1]]).shape == (8, 1)
+    assert one_step_laws(seq, forged, [[0], [1]]).shape == (2, 1, 4)

@@ -27,6 +27,7 @@ from mixlab.cli import main as cli_main  # noqa: E402
 
 def _cli_cases() -> dict:
     path = ROOT / "tests" / "test_acceptance.py"
+    sys.path.insert(0, str(path.parent))    # its ``helpers`` import
     spec = importlib.util.spec_from_file_location("_acceptance", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

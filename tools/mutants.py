@@ -46,13 +46,14 @@ MUTANTS = (
            "_LANE_ENV_B = 2\n", "_LANE_ENV_B = 1\n",
            ("tests/test_cli.py::test_no_run_draws_a_stream_twice",)),
     Mutant("half-shuffle", "src/mixlab/sampler.py",
-           "shared_generator(stream).shuffle(row)",
-           "shared_generator(stream).shuffle(row[:len(row) // 2])",
+           "shared_generator(key).shuffle(row)",
+           "shared_generator(key).shuffle(row[:len(row) // 2])",
            ("tests/test_experiments.py::test_annealed_hits_the_exact_averaged_law",
             "tests/test_sampler.py::test_table_matchings_follow_the_exact_uniform_law")),
     Mutant("batch-on-first-stream", "src/mixlab/experiments.py",
-           "heads, head_stubs = sample_tables(seq, batch)",
-           "heads, head_stubs = sample_tables(seq, batch[:1] * len(batch))",
+           "heads, head_stubs = sample_tables(seq, keys)",
+           "heads, head_stubs = sample_tables(seq, np.repeat(keys[:1], "
+           "len(keys), axis=0))",
            ("tests/test_experiments.py::test_annealed_hits_the_exact_averaged_law",)),
     Mutant("ocm-rows-sorted", "src/mixlab/sampler.py",
            "        if not bad.any():\n            return draws\n",
@@ -92,12 +93,12 @@ MUTANTS = (
            "and False):",
            ("tests/test_walk.py::test_a_table_kernel_refuses_heads_that_are_not_the_matching",)),
     Mutant("rewrite-on-another-stream", "src/mixlab/walk.py",
-           "sample_matchings(seq.m, (stream,))",
-           "sample_matchings(seq.m, (stream.lane(1),))",
+           "sample_matchings(seq.m, key)",
+           "sample_matchings(seq.m, key ^ np.uint64(1))",
            ("tests/test_walk.py::test_refreshed_kernels_equal_the_digraph_kernels_bitwise",)),
     Mutant("rewrite-gathers-heads", "src/mixlab/walk.py",
-           "sample_matchings(seq.m, (stream,))",
-           "sample_tables(seq, (stream,))[1]",
+           "sample_matchings(seq.m, key)",
+           "sample_tables(seq, key)[1]",
            ("tests/test_walk.py::test_a_dcm_pass_gathers_heads_for_its_first_kernel_only",)),
     Mutant("unbounded-repr", "src/mixlab/core.py",
            "must be one of {tuple(names)}, \"\n                    f\"got {reprlib.repr(value)}",
@@ -140,7 +141,7 @@ MUTANTS = (
            "        if True:\n",
            ("tests/test_core.py::test_stub_arrays_too_large_to_allocate_are_bad_range",)),
     Mutant("matching-table-unguarded", "src/mixlab/sampler.py",
-           "    with allocating(f\"a {len(streams)} x {m} table of matchings\"):\n",
+           "    with allocating(f\"a {len(keys)} x {m} table of matchings\"):\n",
            "    if True:\n",
            ("tests/test_cli.py::test_a_generator_past_int64_or_memory_exits_1",)),
     Mutant("unbounded-config-repr", "src/mixlab/cli.py",
@@ -192,6 +193,19 @@ MUTANTS = (
     Mutant("eulerian-degrees-held-twice", "src/mixlab/core.py",
            "        inn = out   # one array", "        inn = inn   # one array",
            ("tests/test_core.py::test_equal_in_and_out_degrees_are_held_once",)),
+    # batches keyed from key tables; one-step laws law by law
+    Mutant("one-step-laws-node-major", "src/mixlab/walk.py",
+           "np.bincount(which * n + read,",
+           "np.bincount((which // w * n + read) * w + which % w,",
+           ("tests/test_walk.py::test_one_step_laws_equal_one_product_bitwise",)),
+    Mutant("batch-one-key-off", "src/mixlab/experiments.py",
+           "yield first + lo, keys[lo:lo + size]",
+           "yield first + lo, keys[lo + 1:lo + size + 1]",
+           ("tests/test_experiments.py::test_annealed_key_chunks_equal_per_environment_loop",)),
+    Mutant("keys-past-whole-batches", "src/mixlab/experiments.py",
+           "keyed = max(size, _KEY_CHUNK // size * size)",
+           "keyed = max(size, _KEY_CHUNK)",
+           ("tests/test_experiments.py::test_annealed_keys_whole_batches_and_no_stream_each",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
