@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +20,7 @@ from .core import (DegreeSequence, allocating, entropic_scale,
                    mean_std_err, one_of, real_in, tv_distance)
 from .errors import AllReplicatesFailed, BadCurveName, BadValue, NotConverged
 from .report import ExperimentReport, ReportRow
-from .rng import RngStream, lane_keys, shared_generator
+from .rng import RngStream, _index, lane_keys, shared_generator
 from .sampler import sample_digraph, sample_tables
 from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
                          solve_replicates, stationary_distribution)
@@ -120,7 +119,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "root_seed",
-                           RngStream(self.root_seed).root_seed)
+                           _index(self.root_seed, "root_seed"))
         if self.alpha is not None:
             real_in(self.alpha, 0, 1, "alpha")
         real_in(self.tol, 0, math.inf, "tol")
@@ -568,12 +567,10 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, i))
         sums = dict.fromkeys(t_rows, 0.0)
         used = 0
-        streams = base.lanes(_LANE_ENV_B, [_pair(i, j)
-                                           for j in range(cfg.env_samples)])
-        for _ in range(0, cfg.env_samples, group):
+        for j0 in range(0, cfg.env_samples, group):
             solved = []
-            for stream in islice(streams, group):
-                k_eta = _kernel(seq, stream)
+            for j in range(j0, min(j0 + group, cfg.env_samples)):
+                k_eta = _kernel(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
                 pi_eta = _stationary(k_eta, cfg, mu, ledger)
                 if pi_eta is not None:
                     solved.append((k_eta, pi_eta))

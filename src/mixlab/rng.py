@@ -5,20 +5,21 @@ Every random object in the package is tied to an ``RngStream``: a
 generator.  Stream k is reachable directly, without generating streams
 0..k-1, and distinct indices give statistically independent streams.
 
-Every stream carries its Philox key, the one numpy derives from
-``SeedSequence((root_seed, stream_index))``.  Building that SeedSequence
-costs about as much as sampling a small graph, so ``lane_keys`` derives
-the keys of many streams of one lane at once, and ``RngStream.lanes``
-builds streams on them: it runs numpy's SeedSequence algorithm (hash the
+A draw is keyed one of two ways, by what its caller holds, and both give
+numpy's key, the one ``SeedSequence((root_seed, stream_index))`` derives.
+One stream derives it through numpy when ``RngStream.key`` is first read.
+A batch of draws is keyed by a key table, the (B, 2) uint64 array
+``lane_keys`` returns: building a SeedSequence costs about as much as
+sampling a small graph, so ``lane_keys`` derives the keys of many streams
+of one lane at once.  It runs numpy's SeedSequence algorithm (hash the
 entropy words into a pool of four uint32 words, mix every pool word into
 every other, then ``generate_state(2, uint64)``) in uint32 array
-arithmetic, one array element per stream.  Its keys are bitwise those of
-numpy, so a stream draws the same numbers however its key was derived.
-
-A key table, the (B, 2) uint64 array ``lane_keys`` returns, is how a
-batch of draws is keyed: ``sampler.sample_tables`` and
-``walk.refreshed_kernels`` take one, so a batch builds no ``RngStream``
-per environment, and ``key_table`` refuses any other value.
+arithmetic, one array element per stream, and its keys are bitwise those
+of numpy, so a stream draws the same numbers whichever way it is keyed.
+``sampler.sample_tables`` and ``walk.refreshed_kernels`` take a key
+table, so a batch builds no ``RngStream`` per environment, and
+``key_table`` refuses any other value.  Nothing injects a key into a
+stream: a stream is its index.
 
 A sampled environment draws only a few hundred numbers, so a fresh
 ``Generator(Philox(...))`` per key would cost more than its draws.
@@ -40,13 +41,14 @@ from __future__ import annotations
 import numbers
 import reprlib
 import threading
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import integers_in
+from .core import integer_in, integers_in
 from .errors import BadRange, BadValue
 
 # Experiments carve the 64-bit stream index into disjoint lanes so that
@@ -109,7 +111,7 @@ def lane_keys(root_seed: int, which: int, ks) -> np.ndarray:
 
     Row i equals ``SeedSequence((root_seed, which * LANE + ks[i]))
     .generate_state(2, np.uint64)`` bitwise.  The arguments are read as
-    ``RngStream.lanes`` reads them: root_seed and which are nonnegative
+    ``RngStream.lane`` reads its own: root_seed and which are nonnegative
     integers, and ks, read by ``core.integers_in``, holds offsets in
     [0, LANE).  So only the stream index's low entropy word varies: the
     entropy is root_seed's words, then k, then which's words if which > 0.
@@ -148,19 +150,16 @@ def lane_keys(root_seed: int, which: int, ks) -> np.ndarray:
 class RngStream:
     root_seed: int
     stream_index: int = 0
-    # the stream's Philox key, derived here unless ``lanes`` passes it; a
-    # stream compares, hashes and prints as its (root_seed, stream_index)
-    key: Optional[np.ndarray] = field(default=None, compare=False,
-                                      repr=False)
 
     def __post_init__(self):
-        if self.key is None:    # ``lanes`` passes keys of checked streams
-            for name in ("root_seed", "stream_index"):
-                value = _index(getattr(self, name), name)
-                object.__setattr__(self, name, value)
-            object.__setattr__(self, "key", SeedSequence(
-                (self.root_seed, self.stream_index)).generate_state(
-                    2, np.uint64))
+        for name in ("root_seed", "stream_index"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        """numpy's Philox key for this stream, derived on first read."""
+        return SeedSequence((self.root_seed, self.stream_index)
+                            ).generate_state(2, np.uint64)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; calling twice replays the stream."""
@@ -168,21 +167,8 @@ class RngStream:
 
     def lane(self, which: int, k: int = 0) -> "RngStream":
         """Stream ``which * LANE + k``, for collision-free nested loops."""
-        (stream,) = self.lanes(which, [k])
-        return stream
-
-    def lanes(self, which: int, ks: Union[Sequence[int], np.ndarray]
-              ) -> Iterator[RngStream]:
-        """The streams ``lane(which, k)`` for k in ks, keyed in one pass.
-
-        ``lane_keys`` reads the arguments and derives every key before
-        this returns; it then holds ks and 16 bytes of key per stream,
-        and builds each stream when the iteration reaches it.
-        """
-        keys = lane_keys(self.root_seed, which, ks)
-        start = int(which) * LANE
-        return (RngStream(self.root_seed, start + int(k), key)
-                for k, key in zip(ks, keys))
+        return RngStream(self.root_seed, _index(which, "lane") * LANE
+                         + integer_in(k, 0, LANE, "lane offset"))
 
 
 def key_table(keys) -> np.ndarray:

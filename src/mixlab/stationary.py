@@ -163,14 +163,13 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
     Raises BadRange when the replicates would run past the lane's end.
     """
     replicates = integer_in(replicates, 1, math.inf, "replicates")
-    which, first = divmod(stream.stream_index, LANE)
-    if first + replicates > LANE:
+    if stream.stream_index % LANE + replicates > LANE:
         raise BadRange(f"{replicates} replicate streams from stream "
                        f"{stream.stream_index} run past the end of its lane")
     mu = in_degree_distribution(seq)
     rows = []
-    subs = stream.lanes(which, range(first, first + replicates))
-    for r, sub in enumerate(subs):
+    for r in range(replicates):
+        sub = RngStream(stream.root_seed, stream.stream_index + r)
         g = sample_digraph(seq, sub)
         kernel = kernel_from_digraph(g)
         try:

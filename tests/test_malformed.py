@@ -153,8 +153,6 @@ SLOTS = {
     "RngStream.stream_index": lambda v: RngStream(1, v),
     "RngStream.lane.which": lambda v: RngStream(1).lane(v),
     "RngStream.lane.k": lambda v: RngStream(1).lane(1, v),
-    "RngStream.lanes.which": lambda v: list(RngStream(1).lanes(v, [0])),
-    "RngStream.lanes.ks": lambda v: list(RngStream(1).lanes(1, v)),
     "lane_keys.root_seed": lambda v: lane_keys(v, 1, [0]),
     "lane_keys.which": lambda v: lane_keys(1, v, [0]),
     "lane_keys.ks": lambda v: lane_keys(1, 1, v),
@@ -223,8 +221,6 @@ ACCEPTED = {
     ("RngStream.root_seed", "huge"): SEED,
     ("RngStream.stream_index", "huge"): SEED,
     ("RngStream.lane.which", "huge"): SEED,
-    ("RngStream.lanes.which", "huge"): SEED,
-    ("RngStream.lanes.ks", "empty"): "no offsets key no streams",
     ("lane_keys.root_seed", "huge"): SEED,
     ("lane_keys.which", "huge"): SEED,
     ("lane_keys.ks", "empty"): "no offsets give an empty key table",

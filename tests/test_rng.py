@@ -1,15 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from mixlab import sample_digraph, validate_degrees
+from mixlab import rng
 from mixlab.errors import BadRange, BadValue
 from mixlab.experiments import _PAIR_MAX, _pair
 from mixlab.rng import (LANE, RngStream, key_table, lane_keys,
                         shared_generator)
-
-from helpers import digraph_to_json
 
 
 def test_same_stream_replays_identical_draws():
@@ -60,7 +56,8 @@ def test_lane_offset_must_stay_inside_its_lane():
 
 
 # ---------------------------------------------------------------------------
-# lane_keys / lanes: numpy's SeedSequence keys, derived in one pass
+# RngStream.key and lane_keys: numpy's SeedSequence keys, one stream's
+# on first read and a lane's in one pass
 
 _PAIR_MAXIMA = (_pair(_PAIR_MAX, 0), _pair(0, _PAIR_MAX),
                 _pair(_PAIR_MAX, _PAIR_MAX))
@@ -86,24 +83,44 @@ def test_lane_keys_equal_numpy_seed_sequence(root):
 
 
 def test_lane_keys_of_no_offsets():
-    assert lane_keys(7, 1, np.array([], dtype=np.int64)).shape == (0, 2)
-    assert list(RngStream(7).lanes(1, [])) == []
-    assert list(RngStream(7).lanes(1, range(0))) == []
+    for ks in (np.array([], dtype=np.int64), [], range(0)):
+        keys = lane_keys(7, 1, ks)
+        assert keys.dtype == np.uint64 and keys.shape == (0, 2)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2**40])
+@pytest.mark.parametrize("k", [0, LANE - 1])
+@pytest.mark.parametrize("root", [0, 12, 2**100])
+def test_a_lane_stream_derives_numpys_key_on_first_read(monkeypatch, root,
+                                                        which, k):
+    # lane() only checks and adds; the key comes from numpy's
+    # SeedSequence when it is first read, and once
+    calls = []
+    derive, seed = rng.lane_keys, rng.SeedSequence
+    monkeypatch.setattr(rng, "lane_keys", lambda *args: (
+        calls.append("lane_keys") or derive(*args)))
+    monkeypatch.setattr(rng, "SeedSequence", lambda *args: (
+        calls.append("SeedSequence") or seed(*args)))
+    stream = RngStream(root).lane(which, k)
+    assert stream == RngStream(root, which * LANE + k) and calls == []
+    key = stream.key
+    assert calls == ["SeedSequence"]
+    assert np.array_equal(key, _numpy_key(root, which * LANE + k))
+    assert stream.key is key and calls == ["SeedSequence"]
 
 
 @pytest.mark.parametrize("root,which", [(0, 0), (12, 1), (2**40, 5),
                                         (2**100, 7)])
 def test_keyed_streams_draw_what_numpy_draws(root, which):
     ks = [0, 3, LANE - 1, *_PAIR_MAXIMA]
-    for k, stream in zip(ks, RngStream(root).lanes(which, ks)):
-        assert stream.key is not None
+    for k, key in zip(ks, lane_keys(root, which, ks)):
         ref = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((root, which * LANE + k))))
-        # the lane() stream of the same index, and a fresh generator per
-        # comparison
+        # the lane() stream of the same index, and a fresh generator on
+        # the key-table row per comparison
         twin = RngStream(root).lane(which, k).generator()
         for other in (ref, twin):
-            gen = stream.generator()
+            gen = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(gen.random(8), other.random(8))
             assert np.array_equal(gen.permutation(50), other.permutation(50))
             assert np.array_equal(
@@ -126,8 +143,8 @@ def _three_draws(gen, i):
 def test_every_stream_carries_numpys_key(root):
     ks = [0, 3, LANE - 1]
     made = [RngStream(root), RngStream(root, 5), RngStream(root, 2**70),
-            *(RngStream(root).lane(2, k) for k in ks),
-            *RngStream(root).lanes(2, ks)]
+            *(RngStream(root).lane(which, k) for which in (2, 2**40)
+              for k in ks)]
     for stream in made:
         assert stream.key.dtype == np.uint64
         assert np.array_equal(stream.key,
@@ -136,15 +153,16 @@ def test_every_stream_carries_numpys_key(root):
 
 @pytest.mark.parametrize("root", [0, 2**40, 2**100])
 def test_shared_generator_draws_what_a_fresh_one_draws(root):
-    laned = list(RngStream(root).lanes(1, range(40)))
-    # every third stream is built directly or by lane(), every sixth of
-    # them with an index past 2**64, so each kind follows the other
-    streams = [laned[i] if i % 3 != 2 else
+    table = lane_keys(root, 1, range(40))
+    # every third stream is keyed by its own key, built directly or by
+    # lane(), every sixth of them with an index past 2**64, and the others
+    # by their key-table row, so each kind follows the other
+    streams = [RngStream(root).lane(1, i) if i % 3 != 2 else
                RngStream(root, 2**70 + i) if i % 6 == 5 else
                RngStream(root).lane(2, i) for i in range(40)]
+    keys = [table[i] if i % 3 != 2 else s.key for i, s in enumerate(streams)]
     # a key is re-keyed from a key-table row or from a pair of ints
-    keys = [s.key if i % 2 else s.key.tolist()
-            for i, s in enumerate(streams)]
+    keys = [key if i % 2 else key.tolist() for i, key in enumerate(keys)]
     gen_ids = {id(shared_generator(key)) for key in keys}
     assert len(gen_ids) == 1
     for i, (stream, key) in enumerate(zip(streams, keys)):
@@ -157,46 +175,10 @@ def test_shared_generator_draws_what_a_fresh_one_draws(root):
 
 
 def test_lanes_refuse_offsets_outside_a_lane():
-    s = RngStream(7)
     for ks in ([LANE], [0, -1], [5, LANE + 5], [2**64],
                range(LANE - 1, LANE + 1)):
         with pytest.raises(BadRange):
-            s.lanes(1, ks)
-
-
-def test_keyed_stream_is_the_lane_stream():
-    s = RngStream(7, 3)
-    ks = np.array([0, 9, LANE - 1])
-    for k, keyed in zip(ks, s.lanes(2, ks)):
-        plain = s.lane(2, int(k))
-        assert keyed == plain and hash(keyed) == hash(plain)
-        assert repr(keyed) == repr(plain)
-        assert type(keyed.stream_index) is int
-    (single,) = s.lanes(2, [4])
-    assert single == s.lane(2, 4) and single.key is not None
-
-
-def test_digraph_from_a_keyed_stream_records_its_seed():
-    seq = validate_degrees("dcm", [2, 3, 2, 2], [3, 2, 2, 2])
-    for k, stream in zip(range(4), RngStream(11).lanes(1, range(4))):
-        keyed = sample_digraph(seq, stream)
-        plain = sample_digraph(seq, RngStream(11).lane(1, k))
-        assert np.array_equal(keyed.heads, plain.heads)
-        assert digraph_to_json(keyed) == digraph_to_json(plain)
-
-
-def test_lanes_hold_sixteen_bytes_per_stream():
-    count = 10**5
-    s = RngStream(3)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        streams = s.lanes(1, range(count))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert 16 * count <= held <= 16 * count + 4096, held
-    assert sum(1 for _ in streams) == count
+            lane_keys(7, 1, ks)
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", True, None, np.float64(2.0)])
@@ -217,23 +199,23 @@ def test_a_seed_or_stream_index_must_be_an_integer(bad):
 
 def test_lane_refuses_a_non_integer_lane_or_offset():
     s = RngStream(7)
-    for which, k in ((1, 1.5), (True, 3), (1, True), (1.0, 2), (1, "3")):
+    for which, k in ((1, 1.5), (True, 3), (1, True), (1.0, 2), (1, "3"),
+                     (1, np.True_)):
         with pytest.raises(BadValue):
             s.lane(which, k)
     for bad in ([1.5], ["3"], [True, 2], [0, np.True_]):
         with pytest.raises(BadValue):
-            s.lanes(1, bad)
+            lane_keys(7, 1, bad)
     with pytest.raises(BadValue):
-        s.lanes(True, [3])
+        lane_keys(7, True, [3])
     # out of range stays BadRange, past int64 too; an integral float is
     # an offset, as it is a count elsewhere
-    for ks in ([2**64], [-1], [LANE]):
+    for k in (2**64, -1, LANE):
         with pytest.raises(BadRange):
-            s.lanes(1, ks)
-    with pytest.raises(BadRange):
-        s.lane(1, -1)
-    (two,) = s.lanes(1, [2.0])
+            s.lane(1, k)
+    two = s.lane(1, 2.0)
     assert two == s.lane(1, 2) and type(two.stream_index) is int
+    assert np.array_equal(lane_keys(7, 1, [2.0]), lane_keys(7, 1, [2]))
 
 
 def test_a_key_table_is_a_b_by_two_uint64_array():

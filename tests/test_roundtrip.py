@@ -66,7 +66,7 @@ def test_json_round_trip_keeps_every_sampled_digraph(g):
        st.lists(st.integers(0, LANE - 1), min_size=2, max_size=6))
 def test_lane_keys_round_trip_through_seed_sequence(root, which, ks):
     keys = lane_keys(root, which, np.array(ks))
-    streams = RngStream(root).lanes(which, ks)
+    streams = [RngStream(root).lane(which, k) for k in ks]
     for k, key, stream in zip(ks, keys, streams):
         seq = np.random.SeedSequence((root, which * LANE + k))
         assert np.array_equal(key, seq.generate_state(2, np.uint64))

@@ -212,7 +212,7 @@ def _sample_all(seqs, streams):
 
 @pytest.mark.parametrize("seq", KEYED_SEQS, ids=range(len(KEYED_SEQS)))
 def test_keyed_samples_equal_the_fresh_generator_oracle(seq, monkeypatch):
-    streams = list(RngStream(21).lanes(1, range(60)))
+    streams = [RngStream(21).lane(1, k) for k in range(60)]
     got = _sample_all([seq], streams)
     monkeypatch.setattr(sampler, "shared_generator", lambda key: (
         np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))))
@@ -226,7 +226,7 @@ def test_keyed_samples_equal_the_fresh_generator_oracle(seq, monkeypatch):
 
 
 def test_threads_sample_keyed_environments_as_serially():
-    lanes = [list(RngStream(8).lanes(which, range(200)))
+    lanes = [[RngStream(8).lane(which, k) for k in range(200)]
              for which in range(1, 5)]
     serial = [_sample_all(KEYED_SEQS[1:3], streams) for streams in lanes]
     out = [None] * len(lanes)
@@ -260,7 +260,8 @@ def test_keyed_sampling_builds_at_most_one_generator(monkeypatch):
         return fresh(self)
 
     monkeypatch.setattr(RngStream, "generator", counted)
-    _sample_all(KEYED_SEQS[1:3], RngStream(4).lanes(1, range(100)))
+    _sample_all(KEYED_SEQS[1:3],
+                [RngStream(4).lane(1, k) for k in range(100)])
     assert len(calls) <= 1
 
 

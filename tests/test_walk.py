@@ -1061,7 +1061,7 @@ TABLE_SEQS = [validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3]),
 
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
 def test_table_rows_are_the_digraphs_of_their_streams(seq):
-    streams = list(RngStream(17).lanes(1, range(9)))
+    streams = [RngStream(17).lane(1, k) for k in range(9)]
     heads, head_stubs = sample_tables(seq, lane_keys(17, 1, range(9)))
     assert heads.shape == (9, seq.m)
     assert (head_stubs is None) == (seq.model is ModelKind.OCM)
@@ -1080,7 +1080,7 @@ def test_table_rows_are_the_digraphs_of_their_streams(seq):
 
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
 def test_table_kernels_equal_the_digraph_kernels_bitwise(seq):
-    streams = list(RngStream(23).lanes(1, range(6)))
+    streams = [RngStream(23).lane(1, k) for k in range(6)]
     keys = lane_keys(23, 1, range(6))
     for batch in (streams[:1], streams):
         b = len(batch)
@@ -1101,7 +1101,7 @@ def test_table_kernels_equal_the_digraph_kernels_bitwise(seq):
 @pytest.mark.parametrize("seq", TABLE_SEQS, ids=range(len(TABLE_SEQS)))
 def test_refreshed_kernels_equal_the_digraph_kernels_bitwise(seq):
     # DCM rewrites the first kernel's P^T in place, OCM builds each afresh
-    streams = list(RngStream(29).lanes(5, range(7)))
+    streams = [RngStream(29).lane(5, k) for k in range(7)]
     v = np.random.default_rng(3).random(seq.n)
     v /= v.sum()
     kernels = refreshed_kernels(seq, lane_keys(29, 5, range(7)))
@@ -1157,7 +1157,7 @@ def test_a_rewritten_kernel_refuses_a_row_that_is_no_permutation(
 def test_a_refreshed_kernel_holds_only_until_the_next_is_drawn():
     # the contract: drawing the next kernel rewrites the one held
     seq = TABLE_SEQS[0]
-    streams = list(RngStream(8).lanes(1, range(2)))
+    streams = [RngStream(8).lane(1, k) for k in range(2)]
     kernels = refreshed_kernels(seq, lane_keys(8, 1, range(2)))
     held = next(kernels)
     first = held.transpose.indices.copy(), held.transpose.data.copy()

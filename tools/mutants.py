@@ -206,6 +206,22 @@ MUTANTS = (
            "keyed = max(size, _KEY_CHUNK // size * size)",
            "keyed = max(size, _KEY_CHUNK)",
            ("tests/test_experiments.py::test_annealed_keys_whole_batches_and_no_stream_each",)),
+    # one stream, one key: a lane stream is its index, keyed on first read
+    Mutant("lane-through-lane-keys", "src/mixlab/rng.py",
+           "        return RngStream(self.root_seed, _index(which, \"lane\")",
+           "        lane_keys(self.root_seed, which, [k])\n"
+           "        return RngStream(self.root_seed, _index(which, \"lane\")",
+           ("tests/test_rng.py::test_a_lane_stream_derives_numpys_key_on_first_read",)),
+    Mutant("lane-offset-unchecked", "src/mixlab/rng.py",
+           "integer_in(k, 0, LANE, \"lane offset\"))", "k)",
+           ("tests/test_rng.py::test_lane_offset_must_stay_inside_its_lane",)),
+    Mutant("replicates-on-one-stream", "src/mixlab/stationary.py",
+           "stream.stream_index + r)", "stream.stream_index)",
+           ("tests/test_cli.py::test_no_run_draws_a_stream_twice",)),
+    Mutant("joint-etas-on-sigma-lane", "src/mixlab/experiments.py",
+           "base.lane(_LANE_ENV_B, _pair(i, j))",
+           "base.lane(_LANE_ENV_A, _pair(i, j))",
+           ("tests/test_cli.py::test_no_run_draws_a_stream_twice",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
