@@ -27,9 +27,8 @@ from .report import ExperimentReport, ReportRow, diagnostics_csv_text
 from .rng import LANE, RngStream
 from .sampler import Digraph, sample_digraph, sample_tables
 from .stationary import (DiagnosticsRow, GapEstimate, StationaryResult,
-                         WidespreadStats, estimate_stationary_gap,
-                         solve_replicates, stationary_distribution,
-                         widespread_stats)
+                         estimate_stationary_gap, solve_replicates,
+                         stationary_distribution)
 from .walk import (OperationBudget, Trajectory, TransitionKernel, delta_at,
                    double_row, kernel_from_digraph, one_step_laws,
                    path_log_weight, path_log_weights, propagate,

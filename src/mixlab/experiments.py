@@ -18,12 +18,12 @@ import numpy as np
 from .core import (DegreeSequence, allocating, entropic_scale,
                    in_degree_distribution, integer_in, integers_in,
                    mean_std_err, one_of, real_in, tv_distance)
-from .errors import AllReplicatesFailed, BadCurveName, BadValue, NotConverged
+from .errors import BadCurveName, BadValue
 from .report import ExperimentReport, ReportRow
 from .rng import RngStream, _index, lane_keys, shared_generator
 from .sampler import sample_digraph, sample_tables
-from .stationary import (DEFAULT_TOL, estimate_stationary_gap,
-                         solve_replicates, stationary_distribution)
+from .stationary import (DEFAULT_TOL, _kept, _solved,
+                         estimate_stationary_gap, solve_replicates)
 from .walk import (OperationBudget, TransitionKernel, as_ledger, delta_at,
                    grouped_time_averaged_rows, kernel_from_digraph,
                    one_step_laws, propagate, refreshed_kernels,
@@ -242,27 +242,6 @@ def _parallel_map(fn, items):
         yield fn(item)
 
 
-def _converged(results, msg: str):
-    """(kept results, failure count); None marks a failed stationary solve."""
-    results = list(results)
-    kept = [res for res in results if res is not None]
-    if not kept:
-        raise AllReplicatesFailed(msg)
-    return kept, len(results) - len(kept)
-
-
-def _stationary(kernel: TransitionKernel, cfg: ExperimentConfig,
-                mu: np.ndarray,
-                budget: Optional[OperationBudget]) -> Optional[np.ndarray]:
-    """Stationary law of kernel, started from mu; None when the solve fails."""
-    try:
-        return stationary_distribution(kernel, tol=cfg.tol,
-                                       max_iters=cfg.max_iters, start=mu,
-                                       budget=budget).distribution
-    except NotConverged:
-        return None
-
-
 def _gap(cfg: ExperimentConfig, replicates: int,
          budget: Optional[OperationBudget]):
     """Stationary-gap estimate on the stream lane every gap run shares."""
@@ -425,9 +404,10 @@ def static_cutoff_profile(cfg: ExperimentConfig,
 
     def one(r: int):
         kernel = _kernel(seq, base.lane(_LANE_ENV_A, r))
-        pi = _stationary(kernel, cfg, mu, ledger)
-        if pi is None:
+        solve = _solved(kernel, cfg.tol, cfg.max_iters, mu, ledger)
+        if solve is None:
             return None
+        pi = solve.distribution
         worst = dict.fromkeys(t_unique, 0.0)
         for x in starts:
             for t, v in _laws_at(delta_at(x, seq.n), kernel, t_unique,
@@ -435,9 +415,7 @@ def static_cutoff_profile(cfg: ExperimentConfig,
                 worst[t] = max(worst[t], tv_distance(v, pi))
         return worst
 
-    per_rep, failures = _converged(
-        _parallel_map(one, range(cfg.env_samples)),
-        "no stationary solve converged")
+    per_rep, failures = _kept(_parallel_map(one, range(cfg.env_samples)))
 
     rows, values = _curve(betas, ts, per_rep,
                           lambda b: theory_curve(curve, b, gap=0.0), switch)
@@ -478,9 +456,10 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
     def one(r: int):
         k_sigma = _kernel(seq, base.lane(_LANE_ENV_A, r))
         k_eta = _kernel(seq, base.lane(_LANE_ENV_B, r))
-        pi_eta = _stationary(k_eta, cfg, mu, ledger)
-        if pi_eta is None:
+        solve = _solved(k_eta, cfg.tol, cfg.max_iters, mu, ledger)
+        if solve is None:
             return None
+        pi_eta = solve.distribution
         lo = dict.fromkeys(s_sorted, math.inf)
         hi = dict.fromkeys(s_sorted, 0.0)
         for x in starts:
@@ -491,9 +470,7 @@ def double_cutoff_sweep(cfg: ExperimentConfig, beta: float,
                 hi[s] = max(hi[s], d)
         return lo, hi
 
-    per_rep, failures = _converged(
-        _parallel_map(one, range(cfg.env_samples)),
-        "no stationary solve converged")
+    per_rep, failures = _kept(_parallel_map(one, range(cfg.env_samples)))
 
     use_min = beta < 1.0
     rows, _ = _curve([float(s) for s in s_sorted], s_sorted,
@@ -571,9 +548,9 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
             solved = []
             for j in range(j0, min(j0 + group, cfg.env_samples)):
                 k_eta = _kernel(seq, base.lane(_LANE_ENV_B, _pair(i, j)))
-                pi_eta = _stationary(k_eta, cfg, mu, ledger)
-                if pi_eta is not None:
-                    solved.append((k_eta, pi_eta))
+                solve = _solved(k_eta, cfg.tol, cfg.max_iters, mu, ledger)
+                if solve is not None:
+                    solved.append((k_eta, solve.distribution))
             if not solved:
                 continue
             used += len(solved)
@@ -587,9 +564,7 @@ def joint_relaxation_curve(cfg: ExperimentConfig,
         return {t: sums[t] / used if t else 1.0
                 for t in t_unique} if used else None
 
-    per_rep, _ = _converged(
-        _parallel_map(one, enumerate(starts)),
-        "every replicate lost all its environments")
+    per_rep, _ = _kept(_parallel_map(one, enumerate(starts)), cfg.env_samples)
 
     rows, values = _curve(
         betas, ts, per_rep, lambda b: theory_curve(curve, b, gamma=gh),
@@ -948,12 +923,9 @@ def stationary_diagnostics(cfg: ExperimentConfig,
     Thin wrapper so the command-line driver and library callers share one
     stream layout with the other experiments.
     """
-    rows, failures = solve_replicates(
+    return solve_replicates(
         cfg.seq, cfg.env_samples, RngStream(cfg.root_seed).lane(_LANE_GAP),
         tol=cfg.tol, max_iters=cfg.max_iters, budget=budget)
-    if not rows:
-        raise AllReplicatesFailed(f"all {failures} stationary solves failed")
-    return rows, failures
 
 
 def stationary_gap_report(cfg: ExperimentConfig,

@@ -115,26 +115,6 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = DEFAULT_TOL,
 
 
 @dataclass(frozen=True)
-class WidespreadStats:
-    """Delocalization summaries of a stationary law.
-
-    l2_stat = n * sum(pi^2) is at least 1 by Cauchy-Schwarz and stays O(1)
-    for well-spread laws; max_stat = n * max(pi) grows polylogarithmically
-    on the ensembles this package targets.
-    """
-
-    l2_stat: float
-    max_stat: float
-
-
-def widespread_stats(pi) -> WidespreadStats:
-    pi = law_array(pi, "pi", ndim=1)
-    n = pi.size
-    return WidespreadStats(l2_stat=float(n * np.dot(pi, pi)),
-                           max_stat=float(n * pi.max()))
-
-
-@dataclass(frozen=True)
 class GapEstimate:
     gap: float
     std_err: float
@@ -144,6 +124,11 @@ class GapEstimate:
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
+    """One converged solve.  l2_stat = n * sum(pi^2) is at least 1 by
+    Cauchy-Schwarz and stays O(1) for well-spread laws; max_stat =
+    n * max(pi) grows polylogarithmically on the ensembles this package
+    targets."""
+
     replicate: int
     seed: int
     iterations: int
@@ -153,6 +138,30 @@ class DiagnosticsRow:
     tv_to_in_law: float
 
 
+def _solved(kernel: TransitionKernel, tol: float, max_iters: Optional[int],
+            start: np.ndarray,
+            budget: Optional[OperationBudget]) -> Optional[StationaryResult]:
+    """kernel's stationary solve from start; None when it does not converge."""
+    try:
+        return stationary_distribution(kernel, tol=tol, max_iters=max_iters,
+                                       start=start, budget=budget)
+    except NotConverged:
+        return None
+
+
+def _kept(results, solves_each: int = 1):
+    """(the results that are not None, how many are None).  Each result
+    stands for solves_each stationary solves, and None marks a replicate
+    none of them converged for; raises AllReplicatesFailed when no result
+    is kept."""
+    results = list(results)
+    kept = [res for res in results if res is not None]
+    if not kept:
+        raise AllReplicatesFailed(f"all {len(results) * solves_each} "
+                                  "stationary solves failed")
+    return kept, len(results) - len(kept)
+
+
 def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
                      tol: float = DEFAULT_TOL, max_iters: Optional[int] = None,
                      budget: Optional[OperationBudget] = None):
@@ -160,34 +169,29 @@ def solve_replicates(seq: DegreeSequence, replicates: int, stream: RngStream,
     ``stream`` on, and solve each for its stationary law.
 
     Returns (rows, failures): one DiagnosticsRow per converged replicate.
-    Raises BadRange when the replicates would run past the lane's end.
+    Raises BadRange when the replicates would run past the lane's end, and
+    AllReplicatesFailed when no solve converges.
     """
     replicates = integer_in(replicates, 1, math.inf, "replicates")
     if stream.stream_index % LANE + replicates > LANE:
         raise BadRange(f"{replicates} replicate streams from stream "
                        f"{stream.stream_index} run past the end of its lane")
     mu = in_degree_distribution(seq)
-    rows = []
-    for r in range(replicates):
+
+    def row(r: int) -> Optional[DiagnosticsRow]:
         sub = RngStream(stream.root_seed, stream.stream_index + r)
-        g = sample_digraph(seq, sub)
-        kernel = kernel_from_digraph(g)
-        try:
-            result = stationary_distribution(kernel, tol=tol, max_iters=max_iters,
-                                             start=mu, budget=budget)
-        except NotConverged:
-            continue
-        stats = widespread_stats(result.distribution)
-        rows.append(DiagnosticsRow(
-            replicate=r,
-            seed=sub.stream_index,
-            iterations=result.iterations,
-            residual=result.residual,
-            l2_stat=stats.l2_stat,
-            max_stat=stats.max_stat,
-            tv_to_in_law=tv_distance(result.distribution, mu),
-        ))
-    return rows, replicates - len(rows)
+        result = _solved(kernel_from_digraph(sample_digraph(seq, sub)), tol,
+                         max_iters, mu, budget)
+        if result is None:
+            return None
+        pi = result.distribution
+        return DiagnosticsRow(
+            replicate=r, seed=sub.stream_index,
+            iterations=result.iterations, residual=result.residual,
+            l2_stat=float(seq.n * np.dot(pi, pi)),
+            max_stat=float(seq.n * pi.max()),
+            tv_to_in_law=tv_distance(pi, mu))
+    return _kept(map(row, range(replicates)))
 
 
 def estimate_stationary_gap(seq: DegreeSequence, replicates: int,
@@ -202,8 +206,6 @@ def estimate_stationary_gap(seq: DegreeSequence, replicates: int,
     replicates = integer_in(replicates, 2, math.inf, "replicates")  # for std_err
     rows, failures = solve_replicates(seq, replicates, stream, tol=tol,
                                       max_iters=max_iters, budget=budget)
-    if not rows:
-        raise AllReplicatesFailed(f"all {replicates} stationary solves failed")
     gap, std_err = mean_std_err([row.tv_to_in_law for row in rows])
     return GapEstimate(gap=gap, std_err=std_err, replicates_used=len(rows),
                        failures=failures)

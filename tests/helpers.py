@@ -2,9 +2,10 @@
 DCM law of small degree sequences.
 
 ``digraph_to_json`` and ``digraph_from_json`` write a digraph's out-lists
-and seed as JSON and read them back, so tests can build fixture digraphs
-edge by edge; ``parse_curve_csv`` reads a written curve CSV back into
-report rows.  Each refuses a malformed document with ``BadValue``.
+and seed as JSON and read them back, and ``graph_from_edges`` builds a
+fixture digraph edge by edge through them; ``parse_curve_csv`` reads a
+written curve CSV back into report rows.  Each refuses a malformed
+document with ``BadValue``.
 ``every_matching`` enumerates the m! equally likely stub matchings of a
 DCM sequence, and ``matching_law`` reduces them to the exact law of the
 edge-count matrix.
@@ -63,6 +64,14 @@ def digraph_from_json(text: str) -> Digraph:
             raise BadValue("OCM out-edges must have distinct targets")
         seq = validate_degrees(model, out_degrees)
     return _finish(seq, heads, stream)
+
+
+def graph_from_edges(out_edges, model="dcm") -> Digraph:
+    """The digraph with these out-lists, read through ``digraph_from_json``
+    on seed (0, 0)."""
+    doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": model,
+           "out_edges": out_edges}
+    return digraph_from_json(json.dumps(doc))
 
 
 def every_matching(seq) -> np.ndarray:

@@ -770,12 +770,22 @@ def test_empty_start_list_exits_1(tmp_path, capsys, experiment, flags):
     ("static-cutoff", ["--beta-grid", "0.5"]),
     ("double-cutoff", ["--beta", "0.7", "--s-grid", "0,1"]),
     ("joint", ["--alpha", "0.4", "--beta-grid", "0.5"]),
+    # not Eulerian, so marginal solves for its gap
+    ("marginal", ["--alpha", "0.4", "--beta-grid", "0.5",
+                  "--gap-replicates", "3"]),
+    ("q-estimate", ["--gap-replicates", "3"]),
+    ("diagnostics", []),
 ])
 def test_all_failed_solves_exit_2(tmp_path, capsys, experiment, flags):
+    # one line with the solves tried: --gap-replicates for a gap, 2 starts
+    # times 2 environments for joint, else --env-samples
+    solves = {"joint": 4, "marginal": 3, "q-estimate": 3}.get(experiment, 2)
     args = [experiment, "--generator", "mix:2x30,3x10", "--max-iters", "1",
             "--env-samples", "2", "--start-vertices", "2",
             "--out-dir", str(tmp_path), *flags]
-    assert run_error(args, capsys) == 2
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: all {solves} stationary solves failed"]
     assert not list(tmp_path.glob("*.csv"))
 
 

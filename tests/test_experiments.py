@@ -14,13 +14,14 @@ from mixlab import (ExperimentConfig, RngStream, annealed_check,
                     marginal_relaxation_curve, path_log_weights,
                     path_weight_lln, path_weight_report, sample_digraph,
                     sample_paths, static_cutoff_profile,
-                    stationary_distribution, stationary_gap_report,
-                    tv_distance, validate_degrees)
+                    stationary_diagnostics, stationary_distribution,
+                    stationary_gap_report, tv_distance, validate_degrees)
 from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
-                           BudgetExceeded)
+                           BudgetExceeded, NotConverged)
 from mixlab import experiments, walk
-from mixlab.experiments import (_LANE_ENV_A, _LANE_SCHED, _floor_time, _kernel,
-                                _pair, _parallel_map, resolve_starts)
+from mixlab.experiments import (_LANE_ENV_A, _LANE_GAP, _LANE_SCHED,
+                                _floor_time, _kernel, _pair, _parallel_map,
+                                resolve_starts)
 from mixlab.cli import degrees_from_generator
 from mixlab.core import ModelKind, mean_std_err
 from mixlab.report import ReportRow
@@ -453,7 +454,7 @@ def test_joint_groups_of_environments_give_the_walk_per_environment(
     seq = validate_degrees("dcm", [2, 3] * 20, [3, 2] * 20)
     cfg = cfg_for(seq, alpha=0.3, beta_grid=(0.0, 0.5, 1.0, 2.0),
                   env_samples=3, start_vertices=3)
-    stationary = experiments._stationary
+    solved = experiments._solved
 
     def run(group):
         calls = []
@@ -461,8 +462,8 @@ def test_joint_groups_of_environments_give_the_walk_per_environment(
         def solve(kernel, *args):
             calls.append(kernel)
             return (None if len(calls) - 1 in failing
-                    else stationary(kernel, *args))
-        monkeypatch.setattr(experiments, "_stationary", solve)
+                    else solved(kernel, *args))
+        monkeypatch.setattr(experiments, "_solved", solve)
         monkeypatch.setattr(experiments, "_BATCH_ENTRIES", group * seq.m)
         ledger = OperationBudget()
         return joint_relaxation_curve(cfg, budget=ledger), ledger
@@ -1187,6 +1188,38 @@ def test_every_failed_solve_raises_all_replicates_failed(run):
                   env_samples=2, start_vertices=2, max_iters=1)
     with pytest.raises(AllReplicatesFailed):
         run(cfg)
+
+
+def _failed_solves(seq, lane, replicates, max_iters):
+    """How many of the first replicates of lane fail their own solve."""
+    mu = in_degree_distribution(seq)
+    failed = 0
+    for r in range(replicates):
+        g = sample_digraph(seq, RngStream(0).lane(lane, r))
+        try:
+            stationary_distribution(kernel_from_digraph(g),
+                                    max_iters=max_iters, start=mu)
+        except NotConverged:
+            failed += 1
+    return failed
+
+
+def test_partial_solve_failures_are_counted_per_replicate():
+    # 50 iterations certify some of these non-Eulerian laws and not others
+    seq = degrees_from_generator("mix:2x30,3x10", ModelKind.DCM, 0)
+    cfg = cfg_for(seq, root_seed=0, alpha=0.4, beta_grid=(0.5,),
+                  env_samples=12, start_vertices=2, max_iters=50)
+    gap_failed = _failed_solves(seq, _LANE_GAP, 12, 50)
+    env_failed = _failed_solves(seq, _LANE_ENV_A, 12, 50)
+    assert 0 < gap_failed < 12 and 0 < env_failed < 12
+    _, failures = stationary_diagnostics(cfg)
+    assert failures == gap_failed
+    meta = static_cutoff_profile(cfg).metadata
+    assert meta["solve_failures"] == env_failed
+    meta = stationary_gap_report(cfg, replicates=12).metadata
+    assert meta["solve_failures"] == gap_failed
+    meta = marginal_relaxation_curve(cfg, gap_replicates=12).metadata
+    assert meta["q_failures"] == gap_failed
 
 
 def test_bools_are_not_counts_or_times_but_integral_floats_are():

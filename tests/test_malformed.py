@@ -44,7 +44,7 @@ from mixlab import (ExperimentConfig, MixingLabError, ModelKind,
                     static_cutoff_profile, stationary_diagnostics,
                     stationary_distribution, stationary_gap_report,
                     theory_curve, time_averaged_row, tv_distance,
-                    validate_degrees, widespread_stats)
+                    validate_degrees)
 from mixlab.errors import BadRange
 from mixlab.rng import lane_keys
 from mixlab.walk import grouped_time_averaged_rows, refreshed_kernels
@@ -167,7 +167,6 @@ SLOTS = {
         K1, max_iters=v, budget=budget()),
     "stationary_distribution.start": lambda v: stationary_distribution(
         K1, start=v, budget=budget()),
-    "widespread_stats.pi": lambda v: widespread_stats(v),
     "solve_replicates.replicates": lambda v: solve_replicates(
         REG, v, RngStream(1), budget=budget()),
     "solve_replicates.tol": lambda v: solve_replicates(
@@ -262,8 +261,7 @@ NOT_DATA = {
     "diagnostics_csv_text", "path_log_weight",
     # records the package returns
     "DegreeSequence", "EntropicScale", "ExperimentReport", "ReportRow",
-    "DiagnosticsRow", "GapEstimate", "StationaryResult", "WidespreadStats",
-    "Trajectory",
+    "DiagnosticsRow", "GapEstimate", "StationaryResult", "Trajectory",
     # constants
     "DIST_TOL", "LANE",
 }

@@ -17,7 +17,8 @@ from mixlab.core import index_dtype_for
 from mixlab.errors import BadRange, BadValue
 from mixlab.rng import lane_keys
 
-from helpers import digraph_from_json, digraph_to_json, matching_law
+from helpers import (digraph_from_json, digraph_to_json, graph_from_edges,
+                     matching_law)
 
 
 TRIPLE = validate_degrees("dcm", [2, 2, 2], [2, 2, 2])
@@ -274,12 +275,6 @@ def test_sampling_is_deterministic_per_stream():
     assert not np.array_equal(a.heads, c.heads)
 
 
-def _graph_from_edges(out_edges, model="dcm"):
-    doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": model,
-           "out_edges": out_edges}
-    return digraph_from_json(json.dumps(doc))
-
-
 def test_out_edges_reads_its_vertex():
     g = sample_digraph(validate_degrees("dcm", [2, 3, 2], [3, 2, 2]),
                        RngStream(5))
@@ -320,8 +315,8 @@ def test_heads_are_held_in_the_index_dtype():
 
 def test_json_refuses_non_integer_heads():
     with pytest.raises(BadValue):
-        _graph_from_edges([[1.7, 2], [0, 2.2], [0, 1]])
-    assert _graph_from_edges([[1.0, 2], [0, 2], [0, 1]]).heads.tolist() == [
+        graph_from_edges([[1.7, 2], [0, 2.2], [0, 1]])
+    assert graph_from_edges([[1.0, 2], [0, 2], [0, 1]]).heads.tolist() == [
         1, 2, 0, 2, 0, 1]
 
 
@@ -351,8 +346,8 @@ def test_json_refuses_a_malformed_document_with_bad_value(text):
 def test_json_ocm_rejects_repeated_targets():
     # an OCM out-map is injective, so no row may name a target twice
     with pytest.raises(BadValue):
-        _graph_from_edges([[1, 1], [0, 2], [0, 1]], model="ocm")
-    assert _graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm").n == 3
+        graph_from_edges([[1, 1], [0, 2], [0, 1]], model="ocm")
+    assert graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm").n == 3
 
 
 @pytest.mark.parametrize("root_seed, stream_index, field", [

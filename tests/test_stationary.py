@@ -9,8 +9,8 @@ from scipy.sparse import csr_matrix
 from mixlab import (NotConverged, RngStream, TransitionKernel, delta_at,
                     estimate_stationary_gap, in_degree_distribution,
                     kernel_from_digraph, sample_digraph, solve_replicates,
-                    stationary_distribution, tv_distance, validate_degrees,
-                    widespread_stats)
+                    stationary_distribution, tv_distance, validate_degrees)
+from mixlab import stationary
 from mixlab.errors import (AllReplicatesFailed, BadRange, BadValue,
                            LengthMismatch)
 from mixlab.rng import LANE
@@ -134,15 +134,35 @@ def test_solver_charges_budget_per_iteration():
     assert budget.used == pytest.approx(3.0 * (res.iterations + 2))
 
 
-def test_widespread_stats_extremes():
-    uniform = np.full(10, 0.1)
-    stats = widespread_stats(uniform)
-    assert stats.l2_stat == pytest.approx(1.0)
-    assert stats.max_stat == pytest.approx(1.0)
-    point = delta_at(0, 10)
-    stats = widespread_stats(point)
-    assert stats.l2_stat == pytest.approx(10.0)
-    assert stats.max_stat == pytest.approx(10.0)
+def test_diagnostics_rows_hold_n_pi_pi_and_n_max_pi_of_their_solve():
+    seq = validate_degrees("dcm", [2, 3, 2, 3, 2, 2], [2, 2, 3, 2, 3, 2])
+    mu = in_degree_distribution(seq)
+    rows, _ = solve_replicates(seq, 4, RngStream(21, 100))
+    assert len(rows) == 4
+    for row in rows:
+        g = sample_digraph(seq, RngStream(21, row.seed))
+        pi = stationary_distribution(kernel_from_digraph(g),
+                                     start=mu).distribution
+        assert row.l2_stat == float(seq.n * np.dot(pi, pi))
+        assert row.max_stat == float(seq.n * pi.max())
+
+
+@pytest.mark.parametrize("to_vertex_0, l2_stat", [(False, 1.0), (True, 10.0)],
+                         ids=["uniform", "point-mass"])
+def test_diagnostics_stats_of_a_uniform_and_a_point_mass_law(
+        monkeypatch, to_vertex_0, l2_stat):
+    # every row uniform has the uniform law, every row at vertex 0 the
+    # point mass there: l2_stat and max_stat read 1 and n
+    n = 10
+    p = np.zeros((n, n)) if to_vertex_0 else np.full((n, n), 1.0 / n)
+    p[:, 0] += 1.0 if to_vertex_0 else 0.0
+    kernel = TransitionKernel(matrix=csr_matrix(p))
+    monkeypatch.setattr(stationary, "kernel_from_digraph", lambda g: kernel)
+    seq = validate_degrees("dcm", [2] * n, [2] * n)
+    (row,), failures = solve_replicates(seq, 1, RngStream(3))
+    assert failures == 0
+    assert row.l2_stat == pytest.approx(l2_stat)
+    assert row.max_stat == pytest.approx(l2_stat)
 
 
 def test_solve_replicates_rows_and_seeds():

@@ -1,6 +1,5 @@
 """Propagation against dense matrix-power oracles, trajectory laws, weights."""
 
-import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -24,13 +23,7 @@ from mixlab.walk import (Trajectory, _step_log_probs, as_ledger,
                          grouped_time_averaged_rows, refreshed_kernels,
                          sample_path_log_weights)
 
-from helpers import digraph_from_json, digraph_to_json
-
-
-def _graph_from_edges(out_edges, model="dcm"):
-    doc = {"seed": {"root_seed": 0, "stream_index": 0}, "model": model,
-           "out_edges": out_edges}
-    return digraph_from_json(json.dumps(doc))
+from helpers import digraph_from_json, digraph_to_json, graph_from_edges
 
 
 def drift_tally(ledger):
@@ -55,7 +48,7 @@ def dense(kernel):
 
 
 def test_kernel_weights_count_multiplicities():
-    g = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
     k = kernel_from_digraph(g)
     assert k.matrix[0, 1] == pytest.approx(2 / 3)
     assert k.matrix[0, 2] == pytest.approx(1 / 3)
@@ -77,9 +70,9 @@ def kernel_test_graphs():
     graphs = [sample_digraph(dcm, RngStream(seed)) for seed in range(8)]
     graphs += [sample_digraph(ocm, RngStream(seed)) for seed in range(4)]
     graphs += [digraph_from_json(digraph_to_json(g)) for g in graphs[:2]]
-    graphs.append(_graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]))
-    graphs.append(_graph_from_edges([[0, 0, 1], [1, 2], [0, 2]]))
-    graphs.append(_graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm"))
+    graphs.append(graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]))
+    graphs.append(graph_from_edges([[0, 0, 1], [1, 2], [0, 2]]))
+    graphs.append(graph_from_edges([[1, 2], [0, 2], [0, 1]], model="ocm"))
     return graphs
 
 
@@ -159,8 +152,8 @@ def kernel_batches():
         sampled,
         [sample_digraph(ocm, RngStream(seed)) for seed in range(4)],
         [digraph_from_json(digraph_to_json(g)) for g in sampled[:3]],
-        [_graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]),
-         _graph_from_edges([[0, 1, 1], [2, 2], [0, 1]])],
+        [graph_from_edges([[1, 1, 2], [2, 0], [0, 1]]),
+         graph_from_edges([[0, 1, 1], [2, 2], [0, 1]])],
         sampled[4:5],
     ]
     return [(graphs, table_kernel(graphs)) for graphs in batches]
@@ -493,8 +486,8 @@ def test_trajectory_endpoint_law_matches_double_row():
 
 
 def test_path_log_weight_multiplies_step_probabilities():
-    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
-    g2 = _graph_from_edges([[1, 2], [0, 2], [0, 1]])
+    g1 = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = graph_from_edges([[1, 2], [0, 2], [0, 1]])
     traj = Trajectory(states=np.array([0, 1, 2, 0]), switch_time=2)
     # steps: 0->1 in env1 (2/3), 1->2 in env1 (1/2), 2->0 in env2 (1/2)
     want = np.log(2 / 3) + np.log(1 / 2) + np.log(1 / 2)
@@ -534,8 +527,8 @@ def path_test_pairs():
     pairs = [tuple(sample_digraph(seq, RngStream(seed).lane(env))
                    for env in (1, 2))
              for seq in (dcm, ocm, hub) for seed in range(2)]
-    pairs.append((_graph_from_edges([[1, 1, 2], [2, 0, 0], [0, 2]]),
-                  _graph_from_edges([[0, 0, 1], [1, 2, 2], [0, 0]])))
+    pairs.append((graph_from_edges([[1, 1, 2], [2, 0, 0], [0, 2]]),
+                  graph_from_edges([[0, 0, 1], [1, 2, 2], [0, 0]])))
     return pairs
 
 
@@ -561,7 +554,7 @@ def test_path_log_weights_equal_scalar_weights_bitwise():
 def test_path_log_weight_of_a_probability_below_one_is_math_log():
     # seven parallel edges of weight 1/7 sum to 0.9999999999999998, whose
     # np.log can differ from math.log in the last bit
-    g = _graph_from_edges([[1] * 7, [0] * 7])
+    g = graph_from_edges([[1] * 7, [0] * 7])
     p = float(kernel_from_digraph(g).matrix[0, 1])
     assert p == 0.9999999999999998
     want = math.log(p) + math.log(p) + math.log(p)
@@ -571,8 +564,8 @@ def test_path_log_weight_of_a_probability_below_one_is_math_log():
 
 
 def test_path_log_weights_refuse_a_forged_step():
-    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
-    g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
+    g1 = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = graph_from_edges([[0, 2], [1, 2], [0, 1]])
     states = np.array([[0, 1, 2, 0], [0, 2, 2, 1], [1, 0, 0, 1]])
     # rows 1 and 2 take a self-loop at step 1, which only g2 has
     with pytest.raises(ImpossibleStep, match="trajectory 1, step 1"):
@@ -632,7 +625,7 @@ def test_sample_path_log_weights_equal_the_weights_of_sample_paths_bitwise():
 
 def test_sample_path_log_weights_check_what_sample_paths_checks():
     g1, g2 = path_test_pairs()[0]
-    g3 = _graph_from_edges([[1, 1], [0, 0]])
+    g3 = graph_from_edges([[1, 1], [0, 0]])
     for walk_or_weigh in (sample_paths, sample_path_log_weights):
         with pytest.raises(BadRange):
             walk_or_weigh([0], 4, 3, g1, g2, RngStream(1))
@@ -665,7 +658,7 @@ def test_step_log_probs_of_a_hub_hold_no_degree_squared_table():
     # c (D + 1) + d would hold 9e6 floats, 72 MB
     d = 3000
     with pytest.warns(UserWarning, match="max degree"):
-        g = _graph_from_edges([[1] * d, [0] * d])
+        g = graph_from_edges([[1] * d, [0] * d])
     xs = np.array([0, 1, 0])
     tracemalloc.start()
     try:
@@ -705,7 +698,7 @@ def test_sample_trajectory_equals_the_scalar_walk_bitwise():
     [[0, -1, 2]],
 ], ids=["head-n", "start-n", "start-minus-1", "head-minus-1"])
 def test_path_log_weights_refuse_states_outside_the_kernel(states):
-    g = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
     with pytest.raises(BadRange):
         path_log_weights(np.array(states), 1, g, g)
     with pytest.raises(BadRange):
@@ -713,8 +706,8 @@ def test_path_log_weights_refuse_states_outside_the_kernel(states):
 
 
 def test_path_log_weights_refuse_kernels_of_different_sizes():
-    g3 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
-    g2 = _graph_from_edges([[1, 1], [0, 0]])
+    g3 = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = graph_from_edges([[1, 1], [0, 0]])
     with pytest.raises(BadValue):
         path_log_weights(np.array([[0, 1, 0]]), 1, g2, g3)
     assert path_log_weights(np.empty((0, 3), dtype=np.int64), 1, g3,
@@ -1018,8 +1011,8 @@ def test_propagate_reads_steps_by_the_integer_rule():
 
 
 def test_path_log_weights_read_the_switch_time_by_the_integer_rule():
-    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
-    g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
+    g1 = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = graph_from_edges([[0, 2], [1, 2], [0, 1]])
     states = np.array([[0, 1, 2, 0], [0, 2, 1, 2], [1, 2, 0, 2]])
     for bad in (True, 1.5, math.nan, "2"):
         with pytest.raises(BadValue):
@@ -1036,8 +1029,8 @@ def test_path_log_weights_read_the_switch_time_by_the_integer_rule():
 
 
 def test_path_log_weights_read_the_states_by_the_integer_rule():
-    g1 = _graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
-    g2 = _graph_from_edges([[0, 2], [1, 2], [0, 1]])
+    g1 = graph_from_edges([[1, 1, 2], [2, 0], [0, 1]])
+    g2 = graph_from_edges([[0, 2], [1, 2], [0, 1]])
     states = np.array([[0, 1, 2, 0], [0, 2, 1, 2], [1, 2, 0, 2]])
     want = path_log_weights(states, 2, g1, g2)
     for same in (states.astype(float), states.astype(np.uint8),

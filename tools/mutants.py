@@ -174,9 +174,9 @@ MUTANTS = (
            "if isinstance(values, np.ndarray):",
            ("tests/test_walk.py::test_list_tables_give_the_kernel_and_laws_of_their_arrays",
             "tests/test_malformed.py::test_malformed_value_is_a_typed_error")),
-    Mutant("diagnostics-fail-silently", "src/mixlab/experiments.py",
-           "    if not rows:\n        raise AllReplicatesFailed(f\"all {failures} "
-           "stationary solves failed\")\n", "",
+    Mutant("diagnostics-fail-silently", "src/mixlab/stationary.py",
+           "    if not kept:\n        raise AllReplicatesFailed(",
+           "    if False:\n        raise AllReplicatesFailed(",
            ("tests/test_cli.py::test_run_diagnostics_exit_codes",)),
     Mutant("estimate-unclipped", "src/mixlab/report.py",
            "min(max(row.estimate, 0.0), 1.0)", "row.estimate",
@@ -222,6 +222,10 @@ MUTANTS = (
            "base.lane(_LANE_ENV_B, _pair(i, j))",
            "base.lane(_LANE_ENV_A, _pair(i, j))",
            ("tests/test_cli.py::test_no_run_draws_a_stream_twice",)),
+    # one rule for a failed stationary solve, in stationary.py
+    Mutant("kept-failures-zeroed", "src/mixlab/stationary.py",
+           "return kept, len(results) - len(kept)", "return kept, 0",
+           ("tests/test_experiments.py::test_partial_solve_failures_are_counted_per_replicate",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
