@@ -202,9 +202,8 @@ def _parse_blocks(body: str):
         if not x:
             raise BadGeneratorSyntax(
                 f"expected DxCOUNT, got {reprlib.repr(piece)}")
-        blocks.append((
-            integer_text(d_txt, 2, "generator degree", BadGeneratorSyntax),
-            integer_text(k_txt, 1, "generator count", BadGeneratorSyntax)))
+        blocks.append((integer_text(d_txt, 2, "generator degree"),
+                       integer_text(k_txt, 1, "generator count")))
     return blocks
 
 
@@ -222,7 +221,7 @@ def degrees_from_generator(token: str, model: ModelKind, root_seed: int,
         raise BadGeneratorSyntax(
             f"generator {reprlib.repr(token)} needs a ':'")
     if kind == "regular":
-        d = integer_text(body, 2, "generator degree", BadGeneratorSyntax)
+        d = integer_text(body, 2, "generator degree")
         if n is None:
             raise MissingRequired("regular:D needs --n")
         blocks = [(d, integer_in(n, 1, math.inf, "--n"))]

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BadGeneratorSyntax,
     BadRange,
     BadValue,
     DegreeTooLarge,
@@ -81,8 +82,8 @@ class DegreeSequence:
             return False
         return bool(np.array_equal(self.out_degrees, self.in_degrees))
 
-    # Arrays that depend only on the degrees, built on first use and shared,
-    # read-only, by every graph and kernel sampled from this sequence.
+    # Arrays that depend only on the degrees, built on first use, shared
+    # read-only by every graph of this sequence and read by its kernels.
 
     @cached_property
     def out_offsets(self) -> np.ndarray:
@@ -195,16 +196,16 @@ def integer_in(value, low, high, name: str) -> int:
     return integers_in([value], low, high, name).item()
 
 
-def integer_text(text: str, low: int, name: str, error=BadValue) -> int:
-    """text as a Python int from low to the int64 maximum; ``error`` if
-    it does not read as one."""
+def integer_text(text: str, low: int, name: str) -> int:
+    """text as a Python int from low to the int64 maximum; a generator's
+    degree or count, so BadGeneratorSyntax if it does not read as one."""
     try:
         x = int(text)
     except ValueError:
         x = None
     if x is None or not low <= x <= _INT64_MAX:
-        raise error(f"{name} must be an integer from {low} to {_INT64_MAX}, "
-                    f"got {reprlib.repr(text)}")
+        raise BadGeneratorSyntax(f"{name} must be an integer from {low} to "
+                                 f"{_INT64_MAX}, got {reprlib.repr(text)}")
     return x
 
 
@@ -242,15 +243,15 @@ def allocating(what: str):
         raise BadRange(f"{what} would not fit in memory") from None
 
 
-def law_array(values, name: str, ndim: Optional[int] = None) -> np.ndarray:
+def law_array(values, name: str) -> np.ndarray:
     """values as a float64 array (a float64 ndarray as it is): BadValue if
     it does not convert, such as a string or a ragged list; LengthMismatch
-    if it has no entries, no axis (such as None) or other than ndim axes."""
+    if it has no entries or no axis (such as None)."""
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadValue(f"{name} must be an array of reals") from exc
-    if not (arr.ndim and arr.size) or ndim not in (None, arr.ndim):
+    if not (arr.ndim and arr.size):
         raise LengthMismatch(f"{name} of shape {arr.shape} is not a law")
     return arr
 

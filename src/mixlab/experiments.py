@@ -88,7 +88,8 @@ _PATH_BLOCK = 2048
 # point, a lower form from it on, q the stationary gap.  The regimes switch
 # at gamma = 0, at the run's gamma_hat or at infinity, so the mixed regime
 # interpolates between the two extremes; the static profile switches at 1.
-_JOINT = (lambda b, q: (1.0 + b) * math.exp(-b), lambda b, q: math.exp(-b))
+_JOINT = (lambda b, q: (1.0 + b) * math.exp(-b) if b < math.inf else 0.0,
+          lambda b, q: math.exp(-b))
 _MARGINAL = (lambda b, q: math.exp(-b), lambda b, q: q * math.exp(-b))
 _STATIC = (lambda b, q: 1.0, lambda b, q: q)
 _CURVES = {  # name -> (forms, switch point), None for the run's gamma

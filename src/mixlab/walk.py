@@ -199,7 +199,8 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
     """Block-diagonal P^T of the (B, m) tables, one entry per edge: row y
     of block e lists the tails of y's in-edges in row e's digraph, offset
     by e n.  B = 1 is the one-graph case, and each block equals its row's
-    own one-graph P^T entry for entry."""
+    own one-graph P^T entry for entry.  Every array of it is its own, so
+    scipy may write to it without touching the sequence's shared ones."""
     from scipy.sparse import csr_matrix
     b, n, m = len(heads), seq.n, seq.m
     idx = index_dtype_for(b * m)
@@ -215,15 +216,11 @@ def _transpose_matrix(seq: DegreeSequence, heads: np.ndarray,
                         _block_pointer(seq.out_offsets, b, m, idx)),
                        shape=(b * n, b * n))
         return p.tocsc().T
-    # one graph uses the shared, read-only in-degree offsets as row pointer
     tails = np.empty((b, m), dtype=idx)
     data = _matched_entries(seq, head_stubs, tails)
-    if b == 1:
-        indptr = seq.in_offsets
-    else:
-        tails += offsets
-        indptr = _block_pointer(seq.in_offsets, b, m, idx)
-    return csr_matrix((data.ravel(), tails.ravel(), indptr),
+    tails += offsets
+    return csr_matrix((data.ravel(), tails.ravel(),
+                       _block_pointer(seq.in_offsets, b, m, idx)),
                       shape=(b * n, b * n))
 
 
@@ -257,9 +254,9 @@ def refreshed_kernels(seq: DegreeSequence, keys: np.ndarray
     table keys (see ``rng.lane_keys``), in row order: for a stream's key,
     bitwise ``kernel_from_digraph(sample_digraph(seq, stream))``.
 
-    The table is read by ``rng.key_table`` before the first draw.  A DCM
-    one-row P^T always has shape n x n and the row pointer
-    ``seq.in_offsets``, so only the first DCM kernel is built; each later
+    The table is read by ``rng.key_table`` before the first draw.  Every
+    DCM one-row P^T has shape n x n and seq's in-edge offsets as its row
+    pointer, so only the first DCM kernel is built; each later
     one draws its matching alone (``sampler.sample_matchings``) and
     rewrites that P^T's indices and data in place.  An OCM row pointer
     changes with each draw, so OCM kernels are built afresh.  A yielded
@@ -527,7 +524,8 @@ def sample_paths(xs, s: int, t: int, g_sigma: Digraph, g_eta: Digraph,
     """
     steps = _walk(xs, s, t, g_sigma, g_eta, stream)
     xs, t = next(steps)
-    states = np.empty((xs.size, t + 1), dtype=np.int64)
+    with allocating(f"a ({xs.size}, {t + 1}) array of states"):
+        states = np.empty((xs.size, t + 1), dtype=np.int64)
     states[:, 0] = xs
     for *_, ys, step in steps:
         states[:, step + 1] = ys

@@ -1,5 +1,5 @@
-"""Test helpers: digraph JSON documents, curve CSV reading and the exact
-DCM law of small degree sequences.
+"""Test helpers: digraph JSON documents, curve CSV reading, the exact
+DCM law of small degree sequences and the CLI cases.
 
 ``digraph_to_json`` and ``digraph_from_json`` write a digraph's out-lists
 and seed as JSON and read them back, and ``graph_from_edges`` builds a
@@ -9,6 +9,9 @@ document with ``BadValue``.
 ``every_matching`` enumerates the m! equally likely stub matchings of a
 DCM sequence, and ``matching_law`` reduces them to the exact law of the
 edge-count matrix.
+``CLI_CASES`` holds one small run of every CLI experiment, as its argv
+after the experiment name; the byte-identity and CLI tests,
+``tools/cli_digests.py`` and CI run each of them.
 """
 
 import itertools
@@ -110,3 +113,28 @@ def parse_curve_csv(text: str) -> List[ReportRow]:
         except ValueError:      # a wrong field count or a non-number
             raise BadValue(f"malformed curve row {reprlib.repr(ln)}") from None
     return rows
+
+
+CLI_CASES = {
+    "static-cutoff": ["--generator", "eulerian:3x40", "--beta-grid",
+                      "0.5,1.5", "--env-samples", "3",
+                      "--start-vertices", "4"],
+    "double-cutoff": ["--generator", "eulerian:3x40", "--beta", "0.7",
+                      "--s-grid", "0,1,2", "--env-samples", "3",
+                      "--start-vertices", "4"],
+    "joint": ["--generator", "eulerian:3x40", "--alpha", "0.4",
+              "--beta-grid", "0.5,1", "--env-samples", "3",
+              "--start-vertices", "3"],
+    "marginal": ["--generator", "mix:2x30,3x10", "--alpha", "0.3",
+                 "--beta-grid", "0.6,1.2", "--start-vertices", "4",
+                 "--gap-replicates", "4"],
+    "marginal-crosscheck": ["--generator", "mix:2x30,3x10", "--alpha", "0.2",
+                            "--t", "3", "--schedule-samples", "50",
+                            "--start-vertices", "0,"],
+    "annealed": ["--generator", "eulerian:3x40", "--t-grid", "1,2",
+                 "--env-samples", "20", "--start-vertices", "0,1"],
+    "weight-lln": ["--generator", "regular:3", "--n", "40", "--model", "ocm",
+                   "--t", "4", "--switch-time", "2", "--traj-samples", "60"],
+    "diagnostics": ["--generator", "mix:2x30,3x10", "--env-samples", "3"],
+    "q-estimate": ["--generator", "mix:2x30,3x10", "--gap-replicates", "3"],
+}

@@ -44,7 +44,7 @@ from mixlab.walk import (
     time_averaged_row,
 )
 
-from helpers import matching_law
+from helpers import CLI_CASES, matching_law
 
 BUDGET_CAP = 5e10
 
@@ -334,31 +334,6 @@ def test_09_exact_small_system_oracles():
 
 # ---------------------------------------------------------------------------
 # 10. byte-identical reruns under any worker count
-
-
-CLI_CASES = {
-    "static-cutoff": ["--generator", "eulerian:3x40", "--beta-grid",
-                      "0.5,1.5", "--env-samples", "3",
-                      "--start-vertices", "4"],
-    "double-cutoff": ["--generator", "eulerian:3x40", "--beta", "0.7",
-                      "--s-grid", "0,1,2", "--env-samples", "3",
-                      "--start-vertices", "4"],
-    "joint": ["--generator", "eulerian:3x40", "--alpha", "0.4",
-              "--beta-grid", "0.5,1", "--env-samples", "3",
-              "--start-vertices", "3"],
-    "marginal": ["--generator", "mix:2x30,3x10", "--alpha", "0.3",
-                 "--beta-grid", "0.6,1.2", "--start-vertices", "4",
-                 "--gap-replicates", "4"],
-    "marginal-crosscheck": ["--generator", "mix:2x30,3x10", "--alpha", "0.2",
-                            "--t", "3", "--schedule-samples", "50",
-                            "--start-vertices", "0,"],
-    "annealed": ["--generator", "eulerian:3x40", "--t-grid", "1,2",
-                 "--env-samples", "20", "--start-vertices", "0,1"],
-    "weight-lln": ["--generator", "regular:3", "--n", "40", "--model", "ocm",
-                   "--t", "4", "--switch-time", "2", "--traj-samples", "60"],
-    "diagnostics": ["--generator", "mix:2x30,3x10", "--env-samples", "3"],
-    "q-estimate": ["--generator", "mix:2x30,3x10", "--gap-replicates", "3"],
-}
 
 
 def test_10_byte_identical_reruns(tmp_path, capsys):

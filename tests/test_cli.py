@@ -1,6 +1,5 @@
 """Command-line parsing, degree-sequence construction, and end-to-end runs."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -33,7 +32,7 @@ from mixlab.errors import (
 )
 from mixlab.rng import RngStream
 
-from helpers import parse_curve_csv
+from helpers import CLI_CASES, parse_curve_csv
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +455,8 @@ _DEFERRED_MODULES = ["scipy.sparse.csgraph", "scipy.sparse.linalg",
                      "scipy.linalg"]
 
 
-def _cli_cases() -> dict:
-    path = Path(__file__).with_name("test_acceptance.py")
-    spec = importlib.util.spec_from_file_location("_acceptance", path)
-    acceptance = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(acceptance)
-    return acceptance.CLI_CASES
-
-
 def test_every_sidecar_reports_its_operations(tmp_path, capsys):
-    for experiment, extra in _cli_cases().items():
+    for experiment, extra in CLI_CASES.items():
         out_dir = tmp_path / experiment
         run_ok([experiment, *extra, "--out-dir", str(out_dir)])
         (sidecar,) = out_dir.glob("*.json")
@@ -495,7 +486,7 @@ def test_no_run_draws_a_stream_twice(tmp_path, monkeypatch, capsys):
                             census(shared, lambda key: key))
     monkeypatch.setattr(RngStream, "generator",
                         census(generator, lambda stream: stream.key))
-    for experiment, extra in _cli_cases().items():
+    for experiment, extra in CLI_CASES.items():
         drawn.clear()
         run_ok([experiment, *extra, "--root-seed", "12",
                 "--out-dir", str(tmp_path / experiment)])
@@ -524,7 +515,7 @@ def _footprint(args, modules):
 
 
 def test_converged_run_loads_no_scipy_linear_algebra(tmp_path):
-    args = ["joint", *_cli_cases()["joint"], "--root-seed", "12",
+    args = ["joint", *CLI_CASES["joint"], "--root-seed", "12",
             "--out-dir", str(tmp_path)]
     assert _footprint(args, _DEFERRED_MODULES) == [0, [], []]
     assert list(tmp_path.glob("*.csv"))
@@ -543,7 +534,7 @@ def test_scipy_sparse_is_loaded_only_to_build_a_kernel(tmp_path, experiment,
                                                        builds_a_kernel):
     args = [experiment]
     if experiment != "--help":
-        args += [*_cli_cases()[experiment], "--out-dir", str(tmp_path)]
+        args += [*CLI_CASES[experiment], "--out-dir", str(tmp_path)]
     if t_grid is not None:      # the last --t-grid is the one parsed
         args += ["--t-grid", t_grid]
     loaded = ["scipy.sparse"] if builds_a_kernel else []

@@ -159,6 +159,22 @@ def test_joint_single_step_identity():
         0.5 * entropic_scale(seq).entropic_time)
 
 
+@pytest.mark.parametrize("alpha, t", [(0.01, 1), (0.3, 4), (0.9, 7),
+                                      (0.5, 50)])
+def test_joint_term_meets_its_closed_forms(alpha, t):
+    # a row off pi_eta's support scores survive + refresh_once, and a row
+    # equal to pi_eta scores survive alone
+    survive = (1.0 - alpha) ** t
+    refresh_once = alpha * t * (1.0 - alpha) ** (t - 1)
+    gen = np.random.default_rng(t)
+    row, pi = np.zeros(10), np.zeros(10)
+    row[:4], pi[4:] = gen.dirichlet(np.ones(4)), gen.dirichlet(np.ones(6))
+    assert experiments._joint_term(alpha, t, row, pi) == pytest.approx(
+        survive + refresh_once, rel=1e-14, abs=0)
+    assert experiments._joint_term(alpha, t, pi, pi) == pytest.approx(
+        survive, rel=1e-14, abs=0)
+
+
 def test_marginal_matches_direct_propagation():
     seq = REG3_120
     cfg = cfg_for(seq, alpha=0.3, beta_grid=(0.6, 1.2), start_vertices=[9])

@@ -89,6 +89,11 @@ def test_infinite_beta_stays_legal():
     assert theory_curve("static_profile", math.inf, gap=0.3) == 0.3
     assert theory_curve("marginal_general", math.inf, gamma=1.0,
                         gap=0.3) == 0.0
+    # every curve is its beta -> inf limit there: the static profile's gap
+    # floor, and 0 for every curve that decays
+    for name in CURVE_NAMES:
+        want = 0.3 if name == "static_profile" else 0.0
+        assert theory_curve(name, math.inf, gamma=1.0, gap=0.3) == want, name
 
 
 def test_regime_thresholds_are_strict():
@@ -111,7 +116,7 @@ def _seven_branch_curve(name, beta, gamma=None, gap=None):
     if name == "joint_gamma0":
         return decay
     if name == "joint_gammainf":
-        return (1.0 + beta) * decay
+        return (1.0 + beta) * decay if beta < math.inf else 0.0
     if name == "joint_general":
         if gamma is None or gamma <= 0:
             raise BadValue("joint_general needs gamma > 0")

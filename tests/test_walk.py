@@ -222,7 +222,7 @@ def test_per_sequence_arrays_are_shared_and_read_only():
         g = sample_digraph(dcm, RngStream(seed))
         k = kernel_from_digraph(g)
         assert g.offsets is dcm.out_offsets
-        assert np.shares_memory(k.transpose.indptr, dcm.in_offsets)
+        assert not np.shares_memory(k.transpose.indptr, dcm.in_offsets)
         assert np.array_equal(k.transpose.toarray(), dense_transpose_oracle(g))
         assert np.array_equal(k.matrix.toarray(), dense_transpose_oracle(g).T)
     for name, want in fresh.items():
@@ -232,6 +232,30 @@ def test_per_sequence_arrays_are_shared_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = arr[0]
         assert np.array_equal(arr, want), name
+
+
+def test_every_kernel_owns_its_transpose():
+    # scipy's in-place canonicalizers write P^T's index arrays; on every
+    # kernel form they must run, and leave the sequence and other kernels be
+    dcm = validate_degrees("dcm", [2, 3, 4, 2, 3], [3, 2, 2, 4, 3])
+    ocm = validate_degrees("ocm", [2, 3, 4, 2, 3])
+    in_offsets = dcm.in_offsets.tobytes()
+    sibling = kernel_from_digraph(sample_digraph(dcm, RngStream(99))).transpose
+    arrays = [sibling.indptr, sibling.indices, sibling.data]
+    before = [a.tobytes() for a in arrays]
+    kernels = [kernel_from_digraph(sample_digraph(dcm, RngStream(0))),
+               next(refreshed_kernels(dcm, lane_keys(3, 1, range(1)))),
+               TransitionKernel(rows=(dcm, *sample_tables(
+                   dcm, lane_keys(3, 2, range(2))))),
+               kernel_from_digraph(sample_digraph(ocm, RngStream(0)))]
+    for k in kernels:
+        want = k.transpose.toarray()
+        for mat in (k.transpose, k.matrix):
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
+        assert np.array_equal(k.transpose.toarray(), want)
+        assert dcm.in_offsets.tobytes() == in_offsets
+        assert [a.tobytes() for a in arrays] == before
 
 
 def test_dcm_permutes_stub_indices_like_the_head_slots():
@@ -739,6 +763,16 @@ def test_sample_paths_refuse_bad_input():
     with pytest.raises(BadValue):
         sample_paths([[0, 1]], 1, 3, g1, g2, RngStream(0))
     assert sample_paths([], 1, 3, g1, g2, RngStream(0)).shape == (0, 4)
+
+
+def test_states_past_memory_are_refused_before_any_step():
+    # 10**18 steps take 6.9 EiB of states, which no machine can map
+    g1, g2, _, _ = random_kernel_pair(6, n=6, d=2)
+    for t in (10 ** 18, 2 ** 63 - 1):
+        with pytest.raises(BadRange, match="would not fit in memory"):
+            sample_paths([0], 0, t, g1, g2, RngStream(2))
+        with pytest.raises(BadRange, match="would not fit in memory"):
+            sample_trajectory(0, 0, t, g1, g2, RngStream(2))
 
 
 def test_sample_paths_endpoint_law_matches_double_row():

@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py 12 1 7025 > digests.txt
 
-Runs each case of ``CLI_CASES`` in ``tests/test_acceptance.py`` through
+Runs each case of ``CLI_CASES`` in ``tests/helpers.py`` through
 ``mixlab.cli.main`` with one thread, into a temporary directory, using the
 ``src/`` of the checkout this script sits in.  It prints one line per CSV
 and JSON sidecar, ``<sha256>  seed<S>/<experiment>/<file>``, sorted.  Run
@@ -13,37 +13,27 @@ byte.  Exits 1 if any case exits non-zero.
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from helpers import CLI_CASES  # noqa: E402
 from mixlab.cli import main as cli_main  # noqa: E402
-
-
-def _cli_cases() -> dict:
-    path = ROOT / "tests" / "test_acceptance.py"
-    sys.path.insert(0, str(path.parent))    # its ``helpers`` import
-    spec = importlib.util.spec_from_file_location("_acceptance", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CLI_CASES
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="+", type=int, help="root seeds")
     args = parser.parse_args(argv)
-    cases = _cli_cases()
     failed = False
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for experiment, extra in cases.items():
+            for experiment, extra in CLI_CASES.items():
                 out_dir = Path(tmp) / f"seed{seed}" / experiment
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main([experiment, *extra, "--threads", "1",

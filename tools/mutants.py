@@ -226,6 +226,24 @@ MUTANTS = (
     Mutant("kept-failures-zeroed", "src/mixlab/stationary.py",
            "return kept, len(results) - len(kept)", "return kept, 0",
            ("tests/test_experiments.py::test_partial_solve_failures_are_counted_per_replicate",)),
+    # every kernel owns its P^T; states past memory, the joint curve at
+    # beta = inf and _joint_term's closed forms
+    Mutant("one-graph-shares-in-offsets", "src/mixlab/walk.py",
+           "                       _block_pointer(seq.in_offsets, b, m, idx)),\n",
+           "                       seq.in_offsets if b == 1 else\n"
+           "                       _block_pointer(seq.in_offsets, b, m, idx)),\n",
+           ("tests/test_walk.py::test_every_kernel_owns_its_transpose",)),
+    Mutant("states-unguarded", "src/mixlab/walk.py",
+           "    with allocating(f\"a ({xs.size}, {t + 1}) array of states\"):\n",
+           "    if True:\n",
+           ("tests/test_walk.py::test_states_past_memory_are_refused_before_any_step",)),
+    Mutant("joint-nan-at-infinity", "src/mixlab/experiments.py",
+           "if b < math.inf else 0.0", "if b <= math.inf else 0.0",
+           ("tests/test_theory.py::test_infinite_beta_stays_legal",)),
+    Mutant("joint-term-no-survive", "src/mixlab/experiments.py",
+           "    return 0.5 * (survive + float(l1))\n",
+           "    return 0.5 * float(l1)\n",
+           ("tests/test_experiments.py::test_joint_term_meets_its_closed_forms",)),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
